@@ -13,7 +13,6 @@ from .drawing import (
     CylRoles,
     Drawing,
     SpineStructure,
-    bumpy_edges,
     classify_c_monotone,
     classify_cylindrical,
     classify_monotone,

@@ -28,6 +28,7 @@ from .errors import (
 from .generators import GenSpec, generate
 from .trees import check_tree, enumerate_plane_trees
 from .transforms import (
+    _dedupe,
     certify_sequence,
     cmonotone_to_spine,
     monotone_to_spine,
@@ -67,11 +68,7 @@ def _spine_route(d, to_spine, t1, t2):
     a = to_spine(t1)
     b = to_spine(t2)
     trees = list(a.trees) + list(reversed(b.trees))
-    out = [trees[0]]
-    for t in trees[1:]:
-        if t != out[-1]:
-            out.append(t)
-    return certify_sequence(d, out, method=a.method)
+    return certify_sequence(d, _dedupe(trees), method=a.method)
 
 
 def _run_transform(d, method: str, t1, t2):

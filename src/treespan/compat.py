@@ -1,8 +1,9 @@
 """Compatibility graph of plane spanning trees, the brute-force oracle.
 
-Nodes are canonical trees, adjacency rows are Python-int bitsets, and all
-connectivity answers come from plain BFS so they can be trusted against the
-constructive transformations.
+Nodes and the ``index`` keys are canonical edge tuples, the public tree
+type; adjacency rows are Python-int bitsets over node positions, built from
+the edge masks of ``trees``.  All connectivity answers come from plain BFS
+so they can be trusted against the constructive transformations.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .drawing import Drawing
 from .errors import NodeMissingError
-from .trees import Tree, canon_tree, enumerate_plane_trees
+from .trees import Tree, canon_tree, conflict_mask, enumerate_plane_trees, tree_mask
 
 
 @dataclass
@@ -45,19 +46,8 @@ def build_compat_graph(d: Drawing, restricted: bool = False,
                        limit: Optional[int] = None) -> CompatGraph:
     nodes = enumerate_plane_trees(d, kind="special" if restricted else "all",
                                   limit=limit)
-    cross = d.crossings
-    edge_ids = {e: i for i, e in enumerate(d.edges)}
-    conflict_masks = []
-    tree_masks = []
-    for t in nodes:
-        conflict = 0
-        mask = 0
-        for e in t:
-            mask |= 1 << edge_ids[e]
-            for f in cross[e]:
-                conflict |= 1 << edge_ids[f]
-        conflict_masks.append(conflict)
-        tree_masks.append(mask)
+    tree_masks = [tree_mask(d, t) for t in nodes]
+    conflict_masks = [conflict_mask(d, mask) for mask in tree_masks]
     m = len(nodes)
     adjacency = [0] * m
     for i in range(m):

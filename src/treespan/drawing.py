@@ -3,8 +3,12 @@
 A Drawing holds one explicit curve per edge of a complete (or complete
 bipartite) graph and derives an exact crossing matrix from them.  All
 structural predicates the transformation algorithms rely on (spine paths,
-twiggly edges, the vertical-above relation, cylindrical roles, bumpy edges,
-the cut to a monotone drawing) live here.
+twiggly edges, the vertical-above relation, cylindrical roles, the cut to a
+monotone drawing) live here.
+
+The crossing matrix is stored once, as one int per edge: edge ids are
+positions in the sorted edge list, and bit j of ``cross_mask[i]`` is set when
+edges i and j cross.  ``crossings`` and ``crossing_pairs()`` are views of it.
 """
 
 from __future__ import annotations
@@ -13,14 +17,13 @@ import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from .errors import (
     InternalInvariantViolated,
     InvalidRadiiError,
     EmptySetError,
     NotSimpleError,
-    NotTwigglyError,
 )
 from .geometry import (
     CartesianCurve,
@@ -49,6 +52,14 @@ def edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+def bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def complete_edges(n: int) -> List[Edge]:
     return [(u, v) for u in range(n) for v in range(u + 1, n)]
 
@@ -72,7 +83,9 @@ class Drawing:
     circles: Optional[Tuple[Rat, Rat]] = None  # (r_in^2, r_out^2) hint
 
     _report: object = field(default=None, repr=False, compare=False)
-    _cross: Optional[Dict[Edge, FrozenSet[Edge]]] = field(
+    _edge_id: Optional[Dict[Edge, int]] = field(
+        default=None, repr=False, compare=False)
+    _cross_mask: Optional[Tuple[int, ...]] = field(
         default=None, repr=False, compare=False)
     _cert_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -89,23 +102,36 @@ class Drawing:
     def vertex_point(self, v: int):
         return self.vertex_points[v]
 
-    # crossing queries (populate via validate_simple)
+    # crossing queries (populated by validate_simple)
     @property
-    def crossings(self) -> Dict[Edge, FrozenSet[Edge]]:
-        if self._cross is None:
+    def edge_id(self) -> Dict[Edge, int]:
+        """Edge -> its position in ``edges``, which is its bit in masks."""
+        if self._edge_id is None:
             validate_simple(self)
-        return self._cross
+        return self._edge_id
+
+    @property
+    def cross_mask(self) -> Tuple[int, ...]:
+        """Row i has bit j set when edges i and j properly cross."""
+        if self._cross_mask is None:
+            validate_simple(self)
+        return self._cross_mask
 
     def cross(self, e: Edge, f: Edge) -> bool:
-        return f in self.crossings[e]
+        rows = self.cross_mask  # validates, which also sets _edge_id
+        return rows[self._edge_id[e]] >> self._edge_id[f] & 1 == 1
+
+    @property
+    def crossings(self) -> Dict[Edge, FrozenSet[Edge]]:
+        """Edge -> the edges crossing it, built from ``cross_mask``."""
+        edges = self.edges
+        return {e: frozenset(edges[j] for j in bits(row))
+                for e, row in zip(edges, self.cross_mask)}
 
     def crossing_pairs(self) -> List[Tuple[Edge, Edge]]:
-        out = []
-        for e, s in self.crossings.items():
-            for f in s:
-                if e < f:
-                    out.append((e, f))
-        return sorted(out)
+        edges = self.edges
+        return [(e, edges[j]) for i, (e, row) in enumerate(zip(edges, self.cross_mask))
+                for j in bits(row) if j > i]
 
 
 @dataclass(frozen=True)
@@ -137,7 +163,6 @@ class ClassReport:
     is_cylindrical: Optional[CylRoles]
     is_c_monotone: bool
     is_strongly_c_monotone: bool
-    notes: Tuple[str, ...] = ()
 
 
 # ---------------------------------------------------------------------------
@@ -252,10 +277,11 @@ def validate_simple(d: Drawing) -> ClassReport:
             if _vertex_on_curve(d, e, curve, v):
                 raise NotSimpleError(f"curve of {e} passes through vertex {v}")
 
-    cross: Dict[Edge, set] = {e: set() for e in d.curves}
     edges = d.edges
+    rows = [0] * len(edges)
     for i, e in enumerate(edges):
-        for f in edges[i + 1:]:
+        for j in range(i + 1, len(edges)):
+            f = edges[j]
             contacts = _pair_contacts(d, e, f)
             shared = _shared_vertex_point(d, e, f)
             if shared is not None:
@@ -272,12 +298,12 @@ def validate_simple(d: Drawing) -> ClassReport:
                 if len(propers) != len(contacts):
                     raise NotSimpleError("degenerate contact", pair=(e, f))
                 if propers:
-                    cross[e].add(f)
-                    cross[f].add(e)
+                    rows[i] |= 1 << j
+                    rows[j] |= 1 << i
 
-    d._cross = {e: frozenset(s) for e, s in cross.items()}
+    d._edge_id = {e: i for i, e in enumerate(edges)}
+    d._cross_mask = tuple(rows)
 
-    notes = []
     mono = classify_monotone(d) if d.backend == "cartesian" else None
     two_page = classify_two_page(d) if d.backend == "cartesian" else False
     cyl = None
@@ -293,7 +319,6 @@ def validate_simple(d: Drawing) -> ClassReport:
         is_cylindrical=cyl,
         is_c_monotone=c_mono,
         is_strongly_c_monotone=strongly,
-        notes=tuple(notes),
     )
     d._report = report
     return report
@@ -339,8 +364,9 @@ def classify_two_page(d: Drawing) -> bool:
 
 def twiggly_set(d: Drawing, spine: SpineStructure, edges_in) -> FrozenSet[Edge]:
     """Subset of ``edges_in`` properly crossing at least one spine edge."""
-    spine_set = set(spine.spine_edges)
-    return frozenset(e for e in edges_in if d.crossings[e] & spine_set)
+    rows, ids = d.cross_mask, d.edge_id
+    spine_mask = sum(1 << ids[s] for s in spine.spine_edges)
+    return frozenset(e for e in edges_in if rows[ids[e]] & spine_mask)
 
 
 def _open_x_range(d: Drawing, e: Edge):
@@ -420,7 +446,7 @@ def classify_cylindrical(d: Drawing, r_in2: Rat, r_out2: Rat) -> Optional[CylRol
         raise InvalidRadiiError("radii must be positive")
     if d.backend != "cartesian":
         return None
-    _ = d.crossings  # ensure the drawing is validated
+    cross = d.crossings  # also ensures the drawing is validated
     origin = Point(Fraction(0), Fraction(0))
     inner, outer = [], []
     for v in range(d.n):
@@ -452,9 +478,9 @@ def classify_cylindrical(d: Drawing, r_in2: Rat, r_out2: Rat) -> Optional[CylRol
         return [edge(ring[i], ring[(i + 1) % len(ring)]) for i in range(len(ring))]
 
     cycle = sorted(circle_cycle(inner) + circle_cycle(outer))
-    crossed = tuple(e for e in cycle if d.crossings[e])
+    crossed = tuple(e for e in cycle if cross[e])
     for e in crossed:
-        for f in d.crossings[e]:
+        for f in cross[e]:
             if roles[f] != "side":
                 raise InternalInvariantViolated(
                     f"cycle edge {e} crossed by non-side edge {f}")
@@ -468,7 +494,7 @@ def classify_cylindrical(d: Drawing, r_in2: Rat, r_out2: Rat) -> Optional[CylRol
         es = circle_cycle(vs)
         if len(vs) < 3:
             return tuple(es)
-        bad = [e for e in es if d.crossings[e]]
+        bad = [e for e in es if cross[e]]
         drop = bad[0] if bad else max(es)
         return tuple(e for e in es if e != drop)
 
@@ -505,7 +531,6 @@ def span_contains(span: Tuple[Rat, Rat], theta: Rat, strict: bool = True) -> boo
 
 
 def _spans_cover_circle(s1, s2) -> bool:
-    l1 = s1[1] - s1[0]
     comp_lo, comp_hi = s1[1], s1[0] + 1  # complement arc of s1
     for k in (0, 1, 2):
         if s2[0] + k <= comp_lo and s2[1] + k >= comp_hi:
@@ -523,7 +548,7 @@ def classify_c_monotone(d: Drawing):
     """
     if d.backend != "polar":
         return False, False, None
-    _ = d.crossings  # ensure the drawing is validated
+    _ = d.cross_mask  # ensure the drawing is validated
     radii = {p[1] for p in d.vertex_points}
     if len(radii) != 1:
         return False, False, None
@@ -553,51 +578,6 @@ def classify_c_monotone(d: Drawing):
         all_cycle_edges_spine=len(spine) == d.n,
     )
     return True, strongly, structure
-
-
-def spine_crossing_angles(d: Drawing, e: Edge, spine: SpineStructure) -> List[Rat]:
-    """Angles (lifted into e's span) where e crosses spine edges, in
-    traversal order along e."""
-    t0, tn = edge_span(d, e)
-    out = []
-    for s in sorted(d.crossings[e] & set(spine.spine_edges)):
-        hits = [c for c in polar_crossings(d.curves[e], d.curves[s])
-                if isinstance(c, Proper)]
-        if len(hits) != 1:
-            raise InternalInvariantViolated("expected exactly one spine crossing")
-        base = hits[0].at
-        lifted = base + math.ceil(t0 - base)
-        if not t0 <= lifted <= tn:
-            raise InternalInvariantViolated("crossing outside edge span")
-        out.append(lifted)
-    return sorted(out)
-
-
-def bumpy_edges(d: Drawing, e: Edge, spine: Optional[SpineStructure] = None) -> List[Edge]:
-    """For a twiggly edge with spine crossings x_1..x_k along its traversal,
-    the k+1 edges joining the vertex before each crossing gap to the vertex
-    after it (endpoints included as the outermost stops)."""
-    if spine is None:
-        _, _, spine = classify_c_monotone(d)
-    if spine is None:
-        raise NotTwigglyError("drawing is not c-monotone")
-    crossings = spine_crossing_angles(d, e, spine)
-    if not crossings:
-        raise NotTwigglyError(f"{e} crosses no spine edge")
-    angles = vertex_angles(d)
-    t0, tn = edge_span(d, e)
-    u = e[0] if (d.vertex_point(e[0])[0] % 1) == t0 % 1 else e[1]
-    w = e[1] if u == e[0] else e[0]
-
-    def before(phi: Rat) -> int:
-        return min(range(d.n), key=lambda v: (phi - angles[v]) % 1)
-
-    def after(phi: Rat) -> int:
-        return min(range(d.n), key=lambda v: (angles[v] - phi) % 1)
-
-    stops_minus = [u] + [before(phi) for phi in crossings]
-    stops_plus = [after(phi) for phi in crossings] + [w]
-    return [edge(stops_minus[i], stops_plus[i]) for i in range(len(crossings) + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -650,7 +630,7 @@ def cut_to_monotone(d: Drawing):
     out = Drawing(n=d.n, backend="cartesian", vertex_points=points,
                   curves=curves, graph=d.graph)
     validate_simple(out)
-    if out.crossings != d.crossings:
+    if out.cross_mask != d.cross_mask:
         raise InternalInvariantViolated("cut changed the crossing matrix")
     xorder = tuple(sorted(range(d.n), key=lambda v: points[v].x))
     return out, xorder

@@ -85,10 +85,6 @@ class NotStronglyCMonotoneError(TreespanError):
     pass
 
 
-class NotTwigglyError(TreespanError):
-    pass
-
-
 class FullCircleCorridorError(TreespanError):
     pass
 

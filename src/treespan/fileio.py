@@ -41,6 +41,10 @@ def _num_from_json(obj) -> Fraction:
         raise FileFormatError(f"bad rational {obj!r}: {ex}") from None
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _pair_to_json(p) -> list:
     return [_num_to_json(p[0]), _num_to_json(p[1])]
 
@@ -83,16 +87,17 @@ def drawing_from_dict(obj: dict) -> Drawing:
         if key not in obj:
             raise FileFormatError(f"missing field {key!r}")
     n = obj["n"]
-    if not isinstance(n, int) or n < 2:
+    if not _is_int(n) or n < 2:
         raise FileFormatError("n must be an integer >= 2")
     graph_obj = obj["graph"]
     if graph_obj == "complete":
         graph = ("complete",)
     elif (isinstance(graph_obj, dict) and set(graph_obj) == {"bipartite"}
           and isinstance(graph_obj["bipartite"], list)
-          and len(graph_obj["bipartite"]) == 2):
+          and len(graph_obj["bipartite"]) == 2
+          and all(_is_int(k) for k in graph_obj["bipartite"])):
         a, b = graph_obj["bipartite"]
-        graph = ("bipartite", int(a), int(b))
+        graph = ("bipartite", a, b)
     else:
         raise FileFormatError(f"bad graph field {graph_obj!r}")
     backend = obj["backend"]
@@ -110,12 +115,14 @@ def drawing_from_dict(obj: dict) -> Drawing:
         if not isinstance(entry, dict) or set(entry) != {"u", "v", "curve"}:
             raise FileFormatError(f"bad edge entry {entry!r}")
         u, v = entry["u"], entry["v"]
-        if not (isinstance(u, int) and isinstance(v, int)
+        if not (_is_int(u) and _is_int(v)
                 and 0 <= u < n and 0 <= v < n and u != v):
             raise FileFormatError(f"bad edge endpoints {u}, {v}")
         e = (min(u, v), max(u, v))
         if e in curves:
             raise FileFormatError(f"duplicate edge {e}")
+        if not isinstance(entry["curve"], list):
+            raise FileFormatError(f"curve of edge {e} must be a list")
         curves[e] = tuple(make(*_pair_from_json(w)) for w in entry["curve"])
     circles = None
     if "circles" in obj:

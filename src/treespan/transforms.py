@@ -26,6 +26,7 @@ from .drawing import (
     span_contains,
     succ_maximal,
     twiggly_set,
+    validate_simple,
     vertex_angles,
     vertices_above,
 )
@@ -49,10 +50,14 @@ from .trees import (
     TreeCert,
     _UnionFind,
     canon_tree,
+    check_mask,
     check_tree,
+    conflict_mask,
     double_star_paths,
     is_compatible,
+    mask_tree,
     star_centers,
+    tree_mask,
     twin_star_paths,
 )
 
@@ -81,18 +86,16 @@ def certify_sequence(d: Drawing, trees: Sequence[Iterable[Edge]],
     compatible; raises BadTreeError / IncompatibleStepError otherwise."""
     if not trees:
         raise ValueError("empty sequence")
-    canon = [canon_tree(t) for t in trees]
-    certs = []
-    for i, t in enumerate(canon):
-        cert = check_tree(d, t)
+    masks = [tree_mask(d, t) for t in trees]
+    certs = tuple(check_mask(d, mask) for mask in masks)
+    for i, cert in enumerate(certs):
         if not cert.is_plane_spanning_tree:
             raise BadTreeError(i, cert)
-        certs.append(cert)
-    for i in range(len(canon) - 1):
-        if not is_compatible(d, canon[i], canon[i + 1]):
+    for i in range(len(masks) - 1):
+        if masks[i] & conflict_mask(d, masks[i + 1]):
             raise IncompatibleStepError(i)
-    return TransformSequence(trees=tuple(canon), method=method,
-                             certs=tuple(certs), certified=True)
+    return TransformSequence(trees=tuple(mask_tree(d, m) for m in masks),
+                             method=method, certs=certs, certified=True)
 
 
 def _dedupe(trees: List[Tree]) -> List[Tree]:
@@ -114,12 +117,8 @@ def _retree(n: int, groups: Sequence[Iterable[Edge]]) -> Tree:
     (earlier groups are preferentially kept, ids ascending within one)."""
     uf = _UnionFind(n)
     out: List[Edge] = []
-    seen = set()
     for group in groups:
-        for e in sorted(group):
-            if e in seen:
-                continue
-            seen.add(e)
+        for e in sorted(group):  # a repeated edge fails its second union
             if uf.union(e[0], e[1]):
                 out.append(e)
     if len(out) != n - 1:
@@ -208,14 +207,10 @@ def monotone_to_spine(d: Drawing, spine: Optional[SpineStructure],
                                             "vertex above it")
         stops = [vi] + above + [vj]
         path_edges = [edge(stops[k], stops[k + 1]) for k in range(len(stops) - 1)]
-        cross = d.crossings
-        for g in path_edges:
-            if e in cross[g]:
-                raise InternalInvariantViolated("detour path crosses the "
-                                                "resolved edge")
-            hit = cross[g] & set(t)
-            if hit:
-                raise InternalInvariantViolated(f"detour path crosses tree: {hit}")
+        hit = conflict_mask(d, tree_mask(d, path_edges)) & tree_mask(d, t)
+        if hit:  # e is in t, so this also covers crossing the resolved edge
+            raise InternalInvariantViolated(
+                f"detour path crosses tree: {mask_tree(d, hit)}")
         rest = set(t) - {e}
         new_t = _retree(d.n, [
             path_edges,
@@ -329,7 +324,7 @@ def corridor_path(d: Drawing, t: Iterable[Edge], c: Corridor,
     tree; inner/outer corridors additionally avoid all twiggly edges."""
     if c.start_vertex is None or c.end_vertex is None:
         raise FullCircleCorridorError("corridor has no endpoints")
-    t = canon_tree(t)
+    t_mask = tree_mask(d, t)
     angles = vertex_angles(d)
     lo, hi = c.interval
     inside: List[Tuple[object, int]] = []
@@ -362,11 +357,10 @@ def corridor_path(d: Drawing, t: Iterable[Edge], c: Corridor,
                 raise InternalInvariantViolated("path leaves its corridor")
         if curve_eval(d.curves[g], mid) is None:
             raise InternalInvariantViolated("path hop skips its own arc")
-    cross = d.crossings
-    for g in path:
-        hit = cross[g] & set(t)
-        if hit:
-            raise InternalInvariantViolated(f"corridor path crosses tree: {hit}")
+    hit = conflict_mask(d, tree_mask(d, path)) & t_mask
+    if hit:
+        raise InternalInvariantViolated(
+            f"corridor path crosses tree: {mask_tree(d, hit)}")
     if twigglies is not None and (c.is_inner or c.is_outer):
         bad = set(path) & set(twigglies)
         if bad:
@@ -428,12 +422,9 @@ def cmonotone_to_spine(d: Drawing, t: Iterable[Edge]) -> TransformSequence:
                 continue
             path_edges.extend(corridor_path(d, t, c, twigglies=drawing_twiggly))
         path_edges = sorted(set(path_edges))
-        cross = d.crossings
-        for i, g in enumerate(path_edges):
-            for h in path_edges[i + 1:]:
-                if h in cross[g]:
-                    raise InternalInvariantViolated(
-                        "corridor paths cross each other")
+        paths = tree_mask(d, path_edges)
+        if paths & conflict_mask(d, paths):
+            raise InternalInvariantViolated("corridor paths cross each other")
         rest = set(t) - twig
         new_t = _retree(d.n, [path_edges, rest & spine_set, rest - spine_set])
         new_twig = twiggly_set(d, spine, new_t)
@@ -455,20 +446,15 @@ def cmonotone_to_spine(d: Drawing, t: Iterable[Edge]) -> TransformSequence:
 # star family
 # ---------------------------------------------------------------------------
 
-def _star(d: Drawing, c: int) -> Tree:
-    return canon_tree(edge(c, v) for v in range(d.n) if v != c)
-
-
 def _gr_order(d: Drawing, g: int, r: int) -> List[int]:
     """Vertices of V - {g, r} in an order compatible with the crossing
     relation: u before w whenever edge(u, r) crosses edge(w, g)."""
     others = [v for v in range(d.n) if v not in (g, r)]
-    cross = d.crossings
     succ: Dict[int, List[int]] = {v: [] for v in others}
     indeg = {v: 0 for v in others}
     for u in others:
         for w in others:
-            if u != w and edge(w, g) in cross[edge(u, r)]:
+            if u != w and d.cross(edge(u, r), edge(w, g)):
                 succ[u].append(w)
                 indeg[w] += 1
     order = []
@@ -482,7 +468,6 @@ def _gr_order(d: Drawing, g: int, r: int) -> List[int]:
                 ready.append(w)
         ready.sort()
     if len(order) != len(others):
-        from .drawing import validate_simple
         validate_simple(d)  # a cycle should be impossible in a simple drawing
         raise RelationCyclicError("crossing relation has a cycle")
     return order
@@ -493,22 +478,17 @@ def star_to_star(d: Drawing, g: int, r: int) -> TransformSequence:
     intermediate is a plane double star with fixed path g, r."""
     if g == r:
         raise ValueError("need two distinct centers")
-    order = _gr_order(d, g, r)
-    current = set(_star(d, g))
-    seq = [canon_tree(current)]
-    for v in reversed(order):
-        current.remove(edge(g, v))
-        current.add(edge(r, v))
-        seq.append(canon_tree(current))
-    return certify_sequence(d, seq, method="special")
+    star = canon_tree(edge(g, v) for v in range(d.n) if v != g)
+    return certify_sequence(d, _collapse_double(d, star, g, r), method="special")
 
 
 def _collapse_double(d: Drawing, t: Tree, g: int, r: int) -> List[Tree]:
-    """Flip every g-leaf of the double star onto r, in relation order."""
+    """Flip every g-leaf of the double star (or of the star at g) onto r,
+    in relation order."""
     order = _gr_order(d, g, r)
-    g_leaves = {v for v in range(d.n)
-                if v not in (g, r) and edge(g, v) in set(t)}
     current = set(t)
+    g_leaves = {v for v in range(d.n)
+                if v not in (g, r) and edge(g, v) in current}
     out = [canon_tree(current)]
     for v in reversed(order):
         if v not in g_leaves:
@@ -531,8 +511,7 @@ def double_star_to_star(d: Drawing, t: Iterable[Edge],
         c = target_center if target_center in centers else centers[0]
         if c == target_center:
             return certify_sequence(d, [t], method="special")
-        tail = star_to_star(d, c, target_center)
-        return certify_sequence(d, tail.trees, method="special")
+        return star_to_star(d, c, target_center)
     reps = double_star_paths(t)
     if not reps:
         raise NotDoubleStarError("tree admits no double-star path")
@@ -557,7 +536,7 @@ def twin_star_to_star(d: Drawing, t: Iterable[Edge],
         raise NotTwinStarError("tree admits no twin-star path")
     g, s, r = reps[0]
     gr = edge(g, r)
-    if d.crossings[gr] & set(t):
+    if not is_compatible(d, [gr], t):
         raise InternalInvariantViolated("closing edge crosses the twin star")
     second = canon_tree((set(t) | {gr}) - {edge(r, s)})
     tail = double_star_to_star(d, second, target_center)

@@ -1,7 +1,13 @@
-"""Plane spanning trees as canonical edge sets.
+"""Plane spanning trees as edge bitmasks.
 
-Trees are identified with their sorted tuple of (u, v) edges.  Certification
-covers spanning/acyclicity/planarity plus a k-star kind; the star-family
+Sorted tuples of (u, v) edges are the tree type at the boundary: the public
+API, file I/O and ``TransformSequence`` speak it.  Inside, a tree is an int
+mask whose bit i stands for the edge with id i, its position in
+``Drawing.edges``, so reading a mask in bit order gives the canonical tuple.
+A tree is plane when ``mask & conflict_mask(d, mask) == 0``, and two trees
+are compatible (their union is plane) when one mask misses the other's
+conflicts.  Certification covers spanning/acyclicity/planarity plus a
+k-star kind, cached per drawing by mask; the star-family
 transformations additionally use the representation helpers below, because
 the star, double-star and twin-star classes overlap (one tree can admit
 several fixed-path representations).
@@ -13,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .drawing import Drawing, Edge, edge
+from .drawing import Drawing, Edge, bits, edge
 from .errors import IncompatibleError, TooLargeError, UnknownEdgeError
 
 Tree = Tuple[Edge, ...]
@@ -27,6 +33,36 @@ def canon_tree(edges: Iterable[Edge]) -> Tree:
     if len(set(out)) != len(out):
         raise ValueError("duplicate edges")
     return tuple(out)
+
+
+def tree_mask(d: Drawing, edges: Iterable[Edge]) -> int:
+    """Bitmask of an edge set.  Raises ValueError on a loop or a duplicate
+    edge and UnknownEdgeError on an edge the drawing does not have."""
+    ids = d.edge_id
+    mask = 0
+    for u, v in edges:
+        i = ids.get((u, v) if u < v else (v, u))
+        if i is None:  # edge() raises on a loop
+            raise UnknownEdgeError(f"edge {edge(u, v)} not in drawing")
+        if mask >> i & 1:
+            raise ValueError("duplicate edges")
+        mask |= 1 << i
+    return mask
+
+
+def mask_tree(d: Drawing, mask: int) -> Tree:
+    """The canonical edge tuple of a mask."""
+    edges = list(d.edge_id)  # keys are in id order
+    return tuple(edges[i] for i in bits(mask))
+
+
+def conflict_mask(d: Drawing, mask: int) -> int:
+    """Every edge crossing some edge of the mask."""
+    rows = d.cross_mask
+    out = 0
+    for i in bits(mask):
+        out |= rows[i]
+    return out
 
 
 @dataclass(frozen=True)
@@ -63,14 +99,6 @@ class _UnionFind:
             return False
         self.parent[ra] = rb
         return True
-
-
-def is_spanning_tree(n: int, tree: Iterable[Edge]) -> bool:
-    tree = list(tree)
-    if len(tree) != n - 1:
-        return False
-    uf = _UnionFind(n)
-    return all(uf.union(u, v) for u, v in tree)
 
 
 def _adjacency(tree: Iterable[Edge]) -> Dict[int, List[int]]:
@@ -189,34 +217,32 @@ def classify_kind(n: int, tree: Tree) -> tuple:
 # ---------------------------------------------------------------------------
 
 def check_tree(d: Drawing, edges_in: Iterable[Edge]) -> TreeCert:
-    tree = canon_tree(edges_in)
-    cached = d._cert_cache.get(tree)
+    return check_mask(d, tree_mask(d, edges_in))
+
+
+def check_mask(d: Drawing, mask: int) -> TreeCert:
+    """Certificate of the tree with this edge mask, cached on the drawing."""
+    cached = d._cert_cache.get(mask)
     if cached is not None:
         return cached
-    known = set(d.curves)
-    for e in tree:
-        if e not in known:
-            raise UnknownEdgeError(f"edge {e} not in drawing")
+    tree = mask_tree(d, mask)
     verts = {v for e in tree for v in e}
     spanning = verts == set(range(d.n))
     uf = _UnionFind(d.n)
     acyclic = all(uf.union(u, v) for u, v in tree)
     connected = acyclic and len(tree) == len(verts) - 1 if verts else False
-    cross = d.crossings
-    plane = not any(f in cross[e] for e, f in itertools.combinations(tree, 2))
+    plane = mask & conflict_mask(d, mask) == 0
     kind = None
     if spanning and connected and plane:
         kind = classify_kind(d.n, tree)
     cert = TreeCert(spanning=spanning, acyclic_connected=connected,
                     plane=plane, kind=kind)
-    d._cert_cache[tree] = cert
+    d._cert_cache[mask] = cert
     return cert
 
 
 def is_compatible(d: Drawing, t1: Iterable[Edge], t2: Iterable[Edge]) -> bool:
-    cross = d.crossings
-    t2 = list(t2)
-    return not any(f in cross[e] for e in t1 for f in t2)
+    return tree_mask(d, t1) & conflict_mask(d, tree_mask(d, t2)) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -227,9 +253,11 @@ def enumerate_plane_trees(d: Drawing, kind: str = "all",
                           limit: Optional[int] = None) -> List[Tree]:
     """All plane spanning trees of the drawing, canonically ordered.
 
-    Incremental growth over the sorted edge list with cycle and crossing
-    pruning; ``kind`` filters by certificate kind ('all', 'star',
-    'double_star', 'twin_star', or 'special' for the union of the three).
+    Incremental growth over the sorted edge list, pruning edges that close
+    a cycle (``comp`` labels the components of the chosen forest) or cross
+    a chosen edge (``blocked`` is the OR of their crossing rows); ``kind``
+    filters by certificate kind ('all', 'star', 'double_star', 'twin_star',
+    or 'special' for the union of the three).
     """
     if kind not in ("all", "star", "double_star", "twin_star", "special"):
         raise ValueError(f"unknown filter {kind!r}")
@@ -239,30 +267,29 @@ def enumerate_plane_trees(d: Drawing, kind: str = "all",
         raise TooLargeError(d.n, limit)
 
     edges = d.edges
-    cross = d.crossings
+    rows = d.cross_mask
     m = len(edges)
     need = d.n - 1
     out: List[Tree] = []
     chosen: List[Edge] = []
 
-    def grow(start: int, uf_parent: List[int], blocked: frozenset) -> None:
+    def grow(start: int, comp: List[int], blocked: int) -> None:
         if len(chosen) == need:
             out.append(tuple(chosen))
             return
         remaining = need - len(chosen)
         for i in range(start, m - remaining + 1):
-            e = edges[i]
-            if e in blocked:
+            if blocked >> i & 1:
                 continue
-            uf = _UnionFind(0)
-            uf.parent = uf_parent[:]
-            if not uf.union(e[0], e[1]):
+            u, v = edges[i]
+            cu, cv = comp[u], comp[v]
+            if cu == cv:
                 continue
-            chosen.append(e)
-            grow(i + 1, uf.parent, blocked | cross[e])
+            chosen.append(edges[i])
+            grow(i + 1, [cv if c == cu else c for c in comp], blocked | rows[i])
             chosen.pop()
 
-    grow(0, list(range(d.n)), frozenset())
+    grow(0, list(range(d.n)), 0)
 
     if kind == "all":
         return out

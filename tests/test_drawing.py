@@ -8,7 +8,6 @@ import pytest
 from treespan.drawing import (
     Drawing,
     _spans_cover_circle,
-    bumpy_edges,
     classify_c_monotone,
     classify_cylindrical,
     classify_monotone,
@@ -24,7 +23,6 @@ from treespan.errors import (
     EmptySetError,
     InvalidRadiiError,
     NotSimpleError,
-    NotTwigglyError,
 )
 from treespan.geometry import Proper, segment_proper_crossing
 
@@ -219,37 +217,6 @@ def test_spans_cover_circle_helper():
 
 def test_pk4_crossing_pairs(pk4):
     assert pk4.crossing_pairs() == [((0, 3), (1, 2))]
-
-
-# ---------------------------------------------------------------------------
-# bumpy edges
-# ---------------------------------------------------------------------------
-
-def test_bumpy_single_crossing(pk4):
-    assert bumpy_edges(pk4, (0, 3)) == [(0, 2), (1, 3)]
-
-
-def test_bumpy_not_twiggly(pk4):
-    with pytest.raises(NotTwigglyError):
-        bumpy_edges(pk4, (0, 1))
-
-
-def test_bumpy_two_crossings_three_edges():
-    from treespan.drawing import spine_crossing_angles
-    from treespan.generators import GenSpec, generate
-
-    d = generate(GenSpec(cls="strongly_cmonotone", n=6, seed=1))
-    _, _, spine = classify_c_monotone(d)
-    doubles = [e for e in d.edges
-               if len(d.crossings[e] & set(spine.spine_edges)) == 2]
-    assert doubles
-    for e in doubles:
-        assert len(spine_crossing_angles(d, e, spine)) == 2
-        bumpy = bumpy_edges(d, e, spine)
-        assert len(bumpy) == 3
-        assert set(e) & set(bumpy[0]) and set(e) & set(bumpy[-1])
-        for b in bumpy:  # bumpy edges never cross the spine
-            assert not d.crossings[b] & set(spine.spine_edges)
 
 
 # ---------------------------------------------------------------------------

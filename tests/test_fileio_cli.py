@@ -174,6 +174,26 @@ def test_cli_invalid_file(tmp_path, capsys):
     assert err["error"] == "invalid-input"
 
 
+@pytest.mark.parametrize("path, value", [
+    (("edges", 0, "curve"), None),
+    (("graph",), {"bipartite": [None, 2]}),
+    (("edges", 0, "u"), False),  # edge (0, 1): false would alias vertex 0
+    (("edges", 2, "u"), True),   # edge (1, 2): true would alias vertex 1
+], ids=["curve-null", "bipartite-null", "u-false", "u-true"])
+def test_cli_malformed_drawing_is_one_json_error(path, value, tmp_path, capsys):
+    doc = drawing_to_dict(polar_k3())
+    *parents, key = path
+    target = doc
+    for k in parents:
+        target = target[k]
+    target[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["validate", str(bad)]) == 1
+    err = json.loads(capsys.readouterr().err)  # exactly one JSON object
+    assert err["error"] == "invalid-input" and err["type"] == "FileFormatError"
+
+
 def test_cli_render(tmp_path, capsys, k3_file):
     out = str(tmp_path / "out.svg")
     assert main(["render", k3_file, "--tree", "0-1,1-2", "-o", out]) == 0
