@@ -1,9 +1,16 @@
-"""Compatibility graph of plane spanning trees, the brute-force oracle.
+"""Compatibility graph of plane spanning trees.
 
 Nodes and the ``index`` keys are canonical edge tuples, the public tree
-type; adjacency rows are Python-int bitsets over node positions, built from
-the edge masks of ``trees``.  All connectivity answers come from plain BFS
-so they can be trusted against the constructive transformations.
+type; adjacency rows are Python-int bitsets over node positions.  Row i is
+built from edge-holder sets, not by testing tree pairs: ``holders[e]`` is
+the bitset of trees containing edge e, and tree i is compatible with every
+tree outside the union of the holder sets of the edges crossing it.
+
+``analyze`` finds components with one bitset sweep each and the
+eccentricity of each node with a level-only BFS that stops as soon as the
+reached set covers the node's component, so the last level is never
+expanded; on the dense graphs of small drawings that takes a few dozen row
+ORs per node.  ``bfs_distance`` runs the same BFS towards a single node.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .drawing import Drawing
+from .drawing import Drawing, bits
 from .errors import NodeMissingError
 from .trees import Tree, canon_tree, conflict_mask, enumerate_plane_trees, tree_mask
 
@@ -25,11 +32,10 @@ class CompatGraph:
     index: Dict[Tree, int]
 
     def degree(self, t) -> int:
-        i = self.index[canon_tree(t)]
-        return bin(self.adjacency[i]).count("1")
+        return self.adjacency[self.index[canon_tree(t)]].bit_count()
 
     def edge_count(self) -> int:
-        return sum(bin(row).count("1") for row in self.adjacency) // 2
+        return sum(row.bit_count() for row in self.adjacency) // 2
 
 
 @dataclass(frozen=True)
@@ -47,64 +53,71 @@ def build_compat_graph(d: Drawing, restricted: bool = False,
     nodes = enumerate_plane_trees(d, kind="special" if restricted else "all",
                                   limit=limit)
     tree_masks = [tree_mask(d, t) for t in nodes]
-    conflict_masks = [conflict_mask(d, mask) for mask in tree_masks]
-    m = len(nodes)
-    adjacency = [0] * m
-    for i in range(m):
-        ci = conflict_masks[i]
-        for j in range(i + 1, m):
-            if not ci & tree_masks[j]:
-                adjacency[i] |= 1 << j
-                adjacency[j] |= 1 << i
+    holders = [0] * len(d.edges)
+    for i, mask in enumerate(tree_masks):
+        for e in bits(mask):
+            holders[e] |= 1 << i
+    full = (1 << len(nodes)) - 1
+    adjacency = []
+    for i, mask in enumerate(tree_masks):
+        blocked = 1 << i              # a plane tree is compatible with itself
+        for e in bits(conflict_mask(d, mask)):
+            blocked |= holders[e]
+        adjacency.append(full & ~blocked)
     return CompatGraph(nodes=nodes, adjacency=adjacency, restricted=restricted,
                        index={t: i for i, t in enumerate(nodes)})
 
 
-def _bfs_levels(g: CompatGraph, src: int) -> Dict[int, int]:
-    dist = {src: 0}
-    frontier = 1 << src
-    seen = frontier
+def _levels_until(adjacency: List[int], src: int, goal: int):
+    """BFS level from src at which every node of goal is reached, or
+    math.inf if the search runs out first.  Rows are OR-ed into the reached
+    set one by one, so the level that completes goal is cut short."""
+    reach = frontier = 1 << src
     level = 0
-    while frontier:
-        nxt = 0
-        f = frontier
-        while f:
-            low = f & -f
-            nxt |= g.adjacency[low.bit_length() - 1]
-            f ^= low
-        nxt &= ~seen
-        seen |= nxt
+    while reach & goal != goal:
+        if not frontier:
+            return math.inf
         level += 1
-        f = nxt
-        while f:
-            low = f & -f
-            dist[low.bit_length() - 1] = level
-            f ^= low
-        frontier = nxt
-    return dist
+        before = reach
+        for v in bits(frontier):
+            reach |= adjacency[v]
+            if reach & goal == goal:
+                return level
+        frontier = reach & ~before
+    return level
+
+
+def _component(adjacency: List[int], src: int) -> int:
+    reach = frontier = 1 << src
+    while frontier:
+        before = reach
+        for v in bits(frontier):
+            reach |= adjacency[v]
+        frontier = reach & ~before
+    return reach
 
 
 def analyze(g: CompatGraph) -> CompatAnalysis:
     m = len(g.nodes)
     if m == 0:
         return CompatAnalysis(True, 0, 0, (), (), ())
+    components = []
     component_of = [-1] * m
-    comp_count = 0
-    for v in range(m):
-        if component_of[v] == -1:
-            for u in _bfs_levels(g, v):
-                component_of[u] = comp_count
-            comp_count += 1
-    ecc = [0] * m
-    comp_diam = [0] * comp_count
-    for v in range(m):
-        dist = _bfs_levels(g, v)
-        ecc[v] = max(dist.values())
-        c = component_of[v]
+    unseen = (1 << m) - 1
+    while unseen:
+        comp = _component(g.adjacency, (unseen & -unseen).bit_length() - 1)
+        for v in bits(comp):
+            component_of[v] = len(components)
+        components.append(comp)
+        unseen &= ~comp
+    ecc = [_levels_until(g.adjacency, v, components[component_of[v]])
+           for v in range(m)]
+    comp_diam = [0] * len(components)
+    for v, c in enumerate(component_of):
         comp_diam[c] = max(comp_diam[c], ecc[v])
-    connected = comp_count == 1
+    connected = len(components) == 1
     diameter = comp_diam[0] if connected else math.inf
-    return CompatAnalysis(connected=connected, components=comp_count,
+    return CompatAnalysis(connected=connected, components=len(components),
                           diameter=diameter, eccentricities=tuple(ecc),
                           component_of=tuple(component_of),
                           component_diameters=tuple(comp_diam))
@@ -115,5 +128,4 @@ def bfs_distance(g: CompatGraph, t1, t2):
     a, b = canon_tree(t1), canon_tree(t2)
     if a not in g.index or b not in g.index:
         raise NodeMissingError("tree is not a node of the compatibility graph")
-    dist = _bfs_levels(g, g.index[a])
-    return dist.get(g.index[b], math.inf)
+    return _levels_until(g.adjacency, g.index[a], 1 << g.index[b])

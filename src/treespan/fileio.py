@@ -188,9 +188,17 @@ def sequence_from_dict(obj: dict) -> Tuple[List[Tree], str, bool, object]:
     for key in ("method", "trees", "certified"):
         if key not in obj:
             raise FileFormatError(f"missing field {key!r}")
+    if not isinstance(obj["trees"], list):
+        raise FileFormatError("'trees' must be a list of trees")
     trees = []
     for entry in obj["trees"]:
-        trees.append(canon_tree((int(u), int(v)) for u, v in entry))
+        if not isinstance(entry, list):
+            raise FileFormatError(f"expected a list of edges, got {entry!r}")
+        for e in entry:
+            if not (isinstance(e, list) and len(e) == 2
+                    and _is_int(e[0]) and _is_int(e[1])):
+                raise FileFormatError(f"bad edge {e!r}; expected [u, v] ints")
+        trees.append(canon_tree(entry))
     return trees, obj["method"], bool(obj["certified"]), obj.get("drawing")
 
 

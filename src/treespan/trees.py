@@ -296,7 +296,18 @@ def enumerate_plane_trees(d: Drawing, kind: str = "all",
     keep = {"star": ("star",), "double_star": ("double_star",),
             "twin_star": ("twin_star",),
             "special": ("star", "double_star", "twin_star")}[kind]
-    return [t for t in out if classify_kind(d.n, t)[0] in keep]
+    return [t for t in out
+            if _inner_vertices(d.n, t) <= 3 and classify_kind(d.n, t)[0] in keep]
+
+
+def _inner_vertices(n: int, tree: Tree) -> int:
+    """Vertices of degree >= 2 in a spanning tree.  A star, double star or
+    twin star has at most 3 (a twin star's middle vertex has degree 2)."""
+    deg = [0] * n
+    for u, v in tree:
+        deg[u] += 1
+        deg[v] += 1
+    return n - deg.count(1)
 
 
 # ---------------------------------------------------------------------------

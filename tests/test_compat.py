@@ -1,14 +1,194 @@
-"""Compatibility graph tests against direct pairwise checks."""
+"""Compatibility graph tests against direct pairwise checks.
+
+The oracles below are the implementations the bitset kernel replaced: a
+build that tests every tree pair, and an ``analyze`` that runs a BFS
+building a distance dict from every node.  The kernel must reproduce their
+``CompatGraph`` and ``CompatAnalysis`` exactly.
+"""
 
 import math
 from itertools import combinations
 
-from treespan.compat import analyze, bfs_distance, build_compat_graph
-from treespan.trees import canon_tree, is_compatible
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from treespan.compat import (
+    CompatAnalysis,
+    CompatGraph,
+    analyze,
+    bfs_distance,
+    build_compat_graph,
+)
+from treespan.generators import GenSpec, fixture_bipartite_isolated, generate
+from treespan.trees import (
+    canon_tree,
+    classify_kind,
+    conflict_mask,
+    enumerate_plane_trees,
+    is_compatible,
+    tree_mask,
+)
 
 import pytest
 
 from treespan.errors import NodeMissingError
+
+
+def oracle_build(d, restricted=False):
+    nodes = enumerate_plane_trees(d, kind="special" if restricted else "all")
+    tree_masks = [tree_mask(d, t) for t in nodes]
+    conflict_masks = [conflict_mask(d, mask) for mask in tree_masks]
+    m = len(nodes)
+    adjacency = [0] * m
+    for i in range(m):
+        ci = conflict_masks[i]
+        for j in range(i + 1, m):
+            if not ci & tree_masks[j]:
+                adjacency[i] |= 1 << j
+                adjacency[j] |= 1 << i
+    return CompatGraph(nodes=nodes, adjacency=adjacency, restricted=restricted,
+                       index={t: i for i, t in enumerate(nodes)})
+
+
+def oracle_bfs_levels(g, src):
+    dist = {src: 0}
+    frontier = 1 << src
+    seen = frontier
+    level = 0
+    while frontier:
+        nxt = 0
+        f = frontier
+        while f:
+            low = f & -f
+            nxt |= g.adjacency[low.bit_length() - 1]
+            f ^= low
+        nxt &= ~seen
+        seen |= nxt
+        level += 1
+        f = nxt
+        while f:
+            low = f & -f
+            dist[low.bit_length() - 1] = level
+            f ^= low
+        frontier = nxt
+    return dist
+
+
+def oracle_analyze(g):
+    m = len(g.nodes)
+    if m == 0:
+        return CompatAnalysis(True, 0, 0, (), (), ())
+    component_of = [-1] * m
+    comp_count = 0
+    for v in range(m):
+        if component_of[v] == -1:
+            for u in oracle_bfs_levels(g, v):
+                component_of[u] = comp_count
+            comp_count += 1
+    ecc = [0] * m
+    comp_diam = [0] * comp_count
+    for v in range(m):
+        dist = oracle_bfs_levels(g, v)
+        ecc[v] = max(dist.values())
+        c = component_of[v]
+        comp_diam[c] = max(comp_diam[c], ecc[v])
+    connected = comp_count == 1
+    diameter = comp_diam[0] if connected else math.inf
+    return CompatAnalysis(connected=connected, components=comp_count,
+                          diameter=diameter, eccentricities=tuple(ecc),
+                          component_of=tuple(component_of),
+                          component_diameters=tuple(comp_diam))
+
+
+def oracle_distance(g, i, j):
+    return oracle_bfs_levels(g, i).get(j, math.inf)
+
+
+ORACLE_CLASSES = ("convex", "random_points", "monotone_perturbed", "two_page",
+                  "strongly_cmonotone")
+ORACLE_SPECS = [GenSpec(cls=cls, n=n, seed=10 * n + k)
+                for k, cls in enumerate(ORACLE_CLASSES) for n in (4, 5, 6)]
+ORACLE_SPECS += [GenSpec(cls="cylindrical", n=a + b, seed=a * b, a=a, b=b)
+                 for a, b in ((2, 2), (2, 3), (3, 3))]
+
+
+def _oracle_drawings():
+    out = [(f"{s.cls}-{s.n}" + (f"-{s.a}x{s.b}" if s.a else ""),
+            lambda s=s: generate(s)) for s in ORACLE_SPECS]
+    return out + [("bipartite-fixture", lambda: fixture_bipartite_isolated()[0])]
+
+
+ORACLE_DRAWINGS = _oracle_drawings()
+
+
+@pytest.mark.parametrize("make", [m for _, m in ORACLE_DRAWINGS],
+                         ids=[name for name, _ in ORACLE_DRAWINGS])
+def test_kernel_matches_oracle(make):
+    d = make()
+    for restricted in (False, True):
+        g = build_compat_graph(d, restricted=restricted)
+        assert g == oracle_build(d, restricted=restricted)
+        assert analyze(g) == oracle_analyze(g)
+
+
+def test_bipartite_fixture_has_isolated_tree():
+    d, tree = fixture_bipartite_isolated()
+    g = build_compat_graph(d)
+    a = analyze(g)
+    i = g.index[canon_tree(tree)]
+    assert a.components > 1 and a.diameter == math.inf
+    assert g.adjacency[i] == 0 and a.eccentricities[i] == 0
+    assert a == oracle_analyze(g)
+
+
+@pytest.mark.parametrize("make", [m for _, m in ORACLE_DRAWINGS],
+                         ids=[name for name, _ in ORACLE_DRAWINGS])
+def test_star_family_prefilter_matches_classify(make):
+    d = make()
+    every = enumerate_plane_trees(d)
+    for kind, keep in (("special", ("star", "double_star", "twin_star")),
+                       ("star", ("star",)), ("double_star", ("double_star",)),
+                       ("twin_star", ("twin_star",))):
+        want = [t for t in every if classify_kind(d.n, t)[0] in keep]
+        assert enumerate_plane_trees(d, kind=kind) == want
+
+
+def _graph(m, pairs):
+    adjacency = [0] * m
+    for i, j in pairs:
+        if i != j:
+            adjacency[i] |= 1 << j
+            adjacency[j] |= 1 << i
+    nodes = [((0, i + 1),) for i in range(m)]
+    return CompatGraph(nodes=nodes, adjacency=adjacency, restricted=False,
+                       index={t: i for i, t in enumerate(nodes)})
+
+
+@st.composite
+def random_graphs(draw):
+    m = draw(st.integers(0, 12))
+    if m == 0:
+        return _graph(0, [])
+    pairs = draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, m - 1)),
+                          max_size=3 * m))
+    return _graph(m, pairs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_graphs())
+@example(_graph(0, []))                                    # empty
+@example(_graph(1, []))                                    # one isolated node
+@example(_graph(7, [(i, i + 1) for i in range(6)]))         # path, diameter 6
+@example(_graph(6, [(0, 1), (1, 2), (3, 4)]))              # three components
+@example(_graph(8, [(i, (i + 1) % 8) for i in range(8)]))   # cycle, diameter 4
+def test_random_graphs_match_oracle(g):
+    assert analyze(g) == oracle_analyze(g)
+    for i, j in combinations(range(len(g.nodes)), 2):
+        want = oracle_distance(g, i, j)
+        assert bfs_distance(g, g.nodes[i], g.nodes[j]) == want
+        assert bfs_distance(g, g.nodes[j], g.nodes[i]) == want
+    for t in g.nodes:
+        assert bfs_distance(g, t, t) == 0
 
 
 def test_k3_complete_graph(pk3):
@@ -61,8 +241,6 @@ def test_restricted_subset(sq):
 
 def test_disconnected_reports_inf():
     # artificial two-node graph with no edges
-    from treespan.compat import CompatGraph
-
     g = CompatGraph(nodes=[((0, 1),), ((1, 2),)], adjacency=[0, 0],
                     restricted=False, index={((0, 1),): 0, ((1, 2),): 1})
     a = analyze(g)

@@ -194,6 +194,35 @@ def test_cli_malformed_drawing_is_one_json_error(path, value, tmp_path, capsys):
     assert err["error"] == "invalid-input" and err["type"] == "FileFormatError"
 
 
+@pytest.mark.parametrize("path, value", [
+    ((0,), [None, [0, 1]]),
+    ((0, 0), ["0", "1"]),   # numeric strings would be coerced by int()
+    ((0, 0), [False, 1]),   # false would alias vertex 0
+    ((0, 0), [True, 1]),    # true would alias vertex 1
+    ((0, 0), [0, 1, 2]),
+    ((0,), "0-1,0-2,0-3"),
+    ((), 7),
+], ids=["edge-null", "edge-strings", "edge-false", "edge-true", "edge-triple",
+        "tree-string", "trees-int"])
+def test_cli_malformed_sequence_is_one_json_error(path, value, sq_file,
+                                                  tmp_path, capsys):
+    seq_path = tmp_path / "seq.json"
+    assert main(["transform", sq_file, "--from", "0-1,0-2,0-3",
+                 "--to", "0-1,1-2,1-3", "-o", str(seq_path)]) == 0
+    capsys.readouterr()
+    doc = json.loads(seq_path.read_text())
+    assert doc["trees"][0][0] == [0, 1]
+    *parents, key = ("trees",) + path
+    target = doc
+    for k in parents:
+        target = target[k]
+    target[key] = value
+    seq_path.write_text(json.dumps(doc))
+    assert main(["certify", str(seq_path)]) == 1
+    err = json.loads(capsys.readouterr().err)  # exactly one JSON object
+    assert err["error"] == "invalid-input" and err["type"] == "FileFormatError"
+
+
 def test_cli_render(tmp_path, capsys, k3_file):
     out = str(tmp_path / "out.svg")
     assert main(["render", k3_file, "--tree", "0-1,1-2", "-o", out]) == 0
