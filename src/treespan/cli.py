@@ -26,7 +26,7 @@ from .errors import (
     TreespanError,
 )
 from .generators import GenSpec, generate
-from .trees import check_tree, enumerate_plane_trees
+from .trees import check_tree, enumerate_plane_trees, tree_mask
 from .transforms import (
     _dedupe,
     certify_sequence,
@@ -65,10 +65,8 @@ def _report_json(d) -> dict:
 
 
 def _spine_route(d, to_spine, t1, t2):
-    a = to_spine(t1)
-    b = to_spine(t2)
-    trees = list(a.trees) + list(reversed(b.trees))
-    return certify_sequence(d, _dedupe(trees), method=a.method)
+    a, b = to_spine(t1), to_spine(t2)
+    return certify_sequence(d, _dedupe(a.trees + b.trees[::-1]), method=a.method)
 
 
 def _run_transform(d, method: str, t1, t2):
@@ -213,6 +211,8 @@ def _dispatch(args) -> int:
     if args.cmd == "render":
         d = fileio.load_drawing(args.file)
         highlight = [fileio.parse_tree_arg(t) for t in args.tree]
+        for t in highlight:
+            tree_mask(d, t)  # UnknownEdgeError for an edge the drawing lacks
         svg = render.render_svg(d, highlight)
         with open(args.output, "w") as fh:
             fh.write(svg)

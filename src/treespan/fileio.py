@@ -154,6 +154,8 @@ def load_drawing(path: str) -> Drawing:
 
 def parse_tree_arg(text: str) -> Tree:
     """Comma-separated vertex pairs, e.g. '0-1,1-2,2-3'."""
+    if not isinstance(text, str):  # argparse passes [] for the value "--"
+        raise FileFormatError(f"bad tree argument {text!r}")
     edges = []
     for chunk in text.split(","):
         parts = chunk.strip().split("-")

@@ -4,7 +4,10 @@ Five methods, one per drawing/tree class the transformations cover:
 cylindrical (through the uncrossed cycle paths), monotone (maximal twiggly
 rounds), strongly c-monotone (corridor paths, or the cut to a monotone
 drawing), and the star family (flip schedules along the crossing relation).
-Every method certifies its own output before returning it.
+Each public call turns its input trees into edge masks once, works on masks
+throughout (nested steps are private cores returning mask lists), and
+certifies its own output exactly once, in ``_certified``, before returning
+it as edge tuples.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from .drawing import (
     Drawing,
     Edge,
     SpineStructure,
+    bits,
     classify_c_monotone,
     classify_monotone,
     cut_to_monotone,
@@ -25,7 +29,6 @@ from .drawing import (
     edge_span,
     span_contains,
     succ_maximal,
-    twiggly_set,
     validate_simple,
     vertex_angles,
     vertices_above,
@@ -47,14 +50,10 @@ from .errors import (
 from .geometry import curve_eval
 from .trees import (
     Tree,
-    TreeCert,
     _UnionFind,
-    canon_tree,
     check_mask,
-    check_tree,
     conflict_mask,
     double_star_paths,
-    is_compatible,
     mask_tree,
     star_centers,
     tree_mask,
@@ -69,7 +68,6 @@ INFINITY = "infinity"
 class TransformSequence:
     trees: Tuple[Tree, ...]
     method: str
-    certs: Tuple[TreeCert, ...]
     certified: bool
 
     def __len__(self) -> int:
@@ -86,44 +84,52 @@ def certify_sequence(d: Drawing, trees: Sequence[Iterable[Edge]],
     compatible; raises BadTreeError / IncompatibleStepError otherwise."""
     if not trees:
         raise ValueError("empty sequence")
-    masks = [tree_mask(d, t) for t in trees]
-    certs = tuple(check_mask(d, mask) for mask in masks)
-    for i, cert in enumerate(certs):
-        if not cert.is_plane_spanning_tree:
-            raise BadTreeError(i, cert)
+    return _certified(d, [tree_mask(d, t) for t in trees], method)
+
+
+def _certified(d: Drawing, masks: List[int], method: str) -> TransformSequence:
+    """certify_sequence on masks: the one certification of each call."""
+    for i, mask in enumerate(masks):
+        _plane_spanning(d, mask, i)
     for i in range(len(masks) - 1):
         if masks[i] & conflict_mask(d, masks[i + 1]):
             raise IncompatibleStepError(i)
     return TransformSequence(trees=tuple(mask_tree(d, m) for m in masks),
-                             method=method, certs=certs, certified=True)
+                             method=method, certified=True)
 
 
-def _dedupe(trees: List[Tree]) -> List[Tree]:
-    out = [trees[0]]
-    for t in trees[1:]:
-        if t != out[-1]:
-            out.append(t)
-    return out
-
-
-def _require_plane_spanning(d: Drawing, t: Tree) -> None:
-    cert = check_tree(d, t)
+def _plane_spanning(d: Drawing, mask: int, index: int) -> int:
+    cert = check_mask(d, mask)
     if not cert.is_plane_spanning_tree:
-        raise BadTreeError(0, cert)
+        raise BadTreeError(index, cert)
+    return mask
 
 
-def _retree(n: int, groups: Sequence[Iterable[Edge]]) -> Tree:
-    """Spanning tree built greedily from the groups in keep-priority order
-    (earlier groups are preferentially kept, ids ascending within one)."""
-    uf = _UnionFind(n)
-    out: List[Edge] = []
+def _input_masks(d: Drawing, trees: Sequence[Iterable[Edge]]) -> List[int]:
+    """Masks of a call's input trees, each checked in turn; BadTreeError
+    gives the position of the tree in the call."""
+    return [_plane_spanning(d, tree_mask(d, t), i)
+            for i, t in enumerate(trees)]
+
+
+def _dedupe(trees: list) -> list:
+    return [t for i, t in enumerate(trees) if i == 0 or t != trees[i - 1]]
+
+
+def _retree(d: Drawing, groups: Sequence[int]) -> int:
+    """Spanning tree built greedily from the edge-mask groups in
+    keep-priority order (earlier groups are preferentially kept, ids
+    ascending within one)."""
+    edges = list(d.edge_id)
+    uf = _UnionFind(d.n)
+    out = 0
     for group in groups:
-        for e in sorted(group):  # a repeated edge fails its second union
-            if uf.union(e[0], e[1]):
-                out.append(e)
-    if len(out) != n - 1:
+        for i in bits(group):  # a repeated edge fails its second union
+            if uf.union(*edges[i]):
+                out |= 1 << i
+    if out.bit_count() != d.n - 1:
         raise InternalInvariantViolated("edge pool does not connect the graph")
-    return canon_tree(out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -137,44 +143,34 @@ def transform_cylindrical(d: Drawing, roles: Optional[CylRoles],
     tree for t2, and t2."""
     if roles is None:
         raise NotCylindricalError("drawing is not cylindrical")
-    t1, t2 = canon_tree(t1), canon_tree(t2)
-    _require_plane_spanning(d, t1)
-    _require_plane_spanning(d, t2)
+    t1, t2 = _input_masks(d, [t1, t2])
     if t1 == t2:
-        return certify_sequence(d, [t1], method="cylindrical")
-    if is_compatible(d, t1, t2):
-        return certify_sequence(d, [t1, t2], method="cylindrical")
+        return _certified(d, [t1], "cylindrical")
+    if not t1 & conflict_mask(d, t2):
+        return _certified(d, [t1, t2], "cylindrical")
 
-    paths = roles.inner_path + roles.outer_path
-
-    def cycle_tree(side: Optional[Edge]) -> Tree:
-        return canon_tree(paths + ((side,) if side else ()))
-
+    paths = tree_mask(d, roles.inner_path + roles.outer_path)
     if not roles.inner_vertices or not roles.outer_vertices:
-        seq = _dedupe([t1, cycle_tree(None), t2])
-        return certify_sequence(d, seq, method="cylindrical")
+        return _certified(d, _dedupe([t1, paths, t2]), "cylindrical")
 
-    def side_of(t: Tree) -> Edge:
-        sides = [e for e in t if roles.roles[e] == "side"]
-        if not sides:
-            raise NoSideEdgeError("spanning tree without a side edge")
-        return min(sides)
-
-    e1, e2 = side_of(t1), side_of(t2)
-    inner = set(roles.inner_vertices)
-    seq = [t1, cycle_tree(e1)]
-    if e1 != e2 and d.cross(e1, e2):
-        s1 = e1[0] if e1[0] in inner else e1[1]
-        r1 = e1[1] if s1 == e1[0] else e1[0]
-        s2 = e2[0] if e2[0] in inner else e2[1]
-        r2 = e2[1] if s2 == e2[0] else e2[0]
-        bridge = min(edge(s1, r2), edge(s2, r1))
-        if d.cross(bridge, e1) or d.cross(bridge, e2):
+    sides = tree_mask(d, [e for e, role in roles.roles.items() if role == "side"])
+    sides1, sides2 = t1 & sides, t2 & sides
+    if not sides1 or not sides2:
+        raise NoSideEdgeError("spanning tree without a side edge")
+    e1, e2 = sides1 & -sides1, sides2 & -sides2  # lowest bit: the least edge
+    seq = [t1, paths | e1]
+    if e1 & conflict_mask(d, e2):
+        inner = set(roles.inner_vertices)
+        (a1, b1), (a2, b2) = mask_tree(d, e1) + mask_tree(d, e2)
+        s1, r1 = (a1, b1) if a1 in inner else (b1, a1)
+        s2, r2 = (a2, b2) if a2 in inner else (b2, a2)
+        bridge = tree_mask(d, [min(edge(s1, r2), edge(s2, r1))])
+        if bridge & conflict_mask(d, e1 | e2):
             raise InternalInvariantViolated(
                 "replacement side edge crosses the originals")
-        seq.append(cycle_tree(bridge))
-    seq += [cycle_tree(e2), t2]
-    return certify_sequence(d, _dedupe(seq), method="cylindrical")
+        seq.append(paths | bridge)
+    seq += [paths | e2, t2]
+    return _certified(d, _dedupe(seq), "cylindrical")
 
 
 # ---------------------------------------------------------------------------
@@ -188,45 +184,43 @@ def monotone_to_spine(d: Drawing, spine: Optional[SpineStructure],
     decreases each round; violations raise InternalInvariantViolated."""
     if spine is None or spine.kind != "monotone":
         raise NotMonotoneError("drawing is not monotone")
-    t = canon_tree(t)
-    _require_plane_spanning(d, t)
+    (t,) = _input_masks(d, [t])
+    return _certified(d, _monotone_rounds(d, spine, t), "monotone")
+
+
+def _monotone_rounds(d: Drawing, spine: SpineStructure, t: int) -> List[int]:
     xs = {v: d.vertex_point(v).x for v in range(d.n)}
-    spine_set = set(spine.spine_edges)
+    spine_mask = tree_mask(d, spine.spine_edges)
+    crosses_spine = conflict_mask(d, spine_mask)  # the twiggly edges
     seq = [t]
     rounds = 0
-    twig = twiggly_set(d, spine, t)
+    twig = t & crosses_spine
     while twig:
         rounds += 1
         if rounds > d.n - 1:
             raise InternalInvariantViolated("too many monotone rounds")
-        e = succ_maximal(d, twig)
+        e = succ_maximal(d, mask_tree(d, twig))
         vi, vj = sorted(e, key=lambda v: xs[v])
         above = sorted(vertices_above(d, e), key=lambda v: xs[v])
         if not above:
             raise InternalInvariantViolated("maximal twiggly edge with no "
                                             "vertex above it")
         stops = [vi] + above + [vj]
-        path_edges = [edge(stops[k], stops[k + 1]) for k in range(len(stops) - 1)]
-        hit = conflict_mask(d, tree_mask(d, path_edges)) & tree_mask(d, t)
+        path = tree_mask(d, [edge(stops[k], stops[k + 1])
+                             for k in range(len(stops) - 1)])
+        hit = conflict_mask(d, path) & t
         if hit:  # e is in t, so this also covers crossing the resolved edge
             raise InternalInvariantViolated(
                 f"detour path crosses tree: {mask_tree(d, hit)}")
-        rest = set(t) - {e}
-        new_t = _retree(d.n, [
-            path_edges,
-            rest & spine_set,
-            rest - spine_set - twig,
-            rest & twig,
-        ])
-        new_twig = twiggly_set(d, spine, new_t)
-        if len(new_twig) >= len(twig):
+        rest = t & ~(1 << d.edge_id[e])
+        new_t = _retree(d, [path, rest & spine_mask,
+                            rest & ~spine_mask & ~twig, rest & twig])
+        new_twig = new_t & crosses_spine
+        if new_twig.bit_count() >= twig.bit_count():
             raise InternalInvariantViolated("twiggly count did not decrease")
         seq.append(new_t)
         t, twig = new_t, new_twig
-    target = canon_tree(spine.spine_edges)
-    if t != target:
-        seq.append(target)
-    return certify_sequence(d, _dedupe(seq), method="monotone")
+    return _dedupe(seq + [spine_mask])
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +318,11 @@ def corridor_path(d: Drawing, t: Iterable[Edge], c: Corridor,
     tree; inner/outer corridors additionally avoid all twiggly edges."""
     if c.start_vertex is None or c.end_vertex is None:
         raise FullCircleCorridorError("corridor has no endpoints")
-    t_mask = tree_mask(d, t)
+    return _corridor_path(d, tree_mask(d, t), c, twigglies)
+
+
+def _corridor_path(d: Drawing, t_mask: int, c: Corridor,
+                   twigglies: Optional[FrozenSet[Edge]]) -> List[Edge]:
     angles = vertex_angles(d)
     lo, hi = c.interval
     inside: List[Tuple[object, int]] = []
@@ -391,55 +389,50 @@ def cmonotone_to_spine(d: Drawing, t: Iterable[Edge]) -> TransformSequence:
     """Strongly c-monotone transformation to a spine path.
 
     With a non-spine cycle edge present the drawing is unrolled to a
-    monotone one (identical crossing matrix) and resolved there; otherwise
-    each round adds every corridor path, drops all twiggly edges, and the
-    twiggly depth of every ray decreases where it was positive."""
+    monotone one (identical edges and crossing matrix, so identical masks)
+    and resolved there; otherwise each round adds every corridor path,
+    drops all twiggly edges, and the twiggly depth of every ray decreases
+    where it was positive."""
     c_mono, strongly, spine = classify_c_monotone(d)
     if not (c_mono and strongly):
         raise NotStronglyCMonotoneError("drawing is not strongly c-monotone")
-    t = canon_tree(t)
-    _require_plane_spanning(d, t)
+    (t,) = _input_masks(d, [t])
 
     if not spine.all_cycle_edges_spine:
         flat, _ = cut_to_monotone(d)
-        inner = monotone_to_spine(flat, classify_monotone(flat), t)
-        return certify_sequence(d, inner.trees, method="cmonotone")
+        return _certified(d, _monotone_rounds(flat, classify_monotone(flat), t),
+                          "cmonotone")
 
     samples = _ray_samples(d)
-    drawing_twiggly = twiggly_set(d, spine, d.edges)
-    spine_set = set(spine.spine_edges)
+    spine_mask = tree_mask(d, spine.spine_edges)
+    crosses_spine = conflict_mask(d, spine_mask)  # the twiggly edges
+    drawing_twiggly = frozenset(mask_tree(d, crosses_spine))
     seq = [t]
     rounds = 0
-    twig = twiggly_set(d, spine, t)
+    twig = t & crosses_spine
+    twig_edges = mask_tree(d, twig)
+    depth = [twiggly_depth(d, twig_edges, s) for s in samples]
     while twig:
         rounds += 1
         if rounds > d.n - 1:
             raise InternalInvariantViolated("too many c-monotone rounds")
-        depth_old = {s: twiggly_depth(d, twig, s) for s in samples}
-        path_edges: List[Edge] = []
-        for c in corridors(d, twig):
+        paths = 0
+        for c in corridors(d, twig_edges):
             if c.start_vertex is None:
                 continue
-            path_edges.extend(corridor_path(d, t, c, twigglies=drawing_twiggly))
-        path_edges = sorted(set(path_edges))
-        paths = tree_mask(d, path_edges)
+            paths |= tree_mask(d, _corridor_path(d, t, c, drawing_twiggly))
         if paths & conflict_mask(d, paths):
             raise InternalInvariantViolated("corridor paths cross each other")
-        rest = set(t) - twig
-        new_t = _retree(d.n, [path_edges, rest & spine_set, rest - spine_set])
-        new_twig = twiggly_set(d, spine, new_t)
-        for s in samples:
-            limit = max(depth_old[s] - 1, 0)
-            if twiggly_depth(d, new_twig, s) > limit:
-                raise InternalInvariantViolated("twiggly depth did not drop")
-        seq.append(new_t)
-        t, twig = new_t, new_twig
-    target = canon_tree(sorted(spine.spine_edges)[:-1]
-                        if len(spine.spine_edges) == d.n
-                        else spine.spine_edges)
-    if t != target:
-        seq.append(target)
-    return certify_sequence(d, _dedupe(seq), method="cmonotone")
+        rest = t & ~twig
+        t = _retree(d, [paths, rest & spine_mask, rest & ~spine_mask])
+        twig = t & crosses_spine
+        twig_edges = mask_tree(d, twig)
+        old, depth = depth, [twiggly_depth(d, twig_edges, s) for s in samples]
+        if any(new > max(k - 1, 0) for k, new in zip(old, depth)):
+            raise InternalInvariantViolated("twiggly depth did not drop")
+        seq.append(t)
+    target = tree_mask(d, spine.spine_edges[:d.n - 1])  # sorted: drop the last
+    return _certified(d, _dedupe(seq + [target]), "cmonotone")
 
 
 # ---------------------------------------------------------------------------
@@ -478,24 +471,26 @@ def star_to_star(d: Drawing, g: int, r: int) -> TransformSequence:
     intermediate is a plane double star with fixed path g, r."""
     if g == r:
         raise ValueError("need two distinct centers")
-    star = canon_tree(edge(g, v) for v in range(d.n) if v != g)
-    return certify_sequence(d, _collapse_double(d, star, g, r), method="special")
+    return _certified(d, _star_to_star(d, g, r), "special")
 
 
-def _collapse_double(d: Drawing, t: Tree, g: int, r: int) -> List[Tree]:
+def _star_to_star(d: Drawing, g: int, r: int) -> List[int]:
+    if not (0 <= g < d.n and 0 <= r < d.n):
+        raise ValueError(f"star centers {g} and {r} must be vertices 0..{d.n - 1}")
+    star = tree_mask(d, [edge(g, v) for v in range(d.n) if v != g])
+    return _collapse_double(d, star, g, r)
+
+
+def _collapse_double(d: Drawing, t: int, g: int, r: int) -> List[int]:
     """Flip every g-leaf of the double star (or of the star at g) onto r,
     in relation order."""
-    order = _gr_order(d, g, r)
-    current = set(t)
-    g_leaves = {v for v in range(d.n)
-                if v not in (g, r) and edge(g, v) in current}
-    out = [canon_tree(current)]
-    for v in reversed(order):
-        if v not in g_leaves:
-            continue
-        current.remove(edge(g, v))
-        current.add(edge(r, v))
-        out.append(canon_tree(current))
+    ids = d.edge_id
+    out = [t]
+    for v in reversed(_gr_order(d, g, r)):
+        gv = 1 << ids[edge(g, v)]
+        if t & gv:
+            t = t & ~gv | 1 << ids[edge(r, v)]
+            out.append(t)
     return out
 
 
@@ -504,24 +499,25 @@ def double_star_to_star(d: Drawing, t: Iterable[Edge],
     """Collapse one hub of the double star onto the other, then walk the
     star to the target center.  Plain stars are accepted as the degenerate
     case with one empty side."""
-    t = canon_tree(t)
-    _require_plane_spanning(d, t)
-    centers = star_centers(t)
+    (t,) = _input_masks(d, [t])
+    return _certified(d, _double_star_to_star(d, t, target_center), "special")
+
+
+def _double_star_to_star(d: Drawing, t: int, target: int) -> List[int]:
+    tree = mask_tree(d, t)
+    centers = star_centers(tree)
     if centers:
-        c = target_center if target_center in centers else centers[0]
-        if c == target_center:
-            return certify_sequence(d, [t], method="special")
-        return star_to_star(d, c, target_center)
-    reps = double_star_paths(t)
+        c = target if target in centers else centers[0]
+        return [t] if c == target else _star_to_star(d, c, target)
+    reps = double_star_paths(tree)
     if not reps:
         raise NotDoubleStarError("tree admits no double-star path")
-    with_target = [p for p in reps if p[1] == target_center]
+    with_target = [p for p in reps if p[1] == target]
     g, r = with_target[0] if with_target else reps[0]
     trees = _collapse_double(d, t, g, r)
-    if r != target_center:
-        tail = star_to_star(d, r, target_center)
-        trees += list(tail.trees[1:])
-    return certify_sequence(d, _dedupe(trees), method="special")
+    if r != target:
+        trees += _star_to_star(d, r, target)[1:]
+    return _dedupe(trees)
 
 
 def twin_star_to_star(d: Drawing, t: Iterable[Edge],
@@ -529,34 +525,35 @@ def twin_star_to_star(d: Drawing, t: Iterable[Edge],
     """Close the hub pair with the edge gr (never crossing the tree, since
     every tree edge touches g or r), drop rs, then proceed as a double
     star."""
-    t = canon_tree(t)
-    _require_plane_spanning(d, t)
-    reps = twin_star_paths(t)
+    (t,) = _input_masks(d, [t])
+    return _certified(d, _twin_star_to_star(d, t, target_center), "special")
+
+
+def _twin_star_to_star(d: Drawing, t: int, target: int) -> List[int]:
+    reps = twin_star_paths(mask_tree(d, t))
     if not reps:
         raise NotTwinStarError("tree admits no twin-star path")
     g, s, r = reps[0]
-    gr = edge(g, r)
-    if not is_compatible(d, [gr], t):
+    gr = tree_mask(d, [edge(g, r)])
+    if gr & conflict_mask(d, t):
         raise InternalInvariantViolated("closing edge crosses the twin star")
-    second = canon_tree((set(t) | {gr}) - {edge(r, s)})
-    tail = double_star_to_star(d, second, target_center)
-    return certify_sequence(d, _dedupe([t] + list(tail.trees)),
-                            method="special")
+    second = (t | gr) & ~(1 << d.edge_id[edge(r, s)])
+    return _dedupe([t] + _double_star_to_star(d, second, target))
 
 
-def _reduce_to_star(d: Drawing, t: Tree) -> Tuple[List[Tree], int]:
-    centers = star_centers(t)
+def _reduce_to_star(d: Drawing, t: int) -> Tuple[List[int], int]:
+    tree = mask_tree(d, t)
+    centers = star_centers(tree)
     if centers:
         return [t], centers[0]
-    reps = double_star_paths(t)
+    reps = double_star_paths(tree)
     if reps:
         g, r = reps[0]
         return _collapse_double(d, t, g, r), r
-    twins = twin_star_paths(t)
+    twins = twin_star_paths(tree)
     if twins:
         g, s, r = twins[0]
-        seq = twin_star_to_star(d, t, r)
-        return list(seq.trees), r
+        return _twin_star_to_star(d, t, r), r
     raise NotSpecialTreeError("tree is not a star, double star or twin star")
 
 
@@ -564,15 +561,12 @@ def transform_special(d: Drawing, t1: Iterable[Edge],
                       t2: Iterable[Edge]) -> TransformSequence:
     """Reduce both endpoints to stars, bridge the stars, and glue; at most
     2(2(n-2)+1) + (n-2) flips overall."""
-    t1, t2 = canon_tree(t1), canon_tree(t2)
-    _require_plane_spanning(d, t1)
-    _require_plane_spanning(d, t2)
+    t1, t2 = _input_masks(d, [t1, t2])
     if t1 == t2:
-        return certify_sequence(d, [t1], method="special")
-    seq_a, c1 = _reduce_to_star(d, t1)
+        return _certified(d, [t1], "special")
+    trees, c1 = _reduce_to_star(d, t1)
     seq_b, c2 = _reduce_to_star(d, t2)
-    trees = list(seq_a)
     if c1 != c2:
-        trees += list(star_to_star(d, c1, c2).trees)
-    trees += list(reversed(seq_b))
-    return certify_sequence(d, _dedupe(trees), method="special")
+        trees += _star_to_star(d, c1, c2)
+    trees += reversed(seq_b)
+    return _certified(d, _dedupe(trees), "special")

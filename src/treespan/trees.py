@@ -4,6 +4,8 @@ Sorted tuples of (u, v) edges are the tree type at the boundary: the public
 API, file I/O and ``TransformSequence`` speak it.  Inside, a tree is an int
 mask whose bit i stands for the edge with id i, its position in
 ``Drawing.edges``, so reading a mask in bit order gives the canonical tuple.
+The transformations convert their input trees to masks once, keep masks
+throughout and certify each call's output once with ``check_mask``.
 A tree is plane when ``mask & conflict_mask(d, mask) == 0``, and two trees
 are compatible (their union is plane) when one mask misses the other's
 conflicts.  Certification covers spanning/acyclicity/planarity plus a

@@ -1,8 +1,14 @@
 """File format round-trips, CLI surface and exit-code contract."""
 
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treespan.cli import main
 from treespan.fileio import (
@@ -19,7 +25,7 @@ from treespan.fileio import (
 from treespan.compat import build_compat_graph
 from treespan.generators import GenSpec, fixture_bipartite_isolated, generate
 
-from conftest import polar_k3, polar_k4, two_page_k4
+from conftest import cyl_k4, polar_k3, polar_k4, two_page_k4
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +238,28 @@ def test_cli_render(tmp_path, capsys, k3_file):
     assert open(out).read() == svg1  # byte-identical rerun
 
 
+def test_cli_render_unknown_edge_is_one_json_error(tmp_path, capsys, k3_file):
+    out = tmp_path / "out.svg"
+    assert main(["render", k3_file, "--tree", "0-7", "-o", str(out)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "invalid-input" and err["type"] == "UnknownEdgeError"
+    assert not out.exists()
+
+
+def test_cli_bad_second_tree_names_its_position(tmp_path, capsys):
+    drawing = str(tmp_path / "cyl5.json")
+    assert main(["generate", "--class", "cylindrical", "--n", "5", "--seed",
+                 "0", "-a", "2", "-b", "3", "-o", drawing]) == 0
+    capsys.readouterr()
+    assert main(["transform", drawing, "--from", "0-1,0-2,0-3,0-4",
+                 "--to", "0-1,0-2,0-3"]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["type"] == "BadTreeError"
+    assert err["message"] == "tree at position 1 is not a plane spanning tree"
+
+
 def test_render_two_page_deterministic():
     from treespan.render import render_svg
 
@@ -252,3 +280,80 @@ def test_cli_transform_auto_cylindrical(tmp_path):
                  "--to", "1-2,1-3,0-1", "-o", seq_path]) == 0
     doc = json.load(open(seq_path))
     assert doc["certified"] and len(doc["trees"]) <= 5
+
+
+# ---------------------------------------------------------------------------
+# CLI contract under malformed input
+# ---------------------------------------------------------------------------
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 9) | st.text("0123-/x", max_size=3)
+    | st.sampled_from([["1", "2"], ["0", "0"], ["-1", "1"], [0, 1], [[0, 1]]]),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.sampled_from(["n", "u", "v", "curve", "x"]),
+                                     inner, max_size=2)),
+    max_leaves=6)
+
+_TREE_ARG = st.sampled_from(["0-1,0-2,0-3", "0-1,1-2,1-3", "0-1,1-2,2-3",
+                             "0-1,1-2", "0-2,1-3", "0-7", "1-1,0-1,0-2"]) | st.text(
+    "0123456789-, x", max_size=10)
+
+
+def _mutate(doc, data):
+    """Replace or delete one value somewhere inside a JSON document."""
+    if not isinstance(doc, (dict, list)) or not doc or data.draw(
+            st.integers(0, 3)) == 0:
+        return json.loads(json.dumps(data.draw(_JSON)))  # fresh containers
+    key = data.draw(st.sampled_from(sorted(doc) if isinstance(doc, dict)
+                                    else range(len(doc))))
+    if data.draw(st.integers(0, 5)) == 0:
+        del doc[key]
+    else:
+        doc[key] = _mutate(doc[key], data)
+    return doc
+
+
+def _valid_docs():
+    drawings = [drawing_to_dict(d) for d in (
+        generate(GenSpec(cls="convex", n=4, seed=1)), polar_k3(),
+        two_page_k4(), cyl_k4())]
+    seq = sequence_to_dict([((0, 1), (0, 2), (0, 3)), ((0, 1), (0, 2), (1, 3))],
+                           "manual", True, drawing="d.json")
+    return drawings, seq
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(data=st.data())
+def test_cli_contract_on_malformed_input(data):
+    drawings, seq = _valid_docs()
+    drawing = data.draw(st.sampled_from(drawings))
+    for _ in range(data.draw(st.integers(0, 2))):
+        drawing = _mutate(drawing, data)
+    seq = _mutate(seq, data) if data.draw(st.booleans()) else seq
+    src, dst = data.draw(_TREE_ARG), data.draw(_TREE_ARG)
+    with tempfile.TemporaryDirectory() as tmp:
+        dfile, sfile = os.path.join(tmp, "d.json"), os.path.join(tmp, "s.json")
+        text = json.dumps(drawing)
+        if data.draw(st.integers(0, 9)) == 0:  # not JSON at all
+            text = data.draw(st.sampled_from([text[:len(text) // 2], "{", ""]))
+        with open(dfile, "w") as fh:
+            fh.write(text)
+        with open(sfile, "w") as fh:
+            fh.write(json.dumps(seq))
+        argv = data.draw(st.sampled_from([
+            ["validate", dfile],
+            ["trees", dfile, "--kind=special"],
+            ["compat", dfile],
+            ["transform", dfile, "--from=" + src, "--to=" + dst],
+            ["transform", dfile, "--from=" + src, "--to=" + dst,
+             "--method=special"],
+            ["certify", sfile, "--drawing=" + dfile],
+            ["render", dfile, "--tree=" + src, "-o", os.path.join(tmp, "o.svg")],
+        ]))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2, 3)
+    if code:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and isinstance(json.loads(lines[0]), dict)

@@ -315,3 +315,37 @@ def test_transform_special_rejects_generic():
     spider = [(0, 1), (0, 2), (2, 3), (0, 4), (4, 5)]  # no 2-vertex cover
     with pytest.raises(NotSpecialTreeError):
         transform_special(d6, spider, [(0, k) for k in range(1, 6)])
+
+
+# ---------------------------------------------------------------------------
+# input errors
+# ---------------------------------------------------------------------------
+
+def test_bad_second_endpoint_reports_position_one(cyl4, sq):
+    roles = classify_cylindrical(cyl4, F(1), F(4))
+    star = [(0, 1), (0, 2), (0, 3)]
+    for call in (lambda: transform_cylindrical(cyl4, roles, star, star[:2]),
+                 lambda: transform_special(sq, star, [(0, 2), (1, 3), (2, 3)])):
+        with pytest.raises(BadTreeError) as info:
+            call()
+        assert info.value.index == 1
+        assert str(info.value) == "tree at position 1 is not a plane spanning tree"
+    with pytest.raises(BadTreeError) as info:
+        transform_special(sq, [(0, 2), (1, 3), (2, 3)], star)
+    assert info.value.index == 0
+
+
+@pytest.mark.parametrize("center", [5, 7, -1])
+def test_star_center_outside_drawing_is_value_error(center):
+    d5 = polar_k5()
+    star = [(0, v) for v in range(1, 5)]
+    double = [(0, 1), (0, 2), (0, 3), (3, 4)]
+    twin = [(0, 1), (1, 2), (2, 3), (3, 4)]
+    calls = [lambda: star_to_star(d5, 0, center),
+             lambda: star_to_star(d5, center, 0),
+             lambda: double_star_to_star(d5, star, center),
+             lambda: double_star_to_star(d5, double, center),
+             lambda: twin_star_to_star(d5, twin, center)]
+    for call in calls:
+        with pytest.raises(ValueError, match="must be vertices"):
+            call()
