@@ -11,7 +11,12 @@ graph and the star-family restriction.
 
 import argparse
 import math
+import os
+import sys
 import time
+
+# run from a checkout without installing: import treespan from its src/
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src"))
 
 from treespan.compat import analyze, build_compat_graph
 from treespan.generators import GenSpec, generate

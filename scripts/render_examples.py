@@ -6,7 +6,12 @@ Usage:
 """
 
 import argparse
+import os
 import pathlib
+import sys
+
+# run from a checkout without installing: import treespan from its src/
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src"))
 
 from treespan.drawing import classify_monotone
 from treespan.generators import GenSpec, fixture_bipartite_isolated, generate

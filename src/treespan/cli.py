@@ -14,7 +14,7 @@ import sys
 
 from . import fileio, render
 from .compat import analyze, build_compat_graph
-from .drawing import classify_monotone, validate_simple
+from .drawing import validate_simple
 from .errors import (
     InternalInvariantViolated,
     NotCylindricalError,
@@ -28,10 +28,8 @@ from .errors import (
 from .generators import GenSpec, generate
 from .trees import check_tree, enumerate_plane_trees, tree_mask
 from .transforms import (
-    _dedupe,
+    _spine_route,
     certify_sequence,
-    cmonotone_to_spine,
-    monotone_to_spine,
     transform_cylindrical,
     transform_special,
 )
@@ -64,20 +62,14 @@ def _report_json(d) -> dict:
     }
 
 
-def _spine_route(d, to_spine, t1, t2):
-    a, b = to_spine(t1), to_spine(t2)
-    return certify_sequence(d, _dedupe(a.trees + b.trees[::-1]), method=a.method)
-
-
 def _run_transform(d, method: str, t1, t2):
     report = validate_simple(d)
     if method in ("auto", "cylindrical") and report.is_cylindrical is not None:
         return transform_cylindrical(d, report.is_cylindrical, t1, t2)
     if method in ("auto", "monotone") and report.is_monotone:
-        spine = classify_monotone(d)
-        return _spine_route(d, lambda t: monotone_to_spine(d, spine, t), t1, t2)
+        return _spine_route(d, "monotone", t1, t2)
     if method in ("auto", "cmonotone") and report.is_strongly_c_monotone:
-        return _spine_route(d, lambda t: cmonotone_to_spine(d, t), t1, t2)
+        return _spine_route(d, "cmonotone", t1, t2)
     if method in ("auto", "special"):
         kinds = {check_tree(d, t).kind for t in (t1, t2)}
         if all(k is not None and k[0] in ("star", "double_star", "twin_star")

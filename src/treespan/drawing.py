@@ -17,7 +17,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Tuple
 
 from .errors import (
     InternalInvariantViolated,
@@ -30,17 +30,20 @@ from .geometry import (
     Degenerate,
     Point,
     PolarCurve,
+    PolarPoint,
     Proper,
     Rat,
     _in_box,
+    _normalized,
+    _piece_num,
+    _polar_contacts,
+    _polyline_contacts,
     curve_circle_crossing,
     curve_eval,
     curve_self_contacts,
     is_x_monotone,
     normalize_polar,
     orient,
-    polar_crossings,
-    polyline_crossings,
 )
 
 Edge = Tuple[int, int]
@@ -169,20 +172,49 @@ class ClassReport:
 # validation
 # ---------------------------------------------------------------------------
 
-def _check_cartesian_curve(d: Drawing, e: Edge, curve: CartesianCurve) -> None:
+class _Image(NamedTuple):
+    """A drawing with each axis (x and y, or angle and radius) scaled by
+    the lcm of its denominators, so every coordinate is an int.  A positive
+    scale keeps the sign of every orientation, box and order test.  For a
+    polar drawing ``turn`` is the scaled length of one turn and every curve
+    is normalized to start in [0, turn)."""
+
+    backend: str
+    points: tuple
+    curves: Dict[Edge, tuple]
+    turn: int
+
+
+def _integer_image(d: Drawing) -> _Image:
+    everything = list(d.vertex_points) + [w for c in d.curves.values() for w in c]
+    sx = math.lcm(*{p[0].denominator for p in everything})
+    sy = math.lcm(*{p[1].denominator for p in everything})
+    kind = Point if d.backend == "cartesian" else PolarPoint
+
+    def scaled(p):
+        return kind(p[0].numerator * (sx // p[0].denominator),
+                    p[1].numerator * (sy // p[1].denominator))
+
+    curves = {e: tuple(map(scaled, c)) for e, c in d.curves.items()}
+    if d.backend == "polar":
+        curves = {e: _normalized(c, sx) if c else c for e, c in curves.items()}
+    return _Image(d.backend, tuple(map(scaled, d.vertex_points)), curves, sx)
+
+
+def _check_cartesian_curve(img: _Image, e: Edge, curve: CartesianCurve) -> None:
     if len(curve) < 2:
         raise NotSimpleError(f"curve of {e} has fewer than 2 waypoints")
     for i in range(len(curve) - 1):
         if curve[i] == curve[i + 1]:
             raise NotSimpleError(f"zero-length segment in curve of {e}")
-    pu, pv = d.vertex_point(e[0]), d.vertex_point(e[1])
+    pu, pv = img.points[e[0]], img.points[e[1]]
     if {curve[0], curve[-1]} != {pu, pv}:
         raise NotSimpleError(f"curve of {e} does not join its endpoints")
     if curve_self_contacts(curve):
         raise NotSimpleError(f"curve of {e} is self-intersecting")
 
 
-def _check_polar_curve(d: Drawing, e: Edge, curve: PolarCurve) -> None:
+def _check_polar_curve(img: _Image, e: Edge, curve: PolarCurve) -> None:
     if len(curve) < 2:
         raise NotSimpleError(f"curve of {e} has fewer than 2 waypoints")
     for w in curve:
@@ -191,19 +223,18 @@ def _check_polar_curve(d: Drawing, e: Edge, curve: PolarCurve) -> None:
     for i in range(len(curve) - 1):
         if curve[i].theta >= curve[i + 1].theta:
             raise NotSimpleError(f"curve of {e} is not angle-monotone")
-    if curve[-1].theta - curve[0].theta >= 1:
+    turn = img.turn
+    if curve[-1].theta - curve[0].theta >= turn:
         raise NotSimpleError(f"curve of {e} spans a full turn or more")
-    ends = {(curve[0].theta % 1, curve[0].r), (curve[-1].theta % 1, curve[-1].r)}
-    pu, pv = d.vertex_point(e[0]), d.vertex_point(e[1])
-    want = {(pu[0] % 1, pu[1]), (pv[0] % 1, pv[1])}
-    if ends != want:
+    ends = {(curve[0].theta % turn, curve[0].r), (curve[-1].theta % turn, curve[-1].r)}
+    if ends != {_shared_point(img, e[0]), _shared_point(img, e[1])}:
         raise NotSimpleError(f"curve of {e} does not join its endpoints")
 
 
-def _vertex_on_curve(d: Drawing, e: Edge, curve, v: int) -> bool:
+def _vertex_on_curve(img: _Image, e: Edge, curve, v: int) -> bool:
     """Does the curve pass through vertex v's point anywhere it must not?"""
-    if d.backend == "cartesian":
-        p = d.vertex_point(v)
+    if img.backend == "cartesian":
+        p = img.points[v]
         interior = curve[1:-1]
         if v in e:
             return p in interior
@@ -216,44 +247,40 @@ def _vertex_on_curve(d: Drawing, e: Edge, curve, v: int) -> bool:
             if orient(a, b, p) == 0 and _in_box(a, b, p):
                 return True
         return False
-    theta, r = d.vertex_point(v)
-    c = normalize_polar(curve)
-    t0, tn = c[0].theta, c[-1].theta
-    base = theta % 1
-    cand = base + math.ceil(t0 - base)
-    while cand <= tn:
-        at_start = cand == t0
-        at_end = cand == tn
-        val = curve_eval(curve, cand)
-        if val == r:
-            own_end = v in e and ((at_start and (c[0].theta % 1, c[0].r) == (base, r))
-                                  or (at_end and (c[-1].theta % 1, c[-1].r) == (base, r)))
-            if not own_end:
-                return True
-        cand += 1
+    # a checked polar curve spans less than a turn: one lift of v can hit it
+    base, r = _shared_point(img, v)
+    t0 = curve[0].theta
+    cand = base if base >= t0 else base + img.turn
+    for p0, p1 in zip(curve, curve[1:]):
+        if p0.theta <= cand <= p1.theta:
+            if _piece_num(p0, p1, cand) != r * (p1.theta - p0.theta):
+                return False
+            return not (v in e and cand in (t0, curve[-1].theta))  # own end
     return False
 
 
-def _pair_contacts(d: Drawing, e: Edge, f: Edge) -> list:
-    if d.backend == "cartesian":
-        return polyline_crossings(d.curves[e], d.curves[f])
-    return polar_crossings(d.curves[e], d.curves[f])
+def _pair_contacts(img: _Image, e: Edge, f: Edge) -> list:
+    """Contacts of two edges' curves, unmerged, with Proper locations left
+    out: validation reads only how many Propers there are."""
+    if img.backend == "cartesian":
+        return _polyline_contacts(img.curves[e], img.curves[f], False)
+    return _polar_contacts(img.curves[e], img.curves[f], img.turn, False)
 
 
-def _shared_vertex_point(d: Drawing, e: Edge, f: Edge):
-    common = set(e) & set(f)
-    if not common:
-        return None
-    v = common.pop()
-    p = d.vertex_point(v)
-    if d.backend == "cartesian":
+def _shared_point(img: _Image, v: int):
+    """Vertex v's point as contacts report it (polar angles mod a turn)."""
+    p = img.points[v]
+    if img.backend == "cartesian":
         return p
-    return (p[0] % 1, p[1])
+    return (p[0] % img.turn, p[1])
 
 
 def validate_simple(d: Drawing) -> ClassReport:
     """Build the crossing matrix, confirm every simple-drawing invariant and
-    fill all classification flags.  Raises NotSimpleError on violation."""
+    fill all classification flags.  Raises NotSimpleError on violation.
+
+    Every sign test runs on the drawing's integer image, built here and
+    dropped on return."""
     if d._report is not None:
         return d._report
 
@@ -261,20 +288,20 @@ def validate_simple(d: Drawing) -> ClassReport:
         raise NotSimpleError("need at least 2 vertices")
     if sorted(d.curves) != d.expected_edges():
         raise NotSimpleError("edge set does not match declared graph")
-    if len(set(d.vertex_points)) != d.n:
+    img = _integer_image(d)
+    if len(set(img.points)) != d.n:
         raise NotSimpleError("vertex points are not distinct")
     if d.backend == "polar":
-        seen = {(p[0] % 1, p[1]) for p in d.vertex_points}
-        if len(seen) != d.n:
+        if len({_shared_point(img, v) for v in range(d.n)}) != d.n:
             raise NotSimpleError("vertex points are not distinct")
 
-    for e, curve in d.curves.items():
+    for e, curve in img.curves.items():
         if d.backend == "cartesian":
-            _check_cartesian_curve(d, e, curve)
+            _check_cartesian_curve(img, e, curve)
         else:
-            _check_polar_curve(d, e, curve)
+            _check_polar_curve(img, e, curve)
         for v in range(d.n):
-            if _vertex_on_curve(d, e, curve, v):
+            if _vertex_on_curve(img, e, curve, v):
                 raise NotSimpleError(f"curve of {e} passes through vertex {v}")
 
     edges = d.edges
@@ -282,20 +309,19 @@ def validate_simple(d: Drawing) -> ClassReport:
     for i, e in enumerate(edges):
         for j in range(i + 1, len(edges)):
             f = edges[j]
-            contacts = _pair_contacts(d, e, f)
-            shared = _shared_vertex_point(d, e, f)
-            if shared is not None:
-                ok = (len(contacts) == 1
-                      and isinstance(contacts[0], Degenerate)
-                      and contacts[0].at == shared)
-                if not ok:
+            contacts = _pair_contacts(img, e, f)
+            propers = sum(isinstance(c, Proper) for c in contacts)
+            touches = {c for c in contacts if isinstance(c, Degenerate)}
+            common = set(e) & set(f)
+            if common:
+                shared = _shared_point(img, common.pop())
+                if propers or len(touches) != 1 or touches.pop().at != shared:
                     raise NotSimpleError("adjacent crossing or degenerate contact",
                                          pair=(e, f))
             else:
-                propers = [c for c in contacts if isinstance(c, Proper)]
-                if len(propers) > 1:
+                if propers > 1:
                     raise NotSimpleError("double crossing", pair=(e, f))
-                if len(propers) != len(contacts):
+                if touches:
                     raise NotSimpleError("degenerate contact", pair=(e, f))
                 if propers:
                     rows[i] |= 1 << j

@@ -1,12 +1,18 @@
-"""Exact rational predicates for the two curve backends.
+"""Exact predicates for the two curve backends.
 
 Cartesian curves are polylines through ``Point`` waypoints; polar curves are
-piecewise-linear radius profiles over angles measured in rational *turns*
-(1 turn = full revolution), so every comparison in the package is a rational
-sign test.  Contacts that are not transversal interior crossings (shared
-endpoints, endpoint-on-interior touches, collinear overlaps, hits on waypoint
-breakpoints) are reported as ``Degenerate`` values rather than errors; the
-drawing layer decides which of them are legal.
+piecewise-linear radius profiles over angles measured in *turns* (one turn
+is a full revolution), so every decision in the package is the sign of an
+exact expression.  The predicates are sign tests that take ``int`` or
+``Fraction`` coordinates alike: ``validate_simple`` runs them on a per-axis
+integer image of the drawing (each axis scaled by the lcm of its
+denominators, which keeps every sign), and polar angles are compared modulo
+a turn length that is 1 for the public functions.  Interpolated radii are
+compared by cross-multiplying, never by dividing.  Contacts that are not
+transversal interior crossings (shared endpoints, endpoint-on-interior
+touches, collinear overlaps, hits on waypoint breakpoints) are reported as
+``Degenerate`` values rather than errors; the drawing layer decides which
+of them are legal.
 """
 
 from __future__ import annotations
@@ -81,8 +87,7 @@ def _in_box(a: Point, b: Point, p: Point) -> bool:
 def _line_intersection(a: Point, b: Point, c: Point, d: Point) -> Point:
     rx, ry = b.x - a.x, b.y - a.y
     sx, sy = d.x - c.x, d.y - c.y
-    denom = rx * sy - ry * sx
-    t = ((c.x - a.x) * sy - (c.y - a.y) * sx) / denom
+    t = Fraction((c.x - a.x) * sy - (c.y - a.y) * sx, rx * sy - ry * sx)
     return Point(a.x + t * rx, a.y + t * ry)
 
 
@@ -93,8 +98,12 @@ def segment_proper_crossing(s1: Sequence[Point], s2: Sequence[Point]) -> Optiona
     Degenerate: collinear overlap, endpoint-on-segment touch, or shared
     endpoint.  None: disjoint.
     """
-    a, b = s1
-    c, d = s2
+    return _segment_contact(*s1, *s2, True)
+
+
+def _segment_contact(a: Point, b: Point, c: Point, d: Point,
+                     locate: bool) -> Optional[CrossKind]:
+    """segment_proper_crossing; a Proper's ``at`` is None unless locate."""
     if a == b or c == d:
         raise ValueError("zero-length segment")
     o1 = orient(a, b, c)
@@ -112,7 +121,7 @@ def segment_proper_crossing(s1: Sequence[Point], s2: Sequence[Point]) -> Optiona
     o3 = orient(c, d, a)
     o4 = orient(c, d, b)
     if o1 * o2 < 0 and o3 * o4 < 0:
-        return Proper(_line_intersection(a, b, c, d))
+        return Proper(_line_intersection(a, b, c, d) if locate else None)
     for p, (u, v) in ((c, (a, b)), (d, (a, b)), (a, (c, d)), (b, (c, d))):
         if orient(u, v, p) == 0 and _in_box(u, v, p):
             shared = p in (a, b) and p in (c, d)
@@ -132,14 +141,27 @@ def _bbox_disjoint(s1, s2) -> bool:
 
 def polyline_crossings(c1: CartesianCurve, c2: CartesianCurve) -> list:
     """All Proper and Degenerate contacts between two polylines, each once."""
+    return _merged(_polyline_contacts(c1, c2, True))
+
+
+def _merged(contacts: list) -> list:
+    out = []
+    for r in contacts:
+        if r not in out:
+            out.append(r)
+    return out
+
+
+def _polyline_contacts(c1: CartesianCurve, c2: CartesianCurve, locate: bool) -> list:
+    """The contact of every segment pair that has one, unmerged: on simple
+    curves distinct pairs never share a Proper crossing point."""
     out = []
     for s1 in _segments(c1):
         for s2 in _segments(c2):
-            if _bbox_disjoint(s1, s2):
-                continue
-            r = segment_proper_crossing(s1, s2)
-            if r is not None and r not in out:
-                out.append(r)
+            if not _bbox_disjoint(s1, s2):
+                r = _segment_contact(*s1, *s2, locate)
+                if r is not None:
+                    out.append(r)
     return out
 
 
@@ -169,7 +191,12 @@ def curve_self_contacts(curve: CartesianCurve) -> list:
 def normalize_polar(curve: PolarCurve) -> PolarCurve:
     """Shift the whole curve by an integer number of turns so that its first
     waypoint angle lies in [0, 1)."""
-    shift = curve[0].theta - (curve[0].theta % 1)
+    return _normalized(curve, 1)
+
+
+def _normalized(curve: PolarCurve, turn) -> PolarCurve:
+    """normalize_polar for angles measured in units of 1/turn turns."""
+    shift = curve[0].theta - (curve[0].theta % turn)
     if shift == 0:
         return tuple(curve)
     return tuple(PolarPoint(w.theta - shift, w.r) for w in curve)
@@ -183,47 +210,55 @@ def _piece_r(p0: PolarPoint, p1: PolarPoint, theta: Rat) -> Rat:
     return p0.r + (p1.r - p0.r) * (theta - p0.theta) / (p1.theta - p0.theta)
 
 
+def _piece_num(p0: PolarPoint, p1: PolarPoint, theta):
+    """The piece's radius at theta times its angular length p1 - p0."""
+    return p0.r * (p1.theta - p0.theta) + (p1.r - p0.r) * (theta - p0.theta)
+
+
 def polar_crossings(c1: PolarCurve, c2: PolarCurve) -> list:
     """All Proper and Degenerate contacts between two polar curves.
 
     Angles are compared mod 1 turn; a contact at a piece boundary or curve
     endpoint is Degenerate, a sign change of r1 - r2 interior to both pieces
-    is Proper.
+    is Proper.  Waypoint angles must increase strictly along each curve.
     """
-    c1 = normalize_polar(c1)
-    c2 = normalize_polar(c2)
+    return _merged(_polar_contacts(normalize_polar(c1), normalize_polar(c2), 1, True))
+
+
+def _polar_contacts(c1: PolarCurve, c2: PolarCurve, turn, locate: bool) -> list:
+    """polar_crossings of two curves already normalized to start in
+    [0, turn), with one turn measuring ``turn``; unmerged, and a Proper's
+    ``at`` is None unless locate.  Each radius comparison is the sign of
+    r1 - r2 times the two pieces' angular lengths, so nothing is divided;
+    a contact's radius is the radius of the piece end it lies on."""
     out = []
-
-    def add(entry):
-        if entry not in out:
-            out.append(entry)
-
     for p0, p1 in _polar_pieces(c1):
+        len1 = p1.theta - p0.theta
         for q0, q1 in _polar_pieces(c2):
-            for k in (-1, 0, 1):
+            len2 = q1.theta - q0.theta
+            for k in (-turn, 0, turn):
                 lo = max(p0.theta, q0.theta + k)
                 hi = min(p1.theta, q1.theta + k)
                 if lo > hi:
                     continue
-                r1lo = _piece_r(p0, p1, lo)
-                r2lo = _piece_r(q0, q1, lo - k)
+                dlo = _piece_num(p0, p1, lo) * len2 - _piece_num(q0, q1, lo - k) * len1
                 if lo == hi:
-                    if r1lo == r2lo:
-                        add(Degenerate("endpoint contact", at=(lo % 1, r1lo)))
+                    if dlo == 0:
+                        r = p0.r if lo == p0.theta else q0.r
+                        out.append(Degenerate("endpoint contact", at=(lo % turn, r)))
                     continue
-                r1hi = _piece_r(p0, p1, hi)
-                r2hi = _piece_r(q0, q1, hi - k)
-                dlo = r1lo - r2lo
-                dhi = r1hi - r2hi
+                dhi = _piece_num(p0, p1, hi) * len2 - _piece_num(q0, q1, hi - k) * len1
                 if dlo == 0 and dhi == 0:
-                    add(Degenerate("collinear overlap"))
+                    out.append(Degenerate("collinear overlap"))
                 elif dlo == 0:
-                    add(Degenerate("endpoint contact", at=(lo % 1, r1lo)))
+                    r = p0.r if lo == p0.theta else q0.r
+                    out.append(Degenerate("endpoint contact", at=(lo % turn, r)))
                 elif dhi == 0:
-                    add(Degenerate("endpoint contact", at=(hi % 1, r1hi)))
+                    r = p1.r if hi == p1.theta else q1.r
+                    out.append(Degenerate("endpoint contact", at=(hi % turn, r)))
                 elif (dlo < 0) != (dhi < 0):
-                    t = lo + (hi - lo) * dlo / (dlo - dhi)
-                    add(Proper(t % 1))
+                    at = Fraction(hi * dlo - lo * dhi, dlo - dhi) % turn if locate else None
+                    out.append(Proper(at))
     return out
 
 

@@ -188,6 +188,22 @@ def monotone_to_spine(d: Drawing, spine: Optional[SpineStructure],
     return _certified(d, _monotone_rounds(d, spine, t), "monotone")
 
 
+def _spine_route(d: Drawing, method: str, t1: Iterable[Edge],
+                 t2: Iterable[Edge]) -> TransformSequence:
+    """t1 down to the spine path and back up to t2 on a monotone drawing
+    (``method`` "monotone") or a strongly c-monotone one ("cmonotone"),
+    with both halves glued as masks and certified once."""
+    if method == "monotone":
+        spine = classify_monotone(d)
+        t1, t2 = _input_masks(d, [t1, t2])
+        a, b = (_monotone_rounds(d, spine, t) for t in (t1, t2))
+    else:
+        spine = _strong_spine(d)
+        t1, t2 = _input_masks(d, [t1, t2])
+        a, b = _cmonotone_rounds(d, spine, [t1, t2])
+    return _certified(d, _dedupe(a + b[::-1]), method)
+
+
 def _monotone_rounds(d: Drawing, spine: SpineStructure, t: int) -> List[int]:
     xs = {v: d.vertex_point(v).x for v in range(d.n)}
     spine_mask = tree_mask(d, spine.spine_edges)
@@ -393,16 +409,30 @@ def cmonotone_to_spine(d: Drawing, t: Iterable[Edge]) -> TransformSequence:
     and resolved there; otherwise each round adds every corridor path,
     drops all twiggly edges, and the twiggly depth of every ray decreases
     where it was positive."""
+    spine = _strong_spine(d)
+    (t,) = _input_masks(d, [t])
+    return _certified(d, _cmonotone_rounds(d, spine, [t])[0], "cmonotone")
+
+
+def _strong_spine(d: Drawing) -> SpineStructure:
     c_mono, strongly, spine = classify_c_monotone(d)
     if not (c_mono and strongly):
         raise NotStronglyCMonotoneError("drawing is not strongly c-monotone")
-    (t,) = _input_masks(d, [t])
+    return spine
 
+
+def _cmonotone_rounds(d: Drawing, spine: SpineStructure,
+                      trees: List[int]) -> List[List[int]]:
+    """The mask sequence from each tree to the spine path; the drawing is
+    cut at most once, for all of them."""
     if not spine.all_cycle_edges_spine:
         flat, _ = cut_to_monotone(d)
-        return _certified(d, _monotone_rounds(flat, classify_monotone(flat), t),
-                          "cmonotone")
+        flat_spine = classify_monotone(flat)
+        return [_monotone_rounds(flat, flat_spine, t) for t in trees]
+    return [_corridor_rounds(d, spine, t) for t in trees]
 
+
+def _corridor_rounds(d: Drawing, spine: SpineStructure, t: int) -> List[int]:
     samples = _ray_samples(d)
     spine_mask = tree_mask(d, spine.spine_edges)
     crosses_spine = conflict_mask(d, spine_mask)  # the twiggly edges
@@ -432,7 +462,7 @@ def cmonotone_to_spine(d: Drawing, t: Iterable[Edge]) -> TransformSequence:
             raise InternalInvariantViolated("twiggly depth did not drop")
         seq.append(t)
     target = tree_mask(d, spine.spine_edges[:d.n - 1])  # sorted: drop the last
-    return _certified(d, _dedupe(seq + [target]), "cmonotone")
+    return _dedupe(seq + [target])
 
 
 # ---------------------------------------------------------------------------
@@ -442,6 +472,8 @@ def cmonotone_to_spine(d: Drawing, t: Iterable[Edge]) -> TransformSequence:
 def _gr_order(d: Drawing, g: int, r: int) -> List[int]:
     """Vertices of V - {g, r} in an order compatible with the crossing
     relation: u before w whenever edge(u, r) crosses edge(w, g)."""
+    for c in (g, r):  # the stars at g and r hold every edge looked up below
+        tree_mask(d, [edge(c, v) for v in range(d.n) if v != c])
     others = [v for v in range(d.n) if v not in (g, r)]
     succ: Dict[int, List[int]] = {v: [] for v in others}
     indeg = {v: 0 for v in others}

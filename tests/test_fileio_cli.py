@@ -249,9 +249,18 @@ def test_cli_render_unknown_edge_is_one_json_error(tmp_path, capsys, k3_file):
 
 
 def test_cli_bad_second_tree_names_its_position(tmp_path, capsys):
-    drawing = str(tmp_path / "cyl5.json")
-    assert main(["generate", "--class", "cylindrical", "--n", "5", "--seed",
-                 "0", "-a", "2", "-b", "3", "-o", drawing]) == 0
+    _bad_second_tree(tmp_path, capsys, ["cylindrical", "-a", "2", "-b", "3"])
+
+
+@pytest.mark.parametrize("cls", ["monotone_perturbed", "strongly_cmonotone"])
+def test_cli_spine_route_bad_second_tree_names_its_position(tmp_path, capsys, cls):
+    _bad_second_tree(tmp_path, capsys, [cls])
+
+
+def _bad_second_tree(tmp_path, capsys, gen_args):
+    drawing = str(tmp_path / "d5.json")
+    assert main(["generate", "--class", gen_args[0], "--n", "5", "--seed", "0",
+                 *gen_args[1:], "-o", drawing]) == 0
     capsys.readouterr()
     assert main(["transform", drawing, "--from", "0-1,0-2,0-3,0-4",
                  "--to", "0-1,0-2,0-3"]) == 1

@@ -83,6 +83,13 @@ def test_diagonal_crossing():
     assert r == Proper(P(F(1, 2), F(1, 2)))
 
 
+def test_int_input_gives_exact_locations():
+    # the predicates are sign tests on ints as well; a location is a Fraction
+    r = segment_proper_crossing((Point(0, 0), Point(1, 1)), (Point(0, 1), Point(1, 0)))
+    assert r == Proper(Point(F(1, 2), F(1, 2)))
+    assert all(type(c) is F for c in r.at)
+
+
 def test_parallel_disjoint():
     assert segment_proper_crossing((P(0, 0), P(1, 0)), (P(0, 1), P(1, 1))) is None
 

@@ -1,0 +1,18 @@
+"""The scripts run from a checkout, without the package installed."""
+
+import os
+import pathlib
+import subprocess
+import sys
+
+SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
+
+
+def test_diameter_sweep_runs_from_a_checkout(tmp_path):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    out = subprocess.run([sys.executable, str(SCRIPTS / "diameter_sweep.py"),
+                          "--max-n", "4", "--seeds", "1"],
+                         cwd=tmp_path, env=env, capture_output=True, text=True,
+                         timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[1].split()[:3] == ["convex", "4", "0"]

@@ -5,7 +5,12 @@ from fractions import Fraction as F
 import pytest
 
 from treespan.compat import bfs_distance, build_compat_graph
-from treespan.drawing import classify_c_monotone, classify_cylindrical, classify_monotone
+from treespan.drawing import (
+    Drawing,
+    classify_c_monotone,
+    classify_cylindrical,
+    classify_monotone,
+)
 from treespan.errors import (
     FullCircleCorridorError,
     IncompatibleStepError,
@@ -13,6 +18,7 @@ from treespan.errors import (
     NotDoubleStarError,
     NotSpecialTreeError,
     NotTwinStarError,
+    UnknownEdgeError,
 )
 from treespan.transforms import (
     CENTER,
@@ -31,7 +37,7 @@ from treespan.transforms import (
 )
 from treespan.trees import canon_tree, double_star_paths, enumerate_plane_trees
 
-from conftest import polar_k5
+from conftest import P, polar_k5
 
 
 # ---------------------------------------------------------------------------
@@ -349,3 +355,13 @@ def test_star_center_outside_drawing_is_value_error(center):
     for call in calls:
         with pytest.raises(ValueError, match="must be vertices"):
             call()
+
+
+def test_star_flip_on_bipartite_names_the_missing_edge():
+    # K_{1,3}: vertex 0 against 1, 2, 3; the star at 1 would need edge (1, 2)
+    pts = (P(0, 0), P(1, 1), P(2, 0), P(1, -1))
+    d = Drawing(n=4, backend="cartesian", vertex_points=pts,
+                curves={(0, v): (pts[0], pts[v]) for v in (1, 2, 3)},
+                graph=("bipartite", 1, 3))
+    with pytest.raises(UnknownEdgeError, match=r"\(1, 2\)"):
+        star_to_star(d, 0, 1)

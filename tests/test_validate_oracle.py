@@ -1,0 +1,345 @@
+"""``validate_simple`` against the ``Fraction`` validation it replaced.
+
+``validate_simple`` runs every sign test on an integer image of the
+drawing (each axis scaled by the lcm of its denominators).  The oracle
+below is the validation as it ran before, on the drawing's own rational
+coordinates: the curve and vertex checks, the pair loop, and the
+``polar_crossings`` that evaluated interpolated radii with ``_piece_r``
+divisions.  Random small drawings with mixed denominators must get the
+same crossing matrix, or the same ``NotSimpleError`` reason and pair.
+"""
+
+import math
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from treespan.drawing import Drawing, complete_edges, validate_simple
+from treespan.errors import NotSimpleError
+from treespan.generators import GenSpec, generate
+from treespan.geometry import (
+    Degenerate,
+    Point,
+    PolarPoint,
+    Proper,
+    _in_box,
+    curve_self_contacts,
+    orient,
+    polar_crossings,
+    polyline_crossings,
+)
+
+from conftest import polar_k4, polar_k5
+
+# ---------------------------------------------------------------------------
+# the Fraction oracle
+# ---------------------------------------------------------------------------
+
+
+def oracle_normalize_polar(curve):
+    shift = curve[0].theta - (curve[0].theta % 1)
+    if shift == 0:
+        return tuple(curve)
+    return tuple(PolarPoint(w.theta - shift, w.r) for w in curve)
+
+
+def oracle_piece_r(p0, p1, theta):
+    return p0.r + (p1.r - p0.r) * (theta - p0.theta) / (p1.theta - p0.theta)
+
+
+def oracle_polar_crossings(c1, c2):
+    c1 = oracle_normalize_polar(c1)
+    c2 = oracle_normalize_polar(c2)
+    out = []
+
+    def add(entry):
+        if entry not in out:
+            out.append(entry)
+
+    for p0, p1 in zip(c1, c1[1:]):
+        for q0, q1 in zip(c2, c2[1:]):
+            for k in (-1, 0, 1):
+                lo = max(p0.theta, q0.theta + k)
+                hi = min(p1.theta, q1.theta + k)
+                if lo > hi:
+                    continue
+                r1lo = oracle_piece_r(p0, p1, lo)
+                r2lo = oracle_piece_r(q0, q1, lo - k)
+                if lo == hi:
+                    if r1lo == r2lo:
+                        add(Degenerate("endpoint contact", at=(lo % 1, r1lo)))
+                    continue
+                r1hi = oracle_piece_r(p0, p1, hi)
+                r2hi = oracle_piece_r(q0, q1, hi - k)
+                dlo = r1lo - r2lo
+                dhi = r1hi - r2hi
+                if dlo == 0 and dhi == 0:
+                    add(Degenerate("collinear overlap"))
+                elif dlo == 0:
+                    add(Degenerate("endpoint contact", at=(lo % 1, r1lo)))
+                elif dhi == 0:
+                    add(Degenerate("endpoint contact", at=(hi % 1, r1hi)))
+                elif (dlo < 0) != (dhi < 0):
+                    t = lo + (hi - lo) * dlo / (dlo - dhi)
+                    add(Proper(t % 1))
+    return out
+
+
+def oracle_polar_eval(curve, at):
+    c = oracle_normalize_polar(curve)
+    t0, tn = c[0].theta, c[-1].theta
+    base = at % 1
+    cand = base + math.ceil(t0 - base)
+    if cand > tn:
+        return None
+    for p0, p1 in zip(c, c[1:]):
+        if p0.theta <= cand <= p1.theta:
+            return oracle_piece_r(p0, p1, cand)
+    return None
+
+
+def _oracle_check_curve(d, e, curve):
+    pu, pv = d.vertex_points[e[0]], d.vertex_points[e[1]]
+    if len(curve) < 2:
+        raise NotSimpleError(f"curve of {e} has fewer than 2 waypoints")
+    if d.backend == "cartesian":
+        for i in range(len(curve) - 1):
+            if curve[i] == curve[i + 1]:
+                raise NotSimpleError(f"zero-length segment in curve of {e}")
+        if {curve[0], curve[-1]} != {pu, pv}:
+            raise NotSimpleError(f"curve of {e} does not join its endpoints")
+        if curve_self_contacts(curve):
+            raise NotSimpleError(f"curve of {e} is self-intersecting")
+        return
+    for w in curve:
+        if w.r <= 0:
+            raise NotSimpleError(f"curve of {e} has non-positive radius")
+    for i in range(len(curve) - 1):
+        if curve[i].theta >= curve[i + 1].theta:
+            raise NotSimpleError(f"curve of {e} is not angle-monotone")
+    if curve[-1].theta - curve[0].theta >= 1:
+        raise NotSimpleError(f"curve of {e} spans a full turn or more")
+    ends = {(curve[0].theta % 1, curve[0].r), (curve[-1].theta % 1, curve[-1].r)}
+    if ends != {(pu[0] % 1, pu[1]), (pv[0] % 1, pv[1])}:
+        raise NotSimpleError(f"curve of {e} does not join its endpoints")
+
+
+def _oracle_vertex_on_curve(d, e, curve, v):
+    if d.backend == "cartesian":
+        p = d.vertex_points[v]
+        interior = curve[1:-1]
+        if v in e:
+            return p in interior
+        if p == curve[0] or p == curve[-1] or p in interior:
+            return True
+        return any(orient(a, b, p) == 0 and _in_box(a, b, p)
+                   for a, b in zip(curve, curve[1:]))
+    theta, r = d.vertex_points[v]
+    c = oracle_normalize_polar(curve)
+    t0, tn = c[0].theta, c[-1].theta
+    base = theta % 1
+    cand = base + math.ceil(t0 - base)
+    while cand <= tn:
+        at_start = cand == t0
+        at_end = cand == tn
+        if oracle_polar_eval(curve, cand) == r:
+            own_end = v in e and ((at_start and (c[0].theta % 1, c[0].r) == (base, r))
+                                  or (at_end and (c[-1].theta % 1, c[-1].r) == (base, r)))
+            if not own_end:
+                return True
+        cand += 1
+    return False
+
+
+def oracle_validate(d):
+    """Crossing pairs of a simple drawing, or the NotSimpleError raised."""
+    if d.n < 2:
+        raise NotSimpleError("need at least 2 vertices")
+    if sorted(d.curves) != d.expected_edges():
+        raise NotSimpleError("edge set does not match declared graph")
+    if len(set(d.vertex_points)) != d.n:
+        raise NotSimpleError("vertex points are not distinct")
+    if d.backend == "polar":
+        if len({(p[0] % 1, p[1]) for p in d.vertex_points}) != d.n:
+            raise NotSimpleError("vertex points are not distinct")
+    for e, curve in d.curves.items():
+        _oracle_check_curve(d, e, curve)
+        for v in range(d.n):
+            if _oracle_vertex_on_curve(d, e, curve, v):
+                raise NotSimpleError(f"curve of {e} passes through vertex {v}")
+    edges = d.edges
+    pairs = []
+    for i, e in enumerate(edges):
+        for f in edges[i + 1:]:
+            if d.backend == "cartesian":
+                contacts = polyline_crossings(d.curves[e], d.curves[f])
+            else:
+                contacts = oracle_polar_crossings(d.curves[e], d.curves[f])
+            common = set(e) & set(f)
+            if common:
+                p = d.vertex_points[common.pop()]
+                shared = p if d.backend == "cartesian" else (p[0] % 1, p[1])
+                if not (len(contacts) == 1 and isinstance(contacts[0], Degenerate)
+                        and contacts[0].at == shared):
+                    raise NotSimpleError("adjacent crossing or degenerate contact",
+                                         pair=(e, f))
+            else:
+                propers = [c for c in contacts if isinstance(c, Proper)]
+                if len(propers) > 1:
+                    raise NotSimpleError("double crossing", pair=(e, f))
+                if len(propers) != len(contacts):
+                    raise NotSimpleError("degenerate contact", pair=(e, f))
+                if propers:
+                    pairs.append((e, f))
+    return pairs
+
+
+def _outcome(validate, d):
+    try:
+        out = validate(d)
+    except NotSimpleError as ex:
+        return ("NotSimpleError", ex.reason, ex.pair)
+    return out
+
+
+def _fresh(d):
+    return Drawing(n=d.n, backend=d.backend, vertex_points=d.vertex_points,
+                   curves=dict(d.curves), graph=d.graph)
+
+
+def _fast(d):
+    validate_simple(d)
+    return d.crossing_pairs()
+
+
+# ---------------------------------------------------------------------------
+# random drawings with mixed denominators
+# ---------------------------------------------------------------------------
+
+DENS = (1, 2, 3, 4, 5, 6, 7, 12)
+rationals = st.builds(F, st.integers(-12, 12), st.sampled_from(DENS))
+
+
+@st.composite
+def cartesian_drawings(draw):
+    n = draw(st.integers(3, 5))
+    pts = tuple(draw(st.lists(st.builds(Point, rationals, rationals),
+                              min_size=n, max_size=n, unique=True)))
+    curves = {}
+    for u, v in complete_edges(n):
+        bends = draw(st.lists(st.builds(Point, rationals, rationals),
+                              max_size=draw(st.sampled_from((0, 0, 1)))))
+        ends = (pts[u], pts[v]) if draw(st.booleans()) else (pts[v], pts[u])
+        curves[(u, v)] = (ends[0], *bends, ends[1])
+    return Drawing(n=n, backend="cartesian", vertex_points=pts, curves=curves)
+
+
+turns = st.sampled_from((24, 8, 6, 3)).flatmap(
+    lambda den: st.builds(F, st.integers(0, den - 1), st.just(den)))
+radii = st.builds(F, st.integers(1, 12), st.sampled_from((1, 2, 3, 5)))
+
+
+@st.composite
+def polar_curve(draw, p, q):
+    """theta increasing from p to q (lifted by whole turns), bends inside."""
+    lift = draw(st.sampled_from((-1, 0, 0, 0, 1)))
+    t0 = p.theta + lift
+    t1 = q.theta + lift
+    while t1 <= t0:
+        t1 += 1
+    cuts = sorted(set(draw(st.lists(st.integers(1, 11), min_size=1, max_size=2))))
+    inner = tuple(PolarPoint(t0 + (t1 - t0) * F(c, 12), draw(radii)) for c in cuts)
+    return (PolarPoint(t0, p.r), *inner, PolarPoint(t1, q.r))
+
+
+@st.composite
+def polar_drawings(draw):
+    n = draw(st.integers(3, 5))
+    same_circle = draw(st.booleans())
+    r0 = draw(radii)
+    thetas = draw(st.lists(turns, min_size=n, max_size=n, unique=True))
+    pts = tuple(PolarPoint(t, r0 if same_circle else draw(radii)) for t in thetas)
+    curves = {}
+    for u, v in complete_edges(n):
+        a, b = (u, v) if draw(st.booleans()) else (v, u)
+        curves[(u, v)] = draw(polar_curve(pts[a], pts[b]))
+    return Drawing(n=n, backend="polar", vertex_points=pts, curves=curves)
+
+
+def _straight(pts):
+    return Drawing(n=len(pts), backend="cartesian", vertex_points=pts,
+                   curves={(u, v): (pts[u], pts[v])
+                           for u, v in complete_edges(len(pts))})
+
+
+def _pp(t, r):
+    return PolarPoint(F(t), F(r))
+
+
+PK3 = Drawing(n=3, backend="polar",
+              vertex_points=(_pp(0, 2), _pp(F(1, 3), 2), _pp(F(2, 3), 2)),
+              curves={(0, 1): (_pp(0, 2), _pp(F(1, 6), F(5, 3)), _pp(F(1, 3), 2)),
+                      (1, 2): (_pp(F(1, 3), 2), _pp(F(2, 3), 2)),
+                      (0, 2): (_pp(F(2, 3), 2), _pp(F(5, 6), F(7, 3)), _pp(1, 2))})
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(d=st.one_of(cartesian_drawings(), polar_drawings()))
+@example(d=_straight((Point(F(0), F(0)), Point(F(1, 3), F(1, 2)),
+                      Point(F(2, 7), F(-1, 5)), Point(F(-1, 2), F(1, 3)))))
+@example(d=_straight((Point(F(0), F(0)), Point(F(1), F(1)),
+                      Point(F(2), F(2)), Point(F(0), F(3)))))  # vertex on an edge
+@example(d=PK3)
+@example(d=Drawing(n=3, backend="polar", vertex_points=PK3.vertex_points,
+                   curves={**PK3.curves, (1, 2): (_pp(F(1, 3), 2), _pp(F(5, 3), 2))}))
+@example(d=polar_k4())
+@example(d=polar_k5())
+def test_validate_simple_matches_fraction_oracle(d):
+    assert _outcome(_fast, _fresh(d)) == _outcome(oracle_validate, _fresh(d))
+
+
+@pytest.mark.parametrize("spec", [
+    GenSpec(cls="strongly_cmonotone", n=5, seed=1),
+    GenSpec(cls="strongly_cmonotone", n=6, seed=702),
+    GenSpec(cls="monotone_perturbed", n=6, seed=402),
+    GenSpec(cls="cylindrical", n=4, seed=0, a=2, b=2),
+    GenSpec(cls="cylindrical", n=6, seed=0, a=3, b=3),
+], ids=lambda s: f"{s.cls}-{s.n}-{s.seed}")
+def test_generated_drawing_matches_fraction_oracle(spec):
+    d = generate(spec)
+    assert _fresh(d).crossing_pairs() == oracle_validate(_fresh(d))
+
+
+# ---------------------------------------------------------------------------
+# public polar_crossings against the _piece_r oracle
+# ---------------------------------------------------------------------------
+
+grid_theta = st.builds(F, st.integers(-8, 16), st.just(8))
+grid_r = st.builds(F, st.integers(1, 4))
+
+
+@st.composite
+def polar_pieces(draw):
+    thetas = sorted(set(draw(st.lists(grid_theta, min_size=2, max_size=4))))
+    if len(thetas) < 2:
+        thetas.append(thetas[0] + F(3, 8))
+    thetas = [t for t in thetas if t - thetas[0] < 1] or thetas[:1]
+    if len(thetas) < 2:
+        thetas.append(thetas[0] + F(1, 8))
+    return tuple(PolarPoint(t, draw(grid_r)) for t in thetas)
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(c1=polar_pieces(), c2=polar_pieces())
+# endpoint contact: c2 starts on c1's interior
+@example(c1=(_pp(0, 2), _pp(F(1, 2), 2)), c2=(_pp(F(1, 4), 2), _pp(F(3, 4), 1)))
+# collinear overlap
+@example(c1=(_pp(0, 2), _pp(F(1, 2), 2)), c2=(_pp(F(1, 4), 2), _pp(F(3, 4), 2)))
+# contact across the seam: c1 ends at 9/8 = 1/8 + 1 where c2 starts
+@example(c1=(_pp(F(5, 8), 1), _pp(F(9, 8), 3)), c2=(_pp(F(1, 8), 3), _pp(F(1, 2), 1)))
+# proper crossing across the seam, c1 given with a lift of two turns
+@example(c1=(_pp(F(19, 8), 1), _pp(F(25, 8), 3)), c2=(_pp(F(1, 8), 3), _pp(F(3, 8), 1)))
+def test_polar_crossings_matches_piece_r_oracle(c1, c2):
+    assert polar_crossings(c1, c2) == oracle_polar_crossings(c1, c2)
