@@ -10,7 +10,6 @@ graph and the star-family restriction.
 """
 
 import argparse
-import math
 import os
 import sys
 import time
@@ -20,6 +19,17 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.p
 
 from treespan.compat import analyze, build_compat_graph
 from treespan.generators import GenSpec, generate
+
+
+def report(label: str, spec: GenSpec) -> None:
+    t0 = time.time()
+    d = generate(spec)
+    g = build_compat_graph(d)
+    diam = analyze(g).diameter
+    rdiam = analyze(build_compat_graph(d, restricted=True)).diameter
+    print(f"{label:<22}{spec.n:>3}{spec.seed:>5}{len(g.nodes):>8}"
+          f"{g.edge_count():>10}{diam!s:>6}{rdiam!s:>7}"
+          f"{time.time() - t0:>7.2f}")
 
 
 def main() -> None:
@@ -36,28 +46,13 @@ def main() -> None:
         top = min(args.max_n, 8 if cls == "strongly_cmonotone" else args.max_n)
         for n in range(4, top + 1):
             for seed in range(args.seeds):
-                t0 = time.time()
-                d = generate(GenSpec(cls=cls, n=n, seed=seed))
-                g = build_compat_graph(d)
-                a = analyze(g)
-                r = analyze(build_compat_graph(d, restricted=True))
-                diam = a.diameter if a.diameter != math.inf else "inf"
-                rdiam = r.diameter if r.diameter != math.inf else "inf"
-                print(f"{cls:<22}{n:>3}{seed:>5}{len(g.nodes):>8}"
-                      f"{g.edge_count():>10}{diam!s:>6}{rdiam!s:>7}"
-                      f"{time.time() - t0:>7.2f}")
+                report(cls, GenSpec(cls=cls, n=n, seed=seed))
 
     for a_in, b_out in [(2, 2), (2, 3), (3, 3), (2, 4)]:
         for seed in range(args.seeds):
-            t0 = time.time()
-            d = generate(GenSpec(cls="cylindrical", n=a_in + b_out, seed=seed,
-                                 a=a_in, b=b_out))
-            g = build_compat_graph(d)
-            an = analyze(g)
-            print(f"{'cylindrical(%d,%d)' % (a_in, b_out):<22}"
-                  f"{a_in + b_out:>3}{seed:>5}{len(g.nodes):>8}"
-                  f"{g.edge_count():>10}{an.diameter!s:>6}{'-':>7}"
-                  f"{time.time() - t0:>7.2f}")
+            report(f"cylindrical({a_in},{b_out})",
+                   GenSpec(cls="cylindrical", n=a_in + b_out, seed=seed,
+                           a=a_in, b=b_out))
 
 
 if __name__ == "__main__":

@@ -6,11 +6,13 @@ built from edge-holder sets, not by testing tree pairs: ``holders[e]`` is
 the bitset of trees containing edge e, and tree i is compatible with every
 tree outside the union of the holder sets of the edges crossing it.
 
-``analyze`` finds components with one bitset sweep each and the
+``analyze`` first looks for a hub, a node adjacent to every other node.
+If there is one (and more than one node), no BFS runs: every node adjacent
+to all others has eccentricity 1 and every other node 2, through the hub.
+Otherwise it finds components with one bitset sweep each and the
 eccentricity of each node with a level-only BFS that stops as soon as the
 reached set covers the node's component, so the last level is never
-expanded; on the dense graphs of small drawings that takes a few dozen row
-ORs per node.  ``bfs_distance`` runs the same BFS towards a single node.
+expanded.  ``bfs_distance`` runs the same BFS towards a single node.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .drawing import Drawing, bits
 from .errors import NodeMissingError
-from .trees import Tree, canon_tree, conflict_mask, enumerate_plane_trees, tree_mask
+from .trees import Tree, _plane_masks, canon_tree, mask_tree
 
 
 @dataclass
@@ -32,7 +34,13 @@ class CompatGraph:
     index: Dict[Tree, int]
 
     def degree(self, t) -> int:
-        return self.adjacency[self.index[canon_tree(t)]].bit_count()
+        return self.adjacency[self._position(t)].bit_count()
+
+    def _position(self, t) -> int:
+        i = self.index.get(canon_tree(t))
+        if i is None:
+            raise NodeMissingError("tree is not a node of the compatibility graph")
+        return i
 
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.adjacency) // 2
@@ -50,18 +58,18 @@ class CompatAnalysis:
 
 def build_compat_graph(d: Drawing, restricted: bool = False,
                        limit: Optional[int] = None) -> CompatGraph:
-    nodes = enumerate_plane_trees(d, kind="special" if restricted else "all",
-                                  limit=limit)
-    tree_masks = [tree_mask(d, t) for t in nodes]
+    masks = _plane_masks(d, kind="special" if restricted else "all",
+                         limit=limit)
+    nodes = [mask_tree(d, mask) for mask, _ in masks]
     holders = [0] * len(d.edges)
-    for i, mask in enumerate(tree_masks):
+    for i, (mask, _) in enumerate(masks):
         for e in bits(mask):
             holders[e] |= 1 << i
     full = (1 << len(nodes)) - 1
     adjacency = []
-    for i, mask in enumerate(tree_masks):
+    for i, (_, conflict) in enumerate(masks):
         blocked = 1 << i              # a plane tree is compatible with itself
-        for e in bits(conflict_mask(d, mask)):
+        for e in bits(conflict):
             blocked |= holders[e]
         adjacency.append(full & ~blocked)
     return CompatGraph(nodes=nodes, adjacency=adjacency, restricted=restricted,
@@ -101,9 +109,14 @@ def analyze(g: CompatGraph) -> CompatAnalysis:
     m = len(g.nodes)
     if m == 0:
         return CompatAnalysis(True, 0, 0, (), (), ())
+    full = (1 << m) - 1
+    rows = [row | 1 << v for v, row in enumerate(g.adjacency)]
+    if m > 1 and full in rows:
+        ecc = tuple(1 if row == full else 2 for row in rows)
+        return CompatAnalysis(True, 1, max(ecc), ecc, (0,) * m, (max(ecc),))
     components = []
     component_of = [-1] * m
-    unseen = (1 << m) - 1
+    unseen = full
     while unseen:
         comp = _component(g.adjacency, (unseen & -unseen).bit_length() - 1)
         for v in bits(comp):
@@ -125,7 +138,5 @@ def analyze(g: CompatGraph) -> CompatAnalysis:
 
 def bfs_distance(g: CompatGraph, t1, t2):
     """Shortest-path length between two trees, math.inf if no path."""
-    a, b = canon_tree(t1), canon_tree(t2)
-    if a not in g.index or b not in g.index:
-        raise NodeMissingError("tree is not a node of the compatibility graph")
-    return _levels_until(g.adjacency, g.index[a], 1 << g.index[b])
+    a, b = g._position(t1), g._position(t2)
+    return _levels_until(g.adjacency, a, 1 << b)

@@ -255,61 +255,82 @@ def enumerate_plane_trees(d: Drawing, kind: str = "all",
                           limit: Optional[int] = None) -> List[Tree]:
     """All plane spanning trees of the drawing, canonically ordered.
 
-    Incremental growth over the sorted edge list, pruning edges that close
-    a cycle (``comp`` labels the components of the chosen forest) or cross
-    a chosen edge (``blocked`` is the OR of their crossing rows); ``kind``
-    filters by certificate kind ('all', 'star', 'double_star', 'twin_star',
-    or 'special' for the union of the three).
+    'all' grows trees over the sorted edge list, pruning edges that close a
+    cycle (``comp`` labels the components of the chosen forest) or cross a
+    chosen edge (``blocked`` is the OR of their crossing rows).  The other
+    kinds, 'special' for the union of 'star', 'double_star' and
+    'twin_star', are built directly from the trees' defining vertices, not
+    filtered from all trees; the three single kinds keep the trees whose
+    ``classify_kind`` is that kind.
     """
+    return [mask_tree(d, mask) for mask, _ in _plane_masks(d, kind, limit)]
+
+
+def _plane_masks(d: Drawing, kind: str = "all",
+                 limit: Optional[int] = None) -> List[Tuple[int, int]]:
+    """(mask, conflict_mask) of each tree ``enumerate_plane_trees`` lists,
+    in the same order."""
     if kind not in ("all", "star", "double_star", "twin_star", "special"):
         raise ValueError(f"unknown filter {kind!r}")
     if limit is None:
         limit = ENUM_LIMIT_ALL if kind == "all" else ENUM_LIMIT_SPECIAL
     if d.n > limit:
         raise TooLargeError(d.n, limit)
+    if kind == "special":
+        return _star_family(d)
+    if kind != "all":
+        return [p for p in _star_family(d)
+                if classify_kind(d.n, mask_tree(d, p[0]))[0] == kind]
 
-    edges = d.edges
-    rows = d.cross_mask
+    edges, rows = d.edges, d.cross_mask
     m = len(edges)
-    need = d.n - 1
-    out: List[Tree] = []
-    chosen: List[Edge] = []
+    out: List[Tuple[int, int]] = []
 
-    def grow(start: int, comp: List[int], blocked: int) -> None:
-        if len(chosen) == need:
-            out.append(tuple(chosen))
+    def grow(start: int, comp: List[int], left: int, mask: int,
+             blocked: int) -> None:
+        if not left:
+            out.append((mask, blocked))
             return
-        remaining = need - len(chosen)
-        for i in range(start, m - remaining + 1):
+        for i in range(start, m - left + 1):
             if blocked >> i & 1:
                 continue
             u, v = edges[i]
             cu, cv = comp[u], comp[v]
             if cu == cv:
                 continue
-            chosen.append(edges[i])
-            grow(i + 1, [cv if c == cu else c for c in comp], blocked | rows[i])
-            chosen.pop()
+            grow(i + 1, [cv if c == cu else c for c in comp], left - 1,
+                 mask | 1 << i, blocked | rows[i])
 
-    grow(0, list(range(d.n)), 0)
-
-    if kind == "all":
-        return out
-    keep = {"star": ("star",), "double_star": ("double_star",),
-            "twin_star": ("twin_star",),
-            "special": ("star", "double_star", "twin_star")}[kind]
-    return [t for t in out
-            if _inner_vertices(d.n, t) <= 3 and classify_kind(d.n, t)[0] in keep]
+    grow(0, list(range(d.n)), d.n - 1, 0, 0)
+    return out
 
 
-def _inner_vertices(n: int, tree: Tree) -> int:
-    """Vertices of degree >= 2 in a spanning tree.  A star, double star or
-    twin star has at most 3 (a twin star's middle vertex has degree 2)."""
-    deg = [0] * n
-    for u, v in tree:
-        deg[u] += 1
-        deg[v] += 1
-    return n - deg.count(1)
+def _star_family(d: Drawing) -> List[Tuple[int, int]]:
+    """(mask, conflict_mask) of every plane double star and twin star, in
+    canonical order.  The stars are among the double stars: a star with
+    centre c is the double star of an edge cv with every other vertex
+    joined to c.  Each tree is built from its core, the edge gr or the path
+    g-s-r, by joining every other vertex to g or to r; a partial tree is
+    dropped as soon as an edge it needs is missing (bipartite drawings) or
+    crosses the edges chosen before it."""
+    n, ids, rows = d.n, d.edge_id, d.cross_mask
+    cores = [(g, r, ((g, r),)) for g, r in ids]
+    cores += [(g, r, (edge(g, s), edge(s, r)))
+              for g, r in itertools.combinations(range(n), 2)
+              for s in range(n) if s != g and s != r]
+    found: Dict[int, int] = {}
+    for g, r, core in cores:
+        on_core = {v for e in core for v in e}
+        choices = [[ids.get(e)] for e in core]
+        choices += [[ids.get(edge(c, v)) for c in (g, r)]
+                    for v in range(n) if v not in on_core]
+        partial = [(0, 0)]
+        for options in choices:
+            partial = [(mask | 1 << i, blocked | rows[i])
+                       for mask, blocked in partial for i in options
+                       if i is not None and not blocked >> i & 1]
+        found.update(partial)
+    return sorted(found.items(), key=lambda p: list(bits(p[0])))
 
 
 # ---------------------------------------------------------------------------

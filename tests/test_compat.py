@@ -141,15 +141,25 @@ def test_bipartite_fixture_has_isolated_tree():
     assert a == oracle_analyze(g)
 
 
-@pytest.mark.parametrize("make", [m for _, m in ORACLE_DRAWINGS],
-                         ids=[name for name, _ in ORACLE_DRAWINGS])
+# convex n = 9 has 43 263 plane spanning trees, so the oracle below takes
+# a few seconds there; n = 9 is past ENUM_LIMIT_ALL, hence the limit.
+STAR_FAMILY_DRAWINGS = ORACLE_DRAWINGS + [
+    ("convex-9", lambda: generate(GenSpec(cls="convex", n=9, seed=3)))]
+
+
+@pytest.mark.parametrize("make", [m for _, m in STAR_FAMILY_DRAWINGS],
+                         ids=[name for name, _ in STAR_FAMILY_DRAWINGS])
 def test_star_family_prefilter_matches_classify(make):
+    """Direct star-family generation against its oracle, filtering every
+    plane tree by ``classify_kind``.  (The name predates direct generation;
+    it is kept so the test ids stay stable.)"""
     d = make()
-    every = enumerate_plane_trees(d)
+    every = [(t, classify_kind(d.n, t)[0])
+             for t in enumerate_plane_trees(d, limit=d.n)]
     for kind, keep in (("special", ("star", "double_star", "twin_star")),
                        ("star", ("star",)), ("double_star", ("double_star",)),
                        ("twin_star", ("twin_star",))):
-        want = [t for t in every if classify_kind(d.n, t)[0] in keep]
+        want = [t for t, k in every if k in keep]
         assert enumerate_plane_trees(d, kind=kind) == want
 
 
@@ -191,6 +201,33 @@ def test_random_graphs_match_oracle(g):
         assert bfs_distance(g, t, t) == 0
 
 
+@st.composite
+def hub_graphs(draw):
+    """A random graph plus one node adjacent to every other node."""
+    m = draw(st.integers(1, 12))
+    hub = draw(st.integers(0, m - 1))
+    pairs = draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, m - 1)),
+                          max_size=3 * m))
+    return _graph(m, pairs + [(hub, j) for j in range(m)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(hub_graphs())
+@example(_graph(6, list(combinations(range(6), 2))))       # K_6, all hubs
+@example(_graph(6, [(0, j) for j in range(1, 6)]))          # star graph
+@example(_graph(2, [(0, 1)]))                               # one edge
+@example(_graph(1, []))                                     # one node
+def test_hub_graphs_match_oracle(g):
+    a = analyze(g)
+    assert a == oracle_analyze(g)
+    assert a.connected and a.diameter <= 2
+
+
+def test_single_node_has_eccentricity_zero():
+    a = analyze(_graph(1, []))
+    assert a.connected and a.eccentricities == (0,) and a.diameter == 0
+
+
 def test_k3_complete_graph(pk3):
     g = build_compat_graph(pk3)
     assert len(g.nodes) == 3
@@ -229,6 +266,9 @@ def test_missing_node(sq):
     g = build_compat_graph(sq)
     with pytest.raises(NodeMissingError):
         bfs_distance(g, [(0, 2), (1, 3), (0, 1)], g.nodes[0])
+    with pytest.raises(NodeMissingError):
+        g.degree(((0, 1), (0, 2), (0, 3), (1, 2)))
+    assert g.degree(g.nodes[0]) == g.adjacency[0].bit_count()
 
 
 def test_restricted_subset(sq):
