@@ -6,18 +6,21 @@ structural predicates the transformation algorithms rely on (spine paths,
 twiggly edges, the vertical-above relation, cylindrical roles, the cut to a
 monotone drawing) live here.
 
-The crossing matrix is stored once, as one int per edge: edge ids are
-positions in the sorted edge list, and bit j of ``cross_mask[i]`` is set when
-edges i and j cross.  ``crossings`` and ``crossing_pairs()`` are views of it.
+A Drawing is immutable; its edge tuple, edge ids, crossing matrix (whose
+construction is the simple-drawing check) and class report are computed on
+first use and kept.  The crossing matrix is one int per edge: edge ids are
+positions in the sorted edge list, and bit j of ``cross_mask[i]`` is set
+when edges i and j cross.  ``crossings`` and ``crossing_pairs()`` are views.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, FrozenSet, Iterator, List, Mapping, NamedTuple, Optional, Tuple
 
 from .errors import (
     InternalInvariantViolated,
@@ -71,30 +74,28 @@ def bipartite_edges(a: int, b: int) -> List[Edge]:
     return [(u, v) for u in range(a) for v in range(a, a + b)]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Drawing:
     """n vertices plus one curve per edge.  ``graph`` is ("complete",) or
     ("bipartite", a, b); ``backend`` is "cartesian" or "polar".  For the
     polar backend vertex points are (theta, r) pairs in rational turns and
-    curve waypoints have strictly increasing theta spanning < 1 turn."""
+    curve waypoints have strictly increasing theta spanning < 1 turn.
+    Immutable: ``curves`` is a read-only copy of the mapping passed in, so
+    everything derived from the drawing is computed on first use and kept."""
 
     n: int
     backend: str
     vertex_points: tuple
-    curves: Dict[Edge, tuple]
+    curves: Mapping[Edge, tuple]
     graph: tuple = ("complete",)
     circles: Optional[Tuple[Rat, Rat]] = None  # (r_in^2, r_out^2) hint
 
-    _report: object = field(default=None, repr=False, compare=False)
-    _edge_id: Optional[Dict[Edge, int]] = field(
-        default=None, repr=False, compare=False)
-    _cross_mask: Optional[Tuple[int, ...]] = field(
-        default=None, repr=False, compare=False)
-    _cert_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    def __post_init__(self):
+        object.__setattr__(self, "curves", MappingProxyType(dict(self.curves)))
 
-    @property
-    def edges(self) -> List[Edge]:
-        return sorted(self.curves)
+    @functools.cached_property
+    def edges(self) -> Tuple[Edge, ...]:
+        return tuple(sorted(self.curves))
 
     def expected_edges(self) -> List[Edge]:
         if self.graph[0] == "complete":
@@ -102,27 +103,40 @@ class Drawing:
         _, a, b = self.graph
         return bipartite_edges(a, b)
 
-    def vertex_point(self, v: int):
-        return self.vertex_points[v]
-
-    # crossing queries (populated by validate_simple)
-    @property
+    @functools.cached_property
     def edge_id(self) -> Dict[Edge, int]:
         """Edge -> its position in ``edges``, which is its bit in masks."""
-        if self._edge_id is None:
-            validate_simple(self)
-        return self._edge_id
+        return {e: i for i, e in enumerate(self.edges)}
 
-    @property
+    @functools.cached_property
     def cross_mask(self) -> Tuple[int, ...]:
-        """Row i has bit j set when edges i and j properly cross."""
-        if self._cross_mask is None:
-            validate_simple(self)
-        return self._cross_mask
+        """Row i has bit j set when edges i and j properly cross.  Building
+        it confirms every simple-drawing invariant and raises NotSimpleError
+        on a violation."""
+        return _crossing_rows(self)
 
-    def cross(self, e: Edge, f: Edge) -> bool:
-        rows = self.cross_mask  # validates, which also sets _edge_id
-        return rows[self._edge_id[e]] >> self._edge_id[f] & 1 == 1
+    @functools.cached_property
+    def _cert_cache(self) -> dict:
+        """Tree mask -> its TreeCert, filled by ``trees.check_mask``."""
+        return {}
+
+    @functools.cached_property
+    def _report(self) -> ClassReport:
+        """``validate_simple``'s report.  Each classifier answers no for the
+        other backend."""
+        _ = self.cross_mask  # raises NotSimpleError before any classifier runs
+        cyl = None
+        if self.backend == "cartesian" and self.circles is not None:
+            cyl = classify_cylindrical(self, self.circles[0], self.circles[1])
+        c_mono, strongly, _ = classify_c_monotone(self)
+        return ClassReport(
+            is_simple=True,
+            is_monotone=classify_monotone(self) is not None,
+            is_two_page_book=classify_two_page(self),
+            is_cylindrical=cyl,
+            is_c_monotone=c_mono,
+            is_strongly_c_monotone=strongly,
+        )
 
     @property
     def crossings(self) -> Dict[Edge, FrozenSet[Edge]]:
@@ -276,17 +290,19 @@ def _shared_point(img: _Image, v: int):
 
 
 def validate_simple(d: Drawing) -> ClassReport:
-    """Build the crossing matrix, confirm every simple-drawing invariant and
-    fill all classification flags.  Raises NotSimpleError on violation.
+    """Confirm every simple-drawing invariant and fill all classification
+    flags.  Raises NotSimpleError on violation.  The report is built on the
+    first call and returned unchanged by every later one."""
+    return d._report
 
-    Every sign test runs on the drawing's integer image, built here and
-    dropped on return."""
-    if d._report is not None:
-        return d._report
 
+def _crossing_rows(d: Drawing) -> Tuple[int, ...]:
+    """``Drawing.cross_mask``: check the drawing is simple and build the
+    crossing rows.  Every sign test runs on the drawing's integer image,
+    built here and dropped on return."""
     if d.n < 2:
         raise NotSimpleError("need at least 2 vertices")
-    if sorted(d.curves) != d.expected_edges():
+    if list(d.edges) != d.expected_edges():
         raise NotSimpleError("edge set does not match declared graph")
     img = _integer_image(d)
     if len(set(img.points)) != d.n:
@@ -326,28 +342,7 @@ def validate_simple(d: Drawing) -> ClassReport:
                 if propers:
                     rows[i] |= 1 << j
                     rows[j] |= 1 << i
-
-    d._edge_id = {e: i for i, e in enumerate(edges)}
-    d._cross_mask = tuple(rows)
-
-    mono = classify_monotone(d) if d.backend == "cartesian" else None
-    two_page = classify_two_page(d) if d.backend == "cartesian" else False
-    cyl = None
-    if d.backend == "cartesian" and d.circles is not None:
-        cyl = classify_cylindrical(d, d.circles[0], d.circles[1])
-    c_mono, strongly = False, False
-    if d.backend == "polar":
-        c_mono, strongly, _ = classify_c_monotone(d)
-    report = ClassReport(
-        is_simple=True,
-        is_monotone=mono is not None,
-        is_two_page_book=two_page,
-        is_cylindrical=cyl,
-        is_c_monotone=c_mono,
-        is_strongly_c_monotone=strongly,
-    )
-    d._report = report
-    return report
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -396,8 +391,8 @@ def twiggly_set(d: Drawing, spine: SpineStructure, edges_in) -> FrozenSet[Edge]:
 
 
 def _open_x_range(d: Drawing, e: Edge):
-    xa = d.vertex_point(e[0]).x
-    xb = d.vertex_point(e[1]).x
+    xa = d.vertex_points[e[0]].x
+    xb = d.vertex_points[e[1]].x
     return (xa, xb) if xa < xb else (xb, xa)
 
 
@@ -434,7 +429,7 @@ def vertices_above(d: Drawing, e: Edge) -> List[int]:
     lo, hi = _open_x_range(d, e)
     out = []
     for v in range(d.n):
-        p = d.vertex_point(v)
+        p = d.vertex_points[v]
         if lo < p.x < hi:
             ye = curve_eval(d.curves[e], p.x)
             if ye is None:
@@ -460,7 +455,7 @@ def _angle_cmp(p: Point, q: Point) -> int:
 
 def _sorted_by_angle(d: Drawing, vs: List[int]) -> List[int]:
     return sorted(vs, key=functools.cmp_to_key(
-        lambda a, b: _angle_cmp(d.vertex_point(a), d.vertex_point(b))))
+        lambda a, b: _angle_cmp(d.vertex_points[a], d.vertex_points[b])))
 
 
 def classify_cylindrical(d: Drawing, r_in2: Rat, r_out2: Rat) -> Optional[CylRoles]:
@@ -476,7 +471,7 @@ def classify_cylindrical(d: Drawing, r_in2: Rat, r_out2: Rat) -> Optional[CylRol
     origin = Point(Fraction(0), Fraction(0))
     inner, outer = [], []
     for v in range(d.n):
-        p = d.vertex_point(v)
+        p = d.vertex_points[v]
         norm = p.x ** 2 + p.y ** 2
         if norm == r_in2:
             inner.append(v)
@@ -655,7 +650,6 @@ def cut_to_monotone(d: Drawing):
         curves[e] = tuple(Point(w.theta - c[0].theta + x0, w.r) for w in c)
     out = Drawing(n=d.n, backend="cartesian", vertex_points=points,
                   curves=curves, graph=d.graph)
-    validate_simple(out)
     if out.cross_mask != d.cross_mask:
         raise InternalInvariantViolated("cut changed the crossing matrix")
     xorder = tuple(sorted(range(d.n), key=lambda v: points[v].x))

@@ -29,7 +29,6 @@ from .drawing import (
     edge_span,
     span_contains,
     succ_maximal,
-    validate_simple,
     vertex_angles,
     vertices_above,
 )
@@ -120,7 +119,7 @@ def _retree(d: Drawing, groups: Sequence[int]) -> int:
     """Spanning tree built greedily from the edge-mask groups in
     keep-priority order (earlier groups are preferentially kept, ids
     ascending within one)."""
-    edges = list(d.edge_id)
+    edges = d.edges
     uf = _UnionFind(d.n)
     out = 0
     for group in groups:
@@ -205,7 +204,7 @@ def _spine_route(d: Drawing, method: str, t1: Iterable[Edge],
 
 
 def _monotone_rounds(d: Drawing, spine: SpineStructure, t: int) -> List[int]:
-    xs = {v: d.vertex_point(v).x for v in range(d.n)}
+    xs = {v: d.vertex_points[v].x for v in range(d.n)}
     spine_mask = tree_mask(d, spine.spine_edges)
     crosses_spine = conflict_mask(d, spine_mask)  # the twiggly edges
     seq = [t]
@@ -346,7 +345,7 @@ def _corridor_path(d: Drawing, t_mask: int, c: Corridor,
         lifted = _lift_into(angles[v], lo, hi)
         if lifted is None or lifted in (lo, hi):
             continue
-        r = d.vertex_point(v)[1]
+        r = d.vertex_points[v][1]
         low = _bound_radius(d, c.lower, lifted)
         high = _bound_radius(d, c.upper, lifted)
         if low < r and (high is None or r < high):
@@ -474,12 +473,13 @@ def _gr_order(d: Drawing, g: int, r: int) -> List[int]:
     relation: u before w whenever edge(u, r) crosses edge(w, g)."""
     for c in (g, r):  # the stars at g and r hold every edge looked up below
         tree_mask(d, [edge(c, v) for v in range(d.n) if v != c])
+    rows, ids = d.cross_mask, d.edge_id
     others = [v for v in range(d.n) if v not in (g, r)]
     succ: Dict[int, List[int]] = {v: [] for v in others}
     indeg = {v: 0 for v in others}
     for u in others:
         for w in others:
-            if u != w and d.cross(edge(u, r), edge(w, g)):
+            if u != w and rows[ids[edge(u, r)]] >> ids[edge(w, g)] & 1:
                 succ[u].append(w)
                 indeg[w] += 1
     order = []
@@ -493,7 +493,6 @@ def _gr_order(d: Drawing, g: int, r: int) -> List[int]:
                 ready.append(w)
         ready.sort()
     if len(order) != len(others):
-        validate_simple(d)  # a cycle should be impossible in a simple drawing
         raise RelationCyclicError("crossing relation has a cycle")
     return order
 

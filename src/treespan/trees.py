@@ -54,7 +54,7 @@ def tree_mask(d: Drawing, edges: Iterable[Edge]) -> int:
 
 def mask_tree(d: Drawing, mask: int) -> Tree:
     """The canonical edge tuple of a mask."""
-    edges = list(d.edge_id)  # keys are in id order
+    edges = d.edges
     return tuple(edges[i] for i in bits(mask))
 
 

@@ -1,10 +1,12 @@
 """Drawing validation and classification tests."""
 
+import dataclasses
 from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
 
+from treespan import drawing, generators
 from treespan.drawing import (
     Drawing,
     _spans_cover_circle,
@@ -24,9 +26,11 @@ from treespan.errors import (
     InvalidRadiiError,
     NotSimpleError,
 )
+from treespan.generators import GenSpec, generate
 from treespan.geometry import Proper, segment_proper_crossing
+from treespan.trees import enumerate_plane_trees
 
-from conftest import P, straight_line_drawing
+from conftest import P, cyl_k4, straight_line_drawing
 
 
 # ---------------------------------------------------------------------------
@@ -95,6 +99,66 @@ def test_crossing_matrix_symmetric_no_adjacent(sq):
         for f in s:
             assert e in cross[f]
             assert not set(e) & set(f)
+
+
+def test_drawing_is_immutable(sq):
+    curves = dict(sq.curves)
+    d = Drawing(n=4, backend="cartesian", vertex_points=sq.vertex_points,
+                curves=curves)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        d.n = 5
+    with pytest.raises(TypeError):
+        d.curves[(0, 1)] = curves[(0, 2)]
+    # a double crossing in the caller's dict must not reach the drawing
+    curves[(0, 2)] = (sq.vertex_points[0], P(4, 3), P(2, 2), sq.vertex_points[2])
+    assert d.curves == sq.curves
+    assert d.cross_mask == sq.cross_mask
+    assert isinstance(d.edges, tuple)
+    assert d.cross_mask is d.cross_mask
+    assert validate_simple(d) is validate_simple(d)
+    assert not [f.name for f in dataclasses.fields(Drawing)
+                if f.name.startswith("_")]
+
+
+# ---------------------------------------------------------------------------
+# classification on demand
+# ---------------------------------------------------------------------------
+
+def test_generate_classifies_each_candidate_once(monkeypatch):
+    """Seed 0 builds several candidates; only the simple ones are
+    classified, each once."""
+    candidates, classified = [], []
+    build, classify = generators._gen_strongly_cmonotone, classify_c_monotone
+
+    def recording_build(n, rng):
+        candidates.append(build(n, rng))
+        return candidates[-1]
+
+    def counting_classify(d):
+        classified.append(d)
+        return classify(d)
+
+    monkeypatch.setattr(generators, "_gen_strongly_cmonotone", recording_build)
+    for module in (drawing, generators):
+        monkeypatch.setattr(module, "classify_c_monotone", counting_classify)
+    d = generate(GenSpec(cls="strongly_cmonotone", n=6, seed=0))
+
+    def simple(c):
+        try:
+            return c.cross_mask is not None
+        except NotSimpleError:
+            return False
+
+    assert len(candidates) > 1
+    assert [id(c) for c in classified] == [id(c) for c in candidates if simple(c)]
+    assert classified[-1] is d
+
+
+def test_trees_need_no_classification():
+    d = dataclasses.replace(cyl_k4(), circles=(F(4), F(1)))
+    assert len(enumerate_plane_trees(d)) == 16
+    with pytest.raises(InvalidRadiiError):
+        validate_simple(d)
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,7 @@ def random_spanning_tree(d: Drawing, rng: random.Random):
             x = parent[x]
         return x
 
-    edges = d.edges
+    edges = list(d.edges)
     rng.shuffle(edges)
     out = []
     for u, v in edges:
