@@ -1,10 +1,10 @@
 """Plane spanning trees in simple drawings of complete graphs.
 
-Exact-rational drawings with one explicit curve per edge, brute-force
-compatibility-graph oracles, and certified transformations between
-compatible plane spanning trees for cylindrical, monotone and strongly
-c-monotone drawings, plus the star/double-star/twin-star family in
-arbitrary simple drawings.
+Exact-rational drawings with one explicit curve per edge, exact
+compatibility graphs with their diameters, and certified transformations
+between compatible plane spanning trees for cylindrical, monotone and
+strongly c-monotone drawings, plus the star/double-star/twin-star family
+in arbitrary simple drawings.
 """
 
 from .compat import CompatGraph, analyze, bfs_distance, build_compat_graph

@@ -164,7 +164,7 @@ def _dispatch(args) -> int:
         g = build_compat_graph(d, restricted=args.special, limit=args.limit)
         a = analyze(g)
         diameter = a.diameter if a.diameter != math.inf else "infinite"
-        print(json.dumps({"nodes": len(g.nodes), "edges": g.edge_count(),
+        print(json.dumps({"nodes": len(g.masks), "edges": g.edge_count(),
                           "connected": a.connected, "diameter": diameter},
                          sort_keys=True))
         if args.dot:
@@ -183,7 +183,7 @@ def _dispatch(args) -> int:
         if args.output:
             with open(args.output, "w") as fh:
                 fh.write(text)
-            print(json.dumps({"written": args.output, "trees": len(seq.trees),
+            print(json.dumps({"written": args.output, "trees": len(seq),
                               "method": seq.method}))
         else:
             print(text, end="")
@@ -197,7 +197,7 @@ def _dispatch(args) -> int:
             raise fileio.FileFormatError("no drawing file given or referenced")
         d = fileio.load_drawing(path)
         seq = certify_sequence(d, trees, method=method)
-        print(json.dumps({"certified": True, "trees": len(seq.trees)}))
+        print(json.dumps({"certified": True, "trees": len(seq)}))
         return 0
 
     if args.cmd == "render":

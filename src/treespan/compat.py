@@ -1,7 +1,9 @@
 """Compatibility graph of plane spanning trees.
 
-Nodes and the ``index`` keys are canonical edge tuples, the public tree
-type; adjacency rows are Python-int bitsets over node positions.  Row i is
+A graph stores its trees as edge masks over the drawing's ``edges``.
+``nodes``, their canonical edge tuples (the public tree type), and
+``index``, keyed by those tuples, are built the first time they are read.
+Adjacency rows are Python-int bitsets over node positions.  Row i is
 built from edge-holder sets, not by testing tree pairs: ``holders[e]`` is
 the bitset of trees containing edge e, and tree i is compatible with every
 tree outside the union of the holder sets of the edges crossing it.
@@ -19,19 +21,28 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
-from .drawing import Drawing, bits
+from .drawing import Drawing, Edge, bits
 from .errors import NodeMissingError
 from .trees import Tree, _plane_masks, canon_tree, mask_tree
 
 
 @dataclass
 class CompatGraph:
-    nodes: List[Tree]
+    edges: Tuple[Edge, ...]        # the drawing's edges: bit i is edges[i]
+    masks: List[int]
     adjacency: List[int]           # bitset rows, bit j of row i = compatible
     restricted: bool
-    index: Dict[Tree, int]
+
+    @cached_property
+    def nodes(self) -> List[Tree]:
+        return [mask_tree(self, mask) for mask in self.masks]
+
+    @cached_property
+    def index(self) -> Dict[Tree, int]:
+        return {t: i for i, t in enumerate(self.nodes)}
 
     def degree(self, t) -> int:
         return self.adjacency[self._position(t)].bit_count()
@@ -60,20 +71,19 @@ def build_compat_graph(d: Drawing, restricted: bool = False,
                        limit: Optional[int] = None) -> CompatGraph:
     masks = _plane_masks(d, kind="special" if restricted else "all",
                          limit=limit)
-    nodes = [mask_tree(d, mask) for mask, _ in masks]
     holders = [0] * len(d.edges)
     for i, (mask, _) in enumerate(masks):
         for e in bits(mask):
             holders[e] |= 1 << i
-    full = (1 << len(nodes)) - 1
+    full = (1 << len(masks)) - 1
     adjacency = []
     for i, (_, conflict) in enumerate(masks):
         blocked = 1 << i              # a plane tree is compatible with itself
         for e in bits(conflict):
             blocked |= holders[e]
         adjacency.append(full & ~blocked)
-    return CompatGraph(nodes=nodes, adjacency=adjacency, restricted=restricted,
-                       index={t: i for i, t in enumerate(nodes)})
+    return CompatGraph(edges=d.edges, masks=[mask for mask, _ in masks],
+                       adjacency=adjacency, restricted=restricted)
 
 
 def _levels_until(adjacency: List[int], src: int, goal: int):
@@ -106,7 +116,7 @@ def _component(adjacency: List[int], src: int) -> int:
 
 
 def analyze(g: CompatGraph) -> CompatAnalysis:
-    m = len(g.nodes)
+    m = len(g.adjacency)
     if m == 0:
         return CompatAnalysis(True, 0, 0, (), (), ())
     full = (1 << m) - 1

@@ -45,6 +45,7 @@ from .geometry import (
     curve_eval,
     curve_self_contacts,
     is_x_monotone,
+    lift_angle,
     normalize_polar,
     orient,
 )
@@ -541,14 +542,10 @@ def edge_span(d: Drawing, e: Edge) -> Tuple[Rat, Rat]:
     return c[0].theta, c[-1].theta
 
 
-def span_contains(span: Tuple[Rat, Rat], theta: Rat, strict: bool = True) -> bool:
-    """Whether the angle theta (mod 1) lies in the span interval."""
+def span_contains(span: Tuple[Rat, Rat], theta: Rat) -> bool:
+    """Whether the angle theta (mod 1) lies inside the open span interval."""
     t0, tn = span
-    base = theta % 1
-    cand = base + math.ceil(t0 - base)
-    if strict:
-        return t0 < cand < tn
-    return t0 <= cand <= tn
+    return t0 < lift_angle(theta, t0) < tn
 
 
 def _spans_cover_circle(s1, s2) -> bool:

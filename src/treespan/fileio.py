@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Iterable, List, Optional, Tuple
 
 from .compat import CompatGraph
-from .drawing import Drawing
+from .drawing import Drawing, bits
 from .errors import TreespanError
 from .geometry import Point, PolarPoint
 from .trees import Tree, canon_tree
@@ -213,13 +213,7 @@ def compat_to_dot(g: CompatGraph) -> str:
     for i, t in enumerate(g.nodes):
         label = ",".join(f"{u}-{v}" for u, v in t)
         lines.append(f'  n{i} [label="{label}"];')
-    for i in range(len(g.nodes)):
-        row = g.adjacency[i] >> (i + 1)
-        j = i + 1
-        while row:
-            if row & 1:
-                lines.append(f"  n{i} -- n{j};")
-            row >>= 1
-            j += 1
+    for i, row in enumerate(g.adjacency):
+        lines.extend(f"  n{i} -- n{j};" for j in bits(row) if j > i)
     lines.append("}")
     return "\n".join(lines) + "\n"

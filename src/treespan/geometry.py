@@ -129,7 +129,7 @@ def _segment_contact(a: Point, b: Point, c: Point, d: Point,
     return None
 
 
-def _segments(curve: CartesianCurve):
+def _segments(curve: Sequence):
     return [(curve[i], curve[i + 1]) for i in range(len(curve) - 1)]
 
 
@@ -194,16 +194,18 @@ def normalize_polar(curve: PolarCurve) -> PolarCurve:
     return _normalized(curve, 1)
 
 
+def lift_angle(theta: Rat, lo: Rat) -> Rat:
+    """The representative of the angle theta (mod 1) in [lo, lo + 1)."""
+    base = theta % 1
+    return base + math.ceil(lo - base)
+
+
 def _normalized(curve: PolarCurve, turn) -> PolarCurve:
     """normalize_polar for angles measured in units of 1/turn turns."""
     shift = curve[0].theta - (curve[0].theta % turn)
     if shift == 0:
         return tuple(curve)
     return tuple(PolarPoint(w.theta - shift, w.r) for w in curve)
-
-
-def _polar_pieces(curve: PolarCurve):
-    return [(curve[i], curve[i + 1]) for i in range(len(curve) - 1)]
 
 
 def _piece_r(p0: PolarPoint, p1: PolarPoint, theta: Rat) -> Rat:
@@ -232,9 +234,9 @@ def _polar_contacts(c1: PolarCurve, c2: PolarCurve, turn, locate: bool) -> list:
     r1 - r2 times the two pieces' angular lengths, so nothing is divided;
     a contact's radius is the radius of the piece end it lies on."""
     out = []
-    for p0, p1 in _polar_pieces(c1):
+    for p0, p1 in _segments(c1):
         len1 = p1.theta - p0.theta
-        for q0, q1 in _polar_pieces(c2):
+        for q0, q1 in _segments(c2):
             len2 = q1.theta - q0.theta
             for k in (-turn, 0, turn):
                 lo = max(p0.theta, q0.theta + k)
@@ -284,13 +286,10 @@ def curve_eval(curve, at: Rat) -> Optional[Rat]:
     polar curve.  None when the curve does not span the query."""
     if isinstance(curve[0], PolarPoint):
         c = normalize_polar(curve)
-        t0, tn = c[0].theta, c[-1].theta
-        # unique representative of `at` mod 1 inside [t0, tn], if any
-        base = at % 1
-        cand = base + math.ceil(t0 - base)
-        if cand > tn:
+        cand = lift_angle(at, c[0].theta)
+        if cand > c[-1].theta:
             return None
-        for p0, p1 in _polar_pieces(c):
+        for p0, p1 in _segments(c):
             if p0.theta <= cand <= p1.theta:
                 return _piece_r(p0, p1, cand)
         return None

@@ -6,15 +6,16 @@ rounds), strongly c-monotone (corridor paths, or the cut to a monotone
 drawing), and the star family (flip schedules along the crossing relation).
 Each public call turns its input trees into edge masks once, works on masks
 throughout (nested steps are private cores returning mask lists), and
-certifies its own output exactly once, in ``_certified``, before returning
-it as edge tuples.
+certifies its own output exactly once, in ``_certified``.  The returned
+``TransformSequence`` keeps those masks and builds its edge tuples,
+``trees``, the first time something reads them.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import ClassVar, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .drawing import (
     CylRoles,
@@ -46,7 +47,7 @@ from .errors import (
     NotTwinStarError,
     RelationCyclicError,
 )
-from .geometry import curve_eval
+from .geometry import curve_eval, lift_angle
 from .trees import (
     Tree,
     _UnionFind,
@@ -65,16 +66,21 @@ INFINITY = "infinity"
 
 @dataclass(frozen=True)
 class TransformSequence:
-    trees: Tuple[Tree, ...]
+    edges: Tuple[Edge, ...]        # the drawing's edges: bit i is edges[i]
+    masks: Tuple[int, ...]
     method: str
-    certified: bool
+    certified: ClassVar[bool] = True  # only _certified builds sequences
+
+    @cached_property
+    def trees(self) -> Tuple[Tree, ...]:
+        return tuple(mask_tree(self, mask) for mask in self.masks)
 
     def __len__(self) -> int:
-        return len(self.trees)
+        return len(self.masks)
 
     @property
     def flips(self) -> int:
-        return len(self.trees) - 1
+        return len(self.masks) - 1
 
 
 def certify_sequence(d: Drawing, trees: Sequence[Iterable[Edge]],
@@ -93,8 +99,7 @@ def _certified(d: Drawing, masks: List[int], method: str) -> TransformSequence:
     for i in range(len(masks) - 1):
         if masks[i] & conflict_mask(d, masks[i + 1]):
             raise IncompatibleStepError(i)
-    return TransformSequence(trees=tuple(mask_tree(d, m) for m in masks),
-                             method=method, certified=True)
+    return TransformSequence(edges=d.edges, masks=tuple(masks), method=method)
 
 
 def _plane_spanning(d: Drawing, mask: int, index: int) -> int:
@@ -259,13 +264,6 @@ class Corridor:
         return self.upper == INFINITY
 
 
-def _lift_into(theta, lo, hi):
-    """Representative of theta (mod 1) inside [lo, hi], or None."""
-    base = theta % 1
-    cand = base + math.ceil(lo - base)
-    return cand if cand <= hi else None
-
-
 def corridors(d: Drawing, twigglies: Iterable[Edge]) -> List[Corridor]:
     """Corridors of the arrangement of the given pairwise non-crossing
     edges plus the dummy boundaries at the circle center and at infinity.
@@ -342,8 +340,8 @@ def _corridor_path(d: Drawing, t_mask: int, c: Corridor,
     lo, hi = c.interval
     inside: List[Tuple[object, int]] = []
     for v in range(d.n):
-        lifted = _lift_into(angles[v], lo, hi)
-        if lifted is None or lifted in (lo, hi):
+        lifted = lift_angle(angles[v], lo)
+        if not lo < lifted < hi:
             continue
         r = d.vertex_points[v][1]
         low = _bound_radius(d, c.lower, lifted)

@@ -1,9 +1,10 @@
 """Plane spanning trees as edge bitmasks.
 
 Sorted tuples of (u, v) edges are the tree type at the boundary: the public
-API, file I/O and ``TransformSequence`` speak it.  Inside, a tree is an int
-mask whose bit i stands for the edge with id i, its position in
-``Drawing.edges``, so reading a mask in bit order gives the canonical tuple.
+API and file I/O speak it.  Inside, a tree is an int mask whose bit i
+stands for the edge with id i, its position in ``Drawing.edges``, so
+reading a mask in bit order gives the canonical tuple.  ``CompatGraph`` and
+``TransformSequence`` store masks too and build the tuples when read.
 The transformations convert their input trees to masks once, keep masks
 throughout and certify each call's output once with ``check_mask``.
 A tree is plane when ``mask & conflict_mask(d, mask) == 0``, and two trees
@@ -53,7 +54,8 @@ def tree_mask(d: Drawing, edges: Iterable[Edge]) -> int:
 
 
 def mask_tree(d: Drawing, mask: int) -> Tree:
-    """The canonical edge tuple of a mask."""
+    """The canonical edge tuple of a mask.  Only ``d.edges`` is read, so a
+    result that keeps the drawing's edges can stand in for the drawing."""
     edges = d.edges
     return tuple(edges[i] for i in bits(mask))
 

@@ -12,6 +12,9 @@ from itertools import combinations
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import treespan.compat
+import treespan.transforms
+import treespan.trees
 from treespan.compat import (
     CompatAnalysis,
     CompatGraph,
@@ -26,8 +29,10 @@ from treespan.trees import (
     conflict_mask,
     enumerate_plane_trees,
     is_compatible,
+    mask_tree,
     tree_mask,
 )
+from treespan.transforms import star_to_star
 
 import pytest
 
@@ -46,8 +51,8 @@ def oracle_build(d, restricted=False):
             if not ci & tree_masks[j]:
                 adjacency[i] |= 1 << j
                 adjacency[j] |= 1 << i
-    return CompatGraph(nodes=nodes, adjacency=adjacency, restricted=restricted,
-                       index={t: i for i, t in enumerate(nodes)})
+    return CompatGraph(edges=d.edges, masks=tree_masks, adjacency=adjacency,
+                       restricted=restricted)
 
 
 def oracle_bfs_levels(g, src):
@@ -169,9 +174,9 @@ def _graph(m, pairs):
         if i != j:
             adjacency[i] |= 1 << j
             adjacency[j] |= 1 << i
-    nodes = [((0, i + 1),) for i in range(m)]
-    return CompatGraph(nodes=nodes, adjacency=adjacency, restricted=False,
-                       index={t: i for i, t in enumerate(nodes)})
+    return CompatGraph(edges=tuple((0, i + 1) for i in range(m)),
+                       masks=[1 << i for i in range(m)], adjacency=adjacency,
+                       restricted=False)
 
 
 @st.composite
@@ -281,7 +286,39 @@ def test_restricted_subset(sq):
 
 def test_disconnected_reports_inf():
     # artificial two-node graph with no edges
-    g = CompatGraph(nodes=[((0, 1),), ((1, 2),)], adjacency=[0, 0],
-                    restricted=False, index={((0, 1),): 0, ((1, 2),): 1})
+    g = CompatGraph(edges=((0, 1), (1, 2)), masks=[1, 2], adjacency=[0, 0],
+                    restricted=False)
     a = analyze(g)
     assert not a.connected and a.diameter == math.inf and a.components == 2
+
+
+def test_results_build_edge_tuples_only_when_read(monkeypatch):
+    """CompatGraph and TransformSequence keep masks: building and analysing
+    a graph, or running a star schedule on a drawing whose certificates are
+    warm, converts no mask to an edge tuple until nodes or trees is read."""
+    calls = []
+
+    def counting(d, mask):
+        calls.append(mask)
+        return mask_tree(d, mask)
+
+    for module in (treespan.trees, treespan.compat, treespan.transforms):
+        monkeypatch.setattr(module, "mask_tree", counting)
+    d = generate(GenSpec(cls="random_points", n=6, seed=3))
+    want = enumerate_plane_trees(d)
+    star_to_star(d, 0, 1)  # warms the drawing's tree certificates
+    calls.clear()
+    g = build_compat_graph(d)
+    analyze(g)
+    seq = star_to_star(d, 0, 1)
+    assert calls == []
+    assert g.nodes == want and g.index[want[-1]] == len(want) - 1
+    assert len(calls) == len(want)
+    assert seq.trees == (
+        ((0, 1), (0, 2), (0, 3), (0, 4), (0, 5)),
+        ((0, 1), (0, 2), (0, 4), (0, 5), (1, 3)),
+        ((0, 1), (0, 2), (0, 4), (1, 3), (1, 5)),
+        ((0, 1), (0, 2), (1, 3), (1, 4), (1, 5)),
+        ((0, 1), (1, 2), (1, 3), (1, 4), (1, 5)),
+    )
+    assert len(calls) == len(want) + len(seq)

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import tempfile
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +25,7 @@ from treespan.fileio import (
 )
 from treespan.compat import build_compat_graph
 from treespan.generators import GenSpec, fixture_bipartite_isolated, generate
+from treespan.trees import enumerate_plane_trees, is_compatible
 
 from conftest import cyl_k4, polar_k3, polar_k4, two_page_k4
 
@@ -78,9 +80,16 @@ def test_sequence_roundtrip():
 
 def test_dot_export(sq):
     g = build_compat_graph(sq)
-    dot = compat_to_dot(g)
-    assert dot.startswith("graph compat {")
-    assert dot.count(" -- ") == g.edge_count()
+    trees = enumerate_plane_trees(sq)
+    labels = [",".join(f"{u}-{v}" for u, v in t) for t in trees]
+    pairs = [(i, j) for i, j in combinations(range(len(trees)), 2)
+             if is_compatible(sq, trees[i], trees[j])]
+    want = (["graph compat {"]
+            + [f'  n{i} [label="{label}"];' for i, label in enumerate(labels)]
+            + [f"  n{i} -- n{j};" for i, j in pairs] + ["}"])
+    assert compat_to_dot(g) == "\n".join(want) + "\n"
+    assert want[1] == '  n0 [label="0-1,0-2,0-3"];' and want[13] == "  n0 -- n1;"
+    assert len(pairs) == g.edge_count() == 50
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from treespan.drawing import (
     classify_cylindrical,
     validate_simple,
 )
+from treespan.errors import RejectionBudgetExceededError
 from treespan.generators import GenSpec, fixture_bipartite_isolated, generate
 from treespan.rng import SplitMix64
 from treespan.trees import check_tree
@@ -132,3 +133,9 @@ def test_fixture_isolated_in_compat_graph():
     d, tree = fixture_bipartite_isolated()
     g = build_compat_graph(d)
     assert g.degree(tree) == 0
+
+
+def test_rejection_budget_is_enforced():
+    # seed 406 takes 240 candidates at n=10, far beyond a budget of one
+    with pytest.raises(RejectionBudgetExceededError):
+        generate(GenSpec(cls="monotone_perturbed", n=10, seed=406, max_rejects=1))

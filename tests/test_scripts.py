@@ -1,11 +1,13 @@
-"""The scripts run from a checkout, without the package installed."""
+"""The scripts and the benchmark's self-test run from a checkout, without
+the package installed."""
 
 import os
 import pathlib
 import subprocess
 import sys
 
-SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 
 def test_diameter_sweep_runs_from_a_checkout(tmp_path):
@@ -16,3 +18,12 @@ def test_diameter_sweep_runs_from_a_checkout(tmp_path):
                          timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines()[1].split()[:3] == ["convex", "4", "0"]
+
+
+def test_perfbench_selftest_passes():
+    # the benchmark reads the result types (g.nodes, g.index, seq.trees,
+    # seq.certified), so a change to them that breaks it fails here
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    out = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=ROOT,
+                         env=env, capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stdout + out.stderr
