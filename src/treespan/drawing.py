@@ -30,20 +30,19 @@ from .errors import (
 )
 from .geometry import (
     CartesianCurve,
-    Degenerate,
     Point,
     PolarCurve,
     PolarPoint,
     Proper,
     Rat,
-    _in_box,
+    _cartesian_record,
     _normalized,
-    _piece_num,
     _polar_contacts,
+    _polar_record,
     _polyline_contacts,
+    _self_contacts,
     curve_circle_crossing,
     curve_eval,
-    curve_self_contacts,
     is_x_monotone,
     lift_angle,
     normalize_polar,
@@ -216,7 +215,8 @@ def _integer_image(d: Drawing) -> _Image:
     return _Image(d.backend, tuple(map(scaled, d.vertex_points)), curves, sx)
 
 
-def _check_cartesian_curve(img: _Image, e: Edge, curve: CartesianCurve) -> None:
+def _check_cartesian_curve(img: _Image, e: Edge, curve: CartesianCurve) -> tuple:
+    """Check one curve and return its ``_cartesian_record``."""
     if len(curve) < 2:
         raise NotSimpleError(f"curve of {e} has fewer than 2 waypoints")
     for i in range(len(curve) - 1):
@@ -225,11 +225,14 @@ def _check_cartesian_curve(img: _Image, e: Edge, curve: CartesianCurve) -> None:
     pu, pv = img.points[e[0]], img.points[e[1]]
     if {curve[0], curve[-1]} != {pu, pv}:
         raise NotSimpleError(f"curve of {e} does not join its endpoints")
-    if curve_self_contacts(curve):
+    rec = _cartesian_record(curve)
+    if _self_contacts(rec[0]):
         raise NotSimpleError(f"curve of {e} is self-intersecting")
+    return rec
 
 
-def _check_polar_curve(img: _Image, e: Edge, curve: PolarCurve) -> None:
+def _check_polar_curve(img: _Image, e: Edge, curve: PolarCurve) -> tuple:
+    """Check one curve and return its ``_polar_record``."""
     if len(curve) < 2:
         raise NotSimpleError(f"curve of {e} has fewer than 2 waypoints")
     for w in curve:
@@ -244,42 +247,35 @@ def _check_polar_curve(img: _Image, e: Edge, curve: PolarCurve) -> None:
     ends = {(curve[0].theta % turn, curve[0].r), (curve[-1].theta % turn, curve[-1].r)}
     if ends != {_shared_point(img, e[0]), _shared_point(img, e[1])}:
         raise NotSimpleError(f"curve of {e} does not join its endpoints")
+    return _polar_record(curve)
 
 
-def _vertex_on_curve(img: _Image, e: Edge, curve, v: int) -> bool:
-    """Does the curve pass through vertex v's point anywhere it must not?"""
+def _vertex_on_curve(img: _Image, e: Edge, curve, rec: tuple, v: int) -> bool:
+    """Does the curve, with record rec, pass through vertex v's point
+    anywhere it must not?"""
+    segs, box = rec
     if img.backend == "cartesian":
         p = img.points[v]
-        interior = curve[1:-1]
         if v in e:
-            return p in interior
-        if p == curve[0] or p == curve[-1]:
-            return True
-        if p in interior:
-            return True
-        for i in range(len(curve) - 1):
-            a, b = curve[i], curve[i + 1]
-            if orient(a, b, p) == 0 and _in_box(a, b, p):
-                return True
-        return False
+            return p in curve[1:-1]
+        x, y = p
+        xlo, xhi, ylo, yhi = box
+        if not (xlo <= x <= xhi and ylo <= y <= yhi):
+            return False
+        return any(sxlo <= x <= sxhi and sylo <= y <= syhi and orient(a, b, p) == 0
+                   for a, b, sxlo, sxhi, sylo, syhi in segs)
     # a checked polar curve spans less than a turn: one lift of v can hit it
     base, r = _shared_point(img, v)
-    t0 = curve[0].theta
+    t0, tn, rlo, rhi = box
     cand = base if base >= t0 else base + img.turn
-    for p0, p1 in zip(curve, curve[1:]):
-        if p0.theta <= cand <= p1.theta:
-            if _piece_num(p0, p1, cand) != r * (p1.theta - p0.theta):
+    if cand > tn or not rlo <= r <= rhi:
+        return False
+    for lo, hi, _, _, length, a, b, _, _ in segs:
+        if lo <= cand <= hi:
+            if a + b * cand != r * length:
                 return False
-            return not (v in e and cand in (t0, curve[-1].theta))  # own end
+            return not (v in e and cand in (t0, tn))  # own end
     return False
-
-
-def _pair_contacts(img: _Image, e: Edge, f: Edge) -> list:
-    """Contacts of two edges' curves, unmerged, with Proper locations left
-    out: validation reads only how many Propers there are."""
-    if img.backend == "cartesian":
-        return _polyline_contacts(img.curves[e], img.curves[f], False)
-    return _polar_contacts(img.curves[e], img.curves[f], img.turn, False)
 
 
 def _shared_point(img: _Image, v: int):
@@ -299,40 +295,49 @@ def validate_simple(d: Drawing) -> ClassReport:
 
 def _crossing_rows(d: Drawing) -> Tuple[int, ...]:
     """``Drawing.cross_mask``: check the drawing is simple and build the
-    crossing rows.  Every sign test runs on the drawing's integer image,
-    built here and dropped on return."""
+    crossing rows.  Every sign test runs on the drawing's integer image;
+    the image and each curve's segment records are built here once and
+    dropped on return."""
     if d.n < 2:
         raise NotSimpleError("need at least 2 vertices")
     if list(d.edges) != d.expected_edges():
         raise NotSimpleError("edge set does not match declared graph")
     img = _integer_image(d)
-    if len(set(img.points)) != d.n:
+    shared = [_shared_point(img, v) for v in range(d.n)]
+    if len(set(shared)) != d.n:
         raise NotSimpleError("vertex points are not distinct")
-    if d.backend == "polar":
-        if len({_shared_point(img, v) for v in range(d.n)}) != d.n:
-            raise NotSimpleError("vertex points are not distinct")
 
+    cartesian = d.backend == "cartesian"
+    records = {}
     for e, curve in img.curves.items():
-        if d.backend == "cartesian":
-            _check_cartesian_curve(img, e, curve)
+        if cartesian:
+            rec = _check_cartesian_curve(img, e, curve)
         else:
-            _check_polar_curve(img, e, curve)
+            rec = _check_polar_curve(img, e, curve)
         for v in range(d.n):
-            if _vertex_on_curve(img, e, curve, v):
+            if _vertex_on_curve(img, e, curve, rec, v):
                 raise NotSimpleError(f"curve of {e} passes through vertex {v}")
+        records[e] = rec
 
     edges = d.edges
+    recs = [records[e] for e in edges]
     rows = [0] * len(edges)
     for i, e in enumerate(edges):
+        u, v = e
+        ri = recs[i]
         for j in range(i + 1, len(edges)):
             f = edges[j]
-            contacts = _pair_contacts(img, e, f)
-            propers = sum(isinstance(c, Proper) for c in contacts)
-            touches = {c for c in contacts if isinstance(c, Degenerate)}
-            common = set(e) & set(f)
-            if common:
-                shared = _shared_point(img, common.pop())
-                if propers or len(touches) != 1 or touches.pop().at != shared:
+            propers = 0
+            touches = set()
+            for c in (_polyline_contacts(ri, recs[j], False) if cartesian
+                      else _polar_contacts(ri, recs[j], img.turn, False)):
+                if type(c) is Proper:
+                    propers += 1
+                else:
+                    touches.add(c)
+            if u in f or v in f:
+                at = shared[u if u in f else v]
+                if propers or len(touches) != 1 or touches.pop().at != at:
                     raise NotSimpleError("adjacent crossing or degenerate contact",
                                          pair=(e, f))
             else:
@@ -538,8 +543,9 @@ def vertex_angles(d: Drawing) -> List[Rat]:
 
 def edge_span(d: Drawing, e: Edge) -> Tuple[Rat, Rat]:
     """Closed angular span [t0, tn] of an edge's curve, t0 in [0, 1)."""
-    c = normalize_polar(d.curves[e])
-    return c[0].theta, c[-1].theta
+    c = d.curves[e]
+    t0 = c[0].theta % 1
+    return t0, c[-1].theta - (c[0].theta - t0)
 
 
 def span_contains(span: Tuple[Rat, Rat], theta: Rat) -> bool:
@@ -548,9 +554,11 @@ def span_contains(span: Tuple[Rat, Rat], theta: Rat) -> bool:
     return t0 < lift_angle(theta, t0) < tn
 
 
-def _spans_cover_circle(s1, s2) -> bool:
-    comp_lo, comp_hi = s1[1], s1[0] + 1  # complement arc of s1
-    for k in (0, 1, 2):
+def _spans_cover_circle(s1, s2, turn=1) -> bool:
+    """Whether two spans (angles in units of 1/turn turns, each starting in
+    [0, turn)) jointly cover the circle."""
+    comp_lo, comp_hi = s1[1], s1[0] + turn  # complement arc of s1
+    for k in (0, turn, 2 * turn):
         if s2[0] + k <= comp_lo and s2[1] + k >= comp_hi:
             return True
     return False
@@ -572,15 +580,12 @@ def classify_c_monotone(d: Drawing):
         return False, False, None
 
     spans = {e: edge_span(d, e) for e in d.edges}
-    strongly = True
-    es = d.edges
-    for i, e in enumerate(es):
-        for f in es[i + 1:]:
-            if _spans_cover_circle(spans[e], spans[f]):
-                strongly = False
-                break
-        if not strongly:
-            break
+    # the cover test on spans scaled by the lcm of their denominators
+    turn = math.lcm(*{t.denominator for span in spans.values() for t in span})
+    ints = [(t0.numerator * (turn // t0.denominator),
+              tn.numerator * (turn // tn.denominator)) for t0, tn in spans.values()]
+    strongly = not any(_spans_cover_circle(s, t, turn)
+                       for i, s in enumerate(ints) for t in ints[i + 1:])
 
     angles = vertex_angles(d)
     order = tuple(sorted(range(d.n), key=lambda v: angles[v]))

@@ -13,6 +13,7 @@ rational t; vertices are therefore bit-exactly on their circles.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
@@ -232,12 +233,14 @@ def _gen_cylindrical(n: int, a: int, b: int, rng: SplitMix64) -> Drawing:
 
 def _subdivide_at_columns(curve, columns) -> tuple:
     """Insert a waypoint wherever the curve's interior crosses one of the
-    given x-columns, so that later per-strip shears stay segment-exact."""
+    given x-columns (sorted ascending), so that later per-strip shears stay
+    segment-exact."""
     out = [curve[0]]
     for a, b in zip(curve, curve[1:]):
         lo, hi = (a.x, b.x) if a.x < b.x else (b.x, a.x)
-        cuts = sorted((x for x in columns if lo < x < hi),
-                      reverse=a.x > b.x)
+        cuts = columns[bisect.bisect_right(columns, lo):bisect.bisect_left(columns, hi)]
+        if a.x > b.x:
+            cuts.reverse()
         for x in cuts:
             y = a.y + (b.y - a.y) * (x - a.x) / (b.x - a.x)
             out.append(Point(x, y))
@@ -261,20 +264,24 @@ def _gen_strongly_cmonotone(n: int, rng: SplitMix64) -> Drawing:
     order = sorted(range(n), key=lambda v: flat.vertex_points[v].x)
     columns = [flat.vertex_points[v].x for v in order]
     base_pts = [flat.vertex_points[v] for v in order]
+    slopes = [(b.y - a.y) / (b.x - a.x) for a, b in zip(base_pts, base_pts[1:])]
 
     def baseline(x: Fraction) -> Fraction:
-        for a, b in zip(base_pts, base_pts[1:]):
-            if a.x <= x <= b.x:
-                return a.y + (b.y - a.y) * (x - a.x) / (b.x - a.x)
-        raise ValueError("x outside the drawing")
+        # the first strip [a.x, b.x] holding x, as a scan in column order finds it
+        i = max(bisect.bisect_left(columns, x), 1)
+        if x < columns[0] or i == len(columns):
+            raise ValueError("x outside the drawing")
+        a = base_pts[i - 1]
+        return a.y + slopes[i - 1] * (x - a.x)
 
     ys = [w.y for curve in flat.curves.values() for w in curve]
     lift = 2 * max(abs(y) for y in ys) + 2
     xmin, xmax = columns[0], columns[-1]
     margin = Fraction(1, 4 * n)
+    stretch = (1 - 2 * margin) / (xmax - xmin)
 
     def theta(x: Fraction) -> Fraction:
-        return margin + (x - xmin) * (1 - 2 * margin) / (xmax - xmin)
+        return margin + (x - xmin) * stretch
 
     points = tuple(PolarPoint(theta(p.x), lift) for p in flat.vertex_points)
     curves = {}

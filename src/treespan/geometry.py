@@ -71,7 +71,10 @@ CrossKind = Union[Proper, Degenerate]
 
 def orient(a: Point, b: Point, c: Point) -> int:
     """Sign of the cross product (b - a) x (c - a)."""
-    v = (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x)
+    ax, ay = a
+    bx, by = b
+    cx, cy = c
+    v = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
     if v > 0:
         return 1
     if v < 0:
@@ -98,17 +101,40 @@ def segment_proper_crossing(s1: Sequence[Point], s2: Sequence[Point]) -> Optiona
     Degenerate: collinear overlap, endpoint-on-segment touch, or shared
     endpoint.  None: disjoint.
     """
-    return _segment_contact(*s1, *s2, True)
+    return _segment_contact(_segment_record(*s1), _segment_record(*s2), True)
 
 
-def _segment_contact(a: Point, b: Point, c: Point, d: Point,
-                     locate: bool) -> Optional[CrossKind]:
-    """segment_proper_crossing; a Proper's ``at`` is None unless locate."""
-    if a == b or c == d:
+def _segment_record(a: Point, b: Point) -> tuple:
+    """(a, b, xlo, xhi, ylo, yhi): a segment and its bounding box."""
+    if a == b:
         raise ValueError("zero-length segment")
+    xlo, xhi = (a.x, b.x) if a.x < b.x else (b.x, a.x)
+    ylo, yhi = (a.y, b.y) if a.y < b.y else (b.y, a.y)
+    return a, b, xlo, xhi, ylo, yhi
+
+
+def _cartesian_record(curve: CartesianCurve) -> tuple:
+    """(segment records, box) of a polyline; the box is (xlo, xhi, ylo, yhi)."""
+    xs = [w.x for w in curve]
+    ys = [w.y for w in curve]
+    segs = [_segment_record(a, b) for a, b in zip(curve, curve[1:])]
+    return segs, (min(xs), max(xs), min(ys), max(ys))
+
+
+def _segment_contact(s: tuple, t: tuple, locate: bool) -> Optional[CrossKind]:
+    """segment_proper_crossing of two segment records; a Proper's ``at`` is
+    None unless locate."""
+    a, b, c, d = s[0], s[1], t[0], t[1]
+    if a == c or a == d or b == c or b == d:
+        # two segments from one point that are not collinear meet only there
+        p, u = (a, b) if a == c or a == d else (b, a)
+        if orient(p, u, d if p == c else c) != 0:
+            return Degenerate("shared endpoint", at=p)
     o1 = orient(a, b, c)
     o2 = orient(a, b, d)
-    if o1 == 0 and o2 == 0:
+    if o1 == o2:
+        if o1:
+            return None  # c and d strictly on one side of the line ab
         # all four points on one line; lexicographic order = order along it
         lo1, hi1 = sorted((a, b))
         lo2, hi2 = sorted((c, d))
@@ -120,31 +146,24 @@ def _segment_contact(a: Point, b: Point, c: Point, d: Point,
         return Degenerate("collinear overlap")
     o3 = orient(c, d, a)
     o4 = orient(c, d, b)
+    if o3 == o4:
+        return None  # a and b strictly on one side: both zero would mean collinear
     if o1 * o2 < 0 and o3 * o4 < 0:
         return Proper(_line_intersection(a, b, c, d) if locate else None)
-    for p, (u, v) in ((c, (a, b)), (d, (a, b)), (a, (c, d)), (b, (c, d))):
-        if orient(u, v, p) == 0 and _in_box(u, v, p):
-            shared = p in (a, b) and p in (c, d)
-            return Degenerate("shared endpoint" if shared else "endpoint contact", at=p)
+    # a shared endpoint was settled above: what is left is an endpoint
+    # lying on the other segment
+    for p, o, box in ((c, o1, s), (d, o2, s), (a, o3, t), (b, o4, t)):
+        if o == 0 and box[2] <= p.x <= box[3] and box[4] <= p.y <= box[5]:
+            return Degenerate("endpoint contact", at=p)
     return None
-
-
-def _segments(curve: Sequence):
-    return [(curve[i], curve[i + 1]) for i in range(len(curve) - 1)]
-
-
-def _bbox_disjoint(s1, s2) -> bool:
-    (a, b), (c, d) = s1, s2
-    return (max(a.x, b.x) < min(c.x, d.x) or max(c.x, d.x) < min(a.x, b.x)
-            or max(a.y, b.y) < min(c.y, d.y) or max(c.y, d.y) < min(a.y, b.y))
 
 
 def polyline_crossings(c1: CartesianCurve, c2: CartesianCurve) -> list:
     """All Proper and Degenerate contacts between two polylines, each once."""
-    return _merged(_polyline_contacts(c1, c2, True))
+    return _merged(_polyline_contacts(_cartesian_record(c1), _cartesian_record(c2), True))
 
 
-def _merged(contacts: list) -> list:
+def _merged(contacts) -> list:
     out = []
     for r in contacts:
         if r not in out:
@@ -152,17 +171,23 @@ def _merged(contacts: list) -> list:
     return out
 
 
-def _polyline_contacts(c1: CartesianCurve, c2: CartesianCurve, locate: bool) -> list:
-    """The contact of every segment pair that has one, unmerged: on simple
-    curves distinct pairs never share a Proper crossing point."""
-    out = []
-    for s1 in _segments(c1):
-        for s2 in _segments(c2):
-            if not _bbox_disjoint(s1, s2):
-                r = _segment_contact(*s1, *s2, locate)
-                if r is not None:
-                    out.append(r)
-    return out
+def _polyline_contacts(rec1: tuple, rec2: tuple, locate: bool):
+    """The contact of every segment pair that has one, unmerged, for two
+    polylines given as ``_cartesian_record``s: on simple curves distinct
+    pairs never share a Proper crossing point.  Pairs whose boxes are
+    disjoint have no contact and are skipped, first for the whole curves."""
+    segs1, (xlo, xhi, ylo, yhi) = rec1
+    segs2, (uxlo, uxhi, uylo, uyhi) = rec2
+    if xhi < uxlo or uxhi < xlo or yhi < uylo or uyhi < ylo:
+        return
+    for s in segs1:
+        _, _, sxlo, sxhi, sylo, syhi = s
+        for t in segs2:
+            if t[3] < sxlo or sxhi < t[2] or t[5] < sylo or syhi < t[4]:
+                continue
+            r = _segment_contact(s, t, locate)
+            if r is not None:
+                yield r
 
 
 def curve_self_contacts(curve: CartesianCurve) -> list:
@@ -171,14 +196,22 @@ def curve_self_contacts(curve: CartesianCurve) -> list:
     Consecutive segments are allowed to meet exactly at their shared
     waypoint; everything else is reported.
     """
-    segs = _segments(curve)
+    return _self_contacts([_segment_record(a, b) for a, b in zip(curve, curve[1:])])
+
+
+def _self_contacts(segs: list) -> list:
+    """curve_self_contacts of a polyline's segment records."""
     bad = []
-    for i in range(len(segs)):
+    for i, s in enumerate(segs):
+        _, _, sxlo, sxhi, sylo, syhi = s
         for j in range(i + 1, len(segs)):
-            r = segment_proper_crossing(segs[i], segs[j])
+            t = segs[j]
+            if t[3] < sxlo or sxhi < t[2] or t[5] < sylo or syhi < t[4]:
+                continue
+            r = _segment_contact(s, t, True)
             if r is None:
                 continue
-            if j == i + 1 and isinstance(r, Degenerate) and r.at == curve[i + 1]:
+            if j == i + 1 and isinstance(r, Degenerate) and r.at == s[1]:
                 continue
             bad.append(r)
     return bad
@@ -212,11 +245,6 @@ def _piece_r(p0: PolarPoint, p1: PolarPoint, theta: Rat) -> Rat:
     return p0.r + (p1.r - p0.r) * (theta - p0.theta) / (p1.theta - p0.theta)
 
 
-def _piece_num(p0: PolarPoint, p1: PolarPoint, theta):
-    """The piece's radius at theta times its angular length p1 - p0."""
-    return p0.r * (p1.theta - p0.theta) + (p1.r - p0.r) * (theta - p0.theta)
-
-
 def polar_crossings(c1: PolarCurve, c2: PolarCurve) -> list:
     """All Proper and Degenerate contacts between two polar curves.
 
@@ -224,44 +252,63 @@ def polar_crossings(c1: PolarCurve, c2: PolarCurve) -> list:
     endpoint is Degenerate, a sign change of r1 - r2 interior to both pieces
     is Proper.  Waypoint angles must increase strictly along each curve.
     """
-    return _merged(_polar_contacts(normalize_polar(c1), normalize_polar(c2), 1, True))
+    return _merged(_polar_contacts(_polar_record(normalize_polar(c1)),
+                                   _polar_record(normalize_polar(c2)), 1, True))
 
 
-def _polar_contacts(c1: PolarCurve, c2: PolarCurve, turn, locate: bool) -> list:
-    """polar_crossings of two curves already normalized to start in
-    [0, turn), with one turn measuring ``turn``; unmerged, and a Proper's
-    ``at`` is None unless locate.  Each radius comparison is the sign of
-    r1 - r2 times the two pieces' angular lengths, so nothing is divided;
-    a contact's radius is the radius of the piece end it lies on."""
-    out = []
-    for p0, p1 in _segments(c1):
-        len1 = p1.theta - p0.theta
-        for q0, q1 in _segments(c2):
-            len2 = q1.theta - q0.theta
-            for k in (-turn, 0, turn):
-                lo = max(p0.theta, q0.theta + k)
-                hi = min(p1.theta, q1.theta + k)
+def _polar_record(curve: PolarCurve) -> tuple:
+    """(piece records, range) of a polar curve.  A piece record is
+    (t0, t1, r0, r1, length, a, b, rlo, rhi): the piece's end angles and
+    radii, its angular length, the line a + b * theta that is its radius
+    times its length, and its radius range, which holds every radius it
+    interpolates.  The range is (t0, tn, rlo, rhi) for the whole curve."""
+    segs = []
+    for (t0, r0), (t1, r1) in zip(curve, curve[1:]):
+        length, b = t1 - t0, r1 - r0
+        rlo, rhi = (r0, r1) if r0 < r1 else (r1, r0)
+        segs.append((t0, t1, r0, r1, length, r0 * length - b * t0, b, rlo, rhi))
+    rs = [w.r for w in curve]
+    return segs, (curve[0].theta, curve[-1].theta, min(rs), max(rs))
+
+
+def _polar_contacts(rec1: tuple, rec2: tuple, turn, locate: bool):
+    """polar_crossings of two ``_polar_record``s of curves normalized to
+    start in [0, turn), with one turn measuring ``turn``; unmerged, and a
+    Proper's ``at`` is None unless locate.  Each radius comparison is the
+    sign of r1 - r2 times the two pieces' angular lengths, so nothing is
+    divided; a contact's radius is the radius of the piece end it lies on.
+    Pieces whose radius ranges are disjoint, or whose angle ranges meet
+    under none of the three turn shifts, have no contact and are skipped,
+    first for the whole curves."""
+    segs1, (e0, e1, elo, ehi) = rec1
+    segs2, (f0, f1, flo, fhi) = rec2
+    if ehi < flo or fhi < elo:
+        return
+    shifts = [k for k in (-turn, 0, turn) if max(e0, f0 + k) <= min(e1, f1 + k)]
+    if not shifts:
+        return
+    for t0, t1, r0, r1, len1, a1, b1, plo, phi in segs1:
+        for u0, u1, s0, s1, len2, a2, b2, qlo, qhi in segs2:
+            if phi < qlo or qhi < plo:
+                continue
+            for k in shifts:
+                lo = t0 if t0 > u0 + k else u0 + k
+                hi = t1 if t1 < u1 + k else u1 + k
                 if lo > hi:
                     continue
-                dlo = _piece_num(p0, p1, lo) * len2 - _piece_num(q0, q1, lo - k) * len1
-                if lo == hi:
-                    if dlo == 0:
-                        r = p0.r if lo == p0.theta else q0.r
-                        out.append(Degenerate("endpoint contact", at=(lo % turn, r)))
-                    continue
-                dhi = _piece_num(p0, p1, hi) * len2 - _piece_num(q0, q1, hi - k) * len1
-                if dlo == 0 and dhi == 0:
-                    out.append(Degenerate("collinear overlap"))
+                dlo = (a1 + b1 * lo) * len2 - (a2 + b2 * (lo - k)) * len1
+                dhi = dlo if lo == hi else (a1 + b1 * hi) * len2 - (a2 + b2 * (hi - k)) * len1
+                if dlo == 0 and dhi == 0 and lo < hi:
+                    yield Degenerate("collinear overlap")
                 elif dlo == 0:
-                    r = p0.r if lo == p0.theta else q0.r
-                    out.append(Degenerate("endpoint contact", at=(lo % turn, r)))
+                    r = r0 if lo == t0 else s0
+                    yield Degenerate("endpoint contact", at=(lo % turn, r))
                 elif dhi == 0:
-                    r = p1.r if hi == p1.theta else q1.r
-                    out.append(Degenerate("endpoint contact", at=(hi % turn, r)))
+                    r = r1 if hi == t1 else s1
+                    yield Degenerate("endpoint contact", at=(hi % turn, r))
                 elif (dlo < 0) != (dhi < 0):
-                    at = Fraction(hi * dlo - lo * dhi, dlo - dhi) % turn if locate else None
-                    out.append(Proper(at))
-    return out
+                    yield Proper(Fraction(hi * dlo - lo * dhi, dlo - dhi) % turn
+                                 if locate else None)
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +336,7 @@ def curve_eval(curve, at: Rat) -> Optional[Rat]:
         cand = lift_angle(at, c[0].theta)
         if cand > c[-1].theta:
             return None
-        for p0, p1 in _segments(c):
+        for p0, p1 in zip(c, c[1:]):
             if p0.theta <= cand <= p1.theta:
                 return _piece_r(p0, p1, cand)
         return None
@@ -299,7 +346,7 @@ def curve_eval(curve, at: Rat) -> Optional[Rat]:
     pts = curve if direction == 1 else tuple(reversed(curve))
     if at < pts[0].x or at > pts[-1].x:
         return None
-    for a, b in _segments(pts):
+    for a, b in zip(pts, pts[1:]):
         if a.x <= at <= b.x:
             return a.y + (b.y - a.y) * (at - a.x) / (b.x - a.x)
     return None
@@ -365,7 +412,7 @@ def curve_circle_crossing(curve: CartesianCurve, center: Point, r2: Rat) -> bool
         if s != 0 and (not signs or signs[-1] != s):
             signs.append(s)
 
-    for a, b in _segments(curve):
+    for a, b in zip(curve, curve[1:]):
         push(f(a))
         dx, dy = b.x - a.x, b.y - a.y
         dd = dx * dx + dy * dy

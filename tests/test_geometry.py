@@ -97,6 +97,8 @@ def test_parallel_disjoint():
 def test_shared_endpoint():
     r = segment_proper_crossing((P(0, 0), P(1, 0)), (P(1, 0), P(2, 0)))
     assert isinstance(r, Degenerate) and r.at == P(1, 0)
+    r = segment_proper_crossing((P(0, 0), P(1, 0)), (P(1, 1), P(0, 0)))
+    assert r == Degenerate("shared endpoint", at=P(0, 0))
 
 
 def test_endpoint_on_interior():
@@ -106,6 +108,9 @@ def test_endpoint_on_interior():
 
 def test_collinear_overlap():
     r = segment_proper_crossing((P(0, 0), P(2, 0)), (P(1, 0), P(3, 0)))
+    assert r == Degenerate("collinear overlap")
+    # from a shared endpoint
+    r = segment_proper_crossing((P(0, 0), P(2, 0)), (P(0, 0), P(1, 0)))
     assert r == Degenerate("collinear overlap")
 
 

@@ -5,8 +5,10 @@ drawing (each axis scaled by the lcm of its denominators).  The oracle
 below is the validation as it ran before, on the drawing's own rational
 coordinates: the curve and vertex checks, the pair loop, and the
 ``polar_crossings`` that evaluated interpolated radii with ``_piece_r``
-divisions.  Random small drawings with mixed denominators must get the
-same crossing matrix, or the same ``NotSimpleError`` reason and pair.
+divisions.  Random small drawings with mixed denominators, and the raw
+candidates of the generators (rejected ones included), must get the same
+crossing matrix, or the same ``NotSimpleError`` reason and pair.  A count
+of segment tests pins the box pruning of the pair loop.
 """
 
 import math
@@ -16,9 +18,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from treespan.drawing import Drawing, complete_edges, validate_simple
+from treespan import geometry
+from treespan.drawing import (
+    Drawing,
+    _spans_cover_circle,
+    classify_c_monotone,
+    complete_edges,
+    edge_span,
+    validate_simple,
+)
 from treespan.errors import NotSimpleError
-from treespan.generators import GenSpec, generate
+from treespan.generators import _BUILDERS, GenSpec, _Reject, generate
 from treespan.geometry import (
     Degenerate,
     Point,
@@ -30,6 +40,7 @@ from treespan.geometry import (
     polar_crossings,
     polyline_crossings,
 )
+from treespan.rng import SplitMix64
 
 from conftest import polar_k4, polar_k5
 
@@ -285,6 +296,33 @@ PK3 = Drawing(n=3, backend="polar",
                       (0, 2): (_pp(F(2, 3), 2), _pp(F(5, 6), F(7, 3)), _pp(1, 2))})
 
 
+def _cartesian(pts, bent):
+    """pts joined by straight edges, except the edges in ``bent``, which
+    map to their interior waypoints."""
+    return Drawing(n=len(pts), backend="cartesian", vertex_points=pts,
+                   curves={(u, v): (pts[u], *bent.get((u, v), ()), pts[v])
+                           for u, v in complete_edges(len(pts))})
+
+
+_Q = tuple(PolarPoint(F(k, 4), F(2)) for k in range(4))
+# (0, 2) spans [0, 1/2] and (1, 3) spans [3/4, 5/4]: they meet, and cross,
+# only with (1, 3) shifted back by a turn
+SEAM_CROSS = Drawing(n=4, backend="polar", vertex_points=_Q,
+                     curves={(0, 1): (_Q[0], _Q[1]),
+                             (0, 2): (_Q[0], _pp(F(1, 4), 3), _Q[2]),
+                             (0, 3): (_Q[3], _pp(1, 2)),
+                             (1, 2): (_Q[1], _Q[2]),
+                             (1, 3): (_Q[3], _pp(1, 3), _pp(F(5, 4), 2)),
+                             (2, 3): (_Q[2], _Q[3])})
+
+
+# two edges run the long way round, so their spans cover the circle
+LONG_WAY = Drawing(n=3, backend="polar", vertex_points=PK3.vertex_points,
+                   curves={(0, 1): (_pp(F(1, 3), 2), _pp(F(2, 3), 3), _pp(1, 2)),
+                           (0, 2): (_pp(0, 2), _pp(F(1, 3), 1), _pp(F(2, 3), 2)),
+                           (1, 2): (_pp(F(1, 3), 2), _pp(F(2, 3), 2))})
+
+
 @settings(max_examples=150, deadline=None, database=None)
 @given(d=st.one_of(cartesian_drawings(), polar_drawings()))
 @example(d=_straight((Point(F(0), F(0)), Point(F(1, 3), F(1, 2)),
@@ -296,6 +334,15 @@ PK3 = Drawing(n=3, backend="polar",
                    curves={**PK3.curves, (1, 2): (_pp(F(1, 3), 2), _pp(F(5, 3), 2))}))
 @example(d=polar_k4())
 @example(d=polar_k5())
+# adjacent edges whose first segments overlap along a line from the shared
+# vertex: the shared-endpoint shortcut must fall through to the collinear test
+@example(d=_cartesian((Point(F(0), F(0)), Point(F(2), F(0)), Point(F(1), F(1))),
+                      {(0, 2): (Point(F(1), F(0)),)}))
+# vertex 2 lies on the line through edge (0, 1) but outside its box
+@example(d=_cartesian((Point(F(0), F(0)), Point(F(1), F(1)), Point(F(3), F(3))),
+                      {(0, 2): (Point(F(2), F(0)),)}))
+@example(d=SEAM_CROSS)
+@example(d=LONG_WAY)
 def test_validate_simple_matches_fraction_oracle(d):
     assert _outcome(_fast, _fresh(d)) == _outcome(oracle_validate, _fresh(d))
 
@@ -343,3 +390,88 @@ def polar_pieces(draw):
 @example(c1=(_pp(F(19, 8), 1), _pp(F(25, 8), 3)), c2=(_pp(F(1, 8), 3), _pp(F(3, 8), 1)))
 def test_polar_crossings_matches_piece_r_oracle(c1, c2):
     assert polar_crossings(c1, c2) == oracle_polar_crossings(c1, c2)
+
+
+# ---------------------------------------------------------------------------
+# raw generator candidates, rejected ones included
+# ---------------------------------------------------------------------------
+
+RAW_GRID = ([("random_points", n, None) for n in range(4, 11)]
+            + [("monotone_perturbed", n, None) for n in range(6, 11)]
+            + [("strongly_cmonotone", n, None) for n in (5, 6)]
+            + [("cylindrical", 5, (2, 3)), ("cylindrical", 6, (3, 3))])
+
+
+def _raw_candidates(cls, n, shape, seeds=range(3), per_seed=5):
+    """The first candidates ``generate`` would build for each seed, before
+    any validation or class check."""
+    out = []
+    for seed in seeds:
+        a, b = shape or (None, None)
+        spec = GenSpec(cls=cls, n=n, seed=seed, a=a, b=b)
+        rng = SplitMix64(seed)
+        for _ in range(per_seed):
+            try:
+                out.append(_BUILDERS[cls](spec, rng.split()))
+            except _Reject:
+                pass
+    return out
+
+
+@pytest.mark.parametrize("cls,n,shape", RAW_GRID,
+                         ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else str(v))
+def test_raw_candidates_match_fraction_oracle(cls, n, shape):
+    outcomes = []
+    for d in _raw_candidates(cls, n, shape):
+        want = _outcome(oracle_validate, _fresh(d))
+        assert _outcome(_fast, _fresh(d)) == want
+        outcomes.append(want)
+    assert outcomes
+
+
+def test_raw_candidate_grid_has_rejections():
+    """The grid above reaches the error paths, not only simple drawings."""
+    reasons = set()
+    for cls, n, shape in (("monotone_perturbed", 10, None), ("cylindrical", 6, (3, 3))):
+        for d in _raw_candidates(cls, n, shape):
+            try:
+                validate_simple(d)
+            except NotSimpleError as ex:
+                reasons.add(ex.reason.split(" of ")[0])
+    assert reasons >= {"adjacent crossing or degenerate contact", "curve"}
+
+
+def test_strongly_verdict_matches_fraction_spans():
+    """classify_c_monotone runs the cover test on integer-scaled spans;
+    the Fraction helper over every edge pair is the oracle."""
+    verdicts = []
+    for d in (_raw_candidates("strongly_cmonotone", 5, None)
+              + _raw_candidates("strongly_cmonotone", 6, None)
+              + [PK3, SEAM_CROSS, LONG_WAY, polar_k4(), polar_k5()]):
+        try:
+            _, strongly, _ = classify_c_monotone(d)
+        except NotSimpleError:
+            continue
+        spans = [edge_span(d, e) for e in d.edges]
+        assert strongly == (not any(_spans_cover_circle(s, t) for i, s in enumerate(spans)
+                                    for t in spans[i + 1:]))
+        verdicts.append(strongly)
+    assert True in verdicts and False in verdicts
+
+
+def test_validation_prunes_segment_pairs(monkeypatch):
+    """Pairs of curves whose boxes are disjoint reach no segment test: a
+    straight-line drawing of K_10 tests fewer segment pairs than it has
+    edge pairs."""
+    d = _fresh(generate(GenSpec(cls="random_points", n=10, seed=0)))
+    calls = []
+    contact = geometry._segment_contact
+
+    def counting(s, t, locate):
+        calls.append(locate)
+        return contact(s, t, locate)
+
+    monkeypatch.setattr(geometry, "_segment_contact", counting)
+    validate_simple(d)
+    m = len(d.edges)
+    assert 0 < len(calls) < m * (m - 1) // 2
