@@ -22,14 +22,14 @@ from treespan.generators import GenSpec, generate
 
 
 def report(label: str, spec: GenSpec) -> None:
-    t0 = time.time()
+    t0 = time.perf_counter()
     d = generate(spec)
     g = build_compat_graph(d)
     diam = analyze(g).diameter
     rdiam = analyze(build_compat_graph(d, restricted=True)).diameter
     print(f"{label:<22}{spec.n:>3}{spec.seed:>5}{len(g.masks):>8}"
           f"{g.edge_count():>10}{diam!s:>6}{rdiam!s:>7}"
-          f"{time.time() - t0:>7.2f}")
+          f"{time.perf_counter() - t0:>7.2f}")
 
 
 def main() -> None:

@@ -1,8 +1,9 @@
 """Command-line surface.
 
 Subcommands: validate, generate, trees, compat, transform, certify, render.
-Exit codes: 0 success, 1 invalid input, 2 method inapplicable, 3 internal
-invariant violation.  Errors are emitted as one JSON object on stderr.
+Exit codes: 0 success, 1 invalid input (a malformed command line too), 2
+method inapplicable, 3 internal invariant violation.  Errors are emitted as
+one JSON object on stderr.
 """
 
 from __future__ import annotations
@@ -43,6 +44,19 @@ class MethodInapplicable(TreespanError):
     pass
 
 
+class UsageError(TreespanError):
+    pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports malformed argv as a UsageError (exit 1, one JSON object on
+    stderr) instead of printing usage and exiting 2, which the contract
+    reserves for an inapplicable method.  ``--help`` still exits 0."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def _report_json(d) -> dict:
     rep = validate_simple(d)
     cyl = None
@@ -81,11 +95,10 @@ def _run_transform(d, method: str, t1, t2):
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="treespan",
-                                description="Plane spanning trees in simple "
-                                            "drawings: validation, brute-force "
-                                            "compatibility graphs, certified "
-                                            "transformations.")
+    p = _Parser(prog="treespan",
+                description="Plane spanning trees in simple drawings: "
+                            "validation, brute-force compatibility graphs, "
+                            "certified transformations.")
     sub = p.add_subparsers(dest="cmd", required=True)
 
     v = sub.add_parser("validate", help="validate a drawing file")
@@ -215,10 +228,8 @@ def _dispatch(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        return _dispatch(args)
+        return _dispatch(_build_parser().parse_args(argv))
     except InternalInvariantViolated as ex:
         _emit_error("internal-invariant-violated", ex)
         return 3

@@ -9,12 +9,18 @@ the bitset of trees containing edge e, and tree i is compatible with every
 tree outside the union of the holder sets of the edges crossing it.
 
 ``analyze`` first looks for a hub, a node adjacent to every other node.
-If there is one (and more than one node), no BFS runs: every node adjacent
-to all others has eccentricity 1 and every other node 2, through the hub.
-Otherwise it finds components with one bitset sweep each and the
-eccentricity of each node with a level-only BFS that stops as soon as the
-reached set covers the node's component, so the last level is never
-expanded.  ``bfs_distance`` runs the same BFS towards a single node.
+If there is one (and more than one node), nothing is searched: every node
+adjacent to all others has eccentricity 1 and every other node 2, through
+the hub.  Otherwise it finds components with one bitset sweep each and
+then grows every node's ball one level at a time: ball_k(v) is the OR of
+ball_{k-1}(u) over v and its neighbours, and a node's eccentricity is the
+level at which its ball covers its component.  A level costs at most
+deg(v) ORs per node still growing, where a search from v pays one OR for
+every node it reaches; a node next to a finished one finishes without any
+OR.  A finished node keeps a reference to its component, so beyond the
+adjacency rows the growth holds two balls per growing node, the previous
+level's and the new one.  ``bfs_distance`` runs a level-only BFS towards
+a single node; the tests use that BFS as the ball growth's oracle.
 """
 
 from __future__ import annotations
@@ -115,14 +121,56 @@ def _component(adjacency: List[int], src: int) -> int:
     return reach
 
 
+def _eccentricities(adjacency: List[int], balls: List[int],
+                    goals: List[int]) -> List[int]:
+    """Eccentricity of every node within its component goals[v], grown
+    from balls[v] = ball_1(v), the node and its neighbours.
+
+    Level k turns each live node's ball into ball_k(v), the OR of
+    ball_{k-1}(u) over v and its neighbours u.  Every level reads only the
+    previous level's balls: updating in place would let a ball grow by
+    more than one step.  A node leaves at the level its ball equals its
+    component; its ball is then replaced by the component itself, so a
+    node with a finished neighbour finishes at the next level without any
+    OR, and otherwise the OR loop stops as soon as the ball is full.
+    ``balls`` is overwritten."""
+    ecc = [0] * len(balls)
+    done = 0
+    live, grown, level = range(len(balls)), list(balls), 1
+    while True:
+        still = []
+        for v, ball in zip(live, grown):
+            if ball == goals[v]:
+                ecc[v] = level if adjacency[v] else 0
+                balls[v] = goals[v]
+                done |= 1 << v
+            else:
+                balls[v] = ball
+                still.append(v)
+        if not still:
+            return ecc
+        live, level = still, level + 1
+        grown = []
+        for v in live:
+            goal, ball = goals[v], balls[v]
+            if adjacency[v] & done:
+                ball = goal
+            else:
+                for u in bits(adjacency[v]):
+                    ball |= balls[u]
+                    if ball == goal:
+                        break
+            grown.append(ball)
+
+
 def analyze(g: CompatGraph) -> CompatAnalysis:
     m = len(g.adjacency)
     if m == 0:
         return CompatAnalysis(True, 0, 0, (), (), ())
     full = (1 << m) - 1
-    rows = [row | 1 << v for v, row in enumerate(g.adjacency)]
-    if m > 1 and full in rows:
-        ecc = tuple(1 if row == full else 2 for row in rows)
+    balls = [row | 1 << v for v, row in enumerate(g.adjacency)]
+    if m > 1 and full in balls:
+        ecc = tuple(1 if ball == full else 2 for ball in balls)
         return CompatAnalysis(True, 1, max(ecc), ecc, (0,) * m, (max(ecc),))
     components = []
     component_of = [-1] * m
@@ -133,8 +181,8 @@ def analyze(g: CompatGraph) -> CompatAnalysis:
             component_of[v] = len(components)
         components.append(comp)
         unseen &= ~comp
-    ecc = [_levels_until(g.adjacency, v, components[component_of[v]])
-           for v in range(m)]
+    ecc = _eccentricities(g.adjacency, balls,
+                          [components[c] for c in component_of])
     comp_diam = [0] * len(components)
     for v, c in enumerate(component_of):
         comp_diam[c] = max(comp_diam[c], ecc[v])

@@ -9,17 +9,19 @@ The transformations convert their input trees to masks once, keep masks
 throughout and certify each call's output once with ``check_mask``.
 A tree is plane when ``mask & conflict_mask(d, mask) == 0``, and two trees
 are compatible (their union is plane) when one mask misses the other's
-conflicts.  Certification covers spanning/acyclicity/planarity plus a
-k-star kind, cached per drawing by mask; the star-family
-transformations additionally use the representation helpers below, because
-the star, double-star and twin-star classes overlap (one tree can admit
-several fixed-path representations).
+conflicts.  Certification covers spanning/acyclicity/planarity, cached
+per drawing by mask; a certificate classifies its tree's k-star kind only
+when ``kind`` is first read.  The star-family transformations additionally
+use the representation helpers below, because the star, double-star and
+twin-star classes overlap (one tree can admit several fixed-path
+representations).
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .drawing import Drawing, Edge, bits, edge
@@ -74,13 +76,23 @@ class TreeCert:
     spanning: bool
     acyclic_connected: bool
     plane: bool
-    kind: Optional[tuple] = None  # ("star", c) | ("double_star", g, r)
-    #                             | ("twin_star", g, s, r)
-    #                             | ("k_star", k, path) | ("generic",)
+    mask: int = field(repr=False)
+    edges: Tuple[Edge, ...] = field(repr=False, compare=False)  # d.edges
 
     @property
     def is_plane_spanning_tree(self) -> bool:
         return self.spanning and self.acyclic_connected and self.plane
+
+    @cached_property
+    def kind(self) -> Optional[tuple]:
+        """``classify_kind`` of a plane spanning tree, None otherwise:
+        ("star", c) | ("double_star", g, r) | ("twin_star", g, s, r)
+        | ("k_star", k, path) | ("generic",).  Computed when first read;
+        certification itself needs only ``is_plane_spanning_tree``."""
+        if not self.is_plane_spanning_tree:
+            return None
+        n = self.mask.bit_count() + 1  # a spanning tree has n - 1 edges
+        return classify_kind(n, mask_tree(self, self.mask))
 
 
 # ---------------------------------------------------------------------------
@@ -236,11 +248,8 @@ def check_mask(d: Drawing, mask: int) -> TreeCert:
     acyclic = all(uf.union(u, v) for u, v in tree)
     connected = acyclic and len(tree) == len(verts) - 1 if verts else False
     plane = mask & conflict_mask(d, mask) == 0
-    kind = None
-    if spanning and connected and plane:
-        kind = classify_kind(d.n, tree)
     cert = TreeCert(spanning=spanning, acyclic_connected=connected,
-                    plane=plane, kind=kind)
+                    plane=plane, mask=mask, edges=d.edges)
     d._cert_cache[mask] = cert
     return cert
 

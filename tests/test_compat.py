@@ -18,6 +18,7 @@ import treespan.trees
 from treespan.compat import (
     CompatAnalysis,
     CompatGraph,
+    _levels_until,
     analyze,
     bfs_distance,
     build_compat_graph,
@@ -226,6 +227,66 @@ def test_hub_graphs_match_oracle(g):
     a = analyze(g)
     assert a == oracle_analyze(g)
     assert a.connected and a.diameter <= 2
+
+
+@st.composite
+def sparse_graphs(draw):
+    """Disjoint unions of paths, cycles and random trees plus at least one
+    isolated node, relabelled at random: hub-free, sparse and of long
+    diameter, so ``analyze`` grows balls over many levels."""
+    pairs, m = [], 0
+    shapes = st.tuples(st.sampled_from(["path", "cycle", "tree"]),
+                       st.integers(1, 14))
+    parts = draw(st.lists(shapes, min_size=1, max_size=4))
+    for shape, size in parts + [("path", 1)]:
+        if shape == "cycle" and size >= 3:
+            pairs += [(m + i, m + (i + 1) % size) for i in range(size)]
+        elif shape == "tree":
+            pairs += [(m + i, m + draw(st.integers(0, i - 1)))
+                      for i in range(1, size)]
+        else:
+            pairs += [(m + i, m + i + 1) for i in range(size - 1)]
+        m += size
+    label = draw(st.permutations(range(m)))
+    return _graph(m, [(label[i], label[j]) for i, j in pairs])
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_graphs())
+@example(_graph(2, []))                                     # two isolated
+@example(_graph(16, [(i, i + 1) for i in range(14)]))       # path + isolated
+@example(_graph(12, [(i, (i + 1) % 11) for i in range(11)]))  # cycle + isolated
+def test_sparse_hub_free_graphs_match_oracle(g):
+    m = len(g.adjacency)
+    assert all(row | 1 << v != (1 << m) - 1 for v, row in enumerate(g.adjacency))
+    assert analyze(g) == oracle_analyze(g)
+
+
+def test_restricted_convex_8_matches_levels_until():
+    """Ball growth against one ``_levels_until`` BFS per node, on the
+    restricted convex n = 8 graph: hub-free, 640 trees, diameter 5."""
+    g = build_compat_graph(generate(GenSpec(cls="convex", n=8, seed=1)),
+                           restricted=True)
+    a = analyze(g)
+    m = len(g.masks)
+    assert m == 640 and a.connected and a.diameter == 5
+    assert a.eccentricities == tuple(
+        _levels_until(g.adjacency, v, (1 << m) - 1) for v in range(m))
+
+
+def test_hub_free_analyze_runs_no_bfs(monkeypatch):
+    calls = []
+
+    def counting(adjacency, src, goal):
+        calls.append(src)
+        return _levels_until(adjacency, src, goal)
+
+    monkeypatch.setattr(treespan.compat, "_levels_until", counting)
+    g = build_compat_graph(generate(GenSpec(cls="convex", n=6, seed=1)),
+                           restricted=True)
+    a = analyze(g)
+    assert a.connected and a.diameter == 3 and calls == []
+    assert bfs_distance(g, g.nodes[0], g.nodes[-1]) <= 3 and len(calls) == 1
 
 
 def test_single_node_has_eccentricity_zero():

@@ -300,6 +300,34 @@ def test_cli_transform_auto_cylindrical(tmp_path):
     assert doc["certified"] and len(doc["trees"]) <= 5
 
 
+@pytest.mark.parametrize("argv", [
+    [],
+    ["compat"],
+    ["frobnicate"],
+    ["generate", "--class", "convex", "--n", "x", "--seed", "1", "-o", "o.json"],
+    ["generate", "--class", "hexagon", "--n", "4", "--seed", "1", "-o", "o.json"],
+    ["trees", "d.json", "--kind", "bogus"],
+    ["validate", "d.json", "--frobnicate"],
+], ids=["no-subcommand", "missing-file", "unknown-subcommand", "n-not-int",
+        "unknown-class", "unknown-kind", "unknown-option"])
+def test_cli_usage_error_is_one_json_error(argv, capsys):
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    lines = err.splitlines()
+    assert out == "" and len(lines) == 1
+    doc = json.loads(lines[0])
+    assert doc["error"] == "invalid-input" and doc["type"] == "UsageError"
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["compat", "--help"]])
+def test_cli_help_exits_zero(argv, capsys):
+    with pytest.raises(SystemExit) as ex:
+        main(argv)
+    assert ex.value.code == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: treespan") and err == ""
+
+
 # ---------------------------------------------------------------------------
 # CLI contract under malformed input
 # ---------------------------------------------------------------------------
@@ -367,6 +395,10 @@ def test_cli_contract_on_malformed_input(data):
              "--method=special"],
             ["certify", sfile, "--drawing=" + dfile],
             ["render", dfile, "--tree=" + src, "-o", os.path.join(tmp, "o.svg")],
+            ["compat"],
+            ["frobnicate", dfile],
+            ["generate", "--class=convex", "--n", "x", "--seed=1", "-o", dfile],
+            ["transform", dfile, "--from=" + src],
         ]))
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -9,6 +9,7 @@ import itertools
 
 import pytest
 
+import treespan.trees
 from treespan.errors import IncompatibleError, TooLargeError, UnknownEdgeError
 from treespan.trees import (
     canon_tree,
@@ -149,6 +150,23 @@ def test_matches_oracle_konvex5_and_m4(m4):
 def test_every_enumerated_tree_certifies(sq):
     for t in enumerate_plane_trees(sq):
         assert check_tree(sq, t).is_plane_spanning_tree
+
+
+def test_kind_is_classified_only_when_read(monkeypatch):
+    calls = []
+
+    def counting(n, tree):
+        calls.append(tree)
+        return classify_kind(n, tree)
+
+    monkeypatch.setattr(treespan.trees, "classify_kind", counting)
+    d5 = straight_line_drawing([P(i, i * i) for i in range(5)])
+    trees = enumerate_plane_trees(d5)
+    certs = [check_tree(d5, t) for t in trees]
+    assert calls == [] and all(c.is_plane_spanning_tree for c in certs)
+    assert [c.kind for c in certs] == [classify_kind(5, t) for t in trees]
+    assert [c.kind for c in certs] == [check_tree(d5, t).kind for t in trees]
+    assert calls == trees  # once per tree: the certificate keeps its kind
 
 
 def test_too_large():
