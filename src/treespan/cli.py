@@ -27,7 +27,7 @@ from .errors import (
     TreespanError,
 )
 from .generators import GenSpec, generate
-from .trees import check_tree, enumerate_plane_trees, tree_mask
+from .trees import enumerate_plane_trees, tree_mask
 from .transforms import (
     _spine_route,
     certify_sequence,
@@ -85,12 +85,11 @@ def _run_transform(d, method: str, t1, t2):
     if method in ("auto", "cmonotone") and report.is_strongly_c_monotone:
         return _spine_route(d, "cmonotone", t1, t2)
     if method in ("auto", "special"):
-        kinds = {check_tree(d, t).kind for t in (t1, t2)}
-        if all(k is not None and k[0] in ("star", "double_star", "twin_star")
-               for k in kinds):
+        try:
             return transform_special(d, t1, t2)
-        if method == "special":
-            raise NotSpecialTreeError("endpoints are not special trees")
+        except NotSpecialTreeError:
+            if method == "special":
+                raise
     raise MethodInapplicable(f"no applicable method (asked for {method!r})")
 
 

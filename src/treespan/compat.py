@@ -11,16 +11,19 @@ tree outside the union of the holder sets of the edges crossing it.
 ``analyze`` first looks for a hub, a node adjacent to every other node.
 If there is one (and more than one node), nothing is searched: every node
 adjacent to all others has eccentricity 1 and every other node 2, through
-the hub.  Otherwise it finds components with one bitset sweep each and
-then grows every node's ball one level at a time: ball_k(v) is the OR of
+the hub.  Otherwise it finds components with one BFS each and then grows
+every node's ball one level at a time: ball_k(v) is the OR of
 ball_{k-1}(u) over v and its neighbours, and a node's eccentricity is the
 level at which its ball covers its component.  A level costs at most
 deg(v) ORs per node still growing, where a search from v pays one OR for
 every node it reaches; a node next to a finished one finishes without any
 OR.  A finished node keeps a reference to its component, so beyond the
 adjacency rows the growth holds two balls per growing node, the previous
-level's and the new one.  ``bfs_distance`` runs a level-only BFS towards
-a single node; the tests use that BFS as the ball growth's oracle.
+level's and the new one.  One BFS, cut short once it reaches its goal,
+serves both the component sweep (the goal is every node not yet placed,
+so on a connected graph the sweep ends as soon as all nodes are reached)
+and ``bfs_distance`` (the goal is the target node); the tests use it as
+the ball growth's oracle.
 """
 
 from __future__ import annotations
@@ -92,33 +95,24 @@ def build_compat_graph(d: Drawing, restricted: bool = False,
                        adjacency=adjacency, restricted=restricted)
 
 
-def _levels_until(adjacency: List[int], src: int, goal: int):
-    """BFS level from src at which every node of goal is reached, or
-    math.inf if the search runs out first.  Rows are OR-ed into the reached
-    set one by one, so the level that completes goal is cut short."""
+def _bfs(adjacency: List[int], src: int, goal: int):
+    """(level, reach) of a BFS from src that stops once reach covers goal:
+    the level at which it did, or math.inf if the search ran out first.
+    Rows are OR-ed into reach one by one, so the level that completes goal
+    is cut short."""
     reach = frontier = 1 << src
     level = 0
     while reach & goal != goal:
         if not frontier:
-            return math.inf
+            return math.inf, reach
         level += 1
         before = reach
         for v in bits(frontier):
             reach |= adjacency[v]
             if reach & goal == goal:
-                return level
+                return level, reach
         frontier = reach & ~before
-    return level
-
-
-def _component(adjacency: List[int], src: int) -> int:
-    reach = frontier = 1 << src
-    while frontier:
-        before = reach
-        for v in bits(frontier):
-            reach |= adjacency[v]
-        frontier = reach & ~before
-    return reach
+    return level, reach
 
 
 def _eccentricities(adjacency: List[int], balls: List[int],
@@ -176,7 +170,8 @@ def analyze(g: CompatGraph) -> CompatAnalysis:
     component_of = [-1] * m
     unseen = full
     while unseen:
-        comp = _component(g.adjacency, (unseen & -unseen).bit_length() - 1)
+        # a component lies inside unseen, so reaching all of unseen ends it
+        _, comp = _bfs(g.adjacency, (unseen & -unseen).bit_length() - 1, unseen)
         for v in bits(comp):
             component_of[v] = len(components)
         components.append(comp)
@@ -197,4 +192,4 @@ def analyze(g: CompatGraph) -> CompatAnalysis:
 def bfs_distance(g: CompatGraph, t1, t2):
     """Shortest-path length between two trees, math.inf if no path."""
     a, b = g._position(t1), g._position(t2)
-    return _levels_until(g.adjacency, a, 1 << b)
+    return _bfs(g.adjacency, a, 1 << b)[0]

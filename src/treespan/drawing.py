@@ -300,6 +300,9 @@ def _crossing_rows(d: Drawing) -> Tuple[int, ...]:
     dropped on return."""
     if d.n < 2:
         raise NotSimpleError("need at least 2 vertices")
+    if d.graph[0] == "bipartite" and not (
+            d.graph[1] > 0 and d.graph[2] > 0 and d.graph[1] + d.graph[2] == d.n):
+        raise NotSimpleError("bipartite part sizes must be positive and sum to n")
     if list(d.edges) != d.expected_edges():
         raise NotSimpleError("edge set does not match declared graph")
     img = _integer_image(d)

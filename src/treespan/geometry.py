@@ -82,11 +82,6 @@ def orient(a: Point, b: Point, c: Point) -> int:
     return 0
 
 
-def _in_box(a: Point, b: Point, p: Point) -> bool:
-    return (min(a.x, b.x) <= p.x <= max(a.x, b.x)
-            and min(a.y, b.y) <= p.y <= max(a.y, b.y))
-
-
 def _line_intersection(a: Point, b: Point, c: Point, d: Point) -> Point:
     rx, ry = b.x - a.x, b.y - a.y
     sx, sy = d.x - c.x, d.y - c.y
@@ -356,68 +351,47 @@ def curve_eval(curve, at: Rat) -> Optional[Rat]:
 # circle relation
 # ---------------------------------------------------------------------------
 
+def _circle_values(curve: CartesianCurve, center: Point, r2: Rat) -> list:
+    """|p - center|^2 - r2 at every waypoint p of a polyline, and at each
+    segment's point nearest the center when that point lies strictly
+    inside the segment.  Along a segment the value is convex, so these
+    samples hold every segment's minimum, and between two consecutive
+    samples it is monotone."""
+    cx, cy = center
+
+    def f(x, y):
+        return (x - cx) ** 2 + (y - cy) ** 2 - r2
+
+    out = [f(*curve[0])]
+    for (ax, ay), (bx, by) in zip(curve, curve[1:]):
+        dx, dy = bx - ax, by - ay
+        dd = dx * dx + dy * dy
+        if dd == 0:
+            raise ValueError("zero-length segment")
+        tstar = Fraction((cx - ax) * dx + (cy - ay) * dy, dd)
+        if 0 < tstar < 1:
+            out.append(f(ax + tstar * dx, ay + tstar * dy))
+        out.append(f(bx, by))
+    return out
+
+
+def _changes_sign(values: list) -> bool:
+    return any(v > 0 for v in values) and any(v < 0 for v in values)
+
+
 def segment_circle_relation(s: Sequence[Point], center: Point, r2: Rat) -> str:
     """Relation of a closed segment to the circle of squared radius r2:
     'disjoint', 'crosses' (the open segment passes through the circle
     transversally) or 'touches' (contact without a transversal pass)."""
     if r2 <= 0:
         raise ValueError("squared radius must be positive")
-    a, b = s
-
-    def f(p: Point) -> Rat:
-        return (p.x - center.x) ** 2 + (p.y - center.y) ** 2 - r2
-
-    fa, fb = f(a), f(b)
-    dx, dy = b.x - a.x, b.y - a.y
-    dd = dx * dx + dy * dy
-    tstar = ((center.x - a.x) * dx + (center.y - a.y) * dy) / dd
-    tcl = min(max(tstar, Fraction(0)), Fraction(1))
-    fmin = f(Point(a.x + tcl * dx, a.y + tcl * dy))
-
-    if fa > 0 and fb > 0:
-        if fmin < 0:
-            return "crosses"
-        if fmin == 0:
-            return "touches"
-        return "disjoint"
-    if (fa > 0 and fb < 0) or (fa < 0 and fb > 0):
+    values = _circle_values(s, center, r2)
+    if _changes_sign(values):
         return "crosses"
-    if fa < 0 and fb < 0:
-        return "disjoint"
-    if fa == 0 and fb == 0:
-        return "touches"
-    # exactly one endpoint on the circle
-    if fa == 0:
-        other = fb
-        t_inward = tstar > 0
-    else:
-        other = fa
-        t_inward = tstar < 1
-    if other < 0:
-        return "touches"
-    return "crosses" if t_inward else "touches"
+    return "touches" if 0 in values else "disjoint"
 
 
 def curve_circle_crossing(curve: CartesianCurve, center: Point, r2: Rat) -> bool:
     """Whether a polyline passes transversally through a circle, including
     passes exactly through waypoints (tangential touches do not count)."""
-
-    def f(p: Point) -> Rat:
-        return (p.x - center.x) ** 2 + (p.y - center.y) ** 2 - r2
-
-    signs = []
-
-    def push(v: Rat) -> None:
-        s = 1 if v > 0 else (-1 if v < 0 else 0)
-        if s != 0 and (not signs or signs[-1] != s):
-            signs.append(s)
-
-    for a, b in zip(curve, curve[1:]):
-        push(f(a))
-        dx, dy = b.x - a.x, b.y - a.y
-        dd = dx * dx + dy * dy
-        tstar = ((center.x - a.x) * dx + (center.y - a.y) * dy) / dd
-        if 0 < tstar < 1:
-            push(f(Point(a.x + tstar * dx, a.y + tstar * dy)))
-        push(f(b))
-    return any(signs[i] != signs[i + 1] for i in range(len(signs) - 1))
+    return _changes_sign(_circle_values(curve, center, r2))

@@ -277,14 +277,8 @@ def corridors(d: Drawing, twigglies: Iterable[Edge]) -> List[Corridor]:
     spans = {e: edge_span(d, e) for e in twigglies}
     events = sorted({angles[v] for e in twigglies for v in e})
     m = len(events)
-    gaps = []
-    for j in range(m):
-        a = events[j]
-        b = events[j + 1] if j + 1 < m else events[0] + 1
-        gaps.append((a, b))
-
     per_gap: List[List[Tuple[object, object]]] = []
-    for a, b in gaps:
+    for a, b in _gaps(events):
         mid = (a + b) / 2
         stabbed = [e for e in twigglies if span_contains(spans[e], mid)]
         stabbed.sort(key=lambda e: curve_eval(d.curves[e], mid))
@@ -292,7 +286,6 @@ def corridors(d: Drawing, twigglies: Iterable[Edge]) -> List[Corridor]:
         per_gap.append([(chain[k], chain[k + 1]) for k in range(len(chain) - 1)])
 
     out: List[Corridor] = []
-    emitted = set()
     for j in range(m):
         for pair in per_gap[j]:
             if pair in per_gap[j - 1 if j else m - 1] and m > 1:
@@ -305,10 +298,6 @@ def corridors(d: Drawing, twigglies: Iterable[Edge]) -> List[Corridor]:
             start = events[j]
             end_idx = (j + run) % m
             end = events[end_idx] + (1 if j + run >= m else 0)
-            key = (start, pair)
-            if key in emitted:
-                continue
-            emitted.add(key)
             out.append(Corridor(interval=(start, end), lower=pair[0],
                                 upper=pair[1],
                                 start_vertex=at_angle[start],
@@ -316,12 +305,18 @@ def corridors(d: Drawing, twigglies: Iterable[Edge]) -> List[Corridor]:
     return sorted(out, key=lambda c: (c.interval[0], str(c.lower), str(c.upper)))
 
 
-def _bound_radius(d: Drawing, bound, theta):
-    if bound == CENTER:
-        return 0
-    if bound == INFINITY:
-        return None
-    return curve_eval(d.curves[bound], theta)
+def _gaps(angles: list) -> list:
+    """(a, next a) for each of the sorted angles, the last wrapping round
+    to the first plus one turn."""
+    return list(zip(angles, angles[1:] + [angles[0] + 1]))
+
+
+def _inside(d: Drawing, c: Corridor, theta, r) -> bool:
+    """Whether radius r at angle theta lies strictly between the
+    corridor's lower and upper bounds."""
+    low = 0 if c.lower == CENTER else curve_eval(d.curves[c.lower], theta)
+    high = None if c.upper == INFINITY else curve_eval(d.curves[c.upper], theta)
+    return low < r and (high is None or r < high)
 
 
 def corridor_path(d: Drawing, t: Iterable[Edge], c: Corridor,
@@ -343,10 +338,7 @@ def _corridor_path(d: Drawing, t_mask: int, c: Corridor,
         lifted = lift_angle(angles[v], lo)
         if not lo < lifted < hi:
             continue
-        r = d.vertex_points[v][1]
-        low = _bound_radius(d, c.lower, lifted)
-        high = _bound_radius(d, c.upper, lifted)
-        if low < r and (high is None or r < high):
+        if _inside(d, c, lifted, d.vertex_points[v][1]):
             inside.append((lifted, v))
     stops = [c.start_vertex] + [v for _, v in sorted(inside)] + [c.end_vertex]
     path = [edge(stops[k], stops[k + 1]) for k in range(len(stops) - 1)]
@@ -360,11 +352,7 @@ def _corridor_path(d: Drawing, t_mask: int, c: Corridor,
             if h == c.lower or h == c.upper:
                 continue  # a forced bounding edge lies on the closed boundary
             r = curve_eval(d.curves[h], mid)
-            if r is None:
-                continue
-            low = _bound_radius(d, c.lower, mid)
-            high = _bound_radius(d, c.upper, mid)
-            if not (low < r and (high is None or r < high)):
+            if r is not None and not _inside(d, c, mid, r):
                 raise InternalInvariantViolated("path leaves its corridor")
         if curve_eval(d.curves[g], mid) is None:
             raise InternalInvariantViolated("path hop skips its own arc")
@@ -385,13 +373,7 @@ def _corridor_path(d: Drawing, t_mask: int, c: Corridor,
 # ---------------------------------------------------------------------------
 
 def _ray_samples(d: Drawing):
-    angles = sorted(vertex_angles(d))
-    out = []
-    for i in range(len(angles)):
-        a = angles[i]
-        b = angles[i + 1] if i + 1 < len(angles) else angles[0] + 1
-        out.append((a + b) / 2)
-    return out
+    return [(a + b) / 2 for a, b in _gaps(sorted(vertex_angles(d)))]
 
 
 def twiggly_depth(d: Drawing, twigglies: Iterable[Edge], theta) -> int:
@@ -591,10 +573,10 @@ def transform_special(d: Drawing, t1: Iterable[Edge],
     """Reduce both endpoints to stars, bridge the stars, and glue; at most
     2(2(n-2)+1) + (n-2) flips overall."""
     t1, t2 = _input_masks(d, [t1, t2])
-    if t1 == t2:
-        return _certified(d, [t1], "special")
     trees, c1 = _reduce_to_star(d, t1)
     seq_b, c2 = _reduce_to_star(d, t2)
+    if t1 == t2:  # after the reductions, which reject a non-special tree
+        return _certified(d, [t1], "special")
     if c1 != c2:
         trees += _star_to_star(d, c1, c2)
     trees += reversed(seq_b)

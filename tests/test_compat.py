@@ -18,7 +18,7 @@ import treespan.trees
 from treespan.compat import (
     CompatAnalysis,
     CompatGraph,
-    _levels_until,
+    _bfs,
     analyze,
     bfs_distance,
     build_compat_graph,
@@ -263,30 +263,31 @@ def test_sparse_hub_free_graphs_match_oracle(g):
 
 
 def test_restricted_convex_8_matches_levels_until():
-    """Ball growth against one ``_levels_until`` BFS per node, on the
-    restricted convex n = 8 graph: hub-free, 640 trees, diameter 5."""
+    """Ball growth against one ``_bfs`` per node, on the restricted convex
+    n = 8 graph: hub-free, 640 trees, diameter 5."""
     g = build_compat_graph(generate(GenSpec(cls="convex", n=8, seed=1)),
                            restricted=True)
     a = analyze(g)
     m = len(g.masks)
     assert m == 640 and a.connected and a.diameter == 5
     assert a.eccentricities == tuple(
-        _levels_until(g.adjacency, v, (1 << m) - 1) for v in range(m))
+        _bfs(g.adjacency, v, (1 << m) - 1)[0] for v in range(m))
 
 
 def test_hub_free_analyze_runs_no_bfs(monkeypatch):
+    """``analyze`` runs one BFS per component, none per node."""
     calls = []
 
     def counting(adjacency, src, goal):
         calls.append(src)
-        return _levels_until(adjacency, src, goal)
+        return _bfs(adjacency, src, goal)
 
-    monkeypatch.setattr(treespan.compat, "_levels_until", counting)
+    monkeypatch.setattr(treespan.compat, "_bfs", counting)
     g = build_compat_graph(generate(GenSpec(cls="convex", n=6, seed=1)),
                            restricted=True)
     a = analyze(g)
-    assert a.connected and a.diameter == 3 and calls == []
-    assert bfs_distance(g, g.nodes[0], g.nodes[-1]) <= 3 and len(calls) == 1
+    assert a.connected and a.diameter == 3 and len(calls) == a.components == 1
+    assert bfs_distance(g, g.nodes[0], g.nodes[-1]) <= 3 and len(calls) == 2
 
 
 def test_single_node_has_eccentricity_zero():

@@ -174,6 +174,20 @@ def test_cli_certify_tampered(sq_file, tmp_path, capsys):
     assert err["type"] in ("BadTreeError", "IncompatibleStepError")
 
 
+def test_cli_special_route_non_plane_tree_is_invalid_input(tmp_path, capsys):
+    """--method special rejects a crossing tree as invalid input, as the
+    other routes do, not as an inapplicable method."""
+    drawing = str(tmp_path / "d5.json")
+    assert main(["generate", "--class", "random_points", "--n", "5",
+                 "--seed", "1", "-o", drawing]) == 0
+    capsys.readouterr()
+    crossing = "0-4,2-3,0-1,1-2"  # 0-4 crosses 2-3 in this drawing
+    assert main(["transform", drawing, "--from", "0-1,0-2,0-3,0-4",
+                 "--to", crossing, "--method", "special"]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "invalid-input" and err["type"] == "BadTreeError"
+
+
 def test_cli_method_inapplicable(k3_file, capsys):
     code = main(["transform", k3_file, "--from", "0-1,1-2",
                  "--to", "0-2,1-2", "--method", "monotone"])
@@ -207,6 +221,23 @@ def test_cli_malformed_drawing_is_one_json_error(path, value, tmp_path, capsys):
     assert main(["validate", str(bad)]) == 1
     err = json.loads(capsys.readouterr().err)  # exactly one JSON object
     assert err["error"] == "invalid-input" and err["type"] == "FileFormatError"
+
+
+@pytest.mark.parametrize("sizes", [[0, 3], [1, 1], [-1, 4]],
+                         ids=["empty-part", "short-sum", "negative-part"])
+def test_cli_bad_bipartite_sizes_are_invalid_input(sizes, tmp_path, capsys):
+    """Part sizes that are not positive or do not sum to n are rejected,
+    even when the edge list matches the sizes as written."""
+    doc = drawing_to_dict(polar_k3())
+    doc["graph"] = {"bipartite": sizes}
+    a, b = sizes
+    doc["edges"] = [e for e in doc["edges"] if e["u"] < a <= e["v"] < a + b]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    for cmd in ("validate", "compat"):
+        assert main([cmd, str(bad)]) == 1
+        err = json.loads(capsys.readouterr().err)  # exactly one JSON object
+        assert err["error"] == "invalid-input" and err["type"] == "NotSimpleError"
 
 
 @pytest.mark.parametrize("path, value", [

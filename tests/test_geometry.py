@@ -8,7 +8,7 @@ predicates) and a float sampler for sign agreement.
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from treespan.errors import NonMonotoneCurveError
@@ -312,6 +312,108 @@ def test_curve_circle_chord_not_crossing():
     # chord of the circle: touches at both endpoints, no transversal pass
     curve = (P(1, 0), P(0, 1))
     assert curve_circle_crossing(curve, P(0, 0), F(1)) is False
+
+
+def test_circle_predicates_reject_zero_length_segment():
+    p = P(1, 1)
+    with pytest.raises(ValueError, match="zero-length segment"):
+        segment_circle_relation((p, p), P(0, 0), F(1))
+    with pytest.raises(ValueError, match="zero-length segment"):
+        curve_circle_crossing((P(2, 0), p, p), P(0, 0), F(1))
+
+
+# oracle: the two circle predicates as they were before they shared one
+# sample walk, a case analysis over the endpoint values and the clamped
+# nearest point, and a sign sequence pushed segment by segment
+
+def oracle_segment_circle_relation(s, center, r2):
+    a, b = s
+
+    def f(p):
+        return (p.x - center.x) ** 2 + (p.y - center.y) ** 2 - r2
+
+    fa, fb = f(a), f(b)
+    dx, dy = b.x - a.x, b.y - a.y
+    dd = dx * dx + dy * dy
+    tstar = ((center.x - a.x) * dx + (center.y - a.y) * dy) / dd
+    tcl = min(max(tstar, F(0)), F(1))
+    fmin = f(Point(a.x + tcl * dx, a.y + tcl * dy))
+
+    if fa > 0 and fb > 0:
+        if fmin < 0:
+            return "crosses"
+        if fmin == 0:
+            return "touches"
+        return "disjoint"
+    if (fa > 0 and fb < 0) or (fa < 0 and fb > 0):
+        return "crosses"
+    if fa < 0 and fb < 0:
+        return "disjoint"
+    if fa == 0 and fb == 0:
+        return "touches"
+    if fa == 0:
+        other = fb
+        t_inward = tstar > 0
+    else:
+        other = fa
+        t_inward = tstar < 1
+    if other < 0:
+        return "touches"
+    return "crosses" if t_inward else "touches"
+
+
+def oracle_curve_circle_crossing(curve, center, r2):
+    def f(p):
+        return (p.x - center.x) ** 2 + (p.y - center.y) ** 2 - r2
+
+    signs = []
+
+    def push(v):
+        s = 1 if v > 0 else (-1 if v < 0 else 0)
+        if s != 0 and (not signs or signs[-1] != s):
+            signs.append(s)
+
+    for a, b in zip(curve, curve[1:]):
+        push(f(a))
+        dx, dy = b.x - a.x, b.y - a.y
+        dd = dx * dx + dy * dy
+        tstar = ((center.x - a.x) * dx + (center.y - a.y) * dy) / dd
+        if 0 < tstar < 1:
+            push(f(Point(a.x + tstar * dx, a.y + tstar * dy)))
+        push(f(b))
+    return any(signs[i] != signs[i + 1] for i in range(len(signs) - 1))
+
+
+# a half-integer grid with squared radii in quarters, so that waypoints on
+# the circle, tangents and chords are common
+_HALF = st.builds(lambda k: F(k, 2), st.integers(-6, 6))
+_GRID_POINT = st.builds(Point, _HALF, _HALF)
+
+
+@st.composite
+def circle_polylines(draw):
+    pts = [draw(_GRID_POINT)]
+    for _ in range(draw(st.integers(1, 4))):
+        pts.append(draw(_GRID_POINT.filter(lambda p, last=pts[-1]: p != last)))
+    return tuple(pts)
+
+
+@settings(max_examples=500)
+@given(circle_polylines(), _GRID_POINT,
+       st.builds(lambda k: F(k, 4), st.integers(1, 40)))
+@example((P(1, 0), P(0, 1)), P(0, 0), F(1))                  # chord
+@example((P(1, -2), P(1, 2)), P(0, 0), F(1))                 # tangent
+@example((P(1, 0), P(0, 0)), P(0, 0), F(1))                  # end on, inward
+@example((P(1, 0), P(-3, 0)), P(0, 0), F(1))                 # ... and out
+@example((P(1, 0), P(3, 0)), P(0, 0), F(1))                  # end on, outward
+@example((P(2, 1), P(0, 1), P(0, 0)), P(0, 0), F(1))         # waypoint on
+@example((P(2, 1), P(0, 1), P(-2, 1)), P(0, 0), F(1))        # waypoint graze
+def test_circle_predicates_match_oracle(curve, center, r2):
+    assert (curve_circle_crossing(curve, center, r2)
+            == oracle_curve_circle_crossing(curve, center, r2))
+    for s in zip(curve, curve[1:]):
+        assert (segment_circle_relation(s, center, r2)
+                == oracle_segment_circle_relation(s, center, r2))
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,17 @@ def test_diameter_sweep_runs_from_a_checkout(tmp_path):
     assert out.stdout.splitlines()[1].split()[:3] == ["convex", "4", "0"]
 
 
+def test_render_examples_runs_from_a_checkout(tmp_path):
+    # renders a cylindrical drawing, so the circle predicates run end to end
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    out = subprocess.run([sys.executable, str(SCRIPTS / "render_examples.py"),
+                          "--out-dir", str(tmp_path / "figures")],
+                         cwd=tmp_path, env=env, capture_output=True, text=True,
+                         timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert len(list((tmp_path / "figures").glob("*.svg"))) == 10
+
+
 def test_perfbench_selftest_passes():
     # the benchmark reads the result types (g.nodes, g.index, seq.trees,
     # seq.certified), so a change to them that breaks it fails here

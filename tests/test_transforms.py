@@ -323,6 +323,19 @@ def test_transform_special_rejects_generic():
         transform_special(d6, spider, [(0, k) for k in range(1, 6)])
 
 
+def test_transform_special_identical_trees():
+    """Identical endpoints give a one-tree sequence only when the tree is
+    special; a generic tree is rejected even when paired with itself."""
+    from conftest import P, straight_line_drawing
+
+    d6 = straight_line_drawing([P(i, i * i) for i in range(6)])
+    spider = [(0, 1), (0, 2), (2, 3), (0, 4), (4, 5)]
+    with pytest.raises(NotSpecialTreeError):
+        transform_special(d6, spider, spider)
+    star = [(0, k) for k in range(1, 6)]
+    assert len(transform_special(d6, star, star)) == 1
+
+
 # ---------------------------------------------------------------------------
 # input errors
 # ---------------------------------------------------------------------------

@@ -34,7 +34,6 @@ from treespan.geometry import (
     Point,
     PolarPoint,
     Proper,
-    _in_box,
     curve_self_contacts,
     orient,
     polar_crossings,
@@ -54,6 +53,11 @@ def oracle_normalize_polar(curve):
     if shift == 0:
         return tuple(curve)
     return tuple(PolarPoint(w.theta - shift, w.r) for w in curve)
+
+
+def _in_box(a, b, p):
+    return (min(a.x, b.x) <= p.x <= max(a.x, b.x)
+            and min(a.y, b.y) <= p.y <= max(a.y, b.y))
 
 
 def oracle_piece_r(p0, p1, theta):
