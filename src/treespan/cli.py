@@ -18,12 +18,8 @@ from .compat import analyze, build_compat_graph
 from .drawing import validate_simple
 from .errors import (
     InternalInvariantViolated,
-    NotCylindricalError,
-    NotDoubleStarError,
-    NotMonotoneError,
+    MethodInapplicable,
     NotSpecialTreeError,
-    NotStronglyCMonotoneError,
-    NotTwinStarError,
     TreespanError,
 )
 from .generators import GenSpec, generate
@@ -34,15 +30,6 @@ from .transforms import (
     transform_cylindrical,
     transform_special,
 )
-
-_INAPPLICABLE = (NotCylindricalError, NotMonotoneError,
-                 NotStronglyCMonotoneError, NotSpecialTreeError,
-                 NotDoubleStarError, NotTwinStarError)
-
-
-class MethodInapplicable(TreespanError):
-    pass
-
 
 class UsageError(TreespanError):
     pass
@@ -232,7 +219,7 @@ def main(argv=None) -> int:
     except InternalInvariantViolated as ex:
         _emit_error("internal-invariant-violated", ex)
         return 3
-    except (MethodInapplicable,) + _INAPPLICABLE as ex:
+    except MethodInapplicable as ex:
         _emit_error("method-inapplicable", ex)
         return 2
     except (TreespanError, OSError, json.JSONDecodeError, ValueError) as ex:

@@ -469,12 +469,13 @@ def _sorted_by_angle(d: Drawing, vs: List[int]) -> List[int]:
 
 def classify_cylindrical(d: Drawing, r_in2: Rat, r_out2: Rat) -> Optional[CylRoles]:
     """Roles and cycle structure for vertices on two origin-centred circles,
-    or None if some vertex is off-circle or some edge crosses a circle."""
+    or None if some vertex is off-circle or some edge crosses a circle.
+    The class is defined for drawings of K_n: other graphs give None."""
     if r_in2 >= r_out2:
         raise InvalidRadiiError("inner squared radius must be smaller")
     if r_in2 <= 0:
         raise InvalidRadiiError("radii must be positive")
-    if d.backend != "cartesian":
+    if d.backend != "cartesian" or d.graph[0] != "complete":
         return None
     cross = d.crossings  # also ensures the drawing is validated
     origin = Point(Fraction(0), Fraction(0))
@@ -573,7 +574,8 @@ def classify_c_monotone(d: Drawing):
     A validated polar drawing is c-monotone by construction once all
     vertices lie on one circle; strongly requires that no edge pair's spans
     jointly cover the circle.  Spine edges are the consecutive-vertex edges
-    whose open span contains no vertex ray.
+    whose open span contains no vertex ray.  Strongly c-monotone drawings
+    and spines are defined for K_n: other graphs give (c_mono, False, None).
     """
     if d.backend != "polar":
         return False, False, None
@@ -581,22 +583,30 @@ def classify_c_monotone(d: Drawing):
     radii = {p[1] for p in d.vertex_points}
     if len(radii) != 1:
         return False, False, None
+    if d.graph[0] != "complete":
+        return True, False, None
 
+    # spans and vertex angles scaled by the lcm of the span denominators;
+    # every vertex angle is a span end, so its denominator divides turn
     spans = {e: edge_span(d, e) for e in d.edges}
-    # the cover test on spans scaled by the lcm of their denominators
     turn = math.lcm(*{t.denominator for span in spans.values() for t in span})
-    ints = [(t0.numerator * (turn // t0.denominator),
-              tn.numerator * (turn // tn.denominator)) for t0, tn in spans.values()]
+
+    def scaled(t: Rat) -> int:
+        return t.numerator * (turn // t.denominator)
+
+    ints = {e: (scaled(t0), scaled(tn)) for e, (t0, tn) in spans.items()}
+    cover = list(ints.values())
     strongly = not any(_spans_cover_circle(s, t, turn)
-                       for i, s in enumerate(ints) for t in ints[i + 1:])
+                       for i, s in enumerate(cover) for t in cover[i + 1:])
 
     angles = vertex_angles(d)
+    rays = [scaled(a) for a in angles]
     order = tuple(sorted(range(d.n), key=lambda v: angles[v]))
     cycle = [edge(order[i], order[(i + 1) % d.n]) for i in range(d.n)]
     spine = []
     for e in cycle:
-        span = spans[e]
-        if not any(span_contains(span, angles[v]) for v in range(d.n)):
+        t0, tn = ints[e]
+        if not any(0 < (a - t0) % turn < tn - t0 for a in rays):
             spine.append(e)
     structure = SpineStructure(
         kind="cmonotone", order=order,

@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
-Grouped by how the CLI maps them to exit codes: bad input (1),
-method inapplicable (2), internal invariant violation (3).
+Grouped by how the CLI maps them to exit codes: bad input (1), method
+inapplicable (2, ``MethodInapplicable`` and its subclasses), internal
+invariant violation (3).
 """
 
 
@@ -73,39 +74,43 @@ class RejectionBudgetExceededError(TreespanError):
 
 # -- method inapplicable -----------------------------------------------------
 
-class NotCylindricalError(TreespanError):
+class MethodInapplicable(TreespanError):
+    """No method covers the input; the CLI exits 2 on this and its subclasses."""
+
+
+class NotCylindricalError(MethodInapplicable):
     pass
 
 
-class NotMonotoneError(TreespanError):
+class NotMonotoneError(MethodInapplicable):
     pass
 
 
-class NotStronglyCMonotoneError(TreespanError):
+class NotStronglyCMonotoneError(MethodInapplicable):
     pass
 
 
-class FullCircleCorridorError(TreespanError):
+class FullCircleCorridorError(MethodInapplicable):
     pass
 
 
-class NotDoubleStarError(TreespanError):
+class NotDoubleStarError(MethodInapplicable):
     pass
 
 
-class NotTwinStarError(TreespanError):
+class NotTwinStarError(MethodInapplicable):
     pass
 
 
-class NotSpecialTreeError(TreespanError):
+class NotSpecialTreeError(MethodInapplicable):
     pass
 
 
-class RelationCyclicError(TreespanError):
+class RelationCyclicError(MethodInapplicable):
     pass
 
 
-class NoSideEdgeError(TreespanError):
+class NoSideEdgeError(MethodInapplicable):
     pass
 
 

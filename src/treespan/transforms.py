@@ -34,7 +34,6 @@ from .drawing import (
     vertices_above,
 )
 from .errors import (
-    BadTreeError,
     FullCircleCorridorError,
     IncompatibleStepError,
     InternalInvariantViolated,
@@ -51,7 +50,8 @@ from .geometry import curve_eval, lift_angle
 from .trees import (
     Tree,
     _UnionFind,
-    check_mask,
+    _input_masks,
+    _plane_spanning,
     conflict_mask,
     double_star_paths,
     mask_tree,
@@ -100,20 +100,6 @@ def _certified(d: Drawing, masks: List[int], method: str) -> TransformSequence:
         if masks[i] & conflict_mask(d, masks[i + 1]):
             raise IncompatibleStepError(i)
     return TransformSequence(edges=d.edges, masks=tuple(masks), method=method)
-
-
-def _plane_spanning(d: Drawing, mask: int, index: int) -> int:
-    cert = check_mask(d, mask)
-    if not cert.is_plane_spanning_tree:
-        raise BadTreeError(index, cert)
-    return mask
-
-
-def _input_masks(d: Drawing, trees: Sequence[Iterable[Edge]]) -> List[int]:
-    """Masks of a call's input trees, each checked in turn; BadTreeError
-    gives the position of the tree in the call."""
-    return [_plane_spanning(d, tree_mask(d, t), i)
-            for i, t in enumerate(trees)]
 
 
 def _dedupe(trees: list) -> list:
@@ -515,12 +501,11 @@ def double_star_to_star(d: Drawing, t: Iterable[Edge],
 
 
 def _double_star_to_star(d: Drawing, t: int, target: int) -> List[int]:
-    tree = mask_tree(d, t)
-    centers = star_centers(tree)
+    centers = star_centers(d.edges, t)
     if centers:
         c = target if target in centers else centers[0]
         return [t] if c == target else _star_to_star(d, c, target)
-    reps = double_star_paths(tree)
+    reps = double_star_paths(d.edges, t)
     if not reps:
         raise NotDoubleStarError("tree admits no double-star path")
     with_target = [p for p in reps if p[1] == target]
@@ -541,7 +526,7 @@ def twin_star_to_star(d: Drawing, t: Iterable[Edge],
 
 
 def _twin_star_to_star(d: Drawing, t: int, target: int) -> List[int]:
-    reps = twin_star_paths(mask_tree(d, t))
+    reps = twin_star_paths(d.edges, t)
     if not reps:
         raise NotTwinStarError("tree admits no twin-star path")
     g, s, r = reps[0]
@@ -553,15 +538,14 @@ def _twin_star_to_star(d: Drawing, t: int, target: int) -> List[int]:
 
 
 def _reduce_to_star(d: Drawing, t: int) -> Tuple[List[int], int]:
-    tree = mask_tree(d, t)
-    centers = star_centers(tree)
+    centers = star_centers(d.edges, t)
     if centers:
         return [t], centers[0]
-    reps = double_star_paths(tree)
+    reps = double_star_paths(d.edges, t)
     if reps:
         g, r = reps[0]
         return _collapse_double(d, t, g, r), r
-    twins = twin_star_paths(tree)
+    twins = twin_star_paths(d.edges, t)
     if twins:
         g, s, r = twins[0]
         return _twin_star_to_star(d, t, r), r

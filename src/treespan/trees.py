@@ -14,7 +14,12 @@ per drawing by mask; a certificate classifies its tree's k-star kind only
 when ``kind`` is first read.  The star-family transformations additionally
 use the representation helpers below, because the star, double-star and
 twin-star classes overlap (one tree can admit several fixed-path
-representations).
+representations).  Those helpers and ``classify_kind`` read one incidence
+table of the tree, vertex -> mask of its edges at that vertex: c is a star
+centre iff its entry is the whole mask, every edge touches g or r iff
+their entries OR to the mask, gr is a tree edge iff their entries meet,
+and a vertex's degree is its entry's bit count.  Flips find the cycle
+edge to drop with a union-find.
 """
 
 from __future__ import annotations
@@ -22,10 +27,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .drawing import Drawing, Edge, bits, edge
-from .errors import IncompatibleError, TooLargeError, UnknownEdgeError
+from .errors import BadTreeError, IncompatibleError, TooLargeError, UnknownEdgeError
 
 Tree = Tuple[Edge, ...]
 
@@ -92,7 +97,7 @@ class TreeCert:
         if not self.is_plane_spanning_tree:
             return None
         n = self.mask.bit_count() + 1  # a spanning tree has n - 1 edges
-        return classify_kind(n, mask_tree(self, self.mask))
+        return classify_kind(n, self.edges, self.mask)
 
 
 # ---------------------------------------------------------------------------
@@ -117,112 +122,96 @@ class _UnionFind:
         return True
 
 
-def _adjacency(tree: Iterable[Edge]) -> Dict[int, List[int]]:
-    adj: Dict[int, List[int]] = {}
-    for u, v in tree:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    return adj
+def _incidence(edges: Sequence[Edge],
+               mask: Optional[int]) -> Tuple[Dict[int, int], int]:
+    """The tree's incidence table and its mask.  ``inc[v]`` is the mask of
+    the tree's edges at v, vertices in order of first appearance in bit
+    order.  Without a mask the tree is every edge of ``edges``."""
+    if mask is None:
+        mask = (1 << len(edges)) - 1
+    inc: Dict[int, int] = {}
+    for i in bits(mask):
+        u, v = edges[i]
+        inc[u] = inc.get(u, 0) | 1 << i
+        inc[v] = inc.get(v, 0) | 1 << i
+    return inc, mask
 
 
 # ---------------------------------------------------------------------------
 # k-star representations
 # ---------------------------------------------------------------------------
+# Each takes a tree as ``(edges, mask)`` with the bits read over ``edges``
+# (the drawing's edges for a tree mask); a bare edge tuple is the tree.
 
-def star_centers(tree: Tree) -> List[int]:
-    verts = {v for e in tree for v in e}
-    return sorted(c for c in verts if all(c in e for e in tree))
+def star_centers(edges: Sequence[Edge], mask: Optional[int] = None) -> List[int]:
+    inc, mask = _incidence(edges, mask)
+    return sorted(c for c, at in inc.items() if at == mask)
 
 
-def double_star_paths(tree: Tree) -> List[Tuple[int, int]]:
+def double_star_paths(edges: Sequence[Edge],
+                      mask: Optional[int] = None) -> List[Tuple[int, int]]:
     """All (g, r) with edge gr in the tree and every edge touching g or r."""
+    inc, mask = _incidence(edges, mask)
     out = []
-    for g, r in tree:
-        if all(g in e or r in e for e in tree):
+    for i in bits(mask):
+        g, r = edges[i]
+        if inc[g] | inc[r] == mask:
             out.extend([(g, r), (r, g)])
     return sorted(out)
 
 
-def twin_star_paths(tree: Tree) -> List[Tuple[int, int, int]]:
+def twin_star_paths(edges: Sequence[Edge],
+                    mask: Optional[int] = None) -> List[Tuple[int, int, int]]:
     """All (g, s, r) with edges gs, sr in the tree, gr absent, and every
     edge touching g or r."""
-    edges = set(tree)
-    adj = _adjacency(tree)
+    inc, mask = _incidence(edges, mask)
     out = []
-    for s, nbrs in adj.items():
-        for g, r in itertools.permutations(nbrs, 2):
-            if g >= r:
-                continue
-            if edge(g, r) in edges:
-                continue
-            if all(g in e or r in e for e in tree):
+    for s, at in inc.items():
+        nbrs = sorted(sum(edges[i]) - s for i in bits(at))  # other ends
+        for g, r in itertools.combinations(nbrs, 2):
+            if not inc[g] & inc[r] and inc[g] | inc[r] == mask:
                 out.extend([(g, s, r), (r, s, g)])
     return sorted(out)
 
 
-def _is_path_on_four(tree: Tree) -> bool:
-    if len(tree) != 3:
-        return False
-    degs = {}
-    for u, v in tree:
-        degs[u] = degs.get(u, 0) + 1
-        degs[v] = degs.get(v, 0) + 1
-    return sorted(degs.values()) == [1, 1, 2, 2]
-
-
-def _strip_leaf_path(tree: Tree) -> Optional[Tuple[int, ...]]:
-    """If the tree is a path plus leaves hanging off the path's two ends,
-    return that path (the non-leaf core); otherwise None."""
-    adj = _adjacency(tree)
-    deg = {v: len(ns) for v, ns in adj.items()}
-    core = [v for v, k in deg.items() if k >= 2]
-    if not core:  # single edge
+def _k_star_path(edges: Sequence[Edge], inc: Dict[int, int],
+                 mask: int) -> Optional[Tuple[int, ...]]:
+    """The path of a tree that is a path plus leaves hanging off the path's
+    two ends (the non-leaf core), walked from its first end; else None."""
+    leaf_edges = 0
+    for at in inc.values():
+        if at.bit_count() == 1:
+            leaf_edges |= at
+    inner = mask & ~leaf_edges  # the edges between core vertices
+    core = [v for v, at in inc.items() if at.bit_count() > 1]
+    ends = [v for v in core if (inc[v] & inner).bit_count() <= 1]
+    if len(ends) != 2 or any(inc[v].bit_count() != 2
+                             for v in core if v not in ends):
         return None
-    core_set = set(core)
-    ends = [v for v in core if sum(1 for w in adj[v] if w in core_set) <= 1]
-    if len(core) == 1:
-        path = [core[0]]
-    else:
-        if len(ends) != 2:
-            return None
-        path = [ends[0]]
-        prev = None
-        while path[-1] != ends[1]:
-            nxt = [w for w in adj[path[-1]] if w in core_set and w != prev]
-            if len(nxt) != 1:
-                return None
-            prev = path[-1]
-            path.append(nxt[0])
-        if set(path) != core_set:
-            return None
-    p0, pk = path[0], path[-1]
-    for v, k in deg.items():
-        if v in core_set:
-            continue
-        if not (edge(v, p0) in set(tree) or edge(v, pk) in set(tree)):
-            return None
-    for v in path[1:-1]:
-        if deg[v] != 2:
-            return None
+    path, came = [ends[0]], 0
+    while len(path) < len(core):
+        came = inc[path[-1]] & inner & ~came
+        path.append(sum(edges[came.bit_length() - 1]) - path[-1])
     return tuple(path)
 
 
-def classify_kind(n: int, tree: Tree) -> tuple:
+def classify_kind(n: int, edges: Sequence[Edge], mask: Optional[int] = None) -> tuple:
     """Most specific k-star kind; a 4-vertex path is reported as a twin star
     (its canonical fixed path), larger overlaps resolve to the smaller k."""
-    centers = star_centers(tree)
+    centers = star_centers(edges, mask)
     if centers:
         return ("star", centers[0])
-    if n == 4 and _is_path_on_four(tree):
-        return ("twin_star",) + twin_star_paths(tree)[0]
-    doubles = double_star_paths(tree)
+    inc, mask = _incidence(edges, mask)
+    if n == 4 and sorted(at.bit_count() for at in inc.values()) == [1, 1, 2, 2]:
+        return ("twin_star",) + twin_star_paths(edges, mask)[0]
+    doubles = double_star_paths(edges, mask)
     if doubles:
         g, r = doubles[0]
         return ("double_star", min(g, r), max(g, r))
-    twins = twin_star_paths(tree)
+    twins = twin_star_paths(edges, mask)
     if twins:
         return ("twin_star",) + twins[0]
-    path = _strip_leaf_path(tree)
+    path = _k_star_path(edges, inc, mask)
     if path is not None:
         return ("k_star", len(path) - 1, path)
     return ("generic",)
@@ -252,6 +241,20 @@ def check_mask(d: Drawing, mask: int) -> TreeCert:
                     plane=plane, mask=mask, edges=d.edges)
     d._cert_cache[mask] = cert
     return cert
+
+
+def _plane_spanning(d: Drawing, mask: int, index: int) -> int:
+    cert = check_mask(d, mask)
+    if not cert.is_plane_spanning_tree:
+        raise BadTreeError(index, cert)
+    return mask
+
+
+def _input_masks(d: Drawing, trees: Sequence[Iterable[Edge]]) -> List[int]:
+    """Masks of a call's input trees, each checked in turn; BadTreeError
+    gives the position of the tree in the call."""
+    return [_plane_spanning(d, tree_mask(d, t), i)
+            for i, t in enumerate(trees)]
 
 
 def is_compatible(d: Drawing, t1: Iterable[Edge], t2: Iterable[Edge]) -> bool:
@@ -291,7 +294,7 @@ def _plane_masks(d: Drawing, kind: str = "all",
         return _star_family(d)
     if kind != "all":
         return [p for p in _star_family(d)
-                if classify_kind(d.n, mask_tree(d, p[0]))[0] == kind]
+                if classify_kind(d.n, d.edges, p[0])[0] == kind]
 
     edges, rows = d.edges, d.cross_mask
     m = len(edges)
@@ -348,50 +351,27 @@ def _star_family(d: Drawing) -> List[Tuple[int, int]]:
 # flips
 # ---------------------------------------------------------------------------
 
-def _cycle_with(tree: List[Edge], e: Edge) -> List[Edge]:
-    """The unique cycle of tree + e, as a list of tree edges on it."""
-    adj: Dict[int, List[Tuple[int, Edge]]] = {}
-    for f in tree:
-        adj.setdefault(f[0], []).append((f[1], f))
-        adj.setdefault(f[1], []).append((f[0], f))
-    target = e[1]
-    path: List[Edge] = []
-    seen = set()
-
-    def dfs(v: int) -> bool:
-        if v == target:
-            return True
-        seen.add(v)
-        for w, f in adj.get(v, []):
-            if w in seen:
-                continue
-            path.append(f)
-            if dfs(w):
-                return True
-            path.pop()
-        return False
-
-    dfs(e[0])
-    return path
-
-
 def compatible_step_to_flips(d: Drawing, t1: Iterable[Edge],
                              t2: Iterable[Edge]) -> List[Tuple[Edge, Edge]]:
     """Expand one compatible tree pair into single edge flips: add each edge
     of t2 - t1 in canonical order, removing from the created cycle the
     highest-id edge of t1 - t2 on it.  Every intermediate stays a plane
     spanning tree."""
-    t1, t2 = canon_tree(t1), canon_tree(t2)
-    if not is_compatible(d, t1, t2):
+    t1, t2 = _input_masks(d, [t1, t2])
+    if t1 & conflict_mask(d, t2):
         raise IncompatibleError("trees are not compatible")
-    current = list(t1)
-    t2set = set(t2)
+    edges, current = d.edges, t1
     flips: List[Tuple[Edge, Edge]] = []
-    for e in sorted(t2set - set(t1)):
-        cycle = _cycle_with(current, e)
-        removable = [f for f in cycle if f not in t2set]
-        out = max(removable)
-        current.remove(out)
-        current.append(e)
-        flips.append((out, e))
+    for i in bits(t2 & ~t1):
+        u, v = edges[i]
+        # Joining the current tree's edges, t2's first and then the rest by
+        # ascending id, links u and v at the highest-id edge of t1 - t2 on
+        # the cycle that edge i closes (t2 is a tree: not all are in t2).
+        uf = _UnionFind(d.n)
+        for j in itertools.chain(bits(current & t2), bits(current & ~t2)):
+            uf.union(*edges[j])
+            if uf.find(u) == uf.find(v):
+                break
+        current ^= 1 << j | 1 << i
+        flips.append((edges[j], edges[i]))
     return flips

@@ -11,7 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import treespan.transforms
 from treespan.cli import main
+from treespan.drawing import Drawing
+from treespan.errors import (
+    FullCircleCorridorError,
+    NoSideEdgeError,
+    RelationCyclicError,
+)
 from treespan.fileio import (
     FileFormatError,
     compat_to_dot,
@@ -193,6 +200,62 @@ def test_cli_method_inapplicable(k3_file, capsys):
                  "--to", "0-2,1-2", "--method", "monotone"])
     assert code == 2
     assert json.loads(capsys.readouterr().err)["error"] == "method-inapplicable"
+
+
+@pytest.mark.parametrize("error", [RelationCyclicError, NoSideEdgeError,
+                                   FullCircleCorridorError])
+def test_cli_every_inapplicable_error_exits_2(error, tmp_path, capsys,
+                                              monkeypatch):
+    """Each error the errors module groups as method inapplicable exits 2,
+    here raised from the star schedule's relation order."""
+    drawing = str(tmp_path / "d5.json")
+    assert main(["generate", "--class", "random_points", "--n", "5",
+                 "--seed", "1", "-o", drawing]) == 0
+    capsys.readouterr()
+
+    def inapplicable(d, g, r):
+        raise error("no order")
+
+    monkeypatch.setattr(treespan.transforms, "_gr_order", inapplicable)
+    assert main(["transform", drawing, "--from", "0-1,0-2,0-3,0-4",
+                 "--to", "0-1,1-2,1-3,1-4", "--method", "special"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "method-inapplicable"
+    assert err["type"] == error.__name__
+
+
+def _bipartite_polar_k12():
+    """K_{1,2}: polar K_3 without the edge (1, 2); all vertices share one
+    circle, so vertex 1 and 2 are consecutive without an edge between."""
+    d = polar_k3()
+    return Drawing(n=3, backend="polar", vertex_points=d.vertex_points,
+                   curves={e: c for e, c in d.curves.items() if e != (1, 2)},
+                   graph=("bipartite", 1, 2))
+
+
+def _bipartite_cylindrical_k22():
+    """The side edges of a cylindrical K_4, a K_{2,2} whose parts sit on
+    the two circles; its circle-cycle edges are missing."""
+    d = generate(GenSpec(cls="cylindrical", n=4, a=2, b=2, seed=3))
+    sides = {e: c for e, c in d.curves.items() if e[0] < 2 <= e[1]}
+    return Drawing(n=4, backend="cartesian", vertex_points=d.vertex_points,
+                   curves=sides, graph=("bipartite", 2, 2), circles=d.circles)
+
+
+@pytest.mark.parametrize("make, c_mono", [(_bipartite_polar_k12, True),
+                                          (_bipartite_cylindrical_k22, False)],
+                         ids=["polar-k12", "cylindrical-k22"])
+def test_cli_validate_bipartite_on_circles(make, c_mono, tmp_path, capsys):
+    """The cylindrical and c-monotone structures are defined for K_n: a
+    bipartite drawing on circles is neither cylindrical nor strongly
+    c-monotone, and validating it prints one report."""
+    path = str(tmp_path / "bip.json")
+    save_drawing(make(), path)
+    assert main(["validate", path]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["is_simple"] and out["is_cylindrical"] is None
+    assert out["is_c_monotone"] is c_mono
+    assert out["is_strongly_c_monotone"] is False
 
 
 def test_cli_invalid_file(tmp_path, capsys):

@@ -10,7 +10,12 @@ import itertools
 import pytest
 
 import treespan.trees
-from treespan.errors import IncompatibleError, TooLargeError, UnknownEdgeError
+from treespan.errors import (
+    BadTreeError,
+    IncompatibleError,
+    TooLargeError,
+    UnknownEdgeError,
+)
 from treespan.trees import (
     canon_tree,
     check_tree,
@@ -155,9 +160,10 @@ def test_every_enumerated_tree_certifies(sq):
 def test_kind_is_classified_only_when_read(monkeypatch):
     calls = []
 
-    def counting(n, tree):
-        calls.append(tree)
-        return classify_kind(n, tree)
+    def counting(n, edges, mask=None):
+        calls.append(tuple(e for i, e in enumerate(edges)
+                           if mask is None or mask >> i & 1))
+        return classify_kind(n, edges, mask)
 
     monkeypatch.setattr(treespan.trees, "classify_kind", counting)
     d5 = straight_line_drawing([P(i, i * i) for i in range(5)])
@@ -194,6 +200,23 @@ def test_flips_incompatible(sq):
     with pytest.raises(IncompatibleError):
         compatible_step_to_flips(sq, [(0, 1), (0, 2), (0, 3)],
                                  [(1, 3), (0, 1), (1, 2)])
+
+
+@pytest.mark.parametrize("bad", [
+    [(0, 1), (1, 2), (2, 3), (0, 3)],  # the 4-cycle, not a tree
+    [(0, 1), (1, 2)],                  # misses vertex 3
+    [(0, 1), (0, 2), (0, 3), (1, 2)],  # four edges with a triangle
+], ids=["cycle", "not-spanning", "triangle"])
+def test_flips_reject_non_trees(sq, bad):
+    """Both inputs are checked as plane spanning trees before the
+    compatibility test; a bad one is named by its position."""
+    star = [(0, 1), (0, 2), (0, 3)]
+    with pytest.raises(BadTreeError) as info:
+        compatible_step_to_flips(sq, bad, star)
+    assert info.value.index == 0
+    with pytest.raises(BadTreeError) as info:
+        compatible_step_to_flips(sq, star, bad)
+    assert info.value.index == 1
 
 
 def test_flip_intermediates_stay_plane_spanning(sq):

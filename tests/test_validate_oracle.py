@@ -18,14 +18,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import treespan.drawing
 from treespan import geometry
 from treespan.drawing import (
     Drawing,
     _spans_cover_circle,
     classify_c_monotone,
     complete_edges,
+    edge,
     edge_span,
+    span_contains,
     validate_simple,
+    vertex_angles,
 )
 from treespan.errors import NotSimpleError
 from treespan.generators import _BUILDERS, GenSpec, _Reject, generate
@@ -41,7 +45,7 @@ from treespan.geometry import (
 )
 from treespan.rng import SplitMix64
 
-from conftest import polar_k4, polar_k5
+from conftest import polar_k3, polar_k4, polar_k5
 
 # ---------------------------------------------------------------------------
 # the Fraction oracle
@@ -461,6 +465,44 @@ def test_strongly_verdict_matches_fraction_spans():
                                     for t in spans[i + 1:]))
         verdicts.append(strongly)
     assert True in verdicts and False in verdicts
+
+
+def oracle_spine_edges(d):
+    """The spine edges as found on the Fraction angles: cycle edges whose
+    open span contains no vertex angle."""
+    angles = vertex_angles(d)
+    order = sorted(range(d.n), key=lambda v: angles[v])
+    cycle = [edge(order[i], order[(i + 1) % d.n]) for i in range(d.n)]
+    return tuple(sorted(e for e in cycle if not any(
+        span_contains(edge_span(d, e), a) for a in angles)))
+
+
+def test_spine_edges_match_fraction_spans(monkeypatch):
+    """classify_c_monotone finds spine edges on integer-scaled spans and
+    angles, running no Fraction span test; generated drawings of both kinds
+    (every cycle edge a spine edge, or one cut), raw candidates and the
+    polar fixtures agree with the Fraction test."""
+    fraction_tests = []
+
+    def counting(span, theta):
+        fraction_tests.append(theta)
+        return span_contains(span, theta)
+
+    monkeypatch.setattr(treespan.drawing, "span_contains", counting)
+    kinds = set()
+    drawings = [generate(GenSpec(cls="strongly_cmonotone", n=n, seed=seed))
+                for n in range(3, 9) for seed in range(10)]
+    for n in range(3, 9):
+        drawings += _raw_candidates("strongly_cmonotone", n, None)
+    drawings += [PK3, SEAM_CROSS, LONG_WAY, polar_k3(), polar_k4(), polar_k5()]
+    for d in drawings:
+        try:
+            _, _, spine = classify_c_monotone(d)
+        except NotSimpleError:
+            continue
+        assert spine.spine_edges == oracle_spine_edges(d)
+        kinds.add(spine.all_cycle_edges_spine)
+    assert kinds == {True, False} and fraction_tests == []
 
 
 def test_validation_prunes_segment_pairs(monkeypatch):
