@@ -15,7 +15,7 @@ import sys
 
 from . import fileio, render
 from .compat import analyze, build_compat_graph
-from .drawing import validate_simple
+from .drawing import classify_c_monotone, classify_monotone, validate_simple
 from .errors import (
     InternalInvariantViolated,
     MethodInapplicable,
@@ -68,9 +68,9 @@ def _run_transform(d, method: str, t1, t2):
     if method in ("auto", "cylindrical") and report.is_cylindrical is not None:
         return transform_cylindrical(d, report.is_cylindrical, t1, t2)
     if method in ("auto", "monotone") and report.is_monotone:
-        return _spine_route(d, "monotone", t1, t2)
+        return _spine_route(d, classify_monotone(d), [t1, t2])
     if method in ("auto", "cmonotone") and report.is_strongly_c_monotone:
-        return _spine_route(d, "cmonotone", t1, t2)
+        return _spine_route(d, classify_c_monotone(d)[2], [t1, t2])
     if method in ("auto", "special"):
         try:
             return transform_special(d, t1, t2)

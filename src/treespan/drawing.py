@@ -166,7 +166,6 @@ class CylRoles:
     inner_vertices: Tuple[int, ...]
     outer_vertices: Tuple[int, ...]
     roles: Dict[Edge, str]                      # inner | outer | side
-    cycle_edges: Tuple[Edge, ...]
     crossed_cycle_edges: Tuple[Edge, ...]
     inner_path: Tuple[Edge, ...]                # uncrossed Hamiltonian paths
     outer_path: Tuple[Edge, ...]
@@ -532,7 +531,7 @@ def classify_cylindrical(d: Drawing, r_in2: Rat, r_out2: Rat) -> Optional[CylRol
     return CylRoles(
         r_in2=r_in2, r_out2=r_out2,
         inner_vertices=tuple(sorted(inner)), outer_vertices=tuple(sorted(outer)),
-        roles=roles, cycle_edges=tuple(cycle), crossed_cycle_edges=crossed,
+        roles=roles, crossed_cycle_edges=crossed,
         inner_path=ham_path(inner), outer_path=ham_path(outer),
     )
 

@@ -14,6 +14,7 @@ rational t; vertices are therefore bit-exactly on their circles.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
@@ -184,12 +185,7 @@ def _gen_cylindrical(n: int, a: int, b: int, rng: SplitMix64) -> Drawing:
                    if e[0] not in inner_ids and e[1] not in inner_ids]
     outer_edges.sort(key=lambda e: (abs(t_of[e[1]] - t_of[e[0]]), e))
     for rank, e in enumerate(outer_edges):
-        tu, tw = t_of[e[0]], t_of[e[1]]
-        if tu > tw:
-            tu, tw = tw, tu
-            u, w = e[1], e[0]
-        else:
-            u, w = e
+        (u, w), tu, tw = e, t_of[e[0]], t_of[e[1]]  # outer ts ascend with id
         radius = Fraction(4) + Fraction(7, 10) * rank + _jitter(rng, 1000, 40)
         way = [pts[u]]
         for t in _t_walk(tu + sigma, tw - sigma, Fraction(1, 2)):
@@ -234,14 +230,11 @@ def _gen_cylindrical(n: int, a: int, b: int, rng: SplitMix64) -> Drawing:
 def _subdivide_at_columns(curve, columns) -> tuple:
     """Insert a waypoint wherever the curve's interior crosses one of the
     given x-columns (sorted ascending), so that later per-strip shears stay
-    segment-exact."""
+    segment-exact.  The curve's waypoints run strictly left to right."""
     out = [curve[0]]
     for a, b in zip(curve, curve[1:]):
-        lo, hi = (a.x, b.x) if a.x < b.x else (b.x, a.x)
-        cuts = columns[bisect.bisect_right(columns, lo):bisect.bisect_left(columns, hi)]
-        if a.x > b.x:
-            cuts.reverse()
-        for x in cuts:
+        lo, hi = bisect.bisect_right(columns, a.x), bisect.bisect_left(columns, b.x)
+        for x in columns[lo:hi]:
             y = a.y + (b.y - a.y) * (x - a.x) / (b.x - a.x)
             out.append(Point(x, y))
         out.append(b)
@@ -306,51 +299,37 @@ def _gen_strongly_cmonotone(n: int, rng: SplitMix64) -> Drawing:
 # dispatch
 # ---------------------------------------------------------------------------
 
-def _class_check(spec: GenSpec, d: Drawing) -> None:
-    rows = d.cross_mask  # NotSimpleError; then only the class's own classifier
-    if spec.cls == "convex":
-        n = spec.n
-        want = n * (n - 1) * (n - 2) * (n - 3) // 24
-        if sum(row.bit_count() for row in rows) != 2 * want:
-            raise _Reject("not in convex position")
-    elif spec.cls == "monotone_perturbed":
-        if classify_monotone(d) is None:
-            raise _Reject("not monotone")
-    elif spec.cls == "two_page":
-        if not classify_two_page(d):
-            raise _Reject("not a 2-page book drawing")
-    elif spec.cls == "cylindrical":
-        if classify_cylindrical(d, *d.circles) is None:
-            raise _Reject("not cylindrical")
-    elif spec.cls == "strongly_cmonotone":
-        c, strong, _ = classify_c_monotone(d)
-        if not (c and strong):
-            raise _Reject("not strongly c-monotone")
-
-
-_BUILDERS = {
-    "convex": lambda spec, rng: _gen_convex(spec.n, rng),
-    "random_points": lambda spec, rng: _gen_random_points(spec.n, rng),
-    "monotone_perturbed": lambda spec, rng: _gen_monotone(spec.n, rng),
-    "two_page": lambda spec, rng: _gen_two_page(spec.n, rng),
-    "cylindrical": lambda spec, rng: _gen_cylindrical(spec.n, spec.a, spec.b, rng),
-    "strongly_cmonotone": lambda spec, rng: _gen_strongly_cmonotone(spec.n, rng),
+_CLASSES = {  # class -> (builder, class check on the validated drawing)
+    "convex": (lambda spec, rng: _gen_convex(spec.n, rng),
+               lambda d: sum(row.bit_count() for row in d.cross_mask)
+               == 2 * math.comb(d.n, 4)),
+    "random_points": (lambda spec, rng: _gen_random_points(spec.n, rng),
+                      lambda d: True),
+    "monotone_perturbed": (lambda spec, rng: _gen_monotone(spec.n, rng),
+                           lambda d: classify_monotone(d) is not None),
+    "two_page": (lambda spec, rng: _gen_two_page(spec.n, rng), classify_two_page),
+    "cylindrical": (lambda spec, rng: _gen_cylindrical(spec.n, spec.a, spec.b, rng),
+                    lambda d: classify_cylindrical(d, *d.circles) is not None),
+    "strongly_cmonotone": (lambda spec, rng: _gen_strongly_cmonotone(spec.n, rng),
+                           lambda d: classify_c_monotone(d)[1]),
 }
 
 
 def generate(spec: GenSpec) -> Drawing:
     """Deterministic in (class, n, seed); resamples with fresh jitter until
     the drawing validates and matches its class, within max_rejects."""
-    if spec.cls not in _BUILDERS:
+    if spec.cls not in _CLASSES:
         raise ValueError(f"unknown drawing class {spec.cls!r}")
+    build, check = _CLASSES[spec.cls]
     rng = SplitMix64(spec.seed)
     for _ in range(spec.max_rejects):
         try:
-            d = _BUILDERS[spec.cls](spec, rng.split())
-            _class_check(spec, d)
-            return d
+            d = build(spec, rng.split())
+            _ = d.cross_mask  # NotSimpleError; then only the class's own check
+            if check(d):
+                return d
         except (_Reject, NotSimpleError):
-            continue
+            pass
     raise RejectionBudgetExceededError(spec)
 
 

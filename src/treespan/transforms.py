@@ -1,9 +1,13 @@
 """Constructive transformations between compatible plane spanning trees.
 
-Five methods, one per drawing/tree class the transformations cover:
-cylindrical (through the uncrossed cycle paths), monotone (maximal twiggly
-rounds), strongly c-monotone (corridor paths, or the cut to a monotone
-drawing), and the star family (flip schedules along the crossing relation).
+Three routes: cylindrical (through the uncrossed cycle paths), the spine
+route for monotone and strongly c-monotone drawings, and the star family
+(flip schedules along the crossing relation).  The spine route takes each
+tree to the spine path in at most n - 1 rounds of one loop, each round a
+step dropping twiggly edges (those crossing the spine): a maximal one
+through the vertices above it, or all of them by corridor paths.  A
+strongly c-monotone drawing with a non-spine cycle edge is first cut to a
+monotone drawing with the same crossing matrix.
 Each public call turns its input trees into edge masks once, works on masks
 throughout (nested steps are private cores returning mask lists), and
 certifies its own output exactly once, in ``_certified``.  The returned
@@ -50,12 +54,14 @@ from .geometry import curve_eval, lift_angle
 from .trees import (
     Tree,
     _UnionFind,
+    _double_star_paths,
+    _incidence,
     _input_masks,
     _plane_spanning,
+    _star_centers,
+    _twin_star_paths,
     conflict_mask,
-    double_star_paths,
     mask_tree,
-    star_centers,
     tree_mask,
     twin_star_paths,
 )
@@ -164,7 +170,7 @@ def transform_cylindrical(d: Drawing, roles: Optional[CylRoles],
 
 
 # ---------------------------------------------------------------------------
-# monotone
+# spine route: monotone and strongly c-monotone
 # ---------------------------------------------------------------------------
 
 def monotone_to_spine(d: Drawing, spine: Optional[SpineStructure],
@@ -174,59 +180,78 @@ def monotone_to_spine(d: Drawing, spine: Optional[SpineStructure],
     decreases each round; violations raise InternalInvariantViolated."""
     if spine is None or spine.kind != "monotone":
         raise NotMonotoneError("drawing is not monotone")
-    (t,) = _input_masks(d, [t])
-    return _certified(d, _monotone_rounds(d, spine, t), "monotone")
+    return _spine_route(d, spine, [t])
 
 
-def _spine_route(d: Drawing, method: str, t1: Iterable[Edge],
-                 t2: Iterable[Edge]) -> TransformSequence:
-    """t1 down to the spine path and back up to t2 on a monotone drawing
-    (``method`` "monotone") or a strongly c-monotone one ("cmonotone"),
-    with both halves glued as masks and certified once."""
-    if method == "monotone":
-        spine = classify_monotone(d)
-        t1, t2 = _input_masks(d, [t1, t2])
-        a, b = (_monotone_rounds(d, spine, t) for t in (t1, t2))
-    else:
-        spine = _strong_spine(d)
-        t1, t2 = _input_masks(d, [t1, t2])
-        a, b = _cmonotone_rounds(d, spine, [t1, t2])
-    return _certified(d, _dedupe(a + b[::-1]), method)
+def cmonotone_to_spine(d: Drawing, t: Iterable[Edge]) -> TransformSequence:
+    """Strongly c-monotone transformation to a spine path.
+
+    With a non-spine cycle edge present the drawing is unrolled to a
+    monotone one (identical edges and crossing matrix, so identical masks)
+    and resolved there; otherwise each round adds every corridor path,
+    drops all twiggly edges, and the twiggly depth of every ray decreases
+    where it was positive."""
+    c_mono, strongly, spine = classify_c_monotone(d)
+    if not (c_mono and strongly):
+        raise NotStronglyCMonotoneError("drawing is not strongly c-monotone")
+    return _spine_route(d, spine, [t])
 
 
-def _monotone_rounds(d: Drawing, spine: SpineStructure, t: int) -> List[int]:
-    xs = {v: d.vertex_points[v].x for v in range(d.n)}
+def _spine_route(d: Drawing, spine: SpineStructure,
+                 trees: Sequence[Iterable[Edge]]) -> TransformSequence:
+    """The first tree down to the spine path and back up to the second, if
+    given, certified once with ``spine.kind`` as the method.  A drawing
+    with a non-spine cycle edge is cut once and routed on its flat spine."""
+    masks = _input_masks(d, trees)
+    flat, flat_spine = d, spine
+    if spine.all_cycle_edges_spine is False:
+        flat, _ = cut_to_monotone(d)
+        flat_spine = classify_monotone(flat)
+    step = _monotone_step if flat_spine.kind == "monotone" else _corridor_step
+    seq: List[int] = []
+    for t, way in zip(masks, (1, -1)):  # the second tree's rounds reversed
+        seq += _rounds(flat, flat_spine, t, step)[::way]
+    return _certified(d, _dedupe(seq), spine.kind)
+
+
+def _rounds(d: Drawing, spine: SpineStructure, t: int, step) -> List[int]:
+    """Masks from t to the spine path: one ``step`` per round, at most
+    n - 1 rounds, while t keeps a twiggly edge (one crossing the spine)."""
     spine_mask = tree_mask(d, spine.spine_edges)
-    crosses_spine = conflict_mask(d, spine_mask)  # the twiggly edges
+    twiggly = conflict_mask(d, spine_mask)
     seq = [t]
-    rounds = 0
-    twig = t & crosses_spine
-    while twig:
-        rounds += 1
-        if rounds > d.n - 1:
-            raise InternalInvariantViolated("too many monotone rounds")
-        e = succ_maximal(d, mask_tree(d, twig))
-        vi, vj = sorted(e, key=lambda v: xs[v])
-        above = sorted(vertices_above(d, e), key=lambda v: xs[v])
-        if not above:
-            raise InternalInvariantViolated("maximal twiggly edge with no "
-                                            "vertex above it")
-        stops = [vi] + above + [vj]
-        path = tree_mask(d, [edge(stops[k], stops[k + 1])
-                             for k in range(len(stops) - 1)])
-        hit = conflict_mask(d, path) & t
-        if hit:  # e is in t, so this also covers crossing the resolved edge
-            raise InternalInvariantViolated(
-                f"detour path crosses tree: {mask_tree(d, hit)}")
-        rest = t & ~(1 << d.edge_id[e])
-        new_t = _retree(d, [path, rest & spine_mask,
-                            rest & ~spine_mask & ~twig, rest & twig])
-        new_twig = new_t & crosses_spine
-        if new_twig.bit_count() >= twig.bit_count():
-            raise InternalInvariantViolated("twiggly count did not decrease")
-        seq.append(new_t)
-        t, twig = new_t, new_twig
-    return _dedupe(seq + [spine_mask])
+    while t & twiggly:
+        if len(seq) > d.n - 1:
+            raise InternalInvariantViolated("too many spine rounds")
+        t = step(d, spine_mask, twiggly, t)
+        seq.append(t)
+    return seq + [tree_mask(d, spine.spine_edges[:d.n - 1])]  # sorted: drop the last
+
+
+def _monotone_step(d: Drawing, spine_mask: int, twiggly: int, t: int) -> int:
+    """Resolve a maximal twiggly edge of t through the path over the
+    vertices above it."""
+    xs = [p.x for p in d.vertex_points]
+    twig = t & twiggly
+    e = succ_maximal(d, mask_tree(d, twig))
+    vi, vj = sorted(e, key=xs.__getitem__)
+    above = sorted(vertices_above(d, e), key=xs.__getitem__)
+    if not above:
+        raise InternalInvariantViolated("maximal twiggly edge with no "
+                                        "vertex above it")
+    stops = [vi] + above + [vj]
+    path = tree_mask(d, [edge(stops[k], stops[k + 1])
+                         for k in range(len(stops) - 1)])
+    hit = conflict_mask(d, path) & t
+    if hit:  # e is in t, so this also covers crossing the resolved edge
+        raise InternalInvariantViolated(
+            f"detour path crosses tree: {mask_tree(d, hit)}")
+    rest = t & ~(1 << d.edge_id[e])
+    new_t = _retree(d, [path, rest & spine_mask,
+                        rest & ~spine_mask & ~twig, rest & twig])
+    if (new_t & twiggly).bit_count() >= twig.bit_count():
+        raise InternalInvariantViolated("twiggly count did not decrease")
+    return new_t
 
 
 # ---------------------------------------------------------------------------
@@ -274,12 +299,12 @@ def corridors(d: Drawing, twigglies: Iterable[Edge]) -> List[Corridor]:
     out: List[Corridor] = []
     for j in range(m):
         for pair in per_gap[j]:
-            if pair in per_gap[j - 1 if j else m - 1] and m > 1:
+            if pair in per_gap[j - 1]:  # m >= 2: an edge's ends differ in angle
                 continue  # continues an earlier gap; emitted there
             run = 0
             while run < m and pair in per_gap[(j + run) % m]:
                 run += 1
-            if run == m and m > 1:
+            if run == m:
                 raise InternalInvariantViolated("corridor wraps the circle")
             start = events[j]
             end_idx = (j + run) % m
@@ -354,80 +379,28 @@ def _corridor_path(d: Drawing, t_mask: int, c: Corridor,
     return path
 
 
-# ---------------------------------------------------------------------------
-# strongly c-monotone
-# ---------------------------------------------------------------------------
-
-def _ray_samples(d: Drawing):
-    return [(a + b) / 2 for a, b in _gaps(sorted(vertex_angles(d)))]
-
-
 def twiggly_depth(d: Drawing, twigglies: Iterable[Edge], theta) -> int:
     return sum(1 for e in twigglies if span_contains(edge_span(d, e), theta))
 
 
-def cmonotone_to_spine(d: Drawing, t: Iterable[Edge]) -> TransformSequence:
-    """Strongly c-monotone transformation to a spine path.
-
-    With a non-spine cycle edge present the drawing is unrolled to a
-    monotone one (identical edges and crossing matrix, so identical masks)
-    and resolved there; otherwise each round adds every corridor path,
-    drops all twiggly edges, and the twiggly depth of every ray decreases
-    where it was positive."""
-    spine = _strong_spine(d)
-    (t,) = _input_masks(d, [t])
-    return _certified(d, _cmonotone_rounds(d, spine, [t])[0], "cmonotone")
-
-
-def _strong_spine(d: Drawing) -> SpineStructure:
-    c_mono, strongly, spine = classify_c_monotone(d)
-    if not (c_mono and strongly):
-        raise NotStronglyCMonotoneError("drawing is not strongly c-monotone")
-    return spine
-
-
-def _cmonotone_rounds(d: Drawing, spine: SpineStructure,
-                      trees: List[int]) -> List[List[int]]:
-    """The mask sequence from each tree to the spine path; the drawing is
-    cut at most once, for all of them."""
-    if not spine.all_cycle_edges_spine:
-        flat, _ = cut_to_monotone(d)
-        flat_spine = classify_monotone(flat)
-        return [_monotone_rounds(flat, flat_spine, t) for t in trees]
-    return [_corridor_rounds(d, spine, t) for t in trees]
-
-
-def _corridor_rounds(d: Drawing, spine: SpineStructure, t: int) -> List[int]:
-    samples = _ray_samples(d)
-    spine_mask = tree_mask(d, spine.spine_edges)
-    crosses_spine = conflict_mask(d, spine_mask)  # the twiggly edges
-    drawing_twiggly = frozenset(mask_tree(d, crosses_spine))
-    seq = [t]
-    rounds = 0
-    twig = t & crosses_spine
-    twig_edges = mask_tree(d, twig)
-    depth = [twiggly_depth(d, twig_edges, s) for s in samples]
-    while twig:
-        rounds += 1
-        if rounds > d.n - 1:
-            raise InternalInvariantViolated("too many c-monotone rounds")
-        paths = 0
-        for c in corridors(d, twig_edges):
-            if c.start_vertex is None:
-                continue
-            paths |= tree_mask(d, _corridor_path(d, t, c, drawing_twiggly))
-        if paths & conflict_mask(d, paths):
-            raise InternalInvariantViolated("corridor paths cross each other")
-        rest = t & ~twig
-        t = _retree(d, [paths, rest & spine_mask, rest & ~spine_mask])
-        twig = t & crosses_spine
-        twig_edges = mask_tree(d, twig)
-        old, depth = depth, [twiggly_depth(d, twig_edges, s) for s in samples]
-        if any(new > max(k - 1, 0) for k, new in zip(old, depth)):
-            raise InternalInvariantViolated("twiggly depth did not drop")
-        seq.append(t)
-    target = tree_mask(d, spine.spine_edges[:d.n - 1])  # sorted: drop the last
-    return _dedupe(seq + [target])
+def _corridor_step(d: Drawing, spine_mask: int, twiggly: int, t: int) -> int:
+    """Add every corridor path of t's twiggly edges and drop them all; the
+    twiggly depth of every ray drops where it was positive."""
+    twig = t & twiggly
+    drawing_twiggly = frozenset(mask_tree(d, twiggly))
+    paths = 0
+    for c in corridors(d, mask_tree(d, twig)):
+        paths |= tree_mask(d, _corridor_path(d, t, c, drawing_twiggly))
+    if paths & conflict_mask(d, paths):
+        raise InternalInvariantViolated("corridor paths cross each other")
+    rest = t & ~twig
+    new_t = _retree(d, [paths, rest & spine_mask, rest & ~spine_mask])
+    samples = [(a + b) / 2 for a, b in _gaps(sorted(vertex_angles(d)))]
+    old, new = ([twiggly_depth(d, mask_tree(d, m & twiggly), s) for s in samples]
+                for m in (t, new_t))
+    if any(k > max(j - 1, 0) for j, k in zip(old, new)):
+        raise InternalInvariantViolated("twiggly depth did not drop")
+    return new_t
 
 
 # ---------------------------------------------------------------------------
@@ -501,11 +474,12 @@ def double_star_to_star(d: Drawing, t: Iterable[Edge],
 
 
 def _double_star_to_star(d: Drawing, t: int, target: int) -> List[int]:
-    centers = star_centers(d.edges, t)
+    inc, _ = _incidence(d.edges, t)
+    centers = _star_centers(inc, t)
     if centers:
         c = target if target in centers else centers[0]
         return [t] if c == target else _star_to_star(d, c, target)
-    reps = double_star_paths(d.edges, t)
+    reps = _double_star_paths(d.edges, inc, t)
     if not reps:
         raise NotDoubleStarError("tree admits no double-star path")
     with_target = [p for p in reps if p[1] == target]
@@ -522,14 +496,16 @@ def twin_star_to_star(d: Drawing, t: Iterable[Edge],
     every tree edge touches g or r), drop rs, then proceed as a double
     star."""
     (t,) = _input_masks(d, [t])
-    return _certified(d, _twin_star_to_star(d, t, target_center), "special")
-
-
-def _twin_star_to_star(d: Drawing, t: int, target: int) -> List[int]:
     reps = twin_star_paths(d.edges, t)
     if not reps:
         raise NotTwinStarError("tree admits no twin-star path")
-    g, s, r = reps[0]
+    return _certified(d, _twin_star_to_star(d, t, reps[0], target_center),
+                      "special")
+
+
+def _twin_star_to_star(d: Drawing, t: int, twin: Tuple[int, int, int],
+                       target: int) -> List[int]:
+    g, s, r = twin
     gr = tree_mask(d, [edge(g, r)])
     if gr & conflict_mask(d, t):
         raise InternalInvariantViolated("closing edge crosses the twin star")
@@ -538,17 +514,18 @@ def _twin_star_to_star(d: Drawing, t: int, target: int) -> List[int]:
 
 
 def _reduce_to_star(d: Drawing, t: int) -> Tuple[List[int], int]:
-    centers = star_centers(d.edges, t)
+    inc, _ = _incidence(d.edges, t)
+    centers = _star_centers(inc, t)
     if centers:
         return [t], centers[0]
-    reps = double_star_paths(d.edges, t)
+    reps = _double_star_paths(d.edges, inc, t)
     if reps:
         g, r = reps[0]
         return _collapse_double(d, t, g, r), r
-    twins = twin_star_paths(d.edges, t)
+    twins = _twin_star_paths(d.edges, inc, t)
     if twins:
-        g, s, r = twins[0]
-        return _twin_star_to_star(d, t, r), r
+        r = twins[0][2]
+        return _twin_star_to_star(d, t, twins[0], r), r
     raise NotSpecialTreeError("tree is not a star, double star or twin star")
 
 

@@ -144,14 +144,28 @@ def _incidence(edges: Sequence[Edge],
 # (the drawing's edges for a tree mask); a bare edge tuple is the tree.
 
 def star_centers(edges: Sequence[Edge], mask: Optional[int] = None) -> List[int]:
-    inc, mask = _incidence(edges, mask)
-    return sorted(c for c, at in inc.items() if at == mask)
+    return _star_centers(*_incidence(edges, mask))
 
 
 def double_star_paths(edges: Sequence[Edge],
                       mask: Optional[int] = None) -> List[Tuple[int, int]]:
     """All (g, r) with edge gr in the tree and every edge touching g or r."""
-    inc, mask = _incidence(edges, mask)
+    return _double_star_paths(edges, *_incidence(edges, mask))
+
+
+def twin_star_paths(edges: Sequence[Edge],
+                    mask: Optional[int] = None) -> List[Tuple[int, int, int]]:
+    """All (g, s, r) with edges gs, sr in the tree, gr absent, and every
+    edge touching g or r."""
+    return _twin_star_paths(edges, *_incidence(edges, mask))
+
+
+def _star_centers(inc: Dict[int, int], mask: int) -> List[int]:
+    return sorted(c for c, at in inc.items() if at == mask)
+
+
+def _double_star_paths(edges: Sequence[Edge], inc: Dict[int, int],
+                       mask: int) -> List[Tuple[int, int]]:
     out = []
     for i in bits(mask):
         g, r = edges[i]
@@ -160,11 +174,8 @@ def double_star_paths(edges: Sequence[Edge],
     return sorted(out)
 
 
-def twin_star_paths(edges: Sequence[Edge],
-                    mask: Optional[int] = None) -> List[Tuple[int, int, int]]:
-    """All (g, s, r) with edges gs, sr in the tree, gr absent, and every
-    edge touching g or r."""
-    inc, mask = _incidence(edges, mask)
+def _twin_star_paths(edges: Sequence[Edge], inc: Dict[int, int],
+                     mask: int) -> List[Tuple[int, int, int]]:
     out = []
     for s, at in inc.items():
         nbrs = sorted(sum(edges[i]) - s for i in bits(at))  # other ends
@@ -198,17 +209,17 @@ def _k_star_path(edges: Sequence[Edge], inc: Dict[int, int],
 def classify_kind(n: int, edges: Sequence[Edge], mask: Optional[int] = None) -> tuple:
     """Most specific k-star kind; a 4-vertex path is reported as a twin star
     (its canonical fixed path), larger overlaps resolve to the smaller k."""
-    centers = star_centers(edges, mask)
+    inc, mask = _incidence(edges, mask)
+    centers = _star_centers(inc, mask)
     if centers:
         return ("star", centers[0])
-    inc, mask = _incidence(edges, mask)
     if n == 4 and sorted(at.bit_count() for at in inc.values()) == [1, 1, 2, 2]:
-        return ("twin_star",) + twin_star_paths(edges, mask)[0]
-    doubles = double_star_paths(edges, mask)
+        return ("twin_star",) + _twin_star_paths(edges, inc, mask)[0]
+    doubles = _double_star_paths(edges, inc, mask)
     if doubles:
         g, r = doubles[0]
         return ("double_star", min(g, r), max(g, r))
-    twins = twin_star_paths(edges, mask)
+    twins = _twin_star_paths(edges, inc, mask)
     if twins:
         return ("twin_star",) + twins[0]
     path = _k_star_path(edges, inc, mask)

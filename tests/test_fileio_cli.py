@@ -5,6 +5,7 @@ import io
 import json
 import os
 import tempfile
+from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
@@ -16,6 +17,7 @@ from treespan.cli import main
 from treespan.drawing import Drawing
 from treespan.errors import (
     FullCircleCorridorError,
+    InternalInvariantViolated,
     NoSideEdgeError,
     RelationCyclicError,
 )
@@ -34,7 +36,7 @@ from treespan.compat import build_compat_graph
 from treespan.generators import GenSpec, fixture_bipartite_isolated, generate
 from treespan.trees import enumerate_plane_trees, is_compatible
 
-from conftest import cyl_k4, polar_k3, polar_k4, two_page_k4
+from conftest import P, cyl_k4, polar_k3, polar_k4, straight_line_drawing, two_page_k4
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +258,136 @@ def test_cli_validate_bipartite_on_circles(make, c_mono, tmp_path, capsys):
     assert out["is_simple"] and out["is_cylindrical"] is None
     assert out["is_c_monotone"] is c_mono
     assert out["is_strongly_c_monotone"] is False
+
+
+def _one_json_error(capsys) -> dict:
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    return json.loads(lines[0])
+
+
+def _pt(x, y):
+    return [[str(F(c).numerator), str(F(c).denominator)] for c in (x, y)]
+
+
+_BASES = {
+    "cartesian": lambda: straight_line_drawing([P(0, 0), P(4, 1), P(5, 5)]),
+    "polar": polar_k3,  # edge 0 is (0, 1): angle 0 to 1/3 at radius 2
+    "square": lambda: straight_line_drawing([P(0, 0), P(4, 0), P(0, 4), P(4, 4)]),
+}
+
+
+@pytest.mark.parametrize("base, path, value, message", [
+    ("cartesian", ("edges", 0, "curve"), [_pt(0, 0)],
+     "curve of (0, 1) has fewer than 2 waypoints"),
+    ("polar", ("edges", 0, "curve"), [_pt(0, 2)],
+     "curve of (0, 1) has fewer than 2 waypoints"),
+    ("cartesian", ("edges", 0, "curve", 1), _pt(3, 1),
+     "curve of (0, 1) does not join its endpoints"),
+    ("polar", ("edges", 0, "curve", 1), _pt(F(1, 4), 2),
+     "curve of (0, 1) does not join its endpoints"),
+    ("polar", ("edges", 0, "curve"), [_pt(0, 2), _pt(F(1, 6), 0), _pt(F(1, 3), 2)],
+     "curve of (0, 1) has non-positive radius"),
+    ("polar", ("edges", 0, "curve"),
+     [_pt(0, 2), _pt(F(1, 4), 3), _pt(F(1, 5), 3), _pt(F(1, 3), 2)],
+     "curve of (0, 1) is not angle-monotone"),
+    ("cartesian", ("vertices", 2), _pt(4, 1), "vertex points are not distinct"),
+    ("polar", ("vertices", 2), _pt(1, 2), "vertex points are not distinct"),
+    # edge (2, 3) dips to touch edge (0, 1) at (2, 0) without crossing it
+    ("square", ("edges", 5, "curve"), [_pt(0, 4), _pt(2, 0), _pt(4, 4)],
+     "degenerate contact: edges (0, 1) and (2, 3)"),
+], ids=["cartesian-one-waypoint", "polar-one-waypoint", "cartesian-loose-end",
+        "polar-loose-end", "polar-zero-radius", "polar-angle-backwards",
+        "cartesian-equal-points", "polar-points-equal-mod-turn", "touching-edges"])
+def test_cli_validate_rejection_reasons(base, path, value, message, tmp_path,
+                                        capsys):
+    doc = drawing_to_dict(_BASES[base]())
+    *parents, key = path
+    target = doc
+    for k in parents:
+        target = target[k]
+    target[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["validate", str(bad)]) == 1
+    assert _one_json_error(capsys) == {"error": "invalid-input",
+                                       "type": "NotSimpleError", "message": message}
+
+
+def test_cli_validate_cylindrical_report(tmp_path, capsys):
+    path = str(tmp_path / "cyl.json")
+    save_drawing(cyl_k4(), path)
+    assert main(["validate", path]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["is_cylindrical"] == {"r_in2": "1", "r_out2": "4",
+                                     "inner_vertices": [0, 1],
+                                     "outer_vertices": [2, 3]}
+
+
+def test_cli_internal_invariant_exits_3(tmp_path, capsys, monkeypatch):
+    drawing = str(tmp_path / "d5.json")
+    assert main(["generate", "--class", "random_points", "--n", "5",
+                 "--seed", "1", "-o", drawing]) == 0
+    capsys.readouterr()
+
+    def broken(d, g, r):
+        raise InternalInvariantViolated("relation order lost a vertex")
+
+    monkeypatch.setattr(treespan.transforms, "_gr_order", broken)
+    assert main(["transform", drawing, "--from", "0-1,0-2,0-3,0-4",
+                 "--to", "0-1,1-2,1-3,1-4", "--method", "special"]) == 3
+    assert _one_json_error(capsys) == {
+        "error": "internal-invariant-violated",
+        "type": "InternalInvariantViolated",
+        "message": "relation order lost a vertex"}
+
+
+@pytest.mark.parametrize("method, error", [("special", "NotSpecialTreeError"),
+                                           ("auto", "MethodInapplicable")])
+def test_cli_no_method_for_a_non_special_tree(method, error, tmp_path, capsys):
+    """A convex hexagon with vertices sharing x-coordinates is neither
+    monotone, strongly c-monotone nor cylindrical; its boundary paths are
+    plane but not special, so no method applies."""
+    path = str(tmp_path / "hex.json")
+    save_drawing(straight_line_drawing([P(0, 0), P(2, -1), P(4, 0), P(4, 3),
+                                        P(2, 4), P(0, 3)]), path)
+    assert main(["transform", path, "--from", "0-1,1-2,2-3,3-4,4-5",
+                 "--to", "1-2,2-3,3-4,4-5,0-5", "--method", method]) == 2
+    err = _one_json_error(capsys)
+    assert err["error"] == "method-inapplicable" and err["type"] == error
+
+
+def test_cli_trees_list(sq_file, sq, capsys):
+    assert main(["trees", sq_file, "--kind", "star", "--list"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    stars = enumerate_plane_trees(sq, kind="star")
+    assert out == {"count": len(stars),
+                   "trees": [[f"{u}-{v}" for u, v in t] for t in stars]}
+
+
+def test_cli_compat_dot(k3_file, tmp_path, capsys):
+    dot = tmp_path / "g.dot"
+    assert main(["compat", k3_file, "--dot", str(dot)]) == 0
+    assert json.loads(capsys.readouterr().out)["nodes"] == 3
+    assert dot.read_text() == compat_to_dot(build_compat_graph(polar_k3()))
+
+
+def test_cli_transform_to_stdout(sq_file, capsys):
+    assert main(["transform", sq_file, "--from", "0-1,0-2,0-3",
+                 "--to", "0-1,1-2,1-3", "--method", "special"]) == 0
+    trees, method, certified, drawing = sequence_from_dict(
+        json.loads(capsys.readouterr().out))
+    assert (method, certified, drawing) == ("special", True, sq_file)
+    assert trees[0] == ((0, 1), (0, 2), (0, 3)) and len(trees) == 3
+
+
+def test_cli_certify_without_drawing_reference(tmp_path, capsys):
+    seq = tmp_path / "seq.json"
+    seq.write_text(dumps(sequence_to_dict([((0, 1), (1, 2))], "manual", True)))
+    assert main(["certify", str(seq)]) == 1
+    assert _one_json_error(capsys) == {
+        "error": "invalid-input", "type": "FileFormatError",
+        "message": "no drawing file given or referenced"}
 
 
 def test_cli_invalid_file(tmp_path, capsys):

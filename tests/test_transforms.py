@@ -5,11 +5,14 @@ from fractions import Fraction as F
 import pytest
 
 from treespan.compat import bfs_distance, build_compat_graph
+import treespan.transforms
+import treespan.trees
 from treespan.drawing import (
     Drawing,
     classify_c_monotone,
     classify_cylindrical,
     classify_monotone,
+    validate_simple,
 )
 from treespan.errors import (
     FullCircleCorridorError,
@@ -35,7 +38,14 @@ from treespan.transforms import (
     twiggly_depth,
     twin_star_to_star,
 )
-from treespan.trees import canon_tree, double_star_paths, enumerate_plane_trees
+from treespan.trees import (
+    _incidence,
+    canon_tree,
+    classify_kind,
+    double_star_paths,
+    enumerate_plane_trees,
+    tree_mask,
+)
 
 from conftest import P, polar_k5
 
@@ -213,6 +223,29 @@ def test_cylindrical_all_pairs(cyl4):
             assert len(seq) <= 5
 
 
+@pytest.mark.parametrize("n, step", [(4, 1), (5, 1), (6, 5)])
+def test_cylindrical_one_circle(n, step):
+    """Vertices all on the inner circle: the route is t1, the circle's
+    uncrossed path, t2 (every fifth tree paired for n = 6)."""
+    pts = []
+    for t in [F(-3), F(-1), F(-1, 3), F(1, 3), F(1), F(3)][:n]:
+        pts.append(P((1 - t * t) / (1 + t * t), 2 * t / (1 + t * t)))
+    d = Drawing(n=n, backend="cartesian", vertex_points=tuple(pts),
+                curves={(u, v): (pts[u], pts[v])
+                        for u in range(n) for v in range(u + 1, n)},
+                circles=(F(1), F(4)))
+    roles = validate_simple(d).is_cylindrical
+    assert roles.inner_vertices == tuple(range(n)) and roles.outer_vertices == ()
+    trees = enumerate_plane_trees(d)[::step]
+    path = canon_tree(roles.inner_path)
+    for t1 in trees:
+        for t2 in trees:
+            seq = transform_cylindrical(d, roles, t1, t2)
+            assert seq.trees[0] == t1 and seq.trees[-1] == t2 and len(seq) <= 3
+            if len(seq) == 3:
+                assert seq.trees[1] == path
+
+
 # ---------------------------------------------------------------------------
 # star family
 # ---------------------------------------------------------------------------
@@ -321,6 +354,40 @@ def test_transform_special_rejects_generic():
     spider = [(0, 1), (0, 2), (2, 3), (0, 4), (4, 5)]  # no 2-vertex cover
     with pytest.raises(NotSpecialTreeError):
         transform_special(d6, spider, [(0, k) for k in range(1, 6)])
+
+
+def test_star_family_builds_one_incidence_table_per_tree(monkeypatch):
+    """classify_kind and each star-family transformation read one incidence
+    table per tree they meet."""
+    built = []
+
+    def counting(edges, mask):
+        built.append(mask)
+        return _incidence(edges, mask)
+
+    monkeypatch.setattr(treespan.trees, "_incidence", counting)
+    monkeypatch.setattr(treespan.transforms, "_incidence", counting)
+    d = polar_k5()
+    trees = enumerate_plane_trees(d, kind="special")
+    kinds = {}
+    for t in trees:
+        built.clear()
+        kinds[t] = classify_kind(d.n, d.edges, tree_mask(d, t))
+        assert len(built) == 1
+    assert {k[0] for k in kinds.values()} == {"star", "double_star", "twin_star"}
+    for t, kind in kinds.items():
+        built.clear()
+        if kind[0] == "twin_star":
+            twin_star_to_star(d, t, 0)
+            assert len(built) == 2 and built[0] == tree_mask(d, t)  # then t + gr - rs
+        else:
+            double_star_to_star(d, t, 0)
+            assert built == [tree_mask(d, t)]
+    star = canon_tree([(0, k) for k in range(1, 5)])
+    for t in trees:
+        built.clear()
+        transform_special(d, t, star)
+        assert len(built) == len(set(built)) <= 3 or t == star
 
 
 def test_transform_special_identical_trees():

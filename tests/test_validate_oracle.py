@@ -32,7 +32,7 @@ from treespan.drawing import (
     vertex_angles,
 )
 from treespan.errors import NotSimpleError
-from treespan.generators import _BUILDERS, GenSpec, _Reject, generate
+from treespan.generators import _CLASSES, GenSpec, _Reject, generate
 from treespan.geometry import (
     Degenerate,
     Point,
@@ -420,7 +420,7 @@ def _raw_candidates(cls, n, shape, seeds=range(3), per_seed=5):
         rng = SplitMix64(seed)
         for _ in range(per_seed):
             try:
-                out.append(_BUILDERS[cls](spec, rng.split()))
+                out.append(_CLASSES[cls][0](spec, rng.split()))
             except _Reject:
                 pass
     return out
