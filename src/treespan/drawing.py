@@ -11,13 +11,22 @@ construction is the simple-drawing check) and class report are computed on
 first use and kept.  The crossing matrix is one int per edge: edge ids are
 positions in the sorted edge list, and bit j of ``cross_mask[i]`` is set
 when edges i and j cross.  ``crossings`` and ``crossing_pairs()`` are views.
+
+The structures the transformations read are derived once per drawing too,
+through ``Drawing._derive``: the monotone and c-monotone classifications,
+the cut to a monotone drawing (whose flat drawing keeps its own derived
+structures) and the vertices above each edge.  Each is an immutable value;
+the private builders ``_classify_monotone``, ``_classify_c_monotone``,
+``_cut_to_monotone`` and ``_vertices_above`` compute it uncached.  A
+cylindrical classification carries the masks of its cycle paths and side
+edges.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Dict, FrozenSet, Iterator, List, Mapping, NamedTuple, Optional, Tuple
@@ -121,6 +130,23 @@ class Drawing:
         return {}
 
     @functools.cached_property
+    def _derived(self) -> dict:
+        """(builder, *args) -> ``builder(self, *args)``, filled by ``_derive``."""
+        return {}
+
+    def _derive(self, build, *args):
+        """A structure fixed by the drawing, built on the first request and
+        kept.  Builders return immutable values; one that raises stores
+        nothing."""
+        key = (build, *args)
+        memo = self._derived
+        try:
+            return memo[key]
+        except KeyError:
+            value = memo[key] = build(self, *args)
+            return value
+
+    @functools.cached_property
     def _report(self) -> ClassReport:
         """``validate_simple``'s report.  Each classifier answers no for the
         other backend."""
@@ -169,6 +195,9 @@ class CylRoles:
     crossed_cycle_edges: Tuple[Edge, ...]
     inner_path: Tuple[Edge, ...]                # uncrossed Hamiltonian paths
     outer_path: Tuple[Edge, ...]
+    # edge masks of both paths and of the side edges
+    paths_mask: int = field(repr=False, compare=False)
+    sides_mask: int = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -359,7 +388,11 @@ def _crossing_rows(d: Drawing) -> Tuple[int, ...]:
 
 def classify_monotone(d: Drawing) -> Optional[SpineStructure]:
     """x-order and spine-path edges, or None if two vertices share an
-    x-coordinate or some curve is not x-monotone."""
+    x-coordinate or some curve is not x-monotone.  Built once per drawing."""
+    return d._derive(_classify_monotone)
+
+
+def _classify_monotone(d: Drawing) -> Optional[SpineStructure]:
     if d.backend != "cartesian":
         return None
     xs = [p.x for p in d.vertex_points]
@@ -433,7 +466,12 @@ def succ_maximal(d: Drawing, twigglies) -> Edge:
 
 
 def vertices_above(d: Drawing, e: Edge) -> List[int]:
-    """Vertices strictly between e's endpoints in x and strictly above e."""
+    """Vertices strictly between e's endpoints in x and strictly above e,
+    found once per edge; each call returns a fresh list."""
+    return list(d._derive(_vertices_above, e))
+
+
+def _vertices_above(d: Drawing, e: Edge) -> Tuple[int, ...]:
     lo, hi = _open_x_range(d, e)
     out = []
     for v in range(d.n):
@@ -444,7 +482,7 @@ def vertices_above(d: Drawing, e: Edge) -> List[int]:
                 raise InternalInvariantViolated("edge does not span vertex column")
             if p.y > ye:
                 out.append(v)
-    return out
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -528,11 +566,15 @@ def classify_cylindrical(d: Drawing, r_in2: Rat, r_out2: Rat) -> Optional[CylRol
         drop = bad[0] if bad else max(es)
         return tuple(e for e in es if e != drop)
 
+    ids = d.edge_id
+    inner_path, outer_path = ham_path(inner), ham_path(outer)
     return CylRoles(
         r_in2=r_in2, r_out2=r_out2,
         inner_vertices=tuple(sorted(inner)), outer_vertices=tuple(sorted(outer)),
         roles=roles, crossed_cycle_edges=crossed,
-        inner_path=ham_path(inner), outer_path=ham_path(outer),
+        inner_path=inner_path, outer_path=outer_path,
+        paths_mask=sum(1 << ids[e] for e in inner_path + outer_path),
+        sides_mask=sum(1 << ids[e] for e, role in roles.items() if role == "side"),
     )
 
 
@@ -568,7 +610,8 @@ def _spans_cover_circle(s1, s2, turn=1) -> bool:
 
 
 def classify_c_monotone(d: Drawing):
-    """(c_monotone, strongly, spine) for a polar drawing.
+    """(c_monotone, strongly, spine) for a polar drawing, built once per
+    drawing.
 
     A validated polar drawing is c-monotone by construction once all
     vertices lie on one circle; strongly requires that no edge pair's spans
@@ -576,6 +619,10 @@ def classify_c_monotone(d: Drawing):
     whose open span contains no vertex ray.  Strongly c-monotone drawings
     and spines are defined for K_n: other graphs give (c_mono, False, None).
     """
+    return d._derive(_classify_c_monotone)
+
+
+def _classify_c_monotone(d: Drawing):
     if d.backend != "polar":
         return False, False, None
     _ = d.cross_mask  # ensure the drawing is validated
@@ -624,7 +671,12 @@ def cut_to_monotone(d: Drawing):
     edge, the wedge between its endpoints is empty of edges; cutting there
     and unrolling (x = turns past the cut ray, y = radius) yields a monotone
     drawing with an identical crossing matrix.  Returns (drawing, x-order)
-    or None when all cycle edges are spine edges."""
+    or None when all cycle edges are spine edges.  Built once per drawing,
+    so the flat drawing keeps its own derived structures between calls."""
+    return d._derive(_cut_to_monotone)
+
+
+def _cut_to_monotone(d: Drawing):
     c_mono, strongly, spine = classify_c_monotone(d)
     if not (c_mono and strongly):
         return None

@@ -13,6 +13,11 @@ throughout (nested steps are private cores returning mask lists), and
 certifies its own output exactly once, in ``_certified``.  The returned
 ``TransformSequence`` keeps those masks and builds its edge tuples,
 ``trees``, the first time something reads them.
+Whatever a route reads that depends only on the drawing is built once per
+drawing: the classifications and the cut (``drawing``), each spine's
+masks, each ordered centre pair's relation order, the cylindrical path
+and side masks, and each tree's conflict mask (its certificate).  The
+checks inside each round still run on every call.
 """
 
 from __future__ import annotations
@@ -60,6 +65,7 @@ from .trees import (
     _plane_spanning,
     _star_centers,
     _twin_star_paths,
+    check_mask,
     conflict_mask,
     mask_tree,
     tree_mask,
@@ -103,7 +109,7 @@ def _certified(d: Drawing, masks: List[int], method: str) -> TransformSequence:
     for i, mask in enumerate(masks):
         _plane_spanning(d, mask, i)
     for i in range(len(masks) - 1):
-        if masks[i] & conflict_mask(d, masks[i + 1]):
+        if masks[i] & check_mask(d, masks[i + 1]).conflict:
             raise IncompatibleStepError(i)
     return TransformSequence(edges=d.edges, masks=tuple(masks), method=method)
 
@@ -142,15 +148,14 @@ def transform_cylindrical(d: Drawing, roles: Optional[CylRoles],
     t1, t2 = _input_masks(d, [t1, t2])
     if t1 == t2:
         return _certified(d, [t1], "cylindrical")
-    if not t1 & conflict_mask(d, t2):
+    if not t1 & check_mask(d, t2).conflict:
         return _certified(d, [t1, t2], "cylindrical")
 
-    paths = tree_mask(d, roles.inner_path + roles.outer_path)
+    paths = roles.paths_mask
     if not roles.inner_vertices or not roles.outer_vertices:
         return _certified(d, _dedupe([t1, paths, t2]), "cylindrical")
 
-    sides = tree_mask(d, [e for e, role in roles.roles.items() if role == "side"])
-    sides1, sides2 = t1 & sides, t2 & sides
+    sides1, sides2 = t1 & roles.sides_mask, t2 & roles.sides_mask
     if not sides1 or not sides2:
         raise NoSideEdgeError("spanning tree without a side edge")
     e1, e2 = sides1 & -sides1, sides2 & -sides2  # lowest bit: the least edge
@@ -217,15 +222,22 @@ def _spine_route(d: Drawing, spine: SpineStructure,
 def _rounds(d: Drawing, spine: SpineStructure, t: int, step) -> List[int]:
     """Masks from t to the spine path: one ``step`` per round, at most
     n - 1 rounds, while t keeps a twiggly edge (one crossing the spine)."""
-    spine_mask = tree_mask(d, spine.spine_edges)
-    twiggly = conflict_mask(d, spine_mask)
+    spine_mask, twiggly, path = d._derive(_spine_masks, spine)
     seq = [t]
     while t & twiggly:
         if len(seq) > d.n - 1:
             raise InternalInvariantViolated("too many spine rounds")
         t = step(d, spine_mask, twiggly, t)
         seq.append(t)
-    return seq + [tree_mask(d, spine.spine_edges[:d.n - 1])]  # sorted: drop the last
+    return seq + [path]
+
+
+def _spine_masks(d: Drawing, spine: SpineStructure) -> Tuple[int, int, int]:
+    """The spine's edge mask, the twiggly mask (every edge crossing the
+    spine) and the spine path's mask."""
+    spine_mask = tree_mask(d, spine.spine_edges)
+    path = tree_mask(d, spine.spine_edges[:d.n - 1])  # sorted: drop the last
+    return spine_mask, conflict_mask(d, spine_mask), path
 
 
 def _monotone_step(d: Drawing, spine_mask: int, twiggly: int, t: int) -> int:
@@ -407,9 +419,14 @@ def _corridor_step(d: Drawing, spine_mask: int, twiggly: int, t: int) -> int:
 # star family
 # ---------------------------------------------------------------------------
 
-def _gr_order(d: Drawing, g: int, r: int) -> List[int]:
+def _gr_order(d: Drawing, g: int, r: int) -> Tuple[int, ...]:
     """Vertices of V - {g, r} in an order compatible with the crossing
-    relation: u before w whenever edge(u, r) crosses edge(w, g)."""
+    relation: u before w whenever edge(u, r) crosses edge(w, g).  Built
+    once per drawing and ordered pair."""
+    return d._derive(_relation_order, g, r)
+
+
+def _relation_order(d: Drawing, g: int, r: int) -> Tuple[int, ...]:
     for c in (g, r):  # the stars at g and r hold every edge looked up below
         tree_mask(d, [edge(c, v) for v in range(d.n) if v != c])
     rows, ids = d.cross_mask, d.edge_id
@@ -433,7 +450,7 @@ def _gr_order(d: Drawing, g: int, r: int) -> List[int]:
         ready.sort()
     if len(order) != len(others):
         raise RelationCyclicError("crossing relation has a cycle")
-    return order
+    return tuple(order)
 
 
 def star_to_star(d: Drawing, g: int, r: int) -> TransformSequence:

@@ -10,16 +10,17 @@ throughout and certify each call's output once with ``check_mask``.
 A tree is plane when ``mask & conflict_mask(d, mask) == 0``, and two trees
 are compatible (their union is plane) when one mask misses the other's
 conflicts.  Certification covers spanning/acyclicity/planarity, cached
-per drawing by mask; a certificate classifies its tree's k-star kind only
-when ``kind`` is first read.  The star-family transformations additionally
-use the representation helpers below, because the star, double-star and
-twin-star classes overlap (one tree can admit several fixed-path
-representations).  Those helpers and ``classify_kind`` read one incidence
-table of the tree, vertex -> mask of its edges at that vertex: c is a star
-centre iff its entry is the whole mask, every edge touches g or r iff
-their entries OR to the mask, gr is a tree edge iff their entries meet,
-and a vertex's degree is its entry's bit count.  Flips find the cycle
-edge to drop with a union-find.
+per drawing by mask; a certificate keeps its tree's conflict mask, which
+the transformations' compatibility tests read, and classifies its tree's
+k-star kind only when ``kind`` is first read.  The star-family
+transformations additionally use the representation helpers below,
+because the star, double-star and twin-star classes overlap (one tree can
+admit several fixed-path representations).  Those helpers and
+``classify_kind`` read one incidence table of the tree, vertex -> mask of
+its edges at that vertex: c is a star centre iff its entry is the whole
+mask, every edge touches g or r iff their entries OR to the mask, gr is a
+tree edge iff their entries meet, and a vertex's degree is its entry's bit
+count.  Flips find the cycle edge to drop with a union-find.
 """
 
 from __future__ import annotations
@@ -83,6 +84,7 @@ class TreeCert:
     plane: bool
     mask: int = field(repr=False)
     edges: Tuple[Edge, ...] = field(repr=False, compare=False)  # d.edges
+    conflict: int = field(repr=False, compare=False)  # conflict_mask(mask)
 
     @property
     def is_plane_spanning_tree(self) -> bool:
@@ -247,9 +249,10 @@ def check_mask(d: Drawing, mask: int) -> TreeCert:
     uf = _UnionFind(d.n)
     acyclic = all(uf.union(u, v) for u, v in tree)
     connected = acyclic and len(tree) == len(verts) - 1 if verts else False
-    plane = mask & conflict_mask(d, mask) == 0
+    conflict = conflict_mask(d, mask)
     cert = TreeCert(spanning=spanning, acyclic_connected=connected,
-                    plane=plane, mask=mask, edges=d.edges)
+                    plane=mask & conflict == 0, mask=mask, edges=d.edges,
+                    conflict=conflict)
     d._cert_cache[mask] = cert
     return cert
 

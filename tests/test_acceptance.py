@@ -112,7 +112,7 @@ def test_criterion_1_cylindrical():
             for i, t1 in enumerate(trees):
                 for t2 in trees[i:]:
                     seq = transform_cylindrical(d, roles, t1, t2)
-                    assert seq.certified and len(seq.trees) <= 5
+                    assert seq.certified and len(seq) <= 5
 
 
 # ---------------------------------------------------------------------------
