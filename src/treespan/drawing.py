@@ -12,12 +12,20 @@ first use and kept.  The crossing matrix is one int per edge: edge ids are
 positions in the sorted edge list, and bit j of ``cross_mask[i]`` is set
 when edges i and j cross.  ``crossings`` and ``crossing_pairs()`` are views.
 
+A straight-line drawing (every curve the segment between its two vertex
+points) with no three vertices on a line is validated from its order type,
+the orientation of each vertex triple: it is always simple, and two
+disjoint edges cross iff the ends of each lie on opposite sides of the
+other.  A bent curve or a collinear triple sends the drawing through the
+generic pairwise curve-contact loop instead, which finds every fault.
+
 The structures the transformations read are derived once per drawing too,
 through ``Drawing._derive``: the monotone and c-monotone classifications,
 the cut to a monotone drawing (whose flat drawing keeps its own derived
-structures) and the vertices above each edge.  Each is an immutable value;
-the private builders ``_classify_monotone``, ``_classify_c_monotone``,
-``_cut_to_monotone`` and ``_vertices_above`` compute it uncached.  A
+structures), the vertices above each edge and the vertical order of each
+edge pair.  Each is an immutable value; the private builders
+``_classify_monotone``, ``_classify_c_monotone``, ``_cut_to_monotone``,
+``_vertices_above`` and ``_succ_above`` compute it uncached.  A
 cylindrical classification carries the masks of its cycle paths and side
 edges.
 """
@@ -227,8 +235,13 @@ class _Image(NamedTuple):
     turn: int
 
 
-def _integer_image(d: Drawing) -> _Image:
-    everything = list(d.vertex_points) + [w for c in d.curves.values() for w in c]
+def _integer_image(d: Drawing, curves: bool = True) -> _Image:
+    """The image of d; without ``curves`` the scales come from the vertex
+    points alone and no curve is scaled, which gives the same points when
+    every waypoint is a vertex point."""
+    everything = list(d.vertex_points)
+    if curves:
+        everything += [w for c in d.curves.values() for w in c]
     sx = math.lcm(*{p[0].denominator for p in everything})
     sy = math.lcm(*{p[1].denominator for p in everything})
     kind = Point if d.backend == "cartesian" else PolarPoint
@@ -237,10 +250,10 @@ def _integer_image(d: Drawing) -> _Image:
         return kind(p[0].numerator * (sx // p[0].denominator),
                     p[1].numerator * (sy // p[1].denominator))
 
-    curves = {e: tuple(map(scaled, c)) for e, c in d.curves.items()}
+    image = {e: tuple(map(scaled, c)) for e, c in d.curves.items()} if curves else {}
     if d.backend == "polar":
-        curves = {e: _normalized(c, sx) if c else c for e, c in curves.items()}
-    return _Image(d.backend, tuple(map(scaled, d.vertex_points)), curves, sx)
+        image = {e: _normalized(c, sx) if c else c for e, c in image.items()}
+    return _Image(d.backend, tuple(map(scaled, d.vertex_points)), image, sx)
 
 
 def _check_cartesian_curve(img: _Image, e: Edge, curve: CartesianCurve) -> tuple:
@@ -325,7 +338,15 @@ def _crossing_rows(d: Drawing) -> Tuple[int, ...]:
     """``Drawing.cross_mask``: check the drawing is simple and build the
     crossing rows.  Every sign test runs on the drawing's integer image;
     the image and each curve's segment records are built here once and
-    dropped on return."""
+    dropped on return.
+
+    After the structural checks, a cartesian drawing whose every curve is
+    the segment between its two vertex points, with no three vertices on a
+    line, is settled by ``_order_type_rows`` from the orientations of its
+    vertex triples alone.  Such a drawing is always simple, so no check
+    below could fail on it.  Anything else (a bent curve, or a zero
+    orientation) runs the generic curve-contact loop, which reports every
+    fault."""
     if d.n < 2:
         raise NotSimpleError("need at least 2 vertices")
     if d.graph[0] == "bipartite" and not (
@@ -333,12 +354,21 @@ def _crossing_rows(d: Drawing) -> Tuple[int, ...]:
         raise NotSimpleError("bipartite part sizes must be positive and sum to n")
     if list(d.edges) != d.expected_edges():
         raise NotSimpleError("edge set does not match declared graph")
-    img = _integer_image(d)
+    cartesian = d.backend == "cartesian"
+    ends = d.vertex_points
+    straight = cartesian and all(c == (ends[u], ends[v]) or c == (ends[v], ends[u])
+                                 for (u, v), c in d.curves.items())
+    img = _integer_image(d, curves=not straight)
     shared = [_shared_point(img, v) for v in range(d.n)]
     if len(set(shared)) != d.n:
         raise NotSimpleError("vertex points are not distinct")
 
-    cartesian = d.backend == "cartesian"
+    if straight:
+        rows = _order_type_rows(shared, d.edges)
+        if rows is not None:
+            return rows
+        img = _integer_image(d)
+
     records = {}
     for e, curve in img.curves.items():
         if cartesian:
@@ -379,6 +409,41 @@ def _crossing_rows(d: Drawing) -> Tuple[int, ...]:
                 if propers:
                     rows[i] |= 1 << j
                     rows[j] |= 1 << i
+    return tuple(rows)
+
+
+def _order_type_rows(points, edges) -> Optional[Tuple[int, ...]]:
+    """Crossing rows of the straight-line drawing of ``edges`` on distinct
+    ``points``, or None when three points lie on one line.
+
+    ``left[a][b]`` has bit c set when c lies strictly left of the directed
+    line a -> b; one orientation per vertex triple fills it.  With no three
+    points on a line, segments sharing an end meet only there, no vertex
+    touches a segment, and disjoint segments ab and cd cross, once, iff c
+    and d lie on opposite sides of ab and a and b on opposite sides of cd."""
+    n = len(points)
+    left = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(a + 1, n):
+            for c in range(b + 1, n):
+                o = orient(points[a], points[b], points[c])
+                if o == 0:
+                    return None
+                p, q = (a, b) if o > 0 else (b, a)  # p, q, c counterclockwise
+                left[p][q] |= 1 << c
+                left[q][c] |= 1 << p
+                left[c][p] |= 1 << q
+    rows = [0] * len(edges)
+    for i, (a, b) in enumerate(edges):
+        ab = left[a][b]
+        for j in range(i + 1, len(edges)):
+            c, d = f = edges[j]
+            if a in f or b in f:
+                continue
+            cd = left[c][d]
+            if ((ab >> c) ^ (ab >> d)) & ((cd >> a) ^ (cd >> b)) & 1:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
     return tuple(rows)
 
 
@@ -440,7 +505,12 @@ def _open_x_range(d: Drawing, e: Edge):
 def succ_above(d: Drawing, e: Edge, f: Edge) -> Optional[bool]:
     """True if e runs above f over their common open x-range, False if below,
     None if the open ranges do not overlap.  Only valid for non-crossing
-    pairs, whose vertical order is constant on the overlap."""
+    pairs, whose vertical order is constant on the overlap.  Found once per
+    ordered edge pair."""
+    return d._derive(_succ_above, e, f)
+
+
+def _succ_above(d: Drawing, e: Edge, f: Edge) -> Optional[bool]:
     lo1, hi1 = _open_x_range(d, e)
     lo2, hi2 = _open_x_range(d, f)
     lo, hi = max(lo1, lo2), min(hi1, hi2)

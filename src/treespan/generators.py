@@ -276,14 +276,21 @@ def _gen_strongly_cmonotone(n: int, rng: SplitMix64) -> Drawing:
     def theta(x: Fraction) -> Fraction:
         return margin + (x - xmin) * stretch
 
-    points = tuple(PolarPoint(theta(p.x), lift) for p in flat.vertex_points)
+    # x -> (theta, lift - baseline), once per distinct x: a column, where
+    # the baseline is that vertex's y, or a bent midpoint
+    wrap = {p.x: (theta(p.x), lift - p.y) for p in base_pts}
+    points = tuple(PolarPoint(wrap[p.x][0], lift) for p in flat.vertex_points)
     curves = {}
     for e, curve in flat.curves.items():
         if curve[0].x > curve[-1].x:
             curve = tuple(reversed(curve))
-        refined = _subdivide_at_columns(curve, columns)
-        curves[e] = tuple(PolarPoint(theta(w.x), w.y - baseline(w.x) + lift)
-                          for w in refined)
+        way = []
+        for w in _subdivide_at_columns(curve, columns):
+            at = wrap.get(w.x)
+            if at is None:
+                at = wrap[w.x] = (theta(w.x), lift - baseline(w.x))
+            way.append(PolarPoint(at[0], w.y + at[1]))
+        curves[e] = tuple(way)
 
     if reroute:
         seam = edge(order[0], order[-1])

@@ -9,6 +9,7 @@ change a drawing's answers through what it was handed.
 """
 
 import dataclasses
+from fractions import Fraction as F
 from itertools import permutations
 
 import pytest
@@ -20,14 +21,17 @@ from treespan.drawing import (
     _classify_c_monotone,
     _classify_monotone,
     _cut_to_monotone,
+    _succ_above,
     _vertices_above,
     classify_c_monotone,
     classify_monotone,
     cut_to_monotone,
+    succ_above,
     validate_simple,
     vertices_above,
 )
-from treespan.errors import RelationCyclicError
+from treespan.errors import InternalInvariantViolated, RelationCyclicError
+from treespan.geometry import Point
 from treespan.generators import GenSpec, generate
 from treespan.rng import SplitMix64
 from treespan.transforms import (
@@ -84,7 +88,16 @@ def _assert_memo_matches_builders(d):
     assert d._derived
     for (build, *args), value in d._derived.items():
         assert value == build(dataclasses.replace(d), *args), build.__name__
-        assert isinstance(value, (tuple, type(None))) or dataclasses.is_dataclass(value)
+        assert (isinstance(value, (tuple, bool, type(None)))
+                or dataclasses.is_dataclass(value))
+
+
+def _above(build, d, e, f):
+    """build(d, e, f), or the message of the invariant it raised."""
+    try:
+        return build(d, e, f)
+    except InternalInvariantViolated as ex:
+        return str(ex)
 
 
 @pytest.mark.parametrize("spec", GRID, ids=_name)
@@ -122,9 +135,11 @@ def test_memo_matches_uncached_builders(spec):
     flats = [d] + ([cut[0]] if cut else [])
     for flat in flats:
         if classify_monotone(flat) is not None:
+            cold = dataclasses.replace(flat)
             for e in flat.edges:
-                assert vertices_above(flat, e) == list(
-                    _vertices_above(dataclasses.replace(flat), e))
+                assert vertices_above(flat, e) == list(_vertices_above(cold, e))
+            for e, f in permutations(flat.edges, 2):
+                assert _above(succ_above, flat, e, f) == _above(_succ_above, cold, e, f)
         _assert_memo_matches_builders(flat)
 
 
@@ -188,6 +203,19 @@ def test_returned_lists_do_not_reach_the_memo(m4):
     order = _gr_order(m4, 0, 3)
     assert isinstance(order, tuple)
     assert star_to_star(m4, 0, 3).certified and _gr_order(m4, 0, 3) == order
+
+
+def test_failed_derivation_stores_nothing():
+    """Two edges that meet where their vertical order is read raise, and
+    leave no entry behind."""
+    pts = (Point(F(0), F(0)), Point(F(2), F(2)), Point(F(-1), F(3)), Point(F(3), F(-1)))
+    d = Drawing(n=4, backend="cartesian", vertex_points=pts,
+                curves={(u, v): (pts[u], pts[v]) for u in range(4) for v in range(u + 1, 4)})
+    for _ in range(2):
+        with pytest.raises(InternalInvariantViolated):
+            succ_above(d, (0, 1), (2, 3))
+    assert not d._derived
+    assert succ_above(d, (1, 2), (0, 1)) is True and len(d._derived) == 1
 
 
 def test_replaced_drawing_starts_cold():

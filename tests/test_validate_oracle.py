@@ -7,8 +7,10 @@ coordinates: the curve and vertex checks, the pair loop, and the
 ``polar_crossings`` that evaluated interpolated radii with ``_piece_r``
 divisions.  Random small drawings with mixed denominators, and the raw
 candidates of the generators (rejected ones included), must get the same
-crossing matrix, or the same ``NotSimpleError`` reason and pair.  A count
-of segment tests pins the box pruning of the pair loop.
+crossing matrix, or the same ``NotSimpleError`` reason and pair.  So must
+straight-line drawings on a small grid, which take the order-type path in
+general position and the pair loop otherwise.  A count of segment tests
+pins the box pruning of the pair loop.
 """
 
 import math
@@ -23,6 +25,7 @@ from treespan import geometry
 from treespan.drawing import (
     Drawing,
     _spans_cover_circle,
+    bipartite_edges,
     classify_c_monotone,
     complete_edges,
     edge,
@@ -287,10 +290,14 @@ def polar_drawings(draw):
     return Drawing(n=n, backend="polar", vertex_points=pts, curves=curves)
 
 
-def _straight(pts):
-    return Drawing(n=len(pts), backend="cartesian", vertex_points=pts,
-                   curves={(u, v): (pts[u], pts[v])
-                           for u, v in complete_edges(len(pts))})
+def _straight(pts, graph=("complete",), backwards=()):
+    """pts joined by segments along the graph's edges; an edge in
+    ``backwards`` runs from its larger end."""
+    n = len(pts)
+    edges = complete_edges(n) if graph[0] == "complete" else bipartite_edges(*graph[1:])
+    return Drawing(n=n, backend="cartesian", vertex_points=pts, graph=graph,
+                   curves={(u, v): (pts[v], pts[u]) if (u, v) in backwards
+                           else (pts[u], pts[v]) for u, v in edges})
 
 
 def _pp(t, r):
@@ -355,6 +362,54 @@ def test_validate_simple_matches_fraction_oracle(d):
     assert _outcome(_fast, _fresh(d)) == _outcome(oracle_validate, _fresh(d))
 
 
+@st.composite
+def straight_drawings(draw):
+    """Straight-line drawings, complete or bipartite, on a small rational
+    grid, where three vertices on a line are common."""
+    n = draw(st.integers(3, 8))
+    coord = st.builds(F, st.integers(0, draw(st.sampled_from((3, 4, 8, 40)))),
+                      st.sampled_from((1, 2, 3)))
+    pts = tuple(draw(st.lists(st.builds(Point, coord, coord),
+                              min_size=n, max_size=n, unique=True)))
+    graph = ("complete",)
+    if draw(st.booleans()):
+        a = draw(st.integers(1, n - 1))
+        graph = ("bipartite", a, n - a)
+    return _straight(pts, graph, draw(st.sets(st.sampled_from(complete_edges(n)))))
+
+
+_K23 = (Point(F(0), F(0)), Point(F(4), F(0)), Point(F(3), F(3)), Point(F(1), F(3)))
+# no three vertices on a line; (0, 2) and (1, 3) cross at (2, 2)
+STRAIGHT_K23 = _straight(_K23 + (Point(F(2), F(-2)),), ("bipartite", 2, 3))
+# vertex 4 lies between 0 and 1, which are not joined: still simple
+COLLINEAR_K23 = _straight(_K23 + (Point(F(2), F(0)),), ("bipartite", 2, 3))
+
+
+def test_straight_line_order_type_matches_fraction_oracle(monkeypatch):
+    """Straight-line drawings in general position are settled by their
+    order type, the others by the pairwise loop; both must agree with the
+    oracle, and both must run."""
+    branches = {"order type": 0, "fallback": 0}
+    order_type_rows = treespan.drawing._order_type_rows
+
+    def counting(points, edges):
+        rows = order_type_rows(points, edges)
+        branches["fallback" if rows is None else "order type"] += 1
+        return rows
+
+    monkeypatch.setattr(treespan.drawing, "_order_type_rows", counting)
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(d=straight_drawings())
+    @example(d=STRAIGHT_K23)
+    @example(d=COLLINEAR_K23)
+    def check(d):
+        assert _outcome(_fast, _fresh(d)) == _outcome(oracle_validate, _fresh(d))
+
+    check()
+    assert branches["order type"] > 0 and branches["fallback"] > 0
+
+
 @pytest.mark.parametrize("spec", [
     GenSpec(cls="strongly_cmonotone", n=5, seed=1),
     GenSpec(cls="strongly_cmonotone", n=6, seed=702),
@@ -405,6 +460,7 @@ def test_polar_crossings_matches_piece_r_oracle(c1, c2):
 # ---------------------------------------------------------------------------
 
 RAW_GRID = ([("random_points", n, None) for n in range(4, 11)]
+            + [("convex", n, None) for n in range(4, 11)]
             + [("monotone_perturbed", n, None) for n in range(6, 11)]
             + [("strongly_cmonotone", n, None) for n in (5, 6)]
             + [("cylindrical", 5, (2, 3)), ("cylindrical", 6, (3, 3))])
@@ -505,11 +561,8 @@ def test_spine_edges_match_fraction_spans(monkeypatch):
     assert kinds == {True, False} and fraction_tests == []
 
 
-def test_validation_prunes_segment_pairs(monkeypatch):
-    """Pairs of curves whose boxes are disjoint reach no segment test: a
-    straight-line drawing of K_10 tests fewer segment pairs than it has
-    edge pairs."""
-    d = _fresh(generate(GenSpec(cls="random_points", n=10, seed=0)))
+def _segment_tests(monkeypatch, d):
+    """How many segment pairs validating d puts through the contact test."""
     calls = []
     contact = geometry._segment_contact
 
@@ -519,5 +572,16 @@ def test_validation_prunes_segment_pairs(monkeypatch):
 
     monkeypatch.setattr(geometry, "_segment_contact", counting)
     validate_simple(d)
+    return len(calls)
+
+
+def test_validation_prunes_segment_pairs(monkeypatch):
+    """Pairs of curves whose boxes are disjoint reach no segment test: a
+    monotone drawing of K_8 with bent edges (378 edge pairs, 1512 segment
+    pairs) tests fewer segment pairs than it has edge pairs, and a
+    straight-line K_10 in general position tests none."""
+    d = _fresh(generate(GenSpec(cls="monotone_perturbed", n=8, seed=0)))
     m = len(d.edges)
-    assert 0 < len(calls) < m * (m - 1) // 2
+    assert 0 < _segment_tests(monkeypatch, d) < m * (m - 1) // 2
+    d = _fresh(generate(GenSpec(cls="random_points", n=10, seed=0)))
+    assert _segment_tests(monkeypatch, d) == 0
