@@ -388,20 +388,20 @@ def _crossing_rows(d: Drawing) -> Tuple[int, ...]:
         ri = recs[i]
         for j in range(i + 1, len(edges)):
             f = edges[j]
-            propers = 0
-            touches = set()
-            for c in (_polyline_contacts(ri, recs[j], False) if cartesian
-                      else _polar_contacts(ri, recs[j], img.turn, False)):
-                if type(c) is Proper:
-                    propers += 1
-                else:
-                    touches.add(c)
+            contacts = (_polyline_contacts(ri, recs[j], False) if cartesian
+                        else _polar_contacts(ri, recs[j], img.turn, False))
             if u in f or v in f:
-                at = shared[u if u in f else v]
-                if propers or len(touches) != 1 or touches.pop().at != at:
+                if not _meet_only_at(contacts, shared[u if u in f else v]):
                     raise NotSimpleError("adjacent crossing or degenerate contact",
                                          pair=(e, f))
             else:
+                propers = 0
+                touches = set()
+                for c in contacts:
+                    if type(c) is Proper:
+                        propers += 1
+                    else:
+                        touches.add(c)
                 if propers > 1:
                     raise NotSimpleError("double crossing", pair=(e, f))
                 if touches:
@@ -410,6 +410,20 @@ def _crossing_rows(d: Drawing) -> Tuple[int, ...]:
                     rows[i] |= 1 << j
                     rows[j] |= 1 << i
     return tuple(rows)
+
+
+def _meet_only_at(contacts, at) -> bool:
+    """The rule for two curves that share the vertex at point ``at``: no
+    proper crossing and exactly one touch, there.  ``contacts`` is the
+    pair's unmerged contact stream; it is read only up to the first
+    contact that breaks the rule.  The generators' early stop applies the
+    same rule to the integer coordinates of a candidate."""
+    touch = None
+    for c in contacts:
+        if type(c) is Proper or c.at != at or (touch is not None and c != touch):
+            return False
+        touch = c
+    return touch is not None
 
 
 def _order_type_rows(points, edges) -> Optional[Tuple[int, ...]]:

@@ -4,7 +4,18 @@ bipartite fixture.
 Every construction uses integer-only randomness (SplitMix64) and exact
 rational coordinates; candidate drawings are re-validated and resampled
 with fresh jitter until they pass both validation and their class
-check, within the spec's rejection budget.
+check, within the spec's rejection budget.  Each candidate draws from its
+own ``rng.split()`` child, so a builder may stop a candidate early without
+changing any later one.
+
+The monotone and strongly c-monotone builders compute on integers: every
+flat coordinate is a numerator over one denominator, 2000, and each
+wrapped angle and radius is one numerator over a denominator fixed by the
+drawing's width or by its strip's or segment's width.  Each ``Fraction`` is
+built once, at the end.  Before that the builders check every pair of
+curves sharing a vertex with validation's own rule for such a pair, on the
+flat integers, and reject the candidate at the first pair that breaks it:
+validation would reject it too, and these are nearly all of their rejects.
 
 Points on circles come from the tangent half-angle parametrization
 t -> ((1-t^2), 2t) / (1+t^2), which is exactly on the unit circle for every
@@ -22,6 +33,7 @@ from typing import Dict, List, Optional, Tuple
 from .drawing import (
     Drawing,
     Edge,
+    _meet_only_at,
     classify_c_monotone,
     classify_cylindrical,
     classify_monotone,
@@ -30,7 +42,7 @@ from .drawing import (
     edge,
 )
 from .errors import NotSimpleError, RejectionBudgetExceededError, TreespanError
-from .geometry import Point, PolarPoint
+from .geometry import Point, PolarPoint, _cartesian_record, _polyline_contacts
 from .rng import SplitMix64
 
 
@@ -101,25 +113,56 @@ def _gen_random_points(n: int, rng: SplitMix64) -> Drawing:
                    curves=_straight(pts))
 
 
-def _gen_monotone(n: int, rng: SplitMix64) -> Drawing:
-    """Random x-order on the axis, straight chords bent at a jittered
-    midpoint into 3-waypoint x-monotone polylines."""
+# every coordinate of a monotone candidate is an integer over _DEN: a vertex
+# x is its rank plus a jitter in thousandths, and a midpoint halves a chord
+_DEN = 2000
+
+
+def _monotone_ints(n: int, rng: SplitMix64):
+    """The vertex points and curves of a monotone candidate as integer
+    numerators over ``_DEN``: random x-order on the axis, straight chords
+    bent at a jittered midpoint into 3-waypoint x-monotone polylines, each
+    curve listed from its smaller vertex.  Ranks lie 2000 apart and the
+    jitter moves a vertex by at most 400, so every x is distinct and every
+    midpoint, at most 120 from the middle of its chord, stays strictly
+    inside its column."""
     ranks = list(range(n))
     rng.shuffle(ranks)
-    pts = tuple(Point(Fraction(ranks[v]) + _jitter(rng, 1000, 200),
-                      Fraction(rng.randint(-1500, 1500), 1000))
-                for v in range(n))
-    if len({p.x for p in pts}) != n:
-        raise _Reject("equal x")
+    pts = []
+    for v in range(n):
+        x = _DEN * ranks[v] + 2 * rng.randint(-200, 200)
+        pts.append(Point(x, 2 * rng.randint(-1500, 1500)))
     curves = {}
-    for e in complete_edges(n):
-        a, b = pts[e[0]], pts[e[1]]
-        mid = Point((a.x + b.x) / 2 + _jitter(rng, 1000, 60),
-                    (a.y + b.y) / 2 + _jitter(rng, 1000, 60))
-        if not (min(a.x, b.x) < mid.x < max(a.x, b.x)):
-            raise _Reject("midpoint escaped the column")
-        curves[e] = (a, mid, b)
-    return Drawing(n=n, backend="cartesian", vertex_points=pts, curves=curves)
+    for u, v in complete_edges(n):
+        a, b = pts[u], pts[v]
+        x = (a.x + b.x) // 2 + 2 * rng.randint(-60, 60)
+        curves[(u, v)] = (a, Point(x, (a.y + b.y) // 2 + 2 * rng.randint(-60, 60)), b)
+    return pts, curves
+
+
+def _reject_adjacent_contact(pts, curves, skip: Optional[Edge] = None) -> None:
+    """Raise _Reject at the first two curves, other than ``skip``, that share
+    a vertex and break validation's rule for such a pair
+    (``drawing._meet_only_at``).  Validation would reject the candidate at
+    that pair, or at an earlier fault, so no verdict changes."""
+    recs = {e: _cartesian_record(c) for e, c in curves.items() if e != skip}
+    for v, p in enumerate(pts):
+        star = [rec for e, rec in recs.items() if v in e]
+        for i, rec in enumerate(star):
+            for other in star[i + 1:]:
+                if not _meet_only_at(_polyline_contacts(rec, other, False), p):
+                    raise _Reject("adjacent crossing or degenerate contact")
+
+
+def _gen_monotone(n: int, rng: SplitMix64) -> Drawing:
+    """A monotone candidate, each coordinate one ``Fraction`` built after
+    the adjacent pairs pass."""
+    pts, curves = _monotone_ints(n, rng)
+    _reject_adjacent_contact(pts, curves)
+    points = tuple(Point(Fraction(x, _DEN), Fraction(y, _DEN)) for x, y in pts)
+    return Drawing(n=n, backend="cartesian", vertex_points=points, curves={
+        (u, v): (points[u], Point(Fraction(x, _DEN), Fraction(y, _DEN)), points[v])
+        for (u, v), (_, (x, y), _) in curves.items()})
 
 
 def _gen_two_page(n: int, rng: SplitMix64) -> Drawing:
@@ -227,77 +270,72 @@ def _gen_cylindrical(n: int, a: int, b: int, rng: SplitMix64) -> Drawing:
 # strongly c-monotone
 # ---------------------------------------------------------------------------
 
-def _subdivide_at_columns(curve, columns) -> tuple:
-    """Insert a waypoint wherever the curve's interior crosses one of the
-    given x-columns (sorted ascending), so that later per-strip shears stay
-    segment-exact.  The curve's waypoints run strictly left to right."""
-    out = [curve[0]]
-    for a, b in zip(curve, curve[1:]):
-        lo, hi = bisect.bisect_right(columns, a.x), bisect.bisect_left(columns, b.x)
-        for x in columns[lo:hi]:
-            y = a.y + (b.y - a.y) * (x - a.x) / (b.x - a.x)
-            out.append(Point(x, y))
-        out.append(b)
-    return tuple(out)
-
-
 def _gen_strongly_cmonotone(n: int, rng: SplitMix64) -> Drawing:
     """Wrap a perturbed monotone drawing onto an annulus.
 
     theta is the scaled x-coordinate; the radius is y minus the
     piecewise-linear baseline through the vertex points, lifted above zero.
-    The per-strip shear is affine, so the crossing pattern is preserved
-    exactly and all vertices land on one circle.  Half the seeds reroute
-    the cycle-closing edge through the empty wedge across the seam (all
-    cycle edges become spine edges); the rest keep its unrolled shape,
-    leaving a non-spine cycle edge for the cut branch."""
-    flat = _gen_monotone(n, rng)
+    Each curve gains a waypoint where it crosses a vertex column, so that
+    every segment lies in one strip, where the shear is affine: the
+    crossing pattern is preserved exactly and all vertices land on one
+    circle.  Half the seeds reroute the cycle-closing edge through the
+    empty wedge across the seam (all cycle edges become spine edges); the
+    rest keep its unrolled shape, leaving a non-spine cycle edge for the
+    cut branch.
+
+    The wrap is a homeomorphism of the strip between the outer columns, so
+    two wrapped curves meet exactly where their flat curves do, and a pair
+    sharing a vertex breaks validation's rule on the annulus iff it breaks
+    it flat: the adjacent pairs are checked on the flat integers, the
+    rerouted seam aside."""
+    pts, flat = _monotone_ints(n, rng)
     reroute = rng.randint(0, 1) == 0
+    order = sorted(range(n), key=lambda v: pts[v].x)
+    seam = edge(order[0], order[-1])
+    if reroute:
+        jig = _jitter(rng, 1000, 300)
+    _reject_adjacent_contact(pts, flat, seam if reroute else None)
 
-    order = sorted(range(n), key=lambda v: flat.vertex_points[v].x)
-    columns = [flat.vertex_points[v].x for v in order]
-    base_pts = [flat.vertex_points[v] for v in order]
-    slopes = [(b.y - a.y) / (b.x - a.x) for a, b in zip(base_pts, base_pts[1:])]
+    columns = [pts[v].x for v in order]
+    col_ys = [pts[v].y for v in order]
+    xmin, width = columns[0], columns[-1] - columns[0]
+    lift_num = 2 * max(abs(w.y) for curve in flat.values() for w in curve) + 2 * _DEN
+    lift = Fraction(lift_num, _DEN)
+    thetas = {}  # x -> theta, over 4 n width: margin 1/(4n) at each end
 
-    def baseline(x: Fraction) -> Fraction:
-        # the first strip [a.x, b.x] holding x, as a scan in column order finds it
-        i = max(bisect.bisect_left(columns, x), 1)
-        if x < columns[0] or i == len(columns):
-            raise ValueError("x outside the drawing")
-        a = base_pts[i - 1]
-        return a.y + slopes[i - 1] * (x - a.x)
+    def theta(x: int) -> Fraction:
+        t = thetas.get(x)
+        if t is None:
+            t = thetas[x] = Fraction(width + 2 * (x - xmin) * (2 * n - 1), 4 * n * width)
+        return t
 
-    ys = [w.y for curve in flat.curves.values() for w in curve]
-    lift = 2 * max(abs(y) for y in ys) + 2
-    xmin, xmax = columns[0], columns[-1]
-    margin = Fraction(1, 4 * n)
-    stretch = (1 - 2 * margin) / (xmax - xmin)
-
-    def theta(x: Fraction) -> Fraction:
-        return margin + (x - xmin) * stretch
-
-    # x -> (theta, lift - baseline), once per distinct x: a column, where
-    # the baseline is that vertex's y, or a bent midpoint
-    wrap = {p.x: (theta(p.x), lift - p.y) for p in base_pts}
-    points = tuple(PolarPoint(wrap[p.x][0], lift) for p in flat.vertex_points)
+    points = tuple(PolarPoint(theta(p.x), lift) for p in pts)
     curves = {}
-    for e, curve in flat.curves.items():
-        if curve[0].x > curve[-1].x:
-            curve = tuple(reversed(curve))
-        way = []
-        for w in _subdivide_at_columns(curve, columns):
-            at = wrap.get(w.x)
-            if at is None:
-                at = wrap[w.x] = (theta(w.x), lift - baseline(w.x))
-            way.append(PolarPoint(at[0], w.y + at[1]))
+    for e, (a, mid, b) in flat.items():
+        u, v = e if a.x < b.x else (e[1], e[0])
+        a, b = pts[u], pts[v]
+        # the midpoint's radius from the baseline of its strip [c0, c1]
+        i = bisect.bisect_left(columns, mid.x)
+        c0, y0, strip = columns[i - 1], col_ys[i - 1], columns[i] - columns[i - 1]
+        r_mid = Fraction((mid.y + lift_num - y0) * strip - (col_ys[i] - y0) * (mid.x - c0),
+                         _DEN * strip)
+        way = [points[u]]
+        for p, q, end in ((a, mid, PolarPoint(theta(mid.x), r_mid)), (mid, b, points[v])):
+            # a waypoint on each column the segment p -> q crosses, where the
+            # baseline is that column's vertex y
+            seg = q.x - p.x
+            for k in range(bisect.bisect_right(columns, p.x), bisect.bisect_left(columns, q.x)):
+                c = columns[k]
+                way.append(PolarPoint(theta(c), Fraction(
+                    (p.y + lift_num - col_ys[k]) * seg + (q.y - p.y) * (c - p.x), _DEN * seg)))
+            way.append(end)
         curves[e] = tuple(way)
 
     if reroute:
-        seam = edge(order[0], order[-1])
         t_hi = points[order[-1]].theta
         t_lo = points[order[0]].theta + 1
-        mid = PolarPoint((t_hi + t_lo) / 2, lift + _jitter(rng, 1000, 300))
-        curves[seam] = (PolarPoint(t_hi, lift), mid, PolarPoint(t_lo, lift))
+        curves[seam] = (PolarPoint(t_hi, lift), PolarPoint((t_hi + t_lo) / 2, lift + jig),
+                        PolarPoint(t_lo, lift))
 
     return Drawing(n=n, backend="polar", vertex_points=points, curves=curves)
 

@@ -125,14 +125,16 @@ def test_drawing_is_immutable(sq):
 # ---------------------------------------------------------------------------
 
 def test_generate_classifies_each_candidate_once(monkeypatch):
-    """Seed 0 builds several candidates; only the simple ones are
-    classified, each once."""
-    candidates, classified = [], []
+    """Seed 0 makes several builder attempts (its rejects are adjacent
+    contacts, which the builder itself stops at); only the simple
+    candidates are classified, each once."""
+    attempts, classified = [], []
     build, classify = generators._gen_strongly_cmonotone, classify_c_monotone
 
     def recording_build(n, rng):
-        candidates.append(build(n, rng))
-        return candidates[-1]
+        attempts.append(None)  # stays None when the builder rejects
+        attempts[-1] = build(n, rng)
+        return attempts[-1]
 
     def counting_classify(d):
         classified.append(d)
@@ -149,8 +151,9 @@ def test_generate_classifies_each_candidate_once(monkeypatch):
         except NotSimpleError:
             return False
 
-    assert len(candidates) > 1
-    assert [id(c) for c in classified] == [id(c) for c in candidates if simple(c)]
+    assert len(attempts) > 1
+    built = [c for c in attempts if c is not None]
+    assert [id(c) for c in classified] == [id(c) for c in built if simple(c)]
     assert classified[-1] is d
 
 

@@ -1,19 +1,30 @@
-"""Generator determinism and class-conformance tests."""
+"""Generator determinism and class-conformance tests, and the integer
+builders against their ``Fraction`` reference builders."""
 
+import copy
 from fractions import Fraction as F
 
 import pytest
 
+from treespan import drawing
 from treespan.compat import build_compat_graph
 from treespan.drawing import (
     classify_c_monotone,
     classify_cylindrical,
     validate_simple,
 )
-from treespan.errors import RejectionBudgetExceededError
-from treespan.generators import GenSpec, fixture_bipartite_isolated, generate
+from treespan.errors import NotSimpleError, RejectionBudgetExceededError
+from treespan.generators import (
+    _CLASSES,
+    GenSpec,
+    _Reject,
+    fixture_bipartite_isolated,
+    generate,
+)
 from treespan.rng import SplitMix64
 from treespan.trees import check_tree
+
+from reference_generators import REFERENCE
 
 
 def test_splitmix_reference_values():
@@ -99,6 +110,57 @@ def test_span_union_never_covers():
     for i, e in enumerate(es):
         for f in es[i + 1:]:
             assert not _spans_cover_circle(spans[e], spans[f])
+
+
+# ---------------------------------------------------------------------------
+# integer builders against the Fraction reference builders
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("cls", ["monotone_perturbed", "strongly_cmonotone"])
+def test_builders_match_fraction_reference(cls):
+    """On the first 8 candidates of seeds 0-3 at every size, the builder
+    returns the reference builder's drawing, vertex points and curves in the
+    same insertion order, or raises _Reject: then the reference rejects the
+    candidate too, or validation does.  Both outcomes occur."""
+    build, outcomes = _CLASSES[cls][0], set()
+    for n in range(3, 11 if cls == "monotone_perturbed" else 9):
+        for seed in range(4):
+            spec, rng = GenSpec(cls=cls, n=n, seed=seed), SplitMix64(seed)
+            for _ in range(8):
+                child = rng.split()
+                twin = copy.copy(child)
+                try:
+                    want = REFERENCE[cls](spec, child)
+                except _Reject:
+                    want = None
+                try:
+                    got = build(spec, twin)
+                except _Reject:
+                    if want is not None:
+                        with pytest.raises(NotSimpleError):
+                            validate_simple(want)
+                    outcomes.add("early stop")
+                    continue
+                assert got.vertex_points == want.vertex_points
+                assert list(got.curves.items()) == list(want.curves.items())
+                outcomes.add("built")
+    assert outcomes == {"early stop", "built"}
+
+
+def test_early_stop_spares_full_validation(monkeypatch):
+    """monotone_perturbed n = 10 seed 406 takes 240 candidates; the 239
+    rejected ones stop at an adjacent contact inside the builder, so only
+    the accepted one builds a crossing matrix (240 did before)."""
+    calls = []
+    crossing_rows = drawing._crossing_rows
+
+    def counting(d):
+        calls.append(d)
+        return crossing_rows(d)
+
+    monkeypatch.setattr(drawing, "_crossing_rows", counting)
+    d = generate(GenSpec(cls="monotone_perturbed", n=10, seed=406))
+    assert calls == [d]
 
 
 def test_invalid_spec():

@@ -6,7 +6,9 @@ below is the validation as it ran before, on the drawing's own rational
 coordinates: the curve and vertex checks, the pair loop, and the
 ``polar_crossings`` that evaluated interpolated radii with ``_piece_r``
 divisions.  Random small drawings with mixed denominators, and the raw
-candidates of the generators (rejected ones included), must get the same
+candidates of the generators (rejected ones included, the monotone and
+strongly c-monotone ones built by the ``Fraction`` reference builders of
+``reference_generators``), must get the same
 crossing matrix, or the same ``NotSimpleError`` reason and pair.  So must
 straight-line drawings on a small grid, which take the order-type path in
 general position and the pair loop otherwise.  A count of segment tests
@@ -49,6 +51,7 @@ from treespan.geometry import (
 from treespan.rng import SplitMix64
 
 from conftest import polar_k3, polar_k4, polar_k5
+from reference_generators import REFERENCE
 
 # ---------------------------------------------------------------------------
 # the Fraction oracle
@@ -468,7 +471,10 @@ RAW_GRID = ([("random_points", n, None) for n in range(4, 11)]
 
 def _raw_candidates(cls, n, shape, seeds=range(3), per_seed=5):
     """The first candidates ``generate`` would build for each seed, before
-    any validation or class check."""
+    any validation or class check.  The monotone and strongly c-monotone
+    ones come from the reference builders, which do not stop at an
+    adjacent contact, so the rejected candidates stay in the grid."""
+    build = REFERENCE.get(cls, _CLASSES[cls][0])
     out = []
     for seed in seeds:
         a, b = shape or (None, None)
@@ -476,7 +482,7 @@ def _raw_candidates(cls, n, shape, seeds=range(3), per_seed=5):
         rng = SplitMix64(seed)
         for _ in range(per_seed):
             try:
-                out.append(_CLASSES[cls][0](spec, rng.split()))
+                out.append(build(spec, rng.split()))
             except _Reject:
                 pass
     return out
