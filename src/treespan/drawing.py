@@ -17,7 +17,12 @@ points) with no three vertices on a line is validated from its order type,
 the orientation of each vertex triple: it is always simple, and two
 disjoint edges cross iff the ends of each lie on opposite sides of the
 other.  A bent curve or a collinear triple sends the drawing through the
-generic pairwise curve-contact loop instead, which finds every fault.
+generic pairwise curve-contact loop instead, which finds every fault.  A
+polar drawing runs the same loop in its angle-radius strip, where each
+curve is a polyline normalized to start within the first turn and the
+second curve of a pair is moved by each whole turn under which the two
+angle ranges meet; a vertex is lifted into a curve's frame before it is
+tested against that curve.
 
 The structures the transformations read are derived once per drawing too,
 through ``Drawing._derive``: the monotone and c-monotone classifications,
@@ -48,16 +53,13 @@ from .errors import (
 from .geometry import (
     CartesianCurve,
     Point,
-    PolarCurve,
-    PolarPoint,
     Proper,
     Rat,
     _cartesian_record,
     _normalized,
-    _polar_contacts,
-    _polar_record,
     _polyline_contacts,
     _self_contacts,
+    _strip_contacts,
     curve_circle_crossing,
     curve_eval,
     is_x_monotone,
@@ -225,9 +227,11 @@ class ClassReport:
 class _Image(NamedTuple):
     """A drawing with each axis (x and y, or angle and radius) scaled by
     the lcm of its denominators, so every coordinate is an int.  A positive
-    scale keeps the sign of every orientation, box and order test.  For a
-    polar drawing ``turn`` is the scaled length of one turn and every curve
-    is normalized to start in [0, turn)."""
+    scale keeps the sign of every orientation, box and order test.  Points
+    are ``Point``s for both backends: a polar drawing lies in the
+    angle-radius strip, ``turn`` is the scaled length of one turn, each
+    vertex angle lies in [0, turn) and every curve is normalized to start
+    there."""
 
     backend: str
     points: tuple
@@ -244,16 +248,17 @@ def _integer_image(d: Drawing, curves: bool = True) -> _Image:
         everything += [w for c in d.curves.values() for w in c]
     sx = math.lcm(*{p[0].denominator for p in everything})
     sy = math.lcm(*{p[1].denominator for p in everything})
-    kind = Point if d.backend == "cartesian" else PolarPoint
 
     def scaled(p):
-        return kind(p[0].numerator * (sx // p[0].denominator),
-                    p[1].numerator * (sy // p[1].denominator))
+        return Point(p[0].numerator * (sx // p[0].denominator),
+                     p[1].numerator * (sy // p[1].denominator))
 
     image = {e: tuple(map(scaled, c)) for e, c in d.curves.items()} if curves else {}
+    points = tuple(map(scaled, d.vertex_points))
     if d.backend == "polar":
         image = {e: _normalized(c, sx) if c else c for e, c in image.items()}
-    return _Image(d.backend, tuple(map(scaled, d.vertex_points)), image, sx)
+        points = tuple(Point(x % sx, y) for x, y in points)
+    return _Image(d.backend, points, image, sx)
 
 
 def _check_cartesian_curve(img: _Image, e: Edge, curve: CartesianCurve) -> tuple:
@@ -272,59 +277,48 @@ def _check_cartesian_curve(img: _Image, e: Edge, curve: CartesianCurve) -> tuple
     return rec
 
 
-def _check_polar_curve(img: _Image, e: Edge, curve: PolarCurve) -> tuple:
-    """Check one curve and return its ``_polar_record``."""
+def _check_polar_curve(img: _Image, e: Edge, curve: CartesianCurve) -> tuple:
+    """Check one strip curve (x = angle, y = radius) and return its
+    ``_cartesian_record``."""
     if len(curve) < 2:
         raise NotSimpleError(f"curve of {e} has fewer than 2 waypoints")
     for w in curve:
-        if w.r <= 0:
+        if w.y <= 0:
             raise NotSimpleError(f"curve of {e} has non-positive radius")
     for i in range(len(curve) - 1):
-        if curve[i].theta >= curve[i + 1].theta:
+        if curve[i].x >= curve[i + 1].x:
             raise NotSimpleError(f"curve of {e} is not angle-monotone")
     turn = img.turn
-    if curve[-1].theta - curve[0].theta >= turn:
+    if curve[-1].x - curve[0].x >= turn:
         raise NotSimpleError(f"curve of {e} spans a full turn or more")
-    ends = {(curve[0].theta % turn, curve[0].r), (curve[-1].theta % turn, curve[-1].r)}
-    if ends != {_shared_point(img, e[0]), _shared_point(img, e[1])}:
+    ends = {curve[0], Point(curve[-1].x % turn, curve[-1].y)}
+    if ends != {img.points[e[0]], img.points[e[1]]}:
         raise NotSimpleError(f"curve of {e} does not join its endpoints")
-    return _polar_record(curve)
+    return _cartesian_record(curve)
+
+
+def _in_frame(img: _Image, p: Point, rec: tuple) -> Point:
+    """Point p of the image in the frame of the curve with record rec: a
+    polar point before the curve's start angle moves on by one turn.  A
+    checked polar curve spans less than a turn, so no other lift of p can
+    lie on it."""
+    if img.backend == "polar" and p.x < rec[1][0]:
+        return Point(p.x + img.turn, p.y)
+    return p
 
 
 def _vertex_on_curve(img: _Image, e: Edge, curve, rec: tuple, v: int) -> bool:
     """Does the curve, with record rec, pass through vertex v's point
     anywhere it must not?"""
-    segs, box = rec
-    if img.backend == "cartesian":
-        p = img.points[v]
-        if v in e:
-            return p in curve[1:-1]
-        x, y = p
-        xlo, xhi, ylo, yhi = box
-        if not (xlo <= x <= xhi and ylo <= y <= yhi):
-            return False
-        return any(sxlo <= x <= sxhi and sylo <= y <= syhi and orient(a, b, p) == 0
-                   for a, b, sxlo, sxhi, sylo, syhi in segs)
-    # a checked polar curve spans less than a turn: one lift of v can hit it
-    base, r = _shared_point(img, v)
-    t0, tn, rlo, rhi = box
-    cand = base if base >= t0 else base + img.turn
-    if cand > tn or not rlo <= r <= rhi:
+    p = _in_frame(img, img.points[v], rec)
+    if v in e:
+        return p in curve[1:-1]
+    x, y = p
+    segs, (xlo, xhi, ylo, yhi) = rec
+    if not (xlo <= x <= xhi and ylo <= y <= yhi):
         return False
-    for lo, hi, _, _, length, a, b, _, _ in segs:
-        if lo <= cand <= hi:
-            if a + b * cand != r * length:
-                return False
-            return not (v in e and cand in (t0, tn))  # own end
-    return False
-
-
-def _shared_point(img: _Image, v: int):
-    """Vertex v's point as contacts report it (polar angles mod a turn)."""
-    p = img.points[v]
-    if img.backend == "cartesian":
-        return p
-    return (p[0] % img.turn, p[1])
+    return any(sxlo <= x <= sxhi and sylo <= y <= syhi and orient(a, b, p) == 0
+               for a, b, sxlo, sxhi, sylo, syhi in segs)
 
 
 def validate_simple(d: Drawing) -> ClassReport:
@@ -359,7 +353,7 @@ def _crossing_rows(d: Drawing) -> Tuple[int, ...]:
     straight = cartesian and all(c == (ends[u], ends[v]) or c == (ends[v], ends[u])
                                  for (u, v), c in d.curves.items())
     img = _integer_image(d, curves=not straight)
-    shared = [_shared_point(img, v) for v in range(d.n)]
+    shared = img.points
     if len(set(shared)) != d.n:
         raise NotSimpleError("vertex points are not distinct")
 
@@ -389,9 +383,10 @@ def _crossing_rows(d: Drawing) -> Tuple[int, ...]:
         for j in range(i + 1, len(edges)):
             f = edges[j]
             contacts = (_polyline_contacts(ri, recs[j], False) if cartesian
-                        else _polar_contacts(ri, recs[j], img.turn, False))
+                        else _strip_contacts(ri, recs[j], img.turn, False))
             if u in f or v in f:
-                if not _meet_only_at(contacts, shared[u if u in f else v]):
+                at = _in_frame(img, shared[u if u in f else v], ri)
+                if not _meet_only_at(contacts, at):
                     raise NotSimpleError("adjacent crossing or degenerate contact",
                                          pair=(e, f))
             else:
@@ -687,7 +682,7 @@ def _spans_cover_circle(s1, s2, turn=1) -> bool:
     """Whether two spans (angles in units of 1/turn turns, each starting in
     [0, turn)) jointly cover the circle."""
     comp_lo, comp_hi = s1[1], s1[0] + turn  # complement arc of s1
-    for k in (0, turn, 2 * turn):
+    for k in (0, turn):
         if s2[0] + k <= comp_lo and s2[1] + k >= comp_hi:
             return True
     return False
@@ -732,7 +727,7 @@ def _classify_c_monotone(d: Drawing):
     angles = vertex_angles(d)
     rays = [scaled(a) for a in angles]
     order = tuple(sorted(range(d.n), key=lambda v: angles[v]))
-    cycle = [edge(order[i], order[(i + 1) % d.n]) for i in range(d.n)]
+    cycle = {edge(order[i], order[(i + 1) % d.n]) for i in range(d.n)}  # one edge for n = 2
     spine = []
     for e in cycle:
         t0, tn = ints[e]
@@ -741,7 +736,7 @@ def _classify_c_monotone(d: Drawing):
     structure = SpineStructure(
         kind="cmonotone", order=order,
         spine_edges=tuple(sorted(spine)),
-        all_cycle_edges_spine=len(spine) == d.n,
+        all_cycle_edges_spine=len(spine) == len(cycle),
     )
     return True, strongly, structure
 

@@ -2,17 +2,21 @@
 
 Cartesian curves are polylines through ``Point`` waypoints; polar curves are
 piecewise-linear radius profiles over angles measured in *turns* (one turn
-is a full revolution), so every decision in the package is the sign of an
-exact expression.  The predicates are sign tests that take ``int`` or
-``Fraction`` coordinates alike: ``validate_simple`` runs them on a per-axis
-integer image of the drawing (each axis scaled by the lcm of its
-denominators, which keeps every sign), and polar angles are compared modulo
-a turn length that is 1 for the public functions.  Interpolated radii are
-compared by cross-multiplying, never by dividing.  Contacts that are not
-transversal interior crossings (shared endpoints, endpoint-on-interior
-touches, collinear overlaps, hits on waypoint breakpoints) are reported as
-``Degenerate`` values rather than errors; the drawing layer decides which
-of them are legal.
+is a full revolution).  In the angle-radius strip (x = angle, y = radius)
+a polar curve is an x-monotone polyline, and the strip is periodic in x
+with period one turn.  So both backends share one contact kernel: a polar
+pair is a pair of strip polylines, the second moved by each whole turn
+under which the two angle ranges meet, and polar evaluation is polyline
+evaluation at the lifted angle.  Every decision in the package is the sign
+of an exact expression.  The predicates are sign tests that take ``int``
+or ``Fraction`` coordinates alike: ``validate_simple`` runs them on a
+per-axis integer image of the drawing (each axis scaled by the lcm of its
+denominators, which keeps every sign), where one turn measures the lcm of
+the angle denominators; it is 1 for the public functions.  Contacts that
+are not transversal interior crossings (shared endpoints,
+endpoint-on-interior touches, collinear overlaps, hits on waypoint
+breakpoints) are reported as ``Degenerate`` values rather than errors; the
+drawing layer decides which of them are legal.
 """
 
 from __future__ import annotations
@@ -213,7 +217,7 @@ def _self_contacts(segs: list) -> list:
 
 
 # ---------------------------------------------------------------------------
-# polar primitives
+# polar curves as polylines of the angle-radius strip
 # ---------------------------------------------------------------------------
 
 def normalize_polar(curve: PolarCurve) -> PolarCurve:
@@ -228,16 +232,14 @@ def lift_angle(theta: Rat, lo: Rat) -> Rat:
     return base + math.ceil(lo - base)
 
 
-def _normalized(curve: PolarCurve, turn) -> PolarCurve:
-    """normalize_polar for angles measured in units of 1/turn turns."""
-    shift = curve[0].theta - (curve[0].theta % turn)
+def _normalized(curve, turn):
+    """normalize_polar for angles measured in units of 1/turn turns, of
+    PolarPoints or of their strip Points alike."""
+    shift = curve[0][0] - (curve[0][0] % turn)
     if shift == 0:
         return tuple(curve)
-    return tuple(PolarPoint(w.theta - shift, w.r) for w in curve)
-
-
-def _piece_r(p0: PolarPoint, p1: PolarPoint, theta: Rat) -> Rat:
-    return p0.r + (p1.r - p0.r) * (theta - p0.theta) / (p1.theta - p0.theta)
+    kind = type(curve[0])
+    return tuple(kind(w[0] - shift, w[1]) for w in curve)
 
 
 def polar_crossings(c1: PolarCurve, c2: PolarCurve) -> list:
@@ -246,64 +248,36 @@ def polar_crossings(c1: PolarCurve, c2: PolarCurve) -> list:
     Angles are compared mod 1 turn; a contact at a piece boundary or curve
     endpoint is Degenerate, a sign change of r1 - r2 interior to both pieces
     is Proper.  Waypoint angles must increase strictly along each curve.
+    The strip kernel's contacts are reported with their angles mod 1, and
+    each point contact, a shared endpoint too, as an "endpoint contact".
     """
-    return _merged(_polar_contacts(_polar_record(normalize_polar(c1)),
-                                   _polar_record(normalize_polar(c2)), 1, True))
+    return _merged(Proper(r.at.x % 1) if type(r) is Proper
+                   else r if r.at is None
+                   else Degenerate("endpoint contact", at=(r.at.x % 1, r.at.y))
+                   for r in _strip_contacts(_strip_record(c1), _strip_record(c2), 1, True))
 
 
-def _polar_record(curve: PolarCurve) -> tuple:
-    """(piece records, range) of a polar curve.  A piece record is
-    (t0, t1, r0, r1, length, a, b, rlo, rhi): the piece's end angles and
-    radii, its angular length, the line a + b * theta that is its radius
-    times its length, and its radius range, which holds every radius it
-    interpolates.  The range is (t0, tn, rlo, rhi) for the whole curve."""
-    segs = []
-    for (t0, r0), (t1, r1) in zip(curve, curve[1:]):
-        length, b = t1 - t0, r1 - r0
-        rlo, rhi = (r0, r1) if r0 < r1 else (r1, r0)
-        segs.append((t0, t1, r0, r1, length, r0 * length - b * t0, b, rlo, rhi))
-    rs = [w.r for w in curve]
-    return segs, (curve[0].theta, curve[-1].theta, min(rs), max(rs))
+def _strip_record(curve: PolarCurve) -> tuple:
+    """The ``_cartesian_record`` of a polar curve in the strip, normalized."""
+    return _cartesian_record(tuple(Point(*w) for w in normalize_polar(curve)))
 
 
-def _polar_contacts(rec1: tuple, rec2: tuple, turn, locate: bool):
-    """polar_crossings of two ``_polar_record``s of curves normalized to
-    start in [0, turn), with one turn measuring ``turn``; unmerged, and a
-    Proper's ``at`` is None unless locate.  Each radius comparison is the
-    sign of r1 - r2 times the two pieces' angular lengths, so nothing is
-    divided; a contact's radius is the radius of the piece end it lies on.
-    Pieces whose radius ranges are disjoint, or whose angle ranges meet
-    under none of the three turn shifts, have no contact and are skipped,
-    first for the whole curves."""
-    segs1, (e0, e1, elo, ehi) = rec1
-    segs2, (f0, f1, flo, fhi) = rec2
-    if ehi < flo or fhi < elo:
-        return
-    shifts = [k for k in (-turn, 0, turn) if max(e0, f0 + k) <= min(e1, f1 + k)]
-    if not shifts:
-        return
-    for t0, t1, r0, r1, len1, a1, b1, plo, phi in segs1:
-        for u0, u1, s0, s1, len2, a2, b2, qlo, qhi in segs2:
-            if phi < qlo or qhi < plo:
-                continue
-            for k in shifts:
-                lo = t0 if t0 > u0 + k else u0 + k
-                hi = t1 if t1 < u1 + k else u1 + k
-                if lo > hi:
-                    continue
-                dlo = (a1 + b1 * lo) * len2 - (a2 + b2 * (lo - k)) * len1
-                dhi = dlo if lo == hi else (a1 + b1 * hi) * len2 - (a2 + b2 * (hi - k)) * len1
-                if dlo == 0 and dhi == 0 and lo < hi:
-                    yield Degenerate("collinear overlap")
-                elif dlo == 0:
-                    r = r0 if lo == t0 else s0
-                    yield Degenerate("endpoint contact", at=(lo % turn, r))
-                elif dhi == 0:
-                    r = r1 if hi == t1 else s1
-                    yield Degenerate("endpoint contact", at=(hi % turn, r))
-                elif (dlo < 0) != (dhi < 0):
-                    yield Proper(Fraction(hi * dlo - lo * dhi, dlo - dhi) % turn
-                                 if locate else None)
+def _strip_contacts(rec1: tuple, rec2: tuple, turn, locate: bool):
+    """``_polyline_contacts`` of two curves of the angle-radius strip, each
+    normalized to start in [0, turn), where one turn measures ``turn``.
+    The second curve is moved by each of -turn, 0 and +turn under which
+    the two angle ranges meet, so every contact is located in the first
+    curve's frame.  Segment pairs are visited in curve order, and the
+    shifts of one pair in increasing order."""
+    e0, e1 = rec1[1][0], rec1[1][1]
+    segs, (f0, f1, flo, fhi) = rec2
+    if f1 < e0 + turn and e1 < f0 + turn:  # neither -turn nor +turn meets: 0 alone or none
+        return _polyline_contacts(rec1, rec2, locate)
+    shifts = [k for k in (-turn, 0, turn) if e0 <= f1 + k and f0 + k <= e1]
+    moved = [(Point(a.x + k, a.y), Point(b.x + k, b.y), xlo + k, xhi + k, ylo, yhi)
+             for a, b, xlo, xhi, ylo, yhi in segs for k in shifts]
+    return _polyline_contacts(rec1, (moved, (f0 + shifts[0], f1 + shifts[-1], flo, fhi)),
+                              locate)
 
 
 # ---------------------------------------------------------------------------
@@ -325,25 +299,21 @@ def is_x_monotone(curve: CartesianCurve) -> bool:
 
 def curve_eval(curve, at: Rat) -> Optional[Rat]:
     """y at x for an x-monotone cartesian curve, or r at theta (mod 1) for a
-    polar curve.  None when the curve does not span the query."""
-    if isinstance(curve[0], PolarPoint):
-        c = normalize_polar(curve)
-        cand = lift_angle(at, c[0].theta)
-        if cand > c[-1].theta:
-            return None
-        for p0, p1 in zip(c, c[1:]):
-            if p0.theta <= cand <= p1.theta:
-                return _piece_r(p0, p1, cand)
+    polar curve: its strip polyline's y at theta lifted into the curve's
+    frame.  None when the curve does not span the query."""
+    if isinstance(curve[0], PolarPoint):  # angles increase along a polar curve
+        pts = normalize_polar(curve)
+        at = lift_angle(at, pts[0].theta)
+    else:
+        direction = _x_direction(curve)
+        if direction == 0:
+            raise NonMonotoneCurveError("y-at-x query on a non-x-monotone curve")
+        pts = curve if direction == 1 else tuple(reversed(curve))
+    if at < pts[0][0] or at > pts[-1][0]:
         return None
-    direction = _x_direction(curve)
-    if direction == 0:
-        raise NonMonotoneCurveError("y-at-x query on a non-x-monotone curve")
-    pts = curve if direction == 1 else tuple(reversed(curve))
-    if at < pts[0].x or at > pts[-1].x:
-        return None
-    for a, b in zip(pts, pts[1:]):
-        if a.x <= at <= b.x:
-            return a.y + (b.y - a.y) * (at - a.x) / (b.x - a.x)
+    for (ax, ay), (bx, by) in zip(pts, pts[1:]):
+        if ax <= at <= bx:
+            return ay + (by - ay) * (at - ax) / (bx - ax)
     return None
 
 

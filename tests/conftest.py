@@ -4,6 +4,7 @@ SQ   convex quadrilateral with distinct x and y coordinates (straight-line).
 M4   the standard 4-point monotone drawing (0,0),(1,1),(2,-1),(3,0).
 PK4  polar K4 with one long cycle edge crossing a spine edge once.
 PK3  polar K3, all cycle edges short (everything is spine).
+PK2  polar K2, one edge along a quarter of the circle.
 """
 
 from fractions import Fraction as F
@@ -50,6 +51,12 @@ def polar_k4():
         edge(1, 3): (PP(F(1, 4), 10), PP(F(1, 2), 13), PP(F(3, 4), 10)),
     }
     return Drawing(n=4, backend="polar", vertex_points=pts, curves=curves)
+
+
+def polar_k2():
+    pts = (PP(0, 2), PP(F(1, 4), 2))
+    return Drawing(n=2, backend="polar", vertex_points=pts,
+                   curves={edge(0, 1): (PP(0, 2), PP(F(1, 4), 2))})
 
 
 def polar_k3():

@@ -36,7 +36,7 @@ from treespan.compat import build_compat_graph
 from treespan.generators import GenSpec, fixture_bipartite_isolated, generate
 from treespan.trees import enumerate_plane_trees, is_compatible
 
-from conftest import P, cyl_k4, polar_k3, polar_k4, straight_line_drawing, two_page_k4
+from conftest import P, cyl_k4, polar_k2, polar_k3, polar_k4, straight_line_drawing, two_page_k4
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +195,17 @@ def test_cli_special_route_non_plane_tree_is_invalid_input(tmp_path, capsys):
                  "--to", crossing, "--method", "special"]) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "invalid-input" and err["type"] == "BadTreeError"
+
+
+def test_cli_transform_cmonotone_k2(tmp_path):
+    """A strongly c-monotone K_2 has one spine edge, so its one tree
+    transforms to itself."""
+    drawing, seq_path = str(tmp_path / "k2.json"), str(tmp_path / "seq.json")
+    save_drawing(polar_k2(), drawing)
+    assert main(["transform", drawing, "--from", "0-1", "--to", "0-1",
+                 "--method", "cmonotone", "-o", seq_path]) == 0
+    doc = json.load(open(seq_path))
+    assert doc["certified"] is True and doc["trees"] == [[[0, 1]]]
 
 
 def test_cli_method_inapplicable(k3_file, capsys):

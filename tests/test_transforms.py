@@ -47,7 +47,7 @@ from treespan.trees import (
     tree_mask,
 )
 
-from conftest import P, polar_k5
+from conftest import P, polar_k2, polar_k5
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +193,19 @@ def test_cmonotone_cut_branch(pk4):
         ((0, 1), (0, 2), (1, 3)),
         ((0, 1), (1, 2), (2, 3)),
     )
+
+
+def test_cmonotone_k2_one_spine_edge():
+    """The two-vertex cycle is one edge, listed once, as for monotone K_2."""
+    d = polar_k2()
+    _, strongly, spine = classify_c_monotone(d)
+    assert strongly and spine.spine_edges == ((0, 1),)
+    assert spine.all_cycle_edges_spine is True
+    seq = cmonotone_to_spine(d, [(0, 1)])
+    assert seq.trees == (((0, 1),),) and seq.method == "cmonotone"
+    flat = Drawing(n=2, backend="cartesian", vertex_points=(P(0, 0), P(1, 0)),
+                   curves={(0, 1): (P(0, 0), P(1, 0))})
+    assert monotone_to_spine(flat, classify_monotone(flat), [(0, 1)]).trees == seq.trees
 
 
 def test_cmonotone_every_tree(pk5):

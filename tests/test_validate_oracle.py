@@ -43,6 +43,7 @@ from treespan.geometry import (
     Point,
     PolarPoint,
     Proper,
+    curve_eval,
     curve_self_contacts,
     orient,
     polar_crossings,
@@ -454,8 +455,22 @@ def polar_pieces(draw):
 @example(c1=(_pp(F(5, 8), 1), _pp(F(9, 8), 3)), c2=(_pp(F(1, 8), 3), _pp(F(1, 2), 1)))
 # proper crossing across the seam, c1 given with a lift of two turns
 @example(c1=(_pp(F(19, 8), 1), _pp(F(25, 8), 3)), c2=(_pp(F(1, 8), 3), _pp(F(3, 8), 1)))
+# c1's one piece crosses c2's second piece in the same turn and its first
+# piece a turn on: the contacts come in piece-pair order, not by shift
+@example(c1=(_pp(F(1, 2), 1), _pp(F(11, 8), 3)),
+         c2=(_pp(F(1, 8), 3), _pp(F(3, 8), 2), _pp(F(7, 8), 1)))
 def test_polar_crossings_matches_piece_r_oracle(c1, c2):
     assert polar_crossings(c1, c2) == oracle_polar_crossings(c1, c2)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(c=polar_pieces(), at=grid_theta, turns=st.integers(-2, 2))
+@example(c=(_pp(F(5, 8), 1), _pp(F(9, 8), 3)), at=F(1, 8), turns=1)  # across the seam
+@example(c=(_pp(F(19, 8), 1), _pp(F(25, 8), 3)), at=F(3, 8), turns=-2)
+def test_polar_curve_eval_matches_piece_r_oracle(c, at, turns):
+    """curve_eval of a polar curve interpolates its strip polyline at the
+    lifted angle: the answer is the oracle's, a whole turn away too."""
+    assert curve_eval(c, at + turns) == curve_eval(c, at) == oracle_polar_eval(c, at)
 
 
 # ---------------------------------------------------------------------------
@@ -568,26 +583,47 @@ def test_spine_edges_match_fraction_spans(monkeypatch):
 
 
 def _segment_tests(monkeypatch, d):
-    """How many segment pairs validating d puts through the contact test."""
+    """The segment-record pairs validating d puts through the contact test."""
     calls = []
     contact = geometry._segment_contact
 
-    def counting(s, t, locate):
-        calls.append(locate)
+    def recording(s, t, locate):
+        calls.append((s, t))
         return contact(s, t, locate)
 
-    monkeypatch.setattr(geometry, "_segment_contact", counting)
+    monkeypatch.setattr(geometry, "_segment_contact", recording)
     validate_simple(d)
-    return len(calls)
+    return calls
 
 
 def test_validation_prunes_segment_pairs(monkeypatch):
     """Pairs of curves whose boxes are disjoint reach no segment test: a
     monotone drawing of K_8 with bent edges (378 edge pairs, 1512 segment
     pairs) tests fewer segment pairs than it has edge pairs, and a
-    straight-line K_10 in general position tests none."""
+    straight-line K_10 in general position tests none.  A strongly
+    c-monotone drawing runs the same segment test in the angle-radius
+    strip, except on pairs whose angle ranges meet under no whole-turn
+    shift."""
     d = _fresh(generate(GenSpec(cls="monotone_perturbed", n=8, seed=0)))
     m = len(d.edges)
-    assert 0 < _segment_tests(monkeypatch, d) < m * (m - 1) // 2
+    assert 0 < len(_segment_tests(monkeypatch, d)) < m * (m - 1) // 2
     d = _fresh(generate(GenSpec(cls="random_points", n=10, seed=0)))
-    assert _segment_tests(monkeypatch, d) == 0
+    assert _segment_tests(monkeypatch, d) == []
+
+    d = _fresh(generate(GenSpec(cls="strongly_cmonotone", n=8, seed=0)))
+    img = treespan.drawing._integer_image(d)
+    turn, curves = img.turn, img.curves
+
+    def key(a, b):  # a strip segment whatever turn it was moved by
+        return a.x % turn, a.y, b.x % turn, b.y
+
+    owner = {key(a, b): e for e, c in curves.items() for a, b in zip(c, c[1:])}
+
+    def meet(e, f):
+        (e0, e1), (f0, f1) = (curves[e][0].x, curves[e][-1].x), (curves[f][0].x, curves[f][-1].x)
+        return any(e0 <= f1 + k and f0 + k <= e1 for k in (-turn, 0, turn))
+
+    pairs = {(owner[key(*s[:2])], owner[key(*t[:2])])
+             for s, t in _segment_tests(monkeypatch, d)}
+    assert pairs and all(meet(e, f) for e, f in pairs)
+    assert not all(meet(e, f) for i, e in enumerate(d.edges) for f in d.edges[i + 1:])
