@@ -4,9 +4,11 @@
 Usage:
     python scripts/diameter_sweep.py [--max-n 7] [--seeds 5]
 
-Prints one line per (class, n, seed): node count, edge count, connectivity
-and diameter of the brute-force compatibility graph, for both the full
-graph and the star-family restriction.
+Prints one line per (class, n, seed): node count, twin-class count, edge
+count and diameter of the compatibility graph, then the class count and
+diameter of the star-family restriction (the columns marked *).  A twin
+class is a set of trees with one conflict mask; the graph is analysed on
+its classes.
 """
 
 import argparse
@@ -25,10 +27,11 @@ def report(label: str, spec: GenSpec) -> None:
     t0 = time.perf_counter()
     d = generate(spec)
     g = build_compat_graph(d)
-    diam = analyze(g).diameter
-    rdiam = analyze(build_compat_graph(d, restricted=True)).diameter
+    rg = build_compat_graph(d, restricted=True)
+    diam, rdiam = analyze(g).diameter, analyze(rg).diameter
     print(f"{label:<22}{spec.n:>3}{spec.seed:>5}{len(g.masks):>8}"
-          f"{g.edge_count():>10}{diam!s:>6}{rdiam!s:>7}"
+          f"{len(g.class_rows):>8}{g.edge_count():>10}{diam!s:>6}"
+          f"{len(rg.class_rows):>9}{rdiam!s:>7}"
           f"{time.perf_counter() - t0:>7.2f}")
 
 
@@ -40,8 +43,8 @@ def main() -> None:
 
     classes = ["convex", "random_points", "monotone_perturbed", "two_page",
                "strongly_cmonotone"]
-    print(f"{'class':<22}{'n':>3}{'seed':>5}{'nodes':>8}{'edges':>10}"
-          f"{'diam':>6}{'diam*':>7}{'sec':>7}")
+    print(f"{'class':<22}{'n':>3}{'seed':>5}{'nodes':>8}{'classes':>8}"
+          f"{'edges':>10}{'diam':>6}{'classes*':>9}{'diam*':>7}{'sec':>7}")
     for cls in classes:
         top = min(args.max_n, 8 if cls == "strongly_cmonotone" else args.max_n)
         for n in range(4, top + 1):

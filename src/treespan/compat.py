@@ -1,29 +1,46 @@
-"""Compatibility graph of plane spanning trees.
+"""Compatibility graph of plane spanning trees, kept on twin classes.
 
 A graph stores its trees as edge masks over the drawing's ``edges``.
 ``nodes``, their canonical edge tuples (the public tree type), and
 ``index``, keyed by those tuples, are built the first time they are read.
-Adjacency rows are Python-int bitsets over node positions.  Row i is
-built from edge-holder sets, not by testing tree pairs: ``holders[e]`` is
-the bitset of trees containing edge e, and tree i is compatible with every
-tree outside the union of the holder sets of the edges crossing it.
 
-``analyze`` first looks for a hub, a node adjacent to every other node.
-If there is one (and more than one node), nothing is searched: every node
-adjacent to all others has eccentricity 1 and every other node 2, through
-the hub.  Otherwise it finds components with one BFS each and then grows
-every node's ball one level at a time: ball_k(v) is the OR of
-ball_{k-1}(u) over v and its neighbours, and a node's eccentricity is the
-level at which its ball covers its component.  A level costs at most
-deg(v) ORs per node still growing, where a search from v pays one OR for
-every node it reaches; a node next to a finished one finishes without any
-OR.  A finished node keeps a reference to its component, so beyond the
-adjacency rows the growth holds two balls per growing node, the previous
-level's and the new one.  One BFS, cut short once it reaches its goal,
-serves both the component sweep (the goal is every node not yet placed,
-so on a connected graph the sweep ends as soon as all nodes are reached)
-and ``bfs_distance`` (the goal is the target node); the tests use it as
-the ball growth's oracle.
+Two plane trees A and B are compatible iff ``A & conflict(B) == 0`` iff
+``B & conflict(A) == 0``.  Trees with the same conflict mask therefore have
+the same neighbours, and they are adjacent to each other, since each is
+plane and so misses that mask: they are true twins, and the graph is the
+quotient on conflict masks with each class blown up into a clique.  A graph
+keeps that quotient.  ``class_of`` maps each tree to its class, numbered in
+order of first appearance, and ``class_rows`` are Python-int bitsets over
+classes: bit b of row a says that classes a != b are compatible, which one
+tree of each decides.  The rows are built from edge-holder sets, not by
+testing class pairs: ``holders[e]`` is the bitset of classes whose first
+tree contains edge e, and class a is compatible with every class outside
+the union of the holder sets of the edges in its conflict mask.  The
+tree-level ``adjacency`` is a view built from the class rows when first
+read; ``degree``, ``edge_count`` and ``bfs_distance`` work on the classes
+and their sizes.
+
+``analyze`` runs on the class rows and expands its result to trees.  Trees
+of different classes are as far apart as their classes, and two trees of
+one class are at distance 1.  So a tree's eccentricity is its class's, with
+one exception: a class alone in its component that holds two or more trees
+has eccentricity 1, not 0.  Components are numbered by their lowest tree,
+which lies in their lowest class.  ``analyze`` first looks for a hub, a
+class adjacent to every other class.  If there is one (and more than one
+tree), nothing is searched: every tree of a hub class has eccentricity 1
+and every other tree 2, through the hub.  Otherwise it finds components
+with one BFS each and then grows every class's ball one level at a time:
+ball_k(v) is the OR of ball_{k-1}(u) over v and its neighbours, and a
+class's eccentricity is the level at which its ball covers its component.
+A level costs at most deg(v) ORs per class still growing, where a search
+from v pays one OR for every class it reaches; a class next to a finished
+one finishes without any OR.  A finished class keeps a reference to its
+component, so beyond the class rows the growth holds two balls per growing
+class, the previous level's and the new one.  One BFS, cut short once it
+reaches its goal, serves both the component sweep (the goal is every class
+not yet placed, so on a connected graph the sweep ends as soon as all
+classes are reached) and ``bfs_distance`` (the goal is the target class);
+the tests use it as the ball growth's oracle.
 """
 
 from __future__ import annotations
@@ -41,8 +58,9 @@ from .trees import Tree, _plane_masks, canon_tree, mask_tree
 @dataclass
 class CompatGraph:
     edges: Tuple[Edge, ...]        # the drawing's edges: bit i is edges[i]
-    masks: List[int]
-    adjacency: List[int]           # bitset rows, bit j of row i = compatible
+    masks: List[int]               # node i is the tree masks[i]
+    class_of: List[int]            # node -> twin class
+    class_rows: List[int]          # bit b of row a: classes a != b compatible
     restricted: bool
 
     @cached_property
@@ -53,8 +71,33 @@ class CompatGraph:
     def index(self) -> Dict[Tree, int]:
         return {t: i for i, t in enumerate(self.nodes)}
 
+    @cached_property
+    def sizes(self) -> List[int]:
+        sizes = [0] * len(self.class_rows)
+        for c in self.class_of:
+            sizes[c] += 1
+        return sizes
+
+    @cached_property
+    def adjacency(self) -> List[int]:
+        """Bitset rows over nodes: bit j of row i = trees i, j compatible."""
+        members = [0] * len(self.class_rows)
+        for i, c in enumerate(self.class_of):
+            members[c] |= 1 << i
+        reach = []
+        for a, row in enumerate(self.class_rows):
+            r = members[a]
+            for b in bits(row):
+                r |= members[b]
+            reach.append(r)
+        return [reach[c] & ~(1 << i) for i, c in enumerate(self.class_of)]
+
+    def _class_degree(self, a: int) -> int:
+        sizes = self.sizes
+        return sizes[a] - 1 + sum(sizes[b] for b in bits(self.class_rows[a]))
+
     def degree(self, t) -> int:
-        return self.adjacency[self._position(t)].bit_count()
+        return self._class_degree(self.class_of[self._position(t)])
 
     def _position(self, t) -> int:
         i = self.index.get(canon_tree(t))
@@ -63,7 +106,8 @@ class CompatGraph:
         return i
 
     def edge_count(self) -> int:
-        return sum(row.bit_count() for row in self.adjacency) // 2
+        return sum(size * self._class_degree(a)
+                   for a, size in enumerate(self.sizes)) // 2
 
 
 @dataclass(frozen=True)
@@ -80,19 +124,35 @@ def build_compat_graph(d: Drawing, restricted: bool = False,
                        limit: Optional[int] = None) -> CompatGraph:
     masks = _plane_masks(d, kind="special" if restricted else "all",
                          limit=limit)
-    holders = [0] * len(d.edges)
-    for i, (mask, _) in enumerate(masks):
+    return _twin_graph(d.edges, masks, restricted)
+
+
+def _twin_graph(edges: Tuple[Edge, ...], masks: List[Tuple[int, int]],
+                restricted: bool) -> CompatGraph:
+    """The graph of the plane trees given as (mask, conflict mask) pairs,
+    their classes numbered in order of first appearance."""
+    number: Dict[int, int] = {}        # conflict mask -> class
+    reps: List[int] = []               # each class's first tree
+    class_of = []
+    for mask, conflict in masks:
+        a = number.setdefault(conflict, len(reps))
+        if a == len(reps):
+            reps.append(mask)
+        class_of.append(a)
+    holders = [0] * len(edges)
+    for a, mask in enumerate(reps):
         for e in bits(mask):
-            holders[e] |= 1 << i
-    full = (1 << len(masks)) - 1
-    adjacency = []
-    for i, (_, conflict) in enumerate(masks):
-        blocked = 1 << i              # a plane tree is compatible with itself
+            holders[e] |= 1 << a
+    full = (1 << len(reps)) - 1
+    class_rows = []
+    for a, conflict in enumerate(number):
+        blocked = 1 << a              # its own trees are counted by its size
         for e in bits(conflict):
             blocked |= holders[e]
-        adjacency.append(full & ~blocked)
-    return CompatGraph(edges=d.edges, masks=[mask for mask, _ in masks],
-                       adjacency=adjacency, restricted=restricted)
+        class_rows.append(full & ~blocked)
+    return CompatGraph(edges=edges, masks=[mask for mask, _ in masks],
+                       class_of=class_of, class_rows=class_rows,
+                       restricted=restricted)
 
 
 def _bfs(adjacency: List[int], src: int, goal: int):
@@ -158,38 +218,46 @@ def _eccentricities(adjacency: List[int], balls: List[int],
 
 
 def analyze(g: CompatGraph) -> CompatAnalysis:
-    m = len(g.adjacency)
+    m, rows, class_of = len(g.masks), g.class_rows, g.class_of
     if m == 0:
         return CompatAnalysis(True, 0, 0, (), (), ())
-    full = (1 << m) - 1
-    balls = [row | 1 << v for v, row in enumerate(g.adjacency)]
+    full = (1 << len(rows)) - 1
+    balls = [row | 1 << a for a, row in enumerate(rows)]
     if m > 1 and full in balls:
-        ecc = tuple(1 if ball == full else 2 for ball in balls)
-        return CompatAnalysis(True, 1, max(ecc), ecc, (0,) * m, (max(ecc),))
+        ecc = [1 if ball == full else 2 for ball in balls]
+        return CompatAnalysis(True, 1, max(ecc), tuple(ecc[c] for c in class_of),
+                              (0,) * m, (max(ecc),))
     components = []
-    component_of = [-1] * m
+    component_of = [-1] * len(rows)
     unseen = full
     while unseen:
         # a component lies inside unseen, so reaching all of unseen ends it
-        _, comp = _bfs(g.adjacency, (unseen & -unseen).bit_length() - 1, unseen)
-        for v in bits(comp):
-            component_of[v] = len(components)
+        _, comp = _bfs(rows, (unseen & -unseen).bit_length() - 1, unseen)
+        for a in bits(comp):
+            component_of[a] = len(components)
         components.append(comp)
         unseen &= ~comp
-    ecc = _eccentricities(g.adjacency, balls,
-                          [components[c] for c in component_of])
+    ecc = _eccentricities(rows, balls, [components[c] for c in component_of])
+    # a class alone in its component is a clique of its trees
+    ecc = [e or min(size - 1, 1) for e, size in zip(ecc, g.sizes)]
     comp_diam = [0] * len(components)
-    for v, c in enumerate(component_of):
-        comp_diam[c] = max(comp_diam[c], ecc[v])
+    for a, c in enumerate(component_of):
+        comp_diam[c] = max(comp_diam[c], ecc[a])
     connected = len(components) == 1
     diameter = comp_diam[0] if connected else math.inf
     return CompatAnalysis(connected=connected, components=len(components),
-                          diameter=diameter, eccentricities=tuple(ecc),
-                          component_of=tuple(component_of),
+                          diameter=diameter,
+                          eccentricities=tuple(ecc[c] for c in class_of),
+                          component_of=tuple(component_of[c] for c in class_of),
                           component_diameters=tuple(comp_diam))
 
 
 def bfs_distance(g: CompatGraph, t1, t2):
     """Shortest-path length between two trees, math.inf if no path."""
-    a, b = g._position(t1), g._position(t2)
-    return _bfs(g.adjacency, a, 1 << b)[0]
+    i, j = g._position(t1), g._position(t2)
+    if i == j:
+        return 0
+    a, b = g.class_of[i], g.class_of[j]
+    if a == b:
+        return 1
+    return _bfs(g.class_rows, a, 1 << b)[0]

@@ -358,7 +358,12 @@ def _star_family(d: Drawing) -> List[Tuple[int, int]]:
                        for mask, blocked in partial for i in options
                        if i is not None and not blocked >> i & 1]
         found.update(partial)
-    return sorted(found.items(), key=lambda p: list(bits(p[0])))
+    # Every tree has n - 1 edges, so the canonical order puts A before B
+    # iff the lowest bit of A ^ B is in A: the order of the bit strings
+    # read from bit 0, descending.
+    width = f"0{len(d.edges)}b"
+    return sorted(found.items(), key=lambda p: format(p[0], width)[::-1],
+                  reverse=True)
 
 
 # ---------------------------------------------------------------------------

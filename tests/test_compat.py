@@ -1,12 +1,13 @@
 """Compatibility graph tests against direct pairwise checks.
 
-The oracles below are the implementations the bitset kernel replaced: a
-build that tests every tree pair, and an ``analyze`` that runs a BFS
-building a distance dict from every node.  The kernel must reproduce their
-``CompatGraph`` and ``CompatAnalysis`` exactly.
+The oracles below are the implementations the twin-class kernel replaced:
+a tree-level build that tests every tree pair, and an ``analyze`` that runs
+a BFS building a distance dict from every node.  The kernel must reproduce
+their masks, adjacency rows, edge count and ``CompatAnalysis`` exactly.
 """
 
 import math
+from dataclasses import dataclass
 from itertools import combinations
 
 from hypothesis import example, given, settings
@@ -19,6 +20,7 @@ from treespan.compat import (
     CompatAnalysis,
     CompatGraph,
     _bfs,
+    _twin_graph,
     analyze,
     bfs_distance,
     build_compat_graph,
@@ -40,11 +42,18 @@ import pytest
 from treespan.errors import NodeMissingError
 
 
-def oracle_build(d, restricted=False):
-    nodes = enumerate_plane_trees(d, kind="special" if restricted else "all")
-    tree_masks = [tree_mask(d, t) for t in nodes]
-    conflict_masks = [conflict_mask(d, mask) for mask in tree_masks]
-    m = len(nodes)
+@dataclass
+class TreeGraph:
+    """The oracles' graph: one adjacency row per tree."""
+    masks: list
+    adjacency: list
+
+    def edge_count(self):
+        return sum(row.bit_count() for row in self.adjacency) // 2
+
+
+def oracle_pairwise(tree_masks, conflict_masks):
+    m = len(tree_masks)
     adjacency = [0] * m
     for i in range(m):
         ci = conflict_masks[i]
@@ -52,8 +61,21 @@ def oracle_build(d, restricted=False):
             if not ci & tree_masks[j]:
                 adjacency[i] |= 1 << j
                 adjacency[j] |= 1 << i
-    return CompatGraph(edges=d.edges, masks=tree_masks, adjacency=adjacency,
-                       restricted=restricted)
+    return TreeGraph(masks=tree_masks, adjacency=adjacency)
+
+
+def oracle_build(d, restricted=False):
+    nodes = enumerate_plane_trees(d, kind="special" if restricted else "all")
+    tree_masks = [tree_mask(d, t) for t in nodes]
+    return oracle_pairwise(tree_masks,
+                           [conflict_mask(d, mask) for mask in tree_masks])
+
+
+def assert_matches_oracle(g, want):
+    assert g.masks == want.masks
+    assert g.adjacency == want.adjacency
+    assert g.edge_count() == want.edge_count()
+    assert analyze(g) == oracle_analyze(want)
 
 
 def oracle_bfs_levels(g, src):
@@ -81,7 +103,7 @@ def oracle_bfs_levels(g, src):
 
 
 def oracle_analyze(g):
-    m = len(g.nodes)
+    m = len(g.adjacency)
     if m == 0:
         return CompatAnalysis(True, 0, 0, (), (), ())
     component_of = [-1] * m
@@ -132,9 +154,8 @@ ORACLE_DRAWINGS = _oracle_drawings()
 def test_kernel_matches_oracle(make):
     d = make()
     for restricted in (False, True):
-        g = build_compat_graph(d, restricted=restricted)
-        assert g == oracle_build(d, restricted=restricted)
-        assert analyze(g) == oracle_analyze(g)
+        assert_matches_oracle(build_compat_graph(d, restricted=restricted),
+                              oracle_build(d, restricted=restricted))
 
 
 def test_bipartite_fixture_has_isolated_tree():
@@ -170,13 +191,15 @@ def test_star_family_prefilter_matches_classify(make):
 
 
 def _graph(m, pairs):
+    """A graph whose every twin class holds one tree, with the given rows."""
     adjacency = [0] * m
     for i, j in pairs:
         if i != j:
             adjacency[i] |= 1 << j
             adjacency[j] |= 1 << i
     return CompatGraph(edges=tuple((0, i + 1) for i in range(m)),
-                       masks=[1 << i for i in range(m)], adjacency=adjacency,
+                       masks=[1 << i for i in range(m)],
+                       class_of=list(range(m)), class_rows=adjacency,
                        restricted=False)
 
 
@@ -260,6 +283,50 @@ def test_sparse_hub_free_graphs_match_oracle(g):
     m = len(g.adjacency)
     assert all(row | 1 << v != (1 << m) - 1 for v, row in enumerate(g.adjacency))
     assert analyze(g) == oracle_analyze(g)
+
+
+def _conflict(cross, mask):
+    out = 0
+    for e in range(len(cross)):
+        if mask >> e & 1:
+            out |= cross[e]
+    return out
+
+
+@st.composite
+def twin_cases(draw):
+    """A random symmetric crossing relation on k edges and distinct plane
+    edge sets of it, which may share conflict masks."""
+    k = draw(st.integers(1, 8))
+    cross = [0] * k
+    for i, j in draw(st.lists(st.tuples(st.integers(0, k - 1),
+                                        st.integers(0, k - 1)), max_size=2 * k)):
+        if i != j:
+            cross[i] |= 1 << j
+            cross[j] |= 1 << i
+    plane = [mask for mask in range(1 << k) if not mask & _conflict(cross, mask)]
+    masks = draw(st.lists(st.sampled_from(plane), unique=True, max_size=14))
+    return cross, masks
+
+
+@settings(max_examples=200, deadline=None)
+@given(twin_cases())
+# edges 0 and 1 both cross edge 2: trees {0} and {1} form one class, cut
+# off from {2}, so each has eccentricity 1 in a component of its own
+@example(([0b100, 0b100, 0b011], [0b001, 0b010, 0b100]))
+@example(([0, 0], [0b01, 0b10, 0b11]))                  # one class, a clique
+def test_twin_classes_match_tree_oracle(case):
+    cross, masks = case
+    conflicts = [_conflict(cross, mask) for mask in masks]
+    edges = tuple((0, e + 1) for e in range(len(cross)))
+    g = _twin_graph(edges, list(zip(masks, conflicts)), False)
+    want = oracle_pairwise(masks, conflicts)
+    assert len(g.class_rows) == len(set(conflicts))
+    assert_matches_oracle(g, want)
+    for i, t in enumerate(g.nodes):
+        assert g.degree(t) == want.adjacency[i].bit_count()
+        for j, u in enumerate(g.nodes):
+            assert bfs_distance(g, t, u) == oracle_distance(want, i, j)
 
 
 def test_restricted_convex_8_matches_levels_until():
@@ -346,10 +413,22 @@ def test_restricted_subset(sq):
     assert set(g_star.nodes) == set(g_all.nodes)
 
 
+def test_counts_and_distances_build_no_tree_rows(sq):
+    """``analyze``, ``edge_count``, ``degree`` and ``bfs_distance`` read the
+    class rows: the tree-level ``adjacency`` is built only when read."""
+    g = build_compat_graph(sq)
+    analyze(g)
+    g.edge_count()
+    g.degree(g.nodes[0])
+    bfs_distance(g, g.nodes[0], g.nodes[-1])
+    assert "adjacency" not in vars(g)
+    assert g.edge_count() == sum(row.bit_count() for row in g.adjacency) // 2
+
+
 def test_disconnected_reports_inf():
     # artificial two-node graph with no edges
-    g = CompatGraph(edges=((0, 1), (1, 2)), masks=[1, 2], adjacency=[0, 0],
-                    restricted=False)
+    g = CompatGraph(edges=((0, 1), (1, 2)), masks=[1, 2], class_of=[0, 1],
+                    class_rows=[0, 0], restricted=False)
     a = analyze(g)
     assert not a.connected and a.diameter == math.inf and a.components == 2
 

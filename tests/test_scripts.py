@@ -17,7 +17,11 @@ def test_diameter_sweep_runs_from_a_checkout(tmp_path):
                          cwd=tmp_path, env=env, capture_output=True, text=True,
                          timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines()[1].split()[:3] == ["convex", "4", "0"]
+    header, row = (line.split() for line in out.stdout.splitlines()[:2])
+    assert row[:3] == ["convex", "4", "0"]
+    col = dict(zip(header, row))
+    assert "classes" in col and "classes*" in col
+    assert int(col["classes"]) <= int(col["nodes"])
 
 
 def test_render_examples_runs_from_a_checkout(tmp_path):
