@@ -461,13 +461,14 @@ def _order_type_rows(points, edges) -> Optional[Tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 
 def classify_monotone(d: Drawing) -> Optional[SpineStructure]:
-    """x-order and spine-path edges, or None if two vertices share an
-    x-coordinate or some curve is not x-monotone.  Built once per drawing."""
+    """x-order and spine-path edges, or None if the graph is not K_n, two
+    vertices share an x-coordinate or some curve is not x-monotone.  Built
+    once per drawing."""
     return d._derive(_classify_monotone)
 
 
 def _classify_monotone(d: Drawing) -> Optional[SpineStructure]:
-    if d.backend != "cartesian":
+    if d.backend != "cartesian" or d.graph[0] != "complete":
         return None
     xs = [p.x for p in d.vertex_points]
     if len(set(xs)) != d.n:
@@ -593,7 +594,7 @@ def classify_cylindrical(d: Drawing, r_in2: Rat, r_out2: Rat) -> Optional[CylRol
         raise InvalidRadiiError("radii must be positive")
     if d.backend != "cartesian" or d.graph[0] != "complete":
         return None
-    cross = d.crossings  # also ensures the drawing is validated
+    rows, ids = d.cross_mask, d.edge_id  # building rows validates the drawing
     origin = Point(Fraction(0), Fraction(0))
     inner, outer = [], []
     for v in range(d.n):
@@ -615,6 +616,7 @@ def classify_cylindrical(d: Drawing, r_in2: Rat, r_out2: Rat) -> Optional[CylRol
     for e in d.edges:
         k = (e[0] in inner_set) + (e[1] in inner_set)
         roles[e] = "inner" if k == 2 else ("side" if k == 1 else "outer")
+    sides_mask = sum(1 << ids[e] for e, role in roles.items() if role == "side")
 
     def circle_cycle(vs: List[int]) -> List[Edge]:
         if len(vs) < 2:
@@ -625,12 +627,11 @@ def classify_cylindrical(d: Drawing, r_in2: Rat, r_out2: Rat) -> Optional[CylRol
         return [edge(ring[i], ring[(i + 1) % len(ring)]) for i in range(len(ring))]
 
     cycle = sorted(circle_cycle(inner) + circle_cycle(outer))
-    crossed = tuple(e for e in cycle if cross[e])
+    crossed = tuple(e for e in cycle if rows[ids[e]])
     for e in crossed:
-        for f in cross[e]:
-            if roles[f] != "side":
-                raise InternalInvariantViolated(
-                    f"cycle edge {e} crossed by non-side edge {f}")
+        if rows[ids[e]] & ~sides_mask:
+            raise InternalInvariantViolated(
+                f"cycle edge {e} crossed by a non-side edge")
     for vs in (inner, outer):
         on_circle = [e for e in crossed if e[0] in set(vs) and e[1] in set(vs)]
         if len(on_circle) > 1:
@@ -641,11 +642,10 @@ def classify_cylindrical(d: Drawing, r_in2: Rat, r_out2: Rat) -> Optional[CylRol
         es = circle_cycle(vs)
         if len(vs) < 3:
             return tuple(es)
-        bad = [e for e in es if cross[e]]
+        bad = [e for e in es if rows[ids[e]]]
         drop = bad[0] if bad else max(es)
         return tuple(e for e in es if e != drop)
 
-    ids = d.edge_id
     inner_path, outer_path = ham_path(inner), ham_path(outer)
     return CylRoles(
         r_in2=r_in2, r_out2=r_out2,
@@ -653,7 +653,7 @@ def classify_cylindrical(d: Drawing, r_in2: Rat, r_out2: Rat) -> Optional[CylRol
         roles=roles, crossed_cycle_edges=crossed,
         inner_path=inner_path, outer_path=outer_path,
         paths_mask=sum(1 << ids[e] for e in inner_path + outer_path),
-        sides_mask=sum(1 << ids[e] for e, role in roles.items() if role == "side"),
+        sides_mask=sides_mask,
     )
 
 
@@ -745,17 +745,18 @@ def _classify_c_monotone(d: Drawing):
 # cut to monotone
 # ---------------------------------------------------------------------------
 
-def cut_to_monotone(d: Drawing):
+def cut_to_monotone(d: Drawing) -> Optional[Drawing]:
     """If some cycle edge of a strongly c-monotone drawing is not a spine
     edge, the wedge between its endpoints is empty of edges; cutting there
     and unrolling (x = turns past the cut ray, y = radius) yields a monotone
-    drawing with an identical crossing matrix.  Returns (drawing, x-order)
-    or None when all cycle edges are spine edges.  Built once per drawing,
-    so the flat drawing keeps its own derived structures between calls."""
+    drawing with an identical crossing matrix.  Returns that flat drawing
+    (its vertex order is ``classify_monotone(flat).order``), or None when
+    all cycle edges are spine edges.  Built once per drawing, so the flat
+    drawing keeps its own derived structures between calls."""
     return d._derive(_cut_to_monotone)
 
 
-def _cut_to_monotone(d: Drawing):
+def _cut_to_monotone(d: Drawing) -> Optional[Drawing]:
     c_mono, strongly, spine = classify_c_monotone(d)
     if not (c_mono and strongly):
         return None
@@ -797,5 +798,4 @@ def _cut_to_monotone(d: Drawing):
                   curves=curves, graph=d.graph)
     if out.cross_mask != d.cross_mask:
         raise InternalInvariantViolated("cut changed the crossing matrix")
-    xorder = tuple(sorted(range(d.n), key=lambda v: points[v].x))
-    return out, xorder
+    return out

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import ClassVar, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import ClassVar, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .drawing import (
     CylRoles,
@@ -210,7 +210,7 @@ def _spine_route(d: Drawing, spine: SpineStructure,
     masks = _input_masks(d, trees)
     flat, flat_spine = d, spine
     if spine.all_cycle_edges_spine is False:
-        flat, _ = cut_to_monotone(d)
+        flat = cut_to_monotone(d)
         flat_spine = classify_monotone(flat)
     step = _monotone_step if flat_spine.kind == "monotone" else _corridor_step
     seq: List[int] = []
@@ -278,14 +278,6 @@ class Corridor:
     start_vertex: Optional[int]
     end_vertex: Optional[int]
 
-    @property
-    def is_inner(self) -> bool:
-        return self.lower == CENTER
-
-    @property
-    def is_outer(self) -> bool:
-        return self.upper == INFINITY
-
 
 def corridors(d: Drawing, twigglies: Iterable[Edge]) -> List[Corridor]:
     """Corridors of the arrangement of the given pairwise non-crossing
@@ -343,17 +335,17 @@ def _inside(d: Drawing, c: Corridor, theta, r) -> bool:
 
 
 def corridor_path(d: Drawing, t: Iterable[Edge], c: Corridor,
-                  twigglies: Optional[FrozenSet[Edge]] = None) -> List[Edge]:
+                  twigglies: Iterable[Edge]) -> List[Edge]:
     """Greedy consecutive-vertex path from the corridor's start to its end
-    vertex, certified to stay radially inside the corridor and to avoid the
-    tree; inner/outer corridors additionally avoid all twiggly edges."""
+    vertex, in walk order, certified to stay radially inside the corridor,
+    to avoid the tree and, in an inner/outer corridor, the twiggly edges."""
     if c.start_vertex is None or c.end_vertex is None:
         raise FullCircleCorridorError("corridor has no endpoints")
-    return _corridor_path(d, tree_mask(d, t), c, twigglies)
+    return _corridor_path(d, tree_mask(d, t), c, tree_mask(d, twigglies))
 
 
 def _corridor_path(d: Drawing, t_mask: int, c: Corridor,
-                   twigglies: Optional[FrozenSet[Edge]]) -> List[Edge]:
+                   twiggly: int) -> List[Edge]:
     angles = vertex_angles(d)
     lo, hi = c.interval
     inside: List[Tuple[object, int]] = []
@@ -379,15 +371,15 @@ def _corridor_path(d: Drawing, t_mask: int, c: Corridor,
                 raise InternalInvariantViolated("path leaves its corridor")
         if curve_eval(d.curves[g], mid) is None:
             raise InternalInvariantViolated("path hop skips its own arc")
-    hit = conflict_mask(d, tree_mask(d, path)) & t_mask
+    path_mask = tree_mask(d, path)
+    hit = conflict_mask(d, path_mask) & t_mask
     if hit:
         raise InternalInvariantViolated(
             f"corridor path crosses tree: {mask_tree(d, hit)}")
-    if twigglies is not None and (c.is_inner or c.is_outer):
-        bad = set(path) & set(twigglies)
-        if bad:
-            raise InternalInvariantViolated(
-                f"inner/outer corridor path uses twiggly edges: {bad}")
+    bad = path_mask & twiggly
+    if bad and (c.lower == CENTER or c.upper == INFINITY):
+        raise InternalInvariantViolated("inner/outer corridor path uses "
+                                        f"twiggly edges: {mask_tree(d, bad)}")
     return path
 
 
@@ -399,10 +391,9 @@ def _corridor_step(d: Drawing, spine_mask: int, twiggly: int, t: int) -> int:
     """Add every corridor path of t's twiggly edges and drop them all; the
     twiggly depth of every ray drops where it was positive."""
     twig = t & twiggly
-    drawing_twiggly = frozenset(mask_tree(d, twiggly))
     paths = 0
     for c in corridors(d, mask_tree(d, twig)):
-        paths |= tree_mask(d, _corridor_path(d, t, c, drawing_twiggly))
+        paths |= tree_mask(d, _corridor_path(d, t, c, twiggly))
     if paths & conflict_mask(d, paths):
         raise InternalInvariantViolated("corridor paths cross each other")
     rest = t & ~twig

@@ -11,23 +11,22 @@ A tree is plane when ``mask & conflict_mask(d, mask) == 0``, and two trees
 are compatible (their union is plane) when one mask misses the other's
 conflicts.  Certification covers spanning/acyclicity/planarity, cached
 per drawing by mask; a certificate keeps its tree's conflict mask, which
-the transformations' compatibility tests read, and classifies its tree's
-k-star kind only when ``kind`` is first read.  The star-family
-transformations additionally use the representation helpers below,
-because the star, double-star and twin-star classes overlap (one tree can
-admit several fixed-path representations).  Those helpers and
-``classify_kind`` read one incidence table of the tree, vertex -> mask of
-its edges at that vertex: c is a star centre iff its entry is the whole
-mask, every edge touches g or r iff their entries OR to the mask, gr is a
-tree edge iff their entries meet, and a vertex's degree is its entry's bit
-count.  Flips find the cycle edge to drop with a union-find.
+the transformations' compatibility tests read; ``classify_kind`` names a
+tree's k-star kind.  The star-family transformations additionally use
+the representation helpers below, because the star, double-star and
+twin-star classes overlap (one tree can admit several fixed-path
+representations).  Those helpers and ``classify_kind`` read one incidence
+table of the tree, vertex -> mask of its edges at that vertex: c is a
+star centre iff its entry is the whole mask, every edge touches g or r
+iff their entries OR to the mask, gr is a tree edge iff their entries
+meet, and a vertex's degree is its entry's bit count.  Flips find the
+cycle edge to drop with a union-find.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .drawing import Drawing, Edge, bits, edge
@@ -83,23 +82,11 @@ class TreeCert:
     acyclic_connected: bool
     plane: bool
     mask: int = field(repr=False)
-    edges: Tuple[Edge, ...] = field(repr=False, compare=False)  # d.edges
     conflict: int = field(repr=False, compare=False)  # conflict_mask(mask)
 
     @property
     def is_plane_spanning_tree(self) -> bool:
         return self.spanning and self.acyclic_connected and self.plane
-
-    @cached_property
-    def kind(self) -> Optional[tuple]:
-        """``classify_kind`` of a plane spanning tree, None otherwise:
-        ("star", c) | ("double_star", g, r) | ("twin_star", g, s, r)
-        | ("k_star", k, path) | ("generic",).  Computed when first read;
-        certification itself needs only ``is_plane_spanning_tree``."""
-        if not self.is_plane_spanning_tree:
-            return None
-        n = self.mask.bit_count() + 1  # a spanning tree has n - 1 edges
-        return classify_kind(n, self.edges, self.mask)
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +196,10 @@ def _k_star_path(edges: Sequence[Edge], inc: Dict[int, int],
 
 
 def classify_kind(n: int, edges: Sequence[Edge], mask: Optional[int] = None) -> tuple:
-    """Most specific k-star kind; a 4-vertex path is reported as a twin star
-    (its canonical fixed path), larger overlaps resolve to the smaller k."""
+    """Most specific k-star kind: ("star", c) | ("double_star", g, r)
+    | ("twin_star", g, s, r) | ("k_star", k, path) | ("generic",).  A
+    4-vertex path is reported as a twin star (its canonical fixed path),
+    larger overlaps resolve to the smaller k."""
     inc, mask = _incidence(edges, mask)
     centers = _star_centers(inc, mask)
     if centers:
@@ -251,8 +240,7 @@ def check_mask(d: Drawing, mask: int) -> TreeCert:
     connected = acyclic and len(tree) == len(verts) - 1 if verts else False
     conflict = conflict_mask(d, mask)
     cert = TreeCert(spanning=spanning, acyclic_connected=connected,
-                    plane=mask & conflict == 0, mask=mask, edges=d.edges,
-                    conflict=conflict)
+                    plane=mask & conflict == 0, mask=mask, conflict=conflict)
     d._cert_cache[mask] = cert
     return cert
 

@@ -189,7 +189,7 @@ def test_criterion_4_cmonotone_depth():
                     trees = sample_plane_trees(d, 6, seed=seed + 7)
                 if not spine.all_cycle_edges_spine:
                     cut_seen += 1
-                    flat, _ = cut_to_monotone(d)  # raises unless bit-exact
+                    flat = cut_to_monotone(d)  # raises unless bit-exact
                     assert flat.crossings == d.crossings
                 else:
                     spine_seen += 1

@@ -132,7 +132,7 @@ def test_memo_matches_uncached_builders(spec):
     assert cut == _cut_to_monotone(fresh)
     if spec.cls == "strongly_cmonotone":
         assert (cut is None) == (spec.seed == CMONO[spec.n][1])
-    flats = [d] + ([cut[0]] if cut else [])
+    flats = [d] + ([cut] if cut else [])
     for flat in flats:
         if classify_monotone(flat) is not None:
             cold = dataclasses.replace(flat)

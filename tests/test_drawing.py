@@ -291,13 +291,12 @@ def test_pk4_crossing_pairs(pk4):
 # ---------------------------------------------------------------------------
 
 def test_cut_pk4(pk4):
-    out = cut_to_monotone(pk4)
-    assert out is not None
-    flat, order = out
+    flat = cut_to_monotone(pk4)
+    assert flat is not None
     report = validate_simple(flat)
     assert report.is_simple and report.is_monotone
     assert flat.crossings == pk4.crossings
-    assert order == (0, 1, 2, 3)
+    assert classify_monotone(flat).order == (0, 1, 2, 3)
 
 
 def test_cut_absent_when_all_spine(pk3):

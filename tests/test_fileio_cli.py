@@ -6,7 +6,7 @@ import json
 import os
 import tempfile
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -269,6 +269,40 @@ def test_cli_validate_bipartite_on_circles(make, c_mono, tmp_path, capsys):
     assert out["is_simple"] and out["is_cylindrical"] is None
     assert out["is_c_monotone"] is c_mono
     assert out["is_strongly_c_monotone"] is False
+
+
+def _straight_line_k22():
+    """Straight-line K_{2,2} with parts {0, 1} and {2, 3}: distinct x
+    coordinates and x-monotone edges, but the x-order's consecutive pair
+    0, 1 has no edge, so the drawing is not monotone."""
+    pts = (P(0, 0), P(3, 1), P(1, 5), P(2, -4))
+    curves = {(u, v): (pts[u], pts[v]) for u in (0, 1) for v in (2, 3)}
+    return Drawing(n=4, backend="cartesian", vertex_points=pts, curves=curves,
+                   graph=("bipartite", 2, 2))
+
+
+@pytest.mark.parametrize("make", [lambda: fixture_bipartite_isolated()[0],
+                                  _straight_line_k22],
+                         ids=["bipartite-fixture", "straight-line-k22"])
+def test_cli_transform_non_complete_is_inapplicable(make, tmp_path, capsys):
+    """Every route is defined for K_n: on a bipartite drawing each ordered
+    pair of plane trees under each method exits 2 with one JSON error,
+    while a tree with an edge the drawing lacks stays invalid input."""
+    d = make()
+    path = str(tmp_path / "bip.json")
+    save_drawing(d, path)
+    assert main(["validate", path]) == 0
+    assert json.loads(capsys.readouterr().out)["is_monotone"] is False
+    args = [",".join(f"{u}-{v}" for u, v in t) for t in enumerate_plane_trees(d)]
+    assert len(args) >= 3
+    for method in ("auto", "cylindrical", "monotone", "cmonotone", "special"):
+        for src, dst in product(args, repeat=2):
+            assert main(["transform", path, "--from", src, "--to", dst,
+                         "--method", method]) == 2
+            assert _one_json_error(capsys)["error"] == "method-inapplicable"
+        assert main(["transform", path, "--from", args[0], "--to", "0-1,0-2,0-3",
+                     "--method", method]) == 1
+        assert _one_json_error(capsys)["type"] == "UnknownEdgeError"
 
 
 def _one_json_error(capsys) -> dict:

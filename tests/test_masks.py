@@ -8,16 +8,21 @@ tree order of generated drawings, so a change to the internal
 representation cannot silently reorder or alter either.
 """
 
+import ast
+import dataclasses
 import hashlib
 import itertools
+import pathlib
 import random
 
 import pytest
 
+import treespan
 from treespan.drawing import Drawing
 from treespan.errors import UnknownEdgeError
 from treespan.generators import GenSpec, fixture_bipartite_isolated, generate
 from treespan.trees import (
+    TreeCert,
     canon_tree,
     check_tree,
     conflict_mask,
@@ -151,3 +156,40 @@ def test_crossings_and_tree_order_pinned(cell):
     d = generate(GenSpec(cls=cls, n=n, seed=seed, a=ab[0] if ab else None,
                          b=ab[1] if ab else None))
     assert (_sha(d.crossing_pairs()), _sha(enumerate_plane_trees(d))) == DIGESTS[cell]
+
+
+# ---------------------------------------------------------------------------
+# one crossing form
+# ---------------------------------------------------------------------------
+
+# Receivers of ``.kind`` reads that are not certificates: a spine
+# structure's class and the parsed command line.
+_NOT_CERTIFICATES = {"spine", "flat_spine", "args"}
+
+
+def _reads(path: pathlib.Path, attr: str) -> list:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == attr
+            and isinstance(node.ctx, ast.Load)]
+
+
+def test_package_reads_one_crossing_form():
+    """The package reads crossings only as ``cross_mask`` rows; the
+    ``crossings`` view is for the tuple oracles above.  A certificate
+    certifies and names no kind (``classify_kind`` does), so the
+    transformations, compatibility graphs and CLI read no ``.kind`` of
+    one."""
+    modules = sorted(pathlib.Path(treespan.__file__).parent.glob("*.py"))
+    assert len(modules) > 10
+    found = [f"{p.name}:{node.lineno} .crossings"
+             for p in modules for node in _reads(p, "crossings")]
+    found += [f"{p.name}:{node.lineno} .kind"
+              for p in modules if p.name in ("transforms.py", "compat.py", "cli.py")
+              for node in _reads(p, "kind")
+              if not (isinstance(node.value, ast.Name)
+                      and node.value.id in _NOT_CERTIFICATES)]
+    assert found == []
+    assert {f.name for f in dataclasses.fields(TreeCert)} == {
+        "spanning", "acyclic_connected", "plane", "mask", "conflict"}
+    assert not hasattr(TreeCert, "kind")

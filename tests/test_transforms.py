@@ -18,6 +18,7 @@ from treespan.errors import (
     FullCircleCorridorError,
     IncompatibleStepError,
     BadTreeError,
+    InternalInvariantViolated,
     NotDoubleStarError,
     NotSpecialTreeError,
     NotTwinStarError,
@@ -157,10 +158,21 @@ def test_corridor_paths(pk5):
     assert around == [(0, 4), (0, 1)]
 
 
+def test_corridor_check_always_runs(pk5):
+    """A path in an inner corridor may not use a twiggly edge: (1, 3) is on
+    the inner path, so naming it twiggly must fail the certification."""
+    t = canon_tree([(0, 1), (1, 4), (1, 3), (2, 4)])
+    out = {(c.lower, c.upper): c for c in corridors(pk5, [(1, 4)])}
+    inner = out[(CENTER, (1, 4))]
+    assert corridor_path(pk5, t, inner, twigglies=[(1, 4)]) == [(1, 3), (3, 4)]
+    with pytest.raises(InternalInvariantViolated, match="twiggly"):
+        corridor_path(pk5, t, inner, twigglies=[(1, 4), (1, 3)])
+
+
 def test_corridor_full_circle_error(pk5):
     (full,) = corridors(pk5, [])
     with pytest.raises(FullCircleCorridorError):
-        corridor_path(pk5, [(0, 1)], full)
+        corridor_path(pk5, [(0, 1)], full, twigglies=[])
 
 
 # ---------------------------------------------------------------------------

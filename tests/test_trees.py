@@ -70,7 +70,7 @@ def oracle_plane_trees(d):
 def test_path_on_square_is_twin_star(sq):
     cert = check_tree(sq, [(0, 1), (1, 2), (2, 3)])
     assert cert.is_plane_spanning_tree
-    assert cert.kind == ("twin_star", 0, 1, 2)
+    assert classify_kind(sq.n, sq.edges, cert.mask) == ("twin_star", 0, 1, 2)
 
 
 def test_crossing_diagonals_not_plane(sq):
@@ -80,7 +80,7 @@ def test_crossing_diagonals_not_plane(sq):
 
 def test_star_kind(sq):
     cert = check_tree(sq, [(0, 1), (0, 2), (0, 3)])
-    assert cert.kind == ("star", 0)
+    assert classify_kind(sq.n, sq.edges, cert.mask) == ("star", 0)
 
 
 def test_unknown_edge(sq):
@@ -90,7 +90,8 @@ def test_unknown_edge(sq):
 
 def test_non_spanning(sq):
     cert = check_tree(sq, [(0, 1), (1, 2)])
-    assert not cert.spanning and cert.acyclic_connected and cert.kind is None
+    assert not cert.spanning and cert.acyclic_connected
+    assert not cert.is_plane_spanning_tree
 
 
 def test_kind_larger_cases():
@@ -157,22 +158,18 @@ def test_every_enumerated_tree_certifies(sq):
         assert check_tree(sq, t).is_plane_spanning_tree
 
 
-def test_kind_is_classified_only_when_read(monkeypatch):
+def test_certification_classifies_no_kind(monkeypatch):
     calls = []
 
-    def counting(n, edges, mask=None):
-        calls.append(tuple(e for i, e in enumerate(edges)
-                           if mask is None or mask >> i & 1))
-        return classify_kind(n, edges, mask)
+    def counting(*args):
+        calls.append(args)
+        return classify_kind(*args)
 
     monkeypatch.setattr(treespan.trees, "classify_kind", counting)
     d5 = straight_line_drawing([P(i, i * i) for i in range(5)])
     trees = enumerate_plane_trees(d5)
     certs = [check_tree(d5, t) for t in trees]
     assert calls == [] and all(c.is_plane_spanning_tree for c in certs)
-    assert [c.kind for c in certs] == [classify_kind(5, t) for t in trees]
-    assert [c.kind for c in certs] == [check_tree(d5, t).kind for t in trees]
-    assert calls == trees  # once per tree: the certificate keeps its kind
 
 
 def test_too_large():
