@@ -21,6 +21,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.p
 
 from treespan.compat import analyze, build_compat_graph
 from treespan.generators import GenSpec, generate
+from treespan.trees import ENUM_LIMIT_ALL
 
 
 def report(label: str, spec: GenSpec) -> None:
@@ -40,6 +41,9 @@ def main() -> None:
     ap.add_argument("--max-n", type=int, default=7)
     ap.add_argument("--seeds", type=int, default=5)
     args = ap.parse_args()
+    if args.max_n > ENUM_LIMIT_ALL:
+        ap.error(f"--max-n {args.max_n}: full graphs are enumerated only "
+                 f"up to n = {ENUM_LIMIT_ALL}")
 
     classes = ["convex", "random_points", "monotone_perturbed", "two_page",
                "strongly_cmonotone"]

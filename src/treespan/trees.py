@@ -271,13 +271,19 @@ def enumerate_plane_trees(d: Drawing, kind: str = "all",
                           limit: Optional[int] = None) -> List[Tree]:
     """All plane spanning trees of the drawing, canonically ordered.
 
-    'all' grows trees over the sorted edge list, pruning edges that close a
-    cycle (``comp`` labels the components of the chosen forest) or cross a
-    chosen edge (``blocked`` is the OR of their crossing rows).  The other
-    kinds, 'special' for the union of 'star', 'double_star' and
-    'twin_star', are built directly from the trees' defining vertices, not
-    filtered from all trees; the three single kinds keep the trees whose
-    ``classify_kind`` is that kind.
+    'all' grows trees over the sorted edge list by a depth-first search.
+    Each component of the chosen forest is labelled by its cut mask, the
+    edges with one end in it: the XOR of its vertices' incidence masks.
+    Joining two components by an edge XORs their labels, and the edges
+    between them, the AND of the labels, now close a cycle: ``closed`` is
+    the OR of those ANDs, ``blocked`` the OR of the chosen edges' crossing
+    rows, and a level's candidates are the window's bits outside both.
+    Once two components remain, their cut is every edge that completes a
+    tree, so the last level is one AND with no call.  The other kinds,
+    'special' for the union of 'star', 'double_star' and 'twin_star', are
+    built directly from the trees' defining vertices, not filtered from all
+    trees; the three single kinds keep the trees whose ``classify_kind`` is
+    that kind.
     """
     return [mask_tree(d, mask) for mask, _ in _plane_masks(d, kind, limit)]
 
@@ -298,26 +304,48 @@ def _plane_masks(d: Drawing, kind: str = "all",
         return [p for p in _star_family(d)
                 if classify_kind(d.n, d.edges, p[0])[0] == kind]
 
-    edges, rows = d.edges, d.cross_mask
+    n, edges, rows = d.n, d.edges, d.cross_mask
     m = len(edges)
+    if n <= 1:  # one vertex: the empty tree
+        return [(0, 0)] * n
+    if m < n - 1:
+        return []
+    inc = [0] * n                  # vertex -> mask of its edges
+    for i, (u, v) in enumerate(edges):
+        inc[u] |= 1 << i
+        inc[v] |= 1 << i
+    # with `left` edges still to choose, the next has id at most m - left
+    window = [(1 << m + 1 - left) - 1 for left in range(n)]
     out: List[Tuple[int, int]] = []
+    append = out.append
+
+    def leaves(mask: int, blocked: int, cut: int) -> None:
+        while cut:
+            low = cut & -cut
+            append((mask | low, blocked | rows[low.bit_length() - 1]))
+            cut ^= low
 
     def grow(start: int, comp: List[int], left: int, mask: int,
-             blocked: int) -> None:
-        if not left:
-            out.append((mask, blocked))
-            return
-        for i in range(start, m - left + 1):
-            if blocked >> i & 1:
-                continue
+             blocked: int, closed: int) -> None:
+        # comp[v] is the cut mask of v's component
+        cand = window[left] & ~(blocked | closed) & -(1 << start)
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            i = low.bit_length() - 1
             u, v = edges[i]
             cu, cv = comp[u], comp[v]
-            if cu == cv:
-                continue
-            grow(i + 1, [cv if c == cu else c for c in comp], left - 1,
-                 mask | 1 << i, blocked | rows[i])
+            joined, b = cu ^ cv, blocked | rows[i]
+            if left == 2:  # joined is the cut between the last two
+                leaves(mask | low, b, joined & ~b & -(low << 1))
+            else:
+                grow(i + 1, [joined if c == cu or c == cv else c for c in comp],
+                     left - 1, mask | low, b, closed | cu & cv)
 
-    grow(0, list(range(d.n)), d.n - 1, 0, 0)
+    if n == 2:
+        leaves(0, 0, inc[0])
+    else:
+        grow(0, inc, n - 1, 0, 0, 0)
     return out
 
 
@@ -326,26 +354,40 @@ def _star_family(d: Drawing) -> List[Tuple[int, int]]:
     canonical order.  The stars are among the double stars: a star with
     centre c is the double star of an edge cv with every other vertex
     joined to c.  Each tree is built from its core, the edge gr or the path
-    g-s-r, by joining every other vertex to g or to r; a partial tree is
-    dropped as soon as an edge it needs is missing (bipartite drawings) or
-    crosses the edges chosen before it."""
+    g-s-r, by joining every other vertex to g or to r.  For each unordered
+    pair (g, r) the options of every other vertex v, its edges gv and rv
+    that the drawing has, are listed once and serve the double-star core
+    and each twin-star core, which skips its s.  A core is dropped if one
+    of its edges is missing (bipartite drawings) or they cross; a partial
+    tree is dropped as soon as its next edge crosses the edges chosen
+    before it, and a core stops once none is left."""
     n, ids, rows = d.n, d.edge_id, d.cross_mask
-    cores = [(g, r, ((g, r),)) for g, r in ids]
-    cores += [(g, r, (edge(g, s), edge(s, r)))
-              for g, r in itertools.combinations(range(n), 2)
-              for s in range(n) if s != g and s != r]
+    at: List[List[Optional[Tuple[int, int]]]] = [[None] * n for _ in range(n)]
+    for (u, v), i in ids.items():    # at[u][v]: edge uv's bit and row
+        at[u][v] = at[v][u] = (1 << i, rows[i])
     found: Dict[int, int] = {}
-    for g, r, core in cores:
-        on_core = {v for e in core for v in e}
-        choices = [[ids.get(e)] for e in core]
-        choices += [[ids.get(edge(c, v)) for c in (g, r)]
-                    for v in range(n) if v not in on_core]
-        partial = [(0, 0)]
-        for options in choices:
-            partial = [(mask | 1 << i, blocked | rows[i])
-                       for mask, blocked in partial for i in options
-                       if i is not None and not blocked >> i & 1]
-        found.update(partial)
+    for g, r in itertools.combinations(range(n), 2):
+        ag, ar = at[g], at[r]
+        options = [(v, [o for o in (ag[v], ar[v]) if o is not None])
+                   for v in range(n) if v != g and v != r]
+        cores = []          # (s, or -1 for the double star, mask, blocked)
+        if ag[r] is not None:
+            cores.append((-1,) + ag[r])
+        for s, opts in options:
+            if len(opts) == 2:
+                (bg, cg), (br, cr) = opts
+                if not cg & br:
+                    cores.append((s, bg | br, cg | cr))
+        for s, mask, blocked in cores:
+            partial = [(mask, blocked)]
+            for v, opts in options:
+                if v != s:
+                    partial = [(mask | b, blocked | row)
+                               for mask, blocked in partial
+                               for b, row in opts if not blocked & b]
+                    if not partial:
+                        break
+            found.update(partial)
     # Every tree has n - 1 edges, so the canonical order puts A before B
     # iff the lowest bit of A ^ B is in A: the order of the bit strings
     # read from bit 0, descending.

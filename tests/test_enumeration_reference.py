@@ -1,0 +1,100 @@
+"""The plane-tree enumerators against the ones they replaced.
+
+``reference_enumeration`` keeps the per-vertex-label growth and the
+per-core star-family options.  ``_plane_masks(d, "all")`` and
+``_star_family`` must return their lists exactly: the same trees, in the
+same order, with the same conflict masks.  The drawings are generated ones,
+hand-built ones with missing edges, and synthetic crossing relations that
+no drawing realises.
+"""
+
+import itertools
+from types import SimpleNamespace
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import reference_enumeration as reference
+from treespan.drawing import complete_edges
+from treespan.generators import GenSpec, fixture_bipartite_isolated, generate
+from treespan.trees import _plane_masks, _star_family
+
+from conftest import polar_k2
+from test_fileio_cli import _straight_line_k22
+
+CLASSES = ("convex", "random_points", "monotone_perturbed", "two_page",
+           "strongly_cmonotone")
+SPECS = [GenSpec(cls=cls, n=n, seed=seed)
+         for cls in CLASSES for n in range(3, 9) for seed in range(4)]
+# seeds that generate in well under a second
+SPECS += [GenSpec(cls="cylindrical", n=a + b, seed=seed, a=a, b=b)
+          for (a, b), seed in (((2, 2), 3), ((2, 3), 0), ((3, 3), 3), ((2, 4), 2))]
+
+
+def _drawings():
+    out = [(f"{s.cls}-{s.n}-{s.seed}" + (f"-{s.a}x{s.b}" if s.a else ""),
+            lambda s=s: generate(s)) for s in SPECS]
+    return out + [("bipartite-fixture", lambda: fixture_bipartite_isolated()[0]),
+                  ("straight-line-k22", _straight_line_k22),
+                  ("polar-k2", polar_k2)]
+
+
+DRAWINGS = _drawings()
+
+
+def assert_matches_reference(d, limit=None):
+    got = _plane_masks(d, "all", limit=limit)
+    assert got == reference.plane_masks(d)
+    assert _star_family(d) == reference.star_family(d)
+    return got
+
+
+@pytest.mark.parametrize("make", [m for _, m in DRAWINGS],
+                         ids=[name for name, _ in DRAWINGS])
+def test_enumerators_match_reference(make):
+    assert_matches_reference(make())
+
+
+def test_enumerators_match_reference_past_the_limit():
+    """177 843 trees, about a second for each side."""
+    d = generate(GenSpec(cls="monotone_perturbed", n=9, seed=1))
+    assert len(assert_matches_reference(d, limit=9)) == 177843
+
+
+def _relation(n, edges, pairs):
+    """A duck-typed drawing: the given edges, crossing in the given pairs
+    of edge ids (an id paired with itself marks an edge as crossing
+    itself)."""
+    rows = [0] * len(edges)
+    for i, j in pairs:
+        rows[i] |= 1 << j
+        rows[j] |= 1 << i
+    return SimpleNamespace(n=n, edges=tuple(edges),
+                           edge_id={e: i for i, e in enumerate(edges)},
+                           cross_mask=tuple(rows))
+
+
+@st.composite
+def crossing_relations(draw):
+    """Any symmetric relation on a random subset of K_n's edges, so that
+    disconnected graphs and graphs with fewer than n - 2 edges occur."""
+    n = draw(st.integers(1, 7))
+    keep = draw(st.sampled_from([1.0, 0.8, 0.5, 0.2]))
+    cross = draw(st.sampled_from([0.0, 0.1, 0.3, 0.6]))
+    rnd = draw(st.randoms(use_true_random=False))
+    edges = [e for e in complete_edges(n) if rnd.random() < keep]
+    pairs = [(i, j) for i, j in itertools.combinations_with_replacement(
+        range(len(edges)), 2) if rnd.random() < cross]
+    return _relation(n, edges, pairs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(crossing_relations())
+@example(_relation(1, [], []))
+@example(_relation(2, [(0, 1)], []))
+@example(_relation(4, [], []))                                # edgeless
+@example(_relation(4, complete_edges(4), [(1, 4)]))           # K_4, one crossing
+@example(_relation(5, complete_edges(5), [(i, i) for i in range(10)]))  # all self-crossing
+def test_enumerators_match_reference_on_crossing_relations(d):
+    assert_matches_reference(d)

@@ -6,6 +6,8 @@ import pathlib
 import subprocess
 import sys
 
+from treespan.trees import ENUM_LIMIT_ALL
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
 
@@ -22,6 +24,18 @@ def test_diameter_sweep_runs_from_a_checkout(tmp_path):
     col = dict(zip(header, row))
     assert "classes" in col and "classes*" in col
     assert int(col["classes"]) <= int(col["nodes"])
+
+
+def test_diameter_sweep_rejects_max_n_past_the_enumeration_limit(tmp_path):
+    # before any work: no header row, and no traceback at the first n = 9 cell
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    out = subprocess.run([sys.executable, str(SCRIPTS / "diameter_sweep.py"),
+                          "--max-n", str(ENUM_LIMIT_ALL + 1), "--seeds", "1"],
+                         cwd=tmp_path, env=env, capture_output=True, text=True,
+                         timeout=120)
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert "--max-n" in out.stderr and "Traceback" not in out.stderr
 
 
 def test_render_examples_runs_from_a_checkout(tmp_path):
