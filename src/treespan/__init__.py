@@ -18,10 +18,7 @@ from .drawing import (
     classify_monotone,
     classify_two_page,
     cut_to_monotone,
-    succ_maximal,
-    twiggly_set,
     validate_simple,
-    vertices_above,
 )
 from .generators import GenSpec, fixture_bipartite_isolated, generate
 from .geometry import (
@@ -40,12 +37,9 @@ from .geometry import (
     segment_proper_crossing,
 )
 from .transforms import (
-    Corridor,
     TransformSequence,
     certify_sequence,
     cmonotone_to_spine,
-    corridor_path,
-    corridors,
     double_star_to_star,
     monotone_to_spine,
     star_to_star,

@@ -190,8 +190,8 @@ def _dispatch(args) -> int:
         return 0
 
     if args.cmd == "certify":
-        with open(args.seqfile) as fh:
-            trees, method, _, drawing_ref = fileio.sequence_from_dict(json.load(fh))
+        trees, method, _, drawing_ref = fileio.sequence_from_dict(
+            fileio.load_json(args.seqfile))
         path = args.drawing or drawing_ref
         if not isinstance(path, str):
             raise fileio.FileFormatError("no drawing file given or referenced")

@@ -1,10 +1,10 @@
 """Drawing data model, simple-drawing validation and class recognition.
 
 A Drawing holds one explicit curve per edge of a complete (or complete
-bipartite) graph and derives an exact crossing matrix from them.  All
-structural predicates the transformation algorithms rely on (spine paths,
-twiggly edges, the vertical-above relation, cylindrical roles, the cut to a
-monotone drawing) live here.
+bipartite) graph and derives an exact crossing matrix from them.  The
+class recognition the transformation algorithms rely on (spine paths,
+cylindrical roles, the cut to a monotone drawing) lives here; what a round
+of the spine route reads of the curves, ``transforms`` builds itself.
 
 A Drawing is immutable; its edge tuple, edge ids, crossing matrix (whose
 construction is the simple-drawing check) and class report are computed on
@@ -25,14 +25,12 @@ angle ranges meet; a vertex is lifted into a curve's frame before it is
 tested against that curve.
 
 The structures the transformations read are derived once per drawing too,
-through ``Drawing._derive``: the monotone and c-monotone classifications,
-the cut to a monotone drawing (whose flat drawing keeps its own derived
-structures), the vertices above each edge and the vertical order of each
-edge pair.  Each is an immutable value; the private builders
-``_classify_monotone``, ``_classify_c_monotone``, ``_cut_to_monotone``,
-``_vertices_above`` and ``_succ_above`` compute it uncached.  A
-cylindrical classification carries the masks of its cycle paths and side
-edges.
+through ``Drawing._derive``: the monotone and c-monotone classifications
+and the cut to a monotone drawing (whose flat drawing keeps its own derived
+structures).  Each is an immutable value; the private builders
+``_classify_monotone``, ``_classify_c_monotone`` and ``_cut_to_monotone``
+compute it uncached.  A cylindrical classification carries the masks of
+its cycle paths and side edges.
 """
 
 from __future__ import annotations
@@ -47,7 +45,6 @@ from typing import Dict, FrozenSet, Iterator, List, Mapping, NamedTuple, Optiona
 from .errors import (
     InternalInvariantViolated,
     InvalidRadiiError,
-    EmptySetError,
     NotSimpleError,
 )
 from .geometry import (
@@ -61,7 +58,6 @@ from .geometry import (
     _self_contacts,
     _strip_contacts,
     curve_circle_crossing,
-    curve_eval,
     is_x_monotone,
     lift_angle,
     normalize_polar,
@@ -497,72 +493,6 @@ def classify_two_page(d: Drawing) -> bool:
         if 0 in signs or len(signs) != 1:
             return False
     return True
-
-
-def twiggly_set(d: Drawing, spine: SpineStructure, edges_in) -> FrozenSet[Edge]:
-    """Subset of ``edges_in`` properly crossing at least one spine edge."""
-    rows, ids = d.cross_mask, d.edge_id
-    spine_mask = sum(1 << ids[s] for s in spine.spine_edges)
-    return frozenset(e for e in edges_in if rows[ids[e]] & spine_mask)
-
-
-def _open_x_range(d: Drawing, e: Edge):
-    xa = d.vertex_points[e[0]].x
-    xb = d.vertex_points[e[1]].x
-    return (xa, xb) if xa < xb else (xb, xa)
-
-
-def succ_above(d: Drawing, e: Edge, f: Edge) -> Optional[bool]:
-    """True if e runs above f over their common open x-range, False if below,
-    None if the open ranges do not overlap.  Only valid for non-crossing
-    pairs, whose vertical order is constant on the overlap.  Found once per
-    ordered edge pair."""
-    return d._derive(_succ_above, e, f)
-
-
-def _succ_above(d: Drawing, e: Edge, f: Edge) -> Optional[bool]:
-    lo1, hi1 = _open_x_range(d, e)
-    lo2, hi2 = _open_x_range(d, f)
-    lo, hi = max(lo1, lo2), min(hi1, hi2)
-    if lo >= hi:
-        return None
-    xm = (lo + hi) / 2
-    ye = curve_eval(d.curves[e], xm)
-    yf = curve_eval(d.curves[f], xm)
-    if ye == yf:
-        raise InternalInvariantViolated(f"edges {e}, {f} meet at x={xm}")
-    return ye > yf
-
-
-def succ_maximal(d: Drawing, twigglies) -> Edge:
-    """An edge with no other twiggly above it (ties broken by smallest id)."""
-    twigglies = sorted(twigglies)
-    if not twigglies:
-        raise EmptySetError("no twiggly edges")
-    for e in twigglies:
-        if not any(succ_above(d, f, e) for f in twigglies if f != e):
-            return e
-    raise InternalInvariantViolated("vertical-above relation has no maximum")
-
-
-def vertices_above(d: Drawing, e: Edge) -> List[int]:
-    """Vertices strictly between e's endpoints in x and strictly above e,
-    found once per edge; each call returns a fresh list."""
-    return list(d._derive(_vertices_above, e))
-
-
-def _vertices_above(d: Drawing, e: Edge) -> Tuple[int, ...]:
-    lo, hi = _open_x_range(d, e)
-    out = []
-    for v in range(d.n):
-        p = d.vertex_points[v]
-        if lo < p.x < hi:
-            ye = curve_eval(d.curves[e], p.x)
-            if ye is None:
-                raise InternalInvariantViolated("edge does not span vertex column")
-            if p.y > ye:
-                out.append(v)
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -45,10 +45,6 @@ class IncompatibleError(TreespanError):
     pass
 
 
-class EmptySetError(TreespanError):
-    pass
-
-
 class NodeMissingError(TreespanError):
     pass
 
@@ -87,10 +83,6 @@ class NotMonotoneError(MethodInapplicable):
 
 
 class NotStronglyCMonotoneError(MethodInapplicable):
-    pass
-
-
-class FullCircleCorridorError(MethodInapplicable):
     pass
 
 

@@ -143,9 +143,18 @@ def save_drawing(d: Drawing, path: str) -> None:
         fh.write(dumps(drawing_to_dict(d)))
 
 
-def load_drawing(path: str) -> Drawing:
+def load_json(path: str):
+    """The JSON document in a file, drawing or sequence.  Nesting too deep
+    for the parser is a malformed file like any other."""
     with open(path) as fh:
-        return drawing_from_dict(json.load(fh))
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise FileFormatError("JSON nested too deeply") from None
+
+
+def load_drawing(path: str) -> Drawing:
+    return drawing_from_dict(load_json(path))
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +199,11 @@ def sequence_from_dict(obj: dict) -> Tuple[List[Tree], str, bool, object]:
     for key in ("method", "trees", "certified"):
         if key not in obj:
             raise FileFormatError(f"missing field {key!r}")
+    method, certified = obj["method"], obj["certified"]
+    if not isinstance(method, str):
+        raise FileFormatError(f"'method' must be a string, got {method!r}")
+    if not isinstance(certified, bool):
+        raise FileFormatError(f"'certified' must be true or false, got {certified!r}")
     if not isinstance(obj["trees"], list):
         raise FileFormatError("'trees' must be a list of trees")
     trees = []
@@ -201,7 +215,7 @@ def sequence_from_dict(obj: dict) -> Tuple[List[Tree], str, bool, object]:
                     and _is_int(e[0]) and _is_int(e[1])):
                 raise FileFormatError(f"bad edge {e!r}; expected [u, v] ints")
         trees.append(canon_tree(entry))
-    return trees, obj["method"], bool(obj["certified"]), obj.get("drawing")
+    return trees, method, certified, obj.get("drawing")
 
 
 # ---------------------------------------------------------------------------

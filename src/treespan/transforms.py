@@ -7,24 +7,29 @@ tree to the spine path in at most n - 1 rounds of one loop, each round a
 step dropping twiggly edges (those crossing the spine): a maximal one
 through the vertices above it, or all of them by corridor paths.  A
 strongly c-monotone drawing with a non-spine cycle edge is first cut to a
-monotone drawing with the same crossing matrix.
+monotone drawing with the same crossing matrix.  Both steps read one strip
+table per drawing (``_strip``): for each gap between consecutive vertices
+the edges spanning it from lowest to highest, and for each edge the
+vertices and the non-crossing edges above it.  Building the table is the
+only curve evaluation on the route; a round and its certificates work on
+masks.
 Each public call turns its input trees into edge masks once, works on masks
 throughout (nested steps are private cores returning mask lists), and
 certifies its own output exactly once, in ``_certified``.  The returned
 ``TransformSequence`` keeps those masks and builds its edge tuples,
 ``trees``, the first time something reads them.
 Whatever a route reads that depends only on the drawing is built once per
-drawing: the classifications and the cut (``drawing``), each spine's
-masks, each ordered centre pair's relation order, the cylindrical path
-and side masks, and each tree's conflict mask (its certificate).  The
-checks inside each round still run on every call.
+drawing: the classifications and the cut (``drawing``), the strip table,
+each spine's masks, each ordered centre pair's relation order, the
+cylindrical path and side masks, and each tree's conflict mask (its
+certificate).  The checks inside each round still run on every call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import ClassVar, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import ClassVar, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .drawing import (
     CylRoles,
@@ -36,14 +41,8 @@ from .drawing import (
     classify_monotone,
     cut_to_monotone,
     edge,
-    edge_span,
-    span_contains,
-    succ_maximal,
-    vertex_angles,
-    vertices_above,
 )
 from .errors import (
-    FullCircleCorridorError,
     IncompatibleStepError,
     InternalInvariantViolated,
     NoSideEdgeError,
@@ -55,7 +54,7 @@ from .errors import (
     NotTwinStarError,
     RelationCyclicError,
 )
-from .geometry import curve_eval, lift_angle
+from .geometry import curve_eval
 from .trees import (
     Tree,
     _UnionFind,
@@ -71,9 +70,6 @@ from .trees import (
     tree_mask,
     twin_star_paths,
 )
-
-CENTER = "center"
-INFINITY = "infinity"
 
 
 @dataclass(frozen=True)
@@ -240,25 +236,70 @@ def _spine_masks(d: Drawing, spine: SpineStructure) -> Tuple[int, int, int]:
     return spine_mask, conflict_mask(d, spine_mask), path
 
 
+class _Strip(NamedTuple):
+    """A monotone or strongly c-monotone drawing read in its gaps: the
+    open intervals between consecutive vertices in x order, or in angle
+    order wrapping round the circle.  Gap g lies between ``order[g]`` and
+    the next vertex.  Edges are ids and vertices bits."""
+    order: Tuple[int, ...]             # vertices by x, or by angle
+    rank: Tuple[Tuple[int, ...], ...]  # per gap: the edges spanning it, lowest first
+    stab: Tuple[int, ...]              # per gap: its rank as a mask
+    above: Tuple[int, ...]             # per edge: the vertices inside its span above it
+    over: Tuple[int, ...]              # per edge: the edges not crossing it and above it
+
+
+def _strip(d: Drawing) -> _Strip:
+    """The strip table of d, which the steps read through ``d._derive``: the
+    one place on the spine route that evaluates a curve, each at a gap's
+    midpoint or a vertex.  Two edges that do not cross keep their vertical order wherever
+    both span, so a gap's rank orders every plane edge set spanning it."""
+    polar = d.backend == "polar"
+    at = [p[0] % 1 if polar else p[0] for p in d.vertex_points]
+    order = tuple(sorted(range(d.n), key=at.__getitem__))
+    ends = [at[v] for v in order]
+    if polar:
+        ends.append(ends[0] + 1)
+    curves = [d.curves[e] for e in d.edges]
+    rank = []
+    for a, b in zip(ends, ends[1:]):
+        mid = (a + b) / 2
+        ys = [(curve_eval(c, mid), i) for i, c in enumerate(curves)]
+        rank.append(tuple(i for y, i in sorted(p for p in ys if p[0] is not None)))
+    above = []
+    for e, c in zip(d.edges, curves):
+        ys = [(v, curve_eval(c, at[v])) for v in range(d.n) if v not in e]
+        above.append(sum(1 << v for v, y in ys
+                         if y is not None and d.vertex_points[v][1] > y))
+    rows, over = d.cross_mask, [0] * len(curves)
+    for r in rank:
+        higher = 0
+        for i in reversed(r):
+            over[i] |= higher & ~rows[i]
+            higher |= 1 << i
+    return _Strip(order, tuple(rank), tuple(sum(1 << i for i in r) for r in rank),
+                  tuple(above), tuple(over))
+
+
 def _monotone_step(d: Drawing, spine_mask: int, twiggly: int, t: int) -> int:
-    """Resolve a maximal twiggly edge of t through the path over the
-    vertices above it."""
-    xs = [p.x for p in d.vertex_points]
+    """Resolve a maximal twiggly edge of t, the least one with no twiggly
+    edge of t above it, through the path over the vertices above it."""
+    order, _, _, above, over = d._derive(_strip)
     twig = t & twiggly
-    e = succ_maximal(d, mask_tree(d, twig))
-    vi, vj = sorted(e, key=xs.__getitem__)
-    above = sorted(vertices_above(d, e), key=xs.__getitem__)
-    if not above:
+    i = next((i for i in bits(twig) if not over[i] & twig), None)
+    if i is None:
+        raise InternalInvariantViolated("vertical-above relation has no maximum")
+    if not above[i]:
         raise InternalInvariantViolated("maximal twiggly edge with no "
                                         "vertex above it")
-    stops = [vi] + above + [vj]
-    path = tree_mask(d, [edge(stops[k], stops[k + 1])
-                         for k in range(len(stops) - 1)])
+    u, w = d.edges[i]
+    stops = [v for v in order if (above[i] | 1 << u | 1 << w) >> v & 1]
+    ids = d.edge_id
+    path = sum(1 << ids[edge(a, b)] for a, b in zip(stops, stops[1:]))
     hit = conflict_mask(d, path) & t
-    if hit:  # e is in t, so this also covers crossing the resolved edge
+    if hit:  # i is in t, so this also covers crossing the resolved edge
         raise InternalInvariantViolated(
             f"detour path crosses tree: {mask_tree(d, hit)}")
-    rest = t & ~(1 << d.edge_id[e])
+    rest = t & ~(1 << i)
     new_t = _retree(d, [path, rest & spine_mask,
                         rest & ~spine_mask & ~twig, rest & twig])
     if (new_t & twiggly).bit_count() >= twig.bit_count():
@@ -266,144 +307,78 @@ def _monotone_step(d: Drawing, spine_mask: int, twiggly: int, t: int) -> int:
     return new_t
 
 
-# ---------------------------------------------------------------------------
-# corridors
-# ---------------------------------------------------------------------------
+def _corridor_step(d: Drawing, spine_mask: int, twiggly: int, t: int) -> int:
+    """Add every corridor path of t's twiggly edges and drop them all; the
+    twiggly depth of every ray drops where it was positive.
 
-@dataclass(frozen=True)
-class Corridor:
-    interval: Tuple  # (theta1, theta2) with theta1 in [0,1), theta2 > theta1
-    lower: object    # Edge or CENTER
-    upper: object    # Edge or INFINITY
-    start_vertex: Optional[int]
-    end_vertex: Optional[int]
-
-
-def corridors(d: Drawing, twigglies: Iterable[Edge]) -> List[Corridor]:
-    """Corridors of the arrangement of the given pairwise non-crossing
-    edges plus the dummy boundaries at the circle center and at infinity.
-    Along any ray crossing k of the edges, exactly k+1 corridors are hit."""
-    twigglies = sorted(set(twigglies))
-    if not twigglies:
-        return [Corridor(interval=(0, 1), lower=CENTER, upper=INFINITY,
-                         start_vertex=None, end_vertex=None)]
-    angles = vertex_angles(d)
-    at_angle = {angles[v]: v for v in range(d.n)}
-    spans = {e: edge_span(d, e) for e in twigglies}
-    events = sorted({angles[v] for e in twigglies for v in e})
-    m = len(events)
-    per_gap: List[List[Tuple[object, object]]] = []
-    for a, b in _gaps(events):
-        mid = (a + b) / 2
-        stabbed = [e for e in twigglies if span_contains(spans[e], mid)]
-        stabbed.sort(key=lambda e: curve_eval(d.curves[e], mid))
-        chain = [CENTER] + stabbed + [INFINITY]
-        per_gap.append([(chain[k], chain[k + 1]) for k in range(len(chain) - 1)])
-
-    out: List[Corridor] = []
+    A gap's chain is its rank cut down to t's twiggly edges, from the
+    centre (None) out to infinity (None).  A corridor is a maximal run of
+    gaps whose chains hold one (lower, upper) pair of consecutive entries;
+    its path runs from the run's first vertex through the interior vertices
+    that lie between the bounds to its last."""
+    strip = d._derive(_strip)
+    order, rank, _, above, _ = strip
+    twig = t & twiggly
+    m = len(rank)
+    pairs = []
+    for r in rank:
+        chain = [None] + [i for i in r if twig >> i & 1] + [None]
+        pairs.append(list(zip(chain, chain[1:])))
+    paths = rim = 0  # rim: the paths of inner and outer corridors
     for j in range(m):
-        for pair in per_gap[j]:
-            if pair in per_gap[j - 1]:  # m >= 2: an edge's ends differ in angle
-                continue  # continues an earlier gap; emitted there
-            run = 0
-            while run < m and pair in per_gap[(j + run) % m]:
-                run += 1
-            if run == m:
-                raise InternalInvariantViolated("corridor wraps the circle")
-            start = events[j]
-            end_idx = (j + run) % m
-            end = events[end_idx] + (1 if j + run >= m else 0)
-            out.append(Corridor(interval=(start, end), lower=pair[0],
-                                upper=pair[1],
-                                start_vertex=at_angle[start],
-                                end_vertex=at_angle[end % 1]))
-    return sorted(out, key=lambda c: (c.interval[0], str(c.lower), str(c.upper)))
-
-
-def _gaps(angles: list) -> list:
-    """(a, next a) for each of the sorted angles, the last wrapping round
-    to the first plus one turn."""
-    return list(zip(angles, angles[1:] + [angles[0] + 1]))
-
-
-def _inside(d: Drawing, c: Corridor, theta, r) -> bool:
-    """Whether radius r at angle theta lies strictly between the
-    corridor's lower and upper bounds."""
-    low = 0 if c.lower == CENTER else curve_eval(d.curves[c.lower], theta)
-    high = None if c.upper == INFINITY else curve_eval(d.curves[c.upper], theta)
-    return low < r and (high is None or r < high)
-
-
-def corridor_path(d: Drawing, t: Iterable[Edge], c: Corridor,
-                  twigglies: Iterable[Edge]) -> List[Edge]:
-    """Greedy consecutive-vertex path from the corridor's start to its end
-    vertex, in walk order, certified to stay radially inside the corridor,
-    to avoid the tree and, in an inner/outer corridor, the twiggly edges."""
-    if c.start_vertex is None or c.end_vertex is None:
-        raise FullCircleCorridorError("corridor has no endpoints")
-    return _corridor_path(d, tree_mask(d, t), c, tree_mask(d, twigglies))
-
-
-def _corridor_path(d: Drawing, t_mask: int, c: Corridor,
-                   twiggly: int) -> List[Edge]:
-    angles = vertex_angles(d)
-    lo, hi = c.interval
-    inside: List[Tuple[object, int]] = []
-    for v in range(d.n):
-        lifted = lift_angle(angles[v], lo)
-        if not lo < lifted < hi:
-            continue
-        if _inside(d, c, lifted, d.vertex_points[v][1]):
-            inside.append((lifted, v))
-    stops = [c.start_vertex] + [v for _, v in sorted(inside)] + [c.end_vertex]
-    path = [edge(stops[k], stops[k + 1]) for k in range(len(stops) - 1)]
-
-    # certification: radial containment at the midpoint of every hop,
-    # no crossing with the tree, no twiggly edges in inner/outer corridors
-    stop_angles = [lo] + [a for a, _ in sorted(inside)] + [hi]
-    for k, g in enumerate(path):
-        mid = (stop_angles[k] + stop_angles[k + 1]) / 2
-        for h in path:
-            if h == c.lower or h == c.upper:
-                continue  # a forced bounding edge lies on the closed boundary
-            r = curve_eval(d.curves[h], mid)
-            if r is not None and not _inside(d, c, mid, r):
-                raise InternalInvariantViolated("path leaves its corridor")
-        if curve_eval(d.curves[g], mid) is None:
-            raise InternalInvariantViolated("path hop skips its own arc")
-    path_mask = tree_mask(d, path)
-    hit = conflict_mask(d, path_mask) & t_mask
+        for lower, upper in pairs[j]:
+            if (lower, upper) in pairs[j - 1]:
+                continue  # the run began at an earlier gap
+            k = j + 1
+            while (lower, upper) in pairs[k % m]:
+                k += 1
+            stops = [j] + [g for g in range(j + 1, k)
+                           if (lower is None or above[lower] >> order[g % m] & 1)
+                           and (upper is None or not above[upper] >> order[g % m] & 1)]
+            path = _run_path(d, strip, lower, upper, stops + [k])
+            paths |= path
+            if lower is None or upper is None:
+                rim |= path
+    hit = conflict_mask(d, paths) & t
     if hit:
         raise InternalInvariantViolated(
             f"corridor path crosses tree: {mask_tree(d, hit)}")
-    bad = path_mask & twiggly
-    if bad and (c.lower == CENTER or c.upper == INFINITY):
+    if rim & twiggly:
         raise InternalInvariantViolated("inner/outer corridor path uses "
-                                        f"twiggly edges: {mask_tree(d, bad)}")
-    return path
-
-
-def twiggly_depth(d: Drawing, twigglies: Iterable[Edge], theta) -> int:
-    return sum(1 for e in twigglies if span_contains(edge_span(d, e), theta))
-
-
-def _corridor_step(d: Drawing, spine_mask: int, twiggly: int, t: int) -> int:
-    """Add every corridor path of t's twiggly edges and drop them all; the
-    twiggly depth of every ray drops where it was positive."""
-    twig = t & twiggly
-    paths = 0
-    for c in corridors(d, mask_tree(d, twig)):
-        paths |= tree_mask(d, _corridor_path(d, t, c, twiggly))
+                                        f"twiggly edges: {mask_tree(d, rim & twiggly)}")
     if paths & conflict_mask(d, paths):
         raise InternalInvariantViolated("corridor paths cross each other")
     rest = t & ~twig
     new_t = _retree(d, [paths, rest & spine_mask, rest & ~spine_mask])
-    samples = [(a + b) / 2 for a, b in _gaps(sorted(vertex_angles(d)))]
-    old, new = ([twiggly_depth(d, mask_tree(d, m & twiggly), s) for s in samples]
-                for m in (t, new_t))
-    if any(k > max(j - 1, 0) for j, k in zip(old, new)):
-        raise InternalInvariantViolated("twiggly depth did not drop")
+    for stab in strip.stab:
+        old, new = ((mask & twiggly & stab).bit_count() for mask in (t, new_t))
+        if new > max(old - 1, 0):
+            raise InternalInvariantViolated("twiggly depth did not drop")
     return new_t
+
+
+def _run_path(d: Drawing, strip: _Strip, lower: Optional[int],
+              upper: Optional[int], stops: List[int]) -> int:
+    """The mask of a corridor's path through the vertices that start the
+    given gaps (mod the gap count), certified to span every gap of each hop
+    and, at every gap of the run, to rank strictly between the bounds.  A
+    bound that is itself a path edge lies on the corridor's closed
+    boundary."""
+    order, rank, stab, _, _ = strip
+    m, ids = len(rank), d.edge_id
+    hops = [1 << ids[edge(order[a % m], order[b % m])] for a, b in zip(stops, stops[1:])]
+    path = sum(hops)
+    bounds = sum(1 << i for i in (lower, upper) if i is not None)
+    for hop, a, b in zip(hops, stops, stops[1:]):
+        for g in range(a, b):
+            r = rank[g % m]
+            lo = -1 if lower is None else r.index(lower)
+            hi = len(r) if upper is None else r.index(upper)
+            if not stab[g % m] & hop:
+                raise InternalInvariantViolated("path hop skips its own arc")
+            if path & stab[g % m] & ~bounds & ~sum(1 << i for i in r[lo + 1:hi]):
+                raise InternalInvariantViolated("path leaves its corridor")
+    return path
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from treespan.drawing import (
     classify_cylindrical,
     classify_monotone,
     cut_to_monotone,
-    twiggly_set,
     validate_simple,
 )
 from treespan.fileio import drawing_to_dict, dumps, sequence_to_dict
@@ -42,7 +41,6 @@ from treespan.transforms import (
     star_to_star,
     transform_cylindrical,
     transform_special,
-    twiggly_depth,
 )
 from treespan.trees import (
     canon_tree,
@@ -51,6 +49,8 @@ from treespan.trees import (
     enumerate_plane_trees,
     is_compatible,
 )
+
+from reference_spine import twiggly_depth, twiggly_set
 
 
 @contextmanager

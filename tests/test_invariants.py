@@ -2,7 +2,7 @@
 
 import itertools
 
-from treespan.drawing import classify_monotone, succ_above, twiggly_set, validate_simple
+from treespan.drawing import classify_monotone, validate_simple
 from treespan.generators import GenSpec, generate
 from treespan.geometry import Proper, polar_crossings, polyline_crossings
 from treespan.rng import SplitMix64
@@ -13,6 +13,8 @@ from treespan.trees import (
     enumerate_plane_trees,
     is_compatible,
 )
+
+from reference_spine import succ_above, twiggly_set
 
 
 def test_at_most_one_proper_on_validated_drawings():

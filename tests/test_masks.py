@@ -179,7 +179,8 @@ def test_package_reads_one_crossing_form():
     ``crossings`` view is for the tuple oracles above.  A certificate
     certifies and names no kind (``classify_kind`` does), so the
     transformations, compatibility graphs and CLI read no ``.kind`` of
-    one."""
+    one.  The transformations evaluate a curve only to build the spine
+    route's strip table, and read no angle or span of one."""
     modules = sorted(pathlib.Path(treespan.__file__).parent.glob("*.py"))
     assert len(modules) > 10
     found = [f"{p.name}:{node.lineno} .crossings"
@@ -193,3 +194,14 @@ def test_package_reads_one_crossing_form():
     assert {f.name for f in dataclasses.fields(TreeCert)} == {
         "spanning", "acyclic_connected", "plane", "mask", "conflict"}
     assert not hasattr(TreeCert, "kind")
+
+    # the spine route reads curves only through its strip table
+    transforms = pathlib.Path(treespan.__file__).parent / "transforms.py"
+    tree = ast.parse(transforms.read_text())
+    evaluating = {f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+                  for node in ast.walk(f) if isinstance(node, ast.Call)
+                  and getattr(node.func, "id", None) == "curve_eval"}
+    assert evaluating == {"_strip"}
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert not imported & {"lift_angle", "edge_span", "span_contains", "vertex_angles"}

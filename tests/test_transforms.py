@@ -15,7 +15,6 @@ from treespan.drawing import (
     validate_simple,
 )
 from treespan.errors import (
-    FullCircleCorridorError,
     IncompatibleStepError,
     BadTreeError,
     InternalInvariantViolated,
@@ -25,18 +24,13 @@ from treespan.errors import (
     UnknownEdgeError,
 )
 from treespan.transforms import (
-    CENTER,
-    INFINITY,
     certify_sequence,
     cmonotone_to_spine,
-    corridor_path,
-    corridors,
     double_star_to_star,
     monotone_to_spine,
     star_to_star,
     transform_cylindrical,
     transform_special,
-    twiggly_depth,
     twin_star_to_star,
 )
 from treespan.trees import (
@@ -49,6 +43,14 @@ from treespan.trees import (
 )
 
 from conftest import P, polar_k2, polar_k5
+from reference_spine import (
+    CENTER,
+    INFINITY,
+    FullCircleCorridorError,
+    corridor_path,
+    corridors,
+    twiggly_depth,
+)
 
 
 # ---------------------------------------------------------------------------
