@@ -8,14 +8,18 @@ check, within the spec's rejection budget.  Each candidate draws from its
 own ``rng.split()`` child, so a builder may stop a candidate early without
 changing any later one.
 
-The monotone and strongly c-monotone builders compute on integers: every
-flat coordinate is a numerator over one denominator, 2000, and each
-wrapped angle and radius is one numerator over a denominator fixed by the
-drawing's width or by its strip's or segment's width.  Each ``Fraction`` is
-built once, at the end.  Before that the builders check every pair of
+The monotone, strongly c-monotone and cylindrical builders compute on
+integers: every flat coordinate is a numerator over one denominator, 2000,
+and each wrapped angle and radius is one numerator over a denominator fixed
+by the drawing's width or by its strip's or segment's width; each
+cylindrical angle parameter is a numerator over one denominator, and each
+point on a circle two numerators over one.  Each ``Fraction`` is built
+once, at the end.  Before that the monotone builders check every pair of
 curves sharing a vertex with validation's own rule for such a pair, on the
-flat integers, and reject the candidate at the first pair that breaks it:
-validation would reject it too, and these are nearly all of their rejects.
+flat integers, and the cylindrical builder each side curve with
+validation's rule for one curve, on its integer image; each rejects the
+candidate at the first fault: validation would reject it too, and these
+are nearly all of their rejects.
 
 Points on circles come from the tangent half-angle parametrization
 t -> ((1-t^2), 2t) / (1+t^2), which is exactly on the unit circle for every
@@ -42,7 +46,13 @@ from .drawing import (
     edge,
 )
 from .errors import NotSimpleError, RejectionBudgetExceededError, TreespanError
-from .geometry import Point, PolarPoint, _cartesian_record, _polyline_contacts
+from .geometry import (
+    Point,
+    PolarPoint,
+    _cartesian_record,
+    _polyline_contacts,
+    curve_self_contacts,
+)
 from .rng import SplitMix64
 
 
@@ -69,14 +79,21 @@ class _Reject(TreespanError):
     pass
 
 
-def _unit_point(t: Fraction) -> Point:
-    den = 1 + t * t
-    return Point((1 - t * t) / den, 2 * t / den)
+def _circle_point(r: int, s: int, t: int, d: int) -> Tuple[int, int, int]:
+    """The point at t/d of the tangent half-angle parametrization on the
+    circle of radius r/s, r/s * ((d^2 - t^2), 2td) / (d^2 + t^2), as two
+    numerators over one denominator."""
+    dd, tt = d * d, t * t
+    return r * (dd - tt), 2 * r * t * d, s * (dd + tt)
+
+
+def _point(x: int, y: int, den: int) -> Point:
+    return Point(Fraction(x, den), Fraction(y, den))
 
 
 def _scaled_unit(t: Fraction, scale: Fraction) -> Point:
-    p = _unit_point(t)
-    return Point(p.x * scale, p.y * scale)
+    return _point(*_circle_point(scale.numerator, scale.denominator,
+                                 t.numerator, t.denominator))
 
 
 def _jitter(rng: SplitMix64, den: int = 1000, mag: int = 100) -> Fraction:
@@ -185,17 +202,18 @@ def _gen_two_page(n: int, rng: SplitMix64) -> Drawing:
 # cylindrical
 # ---------------------------------------------------------------------------
 
-def _spread_ts(count: int, rng: SplitMix64, phase: Fraction) -> List[Fraction]:
-    ts = []
-    for k in range(count):
-        base = Fraction(-22, 10) + Fraction(44, 10) * Fraction(k + 1, count + 1)
-        ts.append(base + phase + _jitter(rng, 1000, 80))
+def _spread_ts(count: int, rng: SplitMix64, den: int, phase: int) -> List[int]:
+    """Increasing numerators over den of count jittered angles spread over
+    (-2.2, 2.2) and shifted by phase/den; den is a multiple of
+    1000 (count + 1)."""
+    ts = [(44 * (k + 1) * (den // (count + 1)) - 22 * den) // 10 + phase
+          + rng.randint(-80, 80) * (den // 1000) for k in range(count)]
     if any(ts[i] >= ts[i + 1] for i in range(len(ts) - 1)):
         raise _Reject("angular order broke")
     return ts
 
 
-def _t_walk(t0: Fraction, t1: Fraction, step: Fraction) -> List[Fraction]:
+def _t_walk(t0, t1, step) -> list:
     """Strictly increasing t values from t0 to t1 inclusive, spaced <= step."""
     if t1 < t0:
         return list(reversed(_t_walk(t1, t0, step)))
@@ -208,62 +226,74 @@ def _t_walk(t0: Fraction, t1: Fraction, step: Fraction) -> List[Fraction]:
     return ticks
 
 
+def _reject_self_contact(way: list) -> None:
+    """Raise _Reject if the polyline of (x, y, den) waypoints repeats a
+    waypoint or touches itself, the rule ``drawing._check_cartesian_curve``
+    applies, tested on its integer image: every waypoint times one common
+    multiple of the denominators.  Validation would reject the candidate
+    at this curve, or at an earlier fault, so no verdict changes."""
+    m = math.lcm(*(den for _, _, den in way))
+    img = [Point(x * (m // den), y * (m // den)) for x, y, den in way]
+    if any(p == q for p, q in zip(img, img[1:])) or curve_self_contacts(img):
+        raise _Reject("side curve repeats a waypoint or touches itself")
+
+
 def _gen_cylindrical(n: int, a: int, b: int, rng: SplitMix64) -> Drawing:
-    inner_ts = _spread_ts(a, rng, Fraction(0))
-    outer_ts = _spread_ts(b, rng, Fraction(1, 50))
-    pts: List[Point] = []
-    for t in inner_ts:
-        pts.append(_scaled_unit(t, Fraction(1)))
-    for t in outer_ts:
-        pts.append(_scaled_unit(t, Fraction(2)))
-    t_of = inner_ts + outer_ts
-    if len(set(pts)) != n:
-        raise _Reject("coincident points")
+    """Vertices 0..a-1 on the unit circle and a..n-1 on the circle of
+    radius 2; outer edges are arcs outside both circles, inner edges
+    chords and side edges spirals between the circles.  Every angle
+    parameter t is a numerator over one denominator, each radius one
+    numerator over a denominator fixed by its curve, and each point's two
+    coordinates numerators over one denominator.  The side curves are built
+    first, each checked as it is drawn; each ``Fraction`` is built once, at
+    the end."""
+    den = 1000 * math.lcm(a + 1, b + 1)
+    t_of = _spread_ts(a, rng, den, 0) + _spread_ts(b, rng, den, den // 50)
+    vertex = [_circle_point(1 if v < a else 2, 1, t, den) for v, t in enumerate(t_of)]
+    # inner vertices come first, so an edge (u, w) is inner, side or outer
+    # as w < a, u < a <= w or a <= u
+    outer_edges = sorted((e for e in complete_edges(n) if e[0] >= a),
+                         key=lambda e: (abs(t_of[e[1]] - t_of[e[0]]), e))
+    radii = [4000 + 700 * rank + rng.randint(-40, 40)   # over 1000
+             for rank in range(len(outer_edges))]
 
-    inner_ids = set(range(a))
-    curves: Dict[Edge, tuple] = {}
-    sigma = Fraction(1, 50)
-
-    outer_edges = [e for e in complete_edges(n)
-                   if e[0] not in inner_ids and e[1] not in inner_ids]
-    outer_edges.sort(key=lambda e: (abs(t_of[e[1]] - t_of[e[0]]), e))
-    for rank, e in enumerate(outer_edges):
-        (u, w), tu, tw = e, t_of[e[0]], t_of[e[1]]  # outer ts ascend with id
-        radius = Fraction(4) + Fraction(7, 10) * rank + _jitter(rng, 1000, 40)
-        way = [pts[u]]
-        for t in _t_walk(tu + sigma, tw - sigma, Fraction(1, 2)):
-            way.append(_scaled_unit(t, radius))
-        way.append(pts[w])
-        curves[e] = tuple(way)
-
-    for e in complete_edges(n):
-        if e[0] in inner_ids and e[1] in inner_ids:
-            curves[e] = (pts[e[0]], pts[e[1]])
-
-    side_edges = [e for e in complete_edges(n)
-                  if (e[0] in inner_ids) != (e[1] in inner_ids)]
-    for e in side_edges:
-        u, w = (e[0], e[1]) if e[0] in inner_ids else (e[1], e[0])
+    sides = {}
+    fine = den // 20
+    for u, w in complete_edges(n):
+        if u >= a or w < a:
+            continue
         tu, tw = t_of[u], t_of[w]
-        jig = _jitter(rng, 10000, 300)
-
-        def radius_at(t: Fraction) -> Fraction:
-            frac = (t - tu) / (tw - tu)
-            return 1 + frac + jig * frac * (1 - frac) * 4
-
-        way = [pts[u]]
-        fine = Fraction(1, 20)
-        ticks = _t_walk(tu, tw, Fraction(1, 5))
+        jig = rng.randint(-300, 300)   # over 10000
+        width = tw - tu
+        ticks = _t_walk(tu, tw, den // 5)
         if len(ticks) > 2:
-            ticks = ([tu, tu + fine * (1 if tw > tu else -1)] + ticks[1:-1]
-                     + [tw - fine * (1 if tw > tu else -1), tw])
+            step = fine if width > 0 else -fine
+            ticks = [tu, tu + step] + ticks[1:-1] + [tw - step, tw]
+        way = [vertex[u]]
         for t in ticks[1:-1]:
-            way.append(_scaled_unit(t, radius_at(t)))
-        way.append(pts[w])
-        curves[e] = tuple(way)
+            # radius 1 + frac + 4 jig frac (1 - frac) at frac = (t - tu) / width
+            f = t - tu
+            way.append(_circle_point(10000 * width * (width + f) + 4 * jig * f * (tw - t),
+                                     10000 * width * width, t, den))
+        way.append(vertex[w])
+        _reject_self_contact(way)
+        sides[(u, w)] = way
 
-    return Drawing(n=n, backend="cartesian", vertex_points=tuple(pts),
-                   curves=curves, circles=(Fraction(1), Fraction(4)))
+    curves: Dict[Edge, list] = {}
+    sigma = den // 50
+    for (u, w), r in zip(outer_edges, radii):   # outer ts ascend with id
+        curves[(u, w)] = [vertex[u]] + [
+            _circle_point(r, 1000, t, den)
+            for t in _t_walk(t_of[u] + sigma, t_of[w] - sigma, den // 2)] + [vertex[w]]
+    for e in complete_edges(n):
+        if e[1] < a:
+            curves[e] = [vertex[e[0]], vertex[e[1]]]
+    curves.update(sides)
+
+    pts = tuple(_point(*p) for p in vertex)
+    return Drawing(n=n, backend="cartesian", vertex_points=pts, curves={
+        (u, w): (pts[u],) + tuple(_point(*p) for p in way[1:-1]) + (pts[w],)
+        for (u, w), way in curves.items()}, circles=(Fraction(1), Fraction(4)))
 
 
 # ---------------------------------------------------------------------------

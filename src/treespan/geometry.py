@@ -324,24 +324,43 @@ def curve_eval(curve, at: Rat) -> Optional[Rat]:
 def _circle_values(curve: CartesianCurve, center: Point, r2: Rat) -> list:
     """|p - center|^2 - r2 at every waypoint p of a polyline, and at each
     segment's point nearest the center when that point lies strictly
-    inside the segment.  Along a segment the value is convex, so these
+    inside the segment, each as an int: the value times a positive factor,
+    so with its sign.  Along a segment the value is convex, so these
     samples hold every segment's minimum, and between two consecutive
-    samples it is monotone."""
+    samples it is monotone.
+
+    Relative to the center, each axis is scaled by the lcm of its
+    denominators: x = X / sx and y = Y / sy, and r2 = r / d.  A waypoint's
+    value is the true one times sx^2 sy^2 d:
+    F = X^2 sy^2 d + Y^2 sx^2 d - r sx^2 sy^2.  On a segment from A with
+    direction V the nearest point lies at G / H, where
+    G = -(AX VX sy^2 + AY VY sx^2) and H = VX^2 sy^2 + VY^2 sx^2 > 0, and
+    its value is the true one times sx^2 sy^2 d H: F(A) H - d G^2."""
     cx, cy = center
+    sx = math.lcm(cx.denominator, *(p[0].denominator for p in curve))
+    sy = math.lcm(cy.denominator, *(p[1].denominator for p in curve))
+    ox = cx.numerator * (sx // cx.denominator)
+    oy = cy.numerator * (sy // cy.denominator)
+    pts = [(x.numerator * (sx // x.denominator) - ox, y.numerator * (sy // y.denominator) - oy)
+           for x, y in curve]
+    wx, wy, r, d = sy * sy, sx * sx, r2.numerator, r2.denominator
+    k = r * wx * wy
 
     def f(x, y):
-        return (x - cx) ** 2 + (y - cy) ** 2 - r2
+        return d * (x * x * wx + y * y * wy) - k
 
-    out = [f(*curve[0])]
-    for (ax, ay), (bx, by) in zip(curve, curve[1:]):
-        dx, dy = bx - ax, by - ay
-        dd = dx * dx + dy * dy
-        if dd == 0:
+    fa = f(*pts[0])
+    out = [fa]
+    for (ax, ay), (bx, by) in zip(pts, pts[1:]):
+        vx, vy = bx - ax, by - ay
+        h = vx * vx * wx + vy * vy * wy
+        if h == 0:
             raise ValueError("zero-length segment")
-        tstar = Fraction((cx - ax) * dx + (cy - ay) * dy, dd)
-        if 0 < tstar < 1:
-            out.append(f(ax + tstar * dx, ay + tstar * dy))
-        out.append(f(bx, by))
+        g = -(ax * vx * wx + ay * vy * wy)
+        if 0 < g < h:
+            out.append(fa * h - d * g * g)
+        fa = f(bx, by)
+        out.append(fa)
     return out
 
 

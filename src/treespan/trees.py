@@ -349,6 +349,11 @@ def _plane_masks(d: Drawing, kind: str = "all",
     return out
 
 
+# each byte's bits reversed: a mask's little-endian bytes translated by it
+# read from bit 0 on, as a bit string of the mask read from bit 0 does
+_REV8 = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
 def _star_family(d: Drawing) -> List[Tuple[int, int]]:
     """(mask, conflict_mask) of every plane double star and twin star, in
     canonical order.  The stars are among the double stars: a star with
@@ -391,9 +396,9 @@ def _star_family(d: Drawing) -> List[Tuple[int, int]]:
     # Every tree has n - 1 edges, so the canonical order puts A before B
     # iff the lowest bit of A ^ B is in A: the order of the bit strings
     # read from bit 0, descending.
-    width = f"0{len(d.edges)}b"
-    return sorted(found.items(), key=lambda p: format(p[0], width)[::-1],
-                  reverse=True)
+    nbytes = (len(d.edges) + 7) // 8
+    return sorted(found.items(), reverse=True,
+                  key=lambda p: p[0].to_bytes(nbytes, "little").translate(_REV8))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 import reference_enumeration as reference
 from treespan.drawing import complete_edges
 from treespan.generators import GenSpec, fixture_bipartite_isolated, generate
-from treespan.trees import _plane_masks, _star_family
+from treespan.rng import SplitMix64
+from treespan.trees import _REV8, _plane_masks, _star_family
 
 from conftest import polar_k2
 from test_fileio_cli import _straight_line_k22
@@ -98,3 +99,17 @@ def crossing_relations(draw):
 @example(_relation(5, complete_edges(5), [(i, i) for i in range(10)]))  # all self-crossing
 def test_enumerators_match_reference_on_crossing_relations(d):
     assert_matches_reference(d)
+
+
+def test_star_family_sort_key_keeps_the_bit_string_order():
+    """``_star_family`` sorts on each mask's little-endian bytes with their
+    bits reversed; the bit string read from bit 0 gave the same order, for
+    every width, multiples of 8 or not."""
+    rng = SplitMix64(2024)
+    for width in range(1, 46):
+        nbytes = (width + 7) // 8
+        masks = list({rng.randint(0, (1 << width) - 1) for _ in range(64)})
+        masks += [0, (1 << width) - 1, 1, 1 << (width - 1)]
+        masks = list(dict.fromkeys(masks))
+        assert (sorted(masks, key=lambda m: m.to_bytes(nbytes, "little").translate(_REV8))
+                == sorted(masks, key=lambda m: format(m, f"0{width}b")[::-1]))

@@ -116,16 +116,24 @@ def test_span_union_never_covers():
 # integer builders against the Fraction reference builders
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("cls", ["monotone_perturbed", "strongly_cmonotone"])
+_REFERENCE_SPECS = {  # class -> the specs whose first candidates are compared
+    "monotone_perturbed": [dict(n=n) for n in range(3, 11)],
+    "strongly_cmonotone": [dict(n=n) for n in range(3, 9)],
+    "cylindrical": [dict(n=a + b, a=a, b=b)
+                    for a, b in ((1, 3), (2, 2), (2, 3), (3, 3), (2, 4))],
+}
+
+
+@pytest.mark.parametrize("cls", sorted(_REFERENCE_SPECS))
 def test_builders_match_fraction_reference(cls):
-    """On the first 8 candidates of seeds 0-3 at every size, the builder
+    """On the first 8 candidates of seeds 0-3 of every spec, the builder
     returns the reference builder's drawing, vertex points and curves in the
     same insertion order, or raises _Reject: then the reference rejects the
     candidate too, or validation does.  Both outcomes occur."""
     build, outcomes = _CLASSES[cls][0], set()
-    for n in range(3, 11 if cls == "monotone_perturbed" else 9):
+    for shape in _REFERENCE_SPECS[cls]:
         for seed in range(4):
-            spec, rng = GenSpec(cls=cls, n=n, seed=seed), SplitMix64(seed)
+            spec, rng = GenSpec(cls=cls, seed=seed, **shape), SplitMix64(seed)
             for _ in range(8):
                 child = rng.split()
                 twin = copy.copy(child)
@@ -147,10 +155,8 @@ def test_builders_match_fraction_reference(cls):
     assert outcomes == {"early stop", "built"}
 
 
-def test_early_stop_spares_full_validation(monkeypatch):
-    """monotone_perturbed n = 10 seed 406 takes 240 candidates; the 239
-    rejected ones stop at an adjacent contact inside the builder, so only
-    the accepted one builds a crossing matrix (240 did before)."""
+def _crossing_row_calls(monkeypatch) -> list:
+    """The drawings ``drawing._crossing_rows`` runs on from now on."""
     calls = []
     crossing_rows = drawing._crossing_rows
 
@@ -159,7 +165,25 @@ def test_early_stop_spares_full_validation(monkeypatch):
         return crossing_rows(d)
 
     monkeypatch.setattr(drawing, "_crossing_rows", counting)
+    return calls
+
+
+def test_early_stop_spares_full_validation(monkeypatch):
+    """monotone_perturbed n = 10 seed 406 takes 240 candidates; the 239
+    rejected ones stop at an adjacent contact inside the builder, so only
+    the accepted one builds a crossing matrix (240 did before)."""
+    calls = _crossing_row_calls(monkeypatch)
     d = generate(GenSpec(cls="monotone_perturbed", n=10, seed=406))
+    assert calls == [d]
+
+
+@pytest.mark.parametrize("a, b, seed", [(2, 4, 2), (3, 3, 0), (2, 3, 3)])
+def test_cylindrical_early_stop_spares_full_validation(monkeypatch, a, b, seed):
+    """Every rejected candidate of these seeds stops at a side curve that
+    repeats a waypoint or touches itself, inside the builder, so only the
+    accepted drawing builds a crossing matrix (14, 22 and 23 did before)."""
+    calls = _crossing_row_calls(monkeypatch)
+    d = generate(GenSpec(cls="cylindrical", n=a + b, seed=seed, a=a, b=b))
     assert calls == [d]
 
 

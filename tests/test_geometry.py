@@ -391,10 +391,10 @@ _GRID_POINT = st.builds(Point, _HALF, _HALF)
 
 
 @st.composite
-def circle_polylines(draw):
-    pts = [draw(_GRID_POINT)]
+def circle_polylines(draw, points=_GRID_POINT):
+    pts = [draw(points)]
     for _ in range(draw(st.integers(1, 4))):
-        pts.append(draw(_GRID_POINT.filter(lambda p, last=pts[-1]: p != last)))
+        pts.append(draw(points.filter(lambda p, last=pts[-1]: p != last)))
     return tuple(pts)
 
 
@@ -414,6 +414,52 @@ def test_circle_predicates_match_oracle(curve, center, r2):
     for s in zip(curve, curve[1:]):
         assert (segment_circle_relation(s, center, r2)
                 == oracle_segment_circle_relation(s, center, r2))
+
+
+# coordinates i + j / den in [lo, hi], each with its own denominator, so
+# that the two axes of a curve scale differently, and plain ints, which the
+# predicates take as they are and the oracle as Fractions
+def _over(dens, lo, hi):
+    return st.builds(lambda den, i, j: F(i * den + j % den, den),
+                     st.sampled_from(dens), st.integers(lo, hi - 1), st.integers(0, 999))
+
+
+_MIXED = st.one_of(st.integers(-6, 6), _over((1, 2, 3, 7, 1000), -6, 6))
+_MIXED_POINT = st.builds(Point, _MIXED, _MIXED)
+_MIXED_R2 = st.one_of(st.integers(1, 40), _over((1, 3, 5, 7, 9, 1000), 0, 40).filter(bool))
+
+
+def _exact(p):
+    return Point(F(p.x), F(p.y))
+
+
+@settings(max_examples=500)
+@given(circle_polylines(_MIXED_POINT), _MIXED_POINT, _MIXED_R2)
+@example((P(F(-3, 2), F(13, 21)), P(F(5, 2), F(13, 21))),    # dip below
+         P(F(1, 2), F(2, 7)), F(1, 7))                       # y = 1/3
+@example((Point(1, 0), Point(0, 1)), Point(0, 0), 1)          # int chord
+def test_circle_predicates_match_oracle_on_mixed_scales(curve, center, r2):
+    exact = tuple(map(_exact, curve))
+    assert (curve_circle_crossing(curve, center, r2)
+            == oracle_curve_circle_crossing(exact, _exact(center), F(r2)))
+    for s, t in zip(zip(curve, curve[1:]), zip(exact, exact[1:])):
+        assert (segment_circle_relation(s, center, r2)
+                == oracle_segment_circle_relation(t, _exact(center), F(r2)))
+
+
+@pytest.mark.parametrize("a, b, seed", [(2, 4, 2), (3, 3, 0), (2, 3, 3)])
+def test_circle_predicates_match_oracle_on_cylindrical_drawings(a, b, seed):
+    from treespan.generators import GenSpec, generate
+
+    d = generate(GenSpec(cls="cylindrical", n=a + b, seed=seed, a=a, b=b))
+    origin = P(0, 0)
+    for curve in d.curves.values():
+        for r2 in (F(1), F(4)):
+            assert (curve_circle_crossing(curve, origin, r2)
+                    == oracle_curve_circle_crossing(curve, origin, r2))
+            for s in zip(curve, curve[1:]):
+                assert (segment_circle_relation(s, origin, r2)
+                        == oracle_segment_circle_relation(s, origin, r2))
 
 
 # ---------------------------------------------------------------------------
