@@ -17,7 +17,6 @@ from .drawing import (
     classify_cylindrical,
     classify_monotone,
     classify_two_page,
-    cut_to_monotone,
     validate_simple,
 )
 from .generators import GenSpec, fixture_bipartite_isolated, generate

@@ -2,9 +2,9 @@
 
 A Drawing holds one explicit curve per edge of a complete (or complete
 bipartite) graph and derives an exact crossing matrix from them.  The
-class recognition the transformation algorithms rely on (spine paths,
-cylindrical roles, the cut to a monotone drawing) lives here; what a round
-of the spine route reads of the curves, ``transforms`` builds itself.
+class recognition the transformation algorithms rely on (spine paths and
+cylindrical roles) lives here; what a round of the spine route reads of the
+curves, ``transforms`` builds itself.
 
 A Drawing is immutable; its edge tuple, edge ids, crossing matrix (whose
 construction is the simple-drawing check) and class report are computed on
@@ -25,11 +25,9 @@ angle ranges meet; a vertex is lifted into a curve's frame before it is
 tested against that curve.
 
 The structures the transformations read are derived once per drawing too,
-through ``Drawing._derive``: the monotone and c-monotone classifications
-and the cut to a monotone drawing (whose flat drawing keeps its own derived
-structures).  Each is an immutable value; the private builders
-``_classify_monotone``, ``_classify_c_monotone`` and ``_cut_to_monotone``
-compute it uncached.  A cylindrical classification carries the masks of
+through ``Drawing._derive``: the monotone and c-monotone classifications.
+Each is an immutable value; the private builders ``_classify_monotone`` and
+``_classify_c_monotone`` compute it uncached.  A cylindrical classification carries the masks of
 its cycle paths and side edges.
 """
 
@@ -59,8 +57,6 @@ from .geometry import (
     _strip_contacts,
     curve_circle_crossing,
     is_x_monotone,
-    lift_angle,
-    normalize_polar,
     orient,
 )
 
@@ -602,12 +598,6 @@ def edge_span(d: Drawing, e: Edge) -> Tuple[Rat, Rat]:
     return t0, c[-1].theta - (c[0].theta - t0)
 
 
-def span_contains(span: Tuple[Rat, Rat], theta: Rat) -> bool:
-    """Whether the angle theta (mod 1) lies inside the open span interval."""
-    t0, tn = span
-    return t0 < lift_angle(theta, t0) < tn
-
-
 def _spans_cover_circle(s1, s2, turn=1) -> bool:
     """Whether two spans (angles in units of 1/turn turns, each starting in
     [0, turn)) jointly cover the circle."""
@@ -669,63 +659,3 @@ def _classify_c_monotone(d: Drawing):
         all_cycle_edges_spine=len(spine) == len(cycle),
     )
     return True, strongly, structure
-
-
-# ---------------------------------------------------------------------------
-# cut to monotone
-# ---------------------------------------------------------------------------
-
-def cut_to_monotone(d: Drawing) -> Optional[Drawing]:
-    """If some cycle edge of a strongly c-monotone drawing is not a spine
-    edge, the wedge between its endpoints is empty of edges; cutting there
-    and unrolling (x = turns past the cut ray, y = radius) yields a monotone
-    drawing with an identical crossing matrix.  Returns that flat drawing
-    (its vertex order is ``classify_monotone(flat).order``), or None when
-    all cycle edges are spine edges.  Built once per drawing, so the flat
-    drawing keeps its own derived structures between calls."""
-    return d._derive(_cut_to_monotone)
-
-
-def _cut_to_monotone(d: Drawing) -> Optional[Drawing]:
-    c_mono, strongly, spine = classify_c_monotone(d)
-    if not (c_mono and strongly):
-        return None
-    if spine.all_cycle_edges_spine:
-        return None
-
-    angles = vertex_angles(d)
-    order = spine.order
-    spine_set = set(spine.spine_edges)
-    gap = None
-    for i in range(d.n):
-        a, b = order[i], order[(i + 1) % d.n]
-        if edge(a, b) not in spine_set:
-            lo = angles[a]
-            hi = angles[b] if angles[b] > angles[a] else angles[b] + 1
-            gap = (lo, hi)
-            break
-    if gap is None:
-        raise InternalInvariantViolated("missing non-spine cycle edge")
-    for e in d.edges:
-        span = edge_span(d, e)
-        for t in (gap[0], gap[1], (gap[0] + gap[1]) / 2):
-            if span_contains(span, t):
-                raise InternalInvariantViolated("cut wedge is not empty")
-    cut = (gap[0] + gap[1]) / 2
-
-    def unroll(theta: Rat) -> Rat:
-        base = theta % 1
-        shifted = base - cut
-        return shifted % 1  # in (0, 1) since nothing sits on the cut ray
-
-    points = tuple(Point(unroll(t), r) for t, r in d.vertex_points)
-    curves = {}
-    for e, curve in d.curves.items():
-        c = normalize_polar(curve)
-        x0 = unroll(c[0].theta)
-        curves[e] = tuple(Point(w.theta - c[0].theta + x0, w.r) for w in c)
-    out = Drawing(n=d.n, backend="cartesian", vertex_points=points,
-                  curves=curves, graph=d.graph)
-    if out.cross_mask != d.cross_mask:
-        raise InternalInvariantViolated("cut changed the crossing matrix")
-    return out

@@ -6,20 +6,20 @@ route for monotone and strongly c-monotone drawings, and the star family
 tree to the spine path in at most n - 1 rounds of one loop, each round a
 step dropping twiggly edges (those crossing the spine): a maximal one
 through the vertices above it, or all of them by corridor paths.  A
-strongly c-monotone drawing with a non-spine cycle edge is first cut to a
-monotone drawing with the same crossing matrix.  Both steps read one strip
-table per drawing (``_strip``): for each gap between consecutive vertices
-the edges spanning it from lowest to highest, and for each edge the
-vertices and the non-crossing edges above it.  Building the table is the
-only curve evaluation on the route; a round and its certificates work on
-masks.
+strongly c-monotone drawing with a non-spine cycle edge takes the first
+step: read from the gap no edge spans, it is monotone.  Both steps read
+one strip table per drawing (``_strip``): for each gap between
+consecutive vertices the edges spanning it from lowest to highest, and
+for each edge the vertices and the non-crossing edges above it.
+Building the table is the only curve evaluation on the route; a round
+and its certificates work on masks.
 Each public call turns its input trees into edge masks once, works on masks
 throughout (nested steps are private cores returning mask lists), and
 certifies its own output exactly once, in ``_certified``.  The returned
 ``TransformSequence`` keeps those masks and builds its edge tuples,
 ``trees``, the first time something reads them.
 Whatever a route reads that depends only on the drawing is built once per
-drawing: the classifications and the cut (``drawing``), the strip table,
+drawing: the classifications (``drawing``), the strip table,
 each spine's masks, each ordered centre pair's relation order, the
 cylindrical path and side masks, and each tree's conflict mask (its
 certificate).  The checks inside each round still run on every call.
@@ -38,8 +38,6 @@ from .drawing import (
     SpineStructure,
     bits,
     classify_c_monotone,
-    classify_monotone,
-    cut_to_monotone,
     edge,
 )
 from .errors import (
@@ -187,9 +185,9 @@ def monotone_to_spine(d: Drawing, spine: Optional[SpineStructure],
 def cmonotone_to_spine(d: Drawing, t: Iterable[Edge]) -> TransformSequence:
     """Strongly c-monotone transformation to a spine path.
 
-    With a non-spine cycle edge present the drawing is unrolled to a
-    monotone one (identical edges and crossing matrix, so identical masks)
-    and resolved there; otherwise each round adds every corridor path,
+    With a non-spine cycle edge present the drawing is resolved as the
+    monotone drawing it is when read from the empty gap of that edge on;
+    otherwise each round adds every corridor path,
     drops all twiggly edges, and the twiggly depth of every ray decreases
     where it was positive."""
     c_mono, strongly, spine = classify_c_monotone(d)
@@ -201,17 +199,15 @@ def cmonotone_to_spine(d: Drawing, t: Iterable[Edge]) -> TransformSequence:
 def _spine_route(d: Drawing, spine: SpineStructure,
                  trees: Sequence[Iterable[Edge]]) -> TransformSequence:
     """The first tree down to the spine path and back up to the second, if
-    given, certified once with ``spine.kind`` as the method.  A drawing
-    with a non-spine cycle edge is cut once and routed on its flat spine."""
+    given, certified once with ``spine.kind`` as the method.  A strongly
+    c-monotone drawing with a non-spine cycle edge takes monotone rounds."""
     masks = _input_masks(d, trees)
-    flat, flat_spine = d, spine
-    if spine.all_cycle_edges_spine is False:
-        flat = cut_to_monotone(d)
-        flat_spine = classify_monotone(flat)
-    step = _monotone_step if flat_spine.kind == "monotone" else _corridor_step
+    if spine.all_cycle_edges_spine is False and d._derive(_strip).stab[-1]:
+        raise InternalInvariantViolated("cut wedge is not empty")
+    step = _corridor_step if spine.all_cycle_edges_spine else _monotone_step
     seq: List[int] = []
     for t, way in zip(masks, (1, -1)):  # the second tree's rounds reversed
-        seq += _rounds(flat, flat_spine, t, step)[::way]
+        seq += _rounds(d, spine, t, step)[::way]
     return _certified(d, _dedupe(seq), spine.kind)
 
 
@@ -240,7 +236,8 @@ class _Strip(NamedTuple):
     """A monotone or strongly c-monotone drawing read in its gaps: the
     open intervals between consecutive vertices in x order, or in angle
     order wrapping round the circle.  Gap g lies between ``order[g]`` and
-    the next vertex.  Edges are ids and vertices bits."""
+    the next vertex; a gap that no edge spans, if there is one, is the last.
+    Edges are ids and vertices bits."""
     order: Tuple[int, ...]             # vertices by x, or by angle
     rank: Tuple[Tuple[int, ...], ...]  # per gap: the edges spanning it, lowest first
     stab: Tuple[int, ...]              # per gap: its rank as a mask
@@ -252,7 +249,10 @@ def _strip(d: Drawing) -> _Strip:
     """The strip table of d, which the steps read through ``d._derive``: the
     one place on the spine route that evaluates a curve, each at a gap's
     midpoint or a vertex.  Two edges that do not cross keep their vertical order wherever
-    both span, so a gap's rank orders every plane edge set spanning it."""
+    both span, so a gap's rank orders every plane edge set spanning it.
+    The table starts after the first gap that no edge spans.  A monotone
+    drawing has none; a strongly c-monotone one has one exactly when some
+    cycle edge is not a spine edge, and read from there it is monotone."""
     polar = d.backend == "polar"
     at = [p[0] % 1 if polar else p[0] for p in d.vertex_points]
     order = tuple(sorted(range(d.n), key=at.__getitem__))
@@ -265,6 +265,8 @@ def _strip(d: Drawing) -> _Strip:
         mid = (a + b) / 2
         ys = [(curve_eval(c, mid), i) for i, c in enumerate(curves)]
         rank.append(tuple(i for y, i in sorted(p for p in ys if p[0] is not None)))
+    g = next((g + 1 for g, r in enumerate(rank) if not r), 0)
+    order, rank = order[g:] + order[:g], rank[g:] + rank[:g]
     above = []
     for e, c in zip(d.edges, curves):
         ys = [(v, curve_eval(c, at[v])) for v in range(d.n) if v not in e]

@@ -9,6 +9,12 @@ abscissa or angle.  ``monotone_step`` and ``corridor_step`` are the two
 round steps built on it; the tests compare them with the package's steps
 round by round, and the criterion audits read the twiggly sets and depths
 from here.
+
+``cut_to_monotone`` is the cut the spine route once took on a strongly
+c-monotone drawing with a non-spine cycle edge: it unrolls every curve into
+a monotone drawing with the same crossings.  The route now reads the polar
+drawing's own strip table from the gap no edge spans, and the tests compare
+that table and its rounds with the cut drawing's.
 """
 
 from __future__ import annotations
@@ -20,13 +26,13 @@ from treespan.drawing import (
     Drawing,
     Edge,
     SpineStructure,
+    classify_c_monotone,
     edge,
     edge_span,
-    span_contains,
     vertex_angles,
 )
 from treespan.errors import InternalInvariantViolated, MethodInapplicable, TreespanError
-from treespan.geometry import curve_eval, lift_angle
+from treespan.geometry import Point, Rat, curve_eval, lift_angle, normalize_polar
 from treespan.transforms import _retree
 from treespan.trees import conflict_mask, mask_tree, tree_mask
 
@@ -37,6 +43,12 @@ class EmptySetError(TreespanError):
 
 class FullCircleCorridorError(MethodInapplicable):
     pass
+
+
+def span_contains(span: Tuple[Rat, Rat], theta: Rat) -> bool:
+    """Whether the angle theta (mod 1) lies inside the open span interval."""
+    t0, tn = span
+    return t0 < lift_angle(theta, t0) < tn
 
 
 # ---------------------------------------------------------------------------
@@ -276,3 +288,63 @@ def corridor_step(d: Drawing, spine_mask: int, twiggly: int, t: int) -> int:
     if any(k > max(j - 1, 0) for j, k in zip(old, new)):
         raise InternalInvariantViolated("twiggly depth did not drop")
     return new_t
+
+
+# ---------------------------------------------------------------------------
+# cut to monotone
+# ---------------------------------------------------------------------------
+
+def cut_to_monotone(d: Drawing) -> Optional[Drawing]:
+    """If some cycle edge of a strongly c-monotone drawing is not a spine
+    edge, the wedge between its endpoints is empty of edges; cutting there
+    and unrolling (x = turns past the cut ray, y = radius) yields a monotone
+    drawing with an identical crossing matrix.  Returns that flat drawing
+    (its vertex order is ``classify_monotone(flat).order``), or None when
+    all cycle edges are spine edges.  Each call builds a new flat
+    drawing."""
+    return _cut_to_monotone(d)
+
+
+def _cut_to_monotone(d: Drawing) -> Optional[Drawing]:
+    c_mono, strongly, spine = classify_c_monotone(d)
+    if not (c_mono and strongly):
+        return None
+    if spine.all_cycle_edges_spine:
+        return None
+
+    angles = vertex_angles(d)
+    order = spine.order
+    spine_set = set(spine.spine_edges)
+    gap = None
+    for i in range(d.n):
+        a, b = order[i], order[(i + 1) % d.n]
+        if edge(a, b) not in spine_set:
+            lo = angles[a]
+            hi = angles[b] if angles[b] > angles[a] else angles[b] + 1
+            gap = (lo, hi)
+            break
+    if gap is None:
+        raise InternalInvariantViolated("missing non-spine cycle edge")
+    for e in d.edges:
+        span = edge_span(d, e)
+        for t in (gap[0], gap[1], (gap[0] + gap[1]) / 2):
+            if span_contains(span, t):
+                raise InternalInvariantViolated("cut wedge is not empty")
+    cut = (gap[0] + gap[1]) / 2
+
+    def unroll(theta: Rat) -> Rat:
+        base = theta % 1
+        shifted = base - cut
+        return shifted % 1  # in (0, 1) since nothing sits on the cut ray
+
+    points = tuple(Point(unroll(t), r) for t, r in d.vertex_points)
+    curves = {}
+    for e, curve in d.curves.items():
+        c = normalize_polar(curve)
+        x0 = unroll(c[0].theta)
+        curves[e] = tuple(Point(w.theta - c[0].theta + x0, w.r) for w in c)
+    out = Drawing(n=d.n, backend="cartesian", vertex_points=points,
+                  curves=curves, graph=d.graph)
+    if out.cross_mask != d.cross_mask:
+        raise InternalInvariantViolated("cut changed the crossing matrix")
+    return out

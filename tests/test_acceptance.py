@@ -20,7 +20,6 @@ from treespan.drawing import (
     classify_c_monotone,
     classify_cylindrical,
     classify_monotone,
-    cut_to_monotone,
     validate_simple,
 )
 from treespan.fileio import drawing_to_dict, dumps, sequence_to_dict
@@ -36,6 +35,7 @@ from treespan.geometry import (
 from treespan.render import render_svg
 from treespan.rng import SplitMix64
 from treespan.transforms import (
+    _strip,
     cmonotone_to_spine,
     monotone_to_spine,
     star_to_star,
@@ -50,7 +50,7 @@ from treespan.trees import (
     is_compatible,
 )
 
-from reference_spine import twiggly_depth, twiggly_set
+from reference_spine import cut_to_monotone, twiggly_depth, twiggly_set
 
 
 @contextmanager
@@ -191,6 +191,10 @@ def test_criterion_4_cmonotone_depth():
                     cut_seen += 1
                     flat = cut_to_monotone(d)  # raises unless bit-exact
                     assert flat.crossings == d.crossings
+                    # the route reads d's own table: the cut's plus its empty gap
+                    table = _strip(flat)
+                    assert _strip(d) == table._replace(rank=table.rank + ((),),
+                                                       stab=table.stab + (0,))
                 else:
                     spine_seen += 1
                 samples = None

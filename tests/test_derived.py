@@ -1,7 +1,7 @@
 """Structures derived once per drawing.
 
-Each memoised structure (the classifiers, the cut, the strip table of the
-spine route, the spine masks, the relation orders, the cylindrical path and
+Each memoised structure (the classifiers, the strip table of the spine
+route, the spine masks, the relation orders, the cylindrical path and
 side masks and the certificates' conflict masks) is checked against its
 uncached builder over a grid of generated drawings; build counts confirm
 that repeated transformations build each structure once; and no caller can
@@ -19,10 +19,8 @@ from treespan.drawing import (
     Drawing,
     _classify_c_monotone,
     _classify_monotone,
-    _cut_to_monotone,
     classify_c_monotone,
     classify_monotone,
-    cut_to_monotone,
     validate_simple,
 )
 from treespan.errors import RelationCyclicError
@@ -40,8 +38,9 @@ from treespan.transforms import (
 )
 from treespan.trees import check_mask, conflict_mask, enumerate_plane_trees, tree_mask
 
-# strongly c-monotone seeds per n: the first that takes the cut and the
-# first whose cycle edges are all spine edges (the corridor path)
+# strongly c-monotone seeds per n: the first with a non-spine cycle edge
+# (the monotone step) and the first whose cycle edges are all spine edges
+# (the corridor step)
 CMONO = {4: (0, 2), 5: (0, 1), 6: (0, 2), 7: (1, 0)}
 
 GRID = ([GenSpec(cls=cls, n=n, seed=s) for cls in ("random_points", "monotone_perturbed")
@@ -115,16 +114,12 @@ def test_memo_matches_uncached_builders(spec):
 
     assert classify_monotone(d) == _classify_monotone(fresh)
     assert classify_c_monotone(d) == _classify_c_monotone(fresh)
-    cut = cut_to_monotone(d)
-    assert cut == _cut_to_monotone(fresh)
     if spec.cls == "strongly_cmonotone":
-        assert (cut is None) == (spec.seed == CMONO[spec.n][1])
-    corridors = spec.cls == "strongly_cmonotone" and cut is None
-    flats = [d] + ([cut] if cut else [])
-    for flat in flats:
-        if corridors or classify_monotone(flat) is not None:  # the spine route's drawings
-            assert flat._derive(_strip) == _strip(dataclasses.replace(flat))
-        _assert_memo_matches_builders(flat)
+        spine = classify_c_monotone(d)[2]
+        assert spine.all_cycle_edges_spine == (spec.seed == CMONO[spec.n][1])
+    if spec.cls == "strongly_cmonotone" or classify_monotone(d) is not None:  # the spine route's drawings
+        assert d._derive(_strip) == _strip(dataclasses.replace(d))
+    _assert_memo_matches_builders(d)
 
 
 # ---------------------------------------------------------------------------
@@ -146,17 +141,18 @@ def test_cmonotone_route_builds_classifier_and_cut_once(seed, cut, monkeypatch):
     d = generate(GenSpec(cls="strongly_cmonotone", n=6, seed=seed))
     trees = enumerate_plane_trees(d)
     d = dataclasses.replace(d)  # cold: generation classified the original
-    classified, cuts, flat_classified, strips = [], [], [], []
+    classified, monotone, strips, validated = [], [], [], []
     _counting(monkeypatch, treespan.drawing, "_classify_c_monotone", classified)
-    _counting(monkeypatch, treespan.drawing, "_cut_to_monotone", cuts)
-    _counting(monkeypatch, treespan.drawing, "_classify_monotone", flat_classified)
+    _counting(monkeypatch, treespan.drawing, "_classify_monotone", monotone)
     _counting(monkeypatch, treespan.transforms, "_strip", strips)
+    _counting(monkeypatch, treespan.drawing, "_crossing_rows", validated)
     for k in range(100):
         assert cmonotone_to_spine(d, trees[k * 37 % len(trees)]).certified
+    assert (classify_c_monotone(d)[2].all_cycle_edges_spine is False) == cut
     assert classified == [d]
-    assert cuts == ([d] if cut else [])
-    assert len(flat_classified) == cut
-    assert len(strips) == 1 and strips[0] is (cut_to_monotone(d) if cut else d)
+    assert monotone == []  # no flat copy is classified
+    assert len(strips) == 1 and strips[0] is d
+    assert len(validated) == 1 and validated[0] is d
 
 
 def test_star_schedules_build_each_relation_order_once(monkeypatch):
@@ -215,6 +211,6 @@ def test_replaced_drawing_starts_cold():
     assert d._derived
     copy = dataclasses.replace(d)
     assert "_derived" not in vars(copy) and "_cert_cache" not in vars(copy)
-    assert copy == d and cut_to_monotone(copy) == cut_to_monotone(d)
-    assert cut_to_monotone(copy) is not cut_to_monotone(d)
+    assert copy == d and copy._derive(_strip) == d._derive(_strip)
+    assert copy._derive(_strip) is not d._derive(_strip)
     assert "_derived" not in {f.name for f in dataclasses.fields(Drawing)}

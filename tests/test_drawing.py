@@ -14,7 +14,6 @@ from treespan.drawing import (
     classify_cylindrical,
     classify_monotone,
     classify_two_page,
-    cut_to_monotone,
     edge,
     validate_simple,
 )
@@ -26,6 +25,7 @@ from treespan.trees import enumerate_plane_trees
 from conftest import P, cyl_k4, straight_line_drawing
 from reference_spine import (
     EmptySetError,
+    cut_to_monotone,
     succ_above,
     succ_maximal,
     twiggly_set,

@@ -164,7 +164,7 @@ def test_crossings_and_tree_order_pinned(cell):
 
 # Receivers of ``.kind`` reads that are not certificates: a spine
 # structure's class and the parsed command line.
-_NOT_CERTIFICATES = {"spine", "flat_spine", "args"}
+_NOT_CERTIFICATES = {"spine", "args"}
 
 
 def _reads(path: pathlib.Path, attr: str) -> list:
@@ -205,3 +205,18 @@ def test_package_reads_one_crossing_form():
     imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                 for alias in node.names}
     assert not imported & {"lift_angle", "edge_span", "span_contains", "vertex_angles"}
+
+
+def test_only_generators_and_fileio_build_drawings():
+    """A Drawing comes from a generator or a file: the spine route reads a
+    strongly c-monotone drawing as it is, and builds no flat copy.  So the
+    drawing module needs no angle lifting or polar normalization."""
+    modules = sorted(pathlib.Path(treespan.__file__).parent.glob("*.py"))
+    assert len(modules) > 10
+    building = {p.name for p in modules for node in ast.walk(ast.parse(p.read_text()))
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Drawing"}
+    assert building == {"generators.py", "fileio.py"}
+    drawing = pathlib.Path(treespan.__file__).parent / "drawing.py"
+    imported = {alias.name for node in ast.walk(ast.parse(drawing.read_text()))
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert not imported & {"lift_angle", "normalize_polar"}

@@ -4,8 +4,11 @@
 reference steps in ``reference_spine`` evaluate ``Fraction`` curves for
 every decision.  Starting from sampled plane trees, both steps run on the
 same tree each round and must return the same tree, until no twiggly edge
-is left.  A planted fault in the table shows that the corridor certificates
-read it.
+is left.  A strongly c-monotone drawing with a non-spine cycle edge takes
+the package's monotone step on itself and the reference step on its
+reference cut, a monotone drawing with the same edges; its strip table is
+the cut's plus one empty gap.  Planted faults in the table show that the
+corridor certificates and the route's empty-gap check read it.
 """
 
 import dataclasses
@@ -13,11 +16,17 @@ import dataclasses
 import pytest
 
 import reference_spine
-from treespan.drawing import classify_c_monotone, classify_monotone, cut_to_monotone
+from treespan.drawing import classify_c_monotone, classify_monotone
 from treespan.errors import InternalInvariantViolated
 from treespan.generators import GenSpec, generate
 from treespan.rng import SplitMix64
-from treespan.transforms import _corridor_step, _monotone_step, _spine_masks, _strip
+from treespan.transforms import (
+    _corridor_step,
+    _monotone_step,
+    _spine_masks,
+    _strip,
+    cmonotone_to_spine,
+)
 from treespan.trees import enumerate_plane_trees, tree_mask
 
 from conftest import P, polar_k2, polar_k4, polar_k5, straight_line_drawing
@@ -37,30 +46,31 @@ FIXTURES = {
 
 
 def _routed(d):
-    """The drawing the spine route runs its rounds on, with its spine: a
-    strongly c-monotone drawing with a non-spine cycle edge is cut."""
-    spine = classify_monotone(d)
-    if spine is None:
-        spine = classify_c_monotone(d)[2]
-        if not spine.all_cycle_edges_spine:
-            d = cut_to_monotone(d)
-            spine = classify_monotone(d)
-    return d, spine
+    """(step, drawing, spine) for the package and for the reference: a
+    strongly c-monotone drawing with a non-spine cycle edge takes the
+    package's monotone step on itself, and the reference step on its
+    reference cut.  Both drawings have the same edge tuple, so their masks
+    compare."""
+    spine = classify_monotone(d) or classify_c_monotone(d)[2]
+    if spine.all_cycle_edges_spine:
+        return (_corridor_step, d, spine), (reference_spine.corridor_step, d, spine)
+    flat = d if spine.kind == "monotone" else reference_spine.cut_to_monotone(d)
+    return ((_monotone_step, d, spine),
+            (reference_spine.monotone_step, flat, classify_monotone(flat)))
 
 
 def _rounds_agree(d, trees):
     """Run both steps round by round from each tree; the number of rounds."""
-    d, spine = _routed(d)
-    step, reference = ((_monotone_step, reference_spine.monotone_step)
-                       if spine.kind == "monotone"
-                       else (_corridor_step, reference_spine.corridor_step))
+    (step, d, spine), (reference, flat, flat_spine) = _routed(d)
     spine_mask, twiggly, _ = _spine_masks(d, spine)
+    flat_masks = _spine_masks(flat, flat_spine)[:2]
+    assert flat.edges == d.edges and flat_masks == (spine_mask, twiggly)
     rounds = 0
     for t in trees:
         t = tree_mask(d, t)
         while t & twiggly:
             new_t = step(d, spine_mask, twiggly, t)
-            assert new_t == reference(d, spine_mask, twiggly, t)
+            assert new_t == reference(flat, *flat_masks, t)
             t, rounds = new_t, rounds + 1
     return rounds
 
@@ -83,10 +93,37 @@ def test_steps_match_reference_on_fixtures(name):
 
 
 def test_both_branches_are_compared():
-    """The strongly c-monotone grid takes the corridor step and the cut."""
+    """The strongly c-monotone grid takes the corridor step and the
+    monotone step."""
     cuts = [classify_c_monotone(generate(s))[2].all_cycle_edges_spine
             for s in SPECS if s.cls == "strongly_cmonotone"]
     assert cuts.count(True) >= 5 and cuts.count(False) >= 5
+
+
+def test_strip_is_the_cut_drawings_table_plus_an_empty_gap():
+    """On every drawing of the grid with a non-spine cycle edge, and on
+    pk4, the table starts after the gap no edge spans: it is the reference
+    cut's table with that gap added at the end."""
+    drawings = [generate(s) for s in SPECS if s.cls == "strongly_cmonotone"] + [polar_k4()]
+    cut = [d for d in drawings if classify_c_monotone(d)[2].all_cycle_edges_spine is False]
+    assert len(cut) >= 6
+    for d in cut:
+        flat = _strip(reference_spine.cut_to_monotone(d))
+        assert _strip(d) == flat._replace(rank=flat.rank + ((),), stab=flat.stab + (0,))
+
+
+def test_spine_route_rejects_a_filled_cut_gap(pk4):
+    """pk4's non-spine cycle edge (0, 3) leaves the gap from 3 to 0 empty,
+    and the table ends there.  A table in which an edge spans that gap has
+    no empty gap to read the drawing from, and the route refuses it."""
+    path = [(0, 1), (1, 2), (2, 3)]
+    assert cmonotone_to_spine(pk4, path).trees == (tuple(path),)
+    d = dataclasses.replace(pk4)
+    strip = _strip(d)
+    assert strip.order == (0, 1, 2, 3) and strip.stab[-1] == 0
+    d._derived[(_strip,)] = strip._replace(stab=strip.stab[:-1] + (strip.stab[0],))
+    with pytest.raises(InternalInvariantViolated, match="cut wedge is not empty"):
+        cmonotone_to_spine(d, path)
 
 
 def test_corridor_step_reads_a_planted_fault(pk5):

@@ -32,7 +32,6 @@ from treespan.drawing import (
     complete_edges,
     edge,
     edge_span,
-    span_contains,
     validate_simple,
     vertex_angles,
 )
@@ -53,6 +52,7 @@ from treespan.rng import SplitMix64
 
 from conftest import polar_k3, polar_k4, polar_k5
 from reference_generators import REFERENCE
+from reference_spine import span_contains
 
 # ---------------------------------------------------------------------------
 # the Fraction oracle
@@ -554,18 +554,13 @@ def oracle_spine_edges(d):
         span_contains(edge_span(d, e), a) for a in angles)))
 
 
-def test_spine_edges_match_fraction_spans(monkeypatch):
+def test_spine_edges_match_fraction_spans():
     """classify_c_monotone finds spine edges on integer-scaled spans and
-    angles, running no Fraction span test; generated drawings of both kinds
-    (every cycle edge a spine edge, or one cut), raw candidates and the
-    polar fixtures agree with the Fraction test."""
-    fraction_tests = []
-
-    def counting(span, theta):
-        fraction_tests.append(theta)
-        return span_contains(span, theta)
-
-    monkeypatch.setattr(treespan.drawing, "span_contains", counting)
+    angles, and the package has no Fraction span test left to run;
+    generated drawings of both kinds (every cycle edge a spine edge, or one
+    not), raw candidates and the polar fixtures agree with the Fraction
+    test."""
+    assert not hasattr(treespan.drawing, "span_contains")
     kinds = set()
     drawings = [generate(GenSpec(cls="strongly_cmonotone", n=n, seed=seed))
                 for n in range(3, 9) for seed in range(10)]
@@ -579,7 +574,7 @@ def test_spine_edges_match_fraction_spans(monkeypatch):
             continue
         assert spine.spine_edges == oracle_spine_edges(d)
         kinds.add(spine.all_cycle_edges_spine)
-    assert kinds == {True, False} and fraction_tests == []
+    assert kinds == {True, False}
 
 
 def _segment_tests(monkeypatch, d):
