@@ -23,7 +23,7 @@ from .errors import (
     TreespanError,
 )
 from .generators import GenSpec, generate
-from .trees import _input_masks, enumerate_plane_trees, tree_mask
+from .trees import _input_certs, enumerate_plane_trees, tree_mask
 from .transforms import (
     _spine_route,
     certify_sequence,
@@ -65,7 +65,7 @@ def _report_json(d) -> dict:
 
 def _run_transform(d, method: str, t1, t2):
     report = validate_simple(d)
-    _input_masks(d, [t1, t2])  # a bad tree is invalid input under every method
+    _input_certs(d, [t1, t2])  # a bad tree is invalid input under every method
     if method in ("auto", "cylindrical") and report.is_cylindrical is not None:
         return transform_cylindrical(d, report.is_cylindrical, t1, t2)
     if method in ("auto", "monotone") and report.is_monotone:

@@ -135,8 +135,9 @@ def _twin_graph(edges: Tuple[Edge, ...], masks: List[Tuple[int, int]],
     reps: List[int] = []               # each class's first tree
     class_of = []
     for mask, conflict in masks:
-        a = number.setdefault(conflict, len(reps))
-        if a == len(reps):
+        a = number.get(conflict)
+        if a is None:
+            a = number[conflict] = len(reps)
             reps.append(mask)
         class_of.append(a)
     holders = [0] * len(edges)

@@ -6,11 +6,12 @@ class recognition the transformation algorithms rely on (spine paths and
 cylindrical roles) lives here; what a round of the spine route reads of the
 curves, ``transforms`` builds itself.
 
-A Drawing is immutable; its edge tuple, edge ids, crossing matrix (whose
-construction is the simple-drawing check) and class report are computed on
-first use and kept.  The crossing matrix is one int per edge: edge ids are
-positions in the sorted edge list, and bit j of ``cross_mask[i]`` is set
-when edges i and j cross.  ``crossings`` and ``crossing_pairs()`` are views.
+A Drawing is immutable; its edge tuple, edge ids (and the bit of each
+edge in either orientation), crossing matrix (whose construction is the
+simple-drawing check) and class report are computed on first use and
+kept.  The crossing matrix is one int per edge: edge ids are positions in
+the sorted edge list, and bit j of ``cross_mask[i]`` is set when edges i
+and j cross.  ``crossings`` and ``crossing_pairs()`` are views.
 
 A straight-line drawing (every curve the segment between its two vertex
 points) with no three vertices on a line is validated from its order type,
@@ -118,6 +119,14 @@ class Drawing:
     def edge_id(self) -> Dict[Edge, int]:
         """Edge -> its position in ``edges``, which is its bit in masks."""
         return {e: i for i, e in enumerate(self.edges)}
+
+    @functools.cached_property
+    def _edge_bit(self) -> Dict[Edge, int]:
+        """(u, v) and (v, u) -> ``1 << edge_id[edge(u, v)]`` for every edge."""
+        table = {}
+        for i, (u, v) in enumerate(self.edges):
+            table[u, v] = table[v, u] = 1 << i
+        return table
 
     @functools.cached_property
     def cross_mask(self) -> Tuple[int, ...]:

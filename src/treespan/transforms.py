@@ -20,9 +20,15 @@ certifies its own output exactly once, in ``_certified``.  The returned
 ``trees``, the first time something reads them.
 Whatever a route reads that depends only on the drawing is built once per
 drawing: the classifications (``drawing``), the strip table,
-each spine's masks, each ordered centre pair's relation order, the
-cylindrical path and side masks, and each tree's conflict mask (its
-certificate).  The checks inside each round still run on every call.
+each spine's masks, each ordered centre pair's relation order and flip
+pairs (the bits of gv and rv for each v, in the order the g-leaves move),
+the cylindrical path and side masks, each tree's conflict mask (its
+certificate), the edge-bit table ``Drawing._edge_bit`` (both orientations
+of each edge -> its bit, which ``tree_mask`` and the paths read) and the
+vertex rows ``trees._vertex_rows`` (each vertex's edges as a mask: a
+tree's incidence is one AND per vertex, the star at c is c's row, and two
+rows meet in the bit of the edge joining their vertices).  Nothing is kept
+per input tree, and the checks inside each round still run on every call.
 """
 
 from __future__ import annotations
@@ -38,7 +44,6 @@ from .drawing import (
     SpineStructure,
     bits,
     classify_c_monotone,
-    edge,
 )
 from .errors import (
     IncompatibleStepError,
@@ -55,13 +60,15 @@ from .errors import (
 from .geometry import curve_eval
 from .trees import (
     Tree,
+    TreeCert,
     _UnionFind,
     _double_star_paths,
     _incidence,
-    _input_masks,
+    _input_certs,
     _plane_spanning,
     _star_centers,
     _twin_star_paths,
+    _vertex_rows,
     check_mask,
     conflict_mask,
     mask_tree,
@@ -99,11 +106,12 @@ def certify_sequence(d: Drawing, trees: Sequence[Iterable[Edge]],
 
 
 def _certified(d: Drawing, masks: List[int], method: str) -> TransformSequence:
-    """certify_sequence on masks: the one certification of each call."""
-    for i, mask in enumerate(masks):
-        _plane_spanning(d, mask, i)
-    for i in range(len(masks) - 1):
-        if masks[i] & check_mask(d, masks[i + 1]).conflict:
+    """certify_sequence on masks: the one certification of each call.
+    Each mask's certificate is read once, and every tree is checked before
+    any step."""
+    certs = [_plane_spanning(d, mask, i) for i, mask in enumerate(masks)]
+    for i, (mask, cert) in enumerate(zip(masks, certs[1:])):
+        if mask & cert.conflict:
             raise IncompatibleStepError(i)
     return TransformSequence(edges=d.edges, masks=tuple(masks), method=method)
 
@@ -139,10 +147,11 @@ def transform_cylindrical(d: Drawing, roles: Optional[CylRoles],
     tree for t2, and t2."""
     if roles is None:
         raise NotCylindricalError("drawing is not cylindrical")
-    t1, t2 = _input_masks(d, [t1, t2])
+    c1, c2 = _input_certs(d, [t1, t2])
+    t1, t2 = c1.mask, c2.mask
     if t1 == t2:
         return _certified(d, [t1], "cylindrical")
-    if not t1 & check_mask(d, t2).conflict:
+    if not t1 & c2.conflict:
         return _certified(d, [t1, t2], "cylindrical")
 
     paths = roles.paths_mask
@@ -159,7 +168,7 @@ def transform_cylindrical(d: Drawing, roles: Optional[CylRoles],
         (a1, b1), (a2, b2) = mask_tree(d, e1) + mask_tree(d, e2)
         s1, r1 = (a1, b1) if a1 in inner else (b1, a1)
         s2, r2 = (a2, b2) if a2 in inner else (b2, a2)
-        bridge = tree_mask(d, [min(edge(s1, r2), edge(s2, r1))])
+        bridge = min(d._edge_bit[s1, r2], d._edge_bit[s2, r1])  # the lower id
         if bridge & conflict_mask(d, e1 | e2):
             raise InternalInvariantViolated(
                 "replacement side edge crosses the originals")
@@ -201,7 +210,7 @@ def _spine_route(d: Drawing, spine: SpineStructure,
     """The first tree down to the spine path and back up to the second, if
     given, certified once with ``spine.kind`` as the method.  A strongly
     c-monotone drawing with a non-spine cycle edge takes monotone rounds."""
-    masks = _input_masks(d, trees)
+    masks = [cert.mask for cert in _input_certs(d, trees)]
     if spine.all_cycle_edges_spine is False and d._derive(_strip).stab[-1]:
         raise InternalInvariantViolated("cut wedge is not empty")
     step = _corridor_step if spine.all_cycle_edges_spine else _monotone_step
@@ -295,8 +304,8 @@ def _monotone_step(d: Drawing, spine_mask: int, twiggly: int, t: int) -> int:
                                         "vertex above it")
     u, w = d.edges[i]
     stops = [v for v in order if (above[i] | 1 << u | 1 << w) >> v & 1]
-    ids = d.edge_id
-    path = sum(1 << ids[edge(a, b)] for a, b in zip(stops, stops[1:]))
+    bit = d._edge_bit
+    path = sum(bit[a, b] for a, b in zip(stops, stops[1:]))
     hit = conflict_mask(d, path) & t
     if hit:  # i is in t, so this also covers crossing the resolved edge
         raise InternalInvariantViolated(
@@ -367,8 +376,8 @@ def _run_path(d: Drawing, strip: _Strip, lower: Optional[int],
     bound that is itself a path edge lies on the corridor's closed
     boundary."""
     order, rank, stab, _, _ = strip
-    m, ids = len(rank), d.edge_id
-    hops = [1 << ids[edge(order[a % m], order[b % m])] for a, b in zip(stops, stops[1:])]
+    m, bit = len(rank), d._edge_bit
+    hops = [bit[order[a % m], order[b % m]] for a, b in zip(stops, stops[1:])]
     path = sum(hops)
     bounds = sum(1 << i for i in (lower, upper) if i is not None)
     for hop, a, b in zip(hops, stops, stops[1:]):
@@ -394,16 +403,25 @@ def _gr_order(d: Drawing, g: int, r: int) -> Tuple[int, ...]:
     return d._derive(_relation_order, g, r)
 
 
+def _star(d: Drawing, c: int) -> int:
+    """The mask of the star at c: its vertex row, when the row holds an
+    edge to every other vertex; else tree_mask names the missing edge."""
+    row = d._derive(_vertex_rows)[c]
+    if row.bit_count() == d.n - 1:
+        return row
+    return tree_mask(d, [(c, v) for v in range(d.n) if v != c])
+
+
 def _relation_order(d: Drawing, g: int, r: int) -> Tuple[int, ...]:
-    for c in (g, r):  # the stars at g and r hold every edge looked up below
-        tree_mask(d, [edge(c, v) for v in range(d.n) if v != c])
-    rows, ids = d.cross_mask, d.edge_id
+    at_g, at_r = _star(d, g), _star(d, r)  # hold every edge looked up below
+    rows, vrows = d.cross_mask, d._derive(_vertex_rows)
     others = [v for v in range(d.n) if v not in (g, r)]
     succ: Dict[int, List[int]] = {v: [] for v in others}
     indeg = {v: 0 for v in others}
     for u in others:
+        crossing_ur = rows[(at_r & vrows[u]).bit_length() - 1]
         for w in others:
-            if u != w and rows[ids[edge(u, r)]] >> ids[edge(w, g)] & 1:
+            if u != w and crossing_ur & at_g & vrows[w]:
                 succ[u].append(w)
                 indeg[w] += 1
     order = []
@@ -421,6 +439,14 @@ def _relation_order(d: Drawing, g: int, r: int) -> Tuple[int, ...]:
     return tuple(order)
 
 
+def _flip_pairs(d: Drawing, g: int, r: int) -> Tuple[Tuple[int, int], ...]:
+    """(gv bit, rv bit) for each v of ``_gr_order(d, g, r)``, last first:
+    the order in which ``_collapse_double`` moves g's leaves onto r."""
+    vrows = d._derive(_vertex_rows)
+    return tuple((vrows[g] & vrows[v], vrows[r] & vrows[v])
+                 for v in reversed(_gr_order(d, g, r)))
+
+
 def star_to_star(d: Drawing, g: int, r: int) -> TransformSequence:
     """Exactly n-2 flips from the star at g to the star at r; every
     intermediate is a plane double star with fixed path g, r."""
@@ -432,19 +458,16 @@ def star_to_star(d: Drawing, g: int, r: int) -> TransformSequence:
 def _star_to_star(d: Drawing, g: int, r: int) -> List[int]:
     if not (0 <= g < d.n and 0 <= r < d.n):
         raise ValueError(f"star centers {g} and {r} must be vertices 0..{d.n - 1}")
-    star = tree_mask(d, [edge(g, v) for v in range(d.n) if v != g])
-    return _collapse_double(d, star, g, r)
+    return _collapse_double(d, _star(d, g), g, r)
 
 
 def _collapse_double(d: Drawing, t: int, g: int, r: int) -> List[int]:
     """Flip every g-leaf of the double star (or of the star at g) onto r,
     in relation order."""
-    ids = d.edge_id
     out = [t]
-    for v in reversed(_gr_order(d, g, r)):
-        gv = 1 << ids[edge(g, v)]
+    for gv, rv in d._derive(_flip_pairs, g, r):
         if t & gv:
-            t = t & ~gv | 1 << ids[edge(r, v)]
+            t = t ^ gv | rv
             out.append(t)
     return out
 
@@ -454,12 +477,13 @@ def double_star_to_star(d: Drawing, t: Iterable[Edge],
     """Collapse one hub of the double star onto the other, then walk the
     star to the target center.  Plain stars are accepted as the degenerate
     case with one empty side."""
-    (t,) = _input_masks(d, [t])
-    return _certified(d, _double_star_to_star(d, t, target_center), "special")
+    (cert,) = _input_certs(d, [t])
+    return _certified(d, _double_star_to_star(d, cert.mask, target_center),
+                      "special")
 
 
 def _double_star_to_star(d: Drawing, t: int, target: int) -> List[int]:
-    inc, _ = _incidence(d.edges, t)
+    inc, _ = _incidence(d, t)
     centers = _star_centers(inc, t)
     if centers:
         c = target if target in centers else centers[0]
@@ -480,34 +504,35 @@ def twin_star_to_star(d: Drawing, t: Iterable[Edge],
     """Close the hub pair with the edge gr (never crossing the tree, since
     every tree edge touches g or r), drop rs, then proceed as a double
     star."""
-    (t,) = _input_masks(d, [t])
-    reps = twin_star_paths(d.edges, t)
+    (cert,) = _input_certs(d, [t])
+    reps = twin_star_paths(d.edges, cert.mask)
     if not reps:
         raise NotTwinStarError("tree admits no twin-star path")
-    return _certified(d, _twin_star_to_star(d, t, reps[0], target_center),
+    return _certified(d, _twin_star_to_star(d, cert, reps[0], target_center),
                       "special")
 
 
-def _twin_star_to_star(d: Drawing, t: int, twin: Tuple[int, int, int],
+def _twin_star_to_star(d: Drawing, t: TreeCert, twin: Tuple[int, int, int],
                        target: int) -> List[int]:
     g, s, r = twin
-    gr = tree_mask(d, [edge(g, r)])
-    if gr & conflict_mask(d, t):
+    vrows = d._derive(_vertex_rows)
+    gr = vrows[g] & vrows[r] or tree_mask(d, [(g, r)])  # 0: no edge gr, which raises
+    if gr & t.conflict:
         raise InternalInvariantViolated("closing edge crosses the twin star")
-    second = (t | gr) & ~(1 << d.edge_id[edge(r, s)])
-    return _dedupe([t] + _double_star_to_star(d, second, target))
+    second = (t.mask | gr) & ~(vrows[r] & vrows[s])
+    return _dedupe([t.mask] + _double_star_to_star(d, second, target))
 
 
-def _reduce_to_star(d: Drawing, t: int) -> Tuple[List[int], int]:
-    inc, _ = _incidence(d.edges, t)
-    centers = _star_centers(inc, t)
+def _reduce_to_star(d: Drawing, t: TreeCert) -> Tuple[List[int], int]:
+    inc, _ = _incidence(d, t.mask)
+    centers = _star_centers(inc, t.mask)
     if centers:
-        return [t], centers[0]
-    reps = _double_star_paths(d.edges, inc, t)
+        return [t.mask], centers[0]
+    reps = _double_star_paths(d.edges, inc, t.mask)
     if reps:
         g, r = reps[0]
-        return _collapse_double(d, t, g, r), r
-    twins = _twin_star_paths(d.edges, inc, t)
+        return _collapse_double(d, t.mask, g, r), r
+    twins = _twin_star_paths(d.edges, inc, t.mask)
     if twins:
         r = twins[0][2]
         return _twin_star_to_star(d, t, twins[0], r), r
@@ -518,12 +543,12 @@ def transform_special(d: Drawing, t1: Iterable[Edge],
                       t2: Iterable[Edge]) -> TransformSequence:
     """Reduce both endpoints to stars, bridge the stars, and glue; at most
     2(2(n-2)+1) + (n-2) flips overall."""
-    t1, t2 = _input_masks(d, [t1, t2])
-    trees, c1 = _reduce_to_star(d, t1)
-    seq_b, c2 = _reduce_to_star(d, t2)
-    if t1 == t2:  # after the reductions, which reject a non-special tree
-        return _certified(d, [t1], "special")
-    if c1 != c2:
-        trees += _star_to_star(d, c1, c2)
+    c1, c2 = _input_certs(d, [t1, t2])
+    trees, s1 = _reduce_to_star(d, c1)
+    seq_b, s2 = _reduce_to_star(d, c2)
+    if c1.mask == c2.mask:  # after the reductions, which reject a non-special tree
+        return _certified(d, [c1.mask], "special")
+    if s1 != s2:
+        trees += _star_to_star(d, s1, s2)
     trees += reversed(seq_b)
     return _certified(d, _dedupe(trees), "special")

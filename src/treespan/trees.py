@@ -7,6 +7,8 @@ reading a mask in bit order gives the canonical tuple.  ``CompatGraph`` and
 ``TransformSequence`` store masks too and build the tuples when read.
 The transformations convert their input trees to masks once, keep masks
 throughout and certify each call's output once with ``check_mask``.
+``tree_mask`` reads one lookup per edge from the drawing's edge-bit table,
+which holds both orientations of each edge.
 A tree is plane when ``mask & conflict_mask(d, mask) == 0``, and two trees
 are compatible (their union is plane) when one mask misses the other's
 conflicts.  Certification covers spanning/acyclicity/planarity, cached
@@ -16,7 +18,8 @@ tree's k-star kind.  The star-family transformations additionally use
 the representation helpers below, because the star, double-star and
 twin-star classes overlap (one tree can admit several fixed-path
 representations).  Those helpers and ``classify_kind`` read one incidence
-table of the tree, vertex -> mask of its edges at that vertex: c is a
+table of the tree, vertex -> mask of its edges at that vertex (on a
+drawing, the vertex's row ANDed with the mask): c is a
 star centre iff its entry is the whole mask, every edge touches g or r
 iff their entries OR to the mask, gr is a tree edge iff their entries
 meet, and a vertex's degree is its entry's bit count.  Flips find the
@@ -48,16 +51,31 @@ def canon_tree(edges: Iterable[Edge]) -> Tree:
 def tree_mask(d: Drawing, edges: Iterable[Edge]) -> int:
     """Bitmask of an edge set.  Raises ValueError on a loop or a duplicate
     edge and UnknownEdgeError on an edge the drawing does not have."""
-    ids = d.edge_id
+    table = d._edge_bit
     mask = 0
-    for u, v in edges:
-        i = ids.get((u, v) if u < v else (v, u))
-        if i is None:  # edge() raises on a loop
-            raise UnknownEdgeError(f"edge {edge(u, v)} not in drawing")
-        if mask >> i & 1:
+    for e in edges:
+        try:
+            b = table[e]  # an edge tuple, in either orientation
+        except (KeyError, TypeError):  # TypeError: e does not hash
+            b = _pair_bit(d, e)
+        if mask & b:
             raise ValueError("duplicate edges")
-        mask |= 1 << i
+        mask |= b
     return mask
+
+
+def _pair_bit(d: Drawing, e) -> int:
+    """The bit of an edge given as any pair of ends, a list say.  Anything
+    else raises what the lookup of its canonical tuple did: unpacking
+    errors on a value that is not a pair, TypeError on ends that do not
+    compare or hash, ValueError on a loop, else UnknownEdgeError."""
+    u, v = e
+    try:
+        return d._edge_bit[u, v]
+    except (KeyError, TypeError):
+        pass
+    d.edge_id.get((u, v) if u < v else (v, u))  # None: the table has both orientations
+    raise UnknownEdgeError(f"edge {edge(u, v)} not in drawing")  # edge() raises on a loop
 
 
 def mask_tree(d: Drawing, mask: int) -> Tree:
@@ -111,11 +129,27 @@ class _UnionFind:
         return True
 
 
-def _incidence(edges: Sequence[Edge],
-               mask: Optional[int]) -> Tuple[Dict[int, int], int]:
+def _vertex_rows(d: Drawing) -> Tuple[int, ...]:
+    """Vertex -> the mask of the drawing's edges at it.  Two rows meet in
+    the bit of the edge joining their vertices, or in 0 if it is missing."""
+    rows = [0] * d.n
+    for i, (u, v) in enumerate(d.edges):
+        rows[u] |= 1 << i
+        rows[v] |= 1 << i
+    return tuple(rows)
+
+
+def _incidence(edges, mask: Optional[int]) -> Tuple[Dict[int, int], int]:
     """The tree's incidence table and its mask.  ``inc[v]`` is the mask of
-    the tree's edges at v, vertices in order of first appearance in bit
-    order.  Without a mask the tree is every edge of ``edges``."""
+    the tree's edges at v, for each vertex the tree touches.  ``edges`` is
+    a Drawing, whose vertex rows give the table in one AND per vertex
+    (vertices in order), or the edge sequence the bits are read over
+    (vertices in order of first appearance in bit order, which
+    ``_k_star_path`` walks from); without a mask the tree is every edge of
+    the sequence."""
+    if isinstance(edges, Drawing):
+        return {v: at for v, row in enumerate(edges._derive(_vertex_rows))
+                if (at := row & mask)}, mask
     if mask is None:
         mask = (1 << len(edges)) - 1
     inc: Dict[int, int] = {}
@@ -156,10 +190,13 @@ def _star_centers(inc: Dict[int, int], mask: int) -> List[int]:
 def _double_star_paths(edges: Sequence[Edge], inc: Dict[int, int],
                        mask: int) -> List[Tuple[int, int]]:
     out = []
-    for i in bits(mask):
-        g, r = edges[i]
+    rest = mask
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        g, r = edges[low.bit_length() - 1]
         if inc[g] | inc[r] == mask:
-            out.extend([(g, r), (r, g)])
+            out += (g, r), (r, g)
     return sorted(out)
 
 
@@ -167,6 +204,8 @@ def _twin_star_paths(edges: Sequence[Edge], inc: Dict[int, int],
                      mask: int) -> List[Tuple[int, int, int]]:
     out = []
     for s, at in inc.items():
+        if not at & (at - 1):
+            continue  # a leaf: one neighbour, no pair
         nbrs = sorted(sum(edges[i]) - s for i in bits(at))  # other ends
         for g, r in itertools.combinations(nbrs, 2):
             if not inc[g] & inc[r] and inc[g] | inc[r] == mask:
@@ -228,33 +267,47 @@ def check_tree(d: Drawing, edges_in: Iterable[Edge]) -> TreeCert:
 
 
 def check_mask(d: Drawing, mask: int) -> TreeCert:
-    """Certificate of the tree with this edge mask, cached on the drawing."""
+    """Certificate of the tree with this edge mask, cached on the drawing.
+    A miss reads each edge's ends and crossing row once: the vertices it
+    touches go into a vertex bitmask, and its ends into a union-find over
+    vertex ids, where an edge joining two vertices with one root closes a
+    cycle."""
     cached = d._cert_cache.get(mask)
     if cached is not None:
         return cached
-    tree = mask_tree(d, mask)
-    verts = {v for e in tree for v in e}
-    spanning = verts == set(range(d.n))
-    uf = _UnionFind(d.n)
-    acyclic = all(uf.union(u, v) for u, v in tree)
-    connected = acyclic and len(tree) == len(verts) - 1 if verts else False
-    conflict = conflict_mask(d, mask)
-    cert = TreeCert(spanning=spanning, acyclic_connected=connected,
+    edges, rows = d.edges, d.cross_mask
+    parent = list(range(d.n))
+    verts = conflict = 0
+    acyclic = True
+    for i in bits(mask):
+        u, v = edges[i]
+        verts |= 1 << u | 1 << v
+        conflict |= rows[i]
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        acyclic = acyclic and u != v
+        parent[u] = v
+    connected = (acyclic and mask.bit_count() == verts.bit_count() - 1
+                 if verts else False)
+    cert = TreeCert(spanning=verts == (1 << d.n) - 1,
+                    acyclic_connected=connected,
                     plane=mask & conflict == 0, mask=mask, conflict=conflict)
     d._cert_cache[mask] = cert
     return cert
 
 
-def _plane_spanning(d: Drawing, mask: int, index: int) -> int:
+def _plane_spanning(d: Drawing, mask: int, index: int) -> TreeCert:
     cert = check_mask(d, mask)
     if not cert.is_plane_spanning_tree:
         raise BadTreeError(index, cert)
-    return mask
+    return cert
 
 
-def _input_masks(d: Drawing, trees: Sequence[Iterable[Edge]]) -> List[int]:
-    """Masks of a call's input trees, each checked in turn; BadTreeError
-    gives the position of the tree in the call."""
+def _input_certs(d: Drawing, trees: Sequence[Iterable[Edge]]) -> List[TreeCert]:
+    """Certificates of a call's input trees, each checked in turn;
+    BadTreeError gives the position of the tree in the call."""
     return [_plane_spanning(d, tree_mask(d, t), i)
             for i, t in enumerate(trees)]
 
@@ -310,10 +363,7 @@ def _plane_masks(d: Drawing, kind: str = "all",
         return [(0, 0)] * n
     if m < n - 1:
         return []
-    inc = [0] * n                  # vertex -> mask of its edges
-    for i, (u, v) in enumerate(edges):
-        inc[u] |= 1 << i
-        inc[v] |= 1 << i
+    inc = _vertex_rows(d)
     # with `left` edges still to choose, the next has id at most m - left
     window = [(1 << m + 1 - left) - 1 for left in range(n)]
     out: List[Tuple[int, int]] = []
@@ -411,8 +461,9 @@ def compatible_step_to_flips(d: Drawing, t1: Iterable[Edge],
     of t2 - t1 in canonical order, removing from the created cycle the
     highest-id edge of t1 - t2 on it.  Every intermediate stays a plane
     spanning tree."""
-    t1, t2 = _input_masks(d, [t1, t2])
-    if t1 & conflict_mask(d, t2):
+    c1, c2 = _input_certs(d, [t1, t2])
+    t1, t2 = c1.mask, c2.mask
+    if t1 & c2.conflict:
         raise IncompatibleError("trees are not compatible")
     edges, current = d.edges, t1
     flips: List[Tuple[Edge, Edge]] = []

@@ -1,0 +1,58 @@
+"""The A/B harness's verdict on fixed numbers, without running the
+benchmark."""
+
+import importlib.util
+import pathlib
+
+import pytest
+
+SCRIPT = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
+spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+verdict = bench_pairs.verdict
+
+PARENT = [100, 102, 98, 101, 99, 100, 103, 97, 100, 101]  # quartiles 98.75, 101.25
+
+
+def test_gain_needs_nine_tenths_of_the_pairs_and_a_gap_past_the_iqr():
+    v = verdict(PARENT, [p * 1.2 for p in PARENT], "higher", 0.24)
+    assert v["verdict"] == "gain" and v["wins"] == 10 and v["pairs"] == 10
+    assert v["ratio"] == pytest.approx(1.2) and v["iqr"] == pytest.approx(2.5)
+    # nine wins of ten still count
+    nine = [p * 1.2 for p in PARENT[:9]] + [PARENT[9] - 1]
+    assert verdict(PARENT, nine, "higher", 0.24)["verdict"] == "gain"
+    # eight do not, however large the gap
+    eight = [p * 2 for p in PARENT[:8]] + [p - 1 for p in PARENT[8:]]
+    assert verdict(PARENT, eight, "higher", 0.24)["verdict"] == "flat"
+
+
+def test_a_gap_within_the_parents_iqr_is_no_gain():
+    # wins every pair, but the median moves 2 while the quartiles lie 2.5 apart
+    v = verdict(PARENT, [p + 2 for p in PARENT], "higher", 0.24)
+    assert v["wins"] == 10 and v["gap"] == pytest.approx(2)
+    assert v["verdict"] == "flat"
+
+
+def test_ties_count_for_neither_side():
+    v = verdict(PARENT, list(PARENT), "higher", 0.24)
+    assert v["wins"] == 0 and v["gap"] == 0 and v["verdict"] == "flat"
+
+
+def test_lower_is_better_flips_the_direction():
+    faster = [p * 0.8 for p in PARENT]
+    assert verdict(PARENT, faster, "lower", 0.24)["verdict"] == "gain"
+    assert verdict(PARENT, faster, "higher", 0.24)["verdict"] == "flat"
+    assert verdict(PARENT, [p * 0.7 for p in PARENT], "higher", 0.24)["verdict"] == "worse"
+
+
+def test_worse_past_the_bound_and_unresolved_spread():
+    assert verdict(PARENT, [p * 1.3 for p in PARENT], "lower", 0.24)["verdict"] == "worse"
+    assert verdict(PARENT, [p * 1.2 for p in PARENT], "lower", 0.24)["verdict"] == "flat"
+    wide = [50, 150, 60, 140, 100, 100, 70, 130, 90, 110]  # quartiles 67.5, 132.5
+    assert verdict(wide, [p * 1.05 for p in wide], "lower", 0.24)["verdict"] == "unresolved"
+
+
+def test_one_pair_is_its_own_quartiles():
+    assert bench_pairs.quartiles([3.0]) == [3.0, 3.0, 3.0]
+    assert verdict([10.0], [20.0], "higher", 0.24)["verdict"] == "gain"
