@@ -4,9 +4,10 @@
     python scripts/bench_pairs.py --parent HEAD~1 --workload transform-pairs \\
         --pairs 10 --seed 1 2
 
-Exports ``--parent`` with ``git archive`` into a temporary directory and
-runs ``perfbench/run.py`` of each side, each importing its own ``src/``,
-``--pairs`` times, alternating which side goes first (the parent on odd
+Exports ``--parent`` with ``git archive`` and ``tar`` into a temporary
+directory and runs ``perfbench/run.py`` of each side, each importing its
+own ``src/``, for ``BENCHMARK.json``'s ``run_seconds``.  It runs
+``--pairs`` pairs, alternating which side goes first (the parent on odd
 pairs).  Pair k uses the k-th ``--seed``, cycling.  For every end-to-end
 metric of ``BENCHMARK.json`` it prints each side's median and quartiles,
 the pairs the change won and a verdict:
@@ -26,13 +27,11 @@ Exits 1 if a run is not ``correct`` or fails an op.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import statistics
 import subprocess
 import sys
-import tarfile
 import tempfile
 from typing import Dict, List, Sequence
 
@@ -43,8 +42,7 @@ def export(rev: str, dest: str) -> None:
     """The files of ``rev`` in ``dest``, read from this checkout's git."""
     tar = subprocess.run(["git", "-C", ROOT, "archive", rev], check=True,
                          capture_output=True).stdout
-    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
-        archive.extractall(dest, filter="data")
+    subprocess.run(["tar", "-x", "-C", dest], input=tar, check=True)
 
 
 def run_side(root: str, workload: str, seed: int, seconds: float) -> dict:
@@ -92,12 +90,10 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, nargs="+", default=[1])
-    ap.add_argument("--seconds", type=float, default=None,
-                    help="run length (default: BENCHMARK.json's run_seconds)")
     args = ap.parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
-    seconds = bench["run_seconds"] if args.seconds is None else args.seconds
+    seconds = bench["run_seconds"]
     metrics = bench["end_to_end"]
     runs: Dict[str, List[dict]] = {"parent": [], "change": []}
     bad = 0

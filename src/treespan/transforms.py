@@ -24,11 +24,11 @@ each spine's masks, each ordered centre pair's relation order and flip
 pairs (the bits of gv and rv for each v, in the order the g-leaves move),
 the cylindrical path and side masks, each tree's conflict mask (its
 certificate), the edge-bit table ``Drawing._edge_bit`` (both orientations
-of each edge -> its bit, which ``tree_mask`` and the paths read) and the
+of each edge -> its bit, read wherever one edge's bit is wanted) and the
 vertex rows ``trees._vertex_rows`` (each vertex's edges as a mask: a
-tree's incidence is one AND per vertex, the star at c is c's row, and two
-rows meet in the bit of the edge joining their vertices).  Nothing is kept
-per input tree, and the checks inside each round still run on every call.
+tree's incidence is one AND per vertex, and the star at c is c's row).
+Nothing is kept per input tree, and the checks inside each round still
+run on every call.
 """
 
 from __future__ import annotations
@@ -63,10 +63,10 @@ from .trees import (
     TreeCert,
     _UnionFind,
     _double_star_paths,
-    _incidence,
     _input_certs,
     _plane_spanning,
     _star_centers,
+    _tree_incidence,
     _twin_star_paths,
     _vertex_rows,
     check_mask,
@@ -413,15 +413,16 @@ def _star(d: Drawing, c: int) -> int:
 
 
 def _relation_order(d: Drawing, g: int, r: int) -> Tuple[int, ...]:
-    at_g, at_r = _star(d, g), _star(d, r)  # hold every edge looked up below
-    rows, vrows = d.cross_mask, d._derive(_vertex_rows)
+    for c in (g, r):  # the stars at g and r hold every edge looked up below
+        _star(d, c)
+    rows, bit = d.cross_mask, d._edge_bit
     others = [v for v in range(d.n) if v not in (g, r)]
     succ: Dict[int, List[int]] = {v: [] for v in others}
     indeg = {v: 0 for v in others}
     for u in others:
-        crossing_ur = rows[(at_r & vrows[u]).bit_length() - 1]
+        crossing_ur = rows[bit[u, r].bit_length() - 1]
         for w in others:
-            if u != w and crossing_ur & at_g & vrows[w]:
+            if u != w and crossing_ur & bit[w, g]:
                 succ[u].append(w)
                 indeg[w] += 1
     order = []
@@ -442,9 +443,8 @@ def _relation_order(d: Drawing, g: int, r: int) -> Tuple[int, ...]:
 def _flip_pairs(d: Drawing, g: int, r: int) -> Tuple[Tuple[int, int], ...]:
     """(gv bit, rv bit) for each v of ``_gr_order(d, g, r)``, last first:
     the order in which ``_collapse_double`` moves g's leaves onto r."""
-    vrows = d._derive(_vertex_rows)
-    return tuple((vrows[g] & vrows[v], vrows[r] & vrows[v])
-                 for v in reversed(_gr_order(d, g, r)))
+    order, bit = _gr_order(d, g, r), d._edge_bit
+    return tuple((bit[g, v], bit[r, v]) for v in reversed(order))
 
 
 def star_to_star(d: Drawing, g: int, r: int) -> TransformSequence:
@@ -483,7 +483,7 @@ def double_star_to_star(d: Drawing, t: Iterable[Edge],
 
 
 def _double_star_to_star(d: Drawing, t: int, target: int) -> List[int]:
-    inc, _ = _incidence(d, t)
+    inc = _tree_incidence(d, t)
     centers = _star_centers(inc, t)
     if centers:
         c = target if target in centers else centers[0]
@@ -515,16 +515,15 @@ def twin_star_to_star(d: Drawing, t: Iterable[Edge],
 def _twin_star_to_star(d: Drawing, t: TreeCert, twin: Tuple[int, int, int],
                        target: int) -> List[int]:
     g, s, r = twin
-    vrows = d._derive(_vertex_rows)
-    gr = vrows[g] & vrows[r] or tree_mask(d, [(g, r)])  # 0: no edge gr, which raises
+    gr = tree_mask(d, [(g, r)])
     if gr & t.conflict:
         raise InternalInvariantViolated("closing edge crosses the twin star")
-    second = (t.mask | gr) & ~(vrows[r] & vrows[s])
+    second = (t.mask | gr) & ~d._edge_bit[r, s]
     return _dedupe([t.mask] + _double_star_to_star(d, second, target))
 
 
 def _reduce_to_star(d: Drawing, t: TreeCert) -> Tuple[List[int], int]:
-    inc, _ = _incidence(d, t.mask)
+    inc = _tree_incidence(d, t.mask)
     centers = _star_centers(inc, t.mask)
     if centers:
         return [t.mask], centers[0]

@@ -18,12 +18,12 @@ tree's k-star kind.  The star-family transformations additionally use
 the representation helpers below, because the star, double-star and
 twin-star classes overlap (one tree can admit several fixed-path
 representations).  Those helpers and ``classify_kind`` read one incidence
-table of the tree, vertex -> mask of its edges at that vertex (on a
-drawing, the vertex's row ANDed with the mask): c is a
-star centre iff its entry is the whole mask, every edge touches g or r
-iff their entries OR to the mask, gr is a tree edge iff their entries
-meet, and a vertex's degree is its entry's bit count.  Flips find the
-cycle edge to drop with a union-find.
+table of the tree, vertex -> mask of its edges at that vertex (the
+transformations' ``_tree_incidence`` ANDs the drawing's vertex rows with
+the mask): c is a star centre iff its entry is the whole mask, every
+edge touches g or r iff their entries OR to the mask, gr is a tree edge
+iff their entries meet, and a vertex's degree is its entry's bit count.
+Flips find the cycle edge to drop with a union-find.
 """
 
 from __future__ import annotations
@@ -65,17 +65,15 @@ def tree_mask(d: Drawing, edges: Iterable[Edge]) -> int:
 
 
 def _pair_bit(d: Drawing, e) -> int:
-    """The bit of an edge given as any pair of ends, a list say.  Anything
-    else raises what the lookup of its canonical tuple did: unpacking
-    errors on a value that is not a pair, TypeError on ends that do not
-    compare or hash, ValueError on a loop, else UnknownEdgeError."""
+    """The bit of an edge given as any pair of ends, a list say, looked up
+    by its canonical tuple: a value that is not a pair fails to unpack,
+    ends that do not compare or hash raise TypeError, a loop ValueError,
+    a missing edge UnknownEdgeError."""
     u, v = e
-    try:
-        return d._edge_bit[u, v]
-    except (KeyError, TypeError):
-        pass
-    d.edge_id.get((u, v) if u < v else (v, u))  # None: the table has both orientations
-    raise UnknownEdgeError(f"edge {edge(u, v)} not in drawing")  # edge() raises on a loop
+    bit = d._edge_bit.get((u, v) if u < v else (v, u))
+    if bit is None:  # edge() raises on a loop
+        raise UnknownEdgeError(f"edge {edge(u, v)} not in drawing")
+    return bit
 
 
 def mask_tree(d: Drawing, mask: int) -> Tree:
@@ -130,8 +128,7 @@ class _UnionFind:
 
 
 def _vertex_rows(d: Drawing) -> Tuple[int, ...]:
-    """Vertex -> the mask of the drawing's edges at it.  Two rows meet in
-    the bit of the edge joining their vertices, or in 0 if it is missing."""
+    """Vertex -> the mask of the drawing's edges at it."""
     rows = [0] * d.n
     for i, (u, v) in enumerate(d.edges):
         rows[u] |= 1 << i
@@ -139,17 +136,11 @@ def _vertex_rows(d: Drawing) -> Tuple[int, ...]:
     return tuple(rows)
 
 
-def _incidence(edges, mask: Optional[int]) -> Tuple[Dict[int, int], int]:
+def _incidence(edges: Sequence[Edge],
+               mask: Optional[int]) -> Tuple[Dict[int, int], int]:
     """The tree's incidence table and its mask.  ``inc[v]`` is the mask of
-    the tree's edges at v, for each vertex the tree touches.  ``edges`` is
-    a Drawing, whose vertex rows give the table in one AND per vertex
-    (vertices in order), or the edge sequence the bits are read over
-    (vertices in order of first appearance in bit order, which
-    ``_k_star_path`` walks from); without a mask the tree is every edge of
-    the sequence."""
-    if isinstance(edges, Drawing):
-        return {v: at for v, row in enumerate(edges._derive(_vertex_rows))
-                if (at := row & mask)}, mask
+    the tree's edges at v, vertices in order of first appearance in bit
+    order.  Without a mask the tree is every edge of ``edges``."""
     if mask is None:
         mask = (1 << len(edges)) - 1
     inc: Dict[int, int] = {}
@@ -158,6 +149,15 @@ def _incidence(edges, mask: Optional[int]) -> Tuple[Dict[int, int], int]:
         inc[u] = inc.get(u, 0) | 1 << i
         inc[v] = inc.get(v, 0) | 1 << i
     return inc, mask
+
+
+def _tree_incidence(d: Drawing, mask: int) -> Dict[int, int]:
+    """``_incidence(d.edges, mask)``'s table from the drawing's vertex
+    rows, one AND per vertex.  Vertices come in ascending order: fit for
+    ``_star_centers``, ``_double_star_paths`` and ``_twin_star_paths``,
+    which sort what they find, not for ``_k_star_path``."""
+    return {v: at for v, row in enumerate(d._derive(_vertex_rows))
+            if (at := row & mask)}
 
 
 # ---------------------------------------------------------------------------
@@ -190,13 +190,10 @@ def _star_centers(inc: Dict[int, int], mask: int) -> List[int]:
 def _double_star_paths(edges: Sequence[Edge], inc: Dict[int, int],
                        mask: int) -> List[Tuple[int, int]]:
     out = []
-    rest = mask
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        g, r = edges[low.bit_length() - 1]
+    for i in bits(mask):
+        g, r = edges[i]
         if inc[g] | inc[r] == mask:
-            out += (g, r), (r, g)
+            out.extend([(g, r), (r, g)])
     return sorted(out)
 
 

@@ -61,6 +61,7 @@ EDGE_LISTS = [
     [],
     [("a", 1)], [(1, "a")],           # ends that do not compare
     [([0], [1])], [([0], 1)],         # ends that do not hash
+    [([0], {1: 2})],                  # ends that neither compare nor hash
     [(None, 0)], [(0.0, 1.0)], [(True, 0)],
     [(0, 1, 2)], [(0,)], [5], ["01"],  # not a pair
 ]

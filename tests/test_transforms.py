@@ -35,6 +35,7 @@ from treespan.transforms import (
 )
 from treespan.trees import (
     _incidence,
+    _tree_incidence,
     canon_tree,
     classify_kind,
     double_star_paths,
@@ -392,8 +393,12 @@ def test_star_family_builds_one_incidence_table_per_tree(monkeypatch):
         built.append(mask)
         return _incidence(edges, mask)
 
+    def counting_rows(d, mask):
+        built.append(mask)
+        return _tree_incidence(d, mask)
+
     monkeypatch.setattr(treespan.trees, "_incidence", counting)
-    monkeypatch.setattr(treespan.transforms, "_incidence", counting)
+    monkeypatch.setattr(treespan.transforms, "_tree_incidence", counting_rows)
     d = polar_k5()
     trees = enumerate_plane_trees(d, kind="special")
     kinds = {}
