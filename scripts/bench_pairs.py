@@ -1,16 +1,17 @@
 #!/usr/bin/env python3
-"""A/B one benchmark workload: a git revision against this checkout.
+"""A/B benchmark workloads: a git revision against this checkout.
 
     python scripts/bench_pairs.py --parent HEAD~1 --workload transform-pairs \\
-        --pairs 10 --seed 1 2
+        gen-star sweep --pairs 10 --seed 1 2
 
 Exports ``--parent`` with ``git archive`` and ``tar`` into a temporary
 directory and runs ``perfbench/run.py`` of each side, each importing its
-own ``src/``, for ``BENCHMARK.json``'s ``run_seconds``.  It runs
-``--pairs`` pairs, alternating which side goes first (the parent on odd
-pairs).  Pair k uses the k-th ``--seed``, cycling.  For every end-to-end
-metric of ``BENCHMARK.json`` it prints each side's median and quartiles,
-the pairs the change won and a verdict:
+own ``src/``, for ``BENCHMARK.json``'s ``run_seconds``.  For each
+``--workload`` in turn it runs ``--pairs`` pairs, alternating which side
+goes first (the parent on odd pairs).  Pair k uses the k-th ``--seed``,
+cycling.  For every end-to-end metric of ``BENCHMARK.json`` it prints each
+side's median and quartiles over the finished pairs, the pairs the change
+won and a verdict:
 
 - ``gain``: the change won at least nine tenths of the pairs (ties count
   for neither side) and the medians differ, its way, by more than the
@@ -21,7 +22,9 @@ the pairs the change won and a verdict:
   than the bound, so the runs cannot tell;
 - ``flat``: neither, within the bound.
 
-Exits 1 if a run is not ``correct`` or fails an op.
+A run that exits non-zero prints the tail of its stderr and ends its
+workload's pairs; the pairs finished before it are still compared.  Exits
+1 if a run failed, is not ``correct`` or fails an op.
 """
 
 from __future__ import annotations
@@ -33,9 +36,10 @@ import statistics
 import subprocess
 import sys
 import tempfile
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+STDERR_LINES = 20  # of a failed run, printed
 
 
 def export(rev: str, dest: str) -> None:
@@ -45,12 +49,18 @@ def export(rev: str, dest: str) -> None:
     subprocess.run(["tar", "-x", "-C", dest], input=tar, check=True)
 
 
-def run_side(root: str, workload: str, seed: int, seconds: float) -> dict:
-    """The result object of one ``perfbench/run.py`` run in ``root``."""
+def run_side(root: str, workload: str, seed: int, seconds: float) -> Optional[dict]:
+    """The result object of one ``perfbench/run.py`` run in ``root``, or
+    None, after printing the tail of its stderr, if it exits non-zero."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     out = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                           "--seed", str(seed), "--seconds", str(seconds)],
-                         cwd=root, env=env, check=True, capture_output=True, text=True)
+                         cwd=root, env=env, capture_output=True, text=True)
+    if out.returncode != 0:
+        tail = "\n".join(out.stderr.splitlines()[-STDERR_LINES:])
+        print(f"{workload} seed {seed} in {root} exited {out.returncode}:\n{tail}",
+              file=sys.stderr, flush=True)
+        return None
     return json.loads(out.stdout.strip().splitlines()[-1])
 
 
@@ -84,34 +94,32 @@ def verdict(parent: Sequence[float], change: Sequence[float], better: str,
             "ratio": cm / pm if pm else float("nan"), "verdict": kind}
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--parent", required=True, help="git revision to compare against")
-    ap.add_argument("--workload", required=True)
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seed", type=int, nargs="+", default=[1])
-    args = ap.parse_args(argv)
-    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
-        bench = json.load(fh)
-    seconds = bench["run_seconds"]
-    metrics = bench["end_to_end"]
+def run_pairs(roots: Dict[str, str], workload: str, pairs: int,
+              seeds: Sequence[int], seconds: float) -> tuple:
+    """``(runs, bad)``: each side's result objects of the finished pairs,
+    in pair order, and the count of bad runs.  A run that fails ends the
+    pairs."""
     runs: Dict[str, List[dict]] = {"parent": [], "change": []}
     bad = 0
-    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
-        export(args.parent, tmp)
-        roots = {"parent": tmp, "change": ROOT}
-        for k in range(args.pairs):
-            seed = args.seed[k % len(args.seed)]
-            order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
-            for side in order:
-                result = run_side(roots[side], args.workload, seed, seconds)
-                runs[side].append(result)
-                bad += not result["correct"] or result["failed"] > 0
-            print(f"pair {k + 1}/{args.pairs} seed {seed}: " + "  ".join(
-                f"{side} {runs[side][-1]['metrics']['ops_per_s']['value']:.6g} ops/s"
-                for side in order), file=sys.stderr, flush=True)
-    print(f"{args.workload}: {args.pairs} pairs, seeds {args.seed}, {seconds} s, "
-          f"parent {args.parent} vs {ROOT}")
+    for k in range(pairs):
+        seed = seeds[k % len(seeds)]
+        order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+        pair = {}
+        for side in order:
+            result = run_side(roots[side], workload, seed, seconds)
+            if result is None:
+                return runs, bad + 1
+            pair[side] = result
+            bad += not result["correct"] or result["failed"] > 0
+        for side in order:
+            runs[side].append(pair[side])
+        print(f"{workload} pair {k + 1}/{pairs} seed {seed}: " + "  ".join(
+            f"{side} {pair[side]['metrics']['ops_per_s']['value']:.6g} ops/s"
+            for side in order), file=sys.stderr, flush=True)
+    return runs, bad
+
+
+def print_table(runs: Dict[str, List[dict]], metrics: Sequence[dict]) -> None:
     print(f"{'metric':<12} {'parent median [q1, q3]':>30} {'change median [q1, q3]':>30}"
           f" {'ratio':>6} {'wins':>6}  verdict")
     for m in metrics:
@@ -125,9 +133,39 @@ def main(argv=None) -> int:
             cells.append(f"{med:.4g} [{q1:.4g}, {q3:.4g}]")
         print(f"{name:<12} {cells[0]:>30} {cells[1]:>30} {v['ratio']:>6.3f}"
               f" {v['wins']:>3}/{v['pairs']:<2}  {v['verdict']}")
+
+
+def compare(roots: Dict[str, str], workloads: Sequence[str], pairs: int,
+            seeds: Sequence[int], bench: dict) -> int:
+    """Run and print every workload's pairs; 1 if any run was bad."""
+    seconds = bench["run_seconds"]
+    bad = 0
+    for workload in workloads:
+        runs, workload_bad = run_pairs(roots, workload, pairs, seeds, seconds)
+        bad += workload_bad
+        done = len(runs["parent"])
+        print(f"{workload}: {done} of {pairs} pairs, seeds {list(seeds)}, {seconds} s, "
+              f"parent {roots['parent']} vs {roots['change']}")
+        if done:
+            print_table(runs, bench["end_to_end"])
     if bad:
-        print(f"{bad} runs were not correct or failed ops", file=sys.stderr)
+        print(f"{bad} runs failed, were not correct or failed ops", file=sys.stderr)
     return 1 if bad else 0
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent", required=True, help="git revision to compare against")
+    ap.add_argument("--workload", required=True, nargs="+")
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seed", type=int, nargs="+", default=[1])
+    args = ap.parse_args(argv)
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        bench = json.load(fh)
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
+        export(args.parent, tmp)
+        return compare({"parent": tmp, "change": ROOT}, args.workload, args.pairs,
+                       args.seed, bench)
 
 
 if __name__ == "__main__":

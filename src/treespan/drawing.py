@@ -247,15 +247,20 @@ def _integer_image(d: Drawing, curves: bool = True) -> _Image:
     everything = list(d.vertex_points)
     if curves:
         everything += [w for c in d.curves.values() for w in c]
-    sx = math.lcm(*{p[0].denominator for p in everything})
-    sy = math.lcm(*{p[1].denominator for p in everything})
+    # each point object once, not once per curve ending at it; keyed by id,
+    # since hashing a Fraction costs more than scaling it
+    distinct = {id(p): p for p in everything}
+    sx = math.lcm(*{p[0].denominator for p in distinct.values()})
+    sy = math.lcm(*{p[1].denominator for p in distinct.values()})
+    image_of = {k: Point(p[0].numerator * (sx // p[0].denominator),
+                         p[1].numerator * (sy // p[1].denominator))
+                for k, p in distinct.items()}
 
-    def scaled(p):
-        return Point(p[0].numerator * (sx // p[0].denominator),
-                     p[1].numerator * (sy // p[1].denominator))
+    def scaled(points):
+        return tuple(map(image_of.__getitem__, map(id, points)))
 
-    image = {e: tuple(map(scaled, c)) for e, c in d.curves.items()} if curves else {}
-    points = tuple(map(scaled, d.vertex_points))
+    image = {e: scaled(c) for e, c in d.curves.items()} if curves else {}
+    points = scaled(d.vertex_points)
     if d.backend == "polar":
         image = {e: _normalized(c, sx) if c else c for e, c in image.items()}
         points = tuple(Point(x % sx, y) for x, y in points)

@@ -15,7 +15,10 @@ Building the table is the only curve evaluation on the route; a round
 and its certificates work on masks.
 Each public call turns its input trees into edge masks once, works on masks
 throughout (nested steps are private cores returning mask lists), and
-certifies its own output exactly once, in ``_certified``.  The returned
+certifies its own output exactly once, in ``_certified``.  A call reads
+each distinct mask's certificate once: its inputs' certificates serve the
+output, and every other mask is one read of the drawing's certificate
+cache, with ``check_mask`` filling a miss.  The returned
 ``TransformSequence`` keeps those masks and builds its edge tuples,
 ``trees``, the first time something reads them.
 Whatever a route reads that depends only on the drawing is built once per
@@ -46,6 +49,7 @@ from .drawing import (
     classify_c_monotone,
 )
 from .errors import (
+    BadTreeError,
     IncompatibleStepError,
     InternalInvariantViolated,
     NoSideEdgeError,
@@ -64,7 +68,6 @@ from .trees import (
     _UnionFind,
     _double_star_paths,
     _input_certs,
-    _plane_spanning,
     _star_centers,
     _tree_incidence,
     _twin_star_paths,
@@ -77,12 +80,18 @@ from .trees import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TransformSequence:
     edges: Tuple[Edge, ...]        # the drawing's edges: bit i is edges[i]
     masks: Tuple[int, ...]
     method: str
     certified: ClassVar[bool] = True  # only _certified builds sequences
+
+    def __init__(self, edges: Tuple[Edge, ...], masks: Tuple[int, ...],
+                 method: str):
+        # written to the instance dict, past the frozen __setattr__
+        fields = self.__dict__
+        fields["edges"], fields["masks"], fields["method"] = edges, masks, method
 
     @cached_property
     def trees(self) -> Tuple[Tree, ...]:
@@ -105,15 +114,29 @@ def certify_sequence(d: Drawing, trees: Sequence[Iterable[Edge]],
     return _certified(d, [tree_mask(d, t) for t in trees], method)
 
 
-def _certified(d: Drawing, masks: List[int], method: str) -> TransformSequence:
+def _certified(d: Drawing, masks: List[int], method: str,
+               known: Optional[Dict[int, TreeCert]] = None) -> TransformSequence:
     """certify_sequence on masks: the one certification of each call.
-    Each mask's certificate is read once, and every tree is checked before
-    any step."""
-    certs = [_plane_spanning(d, mask, i) for i, mask in enumerate(masks)]
-    for i, (mask, cert) in enumerate(zip(masks, certs[1:])):
-        if mask & cert.conflict:
-            raise IncompatibleStepError(i)
-    return TransformSequence(edges=d.edges, masks=tuple(masks), method=method)
+    ``known`` holds the certificates the call has read, its inputs'; every
+    other distinct mask is read once from the drawing's cache, and
+    certified by ``check_mask`` on a miss.  Every tree is checked before
+    the first incompatible step is reported."""
+    cache = d._cert_cache
+    if known is None:
+        known = {}
+    prev, bad = 0, None
+    for i, mask in enumerate(masks):
+        cert = known.get(mask)
+        if cert is None:
+            cert = known[mask] = cache.get(mask) or check_mask(d, mask)
+        if not cert.is_plane_spanning_tree:
+            raise BadTreeError(i, cert)
+        if prev & cert.conflict and bad is None:
+            bad = i - 1
+        prev = mask
+    if bad is not None:
+        raise IncompatibleStepError(bad)
+    return TransformSequence(d.edges, tuple(masks), method)
 
 
 def _dedupe(trees: list) -> list:
@@ -147,23 +170,24 @@ def transform_cylindrical(d: Drawing, roles: Optional[CylRoles],
     tree for t2, and t2."""
     if roles is None:
         raise NotCylindricalError("drawing is not cylindrical")
-    c1, c2 = _input_certs(d, [t1, t2])
+    known: Dict[int, TreeCert] = {}
+    c1, c2 = _input_certs(d, [t1, t2], known)
     t1, t2 = c1.mask, c2.mask
     if t1 == t2:
-        return _certified(d, [t1], "cylindrical")
+        return _certified(d, [t1], "cylindrical", known)
     if not t1 & c2.conflict:
-        return _certified(d, [t1, t2], "cylindrical")
+        return _certified(d, [t1, t2], "cylindrical", known)
 
     paths = roles.paths_mask
     if not roles.inner_vertices or not roles.outer_vertices:
-        return _certified(d, _dedupe([t1, paths, t2]), "cylindrical")
+        return _certified(d, _dedupe([t1, paths, t2]), "cylindrical", known)
 
     sides1, sides2 = t1 & roles.sides_mask, t2 & roles.sides_mask
     if not sides1 or not sides2:
         raise NoSideEdgeError("spanning tree without a side edge")
     e1, e2 = sides1 & -sides1, sides2 & -sides2  # lowest bit: the least edge
     seq = [t1, paths | e1]
-    if e1 & conflict_mask(d, e2):
+    if e1 & d.cross_mask[e2.bit_length() - 1]:  # e2's crossing row
         inner = set(roles.inner_vertices)
         (a1, b1), (a2, b2) = mask_tree(d, e1) + mask_tree(d, e2)
         s1, r1 = (a1, b1) if a1 in inner else (b1, a1)
@@ -174,7 +198,7 @@ def transform_cylindrical(d: Drawing, roles: Optional[CylRoles],
                 "replacement side edge crosses the originals")
         seq.append(paths | bridge)
     seq += [paths | e2, t2]
-    return _certified(d, _dedupe(seq), "cylindrical")
+    return _certified(d, _dedupe(seq), "cylindrical", known)
 
 
 # ---------------------------------------------------------------------------
@@ -210,14 +234,15 @@ def _spine_route(d: Drawing, spine: SpineStructure,
     """The first tree down to the spine path and back up to the second, if
     given, certified once with ``spine.kind`` as the method.  A strongly
     c-monotone drawing with a non-spine cycle edge takes monotone rounds."""
-    masks = [cert.mask for cert in _input_certs(d, trees)]
+    known: Dict[int, TreeCert] = {}
+    inputs = _input_certs(d, trees, known)
     if spine.all_cycle_edges_spine is False and d._derive(_strip).stab[-1]:
         raise InternalInvariantViolated("cut wedge is not empty")
     step = _corridor_step if spine.all_cycle_edges_spine else _monotone_step
     seq: List[int] = []
-    for t, way in zip(masks, (1, -1)):  # the second tree's rounds reversed
-        seq += _rounds(d, spine, t, step)[::way]
-    return _certified(d, _dedupe(seq), spine.kind)
+    for cert, way in zip(inputs, (1, -1)):  # the second tree's rounds reversed
+        seq += _rounds(d, spine, cert.mask, step)[::way]
+    return _certified(d, _dedupe(seq), spine.kind, known)
 
 
 def _rounds(d: Drawing, spine: SpineStructure, t: int, step) -> List[int]:
@@ -477,14 +502,15 @@ def double_star_to_star(d: Drawing, t: Iterable[Edge],
     """Collapse one hub of the double star onto the other, then walk the
     star to the target center.  Plain stars are accepted as the degenerate
     case with one empty side."""
-    (cert,) = _input_certs(d, [t])
+    known: Dict[int, TreeCert] = {}
+    (cert,) = _input_certs(d, [t], known)
     return _certified(d, _double_star_to_star(d, cert.mask, target_center),
-                      "special")
+                      "special", known)
 
 
 def _double_star_to_star(d: Drawing, t: int, target: int) -> List[int]:
     inc = _tree_incidence(d, t)
-    centers = _star_centers(inc, t)
+    centers = _star_centers(d.edges, inc, t)
     if centers:
         c = target if target in centers else centers[0]
         return [t] if c == target else _star_to_star(d, c, target)
@@ -504,12 +530,13 @@ def twin_star_to_star(d: Drawing, t: Iterable[Edge],
     """Close the hub pair with the edge gr (never crossing the tree, since
     every tree edge touches g or r), drop rs, then proceed as a double
     star."""
-    (cert,) = _input_certs(d, [t])
+    known: Dict[int, TreeCert] = {}
+    (cert,) = _input_certs(d, [t], known)
     reps = twin_star_paths(d.edges, cert.mask)
     if not reps:
         raise NotTwinStarError("tree admits no twin-star path")
     return _certified(d, _twin_star_to_star(d, cert, reps[0], target_center),
-                      "special")
+                      "special", known)
 
 
 def _twin_star_to_star(d: Drawing, t: TreeCert, twin: Tuple[int, int, int],
@@ -524,7 +551,7 @@ def _twin_star_to_star(d: Drawing, t: TreeCert, twin: Tuple[int, int, int],
 
 def _reduce_to_star(d: Drawing, t: TreeCert) -> Tuple[List[int], int]:
     inc = _tree_incidence(d, t.mask)
-    centers = _star_centers(inc, t.mask)
+    centers = _star_centers(d.edges, inc, t.mask)
     if centers:
         return [t.mask], centers[0]
     reps = _double_star_paths(d.edges, inc, t.mask)
@@ -542,12 +569,13 @@ def transform_special(d: Drawing, t1: Iterable[Edge],
                       t2: Iterable[Edge]) -> TransformSequence:
     """Reduce both endpoints to stars, bridge the stars, and glue; at most
     2(2(n-2)+1) + (n-2) flips overall."""
-    c1, c2 = _input_certs(d, [t1, t2])
+    known: Dict[int, TreeCert] = {}
+    c1, c2 = _input_certs(d, [t1, t2], known)
     trees, s1 = _reduce_to_star(d, c1)
     seq_b, s2 = _reduce_to_star(d, c2)
     if c1.mask == c2.mask:  # after the reductions, which reject a non-special tree
-        return _certified(d, [c1.mask], "special")
+        return _certified(d, [c1.mask], "special", known)
     if s1 != s2:
         trees += _star_to_star(d, s1, s2)
     trees += reversed(seq_b)
-    return _certified(d, _dedupe(trees), "special")
+    return _certified(d, _dedupe(trees), "special", known)

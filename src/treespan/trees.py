@@ -6,7 +6,10 @@ stands for the edge with id i, its position in ``Drawing.edges``, so
 reading a mask in bit order gives the canonical tuple.  ``CompatGraph`` and
 ``TransformSequence`` store masks too and build the tuples when read.
 The transformations convert their input trees to masks once, keep masks
-throughout and certify each call's output once with ``check_mask``.
+throughout and certify each call's output once.  A call reads each
+distinct mask's certificate once, one dict read of the drawing's cache;
+``check_mask`` is the one place a missing certificate is computed and
+stored, and a certificate stores its plane-spanning verdict when built.
 ``tree_mask`` reads one lookup per edge from the drawing's edge-bit table,
 which holds both orientations of each edge.
 A tree is plane when ``mask & conflict_mask(d, mask) == 0``, and two trees
@@ -23,6 +26,10 @@ transformations' ``_tree_incidence`` ANDs the drawing's vertex rows with
 the mask): c is a star centre iff its entry is the whole mask, every
 edge touches g or r iff their entries OR to the mask, gr is a tree edge
 iff their entries meet, and a vertex's degree is its entry's bit count.
+Every edge of a star touches its centre, and every edge of a double or
+twin star one of its two hubs, so the searches start from the tree's
+lowest edge: a centre is one of its ends, and a hub pair holds an end x
+of it and an end of the lowest edge not at x.
 Flips find the cycle edge to drop with a union-find.
 """
 
@@ -100,9 +107,11 @@ class TreeCert:
     mask: int = field(repr=False)
     conflict: int = field(repr=False, compare=False)  # conflict_mask(mask)
 
-    @property
-    def is_plane_spanning_tree(self) -> bool:
-        return self.spanning and self.acyclic_connected and self.plane
+    def __post_init__(self):
+        # The verdict every certified read tests, stored once as a plain
+        # attribute, so it is in neither ``==`` nor ``repr``.
+        self.__dict__["is_plane_spanning_tree"] = (
+            self.spanning and self.acyclic_connected and self.plane)
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +176,7 @@ def _tree_incidence(d: Drawing, mask: int) -> Dict[int, int]:
 # (the drawing's edges for a tree mask); a bare edge tuple is the tree.
 
 def star_centers(edges: Sequence[Edge], mask: Optional[int] = None) -> List[int]:
-    return _star_centers(*_incidence(edges, mask))
+    return _star_centers(edges, *_incidence(edges, mask))
 
 
 def double_star_paths(edges: Sequence[Edge],
@@ -183,14 +192,33 @@ def twin_star_paths(edges: Sequence[Edge],
     return _twin_star_paths(edges, *_incidence(edges, mask))
 
 
-def _star_centers(inc: Dict[int, int], mask: int) -> List[int]:
-    return sorted(c for c, at in inc.items() if at == mask)
+def _star_centers(edges: Sequence[Edge], inc: Dict[int, int],
+                  mask: int) -> List[int]:
+    """A star centre is at every edge, so it is an end of the lowest."""
+    if not mask:
+        return []
+    return sorted({c for c in edges[(mask & -mask).bit_length() - 1]
+                   if inc[c] == mask})
 
 
 def _double_star_paths(edges: Sequence[Edge], inc: Dict[int, int],
                        mask: int) -> List[Tuple[int, int]]:
+    """Every edge touches a hub, g or r, so one hub x is an end of the
+    lowest edge and the other an end of the lowest edge not at x.  Only
+    the edges joining such candidate pairs are tested, each once; when x
+    is a star centre every edge is at x and each is a candidate."""
+    if not mask:
+        return []
+    hubs = 0
+    for x in edges[(mask & -mask).bit_length() - 1]:
+        rest = mask & ~inc[x]
+        if not rest:  # a star centre
+            hubs = inc[x]
+            break
+        for y in edges[(rest & -rest).bit_length() - 1]:
+            hubs |= inc[x] & inc[y]
     out = []
-    for i in bits(mask):
+    for i in bits(hubs):
         g, r = edges[i]
         if inc[g] | inc[r] == mask:
             out.extend([(g, r), (r, g)])
@@ -199,14 +227,26 @@ def _double_star_paths(edges: Sequence[Edge], inc: Dict[int, int],
 
 def _twin_star_paths(edges: Sequence[Edge], inc: Dict[int, int],
                      mask: int) -> List[Tuple[int, int, int]]:
+    """The hubs g, r are found as in ``_double_star_paths``; a star
+    centre is joined to every vertex of the tree, so it is no twin-star
+    hub.  Each hub pair found joins no edge, so none is found twice; its
+    middles s are the other ends of g's edges that have an edge to r."""
+    if not mask:
+        return []
     out = []
-    for s, at in inc.items():
-        if not at & (at - 1):
-            continue  # a leaf: one neighbour, no pair
-        nbrs = sorted(sum(edges[i]) - s for i in bits(at))  # other ends
-        for g, r in itertools.combinations(nbrs, 2):
-            if not inc[g] & inc[r] and inc[g] | inc[r] == mask:
-                out.extend([(g, s, r), (r, s, g)])
+    for g in edges[(mask & -mask).bit_length() - 1]:
+        at_g = inc[g]
+        rest = mask & ~at_g
+        if not rest:
+            continue
+        for r in edges[(rest & -rest).bit_length() - 1]:
+            at_r = inc[r]
+            if at_g & at_r or at_g | at_r != mask:
+                continue
+            for i in bits(at_g):
+                s = sum(edges[i]) - g
+                for _ in bits(inc[s] & at_r):
+                    out.extend([(g, s, r), (r, s, g)])
     return sorted(out)
 
 
@@ -237,7 +277,7 @@ def classify_kind(n: int, edges: Sequence[Edge], mask: Optional[int] = None) -> 
     4-vertex path is reported as a twin star (its canonical fixed path),
     larger overlaps resolve to the smaller k."""
     inc, mask = _incidence(edges, mask)
-    centers = _star_centers(inc, mask)
+    centers = _star_centers(edges, inc, mask)
     if centers:
         return ("star", centers[0])
     if n == 4 and sorted(at.bit_count() for at in inc.values()) == [1, 1, 2, 2]:
@@ -295,18 +335,26 @@ def check_mask(d: Drawing, mask: int) -> TreeCert:
     return cert
 
 
-def _plane_spanning(d: Drawing, mask: int, index: int) -> TreeCert:
-    cert = check_mask(d, mask)
-    if not cert.is_plane_spanning_tree:
-        raise BadTreeError(index, cert)
-    return cert
-
-
-def _input_certs(d: Drawing, trees: Sequence[Iterable[Edge]]) -> List[TreeCert]:
+def _input_certs(d: Drawing, trees: Sequence[Iterable[Edge]],
+                 known: Optional[Dict[int, TreeCert]] = None) -> List[TreeCert]:
     """Certificates of a call's input trees, each checked in turn;
-    BadTreeError gives the position of the tree in the call."""
-    return [_plane_spanning(d, tree_mask(d, t), i)
-            for i, t in enumerate(trees)]
+    BadTreeError gives the position of the tree in the call.  Each
+    distinct mask is read once from the drawing's cache, and certified by
+    ``check_mask`` on a miss; ``known``, if given, keeps mask -> certificate
+    for the certification of the call's output."""
+    cache = d._cert_cache
+    if known is None:
+        known = {}
+    certs = []
+    for i, t in enumerate(trees):
+        mask = tree_mask(d, t)
+        cert = known.get(mask)
+        if cert is None:
+            cert = known[mask] = cache.get(mask) or check_mask(d, mask)
+            if not cert.is_plane_spanning_tree:
+                raise BadTreeError(i, cert)
+        certs.append(cert)
+    return certs
 
 
 def is_compatible(d: Drawing, t1: Iterable[Edge], t2: Iterable[Edge]) -> bool:

@@ -1,5 +1,5 @@
-"""The A/B harness's verdict on fixed numbers, without running the
-benchmark."""
+"""The A/B harness's verdict on fixed numbers, and its pair loop on stub
+roots, without running the benchmark."""
 
 import importlib.util
 import pathlib
@@ -56,3 +56,58 @@ def test_worse_past_the_bound_and_unresolved_spread():
 def test_one_pair_is_its_own_quartiles():
     assert bench_pairs.quartiles([3.0]) == [3.0, 3.0, 3.0]
     assert verdict([10.0], [20.0], "higher", 0.24)["verdict"] == "gain"
+
+
+# A stand-in for perfbench/run.py: the last stdout line is a result object
+# whose every metric reads VALUE.  With FAIL_SEED set it writes 30 lines to
+# stderr and exits 1 when run with that seed.
+STUB = '''
+import argparse, json, sys
+ap = argparse.ArgumentParser()
+ap.add_argument("--workload"); ap.add_argument("--seed", type=int)
+ap.add_argument("--seconds", type=float)
+args = ap.parse_args()
+if args.seed == FAIL_SEED:
+    for i in range(30):
+        print(f"stub stderr line {i}", file=sys.stderr)
+    sys.exit(1)
+names = ["setup_s", "ops_per_s", "op_p50_ms", "op_p90_ms", "peak_rss_mb"]
+print(json.dumps({"correct": True, "failed": 0,
+                  "metrics": {n: {"value": VALUE} for n in names}}))
+'''
+
+BENCH = {"run_seconds": 1, "end_to_end": [
+    {"name": n, "better": b, "bound": 0.24} for n, b in (
+        ("setup_s", "lower"), ("ops_per_s", "higher"), ("op_p50_ms", "lower"),
+        ("op_p90_ms", "lower"), ("peak_rss_mb", "lower"))]}
+
+
+def _stub_root(tmp_path, name, value, fail_seed=None):
+    root = tmp_path / name
+    (root / "perfbench").mkdir(parents=True)
+    (root / "perfbench" / "run.py").write_text(
+        STUB.replace("FAIL_SEED", repr(fail_seed)).replace("VALUE", repr(value)))
+    return str(root)
+
+
+def test_a_failed_run_keeps_the_finished_pairs(tmp_path, capsys):
+    roots = {"parent": _stub_root(tmp_path, "parent", 100.0),
+             "change": _stub_root(tmp_path, "change", 120.0, fail_seed=2)}
+    code = bench_pairs.compare(roots, ["w1", "w2"], 3, [1, 2], BENCH)
+    out, err = capsys.readouterr()
+    assert code == 1
+    # pair 1 (seed 1) finished, pair 2 (seed 2) failed on the change side
+    assert out.count("1 of 3 pairs") == 2  # each workload, run in turn
+    assert out.count("ops_per_s") == 2
+    assert "stub stderr line 29" in err and "stub stderr line 9" not in err
+    assert "exited 1" in err and "2 runs failed" in err
+
+
+def test_clean_runs_exit_zero(tmp_path, capsys):
+    roots = {"parent": _stub_root(tmp_path, "parent", 100.0),
+             "change": _stub_root(tmp_path, "change", 130.0)}
+    assert bench_pairs.compare(roots, ["w"], 2, [1, 2], BENCH) == 0
+    out, _ = capsys.readouterr()
+    assert "2 of 2 pairs" in out
+    # +30 %: a gain for ops_per_s, worse past the bound for the others
+    assert out.count("gain") == 1 and out.count("worse") == 4
