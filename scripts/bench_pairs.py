@@ -18,6 +18,8 @@ won and a verdict:
   distance between the parent's quartiles;
 - ``worse``: the change's median is worse than the parent's by more than
   the metric's bound;
+- ``better``: neither, the parent's quartiles lie further apart than the
+  bound, and every change run beats every parent run;
 - ``unresolved``: neither, and the parent's quartiles lie further apart
   than the bound, so the runs cannot tell;
 - ``flat``: neither, within the bound.
@@ -87,7 +89,8 @@ def verdict(parent: Sequence[float], change: Sequence[float], better: str,
     elif -gap > bound * abs(pm):
         kind = "worse"
     elif iqr > bound * abs(pm):
-        kind = "unresolved"
+        beats_all = min(sign * c for c in change) > max(sign * p for p in parent)
+        kind = "better" if beats_all else "unresolved"
     else:
         kind = "flat"
     return {"wins": wins, "pairs": len(parent), "gap": gap, "iqr": iqr,

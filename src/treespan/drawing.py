@@ -9,9 +9,11 @@ curves, ``transforms`` builds itself.
 A Drawing is immutable; its edge tuple, edge ids (and the bit of each
 edge in either orientation), crossing matrix (whose construction is the
 simple-drawing check) and class report are computed on first use and
-kept.  The crossing matrix is one int per edge: edge ids are positions in
-the sorted edge list, and bit j of ``cross_mask[i]`` is set when edges i
-and j cross.  ``crossings`` and ``crossing_pairs()`` are views.
+kept.  Two plain dicts set at construction are its memos: the tree
+certificates, and the structures ``Drawing._derive`` builds.  The crossing
+matrix is one int per edge: edge ids are positions in the sorted edge
+list, and bit j of ``cross_mask[i]`` is set when edges i and j cross.
+``crossing_pairs()`` is a view.
 
 A straight-line drawing (every curve the segment between its two vertex
 points) with no three vertices on a line is validated from its order type,
@@ -39,7 +41,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Dict, FrozenSet, Iterator, List, Mapping, NamedTuple, Optional, Tuple
+from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Tuple
 
 from .errors import (
     InternalInvariantViolated,
@@ -104,6 +106,10 @@ class Drawing:
 
     def __post_init__(self):
         object.__setattr__(self, "curves", MappingProxyType(dict(self.curves)))
+        # memos, not fields: mask -> TreeCert (``trees.check_mask``) and
+        # (builder, *args) -> its value (``_derive``)
+        object.__setattr__(self, "_cert_cache", {})
+        object.__setattr__(self, "_derived", {})
 
     @functools.cached_property
     def edges(self) -> Tuple[Edge, ...]:
@@ -135,16 +141,6 @@ class Drawing:
         on a violation."""
         return _crossing_rows(self)
 
-    @functools.cached_property
-    def _cert_cache(self) -> dict:
-        """Tree mask -> its TreeCert, filled by ``trees.check_mask``."""
-        return {}
-
-    @functools.cached_property
-    def _derived(self) -> dict:
-        """(builder, *args) -> ``builder(self, *args)``, filled by ``_derive``."""
-        return {}
-
     def _derive(self, build, *args):
         """A structure fixed by the drawing, built on the first request and
         kept.  Builders return immutable values; one that raises stores
@@ -174,13 +170,6 @@ class Drawing:
             is_c_monotone=c_mono,
             is_strongly_c_monotone=strongly,
         )
-
-    @property
-    def crossings(self) -> Dict[Edge, FrozenSet[Edge]]:
-        """Edge -> the edges crossing it, built from ``cross_mask``."""
-        edges = self.edges
-        return {e: frozenset(edges[j] for j in bits(row))
-                for e, row in zip(edges, self.cross_mask)}
 
     def crossing_pairs(self) -> List[Tuple[Edge, Edge]]:
         edges = self.edges

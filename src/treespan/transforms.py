@@ -15,10 +15,9 @@ Building the table is the only curve evaluation on the route; a round
 and its certificates work on masks.
 Each public call turns its input trees into edge masks once, works on masks
 throughout (nested steps are private cores returning mask lists), and
-certifies its own output exactly once, in ``_certified``.  A call reads
-each distinct mask's certificate once: its inputs' certificates serve the
-output, and every other mask is one read of the drawing's certificate
-cache, with ``check_mask`` filling a miss.  The returned
+certifies its own output exactly once, in ``_certified``.  The drawing's
+certificate cache is the one memo: each input tree, and then each output
+tree, is one read of it, with ``check_mask`` filling a miss.  The returned
 ``TransformSequence`` keeps those masks and builds its edge tuples,
 ``trees``, the first time something reads them.
 Whatever a route reads that depends only on the drawing is built once per
@@ -114,21 +113,15 @@ def certify_sequence(d: Drawing, trees: Sequence[Iterable[Edge]],
     return _certified(d, [tree_mask(d, t) for t in trees], method)
 
 
-def _certified(d: Drawing, masks: List[int], method: str,
-               known: Optional[Dict[int, TreeCert]] = None) -> TransformSequence:
+def _certified(d: Drawing, masks: List[int], method: str) -> TransformSequence:
     """certify_sequence on masks: the one certification of each call.
-    ``known`` holds the certificates the call has read, its inputs'; every
-    other distinct mask is read once from the drawing's cache, and
-    certified by ``check_mask`` on a miss.  Every tree is checked before
-    the first incompatible step is reported."""
+    Each tree is one read of the drawing's cache, certified by
+    ``check_mask`` on a miss.  Every tree is checked before the first
+    incompatible step is reported."""
     cache = d._cert_cache
-    if known is None:
-        known = {}
     prev, bad = 0, None
     for i, mask in enumerate(masks):
-        cert = known.get(mask)
-        if cert is None:
-            cert = known[mask] = cache.get(mask) or check_mask(d, mask)
+        cert = cache.get(mask) or check_mask(d, mask)
         if not cert.is_plane_spanning_tree:
             raise BadTreeError(i, cert)
         if prev & cert.conflict and bad is None:
@@ -170,17 +163,16 @@ def transform_cylindrical(d: Drawing, roles: Optional[CylRoles],
     tree for t2, and t2."""
     if roles is None:
         raise NotCylindricalError("drawing is not cylindrical")
-    known: Dict[int, TreeCert] = {}
-    c1, c2 = _input_certs(d, [t1, t2], known)
+    c1, c2 = _input_certs(d, [t1, t2])
     t1, t2 = c1.mask, c2.mask
     if t1 == t2:
-        return _certified(d, [t1], "cylindrical", known)
+        return _certified(d, [t1], "cylindrical")
     if not t1 & c2.conflict:
-        return _certified(d, [t1, t2], "cylindrical", known)
+        return _certified(d, [t1, t2], "cylindrical")
 
     paths = roles.paths_mask
     if not roles.inner_vertices or not roles.outer_vertices:
-        return _certified(d, _dedupe([t1, paths, t2]), "cylindrical", known)
+        return _certified(d, _dedupe([t1, paths, t2]), "cylindrical")
 
     sides1, sides2 = t1 & roles.sides_mask, t2 & roles.sides_mask
     if not sides1 or not sides2:
@@ -198,7 +190,7 @@ def transform_cylindrical(d: Drawing, roles: Optional[CylRoles],
                 "replacement side edge crosses the originals")
         seq.append(paths | bridge)
     seq += [paths | e2, t2]
-    return _certified(d, _dedupe(seq), "cylindrical", known)
+    return _certified(d, _dedupe(seq), "cylindrical")
 
 
 # ---------------------------------------------------------------------------
@@ -234,15 +226,14 @@ def _spine_route(d: Drawing, spine: SpineStructure,
     """The first tree down to the spine path and back up to the second, if
     given, certified once with ``spine.kind`` as the method.  A strongly
     c-monotone drawing with a non-spine cycle edge takes monotone rounds."""
-    known: Dict[int, TreeCert] = {}
-    inputs = _input_certs(d, trees, known)
+    inputs = _input_certs(d, trees)
     if spine.all_cycle_edges_spine is False and d._derive(_strip).stab[-1]:
         raise InternalInvariantViolated("cut wedge is not empty")
     step = _corridor_step if spine.all_cycle_edges_spine else _monotone_step
     seq: List[int] = []
     for cert, way in zip(inputs, (1, -1)):  # the second tree's rounds reversed
         seq += _rounds(d, spine, cert.mask, step)[::way]
-    return _certified(d, _dedupe(seq), spine.kind, known)
+    return _certified(d, _dedupe(seq), spine.kind)
 
 
 def _rounds(d: Drawing, spine: SpineStructure, t: int, step) -> List[int]:
@@ -502,10 +493,9 @@ def double_star_to_star(d: Drawing, t: Iterable[Edge],
     """Collapse one hub of the double star onto the other, then walk the
     star to the target center.  Plain stars are accepted as the degenerate
     case with one empty side."""
-    known: Dict[int, TreeCert] = {}
-    (cert,) = _input_certs(d, [t], known)
+    (cert,) = _input_certs(d, [t])
     return _certified(d, _double_star_to_star(d, cert.mask, target_center),
-                      "special", known)
+                      "special")
 
 
 def _double_star_to_star(d: Drawing, t: int, target: int) -> List[int]:
@@ -530,26 +520,27 @@ def twin_star_to_star(d: Drawing, t: Iterable[Edge],
     """Close the hub pair with the edge gr (never crossing the tree, since
     every tree edge touches g or r), drop rs, then proceed as a double
     star."""
-    known: Dict[int, TreeCert] = {}
-    (cert,) = _input_certs(d, [t], known)
+    (cert,) = _input_certs(d, [t])
     reps = twin_star_paths(d.edges, cert.mask)
     if not reps:
         raise NotTwinStarError("tree admits no twin-star path")
-    return _certified(d, _twin_star_to_star(d, cert, reps[0], target_center),
-                      "special", known)
+    second = _close_twin(d, cert, *reps[0])
+    trees = [cert.mask] + _double_star_to_star(d, second, target_center)
+    return _certified(d, trees, "special")
 
 
-def _twin_star_to_star(d: Drawing, t: TreeCert, twin: Tuple[int, int, int],
-                       target: int) -> List[int]:
-    g, s, r = twin
+def _close_twin(d: Drawing, t: TreeCert, g: int, s: int, r: int) -> int:
+    """t + gr - rs, the double star of the twin star t's path g-s-r."""
     gr = tree_mask(d, [(g, r)])
     if gr & t.conflict:
         raise InternalInvariantViolated("closing edge crosses the twin star")
-    second = (t.mask | gr) & ~d._edge_bit[r, s]
-    return _dedupe([t.mask] + _double_star_to_star(d, second, target))
+    return (t.mask | gr) & ~d._edge_bit[r, s]
 
 
 def _reduce_to_star(d: Drawing, t: TreeCert) -> Tuple[List[int], int]:
+    """The flips from t to a star, and the star's centre.  A twin star
+    here is no double star, so its hub r has a leaf besides s: t + gr - rs
+    is no star, and (g, r) is its one double-star path ending at r."""
     inc = _tree_incidence(d, t.mask)
     centers = _star_centers(d.edges, inc, t.mask)
     if centers:
@@ -560,8 +551,8 @@ def _reduce_to_star(d: Drawing, t: TreeCert) -> Tuple[List[int], int]:
         return _collapse_double(d, t.mask, g, r), r
     twins = _twin_star_paths(d.edges, inc, t.mask)
     if twins:
-        r = twins[0][2]
-        return _twin_star_to_star(d, t, twins[0], r), r
+        g, _, r = twins[0]
+        return [t.mask] + _collapse_double(d, _close_twin(d, t, *twins[0]), g, r), r
     raise NotSpecialTreeError("tree is not a star, double star or twin star")
 
 
@@ -569,13 +560,12 @@ def transform_special(d: Drawing, t1: Iterable[Edge],
                       t2: Iterable[Edge]) -> TransformSequence:
     """Reduce both endpoints to stars, bridge the stars, and glue; at most
     2(2(n-2)+1) + (n-2) flips overall."""
-    known: Dict[int, TreeCert] = {}
-    c1, c2 = _input_certs(d, [t1, t2], known)
+    c1, c2 = _input_certs(d, [t1, t2])
     trees, s1 = _reduce_to_star(d, c1)
     seq_b, s2 = _reduce_to_star(d, c2)
     if c1.mask == c2.mask:  # after the reductions, which reject a non-special tree
-        return _certified(d, [c1.mask], "special", known)
+        return _certified(d, [c1.mask], "special")
     if s1 != s2:
         trees += _star_to_star(d, s1, s2)
     trees += reversed(seq_b)
-    return _certified(d, _dedupe(trees), "special", known)
+    return _certified(d, _dedupe(trees), "special")

@@ -6,10 +6,11 @@ stands for the edge with id i, its position in ``Drawing.edges``, so
 reading a mask in bit order gives the canonical tuple.  ``CompatGraph`` and
 ``TransformSequence`` store masks too and build the tuples when read.
 The transformations convert their input trees to masks once, keep masks
-throughout and certify each call's output once.  A call reads each
-distinct mask's certificate once, one dict read of the drawing's cache;
-``check_mask`` is the one place a missing certificate is computed and
-stored, and a certificate stores its plane-spanning verdict when built.
+throughout and certify each call's output once.  The drawing's cache is
+the one memo of certificates: each input tree, and then each output
+tree, is one dict read of it; ``check_mask`` is the one place a missing
+certificate is computed and stored, and a certificate stores its
+plane-spanning verdict when built.
 ``tree_mask`` reads one lookup per edge from the drawing's edge-bit table,
 which holds both orientations of each edge.
 A tree is plane when ``mask & conflict_mask(d, mask) == 0``, and two trees
@@ -335,24 +336,18 @@ def check_mask(d: Drawing, mask: int) -> TreeCert:
     return cert
 
 
-def _input_certs(d: Drawing, trees: Sequence[Iterable[Edge]],
-                 known: Optional[Dict[int, TreeCert]] = None) -> List[TreeCert]:
+def _input_certs(d: Drawing, trees: Sequence[Iterable[Edge]]) -> List[TreeCert]:
     """Certificates of a call's input trees, each checked in turn;
-    BadTreeError gives the position of the tree in the call.  Each
-    distinct mask is read once from the drawing's cache, and certified by
-    ``check_mask`` on a miss; ``known``, if given, keeps mask -> certificate
-    for the certification of the call's output."""
+    BadTreeError gives the position of the tree in the call.  Each tree is
+    one read of the drawing's cache, certified by ``check_mask`` on a
+    miss."""
     cache = d._cert_cache
-    if known is None:
-        known = {}
     certs = []
     for i, t in enumerate(trees):
         mask = tree_mask(d, t)
-        cert = known.get(mask)
-        if cert is None:
-            cert = known[mask] = cache.get(mask) or check_mask(d, mask)
-            if not cert.is_plane_spanning_tree:
-                raise BadTreeError(i, cert)
+        cert = cache.get(mask) or check_mask(d, mask)
+        if not cert.is_plane_spanning_tree:
+            raise BadTreeError(i, cert)
         certs.append(cert)
     return certs
 

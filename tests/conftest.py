@@ -11,7 +11,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from treespan.drawing import Drawing, complete_edges, edge
+from treespan.drawing import Drawing, bits, complete_edges, edge
 from treespan.geometry import Point, PolarPoint
 
 
@@ -21,6 +21,14 @@ def P(x, y):
 
 def PP(t, r):
     return PolarPoint(F(t), F(r))
+
+
+def crossings(d):
+    """Edge -> the edges crossing it, built from ``d.cross_mask``: the
+    tuple view of the crossing matrix that the oracles read."""
+    edges = d.edges
+    return {e: frozenset(edges[j] for j in bits(row))
+            for e, row in zip(edges, d.cross_mask)}
 
 
 def straight_line_drawing(points):

@@ -13,12 +13,32 @@ the tree as the hub pair and ``twin_star_paths`` every pair of neighbours
 of every vertex; they take the arguments of ``trees._star_centers``,
 ``trees._double_star_paths`` and ``trees._twin_star_paths`` and are their
 oracles.
+
+``_reduce_to_star`` and ``_twin_star_to_star`` are ``transforms``' before
+a twin star was collapsed along its own hub pair: the twin star's
+t + gr - rs went through ``_double_star_to_star``, which derived that
+tree's centres and double-star paths again.  They are the oracle of
+``transforms._reduce_to_star``.
 """
 
 import itertools
+from typing import List, Tuple
 
-from treespan.drawing import bits, edge
-from treespan.errors import UnknownEdgeError
+from treespan.drawing import Drawing, bits, edge
+from treespan.errors import (
+    InternalInvariantViolated,
+    NotSpecialTreeError,
+    UnknownEdgeError,
+)
+from treespan.transforms import (
+    _collapse_double,
+    _dedupe,
+    _double_star_paths,
+    _double_star_to_star,
+    _star_centers,
+    _tree_incidence,
+    _twin_star_paths,
+)
 from treespan.trees import TreeCert, _UnionFind, conflict_mask, mask_tree
 
 
@@ -70,3 +90,29 @@ def twin_star_paths(edges, inc, mask):
             if not inc[g] & inc[r] and inc[g] | inc[r] == mask:
                 out.extend([(g, s, r), (r, s, g)])
     return sorted(out)
+
+
+def _twin_star_to_star(d: Drawing, t: TreeCert, twin: Tuple[int, int, int],
+                       target: int) -> List[int]:
+    g, s, r = twin
+    gr = tree_mask(d, [(g, r)])
+    if gr & t.conflict:
+        raise InternalInvariantViolated("closing edge crosses the twin star")
+    second = (t.mask | gr) & ~d._edge_bit[r, s]
+    return _dedupe([t.mask] + _double_star_to_star(d, second, target))
+
+
+def _reduce_to_star(d: Drawing, t: TreeCert) -> Tuple[List[int], int]:
+    inc = _tree_incidence(d, t.mask)
+    centers = _star_centers(d.edges, inc, t.mask)
+    if centers:
+        return [t.mask], centers[0]
+    reps = _double_star_paths(d.edges, inc, t.mask)
+    if reps:
+        g, r = reps[0]
+        return _collapse_double(d, t.mask, g, r), r
+    twins = _twin_star_paths(d.edges, inc, t.mask)
+    if twins:
+        r = twins[0][2]
+        return _twin_star_to_star(d, t, twins[0], r), r
+    raise NotSpecialTreeError("tree is not a star, double star or twin star")

@@ -50,6 +50,7 @@ from treespan.trees import (
     is_compatible,
 )
 
+from conftest import crossings
 from reference_spine import cut_to_monotone, twiggly_depth, twiggly_set
 
 
@@ -67,7 +68,7 @@ def sample_plane_trees(d, count, seed):
     """Seeded plane spanning trees found by Pruefer decoding + planarity
     rejection (independent of the enumerator)."""
     rng = SplitMix64(seed)
-    cross = d.crossings
+    cross = crossings(d)
     found = set()
     for _ in range(25000):
         degree = [1] * d.n
@@ -190,7 +191,7 @@ def test_criterion_4_cmonotone_depth():
                 if not spine.all_cycle_edges_spine:
                     cut_seen += 1
                     flat = cut_to_monotone(d)  # raises unless bit-exact
-                    assert flat.crossings == d.crossings
+                    assert crossings(flat) == crossings(d)
                     # the route reads d's own table: the cut's plus its empty gap
                     table = _strip(flat)
                     assert _strip(d) == table._replace(rank=table.rank + ((),),
@@ -284,7 +285,7 @@ def test_criterion_7_bipartite_fixture():
         tset = set(tree)
         for e in d.edges:
             if e not in tset:
-                assert d.crossings[e] & tset
+                assert crossings(d)[e] & tset
         g = build_compat_graph(d)
         assert g.degree(tree) == 0
 
@@ -322,7 +323,7 @@ def test_criterion_8_count_oracles():
         assert len(trees) == 12
         for n in (4, 5, 6):
             d = generate(GenSpec(cls="convex", n=n, seed=2))
-            cross = d.crossings
+            cross = crossings(d)
             oracle = sorted(
                 t for t in set(_pruefer_trees(n))
                 if not any(f in cross[e]

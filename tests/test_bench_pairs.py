@@ -53,6 +53,19 @@ def test_worse_past_the_bound_and_unresolved_spread():
     assert verdict(wide, [p * 1.05 for p in wide], "lower", 0.24)["verdict"] == "unresolved"
 
 
+def test_a_wide_parent_beaten_by_every_change_run_is_better():
+    wide = [50, 150, 60, 140, 100, 100, 70, 130, 90, 110]  # quartiles 67.5, 132.5
+    # every change run above 150, but the medians 55.5 apart, within the IQR of 65
+    above = [151 + k for k in range(10)]
+    v = verdict(wide, above, "higher", 0.24)
+    assert v["wins"] == 10 and v["gap"] < v["iqr"] and v["verdict"] == "better"
+    below = [49 - k for k in range(10)]
+    assert verdict(wide, below, "lower", 0.24)["verdict"] == "better"
+    # one change run inside the parent's range leaves it unresolved
+    assert verdict(wide, above[:9] + [149], "higher", 0.24)["verdict"] == "unresolved"
+    assert verdict(wide, above, "lower", 0.24)["verdict"] == "worse"
+
+
 def test_one_pair_is_its_own_quartiles():
     assert bench_pairs.quartiles([3.0]) == [3.0, 3.0, 3.0]
     assert verdict([10.0], [20.0], "higher", 0.24)["verdict"] == "gain"

@@ -216,7 +216,8 @@ def test_replaced_drawing_starts_cold():
     cmonotone_to_spine(d, enumerate_plane_trees(d)[0])
     assert d._derived
     copy = dataclasses.replace(d)
-    assert "_derived" not in vars(copy) and "_cert_cache" not in vars(copy)
+    for memo in ("_derived", "_cert_cache"):
+        assert getattr(copy, memo) == {} and getattr(copy, memo) is not getattr(d, memo)
     assert copy == d and copy._derive(_strip) == d._derive(_strip)
     assert copy._derive(_strip) is not d._derive(_strip)
     assert "_derived" not in {f.name for f in dataclasses.fields(Drawing)}

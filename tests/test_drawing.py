@@ -22,7 +22,7 @@ from treespan.generators import GenSpec, generate
 from treespan.geometry import Proper, segment_proper_crossing
 from treespan.trees import enumerate_plane_trees
 
-from conftest import P, cyl_k4, straight_line_drawing
+from conftest import P, crossings, cyl_k4, straight_line_drawing
 from reference_spine import (
     EmptySetError,
     cut_to_monotone,
@@ -94,7 +94,7 @@ def test_report_idempotent(m4):
 
 
 def test_crossing_matrix_symmetric_no_adjacent(sq):
-    cross = sq.crossings
+    cross = crossings(sq)
     for e, s in cross.items():
         for f in s:
             assert e in cross[f]
@@ -217,7 +217,7 @@ def test_two_page_true(book4):
     assert validate_simple(book4).is_two_page_book
     # consecutive-vertex path is uncrossed
     for e in [(0, 1), (1, 2), (2, 3)]:
-        assert not book4.crossings[edge(*e)]
+        assert not crossings(book4)[edge(*e)]
 
 
 def test_two_page_false_for_m4(m4):
@@ -293,7 +293,7 @@ def test_cut_pk4(pk4):
     assert flat is not None
     report = validate_simple(flat)
     assert report.is_simple and report.is_monotone
-    assert flat.crossings == pk4.crossings
+    assert crossings(flat) == crossings(pk4)
     assert classify_monotone(flat).order == (0, 1, 2, 3)
 
 

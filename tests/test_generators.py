@@ -24,6 +24,7 @@ from treespan.generators import (
 from treespan.rng import SplitMix64
 from treespan.trees import check_tree
 
+from conftest import crossings
 from reference_generators import REFERENCE
 
 
@@ -67,7 +68,7 @@ def test_two_page_class():
         report = validate_simple(d)
         assert report.is_two_page_book
         for k in range(6):
-            assert not d.crossings[(k, k + 1)]
+            assert not crossings(d)[(k, k + 1)]
 
 
 def test_cylindrical_roles():
@@ -212,7 +213,7 @@ def test_fixture_crosses_every_nontree_edge():
     tset = set(tree)
     for e in d.edges:
         if e not in tset:
-            assert d.crossings[e] & tset
+            assert crossings(d)[e] & tset
 
 
 def test_fixture_isolated_in_compat_graph():

@@ -2,7 +2,7 @@
 
 The oracles below are the tuple implementations of planarity and
 compatibility that the bitmask core replaced: they read the crossing
-matrix through the public ``Drawing.crossings`` view and compare edge
+matrix through the ``crossings`` view of ``conftest`` and compare edge
 tuples pairwise.  The digest test pins the crossing pairs and the plane
 tree order of generated drawings, so a change to the internal
 representation cannot silently reorder or alter either.
@@ -32,16 +32,16 @@ from treespan.trees import (
     tree_mask,
 )
 
-from conftest import cyl_k4, polar_k4, polar_k5, two_page_k4
+from conftest import crossings, cyl_k4, polar_k4, polar_k5, two_page_k4
 
 
 def tuple_is_plane(d: Drawing, tree) -> bool:
-    cross = d.crossings
+    cross = crossings(d)
     return not any(f in cross[e] for e, f in itertools.combinations(tree, 2))
 
 
 def tuple_is_compatible(d: Drawing, t1, t2) -> bool:
-    cross = d.crossings
+    cross = crossings(d)
     t2 = list(t2)
     return not any(f in cross[e] for e in t1 for f in t2)
 
@@ -96,7 +96,7 @@ def test_mask_path_matches_tuple_oracles(make):
         assert tuple_is_plane(d, t)
         assert check_tree(d, t).plane
     pool = plane + [random_spanning_tree(d, rng) for _ in range(60)]
-    cross = d.crossings
+    cross = crossings(d)
     for t in pool:
         assert check_tree(d, t).plane == tuple_is_plane(d, t)
         mask = tree_mask(d, t)
@@ -175,8 +175,9 @@ def _reads(path: pathlib.Path, attr: str) -> list:
 
 
 def test_package_reads_one_crossing_form():
-    """The package reads crossings only as ``cross_mask`` rows; the
-    ``crossings`` view is for the tuple oracles above.  A certificate
+    """The package reads crossings only as ``cross_mask`` rows and
+    ``crossing_pairs()``; the ``crossings`` view of the tuple oracles above
+    is a test helper, not a ``Drawing`` property.  A certificate
     certifies and names no kind (``classify_kind`` does), so the
     transformations, compatibility graphs and CLI read no ``.kind`` of
     one.  The transformations evaluate a curve only to build the spine
@@ -191,6 +192,7 @@ def test_package_reads_one_crossing_form():
               if not (isinstance(node.value, ast.Name)
                       and node.value.id in _NOT_CERTIFICATES)]
     assert found == []
+    assert not hasattr(Drawing, "crossings")
     assert {f.name for f in dataclasses.fields(TreeCert)} == {
         "spanning", "acyclic_connected", "plane", "mask", "conflict"}
     assert not hasattr(TreeCert, "kind")

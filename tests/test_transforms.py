@@ -21,9 +21,12 @@ from treespan.errors import (
     NotDoubleStarError,
     NotSpecialTreeError,
     NotTwinStarError,
+    TreespanError,
     UnknownEdgeError,
 )
+from treespan.generators import GenSpec, fixture_bipartite_isolated, generate
 from treespan.transforms import (
+    _reduce_to_star,
     certify_sequence,
     cmonotone_to_spine,
     double_star_to_star,
@@ -37,12 +40,14 @@ from treespan.trees import (
     _incidence,
     _tree_incidence,
     canon_tree,
+    check_mask,
     classify_kind,
     double_star_paths,
     enumerate_plane_trees,
     tree_mask,
 )
 
+import reference_trees
 from conftest import P, polar_k2, polar_k5
 from reference_spine import (
     CENTER,
@@ -419,7 +424,34 @@ def test_star_family_builds_one_incidence_table_per_tree(monkeypatch):
     for t in trees:
         built.clear()
         transform_special(d, t, star)
-        assert len(built) == len(set(built)) <= 3 or t == star
+        assert len(built) == len(set(built)) <= 2 or t == star  # one per endpoint
+
+
+def _reduction(reduce, d, mask):
+    """``reduce(d, certificate)``, or the type and message of what it raises."""
+    try:
+        return reduce(d, check_mask(d, mask))
+    except TreespanError as e:
+        return type(e), str(e)
+
+
+def test_reduce_to_star_matches_the_double_star_detour():
+    """A twin star collapses along its own hub pair (g, r) to the star at
+    r, in the flips its detour through ``_double_star_to_star`` took; stars
+    and double stars reduce as before."""
+    drawings = [polar_k5(), fixture_bipartite_isolated()[0]] + [
+        generate(GenSpec(cls=cls, n=n, seed=seed))
+        for cls in ("convex", "random_points", "monotone_perturbed", "two_page",
+                    "strongly_cmonotone")
+        for n in range(4, 8) for seed in range(3)]
+    kinds = set()
+    for d in drawings:
+        for t in enumerate_plane_trees(d, kind="special"):
+            mask = tree_mask(d, t)
+            kinds.add(classify_kind(d.n, d.edges, mask)[0])
+            assert (_reduction(_reduce_to_star, d, mask)
+                    == _reduction(reference_trees._reduce_to_star, d, mask)), (d.graph, t)
+    assert kinds == {"star", "double_star", "twin_star"}
 
 
 def test_transform_special_identical_trees():

@@ -28,7 +28,7 @@ from treespan.trees import (
     twin_star_paths,
 )
 
-from conftest import P, straight_line_drawing
+from conftest import P, crossings, straight_line_drawing
 
 
 def pruefer_decode(n, seq):
@@ -55,7 +55,7 @@ def all_spanning_trees(n):
 
 
 def oracle_plane_trees(d):
-    cross = d.crossings
+    cross = crossings(d)
     out = []
     for t in all_spanning_trees(d.n):
         if not any(f in cross[e] for e, f in itertools.combinations(t, 2)):
