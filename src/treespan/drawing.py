@@ -6,14 +6,14 @@ class recognition the transformation algorithms rely on (spine paths and
 cylindrical roles) lives here; what a round of the spine route reads of the
 curves, ``transforms`` builds itself.
 
-A Drawing is immutable; its edge tuple, edge ids (and the bit of each
-edge in either orientation), crossing matrix (whose construction is the
-simple-drawing check) and class report are computed on first use and
-kept.  Two plain dicts set at construction are its memos: the tree
-certificates, and the structures ``Drawing._derive`` builds.  The crossing
-matrix is one int per edge: edge ids are positions in the sorted edge
-list, and bit j of ``cross_mask[i]`` is set when edges i and j cross.
-``crossing_pairs()`` is a view.
+A Drawing is immutable; its edge tuple, the bit of each edge in either
+orientation, crossing matrix (whose construction is the simple-drawing
+check) and class report are computed on first use and kept.  Two plain
+dicts set at construction are its memos: the tree certificates, and the
+structures ``Drawing._derive`` builds.  The crossing matrix is one int
+per edge: edge ids are positions in the sorted edge list, and bit j of
+``cross_mask[i]`` is set when edges i and j cross.  ``crossing_pairs()``
+is a view.
 
 A straight-line drawing (every curve the segment between its two vertex
 points) with no three vertices on a line is validated from its order type,
@@ -122,13 +122,8 @@ class Drawing:
         return bipartite_edges(a, b)
 
     @functools.cached_property
-    def edge_id(self) -> Dict[Edge, int]:
-        """Edge -> its position in ``edges``, which is its bit in masks."""
-        return {e: i for i, e in enumerate(self.edges)}
-
-    @functools.cached_property
     def _edge_bit(self) -> Dict[Edge, int]:
-        """(u, v) and (v, u) -> ``1 << edge_id[edge(u, v)]`` for every edge."""
+        """(u, v) and (v, u) -> the edge's bit in masks, ``1 << i`` for ``edges[i]``."""
         table = {}
         for i, (u, v) in enumerate(self.edges):
             table[u, v] = table[v, u] = 1 << i
@@ -523,7 +518,7 @@ def classify_cylindrical(d: Drawing, r_in2: Rat, r_out2: Rat) -> Optional[CylRol
         raise InvalidRadiiError("radii must be positive")
     if d.backend != "cartesian" or d.graph[0] != "complete":
         return None
-    rows, ids = d.cross_mask, d.edge_id  # building rows validates the drawing
+    bit, row = d._edge_bit, dict(zip(d.edges, d.cross_mask))  # the rows validate d
     origin = Point(Fraction(0), Fraction(0))
     inner, outer = [], []
     for v in range(d.n):
@@ -545,7 +540,7 @@ def classify_cylindrical(d: Drawing, r_in2: Rat, r_out2: Rat) -> Optional[CylRol
     for e in d.edges:
         k = (e[0] in inner_set) + (e[1] in inner_set)
         roles[e] = "inner" if k == 2 else ("side" if k == 1 else "outer")
-    sides_mask = sum(1 << ids[e] for e, role in roles.items() if role == "side")
+    sides_mask = sum(bit[e] for e, role in roles.items() if role == "side")
 
     def circle_cycle(vs: List[int]) -> List[Edge]:
         if len(vs) < 2:
@@ -556,9 +551,9 @@ def classify_cylindrical(d: Drawing, r_in2: Rat, r_out2: Rat) -> Optional[CylRol
         return [edge(ring[i], ring[(i + 1) % len(ring)]) for i in range(len(ring))]
 
     cycle = sorted(circle_cycle(inner) + circle_cycle(outer))
-    crossed = tuple(e for e in cycle if rows[ids[e]])
+    crossed = tuple(e for e in cycle if row[e])
     for e in crossed:
-        if rows[ids[e]] & ~sides_mask:
+        if row[e] & ~sides_mask:
             raise InternalInvariantViolated(
                 f"cycle edge {e} crossed by a non-side edge")
     for vs in (inner, outer):
@@ -571,7 +566,7 @@ def classify_cylindrical(d: Drawing, r_in2: Rat, r_out2: Rat) -> Optional[CylRol
         es = circle_cycle(vs)
         if len(vs) < 3:
             return tuple(es)
-        bad = [e for e in es if rows[ids[e]]]
+        bad = [e for e in es if row[e]]
         drop = bad[0] if bad else max(es)
         return tuple(e for e in es if e != drop)
 
@@ -581,7 +576,7 @@ def classify_cylindrical(d: Drawing, r_in2: Rat, r_out2: Rat) -> Optional[CylRol
         inner_vertices=tuple(sorted(inner)), outer_vertices=tuple(sorted(outer)),
         roles=roles, crossed_cycle_edges=crossed,
         inner_path=inner_path, outer_path=outer_path,
-        paths_mask=sum(1 << ids[e] for e in inner_path + outer_path),
+        paths_mask=sum(bit[e] for e in inner_path + outer_path),
         sides_mask=sides_mask,
     )
 

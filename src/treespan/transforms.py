@@ -22,8 +22,9 @@ tree, is one read of it, with ``check_mask`` filling a miss.  The returned
 ``trees``, the first time something reads them.
 Whatever a route reads that depends only on the drawing is built once per
 drawing: the classifications (``drawing``), the strip table,
-each spine's masks, each ordered centre pair's relation order and flip
-pairs (the bits of gv and rv for each v, in the order the g-leaves move),
+each spine's masks, each ordered centre pair's relation order (read as
+``d._derive(_relation_order, g, r)``) and flip pairs (the bits of gv and
+rv for each v, in the order the g-leaves move),
 the cylindrical path and side masks, each tree's conflict mask (its
 certificate), the edge-bit table ``Drawing._edge_bit`` (both orientations
 of each edge -> its bit, read wherever one edge's bit is wanted) and the
@@ -64,9 +65,9 @@ from .geometry import curve_eval
 from .trees import (
     Tree,
     TreeCert,
-    _UnionFind,
     _double_star_paths,
     _input_certs,
+    _retree,
     _star_centers,
     _tree_incidence,
     _twin_star_paths,
@@ -75,7 +76,6 @@ from .trees import (
     conflict_mask,
     mask_tree,
     tree_mask,
-    twin_star_paths,
 )
 
 
@@ -134,22 +134,6 @@ def _certified(d: Drawing, masks: List[int], method: str) -> TransformSequence:
 
 def _dedupe(trees: list) -> list:
     return [t for i, t in enumerate(trees) if i == 0 or t != trees[i - 1]]
-
-
-def _retree(d: Drawing, groups: Sequence[int]) -> int:
-    """Spanning tree built greedily from the edge-mask groups in
-    keep-priority order (earlier groups are preferentially kept, ids
-    ascending within one)."""
-    edges = d.edges
-    uf = _UnionFind(d.n)
-    out = 0
-    for group in groups:
-        for i in bits(group):  # a repeated edge fails its second union
-            if uf.union(*edges[i]):
-                out |= 1 << i
-    if out.bit_count() != d.n - 1:
-        raise InternalInvariantViolated("edge pool does not connect the graph")
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -412,13 +396,6 @@ def _run_path(d: Drawing, strip: _Strip, lower: Optional[int],
 # star family
 # ---------------------------------------------------------------------------
 
-def _gr_order(d: Drawing, g: int, r: int) -> Tuple[int, ...]:
-    """Vertices of V - {g, r} in an order compatible with the crossing
-    relation: u before w whenever edge(u, r) crosses edge(w, g).  Built
-    once per drawing and ordered pair."""
-    return d._derive(_relation_order, g, r)
-
-
 def _star(d: Drawing, c: int) -> int:
     """The mask of the star at c: its vertex row, when the row holds an
     edge to every other vertex; else tree_mask names the missing edge."""
@@ -429,6 +406,9 @@ def _star(d: Drawing, c: int) -> int:
 
 
 def _relation_order(d: Drawing, g: int, r: int) -> Tuple[int, ...]:
+    """Vertices of V - {g, r} in an order compatible with the crossing
+    relation: u before w whenever edge(u, r) crosses edge(w, g).  Read
+    through ``d._derive``, so built once per drawing and ordered pair."""
     for c in (g, r):  # the stars at g and r hold every edge looked up below
         _star(d, c)
     rows, bit = d.cross_mask, d._edge_bit
@@ -457,9 +437,9 @@ def _relation_order(d: Drawing, g: int, r: int) -> Tuple[int, ...]:
 
 
 def _flip_pairs(d: Drawing, g: int, r: int) -> Tuple[Tuple[int, int], ...]:
-    """(gv bit, rv bit) for each v of ``_gr_order(d, g, r)``, last first:
-    the order in which ``_collapse_double`` moves g's leaves onto r."""
-    order, bit = _gr_order(d, g, r), d._edge_bit
+    """(gv bit, rv bit) for each v of ``_relation_order(d, g, r)``, last
+    first: the order in which ``_collapse_double`` moves g's leaves onto r."""
+    order, bit = d._derive(_relation_order, g, r), d._edge_bit
     return tuple((bit[g, v], bit[r, v]) for v in reversed(order))
 
 
@@ -521,7 +501,7 @@ def twin_star_to_star(d: Drawing, t: Iterable[Edge],
     every tree edge touches g or r), drop rs, then proceed as a double
     star."""
     (cert,) = _input_certs(d, [t])
-    reps = twin_star_paths(d.edges, cert.mask)
+    reps = _twin_star_paths(d.edges, _tree_incidence(d, cert.mask), cert.mask)
     if not reps:
         raise NotTwinStarError("tree admits no twin-star path")
     second = _close_twin(d, cert, *reps[0])

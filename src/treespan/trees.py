@@ -31,7 +31,9 @@ Every edge of a star touches its centre, and every edge of a double or
 twin star one of its two hubs, so the searches start from the tree's
 lowest edge: a centre is one of its ends, and a hub pair holds an end x
 of it and an end of the lowest edge not at x.
-Flips find the cycle edge to drop with a union-find.
+Flips and spine rounds rebuild trees with ``_retree``: a flip keeps the
+added edge and the target's edges first, so it drops the highest-id edge
+of t1 - t2 on the cycle the added edge closes.
 """
 
 from __future__ import annotations
@@ -41,7 +43,13 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .drawing import Drawing, Edge, bits, edge
-from .errors import BadTreeError, IncompatibleError, TooLargeError, UnknownEdgeError
+from .errors import (
+    BadTreeError,
+    IncompatibleError,
+    InternalInvariantViolated,
+    TooLargeError,
+    UnknownEdgeError,
+)
 
 Tree = Tuple[Edge, ...]
 
@@ -119,22 +127,27 @@ class TreeCert:
 # basic graph structure
 # ---------------------------------------------------------------------------
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[ra] = rb
-        return True
+def _retree(d: Drawing, groups: Sequence[int]) -> int:
+    """Spanning tree built greedily from the edge-mask groups in
+    keep-priority order (earlier groups are preferentially kept, ids
+    ascending within one), over a union-find of vertex ids as in
+    ``check_mask``."""
+    edges = d.edges
+    parent = list(range(d.n))
+    out = 0
+    for group in groups:
+        for i in bits(group):  # a repeated edge finds one root
+            u, v = edges[i]
+            while parent[u] != u:
+                parent[u] = u = parent[parent[u]]
+            while parent[v] != v:
+                parent[v] = v = parent[parent[v]]
+            if u != v:
+                parent[u] = v
+                out |= 1 << i
+    if out.bit_count() != d.n - 1:
+        raise InternalInvariantViolated("edge pool does not connect the graph")
+    return out
 
 
 def _vertex_rows(d: Drawing) -> Tuple[int, ...]:
@@ -456,9 +469,9 @@ def _star_family(d: Drawing) -> List[Tuple[int, int]]:
     of its edges is missing (bipartite drawings) or they cross; a partial
     tree is dropped as soon as its next edge crosses the edges chosen
     before it, and a core stops once none is left."""
-    n, ids, rows = d.n, d.edge_id, d.cross_mask
+    n, rows = d.n, d.cross_mask
     at: List[List[Optional[Tuple[int, int]]]] = [[None] * n for _ in range(n)]
-    for (u, v), i in ids.items():    # at[u][v]: edge uv's bit and row
+    for i, (u, v) in enumerate(d.edges):  # at[u][v]: edge uv's bit and row
         at[u][v] = at[v][u] = (1 << i, rows[i])
     found: Dict[int, int] = {}
     for g, r in itertools.combinations(range(n), 2):
@@ -508,15 +521,10 @@ def compatible_step_to_flips(d: Drawing, t1: Iterable[Edge],
     edges, current = d.edges, t1
     flips: List[Tuple[Edge, Edge]] = []
     for i in bits(t2 & ~t1):
-        u, v = edges[i]
-        # Joining the current tree's edges, t2's first and then the rest by
-        # ascending id, links u and v at the highest-id edge of t1 - t2 on
-        # the cycle that edge i closes (t2 is a tree: not all are in t2).
-        uf = _UnionFind(d.n)
-        for j in itertools.chain(bits(current & t2), bits(current & ~t2)):
-            uf.union(*edges[j])
-            if uf.find(u) == uf.find(v):
-                break
-        current ^= 1 << j | 1 << i
-        flips.append((edges[j], edges[i]))
+        # The current tree's edges in t2, with i, lie in t2 and close no
+        # cycle; the rest, by ascending id, then drop the highest-id edge
+        # of t1 - t2 on the one cycle that edge i closes.
+        new = _retree(d, [current & t2 | 1 << i, current & ~t2])
+        flips.append((edges[(current & ~new).bit_length() - 1], edges[i]))
+        current = new
     return flips

@@ -31,6 +31,12 @@ def crossings(d):
             for e, row in zip(edges, d.cross_mask)}
 
 
+def edge_ids(d):
+    """Edge -> its id, its position in ``d.edges`` and so its bit in
+    masks: the index the oracles read."""
+    return {e: i for i, e in enumerate(d.edges)}
+
+
 def straight_line_drawing(points):
     pts = tuple(points)
     curves = {e: (pts[e[0]], pts[e[1]]) for e in complete_edges(len(pts))}

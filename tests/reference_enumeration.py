@@ -5,7 +5,7 @@ cut-mask component labels and per-pair star-family options.
 per-vertex list that it copies on every call, and tests each edge of its
 window one by one; ``star_family`` builds the option lists of every core
 afresh.  Both return ``(mask, conflict_mask)`` pairs in canonical order and
-read only ``n``, ``edges``, ``edge_id`` and ``cross_mask`` of the drawing.
+read only ``n``, ``edges`` and ``cross_mask`` of the drawing.
 The tests use them as the oracle of ``trees._plane_masks(d, "all")`` and
 ``trees._star_family``.
 """
@@ -14,6 +14,8 @@ import itertools
 from typing import Dict, List, Tuple
 
 from treespan.drawing import edge
+
+from conftest import edge_ids
 
 
 def plane_masks(d) -> List[Tuple[int, int]]:
@@ -41,7 +43,7 @@ def plane_masks(d) -> List[Tuple[int, int]]:
 
 
 def star_family(d) -> List[Tuple[int, int]]:
-    n, ids, rows = d.n, d.edge_id, d.cross_mask
+    n, ids, rows = d.n, edge_ids(d), d.cross_mask
     cores = [(g, r, ((g, r),)) for g, r in ids]
     cores += [(g, r, (edge(g, s), edge(s, r)))
               for g, r in itertools.combinations(range(n), 2)

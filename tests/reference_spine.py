@@ -33,8 +33,9 @@ from treespan.drawing import (
 )
 from treespan.errors import InternalInvariantViolated, MethodInapplicable, TreespanError
 from treespan.geometry import Point, Rat, curve_eval, lift_angle, normalize_polar
-from treespan.transforms import _retree
-from treespan.trees import conflict_mask, mask_tree, tree_mask
+from treespan.trees import _retree, conflict_mask, mask_tree, tree_mask
+
+from conftest import edge_ids
 
 
 class EmptySetError(TreespanError):
@@ -57,7 +58,7 @@ def span_contains(span: Tuple[Rat, Rat], theta: Rat) -> bool:
 
 def twiggly_set(d: Drawing, spine: SpineStructure, edges_in) -> FrozenSet[Edge]:
     """Subset of ``edges_in`` properly crossing at least one spine edge."""
-    rows, ids = d.cross_mask, d.edge_id
+    rows, ids = d.cross_mask, edge_ids(d)
     spine_mask = sum(1 << ids[s] for s in spine.spine_edges)
     return frozenset(e for e in edges_in if rows[ids[e]] & spine_mask)
 
@@ -138,7 +139,7 @@ def monotone_step(d: Drawing, spine_mask: int, twiggly: int, t: int) -> int:
     if hit:  # e is in t, so this also covers crossing the resolved edge
         raise InternalInvariantViolated(
             f"detour path crosses tree: {mask_tree(d, hit)}")
-    rest = t & ~(1 << d.edge_id[e])
+    rest = t & ~(1 << edge_ids(d)[e])
     new_t = _retree(d, [path, rest & spine_mask,
                         rest & ~spine_mask & ~twig, rest & twig])
     if (new_t & twiggly).bit_count() >= twig.bit_count():

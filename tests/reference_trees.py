@@ -4,7 +4,7 @@ double-star and twin-star searches before they started from the tree's
 lowest edge.
 
 ``tree_mask`` canonicalises every edge into a tuple and looks its id up in
-``Drawing.edge_id``; ``check_mask`` builds the mask's edge tuple, the set
+an edge -> id dict; ``check_mask`` builds the mask's edge tuple, the set
 of its vertices and a union-find over the tuples, and caches nothing.  The
 tests use them as the oracles of ``trees.tree_mask`` (its mask, or the
 type and message of what it raises) and of a certificate cache miss.
@@ -19,13 +19,19 @@ a twin star was collapsed along its own hub pair: the twin star's
 t + gr - rs went through ``_double_star_to_star``, which derived that
 tree's centres and double-star paths again.  They are the oracle of
 ``transforms._reduce_to_star``.
+
+``compatible_step_to_flips`` is ``trees``' before a flip was one
+``_retree`` call: it joins a fresh ``_UnionFind`` over the current tree's
+edges, t2's first, until the added edge's ends meet.  It is the oracle of
+``trees.compatible_step_to_flips``.
 """
 
 import itertools
-from typing import List, Tuple
+from typing import Iterable, List, Tuple
 
-from treespan.drawing import Drawing, bits, edge
+from treespan.drawing import Drawing, Edge, bits, edge
 from treespan.errors import (
+    IncompatibleError,
     InternalInvariantViolated,
     NotSpecialTreeError,
     UnknownEdgeError,
@@ -39,11 +45,31 @@ from treespan.transforms import (
     _tree_incidence,
     _twin_star_paths,
 )
-from treespan.trees import TreeCert, _UnionFind, conflict_mask, mask_tree
+from treespan.trees import TreeCert, _input_certs, conflict_mask, mask_tree
+
+from conftest import edge_ids
+
+
+class _UnionFind:
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, x: int) -> int:
+        while self.parent[x] != x:
+            self.parent[x] = self.parent[self.parent[x]]
+            x = self.parent[x]
+        return x
+
+    def union(self, a: int, b: int) -> bool:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        self.parent[ra] = rb
+        return True
 
 
 def tree_mask(d, edges) -> int:
-    ids = d.edge_id
+    ids = edge_ids(d)
     mask = 0
     for u, v in edges:
         i = ids.get((u, v) if u < v else (v, u))
@@ -116,3 +142,26 @@ def _reduce_to_star(d: Drawing, t: TreeCert) -> Tuple[List[int], int]:
         r = twins[0][2]
         return _twin_star_to_star(d, t, twins[0], r), r
     raise NotSpecialTreeError("tree is not a star, double star or twin star")
+
+
+def compatible_step_to_flips(d: Drawing, t1: Iterable[Edge],
+                             t2: Iterable[Edge]) -> List[Tuple[Edge, Edge]]:
+    c1, c2 = _input_certs(d, [t1, t2])
+    t1, t2 = c1.mask, c2.mask
+    if t1 & c2.conflict:
+        raise IncompatibleError("trees are not compatible")
+    edges, current = d.edges, t1
+    flips: List[Tuple[Edge, Edge]] = []
+    for i in bits(t2 & ~t1):
+        u, v = edges[i]
+        # Joining the current tree's edges, t2's first and then the rest by
+        # ascending id, links u and v at the highest-id edge of t1 - t2 on
+        # the cycle that edge i closes (t2 is a tree: not all are in t2).
+        uf = _UnionFind(d.n)
+        for j in itertools.chain(bits(current & t2), bits(current & ~t2)):
+            uf.union(*edges[j])
+            if uf.find(u) == uf.find(v):
+                break
+        current ^= 1 << j | 1 << i
+        flips.append((edges[j], edges[i]))
+    return flips

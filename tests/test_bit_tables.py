@@ -42,7 +42,7 @@ from treespan.trees import (
 )
 
 import reference_trees
-from conftest import polar_k2, polar_k5
+from conftest import edge_ids, polar_k2, polar_k5
 
 
 def _outcome(f, *args):
@@ -129,8 +129,8 @@ def test_vertex_rows_meet_in_edge_bits():
             for v in range(d.n):
                 if u != v:
                     assert rows[u] & rows[v] == d._edge_bit.get((u, v), 0)
-        assert d._edge_bit == {**{e: 1 << i for e, i in d.edge_id.items()},
-                               **{e[::-1]: 1 << i for e, i in d.edge_id.items()}}
+        assert d._edge_bit == {**{e: 1 << i for e, i in edge_ids(d).items()},
+                               **{e[::-1]: 1 << i for e, i in edge_ids(d).items()}}
 
 
 def test_star_reads_the_vertex_row_or_names_the_missing_edge():

@@ -27,7 +27,6 @@ from treespan.errors import RelationCyclicError
 from treespan.generators import GenSpec, generate
 from treespan.rng import SplitMix64
 from treespan.transforms import (
-    _gr_order,
     _relation_order,
     _strip,
     cmonotone_to_spine,
@@ -43,6 +42,9 @@ from treespan.trees import (
     enumerate_plane_trees,
     tree_mask,
 )
+
+from conftest import edge_ids
+
 
 # strongly c-monotone seeds per n: the first with a non-spine cycle edge
 # (the monotone step) and the first whose cycle edges are all spine edges
@@ -104,9 +106,9 @@ def test_memo_matches_uncached_builders(spec):
             expected = _relation_order(fresh, g, r)
         except RelationCyclicError:
             with pytest.raises(RelationCyclicError):
-                _gr_order(d, g, r)
+                d._derive(_relation_order, g, r)
             continue
-        assert _gr_order(d, g, r) == expected
+        assert d._derive(_relation_order, g, r) == expected
 
     for t in trees:
         mask = tree_mask(d, t)
@@ -187,10 +189,11 @@ def test_returned_lists_do_not_reach_the_memo(m4):
     strip = m4._derive(_strip)
     assert all(isinstance(f, tuple) for f in strip)
     assert all(isinstance(x, (int, tuple)) for f in strip for x in f)
-    assert strip.above[m4.edge_id[(0, 3)]] == 1 << 1  # vertex 1 lies above (0, 3)
-    order = _gr_order(m4, 0, 3)
+    assert strip.above[edge_ids(m4)[(0, 3)]] == 1 << 1  # vertex 1 lies above (0, 3)
+    order = m4._derive(_relation_order, 0, 3)
     assert isinstance(order, tuple)
-    assert star_to_star(m4, 0, 3).certified and _gr_order(m4, 0, 3) == order
+    assert (star_to_star(m4, 0, 3).certified
+            and m4._derive(_relation_order, 0, 3) == order)
 
 
 def test_failed_derivation_stores_nothing(m4):
@@ -199,16 +202,16 @@ def test_failed_derivation_stores_nothing(m4):
     (1, 3) crosses (0, 2): for centres 0 and 1, vertex 2 comes before 3
     and 3 before 2."""
     d = dataclasses.replace(m4)
-    ids, rows = d.edge_id, [0] * len(d.edges)
+    ids, rows = edge_ids(d), [0] * len(d.edges)
     for e, f in (((1, 2), (0, 3)), ((1, 3), (0, 2))):
         rows[ids[e]] |= 1 << ids[f]
         rows[ids[f]] |= 1 << ids[e]
     vars(d)["cross_mask"] = tuple(rows)
     for _ in range(2):
         with pytest.raises(RelationCyclicError):
-            _gr_order(d, 0, 1)
+            d._derive(_relation_order, 0, 1)
     assert list(d._derived) == [(_vertex_rows,)]  # read before the cycle was met
-    assert _gr_order(d, 0, 2) == (1, 3) and len(d._derived) == 2
+    assert d._derive(_relation_order, 0, 2) == (1, 3) and len(d._derived) == 2
 
 
 def test_replaced_drawing_starts_cold():

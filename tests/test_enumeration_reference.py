@@ -71,9 +71,7 @@ def _relation(n, edges, pairs):
     for i, j in pairs:
         rows[i] |= 1 << j
         rows[j] |= 1 << i
-    return SimpleNamespace(n=n, edges=tuple(edges),
-                           edge_id={e: i for i, e in enumerate(edges)},
-                           cross_mask=tuple(rows))
+    return SimpleNamespace(n=n, edges=tuple(edges), cross_mask=tuple(rows))
 
 
 @st.composite

@@ -244,7 +244,7 @@ def test_cli_every_inapplicable_error_exits_2(error, tmp_path, capsys,
     def inapplicable(d, g, r):
         raise error("no order")
 
-    monkeypatch.setattr(treespan.transforms, "_gr_order", inapplicable)
+    monkeypatch.setattr(treespan.transforms, "_relation_order", inapplicable)
     assert main(["transform", drawing, "--from", "0-1,0-2,0-3,0-4",
                  "--to", "0-1,1-2,1-3,1-4", "--method", "special"]) == 2
     err = json.loads(capsys.readouterr().err)
@@ -393,7 +393,7 @@ def test_cli_internal_invariant_exits_3(tmp_path, capsys, monkeypatch):
     def broken(d, g, r):
         raise InternalInvariantViolated("relation order lost a vertex")
 
-    monkeypatch.setattr(treespan.transforms, "_gr_order", broken)
+    monkeypatch.setattr(treespan.transforms, "_relation_order", broken)
     assert main(["transform", drawing, "--from", "0-1,0-2,0-3,0-4",
                  "--to", "0-1,1-2,1-3,1-4", "--method", "special"]) == 3
     assert _one_json_error(capsys) == {
@@ -527,6 +527,53 @@ def test_cli_malformed_sequence_is_one_json_error(path, value, sq_file,
     assert main(["certify", str(seq_path)]) == 1
     err = json.loads(capsys.readouterr().err)  # exactly one JSON object
     assert err["error"] == "invalid-input" and err["type"] == "FileFormatError"
+
+
+_DELETE = object()
+
+
+@pytest.mark.parametrize("doc, path, value, message", [
+    ("drawing", ("vertices", 0, 0), ["1", "0"], "bad rational"),
+    ("drawing", ("vertices", 0, 0), ["a", "1"], "bad rational"),
+    ("drawing", ("edges",), {}, "edges must be a list"),
+    ("drawing", ("edges", 0, "x"), 1, "bad edge entry"),
+    ("drawing", ("edges", 1), {"u": 1, "v": 0, "curve": []}, "duplicate edge (0, 1)"),
+    ("drawing", ("circles",), {"r_in2": ["1", "1"]}, "bad circles field"),
+    ("tree", (), "0-x", "bad edge '0-x'"),
+    ("sequence", ("extra",), 1, "unknown fields: ['extra']"),
+    ("sequence", ("method",), _DELETE, "missing field 'method'"),
+    ("sequence", ("trees",), [], "empty sequence"),
+    ("sequence", ("trees", 0), [[0, 1], [0, 1], [0, 2]], "duplicate edges"),
+], ids=["rational-zero", "rational-word", "edges-object", "edge-extra-key",
+        "edge-duplicate", "circles-no-r_out2", "tree-arg-word",
+        "sequence-unknown-field", "sequence-no-method", "certify-empty",
+        "certify-repeated-edge"])
+def test_cli_input_errors_exit_1(doc, path, value, message, sq_file, tmp_path,
+                                  capsys):
+    """Malformed drawing files, tree arguments and sequence files: each
+    exits 1 with one JSON object on stderr, named by its own message."""
+    docs = {"drawing": drawing_to_dict(polar_k3()),
+            "sequence": sequence_to_dict([((0, 1), (0, 2), (0, 3))], "manual",
+                                         True, drawing=sq_file)}
+    tree_arg = value if doc == "tree" else "0-1,0-2,0-3"
+    if doc in docs:
+        *parents, key = path
+        target = docs[doc]
+        for k in parents:
+            target = target[k]
+        if value is _DELETE:
+            del target[key]
+        else:
+            target[key] = value
+    dfile, sfile = tmp_path / "d.json", tmp_path / "s.json"
+    dfile.write_text(json.dumps(docs["drawing"]))
+    sfile.write_text(json.dumps(docs["sequence"]))
+    argv = {"drawing": ["validate", str(dfile)],
+            "tree": ["transform", sq_file, "--from", tree_arg, "--to", "0-1,1-2,1-3"],
+            "sequence": ["certify", str(sfile)]}[doc]
+    assert main(argv) == 1
+    err = _one_json_error(capsys)
+    assert err["error"] == "invalid-input" and message in err["message"], err
 
 
 def test_cli_render(tmp_path, capsys, k3_file):

@@ -193,6 +193,7 @@ def test_package_reads_one_crossing_form():
                       and node.value.id in _NOT_CERTIFICATES)]
     assert found == []
     assert not hasattr(Drawing, "crossings")
+    assert not hasattr(Drawing, "edge_id")  # ids are positions in d.edges
     assert {f.name for f in dataclasses.fields(TreeCert)} == {
         "spanning", "acyclic_connected", "plane", "mask", "conflict"}
     assert not hasattr(TreeCert, "kind")

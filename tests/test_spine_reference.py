@@ -29,7 +29,7 @@ from treespan.transforms import (
 )
 from treespan.trees import enumerate_plane_trees, tree_mask
 
-from conftest import P, polar_k2, polar_k4, polar_k5, straight_line_drawing
+from conftest import P, edge_ids, polar_k2, polar_k4, polar_k5, straight_line_drawing
 
 TREES_PER_DRAWING = 24
 
@@ -137,7 +137,7 @@ def test_corridor_step_reads_a_planted_fault(pk5):
 
     d = dataclasses.replace(pk5)
     strip = _strip(d)
-    e = d.edge_id[(1, 4)]
+    e = edge_ids(d)[(1, 4)]
     assert not strip.above[e] >> 3 & 1
     above = list(strip.above)
     above[e] |= 1 << 3

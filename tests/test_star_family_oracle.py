@@ -4,13 +4,16 @@ they replaced.
 The oracles below read a tree as a tuple of edges and build adjacency
 dicts from it; the flip oracle finds each flip's cycle by a DFS.  The
 library reads a tree's incidence table from ``(edges, mask)`` and finds the
-cycle edge with a union-find.  Both call forms, a bare edge tuple and a
-mask over a drawing's edges, must give the oracles' answers.
+cycle edge by rebuilding the tree with ``_retree``.  Both call forms, a
+bare edge tuple and a mask over a drawing's edges, must give the oracles'
+answers, and the flips must also equal those of the per-flip union-find
+loop in ``reference_trees``.
 """
 
 import itertools
 
 from treespan.drawing import complete_edges, edge
+from treespan.generators import GenSpec, fixture_bipartite_isolated, generate
 from treespan.rng import SplitMix64
 from treespan.trees import (
     classify_kind,
@@ -23,6 +26,7 @@ from treespan.trees import (
     twin_star_paths,
 )
 
+import reference_trees
 from test_compat import ORACLE_DRAWINGS
 from test_trees import all_spanning_trees, pruefer_decode
 
@@ -212,3 +216,23 @@ def test_flips_match_cycle_oracle():
                         == oracle_flips(t2, t1)), (t2, t1)
                 pairs += 1
     assert pairs > 10000
+
+
+def test_flips_match_union_find_reference():
+    """Every compatible ordered pair among the first 60 plane trees of
+    five drawing classes at n = 4..6, seeds 0 and 1, and of the bipartite
+    fixture (whose three trees are compatible only with themselves)."""
+    drawings = [generate(GenSpec(cls=cls, n=n, seed=seed))
+                for cls in ("convex", "random_points", "monotone_perturbed",
+                            "two_page", "strongly_cmonotone")
+                for n in (4, 5, 6) for seed in (0, 1)]
+    drawings.append(fixture_bipartite_isolated()[0])
+    pairs = 0
+    for d in drawings:
+        trees = enumerate_plane_trees(d)[:60]
+        for t1, t2 in itertools.product(trees, repeat=2):
+            if is_compatible(d, t1, t2):
+                assert (compatible_step_to_flips(d, t1, t2)
+                        == reference_trees.compatible_step_to_flips(d, t1, t2)), (t1, t2)
+                pairs += 1
+    assert pairs == 49480

@@ -18,8 +18,12 @@ from treespan.errors import (
     IncompatibleStepError,
     BadTreeError,
     InternalInvariantViolated,
+    MethodInapplicable,
+    NotCylindricalError,
     NotDoubleStarError,
+    NotMonotoneError,
     NotSpecialTreeError,
+    NotStronglyCMonotoneError,
     NotTwinStarError,
     TreespanError,
     UnknownEdgeError,
@@ -83,6 +87,23 @@ def test_certify_incompatible_step(sq):
 # ---------------------------------------------------------------------------
 # monotone
 # ---------------------------------------------------------------------------
+
+def test_unmet_preconditions_raise_their_own_errors(sq):
+    """A route handed no class structure, or a drawing outside its class,
+    is inapplicable; an unknown enumeration filter is a ValueError."""
+    star = ((0, 1), (0, 2), (0, 3))
+    table = [
+        (lambda: transform_cylindrical(sq, None, star, star), NotCylindricalError),
+        (lambda: monotone_to_spine(sq, None, star), NotMonotoneError),
+        (lambda: cmonotone_to_spine(sq, star), NotStronglyCMonotoneError),
+        (lambda: enumerate_plane_trees(sq, kind="x"), ValueError),
+    ]
+    for call, error in table:
+        with pytest.raises(error) as ex:
+            call()
+        assert type(ex.value) is error
+        assert isinstance(ex.value, MethodInapplicable) == (error is not ValueError)
+
 
 def test_m4_star_to_spine_trace(m4):
     spine = classify_monotone(m4)
