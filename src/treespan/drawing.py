@@ -19,19 +19,25 @@ A straight-line drawing (every curve the segment between its two vertex
 points) with no three vertices on a line is validated from its order type,
 the orientation of each vertex triple: it is always simple, and two
 disjoint edges cross iff the ends of each lie on opposite sides of the
-other.  A bent curve or a collinear triple sends the drawing through the
-generic pairwise curve-contact loop instead, which finds every fault.  A
-polar drawing runs the same loop in its angle-radius strip, where each
+other, so each edge's crossings are read from the wedges at the vertices
+on its left.  A bent curve or a collinear triple sends the drawing through
+the generic pairwise curve-contact loop instead, which finds every fault.
+A polar drawing runs the same loop in its angle-radius strip, where each
 curve is a polyline normalized to start within the first turn and the
 second curve of a pair is moved by each whole turn under which the two
 angle ranges meet; a vertex is lifted into a curve's frame before it is
-tested against that curve.
+tested against that curve.  ``generators.generate`` alone builds the rows
+of its candidates itself, checking only the pairs of curves sharing a
+vertex that the candidate's builder has not checked already; every other
+drawing is checked in full when ``cross_mask`` is first read.
 
 The structures the transformations read are derived once per drawing too,
 through ``Drawing._derive``: the monotone and c-monotone classifications.
 Each is an immutable value; the private builders ``_classify_monotone`` and
-``_classify_c_monotone`` compute it uncached.  A cylindrical classification carries the masks of
-its cycle paths and side edges.
+``_classify_c_monotone`` compute it uncached, comparing x-coordinates or
+curve-end angles scaled to integers by the lcm of their denominators.  A
+cylindrical classification carries the masks of its cycle paths and side
+edges.
 """
 
 from __future__ import annotations
@@ -59,7 +65,6 @@ from .geometry import (
     _self_contacts,
     _strip_contacts,
     curve_circle_crossing,
-    is_x_monotone,
     orient,
 )
 
@@ -318,7 +323,7 @@ def validate_simple(d: Drawing) -> ClassReport:
     return d._report
 
 
-def _crossing_rows(d: Drawing) -> Tuple[int, ...]:
+def _crossing_rows(d: Drawing, unchecked=None) -> Tuple[int, ...]:
     """``Drawing.cross_mask``: check the drawing is simple and build the
     crossing rows.  Every sign test runs on the drawing's integer image;
     the image and each curve's segment records are built here once and
@@ -330,7 +335,16 @@ def _crossing_rows(d: Drawing) -> Tuple[int, ...]:
     vertex triples alone.  Such a drawing is always simple, so no check
     below could fail on it.  Anything else (a bent curve, or a zero
     orientation) runs the generic curve-contact loop, which reports every
-    fault."""
+    fault.
+
+    ``unchecked`` is ``generators.generate``'s alone: the pairs of curves
+    sharing a vertex, each (e, f) with e before f in ``d.edges``, that the
+    candidate's builder did not check with ``_meet_only_at`` on its own
+    integers.  The loop checks those and takes every other such pair as
+    passed; the builder's integers differ from the image by a positive
+    factor per axis, or by a homeomorphism of the strip, so no verdict
+    changes.  Left at None, as on every other path to this function,
+    every pair is checked."""
     if d.n < 2:
         raise NotSimpleError("need at least 2 vertices")
     if d.graph[0] == "bipartite" and not (
@@ -372,9 +386,12 @@ def _crossing_rows(d: Drawing) -> Tuple[int, ...]:
         ri = recs[i]
         for j in range(i + 1, len(edges)):
             f = edges[j]
+            adjacent = u in f or v in f
+            if adjacent and unchecked is not None and (e, f) not in unchecked:
+                continue
             contacts = (_polyline_contacts(ri, recs[j], False) if cartesian
                         else _strip_contacts(ri, recs[j], img.turn, False))
-            if u in f or v in f:
+            if adjacent:
                 at = _in_frame(img, shared[u if u in f else v], ri)
                 if not _meet_only_at(contacts, at):
                     raise NotSimpleError("adjacent crossing or degenerate contact",
@@ -419,30 +436,46 @@ def _order_type_rows(points, edges) -> Optional[Tuple[int, ...]]:
     line a -> b; one orientation per vertex triple fills it.  With no three
     points on a line, segments sharing an end meet only there, no vertex
     touches a segment, and disjoint segments ab and cd cross, once, iff c
-    and d lie on opposite sides of ab and a and b on opposite sides of cd."""
+    and d lie on opposite sides of ab and a and b on opposite sides of cd.
+    So ab's row is read from the wedges at the vertices c left of it: the
+    edges cd with d right of ab and on one side of exactly one of the lines
+    a -> c and b -> c, which visits only crossing pairs."""
     n = len(points)
     left = [[0] * n for _ in range(n)]
     for a in range(n):
+        ax, ay = points[a]
         for b in range(a + 1, n):
+            dx, dy = points[b][0] - ax, points[b][1] - ay
             for c in range(b + 1, n):
-                o = orient(points[a], points[b], points[c])
+                cx, cy = points[c]
+                o = dx * (cy - ay) - dy * (cx - ax)
                 if o == 0:
                     return None
                 p, q = (a, b) if o > 0 else (b, a)  # p, q, c counterclockwise
                 left[p][q] |= 1 << c
                 left[q][c] |= 1 << p
                 left[c][p] |= 1 << q
-    rows = [0] * len(edges)
+    bit = [{} for _ in range(n)]  # bit[c][d]: the bit of edge cd
+    neighbours = [0] * n
     for i, (a, b) in enumerate(edges):
-        ab = left[a][b]
-        for j in range(i + 1, len(edges)):
-            c, d = f = edges[j]
-            if a in f or b in f:
-                continue
-            cd = left[c][d]
-            if ((ab >> c) ^ (ab >> d)) & ((cd >> a) ^ (cd >> b)) & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
+        bit[a][b] = bit[b][a] = 1 << i
+        neighbours[a] |= 1 << b
+        neighbours[b] |= 1 << a
+    rows = []
+    for a, b in edges:
+        left_a, left_b = left[a], left[b]
+        right, row = left_b[a], 0
+        wedge = left_a[b]
+        while wedge:  # bits() inlined, twice: this loop is the hot path
+            low = wedge & -wedge
+            c = low.bit_length() - 1
+            wedge ^= low
+            ends = right & (left_a[c] ^ left_b[c]) & neighbours[c]
+            while ends:
+                low = ends & -ends
+                row |= bit[c][low.bit_length() - 1]
+                ends ^= low
+        rows.append(row)
     return tuple(rows)
 
 
@@ -460,12 +493,21 @@ def classify_monotone(d: Drawing) -> Optional[SpineStructure]:
 def _classify_monotone(d: Drawing) -> Optional[SpineStructure]:
     if d.backend != "cartesian" or d.graph[0] != "complete":
         return None
-    xs = [p.x for p in d.vertex_points]
+    # every x-coordinate times the lcm of their denominators, which keeps
+    # their order; each Fraction once, keyed by id, as in ``_integer_image``
+    curves = d.curves.values()
+    distinct = {id(w.x): w.x for c in (d.vertex_points, *curves) for w in c}
+    scale = math.lcm(*{x.denominator for x in distinct.values()})
+    image = {k: x.numerator * (scale // x.denominator) for k, x in distinct.items()}
+    xs = [image[id(p.x)] for p in d.vertex_points]
     if len(set(xs)) != d.n:
         return None
-    if not all(is_x_monotone(c) for c in d.curves.values()):
-        return None
-    order = tuple(sorted(range(d.n), key=lambda v: xs[v]))
+    for c in curves:
+        cx = [image[id(w.x)] for w in c]
+        up = sorted(set(cx))  # cx itself, or reversed, iff x moves one way only
+        if cx != up and cx[::-1] != up:
+            return None
+    order = tuple(sorted(range(d.n), key=xs.__getitem__))
     spine = tuple(edge(order[i], order[i + 1]) for i in range(d.n - 1))
     return SpineStructure(kind="monotone", order=order, spine_edges=spine)
 
@@ -585,17 +627,6 @@ def classify_cylindrical(d: Drawing, r_in2: Rat, r_out2: Rat) -> Optional[CylRol
 # c-monotone drawings
 # ---------------------------------------------------------------------------
 
-def vertex_angles(d: Drawing) -> List[Rat]:
-    return [p[0] % 1 for p in d.vertex_points]
-
-
-def edge_span(d: Drawing, e: Edge) -> Tuple[Rat, Rat]:
-    """Closed angular span [t0, tn] of an edge's curve, t0 in [0, 1)."""
-    c = d.curves[e]
-    t0 = c[0].theta % 1
-    return t0, c[-1].theta - (c[0].theta - t0)
-
-
 def _spans_cover_circle(s1, s2, turn=1) -> bool:
     """Whether two spans (angles in units of 1/turn turns, each starting in
     [0, turn)) jointly cover the circle."""
@@ -603,6 +634,23 @@ def _spans_cover_circle(s1, s2, turn=1) -> bool:
     for k in (0, turn):
         if s2[0] + k <= comp_lo and s2[1] + k >= comp_hi:
             return True
+    return False
+
+
+def _covering_pair(spans, turn) -> bool:
+    """Whether two of the spans, taken as ``_spans_cover_circle`` takes
+    them, jointly cover the circle.  Two closed spans cover it only if
+    their lengths sum to a turn or more, so the spans are tried longest
+    first and each stops at the first partner too short for it."""
+    spans = sorted(spans, key=lambda s: s[0] - s[1])
+    for i, s in enumerate(spans):
+        need = turn - (s[1] - s[0])
+        for j in range(i + 1, len(spans)):
+            t = spans[j]
+            if t[1] - t[0] < need:
+                break
+            if _spans_cover_circle(s, t, turn):
+                return True
     return False
 
 
@@ -629,26 +677,26 @@ def _classify_c_monotone(d: Drawing):
     if d.graph[0] != "complete":
         return True, False, None
 
-    # spans and vertex angles scaled by the lcm of the span denominators;
-    # every vertex angle is a span end, so its denominator divides turn
-    spans = {e: edge_span(d, e) for e in d.edges}
-    turn = math.lcm(*{t.denominator for span in spans.values() for t in span})
+    # curve-end angles times the lcm of their denominators, each Fraction
+    # once; every vertex angle is a curve end up to whole turns, so its
+    # denominator divides turn
+    ends = [(c[0].theta, c[-1].theta) for c in map(d.curves.__getitem__, d.edges)]
+    distinct = {id(t): t for pair in ends for t in pair}
+    turn = math.lcm(*{t.denominator for t in distinct.values()})
+    image = {k: t.numerator * (turn // t.denominator) for k, t in distinct.items()}
+    spans = {}
+    for e, (t0, tn) in zip(d.edges, ends):
+        s0 = image[id(t0)]
+        lo = s0 % turn
+        spans[e] = (lo, image[id(tn)] - s0 + lo)
+    strongly = not _covering_pair(spans.values(), turn)
 
-    def scaled(t: Rat) -> int:
-        return t.numerator * (turn // t.denominator)
-
-    ints = {e: (scaled(t0), scaled(tn)) for e, (t0, tn) in spans.items()}
-    cover = list(ints.values())
-    strongly = not any(_spans_cover_circle(s, t, turn)
-                       for i, s in enumerate(cover) for t in cover[i + 1:])
-
-    angles = vertex_angles(d)
-    rays = [scaled(a) for a in angles]
-    order = tuple(sorted(range(d.n), key=lambda v: angles[v]))
+    rays = [p[0].numerator * (turn // p[0].denominator) % turn for p in d.vertex_points]
+    order = tuple(sorted(range(d.n), key=rays.__getitem__))
     cycle = {edge(order[i], order[(i + 1) % d.n]) for i in range(d.n)}  # one edge for n = 2
     spine = []
     for e in cycle:
-        t0, tn = ints[e]
+        t0, tn = spans[e]
         if not any(0 < (a - t0) % turn < tn - t0 for a in rays):
             spine.append(e)
     structure = SpineStructure(

@@ -19,7 +19,10 @@ curves sharing a vertex with validation's own rule for such a pair, on the
 flat integers, and the cylindrical builder each side curve with
 validation's rule for one curve, on its integer image; each rejects the
 candidate at the first fault: validation would reject it too, and these
-are nearly all of their rejects.
+are nearly all of their rejects.  A builder returns its candidate with the
+pairs sharing a vertex that it left unchecked (none, the rerouted seam's,
+or None from a builder that checks no pair), and ``generate`` validates
+the candidate once, checking those pairs alone.
 
 Points on circles come from the tangent half-angle parametrization
 t -> ((1-t^2), 2t) / (1+t^2), which is exactly on the unit circle for every
@@ -37,6 +40,7 @@ from typing import Dict, List, Optional, Tuple
 from .drawing import (
     Drawing,
     Edge,
+    _crossing_rows,
     _meet_only_at,
     classify_c_monotone,
     classify_cylindrical,
@@ -171,15 +175,17 @@ def _reject_adjacent_contact(pts, curves, skip: Optional[Edge] = None) -> None:
                     raise _Reject("adjacent crossing or degenerate contact")
 
 
-def _gen_monotone(n: int, rng: SplitMix64) -> Drawing:
+def _gen_monotone(n: int, rng: SplitMix64) -> Tuple[Drawing, frozenset]:
     """A monotone candidate, each coordinate one ``Fraction`` built after
-    the adjacent pairs pass."""
+    the adjacent pairs pass, and the adjacent pairs left unchecked: none.
+    The drawing is its integers over ``_DEN`` on both axes, so its image
+    differs from them by a positive factor per axis."""
     pts, curves = _monotone_ints(n, rng)
     _reject_adjacent_contact(pts, curves)
     points = tuple(Point(Fraction(x, _DEN), Fraction(y, _DEN)) for x, y in pts)
     return Drawing(n=n, backend="cartesian", vertex_points=points, curves={
         (u, v): (points[u], Point(Fraction(x, _DEN), Fraction(y, _DEN)), points[v])
-        for (u, v), (_, (x, y), _) in curves.items()})
+        for (u, v), (_, (x, y), _) in curves.items()}), frozenset()
 
 
 def _gen_two_page(n: int, rng: SplitMix64) -> Drawing:
@@ -300,8 +306,9 @@ def _gen_cylindrical(n: int, a: int, b: int, rng: SplitMix64) -> Drawing:
 # strongly c-monotone
 # ---------------------------------------------------------------------------
 
-def _gen_strongly_cmonotone(n: int, rng: SplitMix64) -> Drawing:
-    """Wrap a perturbed monotone drawing onto an annulus.
+def _gen_strongly_cmonotone(n: int, rng: SplitMix64) -> Tuple[Drawing, frozenset]:
+    """Wrap a perturbed monotone drawing onto an annulus; return it and
+    the adjacent pairs left unchecked, the seam's when it is rerouted.
 
     theta is the scaled x-coordinate; the radius is y minus the
     piecewise-linear baseline through the vertex points, lifted above zero.
@@ -317,7 +324,8 @@ def _gen_strongly_cmonotone(n: int, rng: SplitMix64) -> Drawing:
     two wrapped curves meet exactly where their flat curves do, and a pair
     sharing a vertex breaks validation's rule on the annulus iff it breaks
     it flat: the adjacent pairs are checked on the flat integers, the
-    rerouted seam aside."""
+    rerouted seam aside.  Every curve but the seam lies within the angles
+    [1/(4n), 1 - 1/(4n)], so no whole-turn shift of one meets another."""
     pts, flat = _monotone_ints(n, rng)
     reroute = rng.randint(0, 1) == 0
     order = sorted(range(n), key=lambda v: pts[v].x)
@@ -361,29 +369,34 @@ def _gen_strongly_cmonotone(n: int, rng: SplitMix64) -> Drawing:
             way.append(end)
         curves[e] = tuple(way)
 
+    unchecked = frozenset()
     if reroute:
         t_hi = points[order[-1]].theta
         t_lo = points[order[0]].theta + 1
         curves[seam] = (PolarPoint(t_hi, lift), PolarPoint((t_hi + t_lo) / 2, lift + jig),
                         PolarPoint(t_lo, lift))
+        unchecked = frozenset((min(seam, f), max(seam, f)) for f in complete_edges(n)
+                              if f != seam and (seam[0] in f or seam[1] in f))
 
-    return Drawing(n=n, backend="polar", vertex_points=points, curves=curves)
+    return Drawing(n=n, backend="polar", vertex_points=points, curves=curves), unchecked
 
 
 # ---------------------------------------------------------------------------
 # dispatch
 # ---------------------------------------------------------------------------
 
-_CLASSES = {  # class -> (builder, class check on the validated drawing)
-    "convex": (lambda spec, rng: _gen_convex(spec.n, rng),
+_CLASSES = {  # class -> (builder, class check on the validated drawing); a
+    # builder returns its candidate and the pairs of curves sharing a vertex
+    # that it left unchecked, or None when it checks none of them
+    "convex": (lambda spec, rng: (_gen_convex(spec.n, rng), None),
                lambda d: sum(row.bit_count() for row in d.cross_mask)
                == 2 * math.comb(d.n, 4)),
-    "random_points": (lambda spec, rng: _gen_random_points(spec.n, rng),
+    "random_points": (lambda spec, rng: (_gen_random_points(spec.n, rng), None),
                       lambda d: True),
     "monotone_perturbed": (lambda spec, rng: _gen_monotone(spec.n, rng),
                            lambda d: classify_monotone(d) is not None),
-    "two_page": (lambda spec, rng: _gen_two_page(spec.n, rng), classify_two_page),
-    "cylindrical": (lambda spec, rng: _gen_cylindrical(spec.n, spec.a, spec.b, rng),
+    "two_page": (lambda spec, rng: (_gen_two_page(spec.n, rng), None), classify_two_page),
+    "cylindrical": (lambda spec, rng: (_gen_cylindrical(spec.n, spec.a, spec.b, rng), None),
                     lambda d: classify_cylindrical(d, *d.circles) is not None),
     "strongly_cmonotone": (lambda spec, rng: _gen_strongly_cmonotone(spec.n, rng),
                            lambda d: classify_c_monotone(d)[1]),
@@ -392,15 +405,20 @@ _CLASSES = {  # class -> (builder, class check on the validated drawing)
 
 def generate(spec: GenSpec) -> Drawing:
     """Deterministic in (class, n, seed); resamples with fresh jitter until
-    the drawing validates and matches its class, within max_rejects."""
+    the drawing validates and matches its class, within max_rejects.
+
+    Each candidate's crossing matrix is built once, here, with the pairs of
+    curves sharing a vertex that its builder left unchecked: validation
+    checks only those of them."""
     if spec.cls not in _CLASSES:
         raise ValueError(f"unknown drawing class {spec.cls!r}")
     build, check = _CLASSES[spec.cls]
     rng = SplitMix64(spec.seed)
     for _ in range(spec.max_rejects):
         try:
-            d = build(spec, rng.split())
-            _ = d.cross_mask  # NotSimpleError; then only the class's own check
+            d, unchecked = build(spec, rng.split())
+            # NotSimpleError; then only the class's own check
+            vars(d)["cross_mask"] = _crossing_rows(d, unchecked)
             if check(d):
                 return d
         except (_Reject, NotSimpleError):

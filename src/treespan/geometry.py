@@ -293,10 +293,6 @@ def _x_direction(curve: CartesianCurve) -> int:
     return 0
 
 
-def is_x_monotone(curve: CartesianCurve) -> bool:
-    return _x_direction(curve) != 0
-
-
 def curve_eval(curve, at: Rat) -> Optional[Rat]:
     """y at x for an x-monotone cartesian curve, or r at theta (mod 1) for a
     polar curve: its strip polyline's y at theta lifted into the curve's

@@ -28,14 +28,13 @@ from treespan.drawing import (
     SpineStructure,
     classify_c_monotone,
     edge,
-    edge_span,
-    vertex_angles,
 )
 from treespan.errors import InternalInvariantViolated, MethodInapplicable, TreespanError
 from treespan.geometry import Point, Rat, curve_eval, lift_angle, normalize_polar
 from treespan.trees import _retree, conflict_mask, mask_tree, tree_mask
 
 from conftest import edge_ids
+from reference_drawing import edge_span, vertex_angles
 
 
 class EmptySetError(TreespanError):

@@ -133,8 +133,9 @@ def test_generate_classifies_each_candidate_once(monkeypatch):
 
     def recording_build(n, rng):
         attempts.append(None)  # stays None when the builder rejects
-        attempts[-1] = build(n, rng)
-        return attempts[-1]
+        built = build(n, rng)
+        attempts[-1] = built[0]
+        return built
 
     def counting_classify(d):
         classified.append(d)

@@ -2,15 +2,17 @@
 builders against their ``Fraction`` reference builders."""
 
 import copy
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
 
-from treespan import drawing
+from treespan import drawing, generators
 from treespan.compat import build_compat_graph
 from treespan.drawing import (
     classify_c_monotone,
     classify_cylindrical,
+    edge,
     validate_simple,
 )
 from treespan.errors import NotSimpleError, RejectionBudgetExceededError
@@ -103,7 +105,8 @@ def test_strongly_cmonotone_modes():
 
 
 def test_span_union_never_covers():
-    from treespan.drawing import edge_span, _spans_cover_circle
+    from reference_drawing import edge_span
+    from treespan.drawing import _spans_cover_circle
 
     d = generate(GenSpec(cls="strongly_cmonotone", n=7, seed=11))
     spans = {e: edge_span(d, e) for e in d.edges}
@@ -143,7 +146,7 @@ def test_builders_match_fraction_reference(cls):
                 except _Reject:
                     want = None
                 try:
-                    got = build(spec, twin)
+                    got, _ = build(spec, twin)
                 except _Reject:
                     if want is not None:
                         with pytest.raises(NotSimpleError):
@@ -157,15 +160,17 @@ def test_builders_match_fraction_reference(cls):
 
 
 def _crossing_row_calls(monkeypatch) -> list:
-    """The drawings ``drawing._crossing_rows`` runs on from now on."""
+    """The drawings ``_crossing_rows`` runs on from now on, whether
+    ``generate`` calls it or a ``cross_mask`` read."""
     calls = []
     crossing_rows = drawing._crossing_rows
 
-    def counting(d):
+    def counting(d, *unchecked):
         calls.append(d)
-        return crossing_rows(d)
+        return crossing_rows(d, *unchecked)
 
-    monkeypatch.setattr(drawing, "_crossing_rows", counting)
+    for module in (drawing, generators):
+        monkeypatch.setattr(module, "_crossing_rows", counting)
     return calls
 
 
@@ -186,6 +191,77 @@ def test_cylindrical_early_stop_spares_full_validation(monkeypatch, a, b, seed):
     calls = _crossing_row_calls(monkeypatch)
     d = generate(GenSpec(cls="cylindrical", n=a + b, seed=seed, a=a, b=b))
     assert calls == [d]
+
+
+def _meet_only_at_runs(monkeypatch) -> list:
+    """For each crossing-matrix build from now on: the drawing, and the
+    number of pairs of curves sharing a vertex that the build put through
+    ``drawing._meet_only_at``.  The builders call it too, under
+    ``generators``' own name, which these counts leave out."""
+    runs, calls = [], []
+    meet, crossing_rows = drawing._meet_only_at, drawing._crossing_rows
+
+    def counting_meet(contacts, at):
+        calls.append(None)
+        return meet(contacts, at)
+
+    def counting_rows(d, *unchecked):
+        calls.clear()
+        try:
+            return crossing_rows(d, *unchecked)
+        finally:
+            runs.append((d, len(calls)))
+
+    monkeypatch.setattr(drawing, "_meet_only_at", counting_meet)
+    for module in (drawing, generators):
+        monkeypatch.setattr(module, "_crossing_rows", counting_rows)
+    return runs
+
+
+def _rerouted(d) -> bool:
+    """Does the curve joining the least and the greatest vertex angle run
+    across angle 0, through the wedge no other curve enters?"""
+    order = sorted(range(d.n), key=lambda v: d.vertex_points[v].theta % 1)
+    return d.curves[edge(order[0], order[-1])][-1].theta > 1
+
+
+def _rebuilt(spec: GenSpec, d):
+    """d as its builder returns it outside ``generate``: the candidates of
+    spec's seed built again until one has d's curves."""
+    rng = SplitMix64(spec.seed)
+    while True:
+        try:
+            built, _ = _CLASSES[spec.cls][0](spec, rng.split())
+        except _Reject:
+            continue
+        if built.curves == d.curves:
+            return built
+
+
+@pytest.mark.parametrize("cls", ["monotone_perturbed", "strongly_cmonotone"])
+def test_validation_checks_the_pairs_the_builder_left(monkeypatch, cls):
+    """Within ``generate``, validating a candidate puts through the
+    adjacent-pair rule exactly the pairs its builder did not check: the
+    2(n - 2) pairs of a rerouted seam, none on other candidates.  A copy,
+    or the builder's output read outside ``generate``, checks all
+    n(n - 1)(n - 2)/2 of them.  Leaving the seam's pairs unchecked changes
+    no verdict on these seeds, so only this count tells."""
+    runs, kinds = _meet_only_at_runs(monkeypatch), set()
+    for n in range(3, 9):
+        every = n * (n - 1) * (n - 2) // 2
+        for seed in range(6):
+            runs.clear()
+            d = generate(GenSpec(cls=cls, n=n, seed=seed))
+            assert runs[-1][0] is d
+            for candidate, count in runs:
+                rerouted = cls == "strongly_cmonotone" and _rerouted(candidate)
+                assert count == (2 * (n - 2) if rerouted else 0)
+                kinds.add(rerouted)
+            runs.clear()
+            _ = dataclasses.replace(d).cross_mask
+            _ = _rebuilt(GenSpec(cls=cls, n=n, seed=seed), d).cross_mask
+            assert [count for _, count in runs] == [every, every]
+    assert kinds == ({False, True} if cls == "strongly_cmonotone" else {False})
 
 
 def test_invalid_spec():

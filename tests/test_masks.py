@@ -210,6 +210,45 @@ def test_package_reads_one_crossing_form():
     assert not imported & {"lift_angle", "edge_span", "span_contains", "vertex_angles"}
 
 
+def _calls_by_function(path: pathlib.Path) -> list:
+    """(enclosing function, called name, call node) for every call in the
+    module whose callee is a plain or dotted name."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                name = getattr(child.func, "id", None) or getattr(child.func, "attr", None)
+                if name:
+                    found.append((owner, name, child))
+            visit(child, owner)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), None)
+    return found
+
+
+def test_one_handoff_and_integer_class_checks():
+    """Only ``generators.generate`` hands ``_crossing_rows`` the pairs a
+    builder left unchecked; every other call, ``cross_mask``'s among them,
+    passes the drawing alone and checks every pair.  The monotone and
+    c-monotone class checks compare integers: they call none of the
+    ``Fraction`` angle, span and monotonicity helpers."""
+    package = pathlib.Path(treespan.__file__).parent
+    calls = {p.stem: _calls_by_function(p) for p in sorted(package.glob("*.py"))}
+    handing = [f"{module}.{owner}" for module, found in calls.items()
+               for owner, name, node in found
+               if name == "_crossing_rows" and (len(node.args) > 1 or node.keywords)]
+    assert handing == ["generators.generate"]
+    assert [owner for owner, name, _ in calls["drawing"] if name == "_crossing_rows"] == [
+        "cross_mask"]
+    called = {name for owner, name, _ in calls["drawing"]
+              if owner in ("_classify_monotone", "_classify_c_monotone")}
+    assert called and not called & {"edge_span", "vertex_angles", "is_x_monotone"}
+
+
 def test_only_generators_and_fileio_build_drawings():
     """A Drawing comes from a generator or a file: the spine route reads a
     strongly c-monotone drawing as it is, and builds no flat copy.  So the

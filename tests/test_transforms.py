@@ -12,6 +12,7 @@ from treespan.drawing import (
     classify_c_monotone,
     classify_cylindrical,
     classify_monotone,
+    edge,
     validate_simple,
 )
 from treespan.errors import (
@@ -298,6 +299,51 @@ def test_cylindrical_one_circle(n, step):
             assert seq.trees[0] == t1 and seq.trees[-1] == t2 and len(seq) <= 3
             if len(seq) == 3:
                 assert seq.trees[1] == path
+
+
+def _crossed_cycle_edge_k4(label=(0, 1, 2, 3)) -> Drawing:
+    """One inner vertex, 0 at 180 degrees, and outer vertices 2 (about
+    127), 1 (180) and 3 (about 233): cycle edge 23 runs through the annulus
+    below vertex 1, so side edge 01 crosses it once.  Outer edges 12 and 13
+    bend outside the outer circle; the other side edges are segments.
+    Vertex v is named ``label[v]``."""
+    pts = (P(-1, 0), P(-2, 0), P(F(-6, 5), F(8, 5)), P(F(-6, 5), F(-8, 5)))
+    curves = {
+        (0, 1): (pts[0], pts[1]),
+        (0, 2): (pts[0], pts[2]),
+        (0, 3): (pts[0], pts[3]),
+        (1, 2): (pts[1], P(F(-5, 2), 1), P(F(-3, 2), F(5, 2)), pts[2]),
+        (1, 3): (pts[1], P(F(-5, 2), -1), P(F(-3, 2), F(-5, 2)), pts[3]),
+        (2, 3): (pts[2], P(F(-3, 2), F(1, 2)), P(F(-3, 2), F(-1, 2)), pts[3]),
+    }
+    named = [None] * 4
+    for v, p in enumerate(pts):
+        named[label[v]] = p
+    return Drawing(n=4, backend="cartesian", vertex_points=tuple(named),
+                   curves={edge(label[u], label[v]): c for (u, v), c in curves.items()},
+                   circles=(F(1), F(4)))
+
+
+@pytest.mark.parametrize("label, crossed, outer_path", [
+    ((0, 1, 2, 3), (2, 3), ((1, 2), (1, 3))),
+    ((0, 3, 2, 1), (1, 2), ((2, 3), (1, 3))),  # not the greatest cycle edge
+])
+def test_cylindrical_crossed_cycle_edge(label, crossed, outer_path):
+    """A cycle edge crossed by a side edge is reported, the outer path
+    drops it, and every ordered pair of plane trees is certified."""
+    d = _crossed_cycle_edge_k4(label)
+    roles = validate_simple(d).is_cylindrical
+    assert d.crossing_pairs() == [tuple(sorted([edge(0, label[1]), crossed]))]
+    assert roles.crossed_cycle_edges == (crossed,)
+    assert roles.inner_vertices == (0,) and roles.outer_vertices == (1, 2, 3)
+    assert roles.outer_path == outer_path and roles.inner_path == ()
+    trees = enumerate_plane_trees(d)
+    assert len(trees) > 1
+    for t1 in trees:
+        for t2 in trees:
+            seq = transform_cylindrical(d, roles, t1, t2)
+            assert seq.certified and seq.trees[0] == t1 and seq.trees[-1] == t2
+            assert len(seq) <= 5
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,15 @@ strongly c-monotone ones built by the ``Fraction`` reference builders of
 crossing matrix, or the same ``NotSimpleError`` reason and pair.  So must
 straight-line drawings on a small grid, which take the order-type path in
 general position and the pair loop otherwise.  A count of segment tests
-pins the box pruning of the pair loop.
+pins the box pruning of the pair loop.  The rows ``generate`` builds, with
+the adjacent pairs its builders checked taken as passed, must equal a full
+check's; the wedge-read order-type rows and the integer class checks must
+equal their references in ``reference_drawing``.
 """
 
+import dataclasses
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -26,14 +31,17 @@ import treespan.drawing
 from treespan import geometry
 from treespan.drawing import (
     Drawing,
+    _classify_monotone,
+    _covering_pair,
+    _crossing_rows,
+    _integer_image,
+    _order_type_rows,
     _spans_cover_circle,
     bipartite_edges,
     classify_c_monotone,
     complete_edges,
     edge,
-    edge_span,
     validate_simple,
-    vertex_angles,
 )
 from treespan.errors import NotSimpleError
 from treespan.generators import _CLASSES, GenSpec, _Reject, generate
@@ -51,6 +59,7 @@ from treespan.geometry import (
 from treespan.rng import SplitMix64
 
 from conftest import polar_k3, polar_k4, polar_k5
+from reference_drawing import classify_monotone, edge_span, order_type_rows, vertex_angles
 from reference_generators import REFERENCE
 from reference_spine import span_contains
 
@@ -489,7 +498,7 @@ def _raw_candidates(cls, n, shape, seeds=range(3), per_seed=5):
     any validation or class check.  The monotone and strongly c-monotone
     ones come from the reference builders, which do not stop at an
     adjacent contact, so the rejected candidates stay in the grid."""
-    build = REFERENCE.get(cls, _CLASSES[cls][0])
+    build = REFERENCE.get(cls) or (lambda spec, rng: _CLASSES[cls][0](spec, rng)[0])
     out = []
     for seed in seeds:
         a, b = shape or (None, None)
@@ -622,3 +631,118 @@ def test_validation_prunes_segment_pairs(monkeypatch):
              for s, t in _segment_tests(monkeypatch, d)}
     assert pairs and all(meet(e, f) for e, f in pairs)
     assert not all(meet(e, f) for i, e in enumerate(d.edges) for f in d.edges[i + 1:])
+
+
+# ---------------------------------------------------------------------------
+# generated rows against the full check
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("cls", sorted(_CLASSES))
+def test_generated_rows_match_full_check(cls):
+    """``generate`` builds each candidate's rows checking only the pairs
+    sharing a vertex that its builder left unchecked; a
+    ``dataclasses.replace`` copy builds them with every check.  Both give
+    the same rows for n = 3-9 and seeds 0-4 (cylindrical shapes with three
+    outer vertices or fewer, which every seed here reaches), and the
+    oracle gives the same crossing pairs for seed n mod 5 of each n."""
+    for n in range(3, 10):
+        a, b = (n - min(3, n - 1), min(3, n - 1)) if cls == "cylindrical" else (None, None)
+        for seed in range(5):
+            d = generate(GenSpec(cls=cls, n=n, seed=seed, a=a, b=b))
+            copy = dataclasses.replace(d)
+            assert "cross_mask" not in vars(copy)
+            assert _crossing_rows(copy) == d.cross_mask
+            if seed == n % 5:
+                assert d.crossing_pairs() == oracle_validate(_fresh(d))
+
+
+# ---------------------------------------------------------------------------
+# wedge rows and integer class checks against their references
+# ---------------------------------------------------------------------------
+
+def test_wedge_rows_match_pair_loop_on_generated_points():
+    """The rows read from wedges are the pair loop's on the integer images
+    of convex and random_points drawings, n = 3-12, seeds 0-9."""
+    for cls in ("convex", "random_points"):
+        for n in range(3, 13):
+            for seed in range(10):
+                d = generate(GenSpec(cls=cls, n=n, seed=seed))
+                points = _integer_image(d, curves=False).points
+                rows = _order_type_rows(points, d.edges)
+                assert rows is not None
+                assert rows == order_type_rows(points, d.edges) == d.cross_mask
+
+
+def test_wedge_rows_match_pair_loop_on_edge_subsets():
+    """Bipartite and partial edge sets on random points, with three points
+    on a line (both give None) and without: a vertex left of an edge may
+    have no edge to the vertices right of it."""
+    rng = random.Random(7)
+    seen = {"bipartite": 0, "partial": 0, "collinear": 0}
+    for _ in range(300):
+        n = rng.randint(3, 9)
+        side = rng.choice((4, 1000))
+        points = set()
+        while len(points) < n:
+            points.add(Point(rng.randrange(side), rng.randrange(side)))
+        points = list(points)
+        if rng.random() < 0.5:
+            a = rng.randint(1, n - 1)
+            edges, kind = bipartite_edges(a, n - a), "bipartite"
+        else:
+            edges = sorted(rng.sample(complete_edges(n), rng.randint(1, n * (n - 1) // 2)))
+            kind = "partial"
+        rows = _order_type_rows(points, edges)
+        assert rows == order_type_rows(points, edges)
+        if rows is None:
+            seen["collinear"] += 1
+        elif any(rows):
+            seen[kind] += 1
+    assert all(seen.values()), seen
+
+
+def test_monotone_class_matches_fraction_reference():
+    """``_classify_monotone`` compares x-coordinates scaled to integers; the
+    reference compares the ``Fraction``s with ``is_x_monotone``.  They agree
+    on the cartesian raw candidates and on hand-built curves: two vertices
+    at one x, a vertical segment, a curve that turns back, and curves
+    listed from right to left."""
+    pts = (Point(F(0), F(0)), Point(F(1, 3), F(2)), Point(F(2), F(1, 2)))
+    cases = [
+        _cartesian(pts, {}),
+        _cartesian(pts, {(0, 2): (Point(F(1), F(1)), Point(F(1), F(-1)))}),   # vertical
+        _cartesian(pts, {(0, 1): (Point(F(1, 2), F(1)),)}),                    # turns back
+        _cartesian(pts, {(1, 2): (Point(F(2), F(1)),)}),                       # vertical at an end
+        _cartesian((pts[0], Point(F(0), F(2)), pts[2]), {}),                   # one x, two vertices
+        _straight(pts, backwards={(0, 1), (0, 2)}),
+        _straight(pts, backwards={(0, 2)}),
+    ]
+    for cls, n, shape in RAW_GRID:
+        if cls != "strongly_cmonotone":
+            cases += _raw_candidates(cls, n, shape, seeds=range(2), per_seed=3)
+    verdicts = [_classify_monotone(d) for d in cases]
+    assert verdicts == [classify_monotone(d) for d in cases]
+    assert verdicts[0] is not None and verdicts[1:5] == [None] * 4
+    assert None not in verdicts[5:7]
+
+
+def test_covering_pair_stops_only_below_a_turn():
+    """Two closed spans whose lengths sum to exactly a turn can cover the
+    circle, so a row stops only at a partner whose length falls short of
+    that; every covering pair among random spans is found."""
+    assert _covering_pair([(3, 4), (0, 5), (5, 12)], 12)      # 5 + 7 = 12, covers
+    assert not _covering_pair([(3, 4), (0, 5), (5, 11)], 12)  # 5 + 6 = 11
+    assert not _covering_pair([(0, 6), (6, 11), (11, 16)], 12)
+    rng = random.Random(3)
+    found = set()
+    for _ in range(500):
+        turn = rng.choice((6, 12, 60))
+        spans = []
+        for _ in range(rng.randint(2, 8)):
+            lo = rng.randrange(turn)
+            spans.append((lo, lo + rng.randrange(turn)))
+        want = any(_spans_cover_circle(s, t, turn)
+                   for i, s in enumerate(spans) for t in spans[i + 1:])
+        assert _covering_pair(spans, turn) == want
+        found.add(want)
+    assert found == {True, False}
