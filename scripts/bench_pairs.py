@@ -7,11 +7,13 @@
 Exports ``--parent`` with ``git archive`` and ``tar`` into a temporary
 directory and runs ``perfbench/run.py`` of each side, each importing its
 own ``src/``, for ``BENCHMARK.json``'s ``run_seconds``.  For each
-``--workload`` in turn it runs ``--pairs`` pairs, alternating which side
-goes first (the parent on odd pairs).  Pair k uses the k-th ``--seed``,
-cycling.  For every end-to-end metric of ``BENCHMARK.json`` it prints each
-side's median and quartiles over the finished pairs, the pairs the change
-won and a verdict:
+``--workload`` in turn it runs ``--pairs`` pairs.  With S ``--seed``
+values, pair k is round k // S of the seed at position k % S, so the seeds
+cycle.  The parent goes first when the round plus the seed's position is
+even: each seed alternates the order, and when ``--pairs`` is a multiple
+of 2 S every seed runs each side first equally often.  For every
+end-to-end metric of ``BENCHMARK.json`` it prints each side's median and
+quartiles over the finished pairs, the pairs the change won and a verdict:
 
 - ``gain``: the change won at least nine tenths of the pairs (ties count
   for neither side) and the medians differ, its way, by more than the
@@ -105,8 +107,10 @@ def run_pairs(roots: Dict[str, str], workload: str, pairs: int,
     runs: Dict[str, List[dict]] = {"parent": [], "change": []}
     bad = 0
     for k in range(pairs):
-        seed = seeds[k % len(seeds)]
-        order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+        round_, position = divmod(k, len(seeds))
+        seed = seeds[position]
+        order = (("parent", "change") if (round_ + position) % 2 == 0
+                 else ("change", "parent"))
         pair = {}
         for side in order:
             result = run_side(roots[side], workload, seed, seconds)

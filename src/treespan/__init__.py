@@ -7,11 +7,12 @@ strongly c-monotone drawings, plus the star/double-star/twin-star family
 in arbitrary simple drawings.
 """
 
-from .compat import CompatGraph, analyze, bfs_distance, build_compat_graph
+from .compat import CompatGraph, analyze, build_compat_graph
 from .drawing import (
     ClassReport,
     CylRoles,
     Drawing,
+    Relation,
     SpineStructure,
     classify_c_monotone,
     classify_cylindrical,
@@ -49,7 +50,6 @@ from .transforms import (
 from .trees import (
     TreeCert,
     canon_tree,
-    check_tree,
     compatible_step_to_flips,
     enumerate_plane_trees,
     is_compatible,

@@ -1,6 +1,7 @@
 """Compatibility graph of plane spanning trees, kept on twin classes.
 
-A graph stores its trees as edge masks over the drawing's ``edges``.
+A graph is built from a ``Relation``, a drawing's crossing relation or
+one given as rows, and stores its trees as edge masks over its ``edges``.
 ``nodes``, their canonical edge tuples (the public tree type), and
 ``index``, keyed by those tuples, are built the first time they are read.
 
@@ -17,8 +18,7 @@ testing class pairs: ``holders[e]`` is the bitset of classes whose first
 tree contains edge e, and class a is compatible with every class outside
 the union of the holder sets of the edges in its conflict mask.  The
 tree-level ``adjacency`` is a view built from the class rows when first
-read; ``degree``, ``edge_count`` and ``bfs_distance`` work on the classes
-and their sizes.
+read; ``degree`` and ``edge_count`` work on the classes and their sizes.
 
 ``analyze`` runs on the class rows and expands its result to trees.  Trees
 of different classes are as far apart as their classes, and two trees of
@@ -36,11 +36,10 @@ A level costs at most deg(v) ORs per class still growing, where a search
 from v pays one OR for every class it reaches; a class next to a finished
 one finishes without any OR.  A finished class keeps a reference to its
 component, so beyond the class rows the growth holds two balls per growing
-class, the previous level's and the new one.  One BFS, cut short once it
-reaches its goal, serves both the component sweep (the goal is every class
-not yet placed, so on a connected graph the sweep ends as soon as all
-classes are reached) and ``bfs_distance`` (the goal is the target class);
-the tests use it as the ball growth's oracle.
+class, the previous level's and the new one.  The component sweep runs
+one BFS per component, cut short once it reaches every class not yet
+placed, so on a connected graph it ends as soon as all classes are
+reached; the tests use the same BFS as the ball growth's oracle.
 """
 
 from __future__ import annotations
@@ -50,14 +49,14 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
-from .drawing import Drawing, Edge, bits
+from .drawing import Edge, Relation, bits
 from .errors import NodeMissingError
 from .trees import Tree, _plane_masks, canon_tree, mask_tree
 
 
 @dataclass
 class CompatGraph:
-    edges: Tuple[Edge, ...]        # the drawing's edges: bit i is edges[i]
+    edges: Tuple[Edge, ...]        # the relation's edges: bit i is edges[i]
     masks: List[int]               # node i is the tree masks[i]
     class_of: List[int]            # node -> twin class
     class_rows: List[int]          # bit b of row a: classes a != b compatible
@@ -120,7 +119,7 @@ class CompatAnalysis:
     component_diameters: Tuple[int, ...]
 
 
-def build_compat_graph(d: Drawing, restricted: bool = False,
+def build_compat_graph(d: Relation, restricted: bool = False,
                        limit: Optional[int] = None) -> CompatGraph:
     masks = _plane_masks(d, kind="special" if restricted else "all",
                          limit=limit)
@@ -252,13 +251,3 @@ def analyze(g: CompatGraph) -> CompatAnalysis:
                           component_of=tuple(component_of[c] for c in class_of),
                           component_diameters=tuple(comp_diam))
 
-
-def bfs_distance(g: CompatGraph, t1, t2):
-    """Shortest-path length between two trees, math.inf if no path."""
-    i, j = g._position(t1), g._position(t2)
-    if i == j:
-        return 0
-    a, b = g.class_of[i], g.class_of[j]
-    if a == b:
-        return 1
-    return _bfs(g.class_rows, a, 1 << b)[0]

@@ -1,19 +1,21 @@
-"""Drawing data model, simple-drawing validation and class recognition.
+"""Crossing relations, drawings, simple-drawing validation and classes.
 
-A Drawing holds one explicit curve per edge of a complete (or complete
-bipartite) graph and derives an exact crossing matrix from them.  The
-class recognition the transformation algorithms rely on (spine paths and
-cylindrical roles) lives here; what a round of the spine route reads of the
-curves, ``transforms`` builds itself.
-
-A Drawing is immutable; its edge tuple, the bit of each edge in either
-orientation, crossing matrix (whose construction is the simple-drawing
-check) and class report are computed on first use and kept.  Two plain
-dicts set at construction are its memos: the tree certificates, and the
-structures ``Drawing._derive`` builds.  The crossing matrix is one int
-per edge: edge ids are positions in the sorted edge list, and bit j of
+A Relation is n vertices, an edge tuple and a crossing matrix of one int
+per edge: edge ids are positions in the edge tuple, and bit j of
 ``cross_mask[i]`` is set when edges i and j cross.  ``crossing_pairs()``
-is a view.
+is a view.  Enumeration, compatibility graphs, certification and the
+star-family transformations read a relation and nothing more.  A Relation
+is immutable; the bit of each edge in either orientation is computed on
+first use and kept, and two plain dicts set at construction are its memos:
+the tree certificates, and the structures ``Relation._derive`` builds.
+
+A Drawing is a relation that holds one explicit curve per edge of a
+complete (or complete bipartite) graph.  Its sorted edge tuple, crossing
+matrix (whose construction is the simple-drawing check) and class report
+are computed from the curves on first use and kept.  The class
+recognition the transformation algorithms rely on (spine paths and
+cylindrical roles) lives here; what a round of the spine route reads of
+the curves, ``transforms`` builds itself.
 
 A straight-line drawing (every curve the segment between its two vertex
 points) with no three vertices on a line is validated from its order type,
@@ -32,7 +34,7 @@ vertex that the candidate's builder has not checked already; every other
 drawing is checked in full when ``cross_mask`` is first read.
 
 The structures the transformations read are derived once per drawing too,
-through ``Drawing._derive``: the monotone and c-monotone classifications.
+through ``Relation._derive``: the monotone and c-monotone classifications.
 Each is an immutable value; the private builders ``_classify_monotone`` and
 ``_classify_c_monotone`` compute it uncached, comparing x-coordinates or
 curve-end angles scaled to integers by the lcm of their denominators.  A
@@ -44,10 +46,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Tuple
 
 from .errors import (
     InternalInvariantViolated,
@@ -93,8 +95,61 @@ def bipartite_edges(a: int, b: int) -> List[Edge]:
     return [(u, v) for u in range(a) for v in range(a, a + b)]
 
 
+class Relation:
+    """n vertices, ``edges`` and their crossing rows ``cross_mask``.  The
+    constructor copies its inputs into tuples and checks nothing, so any
+    symmetric relation on any edge subset is one, an edge crossing itself
+    included.  A ``Drawing`` is one, built from its curves."""
+
+    def __init__(self, n: int, edges: Iterable[Edge], cross_mask: Iterable[int]):
+        fields = self.__dict__
+        fields["n"] = n
+        fields["edges"] = tuple(map(tuple, edges))
+        fields["cross_mask"] = tuple(cross_mask)
+        self.__post_init__()
+
+    def __post_init__(self):
+        # memos, not fields: mask -> TreeCert (``trees.check_mask``) and
+        # (builder, *args) -> its value (``_derive``)
+        self.__dict__.update(_cert_cache={}, _derived={})
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return f"Relation(n={self.n}, edges={self.edges}, cross_mask={self.cross_mask})"
+
+    @functools.cached_property
+    def _edge_bit(self) -> Dict[Edge, int]:
+        """(u, v) and (v, u) -> the edge's bit in masks, ``1 << i`` for ``edges[i]``."""
+        table = {}
+        for i, (u, v) in enumerate(self.edges):
+            table[u, v] = table[v, u] = 1 << i
+        return table
+
+    def _derive(self, build, *args):
+        """A structure fixed by the relation, built on the first request and
+        kept.  Builders return immutable values; one that raises stores
+        nothing."""
+        key = (build, *args)
+        memo = self._derived
+        try:
+            return memo[key]
+        except KeyError:
+            value = memo[key] = build(self, *args)
+            return value
+
+    def crossing_pairs(self) -> List[Tuple[Edge, Edge]]:
+        edges = self.edges
+        return [(e, edges[j]) for i, (e, row) in enumerate(zip(edges, self.cross_mask))
+                for j in bits(row) if j > i]
+
+
 @dataclass(frozen=True)
-class Drawing:
+class Drawing(Relation):
     """n vertices plus one curve per edge.  ``graph`` is ("complete",) or
     ("bipartite", a, b); ``backend`` is "cartesian" or "polar".  For the
     polar backend vertex points are (theta, r) pairs in rational turns and
@@ -111,10 +166,7 @@ class Drawing:
 
     def __post_init__(self):
         object.__setattr__(self, "curves", MappingProxyType(dict(self.curves)))
-        # memos, not fields: mask -> TreeCert (``trees.check_mask``) and
-        # (builder, *args) -> its value (``_derive``)
-        object.__setattr__(self, "_cert_cache", {})
-        object.__setattr__(self, "_derived", {})
+        super().__post_init__()
 
     @functools.cached_property
     def edges(self) -> Tuple[Edge, ...]:
@@ -127,31 +179,11 @@ class Drawing:
         return bipartite_edges(a, b)
 
     @functools.cached_property
-    def _edge_bit(self) -> Dict[Edge, int]:
-        """(u, v) and (v, u) -> the edge's bit in masks, ``1 << i`` for ``edges[i]``."""
-        table = {}
-        for i, (u, v) in enumerate(self.edges):
-            table[u, v] = table[v, u] = 1 << i
-        return table
-
-    @functools.cached_property
     def cross_mask(self) -> Tuple[int, ...]:
         """Row i has bit j set when edges i and j properly cross.  Building
         it confirms every simple-drawing invariant and raises NotSimpleError
         on a violation."""
         return _crossing_rows(self)
-
-    def _derive(self, build, *args):
-        """A structure fixed by the drawing, built on the first request and
-        kept.  Builders return immutable values; one that raises stores
-        nothing."""
-        key = (build, *args)
-        memo = self._derived
-        try:
-            return memo[key]
-        except KeyError:
-            value = memo[key] = build(self, *args)
-            return value
 
     @functools.cached_property
     def _report(self) -> ClassReport:
@@ -170,11 +202,6 @@ class Drawing:
             is_c_monotone=c_mono,
             is_strongly_c_monotone=strongly,
         )
-
-    def crossing_pairs(self) -> List[Tuple[Edge, Edge]]:
-        edges = self.edges
-        return [(e, edges[j]) for i, (e, row) in enumerate(zip(edges, self.cross_mask))
-                for j in bits(row) if j > i]
 
 
 @dataclass(frozen=True)

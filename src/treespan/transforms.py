@@ -12,7 +12,8 @@ one strip table per drawing (``_strip``): for each gap between
 consecutive vertices the edges spanning it from lowest to highest, and
 for each edge the vertices and the non-crossing edges above it.
 Building the table is the only curve evaluation on the route; a round
-and its certificates work on masks.
+and its certificates work on masks.  Certification and the star family
+read a ``Relation`` alone; the cylindrical and spine routes, a ``Drawing``.
 Each public call turns its input trees into edge masks once, works on masks
 throughout (nested steps are private cores returning mask lists), and
 certifies its own output exactly once, in ``_certified``.  The drawing's
@@ -26,7 +27,7 @@ each spine's masks, each ordered centre pair's relation order (read as
 ``d._derive(_relation_order, g, r)``) and flip pairs (the bits of gv and
 rv for each v, in the order the g-leaves move),
 the cylindrical path and side masks, each tree's conflict mask (its
-certificate), the edge-bit table ``Drawing._edge_bit`` (both orientations
+certificate), the edge-bit table ``Relation._edge_bit`` (both orientations
 of each edge -> its bit, read wherever one edge's bit is wanted) and the
 vertex rows ``trees._vertex_rows`` (each vertex's edges as a mask: a
 tree's incidence is one AND per vertex, and the star at c is c's row).
@@ -44,6 +45,7 @@ from .drawing import (
     CylRoles,
     Drawing,
     Edge,
+    Relation,
     SpineStructure,
     bits,
     classify_c_monotone,
@@ -81,7 +83,7 @@ from .trees import (
 
 @dataclass(frozen=True, init=False)
 class TransformSequence:
-    edges: Tuple[Edge, ...]        # the drawing's edges: bit i is edges[i]
+    edges: Tuple[Edge, ...]        # the relation's edges: bit i is edges[i]
     masks: Tuple[int, ...]
     method: str
     certified: ClassVar[bool] = True  # only _certified builds sequences
@@ -104,7 +106,7 @@ class TransformSequence:
         return len(self.masks) - 1
 
 
-def certify_sequence(d: Drawing, trees: Sequence[Iterable[Edge]],
+def certify_sequence(d: Relation, trees: Sequence[Iterable[Edge]],
                      method: str = "manual") -> TransformSequence:
     """Verify every tree is plane spanning and every consecutive pair is
     compatible; raises BadTreeError / IncompatibleStepError otherwise."""
@@ -113,7 +115,7 @@ def certify_sequence(d: Drawing, trees: Sequence[Iterable[Edge]],
     return _certified(d, [tree_mask(d, t) for t in trees], method)
 
 
-def _certified(d: Drawing, masks: List[int], method: str) -> TransformSequence:
+def _certified(d: Relation, masks: List[int], method: str) -> TransformSequence:
     """certify_sequence on masks: the one certification of each call.
     Each tree is one read of the drawing's cache, certified by
     ``check_mask`` on a miss.  Every tree is checked before the first
@@ -396,7 +398,7 @@ def _run_path(d: Drawing, strip: _Strip, lower: Optional[int],
 # star family
 # ---------------------------------------------------------------------------
 
-def _star(d: Drawing, c: int) -> int:
+def _star(d: Relation, c: int) -> int:
     """The mask of the star at c: its vertex row, when the row holds an
     edge to every other vertex; else tree_mask names the missing edge."""
     row = d._derive(_vertex_rows)[c]
@@ -405,7 +407,7 @@ def _star(d: Drawing, c: int) -> int:
     return tree_mask(d, [(c, v) for v in range(d.n) if v != c])
 
 
-def _relation_order(d: Drawing, g: int, r: int) -> Tuple[int, ...]:
+def _relation_order(d: Relation, g: int, r: int) -> Tuple[int, ...]:
     """Vertices of V - {g, r} in an order compatible with the crossing
     relation: u before w whenever edge(u, r) crosses edge(w, g).  Read
     through ``d._derive``, so built once per drawing and ordered pair."""
@@ -436,14 +438,14 @@ def _relation_order(d: Drawing, g: int, r: int) -> Tuple[int, ...]:
     return tuple(order)
 
 
-def _flip_pairs(d: Drawing, g: int, r: int) -> Tuple[Tuple[int, int], ...]:
+def _flip_pairs(d: Relation, g: int, r: int) -> Tuple[Tuple[int, int], ...]:
     """(gv bit, rv bit) for each v of ``_relation_order(d, g, r)``, last
     first: the order in which ``_collapse_double`` moves g's leaves onto r."""
     order, bit = d._derive(_relation_order, g, r), d._edge_bit
     return tuple((bit[g, v], bit[r, v]) for v in reversed(order))
 
 
-def star_to_star(d: Drawing, g: int, r: int) -> TransformSequence:
+def star_to_star(d: Relation, g: int, r: int) -> TransformSequence:
     """Exactly n-2 flips from the star at g to the star at r; every
     intermediate is a plane double star with fixed path g, r."""
     if g == r:
@@ -451,13 +453,13 @@ def star_to_star(d: Drawing, g: int, r: int) -> TransformSequence:
     return _certified(d, _star_to_star(d, g, r), "special")
 
 
-def _star_to_star(d: Drawing, g: int, r: int) -> List[int]:
+def _star_to_star(d: Relation, g: int, r: int) -> List[int]:
     if not (0 <= g < d.n and 0 <= r < d.n):
         raise ValueError(f"star centers {g} and {r} must be vertices 0..{d.n - 1}")
     return _collapse_double(d, _star(d, g), g, r)
 
 
-def _collapse_double(d: Drawing, t: int, g: int, r: int) -> List[int]:
+def _collapse_double(d: Relation, t: int, g: int, r: int) -> List[int]:
     """Flip every g-leaf of the double star (or of the star at g) onto r,
     in relation order."""
     out = [t]
@@ -468,7 +470,7 @@ def _collapse_double(d: Drawing, t: int, g: int, r: int) -> List[int]:
     return out
 
 
-def double_star_to_star(d: Drawing, t: Iterable[Edge],
+def double_star_to_star(d: Relation, t: Iterable[Edge],
                         target_center: int) -> TransformSequence:
     """Collapse one hub of the double star onto the other, then walk the
     star to the target center.  Plain stars are accepted as the degenerate
@@ -478,7 +480,7 @@ def double_star_to_star(d: Drawing, t: Iterable[Edge],
                       "special")
 
 
-def _double_star_to_star(d: Drawing, t: int, target: int) -> List[int]:
+def _double_star_to_star(d: Relation, t: int, target: int) -> List[int]:
     inc = _tree_incidence(d, t)
     centers = _star_centers(d.edges, inc, t)
     if centers:
@@ -495,7 +497,7 @@ def _double_star_to_star(d: Drawing, t: int, target: int) -> List[int]:
     return _dedupe(trees)
 
 
-def twin_star_to_star(d: Drawing, t: Iterable[Edge],
+def twin_star_to_star(d: Relation, t: Iterable[Edge],
                       target_center: int) -> TransformSequence:
     """Close the hub pair with the edge gr (never crossing the tree, since
     every tree edge touches g or r), drop rs, then proceed as a double
@@ -509,7 +511,7 @@ def twin_star_to_star(d: Drawing, t: Iterable[Edge],
     return _certified(d, trees, "special")
 
 
-def _close_twin(d: Drawing, t: TreeCert, g: int, s: int, r: int) -> int:
+def _close_twin(d: Relation, t: TreeCert, g: int, s: int, r: int) -> int:
     """t + gr - rs, the double star of the twin star t's path g-s-r."""
     gr = tree_mask(d, [(g, r)])
     if gr & t.conflict:
@@ -517,7 +519,7 @@ def _close_twin(d: Drawing, t: TreeCert, g: int, s: int, r: int) -> int:
     return (t.mask | gr) & ~d._edge_bit[r, s]
 
 
-def _reduce_to_star(d: Drawing, t: TreeCert) -> Tuple[List[int], int]:
+def _reduce_to_star(d: Relation, t: TreeCert) -> Tuple[List[int], int]:
     """The flips from t to a star, and the star's centre.  A twin star
     here is no double star, so its hub r has a leaf besides s: t + gr - rs
     is no star, and (g, r) is its one double-star path ending at r."""
@@ -536,7 +538,7 @@ def _reduce_to_star(d: Drawing, t: TreeCert) -> Tuple[List[int], int]:
     raise NotSpecialTreeError("tree is not a star, double star or twin star")
 
 
-def transform_special(d: Drawing, t1: Iterable[Edge],
+def transform_special(d: Relation, t1: Iterable[Edge],
                       t2: Iterable[Edge]) -> TransformSequence:
     """Reduce both endpoints to stars, bridge the stars, and glue; at most
     2(2(n-2)+1) + (n-2) flips overall."""

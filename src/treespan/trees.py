@@ -2,28 +2,30 @@
 
 Sorted tuples of (u, v) edges are the tree type at the boundary: the public
 API and file I/O speak it.  Inside, a tree is an int mask whose bit i
-stands for the edge with id i, its position in ``Drawing.edges``, so
-reading a mask in bit order gives the canonical tuple.  ``CompatGraph`` and
-``TransformSequence`` store masks too and build the tuples when read.
+stands for the edge with id i, its position in ``Relation.edges``, so
+reading a mask in bit order gives the canonical tuple.  Everything here
+reads a ``Relation`` (a ``Drawing`` is one) and no geometry.
+``CompatGraph`` and ``TransformSequence`` store masks too and build the
+tuples when read.
 The transformations convert their input trees to masks once, keep masks
-throughout and certify each call's output once.  The drawing's cache is
+throughout and certify each call's output once.  The relation's cache is
 the one memo of certificates: each input tree, and then each output
 tree, is one dict read of it; ``check_mask`` is the one place a missing
 certificate is computed and stored, and a certificate stores its
 plane-spanning verdict when built.
-``tree_mask`` reads one lookup per edge from the drawing's edge-bit table,
+``tree_mask`` reads one lookup per edge from the relation's edge-bit table,
 which holds both orientations of each edge.
 A tree is plane when ``mask & conflict_mask(d, mask) == 0``, and two trees
 are compatible (their union is plane) when one mask misses the other's
 conflicts.  Certification covers spanning/acyclicity/planarity, cached
-per drawing by mask; a certificate keeps its tree's conflict mask, which
+per relation by mask; a certificate keeps its tree's conflict mask, which
 the transformations' compatibility tests read; ``classify_kind`` names a
 tree's k-star kind.  The star-family transformations additionally use
 the representation helpers below, because the star, double-star and
 twin-star classes overlap (one tree can admit several fixed-path
 representations).  Those helpers and ``classify_kind`` read one incidence
 table of the tree, vertex -> mask of its edges at that vertex (the
-transformations' ``_tree_incidence`` ANDs the drawing's vertex rows with
+transformations' ``_tree_incidence`` ANDs the relation's vertex rows with
 the mask): c is a star centre iff its entry is the whole mask, every
 edge touches g or r iff their entries OR to the mask, gr is a tree edge
 iff their entries meet, and a vertex's degree is its entry's bit count.
@@ -42,7 +44,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .drawing import Drawing, Edge, bits, edge
+from .drawing import Edge, Relation, bits, edge
 from .errors import (
     BadTreeError,
     IncompatibleError,
@@ -64,9 +66,9 @@ def canon_tree(edges: Iterable[Edge]) -> Tree:
     return tuple(out)
 
 
-def tree_mask(d: Drawing, edges: Iterable[Edge]) -> int:
+def tree_mask(d: Relation, edges: Iterable[Edge]) -> int:
     """Bitmask of an edge set.  Raises ValueError on a loop or a duplicate
-    edge and UnknownEdgeError on an edge the drawing does not have."""
+    edge and UnknownEdgeError on an edge the relation does not have."""
     table = d._edge_bit
     mask = 0
     for e in edges:
@@ -80,7 +82,7 @@ def tree_mask(d: Drawing, edges: Iterable[Edge]) -> int:
     return mask
 
 
-def _pair_bit(d: Drawing, e) -> int:
+def _pair_bit(d: Relation, e) -> int:
     """The bit of an edge given as any pair of ends, a list say, looked up
     by its canonical tuple: a value that is not a pair fails to unpack,
     ends that do not compare or hash raise TypeError, a loop ValueError,
@@ -92,14 +94,14 @@ def _pair_bit(d: Drawing, e) -> int:
     return bit
 
 
-def mask_tree(d: Drawing, mask: int) -> Tree:
+def mask_tree(d: Relation, mask: int) -> Tree:
     """The canonical edge tuple of a mask.  Only ``d.edges`` is read, so a
-    result that keeps the drawing's edges can stand in for the drawing."""
+    result that keeps the relation's edges can stand in for the relation."""
     edges = d.edges
     return tuple(edges[i] for i in bits(mask))
 
 
-def conflict_mask(d: Drawing, mask: int) -> int:
+def conflict_mask(d: Relation, mask: int) -> int:
     """Every edge crossing some edge of the mask."""
     rows = d.cross_mask
     out = 0
@@ -127,7 +129,7 @@ class TreeCert:
 # basic graph structure
 # ---------------------------------------------------------------------------
 
-def _retree(d: Drawing, groups: Sequence[int]) -> int:
+def _retree(d: Relation, groups: Sequence[int]) -> int:
     """Spanning tree built greedily from the edge-mask groups in
     keep-priority order (earlier groups are preferentially kept, ids
     ascending within one), over a union-find of vertex ids as in
@@ -150,8 +152,8 @@ def _retree(d: Drawing, groups: Sequence[int]) -> int:
     return out
 
 
-def _vertex_rows(d: Drawing) -> Tuple[int, ...]:
-    """Vertex -> the mask of the drawing's edges at it."""
+def _vertex_rows(d: Relation) -> Tuple[int, ...]:
+    """Vertex -> the mask of the relation's edges at it."""
     rows = [0] * d.n
     for i, (u, v) in enumerate(d.edges):
         rows[u] |= 1 << i
@@ -174,8 +176,8 @@ def _incidence(edges: Sequence[Edge],
     return inc, mask
 
 
-def _tree_incidence(d: Drawing, mask: int) -> Dict[int, int]:
-    """``_incidence(d.edges, mask)``'s table from the drawing's vertex
+def _tree_incidence(d: Relation, mask: int) -> Dict[int, int]:
+    """``_incidence(d.edges, mask)``'s table from the relation's vertex
     rows, one AND per vertex.  Vertices come in ascending order: fit for
     ``_star_centers``, ``_double_star_paths`` and ``_twin_star_paths``,
     which sort what they find, not for ``_k_star_path``."""
@@ -186,25 +188,8 @@ def _tree_incidence(d: Drawing, mask: int) -> Dict[int, int]:
 # ---------------------------------------------------------------------------
 # k-star representations
 # ---------------------------------------------------------------------------
-# Each takes a tree as ``(edges, mask)`` with the bits read over ``edges``
-# (the drawing's edges for a tree mask); a bare edge tuple is the tree.
-
-def star_centers(edges: Sequence[Edge], mask: Optional[int] = None) -> List[int]:
-    return _star_centers(edges, *_incidence(edges, mask))
-
-
-def double_star_paths(edges: Sequence[Edge],
-                      mask: Optional[int] = None) -> List[Tuple[int, int]]:
-    """All (g, r) with edge gr in the tree and every edge touching g or r."""
-    return _double_star_paths(edges, *_incidence(edges, mask))
-
-
-def twin_star_paths(edges: Sequence[Edge],
-                    mask: Optional[int] = None) -> List[Tuple[int, int, int]]:
-    """All (g, s, r) with edges gs, sr in the tree, gr absent, and every
-    edge touching g or r."""
-    return _twin_star_paths(edges, *_incidence(edges, mask))
-
+# Each takes a tree as ``(edges, inc, mask)``: its bits read over
+# ``edges`` (the relation's edges for a tree mask) and its incidence table.
 
 def _star_centers(edges: Sequence[Edge], inc: Dict[int, int],
                   mask: int) -> List[int]:
@@ -313,12 +298,8 @@ def classify_kind(n: int, edges: Sequence[Edge], mask: Optional[int] = None) -> 
 # certification
 # ---------------------------------------------------------------------------
 
-def check_tree(d: Drawing, edges_in: Iterable[Edge]) -> TreeCert:
-    return check_mask(d, tree_mask(d, edges_in))
-
-
-def check_mask(d: Drawing, mask: int) -> TreeCert:
-    """Certificate of the tree with this edge mask, cached on the drawing.
+def check_mask(d: Relation, mask: int) -> TreeCert:
+    """Certificate of the tree with this edge mask, cached on the relation.
     A miss reads each edge's ends and crossing row once: the vertices it
     touches go into a vertex bitmask, and its ends into a union-find over
     vertex ids, where an edge joining two vertices with one root closes a
@@ -349,10 +330,10 @@ def check_mask(d: Drawing, mask: int) -> TreeCert:
     return cert
 
 
-def _input_certs(d: Drawing, trees: Sequence[Iterable[Edge]]) -> List[TreeCert]:
+def _input_certs(d: Relation, trees: Sequence[Iterable[Edge]]) -> List[TreeCert]:
     """Certificates of a call's input trees, each checked in turn;
     BadTreeError gives the position of the tree in the call.  Each tree is
-    one read of the drawing's cache, certified by ``check_mask`` on a
+    one read of the relation's cache, certified by ``check_mask`` on a
     miss."""
     cache = d._cert_cache
     certs = []
@@ -365,7 +346,7 @@ def _input_certs(d: Drawing, trees: Sequence[Iterable[Edge]]) -> List[TreeCert]:
     return certs
 
 
-def is_compatible(d: Drawing, t1: Iterable[Edge], t2: Iterable[Edge]) -> bool:
+def is_compatible(d: Relation, t1: Iterable[Edge], t2: Iterable[Edge]) -> bool:
     return tree_mask(d, t1) & conflict_mask(d, tree_mask(d, t2)) == 0
 
 
@@ -373,9 +354,9 @@ def is_compatible(d: Drawing, t1: Iterable[Edge], t2: Iterable[Edge]) -> bool:
 # enumeration
 # ---------------------------------------------------------------------------
 
-def enumerate_plane_trees(d: Drawing, kind: str = "all",
+def enumerate_plane_trees(d: Relation, kind: str = "all",
                           limit: Optional[int] = None) -> List[Tree]:
-    """All plane spanning trees of the drawing, canonically ordered.
+    """All plane spanning trees of the relation, canonically ordered.
 
     'all' grows trees over the sorted edge list by a depth-first search.
     Each component of the chosen forest is labelled by its cut mask, the
@@ -394,7 +375,7 @@ def enumerate_plane_trees(d: Drawing, kind: str = "all",
     return [mask_tree(d, mask) for mask, _ in _plane_masks(d, kind, limit)]
 
 
-def _plane_masks(d: Drawing, kind: str = "all",
+def _plane_masks(d: Relation, kind: str = "all",
                  limit: Optional[int] = None) -> List[Tuple[int, int]]:
     """(mask, conflict_mask) of each tree ``enumerate_plane_trees`` lists,
     in the same order."""
@@ -457,14 +438,14 @@ def _plane_masks(d: Drawing, kind: str = "all",
 _REV8 = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
-def _star_family(d: Drawing) -> List[Tuple[int, int]]:
+def _star_family(d: Relation) -> List[Tuple[int, int]]:
     """(mask, conflict_mask) of every plane double star and twin star, in
     canonical order.  The stars are among the double stars: a star with
     centre c is the double star of an edge cv with every other vertex
     joined to c.  Each tree is built from its core, the edge gr or the path
     g-s-r, by joining every other vertex to g or to r.  For each unordered
     pair (g, r) the options of every other vertex v, its edges gv and rv
-    that the drawing has, are listed once and serve the double-star core
+    that the relation has, are listed once and serve the double-star core
     and each twin-star core, which skips its s.  A core is dropped if one
     of its edges is missing (bipartite drawings) or they cross; a partial
     tree is dropped as soon as its next edge crosses the edges chosen
@@ -508,7 +489,7 @@ def _star_family(d: Drawing) -> List[Tuple[int, int]]:
 # flips
 # ---------------------------------------------------------------------------
 
-def compatible_step_to_flips(d: Drawing, t1: Iterable[Edge],
+def compatible_step_to_flips(d: Relation, t1: Iterable[Edge],
                              t2: Iterable[Edge]) -> List[Tuple[Edge, Edge]]:
     """Expand one compatible tree pair into single edge flips: add each edge
     of t2 - t1 in canonical order, removing from the created cycle the

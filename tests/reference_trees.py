@@ -8,11 +8,19 @@ an edge -> id dict; ``check_mask`` builds the mask's edge tuple, the set
 of its vertices and a union-find over the tuples, and caches nothing.  The
 tests use them as the oracles of ``trees.tree_mask`` (its mask, or the
 type and message of what it raises) and of a certificate cache miss.
-``star_centers`` tests every vertex, ``double_star_paths`` every edge of
-the tree as the hub pair and ``twin_star_paths`` every pair of neighbours
-of every vertex; they take the arguments of ``trees._star_centers``,
-``trees._double_star_paths`` and ``trees._twin_star_paths`` and are their
-oracles.
+``star_centers_loop`` tests every vertex, ``double_star_paths_loop`` every
+edge of the tree as the hub pair and ``twin_star_paths_loop`` every pair of
+neighbours of every vertex; they take the arguments of
+``trees._star_centers``, ``trees._double_star_paths`` and
+``trees._twin_star_paths`` and are their oracles.
+
+``star_centers``, ``double_star_paths``, ``twin_star_paths``,
+``check_tree`` and ``bfs_distance`` are the package's former public forms,
+which nothing in it read: the first three take a tree as a bare edge
+tuple or as a mask over ``edges`` and run the package's searches,
+``check_tree`` certifies an edge tuple and ``bfs_distance`` runs one BFS
+over a compatibility graph's class rows.  The tests read them as oracles
+and as short forms, ``bfs_distance`` as ``analyze``'s.
 
 ``_reduce_to_star`` and ``_twin_star_to_star`` are ``transforms``' before
 a twin star was collapsed along its own hub pair: the twin star's
@@ -29,6 +37,7 @@ edges, t2's first, until the added edge's ends meet.  It is the oracle of
 import itertools
 from typing import Iterable, List, Tuple
 
+from treespan import compat, trees
 from treespan.drawing import Drawing, Edge, bits, edge
 from treespan.errors import (
     IncompatibleError,
@@ -45,7 +54,7 @@ from treespan.transforms import (
     _tree_incidence,
     _twin_star_paths,
 )
-from treespan.trees import TreeCert, _input_certs, conflict_mask, mask_tree
+from treespan.trees import TreeCert, _incidence, _input_certs, conflict_mask, mask_tree
 
 from conftest import edge_ids
 
@@ -93,11 +102,11 @@ def check_mask(d, mask: int) -> TreeCert:
                     plane=mask & conflict == 0, mask=mask, conflict=conflict)
 
 
-def star_centers(edges, inc, mask):
+def star_centers_loop(edges, inc, mask):
     return sorted(c for c, at in inc.items() if at == mask)
 
 
-def double_star_paths(edges, inc, mask):
+def double_star_paths_loop(edges, inc, mask):
     out = []
     for i in bits(mask):
         g, r = edges[i]
@@ -106,7 +115,7 @@ def double_star_paths(edges, inc, mask):
     return sorted(out)
 
 
-def twin_star_paths(edges, inc, mask):
+def twin_star_paths_loop(edges, inc, mask):
     out = []
     for s, at in inc.items():
         if not at & (at - 1):
@@ -116,6 +125,37 @@ def twin_star_paths(edges, inc, mask):
             if not inc[g] & inc[r] and inc[g] | inc[r] == mask:
                 out.extend([(g, s, r), (r, s, g)])
     return sorted(out)
+
+
+def star_centers(edges, mask=None):
+    return _star_centers(edges, *_incidence(edges, mask))
+
+
+def double_star_paths(edges, mask=None):
+    """All (g, r) with edge gr in the tree and every edge touching g or r."""
+    return _double_star_paths(edges, *_incidence(edges, mask))
+
+
+def twin_star_paths(edges, mask=None):
+    """All (g, s, r) with edges gs, sr in the tree, gr absent, and every
+    edge touching g or r."""
+    return _twin_star_paths(edges, *_incidence(edges, mask))
+
+
+def check_tree(d, edges_in) -> TreeCert:
+    return trees.check_mask(d, trees.tree_mask(d, edges_in))
+
+
+def bfs_distance(g, t1, t2):
+    """Shortest-path length between two trees, math.inf if no path; a
+    tree that is no node raises NodeMissingError."""
+    i, j = g._position(t1), g._position(t2)
+    if i == j:
+        return 0
+    a, b = g.class_of[i], g.class_of[j]
+    if a == b:
+        return 1
+    return compat._bfs(g.class_rows, a, 1 << b)[0]
 
 
 def _twin_star_to_star(d: Drawing, t: TreeCert, twin: Tuple[int, int, int],

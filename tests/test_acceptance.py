@@ -15,7 +15,7 @@ import itertools
 from contextlib import contextmanager
 from fractions import Fraction as F
 
-from treespan.compat import analyze, bfs_distance, build_compat_graph
+from treespan.compat import analyze, build_compat_graph
 from treespan.drawing import (
     classify_c_monotone,
     classify_cylindrical,
@@ -44,14 +44,13 @@ from treespan.transforms import (
 )
 from treespan.trees import (
     canon_tree,
-    check_tree,
-    double_star_paths,
     enumerate_plane_trees,
     is_compatible,
 )
 
 from conftest import crossings
 from reference_spine import cut_to_monotone, twiggly_depth, twiggly_set
+from reference_trees import bfs_distance, check_tree, double_star_paths
 
 
 @contextmanager

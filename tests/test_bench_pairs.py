@@ -124,3 +124,19 @@ def test_clean_runs_exit_zero(tmp_path, capsys):
     assert "2 of 2 pairs" in out
     # +30 %: a gain for ops_per_s, worse past the bound for the others
     assert out.count("gain") == 1 and out.count("worse") == 4
+
+
+def test_each_seed_runs_each_side_first_equally_often(tmp_path, capsys):
+    """With 2 x seeds pairs, each seed runs the parent first once and the
+    change first once, for an even and an odd seed count."""
+    roots = {"parent": _stub_root(tmp_path, "parent", 100.0),
+             "change": _stub_root(tmp_path, "change", 100.0)}
+    for seeds in ([11, 12], [1, 2, 3]):
+        bench_pairs.run_pairs(roots, "w", 2 * len(seeds), seeds, 1)
+        lines = capsys.readouterr().err.splitlines()
+        first = {}
+        for line in lines:  # "w pair k/p seed s: <side> ... <side> ..."
+            seed, pair = line.split(" seed ")[1].split(": ")
+            first.setdefault(int(seed), []).append(pair.split()[0])
+        assert {s: sorted(sides) for s, sides in first.items()} == {
+            s: ["change", "parent"] for s in seeds}

@@ -22,7 +22,6 @@ from treespan.compat import (
     _bfs,
     _twin_graph,
     analyze,
-    bfs_distance,
     build_compat_graph,
 )
 from treespan.generators import GenSpec, fixture_bipartite_isolated, generate
@@ -40,6 +39,8 @@ from treespan.transforms import star_to_star
 import pytest
 
 from treespan.errors import NodeMissingError
+
+from reference_trees import bfs_distance
 
 
 @dataclass

@@ -9,14 +9,13 @@ no drawing realises.
 """
 
 import itertools
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_enumeration as reference
-from treespan.drawing import complete_edges
+from treespan.drawing import Relation, complete_edges
 from treespan.generators import GenSpec, fixture_bipartite_isolated, generate
 from treespan.rng import SplitMix64
 from treespan.trees import _REV8, _plane_masks, _star_family
@@ -64,14 +63,13 @@ def test_enumerators_match_reference_past_the_limit():
 
 
 def _relation(n, edges, pairs):
-    """A duck-typed drawing: the given edges, crossing in the given pairs
-    of edge ids (an id paired with itself marks an edge as crossing
-    itself)."""
+    """The relation of the given edges, crossing in the given pairs of edge
+    ids (an id paired with itself marks an edge as crossing itself)."""
     rows = [0] * len(edges)
     for i, j in pairs:
         rows[i] |= 1 << j
         rows[j] |= 1 << i
-    return SimpleNamespace(n=n, edges=tuple(edges), cross_mask=tuple(rows))
+    return Relation(n, edges, rows)
 
 
 @st.composite

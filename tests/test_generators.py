@@ -24,10 +24,10 @@ from treespan.generators import (
     generate,
 )
 from treespan.rng import SplitMix64
-from treespan.trees import check_tree
 
 from conftest import crossings
 from reference_generators import REFERENCE
+from reference_trees import check_tree
 
 
 def test_splitmix_reference_values():

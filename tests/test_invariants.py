@@ -8,13 +8,13 @@ from treespan.geometry import Proper, polar_crossings, polyline_crossings
 from treespan.rng import SplitMix64
 from treespan.trees import (
     canon_tree,
-    check_tree,
     compatible_step_to_flips,
     enumerate_plane_trees,
     is_compatible,
 )
 
 from reference_spine import succ_above, twiggly_set
+from reference_trees import bfs_distance, check_tree
 
 
 def test_at_most_one_proper_on_validated_drawings():
@@ -91,7 +91,7 @@ def test_transform_walks_match_compat_graph():
     # BFS distance between its endpoints is at most its length - 1
     from fractions import Fraction as F
 
-    from treespan.compat import bfs_distance, build_compat_graph
+    from treespan.compat import build_compat_graph
     from treespan.drawing import classify_cylindrical
     from treespan.transforms import cmonotone_to_spine, transform_cylindrical
 

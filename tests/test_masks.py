@@ -24,7 +24,6 @@ from treespan.generators import GenSpec, fixture_bipartite_isolated, generate
 from treespan.trees import (
     TreeCert,
     canon_tree,
-    check_tree,
     conflict_mask,
     enumerate_plane_trees,
     is_compatible,
@@ -33,6 +32,7 @@ from treespan.trees import (
 )
 
 from conftest import crossings, cyl_k4, polar_k4, polar_k5, two_page_k4
+from reference_trees import check_tree
 
 
 def tuple_is_plane(d: Drawing, tree) -> bool:
@@ -208,6 +208,30 @@ def test_package_reads_one_crossing_form():
     imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                 for alias in node.names}
     assert not imported & {"lift_angle", "edge_span", "span_contains", "vertex_angles"}
+
+
+def test_combinatorial_layers_import_no_drawing_and_no_geometry():
+    """``trees`` and ``compat`` read a ``Relation``: they import neither
+    ``Drawing`` nor anything of ``geometry``.  Nothing in the package
+    branches on a drawing against a relation."""
+    package = pathlib.Path(treespan.__file__).parent
+    for name in ("trees.py", "compat.py"):
+        tree = ast.parse((package / name).read_text(), filename=name)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = {alias.name for alias in node.names}
+                modules = names | {getattr(node, "module", None) or ""}
+                assert "Drawing" not in names, name
+                assert not any("geometry" in m for m in modules), name
+            # annotations too, which ``from __future__ import annotations``
+            # leaves unevaluated
+            assert getattr(node, "id", None) != "Drawing", name
+    branching = [f"{p.name}:{node.lineno}" for p in sorted(package.glob("*.py"))
+                 for node in ast.walk(ast.parse(p.read_text()))
+                 if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+                 and {"Drawing", "Relation"} & {n.id for n in ast.walk(node.args[1])
+                                                if isinstance(n, ast.Name)}]
+    assert branching == []
 
 
 def _calls_by_function(path: pathlib.Path) -> list:

@@ -18,15 +18,13 @@ from treespan.rng import SplitMix64
 from treespan.trees import (
     classify_kind,
     compatible_step_to_flips,
-    double_star_paths,
     enumerate_plane_trees,
     is_compatible,
-    star_centers,
     tree_mask,
-    twin_star_paths,
 )
 
 import reference_trees
+from reference_trees import double_star_paths, star_centers, twin_star_paths
 from test_compat import ORACLE_DRAWINGS
 from test_trees import all_spanning_trees, pruefer_decode
 

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from treespan.compat import bfs_distance, build_compat_graph
+from treespan.compat import build_compat_graph
 import treespan.transforms
 import treespan.trees
 from treespan.drawing import (
@@ -47,12 +47,12 @@ from treespan.trees import (
     canon_tree,
     check_mask,
     classify_kind,
-    double_star_paths,
     enumerate_plane_trees,
     tree_mask,
 )
 
 import reference_trees
+from reference_trees import bfs_distance, double_star_paths
 from conftest import P, polar_k2, polar_k5
 from reference_spine import (
     CENTER,

@@ -18,17 +18,14 @@ from treespan.errors import (
 )
 from treespan.trees import (
     canon_tree,
-    check_tree,
     classify_kind,
     compatible_step_to_flips,
-    double_star_paths,
     enumerate_plane_trees,
     is_compatible,
-    star_centers,
-    twin_star_paths,
 )
 
 from conftest import P, crossings, straight_line_drawing
+from reference_trees import check_tree, double_star_paths, star_centers, twin_star_paths
 
 
 def pruefer_decode(n, seq):
