@@ -433,56 +433,51 @@ def _plane_masks(d: Relation, kind: str = "all",
     return out
 
 
-# each byte's bits reversed: a mask's little-endian bytes translated by it
-# read from bit 0 on, as a bit string of the mask read from bit 0 does
-_REV8 = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
-
-
 def _star_family(d: Relation) -> List[Tuple[int, int]]:
     """(mask, conflict_mask) of every plane double star and twin star, in
     canonical order.  The stars are among the double stars: a star with
     centre c is the double star of an edge cv with every other vertex
-    joined to c.  Each tree is built from its core, the edge gr or the path
-    g-s-r, by joining every other vertex to g or to r.  For each unordered
-    pair (g, r) the options of every other vertex v, its edges gv and rv
-    that the relation has, are listed once and serve the double-star core
-    and each twin-star core, which skips its s.  A core is dropped if one
-    of its edges is missing (bipartite drawings) or they cross; a partial
-    tree is dropped as soon as its next edge crosses the edges chosen
-    before it, and a core stops once none is left."""
-    n, rows = d.n, d.cross_mask
-    at: List[List[Optional[Tuple[int, int]]]] = [[None] * n for _ in range(n)]
-    for i, (u, v) in enumerate(d.edges):  # at[u][v]: edge uv's bit and row
-        at[u][v] = at[v][u] = (1 << i, rows[i])
-    found: Dict[int, int] = {}
+    joined to c.  Each tree is its core, the edge gr or the path g-s-r,
+    with every other vertex joined to g or to r.  So each unordered pair
+    (g, r) has one expansion: the entries, each vertex but g and r joined
+    to g or r by an edge the relation has (bipartite drawings lack some),
+    no two crossing; an entry is dropped as soon as its next edge crosses
+    the edges chosen before it.  The cores are filters on that list: the
+    double star on gr is every entry that no edge crossing gr is in, plus
+    gr, and the twin star g-s-r every entry that holds gs and no edge
+    crossing rs, plus rs (the entries holding rs give the same trees)."""
+    n, rows, top = d.n, d.cross_mask, len(d.edges) - 1
+    at: List[List[Optional[Tuple[int, int, int]]]] = [[None] * n for _ in range(n)]
+    # at[u][v]: edge uv's bit, row and bit in the reversed mask (edge i at
+    # bit m - 1 - i), the sort key: every tree has n - 1 edges, so the
+    # canonical order puts A before B iff the lowest bit of A ^ B is in A,
+    # the highest of their reversed masks' XOR
+    for i, (u, v) in enumerate(d.edges):
+        at[u][v] = at[v][u] = (1 << i, rows[i], 1 << top - i)
+    found: Dict[int, Tuple[int, int]] = {}  # reversed mask -> (mask, blocked)
     for g, r in itertools.combinations(range(n), 2):
         ag, ar = at[g], at[r]
-        options = [(v, [o for o in (ag[v], ar[v]) if o is not None])
-                   for v in range(n) if v != g and v != r]
-        cores = []          # (s, or -1 for the double star, mask, blocked)
-        if ag[r] is not None:
-            cores.append((-1,) + ag[r])
-        for s, opts in options:
-            if len(opts) == 2:
-                (bg, cg), (br, cr) = opts
-                if not cg & br:
-                    cores.append((s, bg | br, cg | cr))
-        for s, mask, blocked in cores:
-            partial = [(mask, blocked)]
-            for v, opts in options:
-                if v != s:
-                    partial = [(mask | b, blocked | row)
-                               for mask, blocked in partial
-                               for b, row in opts if not blocked & b]
-                    if not partial:
-                        break
-            found.update(partial)
-    # Every tree has n - 1 edges, so the canonical order puts A before B
-    # iff the lowest bit of A ^ B is in A: the order of the bit strings
-    # read from bit 0, descending.
-    nbytes = (len(d.edges) + 7) // 8
-    return sorted(found.items(), reverse=True,
-                  key=lambda p: p[0].to_bytes(nbytes, "little").translate(_REV8))
+        entries = [(0, 0, 0)]
+        for v in range(n):
+            if v != g and v != r:
+                opts = [o for o in (ag[v], ar[v]) if o is not None]
+                entries = [(mask | b, blocked | row, rev | rb)
+                           for mask, blocked, rev in entries
+                           for b, row, rb in opts if not blocked & b]
+                if not entries:
+                    break
+        if ag[r]:  # the double star on gr
+            b, row, rb = ag[r]
+            for mask, blocked, rev in entries:
+                if not blocked & b:
+                    found[rev | rb] = (mask | b, blocked | row)
+        for s in range(n):  # each twin star g-s-r; at[x][x] is None
+            if ag[s] and ar[s]:
+                hold, (b, row, rb) = ag[s][0], ar[s]
+                for mask, blocked, rev in entries:
+                    if mask & hold and not blocked & b:
+                        found[rev | rb] = (mask | b, blocked | row)
+    return [found[rev] for rev in sorted(found, reverse=True)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,16 @@
 """The plane-tree enumerators as ``trees`` ran them before they moved to
-cut-mask component labels and per-pair star-family options.
+cut-mask component labels and to one star-family expansion per hub pair.
 
 ``plane_masks`` labels the components of the chosen forest with a
 per-vertex list that it copies on every call, and tests each edge of its
-window one by one; ``star_family`` builds the option lists of every core
-afresh.  Both return ``(mask, conflict_mask)`` pairs in canonical order and
-read only ``n``, ``edges`` and ``cross_mask`` of the drawing.
-The tests use them as the oracle of ``trees._plane_masks(d, "all")`` and
-``trees._star_family``.
+window one by one; ``star_family`` expands every core on its own, the
+edge gr or the path g-s-r, building its option lists afresh.  Both return
+``(mask, conflict_mask)`` pairs in canonical order and read only ``n``,
+``edges`` and ``cross_mask`` of the drawing.
+The tests use them as the oracle of ``trees._plane_masks(d, "all")``, the
+depth-first search over cut masks, and of ``trees._star_family``, whose
+one expansion per unordered hub pair (g, r) serves every core on it as a
+filter.
 """
 
 import itertools

@@ -1,7 +1,7 @@
 """The plane-tree enumerators against the ones they replaced.
 
-``reference_enumeration`` keeps the per-vertex-label growth and the
-per-core star-family options.  ``_plane_masks(d, "all")`` and
+``reference_enumeration`` keeps the per-vertex-label growth and one
+expansion per star-family core.  ``_plane_masks(d, "all")`` and
 ``_star_family`` must return their lists exactly: the same trees, in the
 same order, with the same conflict masks.  The drawings are generated ones,
 hand-built ones with missing edges, and synthetic crossing relations that
@@ -15,10 +15,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_enumeration as reference
-from treespan.drawing import Relation, complete_edges
+from treespan.drawing import Relation, bits, complete_edges
 from treespan.generators import GenSpec, fixture_bipartite_isolated, generate
 from treespan.rng import SplitMix64
-from treespan.trees import _REV8, _plane_masks, _star_family
+from treespan.trees import ENUM_LIMIT_SPECIAL, _plane_masks, _star_family
 
 from conftest import polar_k2
 from test_fileio_cli import _straight_line_k22
@@ -62,6 +62,17 @@ def test_enumerators_match_reference_past_the_limit():
     assert len(assert_matches_reference(d, limit=9)) == 177843
 
 
+# star families only: the full enumeration is past its limit here
+LARGE = [GenSpec(cls=cls, n=n, seed=seed) for cls in CLASSES
+         for n in range(9, ENUM_LIMIT_SPECIAL + 1) for seed in range(2)]
+
+
+@pytest.mark.parametrize("spec", LARGE, ids=[f"{s.cls}-{s.n}-{s.seed}" for s in LARGE])
+def test_star_family_matches_reference_to_the_limit(spec):
+    d = generate(spec)
+    assert _star_family(d) == reference.star_family(d)
+
+
 def _relation(n, edges, pairs):
     """The relation of the given edges, crossing in the given pairs of edge
     ids (an id paired with itself marks an edge as crossing itself)."""
@@ -93,19 +104,23 @@ def crossing_relations(draw):
 @example(_relation(4, [], []))                                # edgeless
 @example(_relation(4, complete_edges(4), [(1, 4)]))           # K_4, one crossing
 @example(_relation(5, complete_edges(5), [(i, i) for i in range(10)]))  # all self-crossing
+# K_4's edge ids: 01 0, 02 1, 03 2, 12 3, 13 4, 23 5
+@example(_relation(4, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)], []))  # gr = 01 missing
+@example(_relation(4, complete_edges(4), [(1, 3)]))           # 02 crosses 12 at 2
+@example(_relation(4, complete_edges(4), [(0, 0), (3, 3), (2, 3)]))  # 01, 12 self-crossing; 03 x 12
+@example(_relation(4, [(0, 1), (0, 2), (0, 3), (1, 2)], []))  # 3 joined to 0 alone
 def test_enumerators_match_reference_on_crossing_relations(d):
     assert_matches_reference(d)
 
 
 def test_star_family_sort_key_keeps_the_bit_string_order():
-    """``_star_family`` sorts on each mask's little-endian bytes with their
-    bits reversed; the bit string read from bit 0 gave the same order, for
+    """``_star_family`` sorts on each mask reversed, with edge i of m at
+    bit m - 1 - i; the bit string read from bit 0 gave the same order, for
     every width, multiples of 8 or not."""
     rng = SplitMix64(2024)
     for width in range(1, 46):
-        nbytes = (width + 7) // 8
         masks = list({rng.randint(0, (1 << width) - 1) for _ in range(64)})
         masks += [0, (1 << width) - 1, 1, 1 << (width - 1)]
         masks = list(dict.fromkeys(masks))
-        assert (sorted(masks, key=lambda m: m.to_bytes(nbytes, "little").translate(_REV8))
+        assert (sorted(masks, key=lambda m: sum(1 << width - 1 - i for i in bits(m)))
                 == sorted(masks, key=lambda m: format(m, f"0{width}b")[::-1]))
