@@ -33,7 +33,6 @@ from .geometry import (
     curve_eval,
     polar_crossings,
     polyline_crossings,
-    segment_circle_relation,
     segment_proper_crossing,
 )
 from .transforms import (

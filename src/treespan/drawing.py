@@ -36,10 +36,14 @@ drawing is checked in full when ``cross_mask`` is first read.
 The structures the transformations read are derived once per drawing too,
 through ``Relation._derive``: the monotone and c-monotone classifications.
 Each is an immutable value; the private builders ``_classify_monotone`` and
-``_classify_c_monotone`` compute it uncached, comparing x-coordinates or
-curve-end angles scaled to integers by the lcm of their denominators.  A
-cylindrical classification carries the masks of its cycle paths and side
-edges.
+``_classify_c_monotone`` compute it uncached.  They and ``classify_two_page``
+compare the coordinates of the drawing's integer image, each axis scaled by
+the lcm of its denominators, which is derived once too: validation derives
+it for every drawing but a straight one in general position.  Only
+``_integer_image`` scales.  A cylindrical classification carries the masks
+of its cycle paths and side edges; its circle predicates scale each curve
+on its own, since the whole image's coordinates grow to about a thousand
+bits.
 """
 
 from __future__ import annotations
@@ -248,18 +252,20 @@ class _Image(NamedTuple):
     are ``Point``s for both backends: a polar drawing lies in the
     angle-radius strip, ``turn`` is the scaled length of one turn, each
     vertex angle lies in [0, turn) and every curve is normalized to start
-    there."""
+    there.  ``curves`` is a read-only mapping in the drawing's curve
+    order."""
 
     backend: str
     points: tuple
-    curves: Dict[Edge, tuple]
+    curves: Mapping[Edge, tuple]
     turn: int
 
 
 def _integer_image(d: Drawing, curves: bool = True) -> _Image:
-    """The image of d; without ``curves`` the scales come from the vertex
-    points alone and no curve is scaled, which gives the same points when
-    every waypoint is a vertex point."""
+    """The image of d, kept as ``d._derive(_integer_image)``.  Without
+    ``curves`` (the order-type route alone) the scales come from the vertex
+    points and no curve is scaled, which gives the same points when every
+    waypoint is a vertex point."""
     everything = list(d.vertex_points)
     if curves:
         everything += [w for c in d.curves.values() for w in c]
@@ -280,7 +286,7 @@ def _integer_image(d: Drawing, curves: bool = True) -> _Image:
     if d.backend == "polar":
         image = {e: _normalized(c, sx) if c else c for e, c in image.items()}
         points = tuple(Point(x % sx, y) for x, y in points)
-    return _Image(d.backend, points, image, sx)
+    return _Image(d.backend, points, MappingProxyType(image), sx)
 
 
 def _check_cartesian_curve(img: _Image, e: Edge, curve: CartesianCurve) -> tuple:
@@ -352,9 +358,9 @@ def validate_simple(d: Drawing) -> ClassReport:
 
 def _crossing_rows(d: Drawing, unchecked=None) -> Tuple[int, ...]:
     """``Drawing.cross_mask``: check the drawing is simple and build the
-    crossing rows.  Every sign test runs on the drawing's integer image;
-    the image and each curve's segment records are built here once and
-    dropped on return.
+    crossing rows.  Every sign test runs on the drawing's integer image,
+    derived here and kept for the class checks; each curve's segment
+    records are built here once and dropped on return.
 
     After the structural checks, a cartesian drawing whose every curve is
     the segment between its two vertex points, with no three vertices on a
@@ -383,16 +389,16 @@ def _crossing_rows(d: Drawing, unchecked=None) -> Tuple[int, ...]:
     ends = d.vertex_points
     straight = cartesian and all(c == (ends[u], ends[v]) or c == (ends[v], ends[u])
                                  for (u, v), c in d.curves.items())
-    img = _integer_image(d, curves=not straight)
-    shared = img.points
-    if len(set(shared)) != d.n:
+    img = _integer_image(d, curves=False) if straight else d._derive(_integer_image)
+    if len(set(img.points)) != d.n:
         raise NotSimpleError("vertex points are not distinct")
 
     if straight:
-        rows = _order_type_rows(shared, d.edges)
+        rows = _order_type_rows(img.points, d.edges)
         if rows is not None:
             return rows
-        img = _integer_image(d)
+        img = d._derive(_integer_image)
+    shared = img.points
 
     records = {}
     for e, curve in img.curves.items():
@@ -520,17 +526,12 @@ def classify_monotone(d: Drawing) -> Optional[SpineStructure]:
 def _classify_monotone(d: Drawing) -> Optional[SpineStructure]:
     if d.backend != "cartesian" or d.graph[0] != "complete":
         return None
-    # every x-coordinate times the lcm of their denominators, which keeps
-    # their order; each Fraction once, keyed by id, as in ``_integer_image``
-    curves = d.curves.values()
-    distinct = {id(w.x): w.x for c in (d.vertex_points, *curves) for w in c}
-    scale = math.lcm(*{x.denominator for x in distinct.values()})
-    image = {k: x.numerator * (scale // x.denominator) for k, x in distinct.items()}
-    xs = [image[id(p.x)] for p in d.vertex_points]
+    img = d._derive(_integer_image)
+    xs = [p.x for p in img.points]
     if len(set(xs)) != d.n:
         return None
-    for c in curves:
-        cx = [image[id(w.x)] for w in c]
+    for c in img.curves.values():
+        cx = [w.x for w in c]
         up = sorted(set(cx))  # cx itself, or reversed, iff x moves one way only
         if cx != up and cx[::-1] != up:
             return None
@@ -544,11 +545,12 @@ def classify_two_page(d: Drawing) -> bool:
     interior stays strictly inside one open halfplane of it."""
     if d.backend != "cartesian":
         return False
-    ys = {p.y for p in d.vertex_points}
+    img = d._derive(_integer_image)
+    ys = {p.y for p in img.points}
     if len(ys) != 1:
         return False
     y0 = ys.pop()
-    for curve in d.curves.values():
+    for curve in img.curves.values():
         interior = curve[1:-1]
         if not interior:
             return False  # a segment lying on the line itself
@@ -698,27 +700,17 @@ def _classify_c_monotone(d: Drawing):
     if d.backend != "polar":
         return False, False, None
     _ = d.cross_mask  # ensure the drawing is validated
-    radii = {p[1] for p in d.vertex_points}
-    if len(radii) != 1:
+    img = d._derive(_integer_image)
+    if len({p.y for p in img.points}) != 1:
         return False, False, None
     if d.graph[0] != "complete":
         return True, False, None
 
-    # curve-end angles times the lcm of their denominators, each Fraction
-    # once; every vertex angle is a curve end up to whole turns, so its
-    # denominator divides turn
-    ends = [(c[0].theta, c[-1].theta) for c in map(d.curves.__getitem__, d.edges)]
-    distinct = {id(t): t for pair in ends for t in pair}
-    turn = math.lcm(*{t.denominator for t in distinct.values()})
-    image = {k: t.numerator * (turn // t.denominator) for k, t in distinct.items()}
-    spans = {}
-    for e, (t0, tn) in zip(d.edges, ends):
-        s0 = image[id(t0)]
-        lo = s0 % turn
-        spans[e] = (lo, image[id(tn)] - s0 + lo)
+    turn = img.turn
+    spans = {e: (c[0].x, c[-1].x) for e, c in img.curves.items()}  # c[0].x in [0, turn)
     strongly = not _covering_pair(spans.values(), turn)
 
-    rays = [p[0].numerator * (turn // p[0].denominator) % turn for p in d.vertex_points]
+    rays = [p.x for p in img.points]
     order = tuple(sorted(range(d.n), key=rays.__getitem__))
     cycle = {edge(order[i], order[(i + 1) % d.n]) for i in range(d.n)}  # one edge for n = 2
     spine = []

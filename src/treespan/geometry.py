@@ -364,18 +364,6 @@ def _changes_sign(values: list) -> bool:
     return any(v > 0 for v in values) and any(v < 0 for v in values)
 
 
-def segment_circle_relation(s: Sequence[Point], center: Point, r2: Rat) -> str:
-    """Relation of a closed segment to the circle of squared radius r2:
-    'disjoint', 'crosses' (the open segment passes through the circle
-    transversally) or 'touches' (contact without a transversal pass)."""
-    if r2 <= 0:
-        raise ValueError("squared radius must be positive")
-    values = _circle_values(s, center, r2)
-    if _changes_sign(values):
-        return "crosses"
-    return "touches" if 0 in values else "disjoint"
-
-
 def curve_circle_crossing(curve: CartesianCurve, center: Point, r2: Rat) -> bool:
     """Whether a polyline passes transversally through a circle, including
     passes exactly through waypoints (tangential touches do not count)."""

@@ -3,19 +3,20 @@ read wedges and compared integers.
 
 ``order_type_rows`` fills the ``left`` table with one ``orient`` call per
 vertex triple and then tests every pair of disjoint edges, O(m^2) pairs for
-m edges; it is the oracle of ``drawing._order_type_rows``.
-``classify_monotone`` compares the ``Fraction`` x-coordinates of the
-vertices and of every waypoint with ``is_x_monotone``; it is the oracle of
-``drawing._classify_monotone``.  ``vertex_angles`` and ``edge_span`` read a
-polar drawing's angles as ``Fraction``s, the form the strongly c-monotone
-check scaled to integers before it scaled the curve ends once; the span
-and spine oracles read them.
+m edges; it is the oracle of ``drawing._order_type_rows``.  The three class
+checks below compare the drawing's own ``Fraction`` coordinates, where the
+package compares those of the integer image that validation keeps:
+``classify_monotone`` tests the x-coordinates of the vertices and of every
+waypoint with ``is_x_monotone``, ``classify_two_page`` the y-coordinates,
+and ``classify_c_monotone`` the spans and vertex angles that
+``edge_span`` and ``vertex_angles`` read as ``Fraction``s, taken mod one
+turn.
 """
 
 from typing import List, Optional, Tuple
 
-from treespan.drawing import Drawing, Edge, SpineStructure, edge
-from treespan.geometry import CartesianCurve, Rat, _x_direction, orient
+from treespan.drawing import Drawing, Edge, SpineStructure, _spans_cover_circle, edge
+from treespan.geometry import CartesianCurve, Rat, _x_direction, lift_angle, orient
 
 
 def order_type_rows(points, edges) -> Optional[Tuple[int, ...]]:
@@ -70,6 +71,23 @@ def classify_monotone(d: Drawing) -> Optional[SpineStructure]:
     return SpineStructure(kind="monotone", order=order, spine_edges=spine)
 
 
+def classify_two_page(d: Drawing) -> bool:
+    if d.backend != "cartesian":
+        return False
+    ys = {p.y for p in d.vertex_points}
+    if len(ys) != 1:
+        return False
+    y0 = ys.pop()
+    for curve in d.curves.values():
+        interior = curve[1:-1]
+        if not interior:
+            return False  # a segment lying on the line itself
+        signs = {1 if w.y > y0 else (-1 if w.y < y0 else 0) for w in interior}
+        if 0 in signs or len(signs) != 1:
+            return False
+    return True
+
+
 def vertex_angles(d: Drawing) -> List[Rat]:
     return [p[0] % 1 for p in d.vertex_points]
 
@@ -79,3 +97,32 @@ def edge_span(d: Drawing, e: Edge) -> Tuple[Rat, Rat]:
     c = d.curves[e]
     t0 = c[0].theta % 1
     return t0, c[-1].theta - (c[0].theta - t0)
+
+
+def span_contains(span: Tuple[Rat, Rat], theta: Rat) -> bool:
+    """Whether the angle theta (mod 1) lies inside the open span interval."""
+    t0, tn = span
+    return t0 < lift_angle(theta, t0) < tn
+
+
+def classify_c_monotone(d: Drawing):
+    """(c_monotone, strongly, spine): strongly when no two edge spans
+    jointly cover the circle, and a spine edge a cycle edge whose open span
+    holds no vertex angle."""
+    if d.backend != "polar":
+        return False, False, None
+    _ = d.cross_mask  # validates d
+    if len({p.r for p in d.vertex_points}) != 1:
+        return False, False, None
+    if d.graph[0] != "complete":
+        return True, False, None
+    spans = [edge_span(d, e) for e in d.edges]
+    strongly = not any(_spans_cover_circle(s, t) for i, s in enumerate(spans)
+                       for t in spans[i + 1:])
+    angles = vertex_angles(d)
+    order = tuple(sorted(range(d.n), key=lambda v: angles[v]))
+    cycle = {edge(order[i], order[(i + 1) % d.n]) for i in range(d.n)}
+    spine = tuple(sorted(e for e in cycle
+                         if not any(span_contains(edge_span(d, e), a) for a in angles)))
+    return True, strongly, SpineStructure(kind="cmonotone", order=order, spine_edges=spine,
+                                          all_cycle_edges_spine=len(spine) == len(cycle))

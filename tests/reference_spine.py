@@ -34,7 +34,7 @@ from treespan.geometry import Point, Rat, curve_eval, lift_angle, normalize_pola
 from treespan.trees import _retree, conflict_mask, mask_tree, tree_mask
 
 from conftest import edge_ids
-from reference_drawing import edge_span, vertex_angles
+from reference_drawing import edge_span, span_contains, vertex_angles
 
 
 class EmptySetError(TreespanError):
@@ -43,12 +43,6 @@ class EmptySetError(TreespanError):
 
 class FullCircleCorridorError(MethodInapplicable):
     pass
-
-
-def span_contains(span: Tuple[Rat, Rat], theta: Rat) -> bool:
-    """Whether the angle theta (mod 1) lies inside the open span interval."""
-    t0, tn = span
-    return t0 < lift_angle(theta, t0) < tn
 
 
 # ---------------------------------------------------------------------------

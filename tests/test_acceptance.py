@@ -29,7 +29,6 @@ from treespan.geometry import (
     PolarPoint,
     Proper,
     polar_crossings,
-    segment_circle_relation,
     segment_proper_crossing,
 )
 from treespan.render import render_svg
@@ -49,6 +48,7 @@ from treespan.trees import (
 )
 
 from conftest import crossings
+from reference_geometry import segment_circle_relation
 from reference_spine import cut_to_monotone, twiggly_depth, twiggly_set
 from reference_trees import bfs_distance, check_tree, double_star_paths
 

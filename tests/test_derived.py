@@ -19,11 +19,13 @@ from treespan.drawing import (
     Drawing,
     _classify_c_monotone,
     _classify_monotone,
+    _integer_image,
     classify_c_monotone,
     classify_monotone,
     validate_simple,
 )
 from treespan.errors import RelationCyclicError
+from treespan.fileio import drawing_from_dict, drawing_to_dict
 from treespan.generators import GenSpec, generate
 from treespan.rng import SplitMix64
 from treespan.transforms import (
@@ -163,6 +165,35 @@ def test_cmonotone_route_builds_classifier_and_cut_once(seed, cut, monkeypatch):
     assert len(validated) == 1 and validated[0] is d
 
 
+def test_integer_image_is_built_once(monkeypatch):
+    """Validation derives the integer image and the class checks read it:
+    an accepted ``generate`` of a bent class builds one, a straight drawing
+    with no three vertices on a line scales only its vertex points, and
+    ``validate_simple`` on a freshly loaded bent drawing builds one."""
+    built = []
+    image = treespan.drawing._integer_image
+
+    def counting(d, curves=True):
+        built.append((d, curves))
+        return image(d, curves)
+
+    monkeypatch.setattr(treespan.drawing, "_integer_image", counting)
+    for cls, a, b in (("monotone_perturbed", None, None), ("two_page", None, None),
+                      ("strongly_cmonotone", None, None), ("cylindrical", 3, 3)):
+        for seed in range(3):
+            built.clear()
+            d = generate(GenSpec(cls=cls, n=6, seed=seed, a=a, b=b))
+            assert [curves for x, curves in built if x is d] == [True]
+            built.clear()
+            loaded = drawing_from_dict(drawing_to_dict(d))
+            validate_simple(loaded)
+            assert built == [(loaded, True)]
+    for seed in range(3):
+        built.clear()
+        d = generate(GenSpec(cls="random_points", n=8, seed=seed))
+        assert built == [(d, False)]
+
+
 def test_star_schedules_build_each_relation_order_once(monkeypatch):
     built = []
     _counting(monkeypatch, treespan.transforms, "_relation_order", built)
@@ -185,7 +216,8 @@ def test_star_schedules_build_each_relation_order_once(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_returned_lists_do_not_reach_the_memo(m4):
-    """The memo hands out tuples and ints, which no caller can change."""
+    """The memo hands out tuples, ints and read-only mappings, which no
+    caller can change: the kept integer image among them."""
     strip = m4._derive(_strip)
     assert all(isinstance(f, tuple) for f in strip)
     assert all(isinstance(x, (int, tuple)) for f in strip for x in f)
@@ -194,6 +226,14 @@ def test_returned_lists_do_not_reach_the_memo(m4):
     assert isinstance(order, tuple)
     assert (star_to_star(m4, 0, 3).certified
             and m4._derive(_relation_order, 0, 3) == order)
+    image = m4._derive(_integer_image)
+    assert isinstance(image.points, tuple)
+    assert all(isinstance(c, tuple) for c in image.curves.values())
+    with pytest.raises(TypeError):
+        image.curves[0, 3] = image.curves[0, 1]
+    with pytest.raises(AttributeError):
+        image.points = ()
+    assert classify_monotone(m4) is not None and m4._derive(_integer_image) is image
 
 
 def test_failed_derivation_stores_nothing(m4):

@@ -22,9 +22,10 @@ from treespan.geometry import (
     curve_self_contacts,
     polar_crossings,
     polyline_crossings,
-    segment_circle_relation,
     segment_proper_crossing,
 )
+
+from reference_geometry import segment_circle_relation
 
 
 def P(x, y):

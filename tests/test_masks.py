@@ -234,9 +234,8 @@ def test_combinatorial_layers_import_no_drawing_and_no_geometry():
     assert branching == []
 
 
-def _calls_by_function(path: pathlib.Path) -> list:
-    """(enclosing function, called name, call node) for every call in the
-    module whose callee is a plain or dotted name."""
+def _nodes_by_function(path: pathlib.Path) -> list:
+    """(enclosing function, node) for every node of the module."""
     found = []
 
     def visit(node, owner):
@@ -244,14 +243,19 @@ def _calls_by_function(path: pathlib.Path) -> list:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, child.name)
                 continue
-            if isinstance(child, ast.Call):
-                name = getattr(child.func, "id", None) or getattr(child.func, "attr", None)
-                if name:
-                    found.append((owner, name, child))
+            found.append((owner, child))
             visit(child, owner)
 
     visit(ast.parse(path.read_text(), filename=str(path)), None)
     return found
+
+
+def _calls_by_function(path: pathlib.Path) -> list:
+    """(enclosing function, called name, call node) for every call in the
+    module whose callee is a plain or dotted name."""
+    return [(owner, name, node) for owner, node in _nodes_by_function(path)
+            if isinstance(node, ast.Call)
+            and (name := getattr(node.func, "id", None) or getattr(node.func, "attr", None))]
 
 
 def test_one_handoff_and_integer_class_checks():
@@ -259,7 +263,9 @@ def test_one_handoff_and_integer_class_checks():
     builder left unchecked; every other call, ``cross_mask``'s among them,
     passes the drawing alone and checks every pair.  The monotone and
     c-monotone class checks compare integers: they call none of the
-    ``Fraction`` angle, span and monotonicity helpers."""
+    ``Fraction`` angle, span and monotonicity helpers.  Only
+    ``_integer_image`` scales a ``Fraction`` to an int: no other function
+    in ``drawing`` reads ``.denominator`` or calls ``math.lcm``."""
     package = pathlib.Path(treespan.__file__).parent
     calls = {p.stem: _calls_by_function(p) for p in sorted(package.glob("*.py"))}
     handing = [f"{module}.{owner}" for module, found in calls.items()
@@ -271,6 +277,10 @@ def test_one_handoff_and_integer_class_checks():
     called = {name for owner, name, _ in calls["drawing"]
               if owner in ("_classify_monotone", "_classify_c_monotone")}
     assert called and not called & {"edge_span", "vertex_angles", "is_x_monotone"}
+    # x.denominator, math.lcm or a bare lcm
+    scaling = {owner for owner, node in _nodes_by_function(package / "drawing.py")
+               if getattr(node, "attr", getattr(node, "id", None)) in ("denominator", "lcm")}
+    assert scaling == {"_integer_image"}
 
 
 def test_only_generators_and_fileio_build_drawings():

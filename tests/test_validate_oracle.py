@@ -40,11 +40,10 @@ from treespan.drawing import (
     bipartite_edges,
     classify_c_monotone,
     complete_edges,
-    edge,
     validate_simple,
 )
 from treespan.errors import NotSimpleError
-from treespan.generators import _CLASSES, GenSpec, _Reject, generate
+from treespan.generators import _CLASSES, GenSpec, _Reject, fixture_bipartite_isolated, generate
 from treespan.geometry import (
     Degenerate,
     Point,
@@ -59,9 +58,9 @@ from treespan.geometry import (
 from treespan.rng import SplitMix64
 
 from conftest import polar_k3, polar_k4, polar_k5
-from reference_drawing import classify_monotone, edge_span, order_type_rows, vertex_angles
+import reference_drawing
+from reference_drawing import edge_span, order_type_rows
 from reference_generators import REFERENCE
-from reference_spine import span_contains
 
 # ---------------------------------------------------------------------------
 # the Fraction oracle
@@ -536,8 +535,8 @@ def test_raw_candidate_grid_has_rejections():
 
 
 def test_strongly_verdict_matches_fraction_spans():
-    """classify_c_monotone runs the cover test on integer-scaled spans;
-    the Fraction helper over every edge pair is the oracle."""
+    """classify_c_monotone runs the cover test on the spans of the kept
+    integer image; the Fraction helper over every edge pair is the oracle."""
     verdicts = []
     for d in (_raw_candidates("strongly_cmonotone", 5, None)
               + _raw_candidates("strongly_cmonotone", 6, None)
@@ -553,22 +552,12 @@ def test_strongly_verdict_matches_fraction_spans():
     assert True in verdicts and False in verdicts
 
 
-def oracle_spine_edges(d):
-    """The spine edges as found on the Fraction angles: cycle edges whose
-    open span contains no vertex angle."""
-    angles = vertex_angles(d)
-    order = sorted(range(d.n), key=lambda v: angles[v])
-    cycle = [edge(order[i], order[(i + 1) % d.n]) for i in range(d.n)]
-    return tuple(sorted(e for e in cycle if not any(
-        span_contains(edge_span(d, e), a) for a in angles)))
-
-
 def test_spine_edges_match_fraction_spans():
-    """classify_c_monotone finds spine edges on integer-scaled spans and
-    angles, and the package has no Fraction span test left to run;
-    generated drawings of both kinds (every cycle edge a spine edge, or one
-    not), raw candidates and the polar fixtures agree with the Fraction
-    test."""
+    """classify_c_monotone finds spine edges on the spans and vertex angles
+    of the kept integer image, and the package has no Fraction span test
+    left to run; generated drawings of both kinds (every cycle edge a spine
+    edge, or one not), raw candidates and the polar fixtures agree with the
+    Fraction test."""
     assert not hasattr(treespan.drawing, "span_contains")
     kinds = set()
     drawings = [generate(GenSpec(cls="strongly_cmonotone", n=n, seed=seed))
@@ -581,7 +570,7 @@ def test_spine_edges_match_fraction_spans():
             _, _, spine = classify_c_monotone(d)
         except NotSimpleError:
             continue
-        assert spine.spine_edges == oracle_spine_edges(d)
+        assert spine.spine_edges == reference_drawing.classify_c_monotone(_fresh(d))[2].spine_edges
         kinds.add(spine.all_cycle_edges_spine)
     assert kinds == {True, False}
 
@@ -702,11 +691,11 @@ def test_wedge_rows_match_pair_loop_on_edge_subsets():
 
 
 def test_monotone_class_matches_fraction_reference():
-    """``_classify_monotone`` compares x-coordinates scaled to integers; the
-    reference compares the ``Fraction``s with ``is_x_monotone``.  They agree
-    on the cartesian raw candidates and on hand-built curves: two vertices
-    at one x, a vertical segment, a curve that turns back, and curves
-    listed from right to left."""
+    """``_classify_monotone`` compares the x-coordinates of the integer
+    image; the reference compares the ``Fraction``s with ``is_x_monotone``.
+    They agree on the cartesian raw candidates and on hand-built curves: two
+    vertices at one x, a vertical segment, a curve that turns back, and
+    curves listed from right to left."""
     pts = (Point(F(0), F(0)), Point(F(1, 3), F(2)), Point(F(2), F(1, 2)))
     cases = [
         _cartesian(pts, {}),
@@ -721,9 +710,73 @@ def test_monotone_class_matches_fraction_reference():
         if cls != "strongly_cmonotone":
             cases += _raw_candidates(cls, n, shape, seeds=range(2), per_seed=3)
     verdicts = [_classify_monotone(d) for d in cases]
-    assert verdicts == [classify_monotone(d) for d in cases]
+    assert verdicts == [reference_drawing.classify_monotone(d) for d in cases]
     assert verdicts[0] is not None and verdicts[1:5] == [None] * 4
     assert None not in verdicts[5:7]
+
+
+# an interior waypoint of (0, 2) lies exactly on the vertex line
+ON_LINE = _cartesian((Point(F(0), F(0)), Point(F(1), F(0)), Point(F(2), F(0))),
+                     {(0, 1): (Point(F(1, 2), F(1)),), (1, 2): (Point(F(3, 2), F(1)),),
+                      (0, 2): (Point(F(1), F(-1)), Point(F(3), F(0)), Point(F(5, 2), F(-1)))})
+
+
+def _distinct_copies(d):
+    """d with every coordinate a new Fraction object of the same value."""
+    def fresh(p):
+        return type(p)(F(p[0].numerator, p[0].denominator), F(p[1].numerator, p[1].denominator))
+    return dataclasses.replace(d, vertex_points=tuple(map(fresh, d.vertex_points)),
+                               curves={e: tuple(map(fresh, c)) for e, c in d.curves.items()})
+
+
+def _class_outcomes(module, d):
+    """The three class checks of ``module`` on d, or the NotSimpleError the
+    c-monotone check raises on a drawing that is not simple."""
+    out = [module.classify_monotone(d), module.classify_two_page(d)]
+    try:
+        out.append(module.classify_c_monotone(d))
+    except NotSimpleError as ex:
+        out.append((ex.reason, ex.pair))
+    return out
+
+
+def test_class_checks_match_fraction_references():
+    """The monotone, two-page and c-monotone checks read the integer image
+    that validation keeps; their ``Fraction`` references read the drawing.
+    They agree on generated drawings of every class, the raw candidates,
+    the polar and bipartite fixtures and three hand-built cases: an
+    interior waypoint exactly on the vertex line, equal coordinates given
+    as distinct ``Fraction`` objects, and curves whose first angle lies
+    past one turn, two turns for the one that must cover the circle."""
+    drawings = []
+    for cls in sorted(_CLASSES):
+        for n in range(3, 8):
+            a, b = (n - min(3, n - 1), min(3, n - 1)) if cls == "cylindrical" else (None, None)
+            drawings += [generate(GenSpec(cls=cls, n=n, seed=seed, a=a, b=b))
+                         for seed in range(3)]
+    for cls, n, shape in RAW_GRID:
+        drawings += _raw_candidates(cls, n, shape, seeds=range(2), per_seed=3)
+    drawings += [PK3, SEAM_CROSS, LONG_WAY, polar_k3(), polar_k4(), polar_k5(),
+                 fixture_bipartite_isolated()[0]]
+    two_page = generate(GenSpec(cls="two_page", n=5, seed=0))
+    past_a_turn = dataclasses.replace(LONG_WAY, curves={
+        **LONG_WAY.curves,
+        (0, 2): tuple(PolarPoint(w.theta + 2, w.r) for w in LONG_WAY.curves[0, 2]),
+        (1, 2): tuple(PolarPoint(w.theta + 1, w.r) for w in LONG_WAY.curves[1, 2])})
+    hand_built = [ON_LINE, _distinct_copies(two_page), _distinct_copies(polar_k5()),
+                  _distinct_copies(_cartesian((Point(F(0), F(0)), Point(F(0), F(2)),
+                                               Point(F(2), F(1, 2))), {})),
+                  past_a_turn]
+    outcomes = []
+    for d in drawings + hand_built:
+        got = _class_outcomes(treespan.drawing, _fresh(d))
+        assert got == _class_outcomes(reference_drawing, _fresh(d))
+        outcomes.append(got)
+    *_, on_line, two_page, polar, one_x, past = outcomes
+    assert on_line[1] is False and two_page[1] is True
+    assert polar[2][1] is True and one_x[0] is None and past[2][1] is False
+    assert {o[1] for o in outcomes} == {o[2][1] for o in outcomes if len(o[2]) == 3} == {
+        True, False}
 
 
 def test_covering_pair_stops_only_below_a_turn():
