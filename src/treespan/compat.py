@@ -3,7 +3,9 @@
 A graph is built from a ``Relation``, a drawing's crossing relation or
 one given as rows, and stores its trees as edge masks over its ``edges``.
 ``nodes``, their canonical edge tuples (the public tree type), and
-``index``, keyed by those tuples, are built the first time they are read.
+``index``, keyed by those tuples, are built the first time they are read:
+``nodes`` is one ``trees.mask_trees`` call over all the masks, which reads
+the edge tuple's cached 8-bit chunk tables.
 
 Two plane trees A and B are compatible iff ``A & conflict(B) == 0`` iff
 ``B & conflict(A) == 0``.  Trees with the same conflict mask therefore have
@@ -51,7 +53,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .drawing import Edge, Relation, bits
 from .errors import NodeMissingError
-from .trees import Tree, _plane_masks, canon_tree, mask_tree
+from .trees import Tree, _plane_masks, canon_tree, mask_trees
 
 
 @dataclass
@@ -64,7 +66,7 @@ class CompatGraph:
 
     @cached_property
     def nodes(self) -> List[Tree]:
-        return [mask_tree(self, mask) for mask in self.masks]
+        return mask_trees(self.edges, self.masks)
 
     @cached_property
     def index(self) -> Dict[Tree, int]:

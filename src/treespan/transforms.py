@@ -20,7 +20,10 @@ certifies its own output exactly once, in ``_certified``.  The drawing's
 certificate cache is the one memo: each input tree, and then each output
 tree, is one read of it, with ``check_mask`` filling a miss.  The returned
 ``TransformSequence`` keeps those masks and builds its edge tuples,
-``trees``, the first time something reads them.
+``trees``, the first time something reads them, in one ``trees.mask_trees``
+call (cached 8-bit chunk tables of the edge tuple).  The routes convert
+masks to tuples only for error messages: where one edge's ends are wanted,
+they read ``d.edges[bit.bit_length() - 1]``.
 Whatever a route reads that depends only on the drawing is built once per
 drawing: the classifications (``drawing``), the strip table,
 each spine's masks, each ordered centre pair's relation order (read as
@@ -77,6 +80,7 @@ from .trees import (
     check_mask,
     conflict_mask,
     mask_tree,
+    mask_trees,
     tree_mask,
 )
 
@@ -96,7 +100,7 @@ class TransformSequence:
 
     @cached_property
     def trees(self) -> Tuple[Tree, ...]:
-        return tuple(mask_tree(self, mask) for mask in self.masks)
+        return tuple(mask_trees(self.edges, self.masks))
 
     def __len__(self) -> int:
         return len(self.masks)
@@ -167,7 +171,7 @@ def transform_cylindrical(d: Drawing, roles: Optional[CylRoles],
     seq = [t1, paths | e1]
     if e1 & d.cross_mask[e2.bit_length() - 1]:  # e2's crossing row
         inner = set(roles.inner_vertices)
-        (a1, b1), (a2, b2) = mask_tree(d, e1) + mask_tree(d, e2)
+        (a1, b1), (a2, b2) = d.edges[e1.bit_length() - 1], d.edges[e2.bit_length() - 1]
         s1, r1 = (a1, b1) if a1 in inner else (b1, a1)
         s2, r2 = (a2, b2) if a2 in inner else (b2, a2)
         bridge = min(d._edge_bit[s1, r2], d._edge_bit[s2, r1])  # the lower id

@@ -6,7 +6,15 @@ stands for the edge with id i, its position in ``Relation.edges``, so
 reading a mask in bit order gives the canonical tuple.  Everything here
 reads a ``Relation`` (a ``Drawing`` is one) and no geometry.
 ``CompatGraph`` and ``TransformSequence`` store masks too and build the
-tuples when read.
+tuples when read.  Every mask -> tuple conversion, ``enumerate_plane_trees``
+and those two views included, is one ``mask_trees`` call over a list of
+masks: each tuple is joined from one precomputed sub-tuple per 8-bit chunk
+of its mask.  The chunk tables (256 entries for a full chunk) are built
+once per distinct edge tuple and kept in a small bounded LRU cache keyed by
+the tuple's value, not its length, since drawings of different classes can
+share one (cylindrical (2, 3) has K5's edges).  ``mask_tree`` is the
+one-mask form; each call hashes the edge tuple, so hot paths read a single
+edge as ``d.edges[bit.bit_length() - 1]`` instead.
 The transformations convert their input trees to masks once, keep masks
 throughout and certify each call's output once.  The relation's cache is
 the one memo of certificates: each input tree, and then each output
@@ -40,6 +48,7 @@ of t1 - t2 on the cycle the added edge closes.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -94,11 +103,40 @@ def _pair_bit(d: Relation, e) -> int:
     return bit
 
 
+def mask_trees(edges: Tuple[Edge, ...], masks: Iterable[int]) -> List[Tree]:
+    """The canonical edge tuple of each mask over ``edges``, joined from one
+    sub-tuple per 8-bit chunk of the mask.  Raises IndexError on a negative
+    mask or one with a bit at or past ``len(edges)``."""
+    tables = _chunk_tables(edges)
+    out = []
+    for mask in masks:
+        tree = ()
+        for table in tables:
+            tree += table[mask & 255]  # IndexError past a short last chunk
+            mask >>= 8
+        if mask:  # bits past the last chunk, or a negative mask
+            raise IndexError("mask has a bit outside the edge list")
+        out.append(tree)
+    return out
+
+
+@functools.lru_cache(maxsize=16)
+def _chunk_tables(edges: Tuple[Edge, ...]) -> Tuple[Tuple[Tree, ...], ...]:
+    """Per 8-edge chunk of ``edges``, the tuple of each byte's edges in bit
+    order: 2**k entries for a chunk of k edges.  Keyed by the edge tuple's
+    value, since drawings of different classes can share it."""
+    tables = []
+    for lo in range(0, len(edges), 8):
+        table = [()]
+        for e in edges[lo:lo + 8]:
+            table += [t + (e,) for t in table]
+        tables.append(tuple(table))
+    return tuple(tables)
+
+
 def mask_tree(d: Relation, mask: int) -> Tree:
-    """The canonical edge tuple of a mask.  Only ``d.edges`` is read, so a
-    result that keeps the relation's edges can stand in for the relation."""
-    edges = d.edges
-    return tuple(edges[i] for i in bits(mask))
+    """The canonical edge tuple of one mask: ``mask_trees`` on ``d.edges``."""
+    return mask_trees(d.edges, (mask,))[0]
 
 
 def conflict_mask(d: Relation, mask: int) -> int:
@@ -372,7 +410,7 @@ def enumerate_plane_trees(d: Relation, kind: str = "all",
     trees; the three single kinds keep the trees whose ``classify_kind`` is
     that kind.
     """
-    return [mask_tree(d, mask) for mask, _ in _plane_masks(d, kind, limit)]
+    return mask_trees(d.edges, [mask for mask, _ in _plane_masks(d, kind, limit)])
 
 
 def _plane_masks(d: Relation, kind: str = "all",

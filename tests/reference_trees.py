@@ -32,6 +32,12 @@ tree's centres and double-star paths again.  They are the oracle of
 ``_retree`` call: it joins a fresh ``_UnionFind`` over the current tree's
 edges, t2's first, until the added edge's ends meet.  It is the oracle of
 ``trees.compatible_step_to_flips``.
+
+``mask_tree_loop`` is ``trees.mask_tree`` before tuples were joined from
+per-chunk tables: it reads the mask's bits one at a time through ``bits``.
+It is the oracle of ``trees.mask_trees`` and of the tuple views built on
+it, and of the ``IndexError`` a negative mask, or one with a bit past the
+edge list, raises.
 """
 
 import itertools
@@ -54,7 +60,7 @@ from treespan.transforms import (
     _tree_incidence,
     _twin_star_paths,
 )
-from treespan.trees import TreeCert, _incidence, _input_certs, conflict_mask, mask_tree
+from treespan.trees import TreeCert, _incidence, _input_certs, conflict_mask
 
 from conftest import edge_ids
 
@@ -90,8 +96,12 @@ def tree_mask(d, edges) -> int:
     return mask
 
 
+def mask_tree_loop(edges, mask: int) -> Tuple[Edge, ...]:
+    return tuple(edges[i] for i in bits(mask))
+
+
 def check_mask(d, mask: int) -> TreeCert:
-    tree = mask_tree(d, mask)
+    tree = mask_tree_loop(d.edges, mask)
     verts = {v for e in tree for v in e}
     spanning = verts == set(range(d.n))
     uf = _UnionFind(d.n)

@@ -31,7 +31,7 @@ from treespan.trees import (
     conflict_mask,
     enumerate_plane_trees,
     is_compatible,
-    mask_tree,
+    mask_trees,
     tree_mask,
 )
 from treespan.transforms import star_to_star
@@ -437,15 +437,16 @@ def test_disconnected_reports_inf():
 def test_results_build_edge_tuples_only_when_read(monkeypatch):
     """CompatGraph and TransformSequence keep masks: building and analysing
     a graph, or running a star schedule on a drawing whose certificates are
-    warm, converts no mask to an edge tuple until nodes or trees is read."""
+    warm, converts no mask to an edge tuple until nodes or trees is read,
+    and the first read of each converts all its masks in one kernel call."""
     calls = []
 
-    def counting(d, mask):
-        calls.append(mask)
-        return mask_tree(d, mask)
+    def counting(edges, masks):
+        calls.append(masks)
+        return mask_trees(edges, masks)
 
     for module in (treespan.trees, treespan.compat, treespan.transforms):
-        monkeypatch.setattr(module, "mask_tree", counting)
+        monkeypatch.setattr(module, "mask_trees", counting)
     d = generate(GenSpec(cls="random_points", n=6, seed=3))
     want = enumerate_plane_trees(d)
     star_to_star(d, 0, 1)  # warms the drawing's tree certificates
@@ -455,7 +456,7 @@ def test_results_build_edge_tuples_only_when_read(monkeypatch):
     seq = star_to_star(d, 0, 1)
     assert calls == []
     assert g.nodes == want and g.index[want[-1]] == len(want) - 1
-    assert len(calls) == len(want)
+    assert g.nodes is g.nodes and calls == [g.masks]
     assert seq.trees == (
         ((0, 1), (0, 2), (0, 3), (0, 4), (0, 5)),
         ((0, 1), (0, 2), (0, 4), (0, 5), (1, 3)),
@@ -463,4 +464,4 @@ def test_results_build_edge_tuples_only_when_read(monkeypatch):
         ((0, 1), (0, 2), (1, 3), (1, 4), (1, 5)),
         ((0, 1), (1, 2), (1, 3), (1, 4), (1, 5)),
     )
-    assert len(calls) == len(want) + len(seq)
+    assert seq.trees is seq.trees and calls == [g.masks, seq.masks]

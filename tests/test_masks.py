@@ -16,9 +16,12 @@ import pathlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import treespan
-from treespan.drawing import Drawing
+from treespan.compat import build_compat_graph
+from treespan.drawing import Drawing, Relation, complete_edges
 from treespan.errors import UnknownEdgeError
 from treespan.generators import GenSpec, fixture_bipartite_isolated, generate
 from treespan.trees import (
@@ -28,11 +31,13 @@ from treespan.trees import (
     enumerate_plane_trees,
     is_compatible,
     mask_tree,
+    mask_trees,
     tree_mask,
 )
+from treespan.transforms import TransformSequence
 
 from conftest import crossings, cyl_k4, polar_k4, polar_k5, two_page_k4
-from reference_trees import check_tree
+from reference_trees import check_tree, mask_tree_loop
 
 
 def tuple_is_plane(d: Drawing, tree) -> bool:
@@ -120,6 +125,62 @@ def test_tree_mask_errors_and_int_cache_keys(sq):
         tree_mask(sq, [(0, 7)])
     check_tree(sq, t)
     assert list(sq._cert_cache) == [tree_mask(sq, t)]
+
+
+# edge-list lengths at and around the 8-bit chunk borders of ``mask_trees``
+CHUNK_BORDERS = (0, 7, 8, 9, 16, 17, 45)
+
+
+@st.composite
+def edge_lists(draw):
+    m = draw(st.one_of(st.sampled_from(CHUNK_BORDERS), st.integers(0, 45)))
+    pair = st.tuples(st.integers(0, 11), st.integers(0, 11))
+    return tuple(draw(st.lists(pair, min_size=m, max_size=m, unique=True)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mask_trees_matches_the_bits_loop(data):
+    edges = data.draw(edge_lists())
+    full = (1 << len(edges)) - 1
+    masks = [0, full] + data.draw(st.lists(st.integers(0, full), max_size=20))
+    assert mask_trees(edges, masks) == [mask_tree_loop(edges, m) for m in masks]
+
+
+def test_chunk_tables_follow_the_edge_values():
+    """Two edge lists of one length get their own tables: cylindrical
+    (2, 3) shares K5's edges, but other lists of 10 edges do not."""
+    k5 = tuple(complete_edges(5))
+    shifted = tuple((u + 1, v + 1) for u, v in k5)
+    full = (1 << 10) - 1
+    assert mask_trees(k5, [full, 1]) == [k5, k5[:1]]
+    assert mask_trees(shifted, [full, 1]) == [shifted, shifted[:1]]
+
+
+@pytest.mark.parametrize("m", CHUNK_BORDERS)
+def test_mask_trees_rejects_bits_outside_the_edge_list(m):
+    edges = tuple(complete_edges(10))[:m]
+    d = Relation(10, edges, [0] * m)
+    full = (1 << m) - 1
+    for bad in (1 << m, full | 1 << m, 1 << m + 8, 1 << m + 9, -1, -2, -1 << m):
+        for convert in (lambda mask: mask_tree_loop(edges, mask),
+                        lambda mask: mask_trees(edges, [full, mask]),
+                        lambda mask: mask_tree(d, mask)):
+            with pytest.raises(IndexError):
+                convert(bad)
+    assert mask_tree(d, full) == edges
+
+
+@pytest.mark.parametrize("make", [m for _, m in _drawings()],
+                         ids=[name for name, _ in _drawings()])
+def test_tuple_views_match_the_bits_loop(make):
+    d = make()
+    g = build_compat_graph(d)
+    want = [mask_tree_loop(d.edges, mask) for mask in g.masks]
+    assert g.nodes == want == enumerate_plane_trees(d)
+    masks = tuple(g.masks) + tuple(conflict_mask(d, mask) for mask in g.masks)
+    seq = TransformSequence(d.edges, masks, "manual")
+    assert seq.trees == tuple(mask_tree_loop(d.edges, mask) for mask in masks)
 
 
 # (class, n, seed[, a, b]) -> sha256 of repr(crossing_pairs()) and of
