@@ -289,40 +289,48 @@ def _integer_image(d: Drawing, curves: bool = True) -> _Image:
     return _Image(d.backend, points, MappingProxyType(image), sx)
 
 
-def _check_cartesian_curve(img: _Image, e: Edge, curve: CartesianCurve) -> tuple:
-    """Check one curve and return its ``_cartesian_record``."""
+def _check_curve(img: _Image, e: Edge, curve: CartesianCurve) -> tuple:
+    """Check that the image's curve of e is a simple arc through no vertex
+    but its two ends, and return its ``_cartesian_record``.  A polar curve
+    lies in the angle-radius strip: positive radii, strictly increasing
+    angles spanning less than a turn, its end taken mod one turn.  A
+    cartesian one has no zero-length segment and does not touch itself.
+    The checks run in a fixed order, which picks the reason reported."""
     if len(curve) < 2:
         raise NotSimpleError(f"curve of {e} has fewer than 2 waypoints")
-    for i in range(len(curve) - 1):
-        if curve[i] == curve[i + 1]:
-            raise NotSimpleError(f"zero-length segment in curve of {e}")
-    pu, pv = img.points[e[0]], img.points[e[1]]
-    if {curve[0], curve[-1]} != {pu, pv}:
+    polar = img.backend == "polar"
+    end = curve[-1]
+    if polar:
+        for w in curve:
+            if w.y <= 0:
+                raise NotSimpleError(f"curve of {e} has non-positive radius")
+        for i in range(len(curve) - 1):
+            if curve[i].x >= curve[i + 1].x:
+                raise NotSimpleError(f"curve of {e} is not angle-monotone")
+        if end.x - curve[0].x >= img.turn:
+            raise NotSimpleError(f"curve of {e} spans a full turn or more")
+        end = Point(end.x % img.turn, end.y)
+    else:
+        for i in range(len(curve) - 1):
+            if curve[i] == curve[i + 1]:
+                raise NotSimpleError(f"zero-length segment in curve of {e}")
+    if {curve[0], end} != {img.points[e[0]], img.points[e[1]]}:
         raise NotSimpleError(f"curve of {e} does not join its endpoints")
-    rec = _cartesian_record(curve)
-    if _self_contacts(rec[0]):
+    rec = segs, (xlo, xhi, ylo, yhi) = _cartesian_record(curve)
+    if not polar and _self_contacts(segs):
         raise NotSimpleError(f"curve of {e} is self-intersecting")
+    for v, p in enumerate(img.points):
+        p = _in_frame(img, p, rec)
+        if v in e:
+            if p in curve[1:-1]:
+                raise NotSimpleError(f"curve of {e} passes through vertex {v}")
+            continue
+        x, y = p
+        if xlo <= x <= xhi and ylo <= y <= yhi:
+            for a, b, sxlo, sxhi, sylo, syhi in segs:
+                if sxlo <= x <= sxhi and sylo <= y <= syhi and orient(a, b, p) == 0:
+                    raise NotSimpleError(f"curve of {e} passes through vertex {v}")
     return rec
-
-
-def _check_polar_curve(img: _Image, e: Edge, curve: CartesianCurve) -> tuple:
-    """Check one strip curve (x = angle, y = radius) and return its
-    ``_cartesian_record``."""
-    if len(curve) < 2:
-        raise NotSimpleError(f"curve of {e} has fewer than 2 waypoints")
-    for w in curve:
-        if w.y <= 0:
-            raise NotSimpleError(f"curve of {e} has non-positive radius")
-    for i in range(len(curve) - 1):
-        if curve[i].x >= curve[i + 1].x:
-            raise NotSimpleError(f"curve of {e} is not angle-monotone")
-    turn = img.turn
-    if curve[-1].x - curve[0].x >= turn:
-        raise NotSimpleError(f"curve of {e} spans a full turn or more")
-    ends = {curve[0], Point(curve[-1].x % turn, curve[-1].y)}
-    if ends != {img.points[e[0]], img.points[e[1]]}:
-        raise NotSimpleError(f"curve of {e} does not join its endpoints")
-    return _cartesian_record(curve)
 
 
 def _in_frame(img: _Image, p: Point, rec: tuple) -> Point:
@@ -333,20 +341,6 @@ def _in_frame(img: _Image, p: Point, rec: tuple) -> Point:
     if img.backend == "polar" and p.x < rec[1][0]:
         return Point(p.x + img.turn, p.y)
     return p
-
-
-def _vertex_on_curve(img: _Image, e: Edge, curve, rec: tuple, v: int) -> bool:
-    """Does the curve, with record rec, pass through vertex v's point
-    anywhere it must not?"""
-    p = _in_frame(img, img.points[v], rec)
-    if v in e:
-        return p in curve[1:-1]
-    x, y = p
-    segs, (xlo, xhi, ylo, yhi) = rec
-    if not (xlo <= x <= xhi and ylo <= y <= yhi):
-        return False
-    return any(sxlo <= x <= sxhi and sylo <= y <= syhi and orient(a, b, p) == 0
-               for a, b, sxlo, sxhi, sylo, syhi in segs)
 
 
 def validate_simple(d: Drawing) -> ClassReport:
@@ -400,17 +394,7 @@ def _crossing_rows(d: Drawing, unchecked=None) -> Tuple[int, ...]:
         img = d._derive(_integer_image)
     shared = img.points
 
-    records = {}
-    for e, curve in img.curves.items():
-        if cartesian:
-            rec = _check_cartesian_curve(img, e, curve)
-        else:
-            rec = _check_polar_curve(img, e, curve)
-        for v in range(d.n):
-            if _vertex_on_curve(img, e, curve, rec, v):
-                raise NotSimpleError(f"curve of {e} passes through vertex {v}")
-        records[e] = rec
-
+    records = {e: _check_curve(img, e, curve) for e, curve in img.curves.items()}
     edges = d.edges
     recs = [records[e] for e in edges]
     rows = [0] * len(edges)
@@ -564,19 +548,13 @@ def classify_two_page(d: Drawing) -> bool:
 # cylindrical drawings
 # ---------------------------------------------------------------------------
 
-def _angle_cmp(p: Point, q: Point) -> int:
-    def half(t: Point) -> int:
-        return 0 if (t.y > 0 or (t.y == 0 and t.x > 0)) else 1
-    hp, hq = half(p), half(q)
-    if hp != hq:
-        return -1 if hp < hq else 1
-    c = p.x * q.y - p.y * q.x
-    return 0 if c == 0 else (-1 if c > 0 else 1)
-
-
-def _sorted_by_angle(d: Drawing, vs: List[int]) -> List[int]:
-    return sorted(vs, key=functools.cmp_to_key(
-        lambda a, b: _angle_cmp(d.vertex_points[a], d.vertex_points[b])))
+def _ring_key(p: Point) -> tuple:
+    """Sort key of a point by its angle about the origin, from angle 0,
+    for points on one origin-centred circle: x falls along the upper half
+    (y > 0, or the point at angle 0) and rises along the lower half."""
+    if p.y > 0 or (p.y == 0 and p.x > 0):
+        return 0, -p.x
+    return 1, p.x
 
 
 def classify_cylindrical(d: Drawing, r_in2: Rat, r_out2: Rat) -> Optional[CylRoles]:
@@ -616,7 +594,7 @@ def classify_cylindrical(d: Drawing, r_in2: Rat, r_out2: Rat) -> Optional[CylRol
     def circle_cycle(vs: List[int]) -> List[Edge]:
         if len(vs) < 2:
             return []
-        ring = _sorted_by_angle(d, vs)
+        ring = sorted(vs, key=lambda v: _ring_key(d.vertex_points[v]))
         if len(ring) == 2:
             return [edge(ring[0], ring[1])]
         return [edge(ring[i], ring[(i + 1) % len(ring)]) for i in range(len(ring))]

@@ -234,9 +234,9 @@ def _t_walk(t0, t1, step) -> list:
 
 def _reject_self_contact(way: list) -> None:
     """Raise _Reject if the polyline of (x, y, den) waypoints repeats a
-    waypoint or touches itself, the rule ``drawing._check_cartesian_curve``
-    applies, tested on its integer image: every waypoint times one common
-    multiple of the denominators.  Validation would reject the candidate
+    waypoint or touches itself, the rule ``drawing._check_curve`` applies
+    to a cartesian curve, tested on its integer image: every waypoint times
+    one common multiple of the denominators.  Validation would reject the candidate
     at this curve, or at an earlier fault, so no verdict changes."""
     m = math.lcm(*(den for _, _, den in way))
     img = [Point(x * (m // den), y * (m // den)) for x, y, den in way]

@@ -25,17 +25,17 @@ def _cartesian_path(curve) -> List[Tuple[float, float]]:
     return [(float(w.x), float(w.y)) for w in curve]
 
 
+def _plane(theta, r) -> Tuple[float, float]:
+    """The plane point at angle theta (in turns) and radius r."""
+    ang = 2 * math.pi * float(theta)
+    return float(r) * math.cos(ang), float(r) * math.sin(ang)
+
+
 def _polar_path(curve) -> List[Tuple[float, float]]:
-    pts = []
-    for a, b in zip(curve, curve[1:]):
-        for i in range(_SAMPLES):
-            t = a.theta + (b.theta - a.theta) * i / _SAMPLES
-            r = a.r + (b.r - a.r) * i / _SAMPLES
-            ang = 2 * math.pi * float(t)
-            pts.append((float(r) * math.cos(ang), float(r) * math.sin(ang)))
-    last = curve[-1]
-    ang = 2 * math.pi * float(last.theta)
-    pts.append((float(last.r) * math.cos(ang), float(last.r) * math.sin(ang)))
+    pts = [_plane(a.theta + (b.theta - a.theta) * i / _SAMPLES,
+                  a.r + (b.r - a.r) * i / _SAMPLES)
+           for a, b in zip(curve, curve[1:]) for i in range(_SAMPLES)]
+    pts.append(_plane(*curve[-1]))
     return pts
 
 
@@ -45,15 +45,8 @@ def render_svg(d: Drawing, highlight: Sequence[Iterable] = ()) -> str:
     polar = d.backend == "polar"
     paths = {e: (_polar_path(c) if polar else _cartesian_path(c))
              for e, c in sorted(d.curves.items())}
-    if polar:
-        verts = {}
-        for v in range(d.n):
-            t, r = d.vertex_points[v]
-            ang = 2 * math.pi * float(t)
-            verts[v] = (float(r) * math.cos(ang), float(r) * math.sin(ang))
-    else:
-        verts = {v: (float(p.x), float(p.y))
-                 for v, p in enumerate(d.vertex_points)}
+    verts = ([_plane(*p) for p in d.vertex_points] if polar
+             else _cartesian_path(d.vertex_points))
 
     xs = [x for pts in paths.values() for x, _ in pts]
     ys = [y for pts in paths.values() for _, y in pts]

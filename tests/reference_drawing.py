@@ -10,13 +10,15 @@ package compares those of the integer image that validation keeps:
 waypoint with ``is_x_monotone``, ``classify_two_page`` the y-coordinates,
 and ``classify_c_monotone`` the spans and vertex angles that
 ``edge_span`` and ``vertex_angles`` read as ``Fraction``s, taken mod one
-turn.
+turn.  ``angle_cmp`` is the comparator that ordered the vertices of a
+cylindrical drawing's circles before ``drawing._ring_key`` did: its cross
+product orders any points about the origin, not only points of one circle.
 """
 
 from typing import List, Optional, Tuple
 
 from treespan.drawing import Drawing, Edge, SpineStructure, _spans_cover_circle, edge
-from treespan.geometry import CartesianCurve, Rat, _x_direction, lift_angle, orient
+from treespan.geometry import CartesianCurve, Point, Rat, _x_direction, lift_angle, orient
 
 
 def order_type_rows(points, edges) -> Optional[Tuple[int, ...]]:
@@ -126,3 +128,15 @@ def classify_c_monotone(d: Drawing):
                          if not any(span_contains(edge_span(d, e), a) for a in angles)))
     return True, strongly, SpineStructure(kind="cmonotone", order=order, spine_edges=spine,
                                           all_cycle_edges_spine=len(spine) == len(cycle))
+
+
+def angle_cmp(p: Point, q: Point) -> int:
+    """-1, 0 or 1 as p's angle about the origin, from angle 0 in [0, 2 pi),
+    is below, equal to or above q's."""
+    def half(t: Point) -> int:
+        return 0 if (t.y > 0 or (t.y == 0 and t.x > 0)) else 1
+    hp, hq = half(p), half(q)
+    if hp != hq:
+        return -1 if hp < hq else 1
+    c = p.x * q.y - p.y * q.x
+    return 0 if c == 0 else (-1 if c > 0 else 1)

@@ -87,6 +87,12 @@ def test_missing_edge_rejected(m4):
         validate_simple(bad)
 
 
+def test_one_vertex_rejected():
+    one = Drawing(n=1, backend="cartesian", vertex_points=(P(0, 0),), curves={})
+    with pytest.raises(NotSimpleError, match="need at least 2 vertices"):
+        validate_simple(one)
+
+
 def test_report_idempotent(m4):
     first = validate_simple(m4)
     again = validate_simple(straight_line_drawing(m4.vertex_points))
@@ -225,6 +231,19 @@ def test_two_page_false_for_m4(m4):
     assert classify_two_page(m4) is False
 
 
+def test_two_page_false_for_an_edge_on_the_vertex_line():
+    """K_3 on one line: the tent (0, 2) leaves the line, but the straight
+    edges (0, 1) and (1, 2) lie on it, so the drawing is simple and not a
+    two-page book."""
+    pts = (P(0, 0), P(1, 0), P(2, 0))
+    d = Drawing(n=3, backend="cartesian", vertex_points=pts,
+                curves={(0, 2): (pts[0], P(1, 1), pts[2]),
+                        (0, 1): (pts[0], pts[1]), (1, 2): (pts[1], pts[2])})
+    assert d.crossing_pairs() == []
+    assert classify_two_page(d) is False
+    assert validate_simple(d).is_two_page_book is False
+
+
 def test_two_page_false_for_polar(pk3):
     assert classify_two_page(pk3) is False
 
@@ -251,6 +270,22 @@ def test_cyl_absent_for_off_circle(sq):
 def test_cyl_invalid_radii(cyl4):
     with pytest.raises(InvalidRadiiError):
         classify_cylindrical(cyl4, F(4), F(1))
+
+
+def test_cyl_radii_must_be_positive(cyl4):
+    for r_in2 in (F(0), F(-1)):
+        with pytest.raises(InvalidRadiiError, match="radii must be positive"):
+            classify_cylindrical(cyl4, r_in2, F(4))
+
+
+def test_cyl_absent_when_an_edge_crosses_a_circle():
+    """Every vertex lies on a circle, but the straight edge (0, 2) runs
+    through the origin, across the inner circle."""
+    pts = [P(2, 0), P(0, 1), P(-2, 0), P(0, -1)]
+    d = dataclasses.replace(straight_line_drawing(pts), circles=(F(1), F(4)))
+    assert d.crossing_pairs() == [((0, 2), (1, 3))]
+    assert classify_cylindrical(d, F(1), F(4)) is None
+    assert validate_simple(d).is_cylindrical is None
 
 
 def test_cyl_report_flag(cyl4):

@@ -576,6 +576,39 @@ def test_cli_input_errors_exit_1(doc, path, value, message, sq_file, tmp_path,
     assert err["error"] == "invalid-input" and message in err["message"], err
 
 
+@pytest.mark.parametrize("case, message", [
+    ("backend", "bad backend 'spherical'"),
+    ("vertex", "expected coordinate pair"),
+    ("sequence-list", "sequence file must be a JSON object"),
+    ("from-dashes", "bad tree argument []"),
+    ("tree-dashes", "bad tree argument []"),
+], ids=["backend-spherical", "vertex-not-a-pair", "certify-list", "transform-from-dashes",
+        "render-tree-dashes"])
+def test_cli_file_format_rejections(case, message, k3_file, tmp_path, capsys):
+    """A drawing file with an unknown backend or a vertex that is not a
+    pair, a sequence file that is a JSON list, and the tree value "--",
+    which argparse hands over as an empty list: each exits 1 with one JSON
+    object on stderr, typed ``FileFormatError``."""
+    doc = drawing_to_dict(polar_k3())
+    if case == "backend":
+        doc["backend"] = "spherical"
+    elif case == "vertex":
+        doc["vertices"][0] = doc["vertices"][0] * 2
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps([] if case == "sequence-list" else doc))
+    argv = {"backend": ["validate", str(bad)],
+            "vertex": ["validate", str(bad)],
+            "sequence-list": ["certify", str(bad), "--drawing", k3_file],
+            "from-dashes": ["transform", k3_file, "--from=--", "--to", "0-1,1-2"],
+            "tree-dashes": ["render", k3_file, "--tree=--",
+                            "-o", str(tmp_path / "o.svg")]}[case]
+    assert main(argv) == 1
+    err = _one_json_error(capsys)
+    assert err["error"] == "invalid-input" and err["type"] == "FileFormatError"
+    assert err["message"].startswith(message), err
+    assert not (tmp_path / "o.svg").exists()
+
+
 def test_cli_render(tmp_path, capsys, k3_file):
     out = str(tmp_path / "out.svg")
     assert main(["render", k3_file, "--tree", "0-1,1-2", "-o", out]) == 0

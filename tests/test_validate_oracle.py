@@ -15,10 +15,14 @@ general position and the pair loop otherwise.  A count of segment tests
 pins the box pruning of the pair loop.  The rows ``generate`` builds, with
 the adjacent pairs its builders checked taken as passed, must equal a full
 check's; the wedge-read order-type rows and the integer class checks must
-equal their references in ``reference_drawing``.
+equal their references in ``reference_drawing``.  Curves that break two
+neighbouring per-curve rules at once pin the order of those checks, and so
+the reason reported; the sort key of a cylindrical drawing's rings must
+order exact circle points as the comparator it replaced did.
 """
 
 import dataclasses
+import functools
 import math
 import random
 from fractions import Fraction as F
@@ -36,6 +40,7 @@ from treespan.drawing import (
     _crossing_rows,
     _integer_image,
     _order_type_rows,
+    _ring_key,
     _spans_cover_circle,
     bipartite_edges,
     classify_c_monotone,
@@ -799,3 +804,91 @@ def test_covering_pair_stops_only_below_a_turn():
         assert _covering_pair(spans, turn) == want
         found.add(want)
     assert found == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# the order of the per-curve checks
+# ---------------------------------------------------------------------------
+
+_TRI = (Point(F(0), F(0)), Point(F(4), F(0)), Point(F(2), F(3)))
+
+
+def _bad_first(backend, curve):
+    """K_3 whose curve of (0, 1), checked first, is ``curve``; the other
+    two curves are simple."""
+    if backend == "cartesian":
+        pts, rest = _TRI, {(0, 2): (_TRI[0], _TRI[2]), (1, 2): (_TRI[1], _TRI[2])}
+    else:
+        pts, rest = PK3.vertex_points, {e: PK3.curves[e] for e in ((0, 2), (1, 2))}
+    return Drawing(n=3, backend=backend, vertex_points=pts,
+                   curves={(0, 1): tuple(curve), **rest})
+
+
+def _c(*xy):
+    return [Point(F(x), F(y)) for x, y in xy]
+
+
+def _p(*tr):
+    return [_pp(t, r) for t, r in tr]
+
+
+# Each curve of (0, 1) breaks two neighbouring per-curve rules at once; the
+# reason is the first rule's.  Cartesian rules run: waypoint count,
+# zero-length segments, endpoint join, self-contact, vertex on the curve
+# (one waypoint leaves no segment to be zero-length, so the count is paired
+# with the join).  Polar rules run: waypoint count, radius, angle order,
+# angle span, endpoint join, vertex on the curve.
+CHECK_ORDER = [
+    ("cartesian", _c((0, 0)), "curve of (0, 1) has fewer than 2 waypoints"),
+    ("cartesian", _c((0, 0), (0, 0), (4, 1)), "zero-length segment in curve of (0, 1)"),
+    # ends at (1, -2); its last segment crosses its first
+    ("cartesian", _c((0, 0), (3, -2), (3, -1), (1, -2)),
+     "curve of (0, 1) does not join its endpoints"),
+    # runs through vertex 2 at (2, 3), then its fourth segment crosses its second
+    ("cartesian", _c((0, 0), (2, 3), (3, -2), (3, -1), (1, -2), (4, 0)),
+     "curve of (0, 1) is self-intersecting"),
+    ("polar", _p((0, -1)), "curve of (0, 1) has fewer than 2 waypoints"),
+    ("polar", _p((0, 2), (F(1, 4), 0), (F(1, 5), 3), (F(1, 3), 2)),
+     "curve of (0, 1) has non-positive radius"),
+    ("polar", _p((0, 2), (F(1, 2), 3), (F(1, 4), 3), (F(4, 3), 2)),
+     "curve of (0, 1) is not angle-monotone"),
+    ("polar", _p((0, 2), (F(1, 2), 3), (F(5, 4), 2)),
+     "curve of (0, 1) spans a full turn or more"),
+    # runs through vertex 2 at angle 2/3, then ends off vertex 1
+    ("polar", _p((0, 2), (F(1, 3), 3), (F(2, 3), 2), (F(5, 6), 3)),
+     "curve of (0, 1) does not join its endpoints"),
+]
+
+
+@pytest.mark.parametrize("backend, curve, reason", CHECK_ORDER, ids=[
+    "cartesian-count-join", "cartesian-zero-length-join", "cartesian-join-self-contact",
+    "cartesian-self-contact-vertex", "polar-count-radius", "polar-radius-angle-order",
+    "polar-angle-order-span", "polar-span-join", "polar-join-vertex"])
+def test_first_broken_curve_rule_names_the_reason(backend, curve, reason):
+    d = _bad_first(backend, curve)
+    with pytest.raises(NotSimpleError) as oracle:
+        _oracle_check_curve(d, (0, 1), d.curves[0, 1])
+    assert oracle.value.reason == reason
+    assert _outcome(_fast, _fresh(d)) == _outcome(oracle_validate, _fresh(d)) == (
+        "NotSimpleError", reason, None)
+
+
+# ---------------------------------------------------------------------------
+# ring order on a circle
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(r=st.fractions(min_value=F(1, 8), max_value=8, max_denominator=9),
+       ts=st.lists(st.fractions(min_value=-20, max_value=20, max_denominator=12),
+                   min_size=1, max_size=9, unique=True),
+       half_turn=st.booleans())
+@example(r=F(1), ts=[F(0), F(1), F(-1), F(1, 3), F(-3)], half_turn=True)
+def test_ring_key_orders_like_the_angle_comparator(r, ts, half_turn):
+    """Exact points of one origin-centred circle, parametrized by the
+    tangent of the half angle t: t = 0 is the point at angle 0, t > 0 the
+    upper half and t < 0 the lower; the point at angle pi has no t."""
+    pts = [Point(r * (1 - t * t) / (1 + t * t), r * 2 * t / (1 + t * t)) for t in ts]
+    if half_turn:
+        pts.append(Point(-r, F(0)))
+    assert (sorted(pts, key=_ring_key)
+            == sorted(pts, key=functools.cmp_to_key(reference_drawing.angle_cmp)))
