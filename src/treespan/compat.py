@@ -13,12 +13,15 @@ the same neighbours, and they are adjacent to each other, since each is
 plane and so misses that mask: they are true twins, and the graph is the
 quotient on conflict masks with each class blown up into a clique.  A graph
 keeps that quotient.  ``class_of`` maps each tree to its class, numbered in
-order of first appearance, and ``class_rows`` are Python-int bitsets over
-classes: bit b of row a says that classes a != b are compatible, which one
-tree of each decides.  The rows are built from edge-holder sets, not by
-testing class pairs: ``holders[e]`` is the bitset of classes whose first
-tree contains edge e, and class a is compatible with every class outside
-the union of the holder sets of the edges in its conflict mask.  The
+order of first appearance by the enumeration itself (``trees._plane_masks``
+hands over the masks, each tree's class and one conflict mask per class,
+and no per-tree conflict), and ``class_rows`` are Python-int bitsets over
+classes: bit b of row a says that classes a != b are compatible, which any
+one tree of each decides, the crossing relation being symmetric.  The rows
+are built from edge-holder sets, not by testing class pairs: ``holders[e]``
+is the bitset of classes whose last tree contains edge e, and class a is
+compatible with every class outside the union of the holder sets of the
+edges in its conflict mask.  The
 tree-level ``adjacency`` is a view built from the class rows when first
 read; ``degree`` and ``edge_count`` work on the classes and their sizes.
 
@@ -123,38 +126,33 @@ class CompatAnalysis:
 
 def build_compat_graph(d: Relation, restricted: bool = False,
                        limit: Optional[int] = None) -> CompatGraph:
-    masks = _plane_masks(d, kind="special" if restricted else "all",
-                         limit=limit)
-    return _twin_graph(d.edges, masks, restricted)
+    masks, class_of, conflicts = _plane_masks(
+        d, kind="special" if restricted else "all", limit=limit)
+    return _twin_graph(d.edges, masks, class_of, conflicts, restricted)
 
 
-def _twin_graph(edges: Tuple[Edge, ...], masks: List[Tuple[int, int]],
-                restricted: bool) -> CompatGraph:
-    """The graph of the plane trees given as (mask, conflict mask) pairs,
-    their classes numbered in order of first appearance."""
-    number: Dict[int, int] = {}        # conflict mask -> class
-    reps: List[int] = []               # each class's first tree
-    class_of = []
-    for mask, conflict in masks:
-        a = number.get(conflict)
-        if a is None:
-            a = number[conflict] = len(reps)
-            reps.append(mask)
-        class_of.append(a)
+def _twin_graph(edges: Tuple[Edge, ...], masks: List[int], class_of: List[int],
+                conflicts: List[int], restricted: bool) -> CompatGraph:
+    """The graph of the plane trees ``masks``, tree i in twin class
+    ``class_of[i]`` (classes numbered in order of first appearance) and
+    class a's conflict mask ``conflicts[a]``."""
     holders = [0] * len(edges)
-    for a, mask in enumerate(reps):
-        for e in bits(mask):
-            holders[e] |= 1 << a
-    full = (1 << len(reps)) - 1
+    for a, mask in dict(zip(class_of, masks)).items():  # a class's last tree
+        while mask:
+            low = mask & -mask
+            holders[low.bit_length() - 1] |= 1 << a
+            mask ^= low
+    full = (1 << len(conflicts)) - 1
     class_rows = []
-    for a, conflict in enumerate(number):
+    for a, conflict in enumerate(conflicts):
         blocked = 1 << a              # its own trees are counted by its size
-        for e in bits(conflict):
-            blocked |= holders[e]
+        while conflict:
+            low = conflict & -conflict
+            blocked |= holders[low.bit_length() - 1]
+            conflict ^= low
         class_rows.append(full & ~blocked)
-    return CompatGraph(edges=edges, masks=[mask for mask, _ in masks],
-                       class_of=class_of, class_rows=class_rows,
-                       restricted=restricted)
+    return CompatGraph(edges=edges, masks=masks, class_of=class_of,
+                       class_rows=class_rows, restricted=restricted)
 
 
 def _bfs(adjacency: List[int], src: int, goal: int):

@@ -15,6 +15,10 @@ the tuple's value, not its length, since drawings of different classes can
 share one (cylindrical (2, 3) has K5's edges).  ``mask_tree`` is the
 one-mask form; each call hashes the edge tuple, so hot paths read a single
 edge as ``d.edges[bit.bit_length() - 1]`` instead.
+``enumerate_plane_trees`` and ``compat.build_compat_graph`` list their
+trees through one kernel, ``_plane_masks``: it gives each tree's mask and
+numbers its twin class (the trees with its conflict mask) as the tree is
+found, so a listing keeps one conflict mask per class, not one per tree.
 The transformations convert their input trees to masks once, keep masks
 throughout and certify each call's output once.  The relation's cache is
 the one memo of certificates: each input tree, and then each output
@@ -403,20 +407,30 @@ def enumerate_plane_trees(d: Relation, kind: str = "all",
     between them, the AND of the labels, now close a cycle: ``closed`` is
     the OR of those ANDs, ``blocked`` the OR of the chosen edges' crossing
     rows, and a level's candidates are the window's bits outside both.
-    Once two components remain, their cut is every edge that completes a
-    tree, so the last level is one AND with no call.  The other kinds,
-    'special' for the union of 'star', 'double_star' and 'twin_star', are
-    built directly from the trees' defining vertices, not filtered from all
-    trees; the three single kinds keep the trees whose ``classify_kind`` is
-    that kind.
+    Every later choice lies outside ``blocked | closed`` and above the
+    edge just chosen, and each component needs one of them in its cut, so
+    a branch where some label misses that set holds no tree and is cut
+    before it is entered.  The level that leaves three components runs
+    the last two choices as loops of its own: it reads the two labels it
+    joined as their XOR, so it builds no label list and makes no call,
+    and once two components remain their cut is every edge that completes
+    a tree.  On three or fewer vertices any n - 1 edges span, so a set is
+    a tree when no edge of it crosses one before it, as in the search.
+    The other kinds, 'special' for the union of 'star', 'double_star' and
+    'twin_star', are built directly from the trees' defining vertices, not
+    filtered from all trees; the three single kinds keep the trees whose
+    ``classify_kind`` is that kind.
     """
-    return mask_trees(d.edges, [mask for mask, _ in _plane_masks(d, kind, limit)])
+    return mask_trees(d.edges, _plane_masks(d, kind, limit)[0])
 
 
-def _plane_masks(d: Relation, kind: str = "all",
-                 limit: Optional[int] = None) -> List[Tuple[int, int]]:
-    """(mask, conflict_mask) of each tree ``enumerate_plane_trees`` lists,
-    in the same order."""
+def _plane_masks(d: Relation, kind: str = "all", limit: Optional[int] = None
+                 ) -> Tuple[List[int], List[int], List[int]]:
+    """The trees ``enumerate_plane_trees`` lists, in the same order, as
+    ``(masks, class_of, conflicts)``: tree i is ``masks[i]``, its twin
+    class (the trees with its conflict mask) is ``class_of[i]``, numbered
+    in order of first appearance as the trees are found, and class a's
+    conflict mask is ``conflicts[a]``."""
     if kind not in ("all", "star", "double_star", "twin_star", "special"):
         raise ValueError(f"unknown filter {kind!r}")
     if limit is None:
@@ -426,30 +440,35 @@ def _plane_masks(d: Relation, kind: str = "all",
     if kind == "special":
         return _star_family(d)
     if kind != "all":
-        return [p for p in _star_family(d)
-                if classify_kind(d.n, d.edges, p[0])[0] == kind]
+        masks, class_of, conflicts = _star_family(d)
+        return _twin_classes((mask, conflicts[a]) for mask, a in zip(masks, class_of)
+                             if classify_kind(d.n, d.edges, mask)[0] == kind)
 
     n, edges, rows = d.n, d.edges, d.cross_mask
     m = len(edges)
-    if n <= 1:  # one vertex: the empty tree
-        return [(0, 0)] * n
     if m < n - 1:
-        return []
-    inc = _vertex_rows(d)
+        return [], [], []
+    if n <= 3:  # any n - 1 edges on three or fewer vertices span them
+        small = []
+        for pick in itertools.combinations(range(m), n - 1) if n else ():
+            mask = blocked = 0
+            for i in pick:
+                if blocked >> i & 1:
+                    break
+                mask, blocked = mask | 1 << i, blocked | rows[i]
+            else:
+                small.append((mask, blocked))
+        return _twin_classes(small)
+    masks: List[int] = []
+    class_of: List[int] = []
+    number: Dict[int, int] = {}  # conflict mask -> class
+    add_mask, add_class, new_class = masks.append, class_of.append, number.setdefault
     # with `left` edges still to choose, the next has id at most m - left
     window = [(1 << m + 1 - left) - 1 for left in range(n)]
-    out: List[Tuple[int, int]] = []
-    append = out.append
 
-    def leaves(mask: int, blocked: int, cut: int) -> None:
-        while cut:
-            low = cut & -cut
-            append((mask | low, blocked | rows[low.bit_length() - 1]))
-            cut ^= low
-
-    def grow(start: int, comp: List[int], left: int, mask: int,
+    def grow(start: int, comp: Sequence[int], left: int, mask: int,
              blocked: int, closed: int) -> None:
-        # comp[v] is the cut mask of v's component
+        # comp[v] is the cut mask of v's component; left >= 3
         cand = window[left] & ~(blocked | closed) & -(1 << start)
         while cand:
             low = cand & -cand
@@ -457,25 +476,57 @@ def _plane_masks(d: Relation, kind: str = "all",
             i = low.bit_length() - 1
             u, v = edges[i]
             cu, cv = comp[u], comp[v]
-            joined, b = cu ^ cv, blocked | rows[i]
-            if left == 2:  # joined is the cut between the last two
-                leaves(mask | low, b, joined & ~b & -(low << 1))
-            else:
-                grow(i + 1, [joined if c == cu or c == cv else c for c in comp],
-                     left - 1, mask | low, b, closed | cu & cv)
+            joined, b, c = cu ^ cv, blocked | rows[i], closed | cu & cv
+            later = ~(b | c) & -(low << 1)  # every choice after this one
+            if left > 3:
+                comp2 = [joined if x == cu or x == cv else x for x in comp]
+                if all(map(later.__and__, comp2)):
+                    grow(i + 1, comp2, left - 1, mask | low, b, c)
+                continue
+            # three components remain, comp's labels cu and cv now joined
+            chosen = mask | low
+            pick = window[2] & later
+            while pick:
+                low2 = pick & -pick
+                pick ^= low2
+                j = low2.bit_length() - 1
+                x, y = edges[j]
+                cx, cy = comp[x], comp[y]
+                if cx == cu or cx == cv:
+                    cx = joined
+                if cy == cu or cy == cv:
+                    cy = joined
+                b2, pair = b | rows[j], chosen | low2
+                cut = (cx ^ cy) & ~b2 & -(low2 << 1)  # each completes a tree
+                while cut:
+                    low3 = cut & -cut
+                    cut ^= low3
+                    add_mask(pair | low3)
+                    add_class(new_class(b2 | rows[low3.bit_length() - 1],
+                                        len(number)))
 
-    if n == 2:
-        leaves(0, 0, inc[0])
-    else:
-        grow(0, inc, n - 1, 0, 0, 0)
-    return out
+    grow(0, _vertex_rows(d), n - 1, 0, 0, 0)
+    return masks, class_of, list(number)
 
 
-def _star_family(d: Relation) -> List[Tuple[int, int]]:
-    """(mask, conflict_mask) of every plane double star and twin star, in
-    canonical order.  The stars are among the double stars: a star with
-    centre c is the double star of an edge cv with every other vertex
-    joined to c.  Each tree is its core, the edge gr or the path g-s-r,
+def _twin_classes(trees: Iterable[Tuple[int, int]]
+                  ) -> Tuple[List[int], List[int], List[int]]:
+    """``_plane_masks``'s triple of trees given as (mask, conflict mask)
+    pairs, their classes numbered in order of first appearance."""
+    masks: List[int] = []
+    class_of: List[int] = []
+    number: Dict[int, int] = {}
+    for mask, conflict in trees:
+        masks.append(mask)
+        class_of.append(number.setdefault(conflict, len(number)))
+    return masks, class_of, list(number)
+
+
+def _star_family(d: Relation) -> Tuple[List[int], List[int], List[int]]:
+    """Every plane double star and twin star, in canonical order, in
+    ``_plane_masks``'s shape.  The stars are among the double stars: a
+    star with centre c is the double star of an edge cv with every other
+    vertex joined to c.  Each tree is its core, the edge gr or the path g-s-r,
     with every other vertex joined to g or to r.  So each unordered pair
     (g, r) has one expansion: the entries, each vertex but g and r joined
     to g or r by an edge the relation has (bipartite drawings lack some),
@@ -515,7 +566,7 @@ def _star_family(d: Relation) -> List[Tuple[int, int]]:
                 for mask, blocked, rev in entries:
                     if mask & hold and not blocked & b:
                         found[rev | rb] = (mask | b, blocked | row)
-    return [found[rev] for rev in sorted(found, reverse=True)]
+    return _twin_classes([found[rev] for rev in sorted(found, reverse=True)])
 
 
 # ---------------------------------------------------------------------------

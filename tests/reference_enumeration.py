@@ -1,16 +1,19 @@
-"""The plane-tree enumerators as ``trees`` ran them before they moved to
-cut-mask component labels and to one star-family expansion per hub pair.
+"""The plane-tree enumerators as ``trees`` ran them before: before cut-mask
+component labels, before one star-family expansion per hub pair, and
+before the cut-label search pruned branches and ran its last two levels
+as loops.
 
 ``plane_masks`` labels the components of the chosen forest with a
 per-vertex list that it copies on every call, and tests each edge of its
-window one by one; ``star_family`` expands every core on its own, the
-edge gr or the path g-s-r, building its option lists afresh.  Both return
-``(mask, conflict_mask)`` pairs in canonical order and read only ``n``,
-``edges`` and ``cross_mask`` of the drawing.
-The tests use them as the oracle of ``trees._plane_masks(d, "all")``, the
-depth-first search over cut masks, and of ``trees._star_family``, whose
-one expansion per unordered hub pair (g, r) serves every core on it as a
-filter.
+window one by one; ``cut_label_masks`` is the cut-label search with one
+call and one new label list per level above the last, and no branch cut
+before it is entered; ``star_family`` expands every core on its own, the
+edge gr or the path g-s-r, building its option lists afresh.  All three
+return ``(mask, conflict_mask)`` pairs in canonical order and read only
+``n``, ``edges`` and ``cross_mask`` of the drawing.
+The tests use the first two as oracles of ``trees._plane_masks(d, "all")``
+and the third of ``trees._star_family``, whose one expansion per unordered
+hub pair (g, r) serves every core on it as a filter.
 """
 
 import itertools
@@ -42,6 +45,51 @@ def plane_masks(d) -> List[Tuple[int, int]]:
                  mask | 1 << i, blocked | rows[i])
 
     grow(0, list(range(d.n)), d.n - 1, 0, 0)
+    return out
+
+
+def cut_label_masks(d) -> List[Tuple[int, int]]:
+    n, edges, rows = d.n, d.edges, d.cross_mask
+    m = len(edges)
+    if n <= 1:  # one vertex: the empty tree
+        return [(0, 0)] * n
+    if m < n - 1:
+        return []
+    inc = [0] * n
+    for i, (u, v) in enumerate(edges):
+        inc[u] |= 1 << i
+        inc[v] |= 1 << i
+    # with `left` edges still to choose, the next has id at most m - left
+    window = [(1 << m + 1 - left) - 1 for left in range(n)]
+    out: List[Tuple[int, int]] = []
+
+    def leaves(mask: int, blocked: int, cut: int) -> None:
+        while cut:
+            low = cut & -cut
+            out.append((mask | low, blocked | rows[low.bit_length() - 1]))
+            cut ^= low
+
+    def grow(start: int, comp: List[int], left: int, mask: int,
+             blocked: int, closed: int) -> None:
+        # comp[v] is the cut mask of v's component
+        cand = window[left] & ~(blocked | closed) & -(1 << start)
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            i = low.bit_length() - 1
+            u, v = edges[i]
+            cu, cv = comp[u], comp[v]
+            joined, b = cu ^ cv, blocked | rows[i]
+            if left == 2:  # joined is the cut between the last two
+                leaves(mask | low, b, joined & ~b & -(low << 1))
+            else:
+                grow(i + 1, [joined if c == cu or c == cv else c for c in comp],
+                     left - 1, mask | low, b, closed | cu & cv)
+
+    if n == 2:
+        leaves(0, 0, inc[0])
+    else:
+        grow(0, inc, n - 1, 0, 0, 0)
     return out
 
 

@@ -26,6 +26,7 @@ from treespan.compat import (
 )
 from treespan.generators import GenSpec, fixture_bipartite_isolated, generate
 from treespan.trees import (
+    _plane_masks,
     canon_tree,
     classify_kind,
     conflict_mask,
@@ -320,7 +321,9 @@ def test_twin_classes_match_tree_oracle(case):
     cross, masks = case
     conflicts = [_conflict(cross, mask) for mask in masks]
     edges = tuple((0, e + 1) for e in range(len(cross)))
-    g = _twin_graph(edges, list(zip(masks, conflicts)), False)
+    number = {}  # conflict mask -> class, in order of first appearance
+    class_of = [number.setdefault(c, len(number)) for c in conflicts]
+    g = _twin_graph(edges, masks, class_of, list(number), False)
     want = oracle_pairwise(masks, conflicts)
     assert len(g.class_rows) == len(set(conflicts))
     assert_matches_oracle(g, want)
@@ -328,6 +331,28 @@ def test_twin_classes_match_tree_oracle(case):
         assert g.degree(t) == want.adjacency[i].bit_count()
         for j, u in enumerate(g.nodes):
             assert bfs_distance(g, t, u) == oracle_distance(want, i, j)
+
+
+def test_one_enumeration_kernel_call_per_listing_and_build(monkeypatch):
+    """``enumerate_plane_trees`` and ``build_compat_graph``, full or
+    restricted, each list their trees with one ``_plane_masks`` call, so no
+    second enumeration path serves either."""
+    calls = []
+
+    def counting(d, kind="all", limit=None):
+        calls.append(kind)
+        return _plane_masks(d, kind, limit)
+
+    for module in (treespan.trees, treespan.compat):
+        monkeypatch.setattr(module, "_plane_masks", counting)
+    d = generate(GenSpec(cls="two_page", n=6, seed=1))
+    for call, want in ((lambda: enumerate_plane_trees(d), "all"),
+                       (lambda: enumerate_plane_trees(d, "special"), "special"),
+                       (lambda: build_compat_graph(d), "all"),
+                       (lambda: build_compat_graph(d, restricted=True), "special")):
+        calls.clear()
+        assert call()
+        assert calls == [want]
 
 
 def test_restricted_convex_8_matches_levels_until():

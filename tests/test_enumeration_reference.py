@@ -1,11 +1,12 @@
 """The plane-tree enumerators against the ones they replaced.
 
-``reference_enumeration`` keeps the per-vertex-label growth and one
-expansion per star-family core.  ``_plane_masks(d, "all")`` and
-``_star_family`` must return their lists exactly: the same trees, in the
-same order, with the same conflict masks.  The drawings are generated ones,
-hand-built ones with missing edges, and synthetic crossing relations that
-no drawing realises.
+``reference_enumeration`` keeps the per-vertex-label growth, the cut-label
+search without branch cuts or loop-run last levels, and one expansion per
+star-family core.  ``_plane_masks(d, "all")`` and ``_star_family`` must
+return their lists exactly: the same trees, in the same order, with the
+same conflict masks, and twin classes numbered in order of first
+appearance.  The drawings are generated ones, hand-built ones with missing
+edges, and synthetic crossing relations that no drawing realises.
 """
 
 import itertools
@@ -43,10 +44,22 @@ def _drawings():
 DRAWINGS = _drawings()
 
 
+def as_pairs(listing):
+    """(mask, conflict mask) of each tree of a ``_plane_masks`` listing,
+    after checking that its classes are numbered in order of first
+    appearance and that no two hold one conflict mask."""
+    masks, class_of, conflicts = listing
+    number = {}  # conflict mask -> class, in order of first appearance
+    assert [number.setdefault(conflicts[a], len(number)) for a in class_of] == class_of
+    assert list(number) == conflicts and len(masks) == len(class_of)
+    return [(mask, conflicts[a]) for mask, a in zip(masks, class_of)]
+
+
 def assert_matches_reference(d, limit=None):
-    got = _plane_masks(d, "all", limit=limit)
+    got = as_pairs(_plane_masks(d, "all", limit=limit))
     assert got == reference.plane_masks(d)
-    assert _star_family(d) == reference.star_family(d)
+    assert got == reference.cut_label_masks(d)
+    assert as_pairs(_star_family(d)) == reference.star_family(d)
     return got
 
 
@@ -70,7 +83,7 @@ LARGE = [GenSpec(cls=cls, n=n, seed=seed) for cls in CLASSES
 @pytest.mark.parametrize("spec", LARGE, ids=[f"{s.cls}-{s.n}-{s.seed}" for s in LARGE])
 def test_star_family_matches_reference_to_the_limit(spec):
     d = generate(spec)
-    assert _star_family(d) == reference.star_family(d)
+    assert as_pairs(_star_family(d)) == reference.star_family(d)
 
 
 def _relation(n, edges, pairs):
@@ -109,6 +122,12 @@ def crossing_relations(draw):
 @example(_relation(4, complete_edges(4), [(1, 3)]))           # 02 crosses 12 at 2
 @example(_relation(4, complete_edges(4), [(0, 0), (3, 3), (2, 3)]))  # 01, 12 self-crossing; 03 x 12
 @example(_relation(4, [(0, 1), (0, 2), (0, 3), (1, 2)], []))  # 3 joined to 0 alone
+# branches cut at the root: K_5 without 04 and 14 has ids 01 0, 02 1,
+# 03 2, 12 3, 13 4, 23 5, 24 6, 34 7, and 4's two edges cross the first
+# chosen edge 01; in the second, 0's one edge lies below every other
+@example(_relation(5, [e for e in complete_edges(5) if e not in ((0, 4), (1, 4))],
+                   [(0, 6), (0, 7)]))
+@example(_relation(5, [(0, 1), (1, 2), (1, 3), (2, 3), (2, 4), (3, 4)], [(1, 5)]))
 def test_enumerators_match_reference_on_crossing_relations(d):
     assert_matches_reference(d)
 
