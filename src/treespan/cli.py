@@ -22,8 +22,8 @@ from .errors import (
     NotSpecialTreeError,
     TreespanError,
 )
-from .generators import GenSpec, generate
-from .trees import _input_certs, enumerate_plane_trees, tree_mask
+from .generators import _CLASSES, GenSpec, generate
+from .trees import KINDS, _input_certs, enumerate_plane_trees, tree_mask
 from .transforms import (
     _spine_route,
     certify_sequence,
@@ -92,9 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("file")
 
     g = sub.add_parser("generate", help="generate a drawing")
-    g.add_argument("--class", dest="cls", required=True,
-                   choices=["convex", "random_points", "monotone_perturbed",
-                            "two_page", "cylindrical", "strongly_cmonotone"])
+    g.add_argument("--class", dest="cls", required=True, choices=list(_CLASSES))
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--seed", type=int, required=True)
     g.add_argument("-a", type=int, default=None)
@@ -103,8 +101,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("trees", help="enumerate plane spanning trees")
     t.add_argument("file")
-    t.add_argument("--kind", default="all",
-                   choices=["all", "star", "double_star", "twin_star", "special"])
+    t.add_argument("--kind", default="all", choices=KINDS)
     t.add_argument("--list", action="store_true")
     t.add_argument("--limit", type=int, default=None)
 
@@ -164,12 +161,12 @@ def _dispatch(args) -> int:
         g = build_compat_graph(d, restricted=args.special, limit=args.limit)
         a = analyze(g)
         diameter = a.diameter if a.diameter != math.inf else "infinite"
-        print(json.dumps({"nodes": len(g.masks), "edges": g.edge_count(),
-                          "connected": a.connected, "diameter": diameter},
-                         sort_keys=True))
         if args.dot:
             with open(args.dot, "w") as fh:
                 fh.write(fileio.compat_to_dot(g))
+        print(json.dumps({"nodes": len(g.masks), "edges": g.edge_count(),
+                          "connected": a.connected, "diameter": diameter},
+                         sort_keys=True))
         return 0
 
     if args.cmd == "transform":

@@ -1,50 +1,33 @@
 """Compatibility graph of plane spanning trees, kept on twin classes.
 
 A graph is built from a ``Relation``, a drawing's crossing relation or
-one given as rows, and stores its trees as edge masks over its ``edges``.
-``nodes``, their canonical edge tuples (the public tree type), and
-``index``, keyed by those tuples, are built the first time they are read:
-``nodes`` is one ``trees.mask_trees`` call over all the masks, which reads
-the edge tuple's cached 8-bit chunk tables.
+one given as rows, and stores its trees as edge masks over its ``edges``;
+``nodes`` (their canonical edge tuples, the public tree type) and
+``index``, keyed by those tuples, are built the first time they are read.
 
 Two plane trees A and B are compatible iff ``A & conflict(B) == 0`` iff
 ``B & conflict(A) == 0``.  Trees with the same conflict mask therefore have
 the same neighbours, and they are adjacent to each other, since each is
 plane and so misses that mask: they are true twins, and the graph is the
 quotient on conflict masks with each class blown up into a clique.  A graph
-keeps that quotient.  ``class_of`` maps each tree to its class, numbered in
-order of first appearance by the enumeration itself (``trees._plane_masks``
-hands over the masks, each tree's class and one conflict mask per class,
-and no per-tree conflict), and ``class_rows`` are Python-int bitsets over
-classes: bit b of row a says that classes a != b are compatible, which any
-one tree of each decides, the crossing relation being symmetric.  The rows
-are built from edge-holder sets, not by testing class pairs: ``holders[e]``
-is the bitset of classes whose last tree contains edge e, and class a is
-compatible with every class outside the union of the holder sets of the
-edges in its conflict mask.  The
-tree-level ``adjacency`` is a view built from the class rows when first
-read; ``degree`` and ``edge_count`` work on the classes and their sizes.
+keeps that quotient: ``class_of`` maps each tree to its class, numbered in
+order of first appearance by the enumeration itself, and ``class_rows``
+are Python-int bitsets over classes.  The tree-level ``adjacency`` is a
+view built from the class rows when first read; ``degree`` and
+``edge_count`` work on the classes and their sizes.
 
 ``analyze`` runs on the class rows and expands its result to trees.  Trees
 of different classes are as far apart as their classes, and two trees of
 one class are at distance 1.  So a tree's eccentricity is its class's, with
 one exception: a class alone in its component that holds two or more trees
 has eccentricity 1, not 0.  Components are numbered by their lowest tree,
-which lies in their lowest class.  ``analyze`` first looks for a hub, a
-class adjacent to every other class.  If there is one (and more than one
-tree), nothing is searched: every tree of a hub class has eccentricity 1
-and every other tree 2, through the hub.  Otherwise it finds components
-with one BFS each and then grows every class's ball one level at a time:
-ball_k(v) is the OR of ball_{k-1}(u) over v and its neighbours, and a
-class's eccentricity is the level at which its ball covers its component.
-A level costs at most deg(v) ORs per class still growing, where a search
-from v pays one OR for every class it reaches; a class next to a finished
-one finishes without any OR.  A finished class keeps a reference to its
-component, so beyond the class rows the growth holds two balls per growing
-class, the previous level's and the new one.  The component sweep runs
-one BFS per component, cut short once it reaches every class not yet
-placed, so on a connected graph it ends as soon as all classes are
-reached; the tests use the same BFS as the ball growth's oracle.
+which lies in their lowest class.  If some class is adjacent to every
+other (and there is more than one tree), nothing is searched: every tree
+of such a hub class has eccentricity 1 and every other tree 2.  Otherwise
+``analyze`` finds the components with one BFS each, cut short once it
+reaches every class not yet placed, and then grows every class's ball one
+level at a time (``_eccentricities``); the tests use the same BFS as the
+ball growth's oracle.
 """
 
 from __future__ import annotations
@@ -135,7 +118,11 @@ def _twin_graph(edges: Tuple[Edge, ...], masks: List[int], class_of: List[int],
                 conflicts: List[int], restricted: bool) -> CompatGraph:
     """The graph of the plane trees ``masks``, tree i in twin class
     ``class_of[i]`` (classes numbered in order of first appearance) and
-    class a's conflict mask ``conflicts[a]``."""
+    class a's conflict mask ``conflicts[a]``.  The rows come from
+    edge-holder sets, not from testing class pairs: ``holders[e]`` holds
+    the classes whose last tree contains edge e, and class a is compatible
+    with every class outside the holders of the edges in its conflict
+    mask, which any one tree of each class decides."""
     holders = [0] * len(edges)
     for a, mask in dict(zip(class_of, masks)).items():  # a class's last tree
         while mask:

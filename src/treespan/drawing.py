@@ -2,48 +2,26 @@
 
 A Relation is n vertices, an edge tuple and a crossing matrix of one int
 per edge: edge ids are positions in the edge tuple, and bit j of
-``cross_mask[i]`` is set when edges i and j cross.  ``crossing_pairs()``
-is a view.  Enumeration, compatibility graphs, certification and the
-star-family transformations read a relation and nothing more.  A Relation
-is immutable; the bit of each edge in either orientation is computed on
-first use and kept, and two plain dicts set at construction are its memos:
-the tree certificates, and the structures ``Relation._derive`` builds.
+``cross_mask[i]`` is set when edges i and j cross.  Enumeration,
+compatibility graphs, certification and the star-family transformations
+read a relation and nothing more.  A Relation is immutable; two plain
+dicts set at construction are its memos: the tree certificates, and the
+structures ``Relation._derive`` builds.
 
 A Drawing is a relation that holds one explicit curve per edge of a
 complete (or complete bipartite) graph.  Its sorted edge tuple, crossing
 matrix (whose construction is the simple-drawing check) and class report
 are computed from the curves on first use and kept.  The class
 recognition the transformation algorithms rely on (spine paths and
-cylindrical roles) lives here; what a round of the spine route reads of
-the curves, ``transforms`` builds itself.
+cylindrical roles) lives here.  A polar drawing is validated in its
+angle-radius strip.
 
-A straight-line drawing (every curve the segment between its two vertex
-points) with no three vertices on a line is validated from its order type,
-the orientation of each vertex triple: it is always simple, and two
-disjoint edges cross iff the ends of each lie on opposite sides of the
-other, so each edge's crossings are read from the wedges at the vertices
-on its left.  A bent curve or a collinear triple sends the drawing through
-the generic pairwise curve-contact loop instead, which finds every fault.
-A polar drawing runs the same loop in its angle-radius strip, where each
-curve is a polyline normalized to start within the first turn and the
-second curve of a pair is moved by each whole turn under which the two
-angle ranges meet; a vertex is lifted into a curve's frame before it is
-tested against that curve.  ``generators.generate`` alone builds the rows
-of its candidates itself, checking only the pairs of curves sharing a
-vertex that the candidate's builder has not checked already; every other
-drawing is checked in full when ``cross_mask`` is first read.
-
-The structures the transformations read are derived once per drawing too,
-through ``Relation._derive``: the monotone and c-monotone classifications.
-Each is an immutable value; the private builders ``_classify_monotone`` and
-``_classify_c_monotone`` compute it uncached.  They and ``classify_two_page``
-compare the coordinates of the drawing's integer image, each axis scaled by
-the lcm of its denominators, which is derived once too: validation derives
-it for every drawing but a straight one in general position.  Only
-``_integer_image`` scales.  A cylindrical classification carries the masks
-of its cycle paths and side edges; its circle predicates scale each curve
-on its own, since the whole image's coordinates grow to about a thousand
-bits.
+Validation and the monotone, c-monotone and two-page checks compare the
+coordinates of the drawing's integer image, each axis scaled by the lcm
+of its denominators, which is derived once per drawing; only
+``_integer_image`` scales.  The cylindrical check's circle predicates
+scale each curve on its own, since the whole image's coordinates grow to
+about a thousand bits.
 """
 
 from __future__ import annotations
@@ -295,7 +273,10 @@ def _check_curve(img: _Image, e: Edge, curve: CartesianCurve) -> tuple:
     lies in the angle-radius strip: positive radii, strictly increasing
     angles spanning less than a turn, its end taken mod one turn.  A
     cartesian one has no zero-length segment and does not touch itself.
-    The checks run in a fixed order, which picks the reason reported."""
+    The checks run in a fixed order, which picks the reason reported.  A
+    curve through one of its own ends as an interior waypoint breaks an
+    earlier rule (zero length or self-contact; angle order or span), so
+    only the other vertices are looked for on it."""
     if len(curve) < 2:
         raise NotSimpleError(f"curve of {e} has fewer than 2 waypoints")
     polar = img.backend == "polar"
@@ -320,12 +301,9 @@ def _check_curve(img: _Image, e: Edge, curve: CartesianCurve) -> tuple:
     if not polar and _self_contacts(segs):
         raise NotSimpleError(f"curve of {e} is self-intersecting")
     for v, p in enumerate(img.points):
-        p = _in_frame(img, p, rec)
         if v in e:
-            if p in curve[1:-1]:
-                raise NotSimpleError(f"curve of {e} passes through vertex {v}")
             continue
-        x, y = p
+        p = x, y = _in_frame(img, p, rec)
         if xlo <= x <= xhi and ylo <= y <= yhi:
             for a, b, sxlo, sxhi, sylo, syhi in segs:
                 if sxlo <= x <= sxhi and sylo <= y <= syhi and orient(a, b, p) == 0:
@@ -591,35 +569,25 @@ def classify_cylindrical(d: Drawing, r_in2: Rat, r_out2: Rat) -> Optional[CylRol
         roles[e] = "inner" if k == 2 else ("side" if k == 1 else "outer")
     sides_mask = sum(bit[e] for e, role in roles.items() if role == "side")
 
-    def circle_cycle(vs: List[int]) -> List[Edge]:
-        if len(vs) < 2:
-            return []
+    cycles = []  # each circle's cycle edges, around the circle
+    for vs in (inner, outer):
         ring = sorted(vs, key=lambda v: _ring_key(d.vertex_points[v]))
-        if len(ring) == 2:
-            return [edge(ring[0], ring[1])]
-        return [edge(ring[i], ring[(i + 1) % len(ring)]) for i in range(len(ring))]
-
-    cycle = sorted(circle_cycle(inner) + circle_cycle(outer))
-    crossed = tuple(e for e in cycle if row[e])
+        closing = ring[:1] if len(ring) > 2 else []  # two vertices: one edge
+        cycles.append([edge(a, b) for a, b in zip(ring, ring[1:] + closing)])
+    crossed = tuple(e for e in sorted(cycles[0] + cycles[1]) if row[e])
     for e in crossed:
         if row[e] & ~sides_mask:
             raise InternalInvariantViolated(
                 f"cycle edge {e} crossed by a non-side edge")
-    for vs in (inner, outer):
-        on_circle = [e for e in crossed if e[0] in set(vs) and e[1] in set(vs)]
-        if len(on_circle) > 1:
+    for es in cycles:  # each becomes its uncrossed Hamiltonian path
+        bad = [e for e in es if row[e]]
+        if len(bad) > 1:
             raise InternalInvariantViolated(
                 "more than one crossed cycle edge on a circle")
+        if len(es) > 1:
+            es.remove(bad[0] if bad else max(es))
 
-    def ham_path(vs: List[int]) -> Tuple[Edge, ...]:
-        es = circle_cycle(vs)
-        if len(vs) < 3:
-            return tuple(es)
-        bad = [e for e in es if row[e]]
-        drop = bad[0] if bad else max(es)
-        return tuple(e for e in es if e != drop)
-
-    inner_path, outer_path = ham_path(inner), ham_path(outer)
+    inner_path, outer_path = map(tuple, cycles)
     return CylRoles(
         r_in2=r_in2, r_out2=r_out2,
         inner_vertices=tuple(sorted(inner)), outer_vertices=tuple(sorted(outer)),

@@ -9,20 +9,13 @@ own ``rng.split()`` child, so a builder may stop a candidate early without
 changing any later one.
 
 The monotone, strongly c-monotone and cylindrical builders compute on
-integers: every flat coordinate is a numerator over one denominator, 2000,
-and each wrapped angle and radius is one numerator over a denominator fixed
-by the drawing's width or by its strip's or segment's width; each
-cylindrical angle parameter is a numerator over one denominator, and each
-point on a circle two numerators over one.  Each ``Fraction`` is built
-once, at the end.  Before that the monotone builders check every pair of
-curves sharing a vertex with validation's own rule for such a pair, on the
-flat integers, and the cylindrical builder each side curve with
-validation's rule for one curve, on its integer image; each rejects the
-candidate at the first fault: validation would reject it too, and these
-are nearly all of their rejects.  A builder returns its candidate with the
-pairs sharing a vertex that it left unchecked (none, the rerouted seam's,
-or None from a builder that checks no pair), and ``generate`` validates
-the candidate once, checking those pairs alone.
+integers, numerators over denominators fixed per drawing, and build each
+``Fraction`` once, at the end.  Before that they check their curves with
+validation's own rules (each pair sharing a vertex, or each side curve)
+and reject the candidate at the first fault: validation would reject it
+too, and these are nearly all of their rejects.  A builder returns its
+candidate with the pairs sharing a vertex that it left unchecked, and
+``generate`` validates the candidate once, checking those pairs alone.
 
 Points on circles come from the tangent half-angle parametrization
 t -> ((1-t^2), 2t) / (1+t^2), which is exactly on the unit circle for every

@@ -3,46 +3,31 @@
 Three routes: cylindrical (through the uncrossed cycle paths), the spine
 route for monotone and strongly c-monotone drawings, and the star family
 (flip schedules along the crossing relation).  The spine route takes each
-tree to the spine path in at most n - 1 rounds of one loop, each round a
-step dropping twiggly edges (those crossing the spine): a maximal one
-through the vertices above it, or all of them by corridor paths.  A
-strongly c-monotone drawing with a non-spine cycle edge takes the first
-step: read from the gap no edge spans, it is monotone.  Both steps read
-one strip table per drawing (``_strip``): for each gap between
-consecutive vertices the edges spanning it from lowest to highest, and
-for each edge the vertices and the non-crossing edges above it.
-Building the table is the only curve evaluation on the route; a round
-and its certificates work on masks.  Certification and the star family
-read a ``Relation`` alone; the cylindrical and spine routes, a ``Drawing``.
-Each public call turns its input trees into edge masks once, works on masks
-throughout (nested steps are private cores returning mask lists), and
-certifies its own output exactly once, in ``_certified``.  The drawing's
-certificate cache is the one memo: each input tree, and then each output
-tree, is one read of it, with ``check_mask`` filling a miss.  The returned
-``TransformSequence`` keeps those masks and builds its edge tuples,
-``trees``, the first time something reads them, in one ``trees.mask_trees``
-call (cached 8-bit chunk tables of the edge tuple).  The routes convert
-masks to tuples only for error messages: where one edge's ends are wanted,
-they read ``d.edges[bit.bit_length() - 1]``.
+tree to the spine path in at most n - 1 rounds, each round a step
+dropping twiggly edges (those crossing the spine): a maximal one through
+the vertices above it, or all of them by corridor paths.  A strongly
+c-monotone drawing with a non-spine cycle edge takes the first step: read
+from the gap no edge spans, it is monotone.  Building the strip table
+(``_strip``) is the only curve evaluation on the route.  Certification and
+the star family read a ``Relation`` alone; the cylindrical and spine
+routes, a ``Drawing``.
+
+Each public call turns its input trees into edge masks once, works on
+masks throughout (nested steps are private cores returning mask lists),
+and certifies its own output exactly once, in ``_certified``.  Masks
+become edge tuples only in ``TransformSequence.trees`` and error messages.
 Whatever a route reads that depends only on the drawing is built once per
-drawing: the classifications (``drawing``), the strip table,
-each spine's masks, each ordered centre pair's relation order (read as
-``d._derive(_relation_order, g, r)``) and flip pairs (the bits of gv and
-rv for each v, in the order the g-leaves move),
-the cylindrical path and side masks, each tree's conflict mask (its
-certificate), the edge-bit table ``Relation._edge_bit`` (both orientations
-of each edge -> its bit, read wherever one edge's bit is wanted) and the
-vertex rows ``trees._vertex_rows`` (each vertex's edges as a mask: a
-tree's incidence is one AND per vertex, and the star at c is c's row).
-Nothing is kept per input tree, and the checks inside each round still
-run on every call.
+drawing through ``Relation._derive``: the classifications, the strip
+table, each spine's masks, each ordered centre pair's flip pairs and the
+vertex rows.  Nothing is kept per input tree, and the checks inside each
+round still run on every call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import ClassVar, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import ClassVar, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .drawing import (
     CylRoles,
@@ -79,7 +64,6 @@ from .trees import (
     _vertex_rows,
     check_mask,
     conflict_mask,
-    mask_tree,
     mask_trees,
     tree_mask,
 )
@@ -315,7 +299,7 @@ def _monotone_step(d: Drawing, spine_mask: int, twiggly: int, t: int) -> int:
     hit = conflict_mask(d, path) & t
     if hit:  # i is in t, so this also covers crossing the resolved edge
         raise InternalInvariantViolated(
-            f"detour path crosses tree: {mask_tree(d, hit)}")
+            f"detour path crosses tree: {mask_trees(d.edges, [hit])[0]}")
     rest = t & ~(1 << i)
     new_t = _retree(d, [path, rest & spine_mask,
                         rest & ~spine_mask & ~twig, rest & twig])
@@ -359,10 +343,10 @@ def _corridor_step(d: Drawing, spine_mask: int, twiggly: int, t: int) -> int:
     hit = conflict_mask(d, paths) & t
     if hit:
         raise InternalInvariantViolated(
-            f"corridor path crosses tree: {mask_tree(d, hit)}")
+            f"corridor path crosses tree: {mask_trees(d.edges, [hit])[0]}")
     if rim & twiggly:
-        raise InternalInvariantViolated("inner/outer corridor path uses "
-                                        f"twiggly edges: {mask_tree(d, rim & twiggly)}")
+        bad = mask_trees(d.edges, [rim & twiggly])[0]
+        raise InternalInvariantViolated(f"inner/outer corridor path uses twiggly edges: {bad}")
     if paths & conflict_mask(d, paths):
         raise InternalInvariantViolated("corridor paths cross each other")
     rest = t & ~twig
@@ -411,42 +395,29 @@ def _star(d: Relation, c: int) -> int:
     return tree_mask(d, [(c, v) for v in range(d.n) if v != c])
 
 
-def _relation_order(d: Relation, g: int, r: int) -> Tuple[int, ...]:
-    """Vertices of V - {g, r} in an order compatible with the crossing
-    relation: u before w whenever edge(u, r) crosses edge(w, g).  Read
-    through ``d._derive``, so built once per drawing and ordered pair."""
+def _flip_pairs(d: Relation, g: int, r: int) -> Tuple[Tuple[int, int], ...]:
+    """(gv bit, rv bit) for each v of V - {g, r}, in the order in which
+    ``_collapse_double`` moves g's leaves onto r: the least order, by
+    Kahn's method, with u before w whenever edge(u, r) crosses edge(w, g),
+    read last first.  Read through ``d._derive``, so built once per drawing
+    and ordered pair."""
     for c in (g, r):  # the stars at g and r hold every edge looked up below
         _star(d, c)
     rows, bit = d.cross_mask, d._edge_bit
-    others = [v for v in range(d.n) if v not in (g, r)]
-    succ: Dict[int, List[int]] = {v: [] for v in others}
-    indeg = {v: 0 for v in others}
-    for u in others:
-        crossing_ur = rows[bit[u, r].bit_length() - 1]
-        for w in others:
-            if u != w and crossing_ur & bit[w, g]:
-                succ[u].append(w)
-                indeg[w] += 1
-    order = []
-    ready = sorted(v for v in others if indeg[v] == 0)
-    while ready:
-        v = ready.pop(0)
-        order.append(v)
-        for w in succ[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                ready.append(w)
-        ready.sort()
-    if len(order) != len(others):
-        raise RelationCyclicError("crossing relation has a cycle")
-    return tuple(order)
-
-
-def _flip_pairs(d: Relation, g: int, r: int) -> Tuple[Tuple[int, int], ...]:
-    """(gv bit, rv bit) for each v of ``_relation_order(d, g, r)``, last
-    first: the order in which ``_collapse_double`` moves g's leaves onto r."""
-    order, bit = d._derive(_relation_order, g, r), d._edge_bit
-    return tuple((bit[g, v], bit[r, v]) for v in reversed(order))
+    others = [v for v in range(d.n) if v != g and v != r]
+    # before[w]: the vertices u whose edge ur crosses wg
+    before = {w: sum(1 << u for u in others
+                     if u != w and rows[bit[u, r].bit_length() - 1] & bit[w, g])
+              for w in others}
+    placed, pairs = 0, []
+    while others:  # the least vertex whose predecessors are all placed
+        v = next((v for v in others if not before[v] & ~placed), None)
+        if v is None:
+            raise RelationCyclicError("crossing relation has a cycle")
+        others.remove(v)
+        placed |= 1 << v
+        pairs.append((bit[g, v], bit[r, v]))
+    return tuple(reversed(pairs))
 
 
 def star_to_star(d: Relation, g: int, r: int) -> TransformSequence:
@@ -498,7 +469,7 @@ def _double_star_to_star(d: Relation, t: int, target: int) -> List[int]:
     trees = _collapse_double(d, t, g, r)
     if r != target:
         trees += _star_to_star(d, r, target)[1:]
-    return _dedupe(trees)
+    return trees
 
 
 def twin_star_to_star(d: Relation, t: Iterable[Edge],

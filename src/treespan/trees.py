@@ -4,50 +4,25 @@ Sorted tuples of (u, v) edges are the tree type at the boundary: the public
 API and file I/O speak it.  Inside, a tree is an int mask whose bit i
 stands for the edge with id i, its position in ``Relation.edges``, so
 reading a mask in bit order gives the canonical tuple.  Everything here
-reads a ``Relation`` (a ``Drawing`` is one) and no geometry.
-``CompatGraph`` and ``TransformSequence`` store masks too and build the
-tuples when read.  Every mask -> tuple conversion, ``enumerate_plane_trees``
-and those two views included, is one ``mask_trees`` call over a list of
-masks: each tuple is joined from one precomputed sub-tuple per 8-bit chunk
-of its mask.  The chunk tables (256 entries for a full chunk) are built
-once per distinct edge tuple and kept in a small bounded LRU cache keyed by
-the tuple's value, not its length, since drawings of different classes can
-share one (cylindrical (2, 3) has K5's edges).  ``mask_tree`` is the
-one-mask form; each call hashes the edge tuple, so hot paths read a single
-edge as ``d.edges[bit.bit_length() - 1]`` instead.
-``enumerate_plane_trees`` and ``compat.build_compat_graph`` list their
-trees through one kernel, ``_plane_masks``: it gives each tree's mask and
-numbers its twin class (the trees with its conflict mask) as the tree is
-found, so a listing keeps one conflict mask per class, not one per tree.
-The transformations convert their input trees to masks once, keep masks
-throughout and certify each call's output once.  The relation's cache is
-the one memo of certificates: each input tree, and then each output
-tree, is one dict read of it; ``check_mask`` is the one place a missing
-certificate is computed and stored, and a certificate stores its
-plane-spanning verdict when built.
-``tree_mask`` reads one lookup per edge from the relation's edge-bit table,
-which holds both orientations of each edge.
+reads a ``Relation`` (a ``Drawing`` is one) and no geometry.  Every
+mask -> tuple conversion is one ``mask_trees`` call over a list of masks;
+each call hashes the edge tuple, so hot paths read a single edge as
+``d.edges[bit.bit_length() - 1]`` instead.
+
 A tree is plane when ``mask & conflict_mask(d, mask) == 0``, and two trees
 are compatible (their union is plane) when one mask misses the other's
-conflicts.  Certification covers spanning/acyclicity/planarity, cached
-per relation by mask; a certificate keeps its tree's conflict mask, which
-the transformations' compatibility tests read; ``classify_kind`` names a
-tree's k-star kind.  The star-family transformations additionally use
-the representation helpers below, because the star, double-star and
-twin-star classes overlap (one tree can admit several fixed-path
-representations).  Those helpers and ``classify_kind`` read one incidence
-table of the tree, vertex -> mask of its edges at that vertex (the
-transformations' ``_tree_incidence`` ANDs the relation's vertex rows with
-the mask): c is a star centre iff its entry is the whole mask, every
-edge touches g or r iff their entries OR to the mask, gr is a tree edge
-iff their entries meet, and a vertex's degree is its entry's bit count.
-Every edge of a star touches its centre, and every edge of a double or
-twin star one of its two hubs, so the searches start from the tree's
-lowest edge: a centre is one of its ends, and a hub pair holds an end x
-of it and an end of the lowest edge not at x.
-Flips and spine rounds rebuild trees with ``_retree``: a flip keeps the
-added edge and the target's edges first, so it drops the highest-id edge
-of t1 - t2 on the cycle the added edge closes.
+conflicts.  The relation's cache is the one memo of certificates, and
+``check_mask`` is the one place a missing certificate is computed and
+stored.  An edge crossing itself is in no plane tree, so no enumerator
+offers one.
+
+The star, double-star and twin-star classes overlap (one tree can admit
+several fixed-path representations), so the searches below list every
+representation.  They and ``classify_kind`` read one incidence table of
+the tree, ``_tree_incidence``, vertex -> mask of its edges at that vertex:
+c is a star centre iff its entry is the whole mask, every edge touches g
+or r iff their entries OR to the mask, gr is a tree edge iff their entries
+meet, and a vertex's degree is its entry's bit count.
 """
 
 from __future__ import annotations
@@ -70,6 +45,7 @@ Tree = Tuple[Edge, ...]
 
 ENUM_LIMIT_ALL = 8
 ENUM_LIMIT_SPECIAL = 10
+KINDS = ("all", "star", "double_star", "twin_star", "special")  # enumeration filters
 
 
 def canon_tree(edges: Iterable[Edge]) -> Tree:
@@ -138,11 +114,6 @@ def _chunk_tables(edges: Tuple[Edge, ...]) -> Tuple[Tuple[Tree, ...], ...]:
     return tuple(tables)
 
 
-def mask_tree(d: Relation, mask: int) -> Tree:
-    """The canonical edge tuple of one mask: ``mask_trees`` on ``d.edges``."""
-    return mask_trees(d.edges, (mask,))[0]
-
-
 def conflict_mask(d: Relation, mask: int) -> int:
     """Every edge crossing some edge of the mask."""
     rows = d.cross_mask
@@ -203,26 +174,9 @@ def _vertex_rows(d: Relation) -> Tuple[int, ...]:
     return tuple(rows)
 
 
-def _incidence(edges: Sequence[Edge],
-               mask: Optional[int]) -> Tuple[Dict[int, int], int]:
-    """The tree's incidence table and its mask.  ``inc[v]`` is the mask of
-    the tree's edges at v, vertices in order of first appearance in bit
-    order.  Without a mask the tree is every edge of ``edges``."""
-    if mask is None:
-        mask = (1 << len(edges)) - 1
-    inc: Dict[int, int] = {}
-    for i in bits(mask):
-        u, v = edges[i]
-        inc[u] = inc.get(u, 0) | 1 << i
-        inc[v] = inc.get(v, 0) | 1 << i
-    return inc, mask
-
-
 def _tree_incidence(d: Relation, mask: int) -> Dict[int, int]:
-    """``_incidence(d.edges, mask)``'s table from the relation's vertex
-    rows, one AND per vertex.  Vertices come in ascending order: fit for
-    ``_star_centers``, ``_double_star_paths`` and ``_twin_star_paths``,
-    which sort what they find, not for ``_k_star_path``."""
+    """Vertex -> the mask of the tree's edges at it, for the vertices the
+    tree touches, in ascending order: one AND of each vertex row."""
     return {v: at for v, row in enumerate(d._derive(_vertex_rows))
             if (at := row & mask)}
 
@@ -294,7 +248,8 @@ def _twin_star_paths(edges: Sequence[Edge], inc: Dict[int, int],
 def _k_star_path(edges: Sequence[Edge], inc: Dict[int, int],
                  mask: int) -> Optional[Tuple[int, ...]]:
     """The path of a tree that is a path plus leaves hanging off the path's
-    two ends (the non-leaf core), walked from its first end; else None."""
+    two ends (the non-leaf core), walked from the end whose lowest edge
+    comes first; else None."""
     leaf_edges = 0
     for at in inc.values():
         if at.bit_count() == 1:
@@ -305,23 +260,26 @@ def _k_star_path(edges: Sequence[Edge], inc: Dict[int, int],
     if len(ends) != 2 or any(inc[v].bit_count() != 2
                              for v in core if v not in ends):
         return None
-    path, came = [ends[0]], 0
+    path, came = [min(ends, key=lambda v: inc[v] & -inc[v])], 0
     while len(path) < len(core):
         came = inc[path[-1]] & inner & ~came
         path.append(sum(edges[came.bit_length() - 1]) - path[-1])
     return tuple(path)
 
 
-def classify_kind(n: int, edges: Sequence[Edge], mask: Optional[int] = None) -> tuple:
-    """Most specific k-star kind: ("star", c) | ("double_star", g, r)
-    | ("twin_star", g, s, r) | ("k_star", k, path) | ("generic",).  A
-    4-vertex path is reported as a twin star (its canonical fixed path),
-    larger overlaps resolve to the smaller k."""
-    inc, mask = _incidence(edges, mask)
+def classify_kind(d: Relation, mask: Optional[int] = None) -> tuple:
+    """Most specific k-star kind of the tree ``mask``, by default every
+    edge of d: ("star", c) | ("double_star", g, r) | ("twin_star", g, s, r)
+    | ("k_star", k, path) | ("generic",).  A 4-vertex path is reported as
+    a twin star (its canonical fixed path), larger overlaps resolve to the
+    smaller k."""
+    if mask is None:
+        mask = (1 << len(d.edges)) - 1
+    edges, inc = d.edges, _tree_incidence(d, mask)
     centers = _star_centers(edges, inc, mask)
     if centers:
         return ("star", centers[0])
-    if n == 4 and sorted(at.bit_count() for at in inc.values()) == [1, 1, 2, 2]:
+    if d.n == 4 and sorted(at.bit_count() for at in inc.values()) == [1, 1, 2, 2]:
         return ("twin_star",) + _twin_star_paths(edges, inc, mask)[0]
     doubles = _double_star_paths(edges, inc, mask)
     if doubles:
@@ -407,6 +365,7 @@ def enumerate_plane_trees(d: Relation, kind: str = "all",
     between them, the AND of the labels, now close a cycle: ``closed`` is
     the OR of those ANDs, ``blocked`` the OR of the chosen edges' crossing
     rows, and a level's candidates are the window's bits outside both.
+    An edge crossing itself is in no window and no label.
     Every later choice lies outside ``blocked | closed`` and above the
     edge just chosen, and each component needs one of them in its cut, so
     a branch where some label misses that set holds no tree and is cut
@@ -430,8 +389,10 @@ def _plane_masks(d: Relation, kind: str = "all", limit: Optional[int] = None
     ``(masks, class_of, conflicts)``: tree i is ``masks[i]``, its twin
     class (the trees with its conflict mask) is ``class_of[i]``, numbered
     in order of first appearance as the trees are found, and class a's
-    conflict mask is ``conflicts[a]``."""
-    if kind not in ("all", "star", "double_star", "twin_star", "special"):
+    conflict mask is ``conflicts[a]``: a listing keeps one conflict mask
+    per class, not one per tree.  ``compat.build_compat_graph`` lists its
+    trees through this kernel too."""
+    if kind not in KINDS:
         raise ValueError(f"unknown filter {kind!r}")
     if limit is None:
         limit = ENUM_LIMIT_ALL if kind == "all" else ENUM_LIMIT_SPECIAL
@@ -442,15 +403,16 @@ def _plane_masks(d: Relation, kind: str = "all", limit: Optional[int] = None
     if kind != "all":
         masks, class_of, conflicts = _star_family(d)
         return _twin_classes((mask, conflicts[a]) for mask, a in zip(masks, class_of)
-                             if classify_kind(d.n, d.edges, mask)[0] == kind)
+                             if classify_kind(d, mask)[0] == kind)
 
     n, edges, rows = d.n, d.edges, d.cross_mask
     m = len(edges)
     if m < n - 1:
         return [], [], []
+    usable = sum(1 << i for i, row in enumerate(rows) if not row >> i & 1)  # no self-crossing
     if n <= 3:  # any n - 1 edges on three or fewer vertices span them
         small = []
-        for pick in itertools.combinations(range(m), n - 1) if n else ():
+        for pick in itertools.combinations(bits(usable), n - 1) if n else ():
             mask = blocked = 0
             for i in pick:
                 if blocked >> i & 1:
@@ -464,7 +426,7 @@ def _plane_masks(d: Relation, kind: str = "all", limit: Optional[int] = None
     number: Dict[int, int] = {}  # conflict mask -> class
     add_mask, add_class, new_class = masks.append, class_of.append, number.setdefault
     # with `left` edges still to choose, the next has id at most m - left
-    window = [(1 << m + 1 - left) - 1 for left in range(n)]
+    window = [usable & (1 << m + 1 - left) - 1 for left in range(n)]
 
     def grow(start: int, comp: Sequence[int], left: int, mask: int,
              blocked: int, closed: int) -> None:
@@ -505,7 +467,7 @@ def _plane_masks(d: Relation, kind: str = "all", limit: Optional[int] = None
                     add_class(new_class(b2 | rows[low3.bit_length() - 1],
                                         len(number)))
 
-    grow(0, _vertex_rows(d), n - 1, 0, 0, 0)
+    grow(0, [row & usable for row in _vertex_rows(d)], n - 1, 0, 0, 0)
     return masks, class_of, list(number)
 
 
@@ -542,7 +504,8 @@ def _star_family(d: Relation) -> Tuple[List[int], List[int], List[int]]:
     # canonical order puts A before B iff the lowest bit of A ^ B is in A,
     # the highest of their reversed masks' XOR
     for i, (u, v) in enumerate(d.edges):
-        at[u][v] = at[v][u] = (1 << i, rows[i], 1 << top - i)
+        if not rows[i] >> i & 1:  # an edge crossing itself gets no entry
+            at[u][v] = at[v][u] = (1 << i, rows[i], 1 << top - i)
     found: Dict[int, Tuple[int, int]] = {}  # reversed mask -> (mask, blocked)
     for g, r in itertools.combinations(range(n), 2):
         ag, ar = at[g], at[r]

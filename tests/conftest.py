@@ -11,7 +11,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from treespan.drawing import Drawing, bits, complete_edges, edge
+from treespan.drawing import Drawing, Relation, bits, complete_edges, edge
 from treespan.geometry import Point, PolarPoint
 
 
@@ -35,6 +35,12 @@ def edge_ids(d):
     """Edge -> its id, its position in ``d.edges`` and so its bit in
     masks: the index the oracles read."""
     return {e: i for i, e in enumerate(d.edges)}
+
+
+def uncrossed(n, edges):
+    """The relation of ``edges`` on n vertices in which no edges cross."""
+    edges = tuple(edges)
+    return Relation(n, edges, [0] * len(edges))
 
 
 def straight_line_drawing(points):

@@ -10,7 +10,9 @@ call and one new label list per level above the last, and no branch cut
 before it is entered; ``star_family`` expands every core on its own, the
 edge gr or the path g-s-r, building its option lists afresh.  All three
 return ``(mask, conflict_mask)`` pairs in canonical order and read only
-``n``, ``edges`` and ``cross_mask`` of the drawing.
+``n``, ``edges`` and ``cross_mask`` of the drawing.  None of them offers
+an edge that crosses itself (no drawing has one; a synthetic relation
+may), as ``trees`` does not.
 The tests use the first two as oracles of ``trees._plane_masks(d, "all")``
 and the third of ``trees._star_family``, whose one expansion per unordered
 hub pair (g, r) serves every core on it as a filter.
@@ -35,7 +37,7 @@ def plane_masks(d) -> List[Tuple[int, int]]:
             out.append((mask, blocked))
             return
         for i in range(start, m - left + 1):
-            if blocked >> i & 1:
+            if (blocked | rows[i]) >> i & 1:
                 continue
             u, v = edges[i]
             cu, cv = comp[u], comp[v]
@@ -55,12 +57,14 @@ def cut_label_masks(d) -> List[Tuple[int, int]]:
         return [(0, 0)] * n
     if m < n - 1:
         return []
-    inc = [0] * n
+    inc, usable = [0] * n, 0
     for i, (u, v) in enumerate(edges):
-        inc[u] |= 1 << i
-        inc[v] |= 1 << i
+        if not rows[i] >> i & 1:
+            inc[u] |= 1 << i
+            inc[v] |= 1 << i
+            usable |= 1 << i
     # with `left` edges still to choose, the next has id at most m - left
-    window = [(1 << m + 1 - left) - 1 for left in range(n)]
+    window = [usable & (1 << m + 1 - left) - 1 for left in range(n)]
     out: List[Tuple[int, int]] = []
 
     def leaves(mask: int, blocked: int, cut: int) -> None:
@@ -109,7 +113,7 @@ def star_family(d) -> List[Tuple[int, int]]:
         for options in choices:
             partial = [(mask | 1 << i, blocked | rows[i])
                        for mask, blocked in partial for i in options
-                       if i is not None and not blocked >> i & 1]
+                       if i is not None and not (blocked | rows[i]) >> i & 1]
         found.update(partial)
     width = f"0{len(d.edges)}b"
     return sorted(found.items(), key=lambda p: format(p[0], width)[::-1],

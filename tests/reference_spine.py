@@ -31,7 +31,7 @@ from treespan.drawing import (
 )
 from treespan.errors import InternalInvariantViolated, MethodInapplicable, TreespanError
 from treespan.geometry import Point, Rat, curve_eval, lift_angle, normalize_polar
-from treespan.trees import _retree, conflict_mask, mask_tree, tree_mask
+from treespan.trees import _retree, conflict_mask, mask_trees, tree_mask
 
 from conftest import edge_ids
 from reference_drawing import edge_span, span_contains, vertex_angles
@@ -119,7 +119,7 @@ def monotone_step(d: Drawing, spine_mask: int, twiggly: int, t: int) -> int:
     vertices above it."""
     xs = [p.x for p in d.vertex_points]
     twig = t & twiggly
-    e = succ_maximal(d, mask_tree(d, twig))
+    e = succ_maximal(d, mask_trees(d.edges, [twig])[0])
     vi, vj = sorted(e, key=xs.__getitem__)
     above = sorted(vertices_above(d, e), key=xs.__getitem__)
     if not above:
@@ -131,7 +131,7 @@ def monotone_step(d: Drawing, spine_mask: int, twiggly: int, t: int) -> int:
     hit = conflict_mask(d, path) & t
     if hit:  # e is in t, so this also covers crossing the resolved edge
         raise InternalInvariantViolated(
-            f"detour path crosses tree: {mask_tree(d, hit)}")
+            f"detour path crosses tree: {mask_trees(d.edges, [hit])[0]}")
     rest = t & ~(1 << edge_ids(d)[e])
     new_t = _retree(d, [path, rest & spine_mask,
                         rest & ~spine_mask & ~twig, rest & twig])
@@ -253,11 +253,11 @@ def _corridor_path(d: Drawing, t_mask: int, c: Corridor,
     hit = conflict_mask(d, path_mask) & t_mask
     if hit:
         raise InternalInvariantViolated(
-            f"corridor path crosses tree: {mask_tree(d, hit)}")
+            f"corridor path crosses tree: {mask_trees(d.edges, [hit])[0]}")
     bad = path_mask & twiggly
     if bad and (c.lower == CENTER or c.upper == INFINITY):
         raise InternalInvariantViolated("inner/outer corridor path uses "
-                                        f"twiggly edges: {mask_tree(d, bad)}")
+                                        f"twiggly edges: {mask_trees(d.edges, [bad])[0]}")
     return path
 
 
@@ -270,14 +270,14 @@ def corridor_step(d: Drawing, spine_mask: int, twiggly: int, t: int) -> int:
     twiggly depth of every ray drops where it was positive."""
     twig = t & twiggly
     paths = 0
-    for c in corridors(d, mask_tree(d, twig)):
+    for c in corridors(d, mask_trees(d.edges, [twig])[0]):
         paths |= tree_mask(d, _corridor_path(d, t, c, twiggly))
     if paths & conflict_mask(d, paths):
         raise InternalInvariantViolated("corridor paths cross each other")
     rest = t & ~twig
     new_t = _retree(d, [paths, rest & spine_mask, rest & ~spine_mask])
     samples = [(a + b) / 2 for a, b in _gaps(sorted(vertex_angles(d)))]
-    old, new = ([twiggly_depth(d, mask_tree(d, m & twiggly), s) for s in samples]
+    old, new = ([twiggly_depth(d, mask_trees(d.edges, [m & twiggly])[0], s) for s in samples]
                 for m in (t, new_t))
     if any(k > max(j - 1, 0) for j, k in zip(old, new)):
         raise InternalInvariantViolated("twiggly depth did not drop")

@@ -8,6 +8,9 @@ an edge -> id dict; ``check_mask`` builds the mask's edge tuple, the set
 of its vertices and a union-find over the tuples, and caches nothing.  The
 tests use them as the oracles of ``trees.tree_mask`` (its mask, or the
 type and message of what it raises) and of a certificate cache miss.
+``incidence_loop`` builds a tree's incidence table edge by edge, vertices
+in order of first appearance; it is the oracle of
+``trees._tree_incidence``.
 ``star_centers_loop`` tests every vertex, ``double_star_paths_loop`` every
 edge of the tree as the hub pair and ``twin_star_paths_loop`` every pair of
 neighbours of every vertex; they take the arguments of
@@ -17,10 +20,11 @@ neighbours of every vertex; they take the arguments of
 ``star_centers``, ``double_star_paths``, ``twin_star_paths``,
 ``check_tree`` and ``bfs_distance`` are the package's former public forms,
 which nothing in it read: the first three take a tree as a bare edge
-tuple or as a mask over ``edges`` and run the package's searches,
-``check_tree`` certifies an edge tuple and ``bfs_distance`` runs one BFS
-over a compatibility graph's class rows.  The tests read them as oracles
-and as short forms, ``bfs_distance`` as ``analyze``'s.
+tuple or as a mask over ``edges`` and run the package's searches on an
+uncrossed relation of those edges, ``check_tree`` certifies an edge tuple
+and ``bfs_distance`` runs one BFS over a compatibility graph's class
+rows.  The tests read them as oracles and as short forms,
+``bfs_distance`` as ``analyze``'s.
 
 ``_reduce_to_star`` and ``_twin_star_to_star`` are ``transforms``' before
 a twin star was collapsed along its own hub pair: the twin star's
@@ -33,7 +37,7 @@ tree's centres and double-star paths again.  They are the oracle of
 edges, t2's first, until the added edge's ends meet.  It is the oracle of
 ``trees.compatible_step_to_flips``.
 
-``mask_tree_loop`` is ``trees.mask_tree`` before tuples were joined from
+``mask_tree_loop`` is the one-mask conversion before tuples were joined from
 per-chunk tables: it reads the mask's bits one at a time through ``bits``.
 It is the oracle of ``trees.mask_trees`` and of the tuple views built on
 it, and of the ``IndexError`` a negative mask, or one with a bit past the
@@ -60,9 +64,9 @@ from treespan.transforms import (
     _tree_incidence,
     _twin_star_paths,
 )
-from treespan.trees import TreeCert, _incidence, _input_certs, conflict_mask
+from treespan.trees import TreeCert, _input_certs, conflict_mask
 
-from conftest import edge_ids
+from conftest import edge_ids, uncrossed
 
 
 class _UnionFind:
@@ -137,19 +141,36 @@ def twin_star_paths_loop(edges, inc, mask):
     return sorted(out)
 
 
+def incidence_loop(edges, mask):
+    inc = {}
+    for i in bits(mask):
+        for v in edges[i]:
+            inc[v] = inc.get(v, 0) | 1 << i
+    return inc
+
+
+def _searched(edges, mask):
+    """(edges, incidence table, mask) of the tree, every edge without a mask."""
+    edges = tuple(edges)
+    if mask is None:
+        mask = (1 << len(edges)) - 1
+    d = uncrossed(1 + max(map(max, edges), default=-1), edges)
+    return edges, _tree_incidence(d, mask), mask
+
+
 def star_centers(edges, mask=None):
-    return _star_centers(edges, *_incidence(edges, mask))
+    return _star_centers(*_searched(edges, mask))
 
 
 def double_star_paths(edges, mask=None):
     """All (g, r) with edge gr in the tree and every edge touching g or r."""
-    return _double_star_paths(edges, *_incidence(edges, mask))
+    return _double_star_paths(*_searched(edges, mask))
 
 
 def twin_star_paths(edges, mask=None):
     """All (g, s, r) with edges gs, sr in the tree, gr absent, and every
     edge touching g or r."""
-    return _twin_star_paths(edges, *_incidence(edges, mask))
+    return _twin_star_paths(*_searched(edges, mask))
 
 
 def check_tree(d, edges_in) -> TreeCert:

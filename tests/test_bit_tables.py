@@ -37,7 +37,7 @@ from treespan.trees import (
     _vertex_rows,
     check_mask,
     enumerate_plane_trees,
-    mask_tree,
+    mask_trees,
     tree_mask,
 )
 
@@ -299,7 +299,7 @@ def test_transform_sequence_keeps_its_frozen_dataclass_contract():
     assert [f.name for f in dataclasses.fields(seq)] == ["edges", "masks", "method"]
     trees = seq.trees
     assert seq.trees is trees
-    assert trees == tuple(mask_tree(d, mask) for mask in seq.masks)
+    assert trees == tuple(mask_trees(d.edges, [mask])[0] for mask in seq.masks)
     assert seq == same and repr(seq) == repr(same)  # trees is in neither
     assert dataclasses.replace(seq, method="manual") == TransformSequence(
         d.edges, seq.masks, "manual")

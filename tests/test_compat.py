@@ -183,7 +183,7 @@ def test_star_family_prefilter_matches_classify(make):
     plane tree by ``classify_kind``.  (The name predates direct generation;
     it is kept so the test ids stay stable.)"""
     d = make()
-    every = [(t, classify_kind(d.n, t)[0])
+    every = [(t, classify_kind(d, tree_mask(d, t))[0])
              for t in enumerate_plane_trees(d, limit=d.n)]
     for kind, keep in (("special", ("star", "double_star", "twin_star")),
                        ("star", ("star",)), ("double_star", ("double_star",)),

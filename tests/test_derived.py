@@ -1,7 +1,7 @@
 """Structures derived once per drawing.
 
 Each memoised structure (the classifiers, the strip table of the spine
-route, the spine masks, the relation orders, the cylindrical path and
+route, the spine masks, the flip pairs, the cylindrical path and
 side masks and the certificates' conflict masks) is checked against its
 uncached builder over a grid of generated drawings; build counts confirm
 that repeated transformations build each structure once; and no caller can
@@ -29,7 +29,7 @@ from treespan.fileio import drawing_from_dict, drawing_to_dict
 from treespan.generators import GenSpec, generate
 from treespan.rng import SplitMix64
 from treespan.transforms import (
-    _relation_order,
+    _flip_pairs,
     _strip,
     cmonotone_to_spine,
     monotone_to_spine,
@@ -105,12 +105,12 @@ def test_memo_matches_uncached_builders(spec):
 
     for g, r in permutations(range(d.n), 2):
         try:
-            expected = _relation_order(fresh, g, r)
+            expected = _flip_pairs(fresh, g, r)
         except RelationCyclicError:
             with pytest.raises(RelationCyclicError):
-                d._derive(_relation_order, g, r)
+                d._derive(_flip_pairs, g, r)
             continue
-        assert d._derive(_relation_order, g, r) == expected
+        assert d._derive(_flip_pairs, g, r) == expected
 
     for t in trees:
         mask = tree_mask(d, t)
@@ -196,7 +196,7 @@ def test_integer_image_is_built_once(monkeypatch):
 
 def test_star_schedules_build_each_relation_order_once(monkeypatch):
     built = []
-    _counting(monkeypatch, treespan.transforms, "_relation_order", built)
+    _counting(monkeypatch, treespan.transforms, "_flip_pairs", built)
     for seed, (cls, n) in enumerate([("random_points", 5), ("random_points", 6),
                                      ("monotone_perturbed", 6), ("random_points", 7)]):
         d = generate(GenSpec(cls=cls, n=n, seed=seed + 31))
@@ -222,10 +222,10 @@ def test_returned_lists_do_not_reach_the_memo(m4):
     assert all(isinstance(f, tuple) for f in strip)
     assert all(isinstance(x, (int, tuple)) for f in strip for x in f)
     assert strip.above[edge_ids(m4)[(0, 3)]] == 1 << 1  # vertex 1 lies above (0, 3)
-    order = m4._derive(_relation_order, 0, 3)
-    assert isinstance(order, tuple)
+    pairs = m4._derive(_flip_pairs, 0, 3)
+    assert isinstance(pairs, tuple) and all(isinstance(p, tuple) for p in pairs)
     assert (star_to_star(m4, 0, 3).certified
-            and m4._derive(_relation_order, 0, 3) == order)
+            and m4._derive(_flip_pairs, 0, 3) == pairs)
     image = m4._derive(_integer_image)
     assert isinstance(image.points, tuple)
     assert all(isinstance(c, tuple) for c in image.curves.values())
@@ -237,7 +237,7 @@ def test_returned_lists_do_not_reach_the_memo(m4):
 
 
 def test_failed_derivation_stores_nothing(m4):
-    """A relation order that meets a cycle raises, and leaves no entry
+    """A flip order that meets a cycle raises, and leaves no entry
     behind.  The crossing rows are set so that (1, 2) crosses (0, 3) and
     (1, 3) crosses (0, 2): for centres 0 and 1, vertex 2 comes before 3
     and 3 before 2."""
@@ -249,9 +249,11 @@ def test_failed_derivation_stores_nothing(m4):
     vars(d)["cross_mask"] = tuple(rows)
     for _ in range(2):
         with pytest.raises(RelationCyclicError):
-            d._derive(_relation_order, 0, 1)
+            d._derive(_flip_pairs, 0, 1)
     assert list(d._derived) == [(_vertex_rows,)]  # read before the cycle was met
-    assert d._derive(_relation_order, 0, 2) == (1, 3) and len(d._derived) == 2
+    bit = d._edge_bit  # order (1, 3) for centres 0 and 2, read last first
+    assert d._derive(_flip_pairs, 0, 2) == ((bit[0, 3], bit[2, 3]), (bit[0, 1], bit[2, 1]))
+    assert len(d._derived) == 2
 
 
 def test_replaced_drawing_starts_cold():

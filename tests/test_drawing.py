@@ -17,7 +17,7 @@ from treespan.drawing import (
     edge,
     validate_simple,
 )
-from treespan.errors import InvalidRadiiError, NotSimpleError
+from treespan.errors import InternalInvariantViolated, InvalidRadiiError, NotSimpleError
 from treespan.generators import GenSpec, generate
 from treespan.geometry import Proper, segment_proper_crossing
 from treespan.trees import enumerate_plane_trees
@@ -286,6 +286,45 @@ def test_cyl_absent_when_an_edge_crosses_a_circle():
     assert d.crossing_pairs() == [((0, 2), (1, 3))]
     assert classify_cylindrical(d, F(1), F(4)) is None
     assert validate_simple(d).is_cylindrical is None
+
+
+def _cyl_with_crossings(pairs):
+    """A generated cylindrical drawing on circles of three (inner vertices
+    0, 1, 2) whose crossing rows also hold the given edge pairs."""
+    d = dataclasses.replace(generate(GenSpec(cls="cylindrical", n=6, seed=0, a=3, b=3)))
+    ids, rows = {e: i for i, e in enumerate(d.edges)}, list(d.cross_mask)
+    for e, f in pairs:
+        rows[ids[e]] |= 1 << ids[f]
+        rows[ids[f]] |= 1 << ids[e]
+    vars(d)["cross_mask"] = tuple(rows)
+    return d
+
+
+@pytest.mark.parametrize("pairs, message", [
+    ([((0, 1), (3, 4))], "cycle edge (0, 1) crossed by a non-side edge"),
+    ([((0, 1), (2, 3)), ((1, 2), (0, 4))], "more than one crossed cycle edge on a circle"),
+    # both faults: the inner circle has three crossed cycle edges, and (1, 2)
+    # and (3, 4), the first crossed cycle edge met by a non-side one, cross
+    ([((0, 1), (2, 3)), ((0, 2), (1, 4)), ((1, 2), (3, 4))],
+     "cycle edge (1, 2) crossed by a non-side edge"),
+], ids=["non-side", "two-on-a-circle", "non-side-first"])
+def test_cyl_rejects_crossed_cycle_edges(pairs, message):
+    assert classify_cylindrical(_cyl_with_crossings([]), F(1), F(4)) is not None
+    with pytest.raises(InternalInvariantViolated) as ex:
+        classify_cylindrical(_cyl_with_crossings(pairs), F(1), F(4))
+    assert str(ex.value) == message
+
+
+def test_cyl_path_drops_the_crossed_cycle_edge():
+    """A circle's one cycle edge crossed by a side edge is the edge its
+    Hamiltonian path leaves out; uncrossed, the path leaves out the
+    highest cycle edge."""
+    plain = classify_cylindrical(_cyl_with_crossings([]), F(1), F(4))
+    assert plain.crossed_cycle_edges == () and plain.inner_path == ((0, 2), (0, 1))
+    roles = classify_cylindrical(_cyl_with_crossings([((0, 1), (2, 3))]), F(1), F(4))
+    assert roles.crossed_cycle_edges == ((0, 1),)
+    assert sorted(roles.inner_path) == [(0, 2), (1, 2)]
+    assert roles.outer_path == plain.outer_path
 
 
 def test_cyl_report_flag(cyl4):

@@ -6,7 +6,9 @@ star-family core.  ``_plane_masks(d, "all")`` and ``_star_family`` must
 return their lists exactly: the same trees, in the same order, with the
 same conflict masks, and twin classes numbered in order of first
 appearance.  The drawings are generated ones, hand-built ones with missing
-edges, and synthetic crossing relations that no drawing realises.
+edges, and synthetic crossing relations that no drawing realises.  On the
+synthetic relations, each listing must also be exactly the spanning trees
+that certification accepts.
 """
 
 import itertools
@@ -19,7 +21,16 @@ import reference_enumeration as reference
 from treespan.drawing import Relation, bits, complete_edges
 from treespan.generators import GenSpec, fixture_bipartite_isolated, generate
 from treespan.rng import SplitMix64
-from treespan.trees import ENUM_LIMIT_SPECIAL, _plane_masks, _star_family
+from treespan.trees import (
+    ENUM_LIMIT_SPECIAL,
+    KINDS,
+    _plane_masks,
+    _star_family,
+    check_mask,
+    classify_kind,
+    enumerate_plane_trees,
+    mask_trees,
+)
 
 from conftest import polar_k2
 from test_fileio_cli import _straight_line_k22
@@ -130,6 +141,26 @@ def crossing_relations(draw):
 @example(_relation(5, [(0, 1), (1, 2), (1, 3), (2, 3), (2, 4), (3, 4)], [(1, 5)]))
 def test_enumerators_match_reference_on_crossing_relations(d):
     assert_matches_reference(d)
+
+
+@settings(max_examples=150, deadline=None)
+@given(crossing_relations().filter(lambda d: 2 <= d.n <= 6))
+@example(_relation(4, complete_edges(4), [(0, 0)]))           # 01 crosses itself
+@example(_relation(3, complete_edges(3), [(1, 1)]))           # ... 02, on three vertices
+def test_enumeration_lists_exactly_the_certified_trees(d):
+    """``enumerate_plane_trees`` lists every spanning tree of the relation
+    that ``check_mask`` certifies, and no other: an edge crossing itself is
+    in none.  Each star kind lists the certified trees of that kind, and
+    'special' those of all three."""
+    picks = itertools.combinations(range(len(d.edges)), d.n - 1)
+    certified = [mask for mask in (sum(1 << i for i in pick) for pick in picks)
+                 if check_mask(d, mask).is_plane_spanning_tree]
+    assert enumerate_plane_trees(d) == mask_trees(d.edges, certified)
+    kinds = {mask: classify_kind(d, mask)[0] for mask in certified}
+    for kind in KINDS[1:]:
+        want = [mask for mask in certified
+                if kinds[mask] == kind or kind == "special" and kinds[mask] in KINDS]
+        assert enumerate_plane_trees(d, kind) == mask_trees(d.edges, want), kind
 
 
 def test_star_family_sort_key_keeps_the_bit_string_order():

@@ -235,7 +235,7 @@ def test_cli_method_inapplicable(k3_file, capsys):
 def test_cli_every_inapplicable_error_exits_2(error, tmp_path, capsys,
                                               monkeypatch):
     """Each error the errors module groups as method inapplicable exits 2,
-    here raised from the star schedule's relation order."""
+    here raised from the star schedule's flip pairs."""
     drawing = str(tmp_path / "d5.json")
     assert main(["generate", "--class", "random_points", "--n", "5",
                  "--seed", "1", "-o", drawing]) == 0
@@ -244,7 +244,7 @@ def test_cli_every_inapplicable_error_exits_2(error, tmp_path, capsys,
     def inapplicable(d, g, r):
         raise error("no order")
 
-    monkeypatch.setattr(treespan.transforms, "_relation_order", inapplicable)
+    monkeypatch.setattr(treespan.transforms, "_flip_pairs", inapplicable)
     assert main(["transform", drawing, "--from", "0-1,0-2,0-3,0-4",
                  "--to", "0-1,1-2,1-3,1-4", "--method", "special"]) == 2
     err = json.loads(capsys.readouterr().err)
@@ -393,7 +393,7 @@ def test_cli_internal_invariant_exits_3(tmp_path, capsys, monkeypatch):
     def broken(d, g, r):
         raise InternalInvariantViolated("relation order lost a vertex")
 
-    monkeypatch.setattr(treespan.transforms, "_relation_order", broken)
+    monkeypatch.setattr(treespan.transforms, "_flip_pairs", broken)
     assert main(["transform", drawing, "--from", "0-1,0-2,0-3,0-4",
                  "--to", "0-1,1-2,1-3,1-4", "--method", "special"]) == 3
     assert _one_json_error(capsys) == {
@@ -430,6 +430,19 @@ def test_cli_compat_dot(k3_file, tmp_path, capsys):
     assert main(["compat", k3_file, "--dot", str(dot)]) == 0
     assert json.loads(capsys.readouterr().out)["nodes"] == 3
     assert dot.read_text() == compat_to_dot(build_compat_graph(polar_k3()))
+
+
+def test_cli_compat_dot_unwritable(k3_file, tmp_path, capsys):
+    """A DOT file that cannot be written fails the command before its
+    summary is printed: exit 1, nothing on stdout, one JSON object on
+    stderr."""
+    assert main(["compat", k3_file, "--dot", str(tmp_path / "missing" / "g.dot")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "invalid-input" and err["type"] == "FileNotFoundError"
 
 
 def test_cli_transform_to_stdout(sq_file, capsys):

@@ -37,6 +37,14 @@ def test_splitmix_reference_values():
     assert rng.next_u64() == 0x6E789E6AA1B965F4
 
 
+def test_splitmix_randint_rejects_an_empty_range():
+    rng = SplitMix64(0)
+    with pytest.raises(ValueError, match="empty range"):
+        rng.randint(3, 2)
+    assert rng.next_u64() == 0xE220A8397B1DCDAF  # the stream did not move
+    assert rng.randint(5, 5) == 5
+
+
 def test_determinism_same_drawing():
     for cls in ("convex", "random_points", "monotone_perturbed", "two_page",
                 "strongly_cmonotone"):

@@ -119,6 +119,13 @@ def test_collinear_disjoint():
     assert segment_proper_crossing((P(0, 0), P(1, 0)), (P(2, 0), P(3, 0))) is None
 
 
+def test_zero_length_segment_rejected():
+    p = P(1, 1)
+    for s1, s2 in (((p, p), (P(0, 0), P(2, 2))), ((P(0, 0), P(2, 2)), (p, p))):
+        with pytest.raises(ValueError, match="zero-length segment"):
+            segment_proper_crossing(s1, s2)
+
+
 @given(seg_strategy(), seg_strategy())
 @settings(max_examples=300)
 def test_matches_parametric_oracle(s1, s2):

@@ -21,7 +21,6 @@ from treespan.drawing import complete_edges
 from treespan.generators import GenSpec, fixture_bipartite_isolated, generate
 from treespan.trees import (
     _double_star_paths,
-    _incidence,
     _star_centers,
     _tree_incidence,
     _twin_star_paths,
@@ -32,6 +31,7 @@ from treespan.trees import (
 
 import reference_trees
 from reference_trees import double_star_paths, star_centers, twin_star_paths
+from conftest import uncrossed
 
 PLAIN_CLASSES = ["convex", "random_points", "monotone_perturbed", "two_page",
                  "strongly_cmonotone"]
@@ -41,7 +41,7 @@ def _kind(d, mask):
     """``classify_kind`` of the mask, or the type of what it raises: the
     walk along a k-star path fails on some masks that are not trees."""
     try:
-        return classify_kind(d.n, d.edges, mask)
+        return classify_kind(d, mask)
     except KeyError as e:
         return type(e)
 
@@ -62,11 +62,8 @@ def _kinds(d, masks, reference):
 def _assert_searches_match(d, masks):
     """Returns the masks' kinds."""
     for mask in masks:
-        # the searches read the incidence table by vertex only, so the
-        # table in bit order (classify_kind, the public helpers) stands for
-        # the one in vertex order (the transformations)
-        inc = _incidence(d.edges, mask)[0]
-        assert inc == _tree_incidence(d, mask)
+        inc = _tree_incidence(d, mask)
+        assert inc == reference_trees.incidence_loop(d.edges, mask)
         args = (d.edges, inc, mask)
         assert _star_centers(*args) == reference_trees.star_centers_loop(*args), bin(mask)
         assert (_double_star_paths(*args)
@@ -112,17 +109,18 @@ def test_three_vertex_path_is_a_star_and_a_twin_star():
     """Each labelling of the 3-path, the centre at each end of the lowest
     edge and off it."""
     edges = complete_edges(3)  # (0, 1), (0, 2), (1, 2)
+    k3 = uncrossed(3, edges)
     for centre in range(3):
         a, b = (v for v in range(3) if v != centre)
         mask = 7 & ~(1 << edges.index((a, b)))
-        inc = _incidence(edges, mask)[0]
+        inc = _tree_incidence(k3, mask)
         assert star_centers(edges, mask) == [centre]
         assert _twin_star_paths(edges, inc, mask) == [(a, centre, b), (b, centre, a)]
         assert twin_star_paths(edges, mask) == reference_trees.twin_star_paths_loop(
             edges, inc, mask)
         assert double_star_paths(edges, mask) == sorted(
             [(centre, a), (a, centre), (centre, b), (b, centre)])
-        assert classify_kind(3, edges, mask) == ("star", centre)
+        assert classify_kind(k3, mask) == ("star", centre)
 
 
 def test_stars_leave_nothing_off_the_centre():
@@ -130,10 +128,11 @@ def test_stars_leave_nothing_off_the_centre():
     hub edges, and no pair of leaves is a twin-star hub pair once n > 3."""
     for n in range(2, 9):
         edges = complete_edges(n)
+        kn = uncrossed(n, edges)
         for c in range(n):
             mask = sum(1 << edges.index(tuple(sorted((c, v))))
                        for v in range(n) if v != c)
-            inc = _incidence(edges, mask)[0]
+            inc = _tree_incidence(kn, mask)
             assert _star_centers(edges, inc, mask) == (
                 [0, 1] if n == 2 else [c])
             assert (_double_star_paths(edges, inc, mask)

@@ -30,7 +30,6 @@ from treespan.trees import (
     conflict_mask,
     enumerate_plane_trees,
     is_compatible,
-    mask_tree,
     mask_trees,
     tree_mask,
 )
@@ -105,9 +104,9 @@ def test_mask_path_matches_tuple_oracles(make):
     for t in pool:
         assert check_tree(d, t).plane == tuple_is_plane(d, t)
         mask = tree_mask(d, t)
-        assert mask_tree(d, mask) == t
-        assert mask_tree(d, conflict_mask(d, mask)) == tuple(
-            sorted(set().union(*(cross[e] for e in t))))
+        assert mask_trees(d.edges, [mask]) == [t]
+        assert mask_trees(d.edges, [conflict_mask(d, mask)]) == [tuple(
+            sorted(set().union(*(cross[e] for e in t))))]
     for _ in range(400):
         t1, t2 = rng.choice(pool), rng.choice(pool)
         assert is_compatible(d, t1, t2) == tuple_is_compatible(d, t1, t2)
@@ -116,7 +115,7 @@ def test_mask_path_matches_tuple_oracles(make):
 
 def test_tree_mask_errors_and_int_cache_keys(sq):
     t = [(2, 1), (0, 1), (3, 2)]
-    assert mask_tree(sq, tree_mask(sq, t)) == canon_tree(t)
+    assert mask_trees(sq.edges, [tree_mask(sq, t)]) == [canon_tree(t)]
     with pytest.raises(ValueError):
         tree_mask(sq, [(1, 1)])
     with pytest.raises(ValueError):
@@ -165,10 +164,10 @@ def test_mask_trees_rejects_bits_outside_the_edge_list(m):
     for bad in (1 << m, full | 1 << m, 1 << m + 8, 1 << m + 9, -1, -2, -1 << m):
         for convert in (lambda mask: mask_tree_loop(edges, mask),
                         lambda mask: mask_trees(edges, [full, mask]),
-                        lambda mask: mask_tree(d, mask)):
+                        lambda mask: mask_trees(d.edges, [mask])):
             with pytest.raises(IndexError):
                 convert(bad)
-    assert mask_tree(d, full) == edges
+    assert mask_trees(d.edges, [full]) == [edges]
 
 
 @pytest.mark.parametrize("make", [m for _, m in _drawings()],

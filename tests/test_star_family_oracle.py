@@ -3,11 +3,12 @@ they replaced.
 
 The oracles below read a tree as a tuple of edges and build adjacency
 dicts from it; the flip oracle finds each flip's cycle by a DFS.  The
-library reads a tree's incidence table from ``(edges, mask)`` and finds the
-cycle edge by rebuilding the tree with ``_retree``.  Both call forms, a
-bare edge tuple and a mask over a drawing's edges, must give the oracles'
-answers, and the flips must also equal those of the per-flip union-find
-loop in ``reference_trees``.
+library reads a tree's incidence table from its relation's vertex rows
+and finds the cycle edge by rebuilding the tree with ``_retree``.  Both
+call forms, every edge of a relation of the tree's own edges and a mask
+over a drawing's or K_n's edges, must give the oracles' answers, and the
+flips must also equal those of the per-flip union-find loop in
+``reference_trees``.
 """
 
 import itertools
@@ -27,6 +28,7 @@ import reference_trees
 from reference_trees import double_star_paths, star_centers, twin_star_paths
 from test_compat import ORACLE_DRAWINGS
 from test_trees import all_spanning_trees, pruefer_decode
+from conftest import uncrossed
 
 
 def oracle_adjacency(tree):
@@ -159,9 +161,9 @@ def oracle_flips(t1, t2):
     return flips
 
 
-def _answers(n, *tree):
-    return (star_centers(*tree), double_star_paths(*tree),
-            twin_star_paths(*tree), classify_kind(n, *tree))
+def _answers(d, mask=None):
+    return (star_centers(d.edges, mask), double_star_paths(d.edges, mask),
+            twin_star_paths(d.edges, mask), classify_kind(d, mask))
 
 
 def _oracle_answers(n, tree):
@@ -187,8 +189,8 @@ def test_labelled_trees_match_tuple_oracle():
         want = _oracle_answers(n, t)
         edges = complete_edges(n)
         mask = sum(1 << edges.index(e) for e in t)
-        assert _answers(n, t) == want, t
-        assert _answers(n, edges, mask) == want, t
+        assert _answers(uncrossed(n, t)) == want, t
+        assert _answers(uncrossed(n, edges), mask) == want, t
         kinds.add(want[3][0])
     assert kinds == {"star", "double_star", "twin_star", "k_star", "generic"}
 
@@ -198,7 +200,7 @@ def test_plane_trees_of_drawings_match_tuple_oracle():
         d = make()
         for t in enumerate_plane_trees(d):
             mask = tree_mask(d, t)
-            assert _answers(d.n, d.edges, mask) == _oracle_answers(d.n, t), t
+            assert _answers(d, mask) == _oracle_answers(d.n, t), t
 
 
 def test_flips_match_cycle_oracle():

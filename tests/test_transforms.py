@@ -42,7 +42,6 @@ from treespan.transforms import (
     twin_star_to_star,
 )
 from treespan.trees import (
-    _incidence,
     _tree_incidence,
     canon_tree,
     check_mask,
@@ -461,22 +460,18 @@ def test_star_family_builds_one_incidence_table_per_tree(monkeypatch):
     table per tree they meet."""
     built = []
 
-    def counting(edges, mask):
-        built.append(mask)
-        return _incidence(edges, mask)
-
-    def counting_rows(d, mask):
+    def counting(d, mask):
         built.append(mask)
         return _tree_incidence(d, mask)
 
-    monkeypatch.setattr(treespan.trees, "_incidence", counting)
-    monkeypatch.setattr(treespan.transforms, "_tree_incidence", counting_rows)
+    monkeypatch.setattr(treespan.trees, "_tree_incidence", counting)
+    monkeypatch.setattr(treespan.transforms, "_tree_incidence", counting)
     d = polar_k5()
     trees = enumerate_plane_trees(d, kind="special")
     kinds = {}
     for t in trees:
         built.clear()
-        kinds[t] = classify_kind(d.n, d.edges, tree_mask(d, t))
+        kinds[t] = classify_kind(d, tree_mask(d, t))
         assert len(built) == 1
     assert {k[0] for k in kinds.values()} == {"star", "double_star", "twin_star"}
     for t, kind in kinds.items():
@@ -515,7 +510,7 @@ def test_reduce_to_star_matches_the_double_star_detour():
     for d in drawings:
         for t in enumerate_plane_trees(d, kind="special"):
             mask = tree_mask(d, t)
-            kinds.add(classify_kind(d.n, d.edges, mask)[0])
+            kinds.add(classify_kind(d, mask)[0])
             assert (_reduction(_reduce_to_star, d, mask)
                     == _reduction(reference_trees._reduce_to_star, d, mask)), (d.graph, t)
     assert kinds == {"star", "double_star", "twin_star"}

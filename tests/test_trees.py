@@ -24,7 +24,7 @@ from treespan.trees import (
     is_compatible,
 )
 
-from conftest import P, crossings, straight_line_drawing
+from conftest import P, crossings, straight_line_drawing, uncrossed
 from reference_trees import check_tree, double_star_paths, star_centers, twin_star_paths
 
 
@@ -67,7 +67,7 @@ def oracle_plane_trees(d):
 def test_path_on_square_is_twin_star(sq):
     cert = check_tree(sq, [(0, 1), (1, 2), (2, 3)])
     assert cert.is_plane_spanning_tree
-    assert classify_kind(sq.n, sq.edges, cert.mask) == ("twin_star", 0, 1, 2)
+    assert classify_kind(sq, cert.mask) == ("twin_star", 0, 1, 2)
 
 
 def test_crossing_diagonals_not_plane(sq):
@@ -77,7 +77,7 @@ def test_crossing_diagonals_not_plane(sq):
 
 def test_star_kind(sq):
     cert = check_tree(sq, [(0, 1), (0, 2), (0, 3)])
-    assert classify_kind(sq.n, sq.edges, cert.mask) == ("star", 0)
+    assert classify_kind(sq, cert.mask) == ("star", 0)
 
 
 def test_unknown_edge(sq):
@@ -93,13 +93,13 @@ def test_non_spanning(sq):
 
 def test_kind_larger_cases():
     path5 = canon_tree([(0, 1), (1, 2), (2, 3), (3, 4)])
-    assert classify_kind(5, path5) == ("twin_star", 1, 2, 3)
+    assert classify_kind(uncrossed(5, path5)) == ("twin_star", 1, 2, 3)
     path6 = canon_tree([(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
-    assert classify_kind(6, path6) == ("k_star", 3, (1, 2, 3, 4))
+    assert classify_kind(uncrossed(6, path6)) == ("k_star", 3, (1, 2, 3, 4))
     spider = canon_tree([(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)])
-    assert classify_kind(7, spider) == ("generic",)
+    assert classify_kind(uncrossed(7, spider)) == ("generic",)
     double = canon_tree([(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)])
-    assert classify_kind(6, double) == ("double_star", 0, 1)
+    assert classify_kind(uncrossed(6, double)) == ("double_star", 0, 1)
 
 
 def test_representation_helpers():

@@ -17,7 +17,8 @@ the adjacent pairs its builders checked taken as passed, must equal a full
 check's; the wedge-read order-type rows and the integer class checks must
 equal their references in ``reference_drawing``.  Curves that break two
 neighbouring per-curve rules at once pin the order of those checks, and so
-the reason reported; the sort key of a cylindrical drawing's rings must
+the reason reported, and curves repeating one of their own ends as an
+interior waypoint must report an earlier rule; the sort key of a cylindrical drawing's rings must
 order exact circle points as the comparator it replaced did.
 """
 
@@ -871,6 +872,59 @@ def test_first_broken_curve_rule_names_the_reason(backend, curve, reason):
     assert oracle.value.reason == reason
     assert _outcome(_fast, _fresh(d)) == _outcome(oracle_validate, _fresh(d)) == (
         "NotSimpleError", reason, None)
+
+
+def _own_end_mutants(d):
+    """Copies of d with one curve repeating one of its own end vertices as
+    an interior waypoint: inserted, or in place of a waypoint, and for a
+    polar curve also lifted by a turn either way.  Yields (edge, copy)."""
+    for e, curve in d.curves.items():
+        for p in (d.vertex_points[v] for v in e):
+            stops = [p]
+            if d.backend == "polar":
+                stops += [PolarPoint(p.theta + k, p.r) for k in (-1, 1)]
+            for w in stops:
+                for k in range(1, len(curve)):
+                    changed = [curve[:k] + (w,) + curve[k:]]
+                    if k < len(curve) - 1:
+                        changed.append(curve[:k] + (w,) + curve[k + 1:])
+                    for c in changed:
+                        yield e, Drawing(n=d.n, backend=d.backend,
+                                         vertex_points=d.vertex_points,
+                                         curves={**d.curves, e: c}, graph=d.graph)
+
+
+_BENT = {"zero-length segment in curve of e", "curve of e is self-intersecting"}
+# a straight curve has no waypoint to replace; a lifted one is out of order
+OWN_END_REASONS = {"random_points": {"zero-length segment in curve of e"},
+                   "monotone_perturbed": _BENT, "two_page": _BENT, "cylindrical": _BENT,
+                   "strongly_cmonotone": {"curve of e is not angle-monotone"}}
+
+
+@pytest.mark.parametrize("spec", [
+    GenSpec(cls="random_points", n=4, seed=0),
+    GenSpec(cls="monotone_perturbed", n=4, seed=1),
+    GenSpec(cls="monotone_perturbed", n=5, seed=0),
+    GenSpec(cls="two_page", n=4, seed=2),
+    GenSpec(cls="two_page", n=5, seed=0),
+    GenSpec(cls="cylindrical", n=4, seed=0, a=2, b=2),
+    GenSpec(cls="cylindrical", n=6, seed=1, a=3, b=3),
+    GenSpec(cls="strongly_cmonotone", n=4, seed=0),
+    GenSpec(cls="strongly_cmonotone", n=5, seed=1),
+], ids=lambda s: f"{s.cls}-{s.n}-{s.seed}")
+def test_own_end_vertex_as_waypoint_reports_an_earlier_rule(spec):
+    """A curve through its own end vertex breaks a rule checked before the
+    vertices on it: zero length or self-contact (cartesian), angle order
+    or span (polar).  Both validations report that rule, and neither says
+    the curve passes through one of its own ends."""
+    reasons = set()
+    for e, bad in _own_end_mutants(generate(spec)):
+        got = _outcome(_fast, _fresh(bad))
+        assert got == _outcome(oracle_validate, _fresh(bad)), (e, bad.curves[e])
+        assert got[0] == "NotSimpleError"
+        assert got[1] not in (f"curve of {e} passes through vertex {v}" for v in e)
+        reasons.add(got[1].replace(str(e), "e"))
+    assert reasons == OWN_END_REASONS[spec.cls]
 
 
 # ---------------------------------------------------------------------------
