@@ -20,7 +20,7 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src"))
 
 from treespan.compat import analyze, build_compat_graph
-from treespan.generators import GenSpec, generate
+from treespan.generators import _CLASSES, GenSpec, generate
 from treespan.trees import ENUM_LIMIT_ALL
 
 
@@ -45,13 +45,12 @@ def main() -> None:
         ap.error(f"--max-n {args.max_n}: full graphs are enumerated only "
                  f"up to n = {ENUM_LIMIT_ALL}")
 
-    classes = ["convex", "random_points", "monotone_perturbed", "two_page",
-               "strongly_cmonotone"]
     print(f"{'class':<22}{'n':>3}{'seed':>5}{'nodes':>8}{'classes':>8}"
           f"{'edges':>10}{'diam':>6}{'classes*':>9}{'diam*':>7}{'sec':>7}")
-    for cls in classes:
-        top = min(args.max_n, 8 if cls == "strongly_cmonotone" else args.max_n)
-        for n in range(4, top + 1):
+    for cls in _CLASSES:
+        if cls == "cylindrical":  # swept below, one row per shape (a, b)
+            continue
+        for n in range(4, args.max_n + 1):
             for seed in range(args.seeds):
                 report(cls, GenSpec(cls=cls, n=n, seed=seed))
 

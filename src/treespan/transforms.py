@@ -198,11 +198,14 @@ def cmonotone_to_spine(d: Drawing, t: Iterable[Edge]) -> TransformSequence:
 def _spine_route(d: Drawing, spine: SpineStructure,
                  trees: Sequence[Iterable[Edge]]) -> TransformSequence:
     """The first tree down to the spine path and back up to the second, if
-    given, certified once with ``spine.kind`` as the method.  A strongly
-    c-monotone drawing with a non-spine cycle edge takes monotone rounds."""
+    given, certified once with ``spine.kind`` as the method; two equal
+    trees T give (T,), as every route does.  A strongly c-monotone drawing
+    with a non-spine cycle edge takes monotone rounds."""
     inputs = _input_certs(d, trees)
     if spine.all_cycle_edges_spine is False and d._derive(_strip).stab[-1]:
         raise InternalInvariantViolated("cut wedge is not empty")
+    if len(inputs) == 2 and inputs[0].mask == inputs[1].mask:
+        return _certified(d, [inputs[0].mask], spine.kind)
     step = _corridor_step if spine.all_cycle_edges_spine else _monotone_step
     seq: List[int] = []
     for cert, way in zip(inputs, (1, -1)):  # the second tree's rounds reversed

@@ -309,8 +309,8 @@ def check_mask(d: Relation, mask: int) -> TreeCert:
         return cached
     edges, rows = d.edges, d.cross_mask
     parent = list(range(d.n))
-    verts = conflict = 0
-    acyclic = True
+    verts = 1 if d.n == 1 else 0  # a one-vertex relation's tree has no edge
+    conflict, acyclic = 0, True
     for i in bits(mask):
         u, v = edges[i]
         verts |= 1 << u | 1 << v
@@ -321,8 +321,7 @@ def check_mask(d: Relation, mask: int) -> TreeCert:
             parent[v] = v = parent[parent[v]]
         acyclic = acyclic and u != v
         parent[u] = v
-    connected = (acyclic and mask.bit_count() == verts.bit_count() - 1
-                 if verts else False)
+    connected = acyclic and mask.bit_count() == verts.bit_count() - 1
     cert = TreeCert(spanning=verts == (1 << d.n) - 1,
                     acyclic_connected=connected,
                     plane=mask & conflict == 0, mask=mask, conflict=conflict)
@@ -373,8 +372,9 @@ def enumerate_plane_trees(d: Relation, kind: str = "all",
     the last two choices as loops of its own: it reads the two labels it
     joined as their XOR, so it builds no label list and makes no call,
     and once two components remain their cut is every edge that completes
-    a tree.  On three or fewer vertices any n - 1 edges span, so a set is
-    a tree when no edge of it crosses one before it, as in the search.
+    a tree.  On three or fewer vertices the list is every (n - 1)-edge set
+    that ``check_mask`` certifies, the one definition of a plane spanning
+    tree; a one-vertex relation's tree is the empty one.
     The other kinds, 'special' for the union of 'star', 'double_star' and
     'twin_star', are built directly from the trees' defining vertices, not
     filtered from all trees; the three single kinds keep the trees whose
@@ -409,18 +409,12 @@ def _plane_masks(d: Relation, kind: str = "all", limit: Optional[int] = None
     m = len(edges)
     if m < n - 1:
         return [], [], []
+    if n <= 3:  # few enough (n - 1)-edge sets to certify each one
+        certs = [check_mask(d, sum(1 << i for i in pick))
+                 for pick in (itertools.combinations(range(m), n - 1) if n else ())]
+        return _twin_classes((c.mask, c.conflict) for c in certs
+                             if c.is_plane_spanning_tree)
     usable = sum(1 << i for i, row in enumerate(rows) if not row >> i & 1)  # no self-crossing
-    if n <= 3:  # any n - 1 edges on three or fewer vertices span them
-        small = []
-        for pick in itertools.combinations(bits(usable), n - 1) if n else ():
-            mask = blocked = 0
-            for i in pick:
-                if blocked >> i & 1:
-                    break
-                mask, blocked = mask | 1 << i, blocked | rows[i]
-            else:
-                small.append((mask, blocked))
-        return _twin_classes(small)
     masks: List[int] = []
     class_of: List[int] = []
     number: Dict[int, int] = {}  # conflict mask -> class

@@ -106,11 +106,12 @@ def mask_tree_loop(edges, mask: int) -> Tuple[Edge, ...]:
 
 def check_mask(d, mask: int) -> TreeCert:
     tree = mask_tree_loop(d.edges, mask)
-    verts = {v for e in tree for v in e}
+    # a one-vertex relation's tree has no edge
+    verts = {v for e in tree for v in e} | ({0} if d.n == 1 else set())
     spanning = verts == set(range(d.n))
     uf = _UnionFind(d.n)
     acyclic = all(uf.union(u, v) for u, v in tree)
-    connected = acyclic and len(tree) == len(verts) - 1 if verts else False
+    connected = acyclic and len(tree) == len(verts) - 1
     conflict = conflict_mask(d, mask)
     return TreeCert(spanning=spanning, acyclic_connected=connected,
                     plane=mask & conflict == 0, mask=mask, conflict=conflict)

@@ -8,7 +8,8 @@ same conflict masks, and twin classes numbered in order of first
 appearance.  The drawings are generated ones, hand-built ones with missing
 edges, and synthetic crossing relations that no drawing realises.  On the
 synthetic relations, each listing must also be exactly the spanning trees
-that certification accepts.
+that certification accepts; on three or fewer vertices, every relation is
+tried.
 """
 
 import itertools
@@ -31,6 +32,7 @@ from treespan.trees import (
     enumerate_plane_trees,
     mask_trees,
 )
+from treespan.transforms import certify_sequence
 
 from conftest import polar_k2
 from test_fileio_cli import _straight_line_k22
@@ -143,11 +145,7 @@ def test_enumerators_match_reference_on_crossing_relations(d):
     assert_matches_reference(d)
 
 
-@settings(max_examples=150, deadline=None)
-@given(crossing_relations().filter(lambda d: 2 <= d.n <= 6))
-@example(_relation(4, complete_edges(4), [(0, 0)]))           # 01 crosses itself
-@example(_relation(3, complete_edges(3), [(1, 1)]))           # ... 02, on three vertices
-def test_enumeration_lists_exactly_the_certified_trees(d):
+def assert_lists_the_certified_trees(d):
     """``enumerate_plane_trees`` lists every spanning tree of the relation
     that ``check_mask`` certifies, and no other: an edge crossing itself is
     in none.  Each star kind lists the certified trees of that kind, and
@@ -161,6 +159,52 @@ def test_enumeration_lists_exactly_the_certified_trees(d):
         want = [mask for mask in certified
                 if kinds[mask] == kind or kind == "special" and kinds[mask] in KINDS]
         assert enumerate_plane_trees(d, kind) == mask_trees(d.edges, want), kind
+
+
+@settings(max_examples=150, deadline=None)
+@given(crossing_relations().filter(lambda d: d.n <= 6))
+@example(_relation(4, complete_edges(4), [(0, 0)]))           # 01 crosses itself
+@example(_relation(3, complete_edges(3), [(1, 1)]))           # ... 02, on three vertices
+def test_enumeration_lists_exactly_the_certified_trees(d):
+    assert_lists_the_certified_trees(d)
+
+
+def _small_relations():
+    """Every symmetric crossing relation, self-crossings included, on every
+    edge subset of K_1, K_2 and K_3."""
+    for n in (1, 2, 3):
+        for k in range(n * (n - 1) // 2 + 1):
+            for edges in itertools.combinations(complete_edges(n), k):
+                pairs = list(itertools.combinations_with_replacement(range(k), 2))
+                for r in range(len(pairs) + 1):
+                    for chosen in itertools.combinations(pairs, r):
+                        yield _relation(n, edges, chosen)
+
+
+def test_small_relations_list_exactly_the_certified_trees():
+    """On three or fewer vertices every kind's listing is the certified
+    trees of that kind, and agrees with all three reference enumerators."""
+    relations = list(_small_relations())
+    assert len(relations) == 99
+    for d in relations:
+        assert_matches_reference(d)
+        assert_lists_the_certified_trees(d)
+
+
+def test_one_vertex_lists_and_certifies_the_empty_tree():
+    d = _relation(1, [], [])
+    assert enumerate_plane_trees(d) == [()]
+    assert check_mask(d, 0).is_plane_spanning_tree
+    assert certify_sequence(d, [()]).trees == ((),)
+
+
+def test_a_repeated_edge_is_a_cycle_on_three_vertices():
+    """A relation is not checked, so it may hold an edge twice; the two
+    copies close a cycle, and no listed tree holds both."""
+    d = Relation(3, [(0, 1), (0, 1), (1, 2)], [0, 0, 0])
+    assert as_pairs(_plane_masks(d, "all")) == reference.plane_masks(d) == [
+        (0b101, 0), (0b110, 0)]
+    assert not check_mask(d, 0b011).acyclic_connected
 
 
 def test_star_family_sort_key_keeps_the_bit_string_order():

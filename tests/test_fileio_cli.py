@@ -36,7 +36,8 @@ from treespan.compat import build_compat_graph
 from treespan.generators import GenSpec, fixture_bipartite_isolated, generate
 from treespan.trees import enumerate_plane_trees, is_compatible
 
-from conftest import P, cyl_k4, polar_k2, polar_k3, polar_k4, straight_line_drawing, two_page_k4
+from conftest import (P, cyl_k4, polar_k2, polar_k3, polar_k4, polar_k5, straight_line_drawing,
+                      two_page_k4)
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +229,29 @@ def test_cli_method_inapplicable(k3_file, capsys):
                  "--to", "0-2,1-2", "--method", "monotone"])
     assert code == 2
     assert json.loads(capsys.readouterr().err)["error"] == "method-inapplicable"
+
+
+@pytest.mark.parametrize("method, make", [
+    ("cylindrical", lambda: generate(GenSpec(cls="cylindrical", n=5, seed=0, a=2, b=3))),
+    ("monotone", lambda: generate(GenSpec(cls="monotone_perturbed", n=5, seed=1))),
+    ("cmonotone", polar_k5),  # corridor paths: every cycle edge is a spine edge
+    ("cmonotone", polar_k4),  # cut at the gap of a non-spine cycle edge
+    ("special", lambda: generate(GenSpec(cls="convex", n=5, seed=1))),
+], ids=["cylindrical", "monotone", "cmonotone-corridor", "cmonotone-cut", "special"])
+def test_cli_every_method_answers_t_to_t_with_t(method, make, tmp_path, capsys):
+    """``--from T --to T`` gives the one-tree sequence (T,) under every
+    method, for every tree the method takes."""
+    d = make()
+    drawing = str(tmp_path / "d.json")
+    save_drawing(d, drawing)
+    trees = enumerate_plane_trees(d, "special" if method == "special" else "all")
+    for t in trees:
+        arg = ",".join(f"{u}-{v}" for u, v in t)
+        assert main(["transform", drawing, "--method", method,
+                     "--from", arg, "--to", arg]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["certified"] and doc["trees"] == [[list(e) for e in t]], arg
+    assert len(trees) > 1
 
 
 @pytest.mark.parametrize("error", [RelationCyclicError, NoSideEdgeError,
@@ -592,29 +616,35 @@ def test_cli_input_errors_exit_1(doc, path, value, message, sq_file, tmp_path,
 @pytest.mark.parametrize("case, message", [
     ("backend", "bad backend 'spherical'"),
     ("vertex", "expected coordinate pair"),
+    ("n-one", "n must be an integer >= 2"),
+    ("n-true", "n must be an integer >= 2"),
+    ("vertex-dropped", "vertices must list one point per vertex"),
     ("sequence-list", "sequence file must be a JSON object"),
     ("from-dashes", "bad tree argument []"),
     ("tree-dashes", "bad tree argument []"),
-], ids=["backend-spherical", "vertex-not-a-pair", "certify-list", "transform-from-dashes",
-        "render-tree-dashes"])
+], ids=["backend-spherical", "vertex-not-a-pair", "n-one", "n-true", "vertex-dropped",
+        "certify-list", "transform-from-dashes", "render-tree-dashes"])
 def test_cli_file_format_rejections(case, message, k3_file, tmp_path, capsys):
-    """A drawing file with an unknown backend or a vertex that is not a
-    pair, a sequence file that is a JSON list, and the tree value "--",
-    which argparse hands over as an empty list: each exits 1 with one JSON
-    object on stderr, typed ``FileFormatError``."""
+    """A drawing file with an unknown backend, a vertex that is not a pair,
+    an n that is not an integer >= 2 (1, or true, which is no integer) or
+    one vertex too few, a sequence file that is a JSON list, and the tree
+    value "--", which argparse hands over as an empty list: each exits 1
+    with one JSON object on stderr, typed ``FileFormatError``."""
     doc = drawing_to_dict(polar_k3())
     if case == "backend":
         doc["backend"] = "spherical"
     elif case == "vertex":
         doc["vertices"][0] = doc["vertices"][0] * 2
+    elif case.startswith("n-"):
+        doc["n"] = {"n-one": 1, "n-true": True}[case]
+    elif case == "vertex-dropped":
+        del doc["vertices"][-1]
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps([] if case == "sequence-list" else doc))
-    argv = {"backend": ["validate", str(bad)],
-            "vertex": ["validate", str(bad)],
-            "sequence-list": ["certify", str(bad), "--drawing", k3_file],
+    argv = {"sequence-list": ["certify", str(bad), "--drawing", k3_file],
             "from-dashes": ["transform", k3_file, "--from=--", "--to", "0-1,1-2"],
             "tree-dashes": ["render", k3_file, "--tree=--",
-                            "-o", str(tmp_path / "o.svg")]}[case]
+                            "-o", str(tmp_path / "o.svg")]}.get(case, ["validate", str(bad)])
     assert main(argv) == 1
     err = _one_json_error(capsys)
     assert err["error"] == "invalid-input" and err["type"] == "FileFormatError"
