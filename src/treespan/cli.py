@@ -3,12 +3,16 @@
 Subcommands: validate, generate, trees, compat, transform, certify, render.
 Exit codes: 0 success, 1 invalid input (a malformed command line too), 2
 method inapplicable, 3 internal invariant violation.  Errors are emitted as
-one JSON object on stderr.
+one JSON object on stderr; an empty output path is invalid input.  The
+drawing of every subcommand with a ``file`` argument (validate, trees,
+compat, transform, render) is loaded once, before ``_dispatch`` branches;
+certify loads the drawing its sequence file names.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -46,21 +50,14 @@ class _Parser(argparse.ArgumentParser):
 
 def _report_json(d) -> dict:
     rep = validate_simple(d)
-    cyl = None
-    if rep.is_cylindrical is not None:
-        roles = rep.is_cylindrical
-        cyl = {"r_in2": str(roles.r_in2), "r_out2": str(roles.r_out2),
-               "inner_vertices": list(roles.inner_vertices),
-               "outer_vertices": list(roles.outer_vertices)}
-    return {
-        "is_simple": rep.is_simple,
-        "is_monotone": rep.is_monotone,
-        "is_two_page_book": rep.is_two_page_book,
-        "is_cylindrical": cyl,
-        "is_c_monotone": rep.is_c_monotone,
-        "is_strongly_c_monotone": rep.is_strongly_c_monotone,
-        "crossing_pairs": len(d.crossing_pairs()),
-    }
+    out = {f.name: getattr(rep, f.name) for f in dataclasses.fields(rep)}
+    roles = rep.is_cylindrical
+    if roles is not None:
+        out["is_cylindrical"] = {"r_in2": str(roles.r_in2), "r_out2": str(roles.r_out2),
+                                 "inner_vertices": list(roles.inner_vertices),
+                                 "outer_vertices": list(roles.outer_vertices)}
+    out["crossing_pairs"] = len(d.crossing_pairs())
+    return out
 
 
 def _run_transform(d, method: str, t1, t2):
@@ -133,8 +130,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _dispatch(args) -> int:
+    d = fileio.load_drawing(args.file) if "file" in vars(args) else None
     if args.cmd == "validate":
-        d = fileio.load_drawing(args.file)
         print(json.dumps(_report_json(d), sort_keys=True))
         return 0
 
@@ -148,7 +145,6 @@ def _dispatch(args) -> int:
         return 0
 
     if args.cmd == "trees":
-        d = fileio.load_drawing(args.file)
         trees = enumerate_plane_trees(d, kind=args.kind, limit=args.limit)
         out = {"count": len(trees)}
         if args.list:
@@ -157,11 +153,10 @@ def _dispatch(args) -> int:
         return 0
 
     if args.cmd == "compat":
-        d = fileio.load_drawing(args.file)
         g = build_compat_graph(d, restricted=args.special, limit=args.limit)
         a = analyze(g)
         diameter = a.diameter if a.diameter != math.inf else "infinite"
-        if args.dot:
+        if args.dot is not None:
             with open(args.dot, "w") as fh:
                 fh.write(fileio.compat_to_dot(g))
         print(json.dumps({"nodes": len(g.masks), "edges": g.edge_count(),
@@ -170,14 +165,13 @@ def _dispatch(args) -> int:
         return 0
 
     if args.cmd == "transform":
-        d = fileio.load_drawing(args.file)
         t1 = fileio.parse_tree_arg(args.src)
         t2 = fileio.parse_tree_arg(args.dst)
         seq = _run_transform(d, args.method, t1, t2)
         doc = fileio.sequence_to_dict(seq.trees, seq.method, seq.certified,
                                       drawing=args.file)
         text = fileio.dumps(doc)
-        if args.output:
+        if args.output is not None:
             with open(args.output, "w") as fh:
                 fh.write(text)
             print(json.dumps({"written": args.output, "trees": len(seq),
@@ -198,7 +192,6 @@ def _dispatch(args) -> int:
         return 0
 
     if args.cmd == "render":
-        d = fileio.load_drawing(args.file)
         highlight = [fileio.parse_tree_arg(t) for t in args.tree]
         for t in highlight:
             tree_mask(d, t)  # UnknownEdgeError for an edge the drawing lacks
@@ -220,7 +213,7 @@ def main(argv=None) -> int:
     except MethodInapplicable as ex:
         _emit_error("method-inapplicable", ex)
         return 2
-    except (TreespanError, OSError, json.JSONDecodeError, ValueError) as ex:
+    except (TreespanError, OSError, ValueError) as ex:
         _emit_error("invalid-input", ex)
         return 1
 

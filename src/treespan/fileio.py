@@ -76,16 +76,23 @@ def drawing_to_dict(d: Drawing) -> dict:
     return out
 
 
-def drawing_from_dict(obj: dict) -> Drawing:
+def _check_top_level(obj, kind: str, required: Tuple[str, ...],
+                     optional: Tuple[str, ...]) -> None:
+    """The rule for a file's top level, drawing or sequence: a JSON object
+    with no unknown field and every required one, checked in that order."""
     if not isinstance(obj, dict):
-        raise FileFormatError("drawing file must be a JSON object")
-    allowed = {"n", "graph", "backend", "vertices", "edges", "circles"}
-    unknown = set(obj) - allowed
+        raise FileFormatError(f"{kind} file must be a JSON object")
+    unknown = set(obj).difference(required, optional)
     if unknown:
         raise FileFormatError(f"unknown fields: {sorted(unknown)}")
-    for key in ("n", "graph", "backend", "vertices", "edges"):
+    for key in required:
         if key not in obj:
             raise FileFormatError(f"missing field {key!r}")
+
+
+def drawing_from_dict(obj: dict) -> Drawing:
+    _check_top_level(obj, "drawing", ("n", "graph", "backend", "vertices", "edges"),
+                     ("circles",))
     n = obj["n"]
     if not _is_int(n) or n < 2:
         raise FileFormatError("n must be an integer >= 2")
@@ -190,15 +197,7 @@ def sequence_to_dict(trees: Iterable[Tree], method: str, certified: bool,
 
 
 def sequence_from_dict(obj: dict) -> Tuple[List[Tree], str, bool, object]:
-    if not isinstance(obj, dict):
-        raise FileFormatError("sequence file must be a JSON object")
-    allowed = {"drawing", "method", "trees", "certified"}
-    unknown = set(obj) - allowed
-    if unknown:
-        raise FileFormatError(f"unknown fields: {sorted(unknown)}")
-    for key in ("method", "trees", "certified"):
-        if key not in obj:
-            raise FileFormatError(f"missing field {key!r}")
+    _check_top_level(obj, "sequence", ("method", "trees", "certified"), ("drawing",))
     method, certified = obj["method"], obj["certified"]
     if not isinstance(method, str):
         raise FileFormatError(f"'method' must be a string, got {method!r}")

@@ -46,7 +46,8 @@ def plane_masks(d) -> List[Tuple[int, int]]:
             grow(i + 1, [cv if c == cu else c for c in comp], left - 1,
                  mask | 1 << i, blocked | rows[i])
 
-    grow(0, list(range(d.n)), d.n - 1, 0, 0)
+    if d.n:  # no vertex: no tree
+        grow(0, list(range(d.n)), d.n - 1, 0, 0)
     return out
 
 

@@ -125,6 +125,7 @@ def crossing_relations(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(crossing_relations())
+@example(_relation(0, [], []))
 @example(_relation(1, [], []))
 @example(_relation(2, [(0, 1)], []))
 @example(_relation(4, [], []))                                # edgeless
@@ -149,8 +150,9 @@ def assert_lists_the_certified_trees(d):
     """``enumerate_plane_trees`` lists every spanning tree of the relation
     that ``check_mask`` certifies, and no other: an edge crossing itself is
     in none.  Each star kind lists the certified trees of that kind, and
-    'special' those of all three."""
-    picks = itertools.combinations(range(len(d.edges)), d.n - 1)
+    'special' those of all three.  With no vertex, the one pick is the
+    empty mask, which is no tree."""
+    picks = itertools.combinations(range(len(d.edges)), max(d.n - 1, 0))
     certified = [mask for mask in (sum(1 << i for i in pick) for pick in picks)
                  if check_mask(d, mask).is_plane_spanning_tree]
     assert enumerate_plane_trees(d) == mask_trees(d.edges, certified)
@@ -171,8 +173,8 @@ def test_enumeration_lists_exactly_the_certified_trees(d):
 
 def _small_relations():
     """Every symmetric crossing relation, self-crossings included, on every
-    edge subset of K_1, K_2 and K_3."""
-    for n in (1, 2, 3):
+    edge subset of K_0, K_1, K_2 and K_3."""
+    for n in (0, 1, 2, 3):
         for k in range(n * (n - 1) // 2 + 1):
             for edges in itertools.combinations(complete_edges(n), k):
                 pairs = list(itertools.combinations_with_replacement(range(k), 2))
@@ -185,7 +187,7 @@ def test_small_relations_list_exactly_the_certified_trees():
     """On three or fewer vertices every kind's listing is the certified
     trees of that kind, and agrees with all three reference enumerators."""
     relations = list(_small_relations())
-    assert len(relations) == 99
+    assert len(relations) == 100
     for d in relations:
         assert_matches_reference(d)
         assert_lists_the_certified_trees(d)

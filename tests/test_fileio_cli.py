@@ -456,11 +456,20 @@ def test_cli_compat_dot(k3_file, tmp_path, capsys):
     assert dot.read_text() == compat_to_dot(build_compat_graph(polar_k3()))
 
 
-def test_cli_compat_dot_unwritable(k3_file, tmp_path, capsys):
-    """A DOT file that cannot be written fails the command before its
-    summary is printed: exit 1, nothing on stdout, one JSON object on
-    stderr."""
-    assert main(["compat", k3_file, "--dot", str(tmp_path / "missing" / "g.dot")]) == 1
+@pytest.mark.parametrize("path", ["", "missing/out"], ids=["empty", "missing-dir"])
+@pytest.mark.parametrize("argv", [
+    ["compat", "K3", "--dot"],
+    ["transform", "K3", "--from", "0-1,1-2", "--to", "0-2,1-2", "-o"],
+    ["render", "K3", "-o"],
+    ["generate", "--class", "convex", "--n", "4", "--seed", "1", "-o"],
+], ids=["compat-dot", "transform", "render", "generate"])
+def test_cli_unwritable_output_path(argv, path, k3_file, tmp_path, capsys):
+    """An output file that cannot be written, an empty path among them,
+    fails the command before its summary is printed: exit 1, nothing on
+    stdout, one JSON object on stderr."""
+    out = str(tmp_path / path) if path else path
+    argv = [k3_file if a == "K3" else a for a in argv] + [out]
+    assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
@@ -620,14 +629,16 @@ def test_cli_input_errors_exit_1(doc, path, value, message, sq_file, tmp_path,
     ("n-true", "n must be an integer >= 2"),
     ("vertex-dropped", "vertices must list one point per vertex"),
     ("sequence-list", "sequence file must be a JSON object"),
+    ("drawing-list", "drawing file must be a JSON object"),
     ("from-dashes", "bad tree argument []"),
     ("tree-dashes", "bad tree argument []"),
 ], ids=["backend-spherical", "vertex-not-a-pair", "n-one", "n-true", "vertex-dropped",
-        "certify-list", "transform-from-dashes", "render-tree-dashes"])
+        "certify-list", "drawing-list", "transform-from-dashes", "render-tree-dashes"])
 def test_cli_file_format_rejections(case, message, k3_file, tmp_path, capsys):
     """A drawing file with an unknown backend, a vertex that is not a pair,
     an n that is not an integer >= 2 (1, or true, which is no integer) or
-    one vertex too few, a sequence file that is a JSON list, and the tree
+    one vertex too few, a sequence file or a drawing file that is a JSON
+    list (the drawing under every command that reads one), and the tree
     value "--", which argparse hands over as an empty list: each exits 1
     with one JSON object on stderr, typed ``FileFormatError``."""
     doc = drawing_to_dict(polar_k3())
@@ -640,15 +651,21 @@ def test_cli_file_format_rejections(case, message, k3_file, tmp_path, capsys):
     elif case == "vertex-dropped":
         del doc["vertices"][-1]
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps([] if case == "sequence-list" else doc))
-    argv = {"sequence-list": ["certify", str(bad), "--drawing", k3_file],
-            "from-dashes": ["transform", k3_file, "--from=--", "--to", "0-1,1-2"],
-            "tree-dashes": ["render", k3_file, "--tree=--",
-                            "-o", str(tmp_path / "o.svg")]}.get(case, ["validate", str(bad)])
-    assert main(argv) == 1
-    err = _one_json_error(capsys)
-    assert err["error"] == "invalid-input" and err["type"] == "FileFormatError"
-    assert err["message"].startswith(message), err
+    bad.write_text(json.dumps([] if case.endswith("-list") else doc))
+    svg = str(tmp_path / "o.svg")
+    argvs = {"sequence-list": [["certify", str(bad), "--drawing", k3_file]],
+             "drawing-list": [[cmd, str(bad), *rest] for cmd, *rest in (
+                 ["validate"], ["trees"], ["compat"],
+                 ["transform", "--from", "0-1,1-2", "--to", "0-2,1-2"],
+                 ["render", "-o", svg])],
+             "from-dashes": [["transform", k3_file, "--from=--", "--to", "0-1,1-2"]],
+             "tree-dashes": [["render", k3_file, "--tree=--", "-o", svg]],
+             }.get(case, [["validate", str(bad)]])
+    for argv in argvs:
+        assert main(argv) == 1
+        err = _one_json_error(capsys)
+        assert err["error"] == "invalid-input" and err["type"] == "FileFormatError"
+        assert err["message"].startswith(message), (argv, err)
     assert not (tmp_path / "o.svg").exists()
 
 

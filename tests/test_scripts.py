@@ -1,6 +1,8 @@
 """The scripts and the benchmark's self-test run from a checkout, without
-the package installed."""
+the package installed, and the package needs nothing outside the standard
+library."""
 
+import ast
 import os
 import pathlib
 import subprocess
@@ -56,3 +58,16 @@ def test_perfbench_selftest_passes():
     out = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=ROOT,
                          env=env, capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stdout + out.stderr
+
+
+def test_package_imports_only_the_standard_library():
+    # every absolute import of the package names a standard-library module
+    found = set()
+    for path in sorted((ROOT / "src" / "treespan").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                found.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                found.add(node.module.split(".")[0])
+    assert "json" in found and "fractions" in found
+    assert found <= sys.stdlib_module_names, sorted(found - sys.stdlib_module_names)

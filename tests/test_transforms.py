@@ -1,5 +1,6 @@
 """Transformation tests: hand-traced sequences plus self-certification."""
 
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
@@ -20,6 +21,7 @@ from treespan.errors import (
     BadTreeError,
     InternalInvariantViolated,
     MethodInapplicable,
+    NoSideEdgeError,
     NotCylindricalError,
     NotDoubleStarError,
     NotMonotoneError,
@@ -47,6 +49,7 @@ from treespan.trees import (
     check_mask,
     classify_kind,
     enumerate_plane_trees,
+    is_compatible,
     tree_mask,
 )
 
@@ -298,6 +301,20 @@ def test_cylindrical_one_circle(n, step):
             assert seq.trees[0] == t1 and seq.trees[-1] == t2 and len(seq) <= 3
             if len(seq) == 3:
                 assert seq.trees[1] == path
+
+
+def test_cylindrical_roles_without_side_edges():
+    """``roles`` is an argument, so it may mark no side edge: two
+    incompatible trees on both circles then have no side edge to route
+    through, and the call raises ``NoSideEdgeError``."""
+    d = generate(GenSpec(cls="cylindrical", n=5, seed=0, a=2, b=3))
+    roles = validate_simple(d).is_cylindrical
+    trees = enumerate_plane_trees(d)
+    t1, t2 = next((t1, t2) for t1 in trees for t2 in trees
+                  if not is_compatible(d, t1, t2))
+    assert transform_cylindrical(d, roles, t1, t2).certified
+    with pytest.raises(NoSideEdgeError, match="spanning tree without a side edge"):
+        transform_cylindrical(d, dataclasses.replace(roles, sides_mask=0), t1, t2)
 
 
 def _crossed_cycle_edge_k4(label=(0, 1, 2, 3)) -> Drawing:
