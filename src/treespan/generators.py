@@ -66,10 +66,14 @@ class GenSpec:
     def __post_init__(self):
         if self.n < 3:
             raise ValueError("need n >= 3")
+        if not 0 <= self.seed < 1 << 64:  # SplitMix64 would alias it mod 2**64
+            raise ValueError("seed must be in [0, 2**64)")
         if self.cls == "cylindrical":
             if not (self.a and self.b and self.a >= 1 and self.b >= 1
                     and self.a + self.b == self.n):
                 raise ValueError("cylindrical needs a, b >= 1 with a + b = n")
+        elif self.a is not None or self.b is not None:
+            raise ValueError("a and b are for cylindrical only")
 
 
 class _Reject(TreespanError):

@@ -18,11 +18,14 @@ offers one.
 
 The star, double-star and twin-star classes overlap (one tree can admit
 several fixed-path representations), so the searches below list every
-representation.  They and ``classify_kind`` read one incidence table of
-the tree, ``_tree_incidence``, vertex -> mask of its edges at that vertex:
-c is a star centre iff its entry is the whole mask, every edge touches g
-or r iff their entries OR to the mask, gr is a tree edge iff their entries
-meet, and a vertex's degree is its entry's bit count.
+representation.  ``_star_family`` lists the three classes together; on two
+to five vertices they hold every tree, and the plane-tree search lists
+them instead.  The representation searches and ``classify_kind`` read one
+incidence table of the tree, ``_tree_incidence``, vertex -> mask of its
+edges at that vertex: c is a star centre iff its entry is the whole mask,
+every edge touches g or r iff their entries OR to the mask, gr is a tree
+edge iff their entries meet, and a vertex's degree is its entry's bit
+count.
 """
 
 from __future__ import annotations
@@ -377,8 +380,9 @@ def enumerate_plane_trees(d: Relation, kind: str = "all",
     tree; a one-vertex relation's tree is the empty one.
     The other kinds, 'special' for the union of 'star', 'double_star' and
     'twin_star', are built directly from the trees' defining vertices, not
-    filtered from all trees; the three single kinds keep the trees whose
-    ``classify_kind`` is that kind.
+    filtered from all trees, except on 2 <= n <= 5, where every plane tree
+    is special and the search above lists them; the three single kinds
+    keep the 'special' trees whose ``classify_kind`` is that kind.
     """
     return mask_trees(d.edges, _plane_masks(d, kind, limit)[0])
 
@@ -391,19 +395,23 @@ def _plane_masks(d: Relation, kind: str = "all", limit: Optional[int] = None
     in order of first appearance as the trees are found, and class a's
     conflict mask is ``conflicts[a]``: a listing keeps one conflict mask
     per class, not one per tree.  ``compat.build_compat_graph`` lists its
-    trees through this kernel too."""
+    trees through this kernel too.
+
+    'special' on 2 <= n <= 5 is 'all': a tree on at most five vertices has
+    diameter at most 4, so it is a star or a double star, or the path on
+    five vertices, the twin star whose core is its middle three vertices."""
     if kind not in KINDS:
         raise ValueError(f"unknown filter {kind!r}")
     if limit is None:
         limit = ENUM_LIMIT_ALL if kind == "all" else ENUM_LIMIT_SPECIAL
     if d.n > limit:
         raise TooLargeError(d.n, limit)
-    if kind == "special":
-        return _star_family(d)
-    if kind != "all":
-        masks, class_of, conflicts = _star_family(d)
+    if kind not in ("all", "special"):
+        masks, class_of, conflicts = _plane_masks(d, "special", limit)
         return _twin_classes((mask, conflicts[a]) for mask, a in zip(masks, class_of)
                              if classify_kind(d, mask)[0] == kind)
+    if kind == "special" and not 2 <= d.n <= 5:
+        return _star_family(d)
 
     n, edges, rows = d.n, d.edges, d.cross_mask
     m = len(edges)
@@ -490,7 +498,10 @@ def _star_family(d: Relation) -> Tuple[List[int], List[int], List[int]]:
     the edges chosen before it.  The cores are filters on that list: the
     double star on gr is every entry that no edge crossing gr is in, plus
     gr, and the twin star g-s-r every entry that holds gs and no edge
-    crossing rs, plus rs (the entries holding rs give the same trees)."""
+    crossing rs, plus rs (the entries holding rs give the same trees).
+    ``_plane_masks`` calls it for n = 0, n = 1 (no tree: a lone vertex
+    has no core edge) and n >= 6; on 2 <= n <= 5 the plane-tree search
+    lists the same triple."""
     n, rows, top = d.n, d.cross_mask, len(d.edges) - 1
     at: List[List[Optional[Tuple[int, int, int]]]] = [[None] * n for _ in range(n)]
     # at[u][v]: edge uv's bit, row and bit in the reversed mask (edge i at

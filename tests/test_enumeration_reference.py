@@ -10,6 +10,10 @@ edges, and synthetic crossing relations that no drawing realises.  On the
 synthetic relations, each listing must also be exactly the spanning trees
 that certification accepts; on three or fewer vertices, every relation is
 tried.
+
+On 2 <= n <= 5 every plane tree is a star, a double star or a twin star, so
+``_plane_masks(d, "special")`` takes the 'all' search there; ``_star_family``,
+which it replaces on those sizes, stays its oracle.
 """
 
 import itertools
@@ -110,10 +114,11 @@ def _relation(n, edges, pairs):
 
 
 @st.composite
-def crossing_relations(draw):
-    """Any symmetric relation on a random subset of K_n's edges, so that
-    disconnected graphs and graphs with fewer than n - 2 edges occur."""
-    n = draw(st.integers(1, 7))
+def crossing_relations(draw, lo=1, hi=7):
+    """Any symmetric relation on a random subset of K_n's edges, lo <= n <=
+    hi, so that disconnected graphs and graphs with fewer than n - 2 edges
+    occur."""
+    n = draw(st.integers(lo, hi))
     keep = draw(st.sampled_from([1.0, 0.8, 0.5, 0.2]))
     cross = draw(st.sampled_from([0.0, 0.1, 0.3, 0.6]))
     rnd = draw(st.randoms(use_true_random=False))
@@ -185,12 +190,58 @@ def _small_relations():
 
 def test_small_relations_list_exactly_the_certified_trees():
     """On three or fewer vertices every kind's listing is the certified
-    trees of that kind, and agrees with all three reference enumerators."""
+    trees of that kind, and agrees with all three reference enumerators;
+    'special' is 'all' but on one vertex."""
     relations = list(_small_relations())
     assert len(relations) == 100
     for d in relations:
         assert_matches_reference(d)
         assert_lists_the_certified_trees(d)
+        assert_special_is_all(d)
+
+
+def assert_special_is_all(d):
+    """'special', ``_star_family`` and 'all' give one triple, order and
+    class numbering included; on one vertex the star family has no tree
+    (no core edge) and 'all' lists the empty one."""
+    special, every = _plane_masks(d, "special"), _plane_masks(d, "all")
+    if d.n == 1:
+        assert special == _star_family(d) == ([], [], [])
+        assert mask_trees(d.edges, every[0]) == [()]
+    else:
+        assert special == _star_family(d) == every
+
+
+@settings(max_examples=200, deadline=None)
+@given(crossing_relations(4, 5))
+@example(_relation(5, complete_edges(5), []))                 # K_5, all 125 trees
+@example(_relation(5, [(0, 1), (1, 2), (2, 3), (3, 4)], []))  # the path, a twin star
+@example(_relation(4, complete_edges(4), [(0, 0), (1, 4)]))   # a self-crossing edge
+def test_special_is_all_on_four_and_five_vertices(d):
+    assert_special_is_all(d)
+
+
+GENERATED_4_5 = ([GenSpec(cls=cls, n=n, seed=0) for cls in CLASSES for n in (4, 5)]
+                 + [GenSpec(cls="cylindrical", n=a + b, seed=0, a=a, b=b)
+                    for a, b in ((2, 2), (2, 3))])
+
+
+@pytest.mark.parametrize("spec", GENERATED_4_5,
+                         ids=[f"{s.cls}-{s.n}" for s in GENERATED_4_5])
+def test_special_is_all_on_generated_drawings(spec):
+    assert_special_is_all(generate(spec))
+
+
+def test_special_misses_trees_from_six_vertices():
+    """On six vertices the path and the spider with legs 2, 2, 1 are plane
+    trees of no star kind, so 'special' keeps its own search there."""
+    d = generate(GenSpec(cls="convex", n=6, seed=0))
+    special = _plane_masks(d, "special")[0]
+    every = _plane_masks(d, "all")[0]
+    assert len(every) == 273 and set(special) < set(every)
+    assert {classify_kind(d, mask)[0] for mask in set(every) - set(special)} == {
+        "k_star", "generic"}
+    assert as_pairs(_plane_masks(d, "special")) == reference.star_family(d)
 
 
 def test_one_vertex_lists_and_certifies_the_empty_tree():

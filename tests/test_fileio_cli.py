@@ -160,6 +160,40 @@ def test_cli_generate_deterministic(tmp_path, capsys):
     assert open(f1).read() == open(f2).read()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--class", "convex", "--seed", "0", "-a", "2", "-b", "9"],
+     "a and b are for cylindrical only"),
+    (["--class", "two_page", "--seed", "0", "-a", "2", "-b", "3"],
+     "a and b are for cylindrical only"),
+    (["--class", "convex", "--seed", "0", "-b", "3"], "a and b are for cylindrical only"),
+    (["--class", "convex", "--seed", "-1"], "seed must be in [0, 2**64)"),
+    (["--class", "convex", "--seed", str(2**64)], "seed must be in [0, 2**64)"),
+    (["--class", "cylindrical", "--seed", "-1", "-a", "2", "-b", "3"],
+     "seed must be in [0, 2**64)"),
+], ids=["convex-a-b", "two-page-a-b", "convex-b", "seed-minus-one", "seed-2-64",
+        "cylindrical-seed-minus-one"])
+def test_cli_generate_rejects_arguments_it_would_ignore_or_alias(argv, message,
+                                                                 tmp_path, capsys):
+    """``-a``/``-b`` off the cylindrical class used to be ignored, and a
+    seed outside [0, 2**64) used to alias one inside it (-1 wrote the file
+    of 2**64 - 1): both are invalid input, and nothing is written."""
+    out = tmp_path / "o.json"
+    assert main(["generate", "--n", "5", *argv, "-o", str(out)]) == 1
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert [json.loads(line) for line in printed.err.splitlines()] == [
+        {"error": "invalid-input", "type": "ValueError", "message": message}]
+    assert not out.exists()
+
+
+def test_cli_generate_accepts_both_ends_of_the_seed_range(tmp_path, capsys):
+    files = [str(tmp_path / f"{seed}.json") for seed in (0, 2**64 - 1)]
+    for seed, f in zip((0, 2**64 - 1), files):
+        assert main(["generate", "--class", "convex", "--n", "5",
+                     "--seed", str(seed), "-o", f]) == 0
+    assert open(files[0]).read() != open(files[1]).read()
+
+
 def test_cli_transform_special(sq_file, tmp_path, capsys):
     seq_path = str(tmp_path / "seq.json")
     code = main(["transform", sq_file, "--from", "0-1,0-2,0-3",

@@ -279,6 +279,12 @@ def test_invalid_spec():
         GenSpec(cls="convex", n=2, seed=1)
     with pytest.raises(ValueError):
         generate(GenSpec(cls="banana", n=5, seed=1))
+    for a, b in ((2, 3), (2, None), (None, 3)):  # sizes are for cylindrical only
+        with pytest.raises(ValueError, match="cylindrical only"):
+            GenSpec(cls="convex", n=5, seed=1, a=a, b=b)
+    for seed in (-1, 2**64):  # SplitMix64 would read them as 2**64 - 1 and 0
+        with pytest.raises(ValueError, match="seed must be in"):
+            GenSpec(cls="convex", n=5, seed=seed)
 
 
 # ---------------------------------------------------------------------------

@@ -15,17 +15,25 @@ SCRIPTS = ROOT / "scripts"
 
 
 def test_diameter_sweep_runs_from_a_checkout(tmp_path):
+    """On five or fewer vertices every plane tree is in the star family,
+    so the restricted columns (marked *) repeat the full graph's, the
+    cylindrical (2,2) and (2,3) rows among them."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     out = subprocess.run([sys.executable, str(SCRIPTS / "diameter_sweep.py"),
-                          "--max-n", "4", "--seeds", "1"],
+                          "--max-n", "5", "--seeds", "1"],
                          cwd=tmp_path, env=env, capture_output=True, text=True,
                          timeout=120)
     assert out.returncode == 0, out.stderr
-    header, row = (line.split() for line in out.stdout.splitlines()[:2])
-    assert row[:3] == ["convex", "4", "0"]
-    col = dict(zip(header, row))
-    assert "classes" in col and "classes*" in col
-    assert int(col["classes"]) <= int(col["nodes"])
+    header, *rows = (line.split() for line in out.stdout.splitlines())
+    assert rows[0][:3] == ["convex", "4", "0"]
+    cols = [dict(zip(header, row)) for row in rows]
+    small = [col for col in cols if int(col["n"]) <= 5]
+    assert {"cylindrical(2,2)", "cylindrical(2,3)"} <= {col["class"] for col in small}
+    assert len(small) == 12
+    for col in cols:
+        assert int(col["classes"]) <= int(col["nodes"])
+    for col in small:
+        assert (col["classes*"], col["diam*"]) == (col["classes"], col["diam"]), col
 
 
 def test_diameter_sweep_rejects_max_n_past_the_enumeration_limit(tmp_path):
