@@ -158,7 +158,7 @@ def _dispatch(args) -> int:
         diameter = a.diameter if a.diameter != math.inf else "infinite"
         if args.dot is not None:
             with open(args.dot, "w") as fh:
-                fh.write(fileio.compat_to_dot(g))
+                fh.writelines(fileio.compat_to_dot(g))
         print(json.dumps({"nodes": len(g.masks), "edges": g.edge_count(),
                           "connected": a.connected, "diameter": diameter},
                          sort_keys=True))

@@ -12,9 +12,11 @@ plane and so misses that mask: they are true twins, and the graph is the
 quotient on conflict masks with each class blown up into a clique.  A graph
 keeps that quotient: ``class_of`` maps each tree to its class, numbered in
 order of first appearance by the enumeration itself, and ``class_rows``
-are Python-int bitsets over classes.  The tree-level ``adjacency`` is a
-view built from the class rows when first read; ``degree`` and
-``edge_count`` work on the classes and their sizes.
+are Python-int bitsets over classes.  No tree-level rows are stored:
+``adjacency`` is a read-only view that keeps one reach mask per class,
+built from the class rows when first read, and computes tree i's row from
+its class's mask each time it is read.  ``degree`` and ``edge_count`` work
+on the classes and their sizes.
 
 ``analyze`` runs on the class rows and expands its result to trees.  Trees
 of different classes are as far apart as their classes, and two trees of
@@ -33,6 +35,7 @@ ball growth's oracle.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Optional, Tuple
@@ -40,6 +43,22 @@ from typing import Dict, List, Optional, Tuple
 from .drawing import Edge, Relation, bits
 from .errors import NodeMissingError
 from .trees import Tree, _plane_masks, canon_tree, mask_trees
+
+
+class _TreeRows(Sequence):
+    """A graph's tree-level rows, kept as one reach mask per twin class
+    (the class's trees and those of every class in its row): row i is
+    tree i's class's reach without tree i itself."""
+
+    def __init__(self, reach: List[int], class_of: List[int]):
+        self._reach, self._class_of = reach, class_of
+
+    def __len__(self) -> int:
+        return len(self._class_of)
+
+    def __getitem__(self, i: int) -> int:
+        c = self._class_of[i]  # negative i and IndexError as on a list
+        return self._reach[c] & ~(1 << i % len(self._class_of))
 
 
 @dataclass
@@ -66,8 +85,9 @@ class CompatGraph:
         return sizes
 
     @cached_property
-    def adjacency(self) -> List[int]:
-        """Bitset rows over nodes: bit j of row i = trees i, j compatible."""
+    def adjacency(self) -> Sequence[int]:
+        """Bitset rows over nodes, bit j of row i set iff trees i and j are
+        compatible: a read-only view that computes each row when read."""
         members = [0] * len(self.class_rows)
         for i, c in enumerate(self.class_of):
             members[c] |= 1 << i
@@ -77,7 +97,7 @@ class CompatGraph:
             for b in bits(row):
                 r |= members[b]
             reach.append(r)
-        return [reach[c] & ~(1 << i) for i, c in enumerate(self.class_of)]
+        return _TreeRows(reach, self.class_of)
 
     def _class_degree(self, a: int) -> int:
         sizes = self.sizes

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from .compat import CompatGraph
 from .drawing import Drawing, bits
@@ -221,12 +221,15 @@ def sequence_from_dict(obj: dict) -> Tuple[List[Tree], str, bool, object]:
 # DOT export
 # ---------------------------------------------------------------------------
 
-def compat_to_dot(g: CompatGraph) -> str:
-    lines = ["graph compat {"]
+def compat_to_dot(g: CompatGraph) -> Iterator[str]:
+    """g's DOT text, piece by piece: the header, one line per node, one
+    chunk per row holding its edges to later nodes, and the closing brace.
+    Write it with ``writelines`` or join it; no piece holds the whole
+    graph."""
+    yield "graph compat {\n"
     for i, t in enumerate(g.nodes):
         label = ",".join(f"{u}-{v}" for u, v in t)
-        lines.append(f'  n{i} [label="{label}"];')
+        yield f'  n{i} [label="{label}"];\n'
     for i, row in enumerate(g.adjacency):
-        lines.extend(f"  n{i} -- n{j};" for j in bits(row) if j > i)
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        yield "".join(f"  n{i} -- n{j};\n" for j in bits(row >> i + 1 << i + 1))
+    yield "}\n"

@@ -469,7 +469,7 @@ def _plane_masks(d: Relation, kind: str = "all", limit: Optional[int] = None
                     add_class(new_class(b2 | rows[low3.bit_length() - 1],
                                         len(number)))
 
-    grow(0, [row & usable for row in _vertex_rows(d)], n - 1, 0, 0, 0)
+    grow(0, [row & usable for row in d._derive(_vertex_rows)], n - 1, 0, 0, 0)
     return masks, class_of, list(number)
 
 

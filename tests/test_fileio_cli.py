@@ -103,18 +103,27 @@ def test_sequence_fields_are_typed(field, value, sq_file, tmp_path, capsys):
     assert _one_json_error(capsys)["type"] == "FileFormatError"
 
 
-def test_dot_export(sq):
-    g = build_compat_graph(sq)
-    trees = enumerate_plane_trees(sq)
+@pytest.mark.parametrize("which", ["square", "bipartite-isolated"])
+def test_dot_export(which, sq):
+    """The streamed DOT text against pairwise ``is_compatible``: the
+    square's twin classes hold four trees each, which are cliques, and on
+    the bipartite fixture every tree is isolated, with an empty row."""
+    d = sq if which == "square" else fixture_bipartite_isolated()[0]
+    g = build_compat_graph(d)
+    trees = enumerate_plane_trees(d)
     labels = [",".join(f"{u}-{v}" for u, v in t) for t in trees]
     pairs = [(i, j) for i, j in combinations(range(len(trees)), 2)
-             if is_compatible(sq, trees[i], trees[j])]
+             if is_compatible(d, trees[i], trees[j])]
     want = (["graph compat {"]
             + [f'  n{i} [label="{label}"];' for i, label in enumerate(labels)]
             + [f"  n{i} -- n{j};" for i, j in pairs] + ["}"])
-    assert compat_to_dot(g) == "\n".join(want) + "\n"
-    assert want[1] == '  n0 [label="0-1,0-2,0-3"];' and want[13] == "  n0 -- n1;"
-    assert len(pairs) == g.edge_count() == 50
+    assert "".join(compat_to_dot(g)) == "\n".join(want) + "\n"
+    assert len(pairs) == g.edge_count()
+    if which == "square":
+        assert want[1] == '  n0 [label="0-1,0-2,0-3"];' and want[13] == "  n0 -- n1;"
+        assert len(pairs) == 50 and g.sizes == [4, 4, 4]
+    else:
+        assert trees and not pairs
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +496,7 @@ def test_cli_compat_dot(k3_file, tmp_path, capsys):
     dot = tmp_path / "g.dot"
     assert main(["compat", k3_file, "--dot", str(dot)]) == 0
     assert json.loads(capsys.readouterr().out)["nodes"] == 3
-    assert dot.read_text() == compat_to_dot(build_compat_graph(polar_k3()))
+    assert dot.read_text() == "".join(compat_to_dot(build_compat_graph(polar_k3())))
 
 
 @pytest.mark.parametrize("path", ["", "missing/out"], ids=["empty", "missing-dir"])
