@@ -15,8 +15,8 @@ order of first appearance by the enumeration itself, and ``class_rows``
 are Python-int bitsets over classes.  No tree-level rows are stored:
 ``adjacency`` is a read-only view that keeps one reach mask per class,
 built from the class rows when first read, and computes tree i's row from
-its class's mask each time it is read.  ``degree`` and ``edge_count`` work
-on the classes and their sizes.
+its class's mask each time it is read.  ``edge_count`` works on the
+classes and their sizes.
 
 ``analyze`` runs on the class rows and expands its result to trees.  Trees
 of different classes are as far apart as their classes, and two trees of
@@ -26,10 +26,9 @@ has eccentricity 1, not 0.  Components are numbered by their lowest tree,
 which lies in their lowest class.  If some class is adjacent to every
 other (and there is more than one tree), nothing is searched: every tree
 of such a hub class has eccentricity 1 and every other tree 2.  Otherwise
-``analyze`` finds the components with one BFS each, cut short once it
-reaches every class not yet placed, and then grows every class's ball one
-level at a time (``_eccentricities``); the tests use the same BFS as the
-ball growth's oracle.
+one ball growth over the class rows (``_eccentricities``) finds every
+class's component and its eccentricity within it; the tests check it
+against one BFS per class.
 """
 
 from __future__ import annotations
@@ -41,8 +40,7 @@ from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from .drawing import Edge, Relation, bits
-from .errors import NodeMissingError
-from .trees import Tree, _plane_masks, canon_tree, mask_trees
+from .trees import Tree, _plane_masks, mask_trees
 
 
 class _TreeRows(Sequence):
@@ -103,15 +101,6 @@ class CompatGraph:
         sizes = self.sizes
         return sizes[a] - 1 + sum(sizes[b] for b in bits(self.class_rows[a]))
 
-    def degree(self, t) -> int:
-        return self._class_degree(self.class_of[self._position(t)])
-
-    def _position(self, t) -> int:
-        i = self.index.get(canon_tree(t))
-        if i is None:
-            raise NodeMissingError("tree is not a node of the compatibility graph")
-        return i
-
     def edge_count(self) -> int:
         return sum(size * self._class_degree(a)
                    for a, size in enumerate(self.sizes)) // 2
@@ -162,62 +151,49 @@ def _twin_graph(edges: Tuple[Edge, ...], masks: List[int], class_of: List[int],
                        class_rows=class_rows, restricted=restricted)
 
 
-def _bfs(adjacency: List[int], src: int, goal: int):
-    """(level, reach) of a BFS from src that stops once reach covers goal:
-    the level at which it did, or math.inf if the search ran out first.
-    Rows are OR-ed into reach one by one, so the level that completes goal
-    is cut short."""
-    reach = frontier = 1 << src
-    level = 0
-    while reach & goal != goal:
-        if not frontier:
-            return math.inf, reach
-        level += 1
-        before = reach
-        for v in bits(frontier):
-            reach |= adjacency[v]
-            if reach & goal == goal:
-                return level, reach
-        frontier = reach & ~before
-    return level, reach
-
-
-def _eccentricities(adjacency: List[int], balls: List[int],
-                    goals: List[int]) -> List[int]:
-    """Eccentricity of every node within its component goals[v], grown
-    from balls[v] = ball_1(v), the node and its neighbours.
+def _eccentricities(rows: List[int]) -> Tuple[List[int], List[int]]:
+    """(ecc, comps): the eccentricity of every node of the bitset rows
+    ``rows`` within its component, and that component as a mask.
 
     Level k turns each live node's ball into ball_k(v), the OR of
     ball_{k-1}(u) over v and its neighbours u.  Every level reads only the
     previous level's balls: updating in place would let a ball grow by
-    more than one step.  A node leaves at the level its ball equals its
-    component; its ball is then replaced by the component itself, so a
-    node with a finished neighbour finishes at the next level without any
-    OR, and otherwise the OR loop stops as soon as the ball is full.
-    ``balls`` is overwritten."""
-    ecc = [0] * len(balls)
+    more than one step.  Every node's goal starts as the whole graph.  A
+    node leaves at the level its ball equals its goal, or at the level its
+    ball stops growing, with the level before as its eccentricity.  A ball
+    that stops short of its goal is its component, and every node of the
+    component takes the component as its goal.  A finished node's ball is
+    its component, so a node with a finished neighbour finishes at the
+    next level without any OR, and otherwise the OR loop stops as soon as
+    the ball is full.  Every level grows a live ball or closes it, so the
+    loop ends."""
+    m = len(rows)
+    ecc, comps = [0] * m, [(1 << m) - 1] * m
+    balls = [1 << v for v in range(m)]
     done = 0
-    live, grown, level = range(len(balls)), list(balls), 1
+    live, grown, level = range(m), [row | 1 << v for v, row in enumerate(rows)], 1
     while True:
         still = []
         for v, ball in zip(live, grown):
-            if ball == goals[v]:
-                ecc[v] = level if adjacency[v] else 0
-                balls[v] = goals[v]
+            if ball == balls[v] != comps[v]:  # stopped short: its component
+                for u in bits(ball):
+                    comps[u] = ball
+            if ball == comps[v]:  # a stopped ball reached it a level ago
+                ecc[v] = level - (ball == balls[v])
                 done |= 1 << v
             else:
-                balls[v] = ball
                 still.append(v)
+            balls[v] = ball
         if not still:
-            return ecc
+            return ecc, comps
         live, level = still, level + 1
         grown = []
         for v in live:
-            goal, ball = goals[v], balls[v]
-            if adjacency[v] & done:
+            goal, ball = comps[v], balls[v]
+            if rows[v] & done:
                 ball = goal
             else:
-                for u in bits(adjacency[v]):
+                for u in bits(rows[v]):
                     ball |= balls[u]
                     if ball == goal:
                         break
@@ -234,25 +210,17 @@ def analyze(g: CompatGraph) -> CompatAnalysis:
         ecc = [1 if ball == full else 2 for ball in balls]
         return CompatAnalysis(True, 1, max(ecc), tuple(ecc[c] for c in class_of),
                               (0,) * m, (max(ecc),))
-    components = []
-    component_of = [-1] * len(rows)
-    unseen = full
-    while unseen:
-        # a component lies inside unseen, so reaching all of unseen ends it
-        _, comp = _bfs(rows, (unseen & -unseen).bit_length() - 1, unseen)
-        for a in bits(comp):
-            component_of[a] = len(components)
-        components.append(comp)
-        unseen &= ~comp
-    ecc = _eccentricities(rows, balls, [components[c] for c in component_of])
+    ecc, comps = _eccentricities(rows)
     # a class alone in its component is a clique of its trees
     ecc = [e or min(size - 1, 1) for e, size in zip(ecc, g.sizes)]
-    comp_diam = [0] * len(components)
+    number: Dict[int, int] = {}  # component -> its number, by lowest class
+    component_of = [number.setdefault(comp, len(number)) for comp in comps]
+    comp_diam = [0] * len(number)
     for a, c in enumerate(component_of):
         comp_diam[c] = max(comp_diam[c], ecc[a])
-    connected = len(components) == 1
+    connected = len(number) == 1
     diameter = comp_diam[0] if connected else math.inf
-    return CompatAnalysis(connected=connected, components=len(components),
+    return CompatAnalysis(connected=connected, components=len(number),
                           diameter=diameter,
                           eccentricities=tuple(ecc[c] for c in class_of),
                           component_of=tuple(component_of[c] for c in class_of),

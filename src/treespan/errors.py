@@ -45,10 +45,6 @@ class IncompatibleError(TreespanError):
     pass
 
 
-class NodeMissingError(TreespanError):
-    pass
-
-
 class BadTreeError(TreespanError):
     def __init__(self, index, cert):
         self.index = index

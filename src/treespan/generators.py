@@ -61,7 +61,6 @@ class GenSpec:
     seed: int
     a: Optional[int] = None   # cylindrical circle sizes, a + b = n
     b: Optional[int] = None
-    max_rejects: int = 1000
 
     def __post_init__(self):
         if self.n < 3:
@@ -97,7 +96,7 @@ def _scaled_unit(t: Fraction, scale: Fraction) -> Point:
                                  t.numerator, t.denominator))
 
 
-def _jitter(rng: SplitMix64, den: int = 1000, mag: int = 100) -> Fraction:
+def _jitter(rng: SplitMix64, den: int, mag: int) -> Fraction:
     return Fraction(rng.randint(-mag, mag), den)
 
 
@@ -399,10 +398,12 @@ _CLASSES = {  # class -> (builder, class check on the validated drawing); a
                            lambda d: classify_c_monotone(d)[1]),
 }
 
+MAX_REJECTS = 1000  # candidates ``generate`` tries before it gives up
+
 
 def generate(spec: GenSpec) -> Drawing:
     """Deterministic in (class, n, seed); resamples with fresh jitter until
-    the drawing validates and matches its class, within max_rejects.
+    the drawing validates and matches its class, within MAX_REJECTS.
 
     Each candidate's crossing matrix is built once, here, with the pairs of
     curves sharing a vertex that its builder left unchecked: validation
@@ -411,7 +412,7 @@ def generate(spec: GenSpec) -> Drawing:
         raise ValueError(f"unknown drawing class {spec.cls!r}")
     build, check = _CLASSES[spec.cls]
     rng = SplitMix64(spec.seed)
-    for _ in range(spec.max_rejects):
+    for _ in range(MAX_REJECTS):
         try:
             d, unchecked = build(spec, rng.split())
             # NotSimpleError; then only the class's own check

@@ -26,6 +26,12 @@ and ``bfs_distance`` runs one BFS over a compatibility graph's class
 rows.  The tests read them as oracles and as short forms,
 ``bfs_distance`` as ``analyze``'s.
 
+``_bfs`` is the BFS that ``compat.analyze`` ran once per component before
+one ball growth (``compat._eccentricities``) found the components too:
+it stops once its reach covers a goal mask.  ``bfs_distance`` runs it,
+and the tests read it as the ball growth's oracle for eccentricities and
+components.
+
 ``_reduce_to_star`` and ``_twin_star_to_star`` are ``transforms``' before
 a twin star was collapsed along its own hub pair: the twin star's
 t + gr - rs went through ``_double_star_to_star``, which derived that
@@ -45,9 +51,10 @@ edge list, raises.
 """
 
 import itertools
+import math
 from typing import Iterable, List, Tuple
 
-from treespan import compat, trees
+from treespan import trees
 from treespan.drawing import Drawing, Edge, bits, edge
 from treespan.errors import (
     IncompatibleError,
@@ -178,16 +185,36 @@ def check_tree(d, edges_in) -> TreeCert:
     return trees.check_mask(d, trees.tree_mask(d, edges_in))
 
 
+def _bfs(adjacency: List[int], src: int, goal: int):
+    """(level, reach) of a BFS from src that stops once reach covers goal:
+    the level at which it did, or math.inf if the search ran out first.
+    Rows are OR-ed into reach one by one, so the level that completes goal
+    is cut short."""
+    reach = frontier = 1 << src
+    level = 0
+    while reach & goal != goal:
+        if not frontier:
+            return math.inf, reach
+        level += 1
+        before = reach
+        for v in bits(frontier):
+            reach |= adjacency[v]
+            if reach & goal == goal:
+                return level, reach
+        frontier = reach & ~before
+    return level, reach
+
+
 def bfs_distance(g, t1, t2):
     """Shortest-path length between two trees, math.inf if no path; a
-    tree that is no node raises NodeMissingError."""
-    i, j = g._position(t1), g._position(t2)
+    tree that is no node raises KeyError."""
+    i, j = g.index[trees.canon_tree(t1)], g.index[trees.canon_tree(t2)]
     if i == j:
         return 0
     a, b = g.class_of[i], g.class_of[j]
     if a == b:
         return 1
-    return compat._bfs(g.class_rows, a, 1 << b)[0]
+    return _bfs(g.class_rows, a, 1 << b)[0]
 
 
 def _twin_star_to_star(d: Drawing, t: TreeCert, twin: Tuple[int, int, int],

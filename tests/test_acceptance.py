@@ -286,7 +286,7 @@ def test_criterion_7_bipartite_fixture():
             if e not in tset:
                 assert crossings(d)[e] & tset
         g = build_compat_graph(d)
-        assert g.degree(tree) == 0
+        assert g.adjacency[g.index[tree]] == 0
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ import treespan.trees
 from treespan.compat import (
     CompatAnalysis,
     CompatGraph,
-    _bfs,
+    _eccentricities,
     _twin_graph,
     analyze,
     build_compat_graph,
@@ -41,9 +41,7 @@ from treespan.transforms import star_to_star
 
 import pytest
 
-from treespan.errors import NodeMissingError
-
-from reference_trees import bfs_distance
+from reference_trees import _bfs, bfs_distance
 
 
 @dataclass
@@ -289,6 +287,24 @@ def test_sparse_hub_free_graphs_match_oracle(g):
     assert analyze(g) == oracle_analyze(g)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(random_graphs(), hub_graphs(), sparse_graphs()))
+@example(_graph(0, []))                                     # empty
+@example(_graph(1, []))                                     # one node
+@example(_graph(3, []))                                     # isolated nodes
+# the edge 5-6 closes at level 2, before the path 0-1-2-3-4 at level 3
+@example(_graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (5, 6)]))
+def test_eccentricities_match_bfs(g):
+    """The ball growth alone, hubs included (``analyze`` keeps them from
+    it), against one BFS per node: its component is the reach of a BFS to
+    the whole graph, and its eccentricity the level that covers it."""
+    rows = g.class_rows
+    full = (1 << len(rows)) - 1
+    comps = [_bfs(rows, v, full)[1] for v in range(len(rows))]
+    ecc = [_bfs(rows, v, comp)[0] for v, comp in enumerate(comps)]
+    assert _eccentricities(rows) == (ecc, comps)
+
+
 def _conflict(cross, mask):
     out = 0
     for e in range(len(cross)):
@@ -330,7 +346,7 @@ def test_twin_classes_match_tree_oracle(case):
     assert len(g.class_rows) == len(set(conflicts))
     assert_matches_oracle(g, want)
     for i, t in enumerate(g.nodes):
-        assert g.degree(t) == want.adjacency[i].bit_count()
+        assert g._class_degree(g.class_of[i]) == want.adjacency[i].bit_count()
         for j, u in enumerate(g.nodes):
             assert bfs_distance(g, t, u) == oracle_distance(want, i, j)
 
@@ -369,20 +385,23 @@ def test_restricted_convex_8_matches_levels_until():
         _bfs(g.adjacency, v, (1 << m) - 1)[0] for v in range(m))
 
 
-def test_hub_free_analyze_runs_no_bfs(monkeypatch):
-    """``analyze`` runs one BFS per component, none per node."""
+def test_only_hub_free_analyze_runs_the_kernel(monkeypatch):
+    """On convex n = 6 the full graph (43 classes) has a hub class, so
+    ``analyze`` answers in closed form and never grows a ball; the
+    restricted graph (42 classes) has none and runs the ball growth once."""
     calls = []
 
-    def counting(adjacency, src, goal):
-        calls.append(src)
-        return _bfs(adjacency, src, goal)
+    def counting(rows):
+        calls.append(len(rows))
+        return _eccentricities(rows)
 
-    monkeypatch.setattr(treespan.compat, "_bfs", counting)
-    g = build_compat_graph(generate(GenSpec(cls="convex", n=6, seed=1)),
-                           restricted=True)
-    a = analyze(g)
-    assert a.connected and a.diameter == 3 and len(calls) == a.components == 1
-    assert bfs_distance(g, g.nodes[0], g.nodes[-1]) <= 3 and len(calls) == 2
+    monkeypatch.setattr(treespan.compat, "_eccentricities", counting)
+    d = generate(GenSpec(cls="convex", n=6, seed=1))
+    full, restricted = build_compat_graph(d), build_compat_graph(d, restricted=True)
+    assert analyze(full).diameter == 2 and len(full.class_rows) == 43
+    assert calls == []
+    a = analyze(restricted)
+    assert a.connected and a.diameter == 3 and calls == [42]
 
 
 def test_single_node_has_eccentricity_zero():
@@ -422,15 +441,11 @@ def test_bfs_distance(sq):
     star1 = canon_tree([(0, 1), (0, 2), (0, 3)])
     star2 = canon_tree([(0, 1), (1, 2), (1, 3)])
     assert bfs_distance(g, star1, star2) <= 2
-
-
-def test_missing_node(sq):
-    g = build_compat_graph(sq)
-    with pytest.raises(NodeMissingError):
-        bfs_distance(g, [(0, 2), (1, 3), (0, 1)], g.nodes[0])
-    with pytest.raises(NodeMissingError):
-        g.degree(((0, 1), (0, 2), (0, 3), (1, 2)))
-    assert g.degree(g.nodes[0]) == g.adjacency[0].bit_count()
+    g = build_compat_graph(generate(GenSpec(cls="convex", n=6, seed=1)),
+                           restricted=True)  # hub-free, diameter 3
+    m = len(g.nodes)
+    want = oracle_distance(g, 0, m - 1)
+    assert bfs_distance(g, g.nodes[0], g.nodes[-1]) == want <= 3
 
 
 def test_restricted_subset(sq):
@@ -442,12 +457,11 @@ def test_restricted_subset(sq):
 
 
 def test_counts_and_distances_build_no_tree_rows(sq):
-    """``analyze``, ``edge_count``, ``degree`` and ``bfs_distance`` read the
-    class rows: the tree-level ``adjacency`` is built only when read."""
+    """``analyze``, ``edge_count`` and ``bfs_distance`` read the class
+    rows: the tree-level ``adjacency`` is built only when read."""
     g = build_compat_graph(sq)
     analyze(g)
     g.edge_count()
-    g.degree(g.nodes[0])
     bfs_distance(g, g.nodes[0], g.nodes[-1])
     assert "adjacency" not in vars(g)
     assert g.edge_count() == sum(row.bit_count() for row in g.adjacency) // 2

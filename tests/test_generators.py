@@ -309,10 +309,11 @@ def test_fixture_crosses_every_nontree_edge():
 def test_fixture_isolated_in_compat_graph():
     d, tree = fixture_bipartite_isolated()
     g = build_compat_graph(d)
-    assert g.degree(tree) == 0
+    assert g.adjacency[g.index[tree]] == 0
 
 
-def test_rejection_budget_is_enforced():
+def test_rejection_budget_is_enforced(monkeypatch):
     # seed 406 takes 240 candidates at n=10, far beyond a budget of one
+    monkeypatch.setattr(generators, "MAX_REJECTS", 1)
     with pytest.raises(RejectionBudgetExceededError):
-        generate(GenSpec(cls="monotone_perturbed", n=10, seed=406, max_rejects=1))
+        generate(GenSpec(cls="monotone_perturbed", n=10, seed=406))
