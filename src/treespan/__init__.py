@@ -39,12 +39,10 @@ from .transforms import (
     TransformSequence,
     certify_sequence,
     cmonotone_to_spine,
-    double_star_to_star,
     monotone_to_spine,
     star_to_star,
     transform_cylindrical,
     transform_special,
-    twin_star_to_star,
 )
 from .trees import (
     TreeCert,

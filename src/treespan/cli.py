@@ -168,8 +168,7 @@ def _dispatch(args) -> int:
         t1 = fileio.parse_tree_arg(args.src)
         t2 = fileio.parse_tree_arg(args.dst)
         seq = _run_transform(d, args.method, t1, t2)
-        doc = fileio.sequence_to_dict(seq.trees, seq.method, seq.certified,
-                                      drawing=args.file)
+        doc = fileio.sequence_to_dict(seq.trees, seq.method, drawing=args.file)
         text = fileio.dumps(doc)
         if args.output is not None:
             with open(args.output, "w") as fh:
@@ -181,7 +180,7 @@ def _dispatch(args) -> int:
         return 0
 
     if args.cmd == "certify":
-        trees, method, _, drawing_ref = fileio.sequence_from_dict(
+        trees, method, drawing_ref = fileio.sequence_from_dict(
             fileio.load_json(args.seqfile))
         path = args.drawing or drawing_ref
         if not isinstance(path, str):

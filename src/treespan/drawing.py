@@ -535,14 +535,20 @@ def _ring_key(p: Point) -> tuple:
     return 1, p.x
 
 
-def classify_cylindrical(d: Drawing, r_in2: Rat, r_out2: Rat) -> Optional[CylRoles]:
-    """Roles and cycle structure for vertices on two origin-centred circles,
-    or None if some vertex is off-circle or some edge crosses a circle.
-    The class is defined for drawings of K_n: other graphs give None."""
+def check_radii(r_in2: Rat, r_out2: Rat) -> None:
+    """Squared radii of two circles, inner first: 0 < r_in2 < r_out2, or
+    InvalidRadiiError."""
     if r_in2 >= r_out2:
         raise InvalidRadiiError("inner squared radius must be smaller")
     if r_in2 <= 0:
         raise InvalidRadiiError("radii must be positive")
+
+
+def classify_cylindrical(d: Drawing, r_in2: Rat, r_out2: Rat) -> Optional[CylRoles]:
+    """Roles and cycle structure for vertices on two origin-centred circles,
+    or None if some vertex is off-circle or some edge crosses a circle.
+    The class is defined for drawings of K_n: other graphs give None."""
+    check_radii(r_in2, r_out2)
     if d.backend != "cartesian" or d.graph[0] != "complete":
         return None
     bit, row = d._edge_bit, dict(zip(d.edges, d.cross_mask))  # the rows validate d

@@ -82,14 +82,6 @@ class NotStronglyCMonotoneError(MethodInapplicable):
     pass
 
 
-class NotDoubleStarError(MethodInapplicable):
-    pass
-
-
-class NotTwinStarError(MethodInapplicable):
-    pass
-
-
 class NotSpecialTreeError(MethodInapplicable):
     pass
 

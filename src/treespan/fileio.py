@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, List, Optional, Tuple
 
 from .compat import CompatGraph
-from .drawing import Drawing, bits
+from .drawing import Drawing, bits, check_radii
 from .errors import TreespanError
 from .geometry import Point, PolarPoint
 from .trees import Tree, canon_tree
@@ -137,6 +137,7 @@ def drawing_from_dict(obj: dict) -> Drawing:
         if not isinstance(c, dict) or set(c) != {"r_in2", "r_out2"}:
             raise FileFormatError("bad circles field")
         circles = (_num_from_json(c["r_in2"]), _num_from_json(c["r_out2"]))
+        check_radii(*circles)  # a hint every command rejects, whatever the backend
     return Drawing(n=n, backend=backend, vertex_points=points, curves=curves,
                    graph=graph, circles=circles)
 
@@ -184,11 +185,12 @@ def parse_tree_arg(text: str) -> Tree:
     return canon_tree(edges)
 
 
-def sequence_to_dict(trees: Iterable[Tree], method: str, certified: bool,
+def sequence_to_dict(trees: Iterable[Tree], method: str,
                      drawing: Optional[object] = None) -> dict:
+    """A certified sequence's file: only certified sequences are written."""
     out = {
         "method": method,
-        "certified": certified,
+        "certified": True,
         "trees": [[[u, v] for u, v in t] for t in trees],
     }
     if drawing is not None:
@@ -196,7 +198,7 @@ def sequence_to_dict(trees: Iterable[Tree], method: str, certified: bool,
     return out
 
 
-def sequence_from_dict(obj: dict) -> Tuple[List[Tree], str, bool, object]:
+def sequence_from_dict(obj: dict) -> Tuple[List[Tree], str, object]:
     _check_top_level(obj, "sequence", ("method", "trees", "certified"), ("drawing",))
     method, certified = obj["method"], obj["certified"]
     if not isinstance(method, str):
@@ -214,7 +216,7 @@ def sequence_from_dict(obj: dict) -> Tuple[List[Tree], str, bool, object]:
                     and _is_int(e[0]) and _is_int(e[1])):
                 raise FileFormatError(f"bad edge {e!r}; expected [u, v] ints")
         trees.append(canon_tree(entry))
-    return trees, method, certified, obj.get("drawing")
+    return trees, method, obj.get("drawing")
 
 
 # ---------------------------------------------------------------------------

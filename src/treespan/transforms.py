@@ -44,11 +44,9 @@ from .errors import (
     InternalInvariantViolated,
     NoSideEdgeError,
     NotCylindricalError,
-    NotDoubleStarError,
     NotMonotoneError,
     NotSpecialTreeError,
     NotStronglyCMonotoneError,
-    NotTwinStarError,
     RelationCyclicError,
 )
 from .geometry import curve_eval
@@ -448,59 +446,13 @@ def _collapse_double(d: Relation, t: int, g: int, r: int) -> List[int]:
     return out
 
 
-def double_star_to_star(d: Relation, t: Iterable[Edge],
-                        target_center: int) -> TransformSequence:
-    """Collapse one hub of the double star onto the other, then walk the
-    star to the target center.  Plain stars are accepted as the degenerate
-    case with one empty side."""
-    (cert,) = _input_certs(d, [t])
-    return _certified(d, _double_star_to_star(d, cert.mask, target_center),
-                      "special")
-
-
-def _double_star_to_star(d: Relation, t: int, target: int) -> List[int]:
-    inc = _tree_incidence(d, t)
-    centers = _star_centers(d.edges, inc, t)
-    if centers:
-        c = target if target in centers else centers[0]
-        return [t] if c == target else _star_to_star(d, c, target)
-    reps = _double_star_paths(d.edges, inc, t)
-    if not reps:
-        raise NotDoubleStarError("tree admits no double-star path")
-    with_target = [p for p in reps if p[1] == target]
-    g, r = with_target[0] if with_target else reps[0]
-    trees = _collapse_double(d, t, g, r)
-    if r != target:
-        trees += _star_to_star(d, r, target)[1:]
-    return trees
-
-
-def twin_star_to_star(d: Relation, t: Iterable[Edge],
-                      target_center: int) -> TransformSequence:
-    """Close the hub pair with the edge gr (never crossing the tree, since
-    every tree edge touches g or r), drop rs, then proceed as a double
-    star."""
-    (cert,) = _input_certs(d, [t])
-    reps = _twin_star_paths(d.edges, _tree_incidence(d, cert.mask), cert.mask)
-    if not reps:
-        raise NotTwinStarError("tree admits no twin-star path")
-    second = _close_twin(d, cert, *reps[0])
-    trees = [cert.mask] + _double_star_to_star(d, second, target_center)
-    return _certified(d, trees, "special")
-
-
-def _close_twin(d: Relation, t: TreeCert, g: int, s: int, r: int) -> int:
-    """t + gr - rs, the double star of the twin star t's path g-s-r."""
-    gr = tree_mask(d, [(g, r)])
-    if gr & t.conflict:
-        raise InternalInvariantViolated("closing edge crosses the twin star")
-    return (t.mask | gr) & ~d._edge_bit[r, s]
-
-
 def _reduce_to_star(d: Relation, t: TreeCert) -> Tuple[List[int], int]:
-    """The flips from t to a star, and the star's centre.  A twin star
-    here is no double star, so its hub r has a leaf besides s: t + gr - rs
-    is no star, and (g, r) is its one double-star path ending at r."""
+    """The flips from t to a star, at most n - 2, and the star's centre.
+    A double star moves one hub's leaves onto the other.  A twin star with
+    path g-s-r first becomes t + gr - rs: gr crosses no edge of t, each of
+    which touches g or r.  A twin star here is no double star, so its hub r
+    has a leaf besides s: t + gr - rs is no star, and (g, r) is its one
+    double-star path ending at r."""
     inc = _tree_incidence(d, t.mask)
     centers = _star_centers(d.edges, inc, t.mask)
     if centers:
@@ -511,15 +463,20 @@ def _reduce_to_star(d: Relation, t: TreeCert) -> Tuple[List[int], int]:
         return _collapse_double(d, t.mask, g, r), r
     twins = _twin_star_paths(d.edges, inc, t.mask)
     if twins:
-        g, _, r = twins[0]
-        return [t.mask] + _collapse_double(d, _close_twin(d, t, *twins[0]), g, r), r
+        g, s, r = twins[0]
+        gr = tree_mask(d, [(g, r)])
+        if gr & t.conflict:
+            raise InternalInvariantViolated("closing edge crosses the twin star")
+        closed = (t.mask | gr) & ~d._edge_bit[r, s]
+        return [t.mask] + _collapse_double(d, closed, g, r), r
     raise NotSpecialTreeError("tree is not a star, double star or twin star")
 
 
 def transform_special(d: Relation, t1: Iterable[Edge],
                       t2: Iterable[Edge]) -> TransformSequence:
-    """Reduce both endpoints to stars, bridge the stars, and glue; at most
-    2(2(n-2)+1) + (n-2) flips overall."""
+    """Reduce both endpoints to stars, bridge the stars, and glue: a
+    reduction takes at most n-2 flips and the bridge n-2, so at most 3(n-2)
+    between two special trees and 2(n-2) from a special tree to a star."""
     c1, c2 = _input_certs(d, [t1, t2])
     trees, s1 = _reduce_to_star(d, c1)
     seq_b, s2 = _reduce_to_star(d, c2)

@@ -35,8 +35,9 @@ components.
 ``_reduce_to_star`` and ``_twin_star_to_star`` are ``transforms``' before
 a twin star was collapsed along its own hub pair: the twin star's
 t + gr - rs went through ``_double_star_to_star``, which derived that
-tree's centres and double-star paths again.  They are the oracle of
-``transforms._reduce_to_star``.
+tree's centres and double-star paths again.  ``_double_star_to_star`` is
+the body of the package's former ``double_star_to_star``.  They are the
+oracle of ``transforms._reduce_to_star``.
 
 ``compatible_step_to_flips`` is ``trees``' before a flip was one
 ``_retree`` call: it joins a fresh ``_UnionFind`` over the current tree's
@@ -66,8 +67,8 @@ from treespan.transforms import (
     _collapse_double,
     _dedupe,
     _double_star_paths,
-    _double_star_to_star,
     _star_centers,
+    _star_to_star,
     _tree_incidence,
     _twin_star_paths,
 )
@@ -215,6 +216,23 @@ def bfs_distance(g, t1, t2):
     if a == b:
         return 1
     return _bfs(g.class_rows, a, 1 << b)[0]
+
+
+def _double_star_to_star(d: Drawing, t: int, target: int) -> List[int]:
+    inc = _tree_incidence(d, t)
+    centers = _star_centers(d.edges, inc, t)
+    if centers:
+        c = target if target in centers else centers[0]
+        return [t] if c == target else _star_to_star(d, c, target)
+    reps = _double_star_paths(d.edges, inc, t)
+    if not reps:  # t + gr - rs of a twin star is a double star
+        raise InternalInvariantViolated("tree admits no double-star path")
+    with_target = [p for p in reps if p[1] == target]
+    g, r = with_target[0] if with_target else reps[0]
+    trees = _collapse_double(d, t, g, r)
+    if r != target:
+        trees += _star_to_star(d, r, target)[1:]
+    return trees
 
 
 def _twin_star_to_star(d: Drawing, t: TreeCert, twin: Tuple[int, int, int],

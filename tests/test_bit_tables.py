@@ -24,12 +24,10 @@ from treespan.transforms import (
     _star,
     certify_sequence,
     cmonotone_to_spine,
-    double_star_to_star,
     monotone_to_spine,
     star_to_star,
     transform_cylindrical,
     transform_special,
-    twin_star_to_star,
 )
 from treespan.errors import BadTreeError, IncompatibleStepError
 from treespan.trees import (
@@ -217,9 +215,6 @@ def _calls():
     double = [(0, 1), (0, 2), (0, 3), (3, 4)]
     twin = [(0, 1), (1, 2), (2, 3), (3, 4)]
     out += [(d5, lambda: star_to_star(d5, 0, 3), []),
-            (d5, lambda: double_star_to_star(d5, double, 4), [double]),
-            (d5, lambda: double_star_to_star(d5, star, 2), [star]),
-            (d5, lambda: twin_star_to_star(d5, twin, 0), [twin]),
             (d5, lambda: transform_special(d5, twin, twin), [twin, twin]),
             (d5, lambda: transform_special(d5, twin, double), [twin, double]),
             (d5, lambda: certify_sequence(d5, [star, double, star]), [])]
@@ -320,8 +315,6 @@ def test_a_cached_bad_tree_still_fails_at_its_index():
         (lambda: transform_special(d, star, CROSSED), 1),
         (lambda: transform_special(d, CROSSED, star), 0),
         (lambda: transform_special(d, CROSSED, CROSSED), 0),
-        (lambda: double_star_to_star(d, CROSSED, 0), 0),
-        (lambda: twin_star_to_star(d, CROSSED, 0), 0),
         (lambda: cmonotone_to_spine(d, CROSSED), 0),
         (lambda: certify_sequence(d, [star, double, CROSSED]), 2),
         (lambda: certify_sequence(d, [CROSSED, star]), 0),

@@ -7,6 +7,7 @@ import os
 import tempfile
 from fractions import Fraction as F
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,7 @@ from treespan.drawing import Drawing
 from treespan.errors import (
     InternalInvariantViolated,
     NoSideEdgeError,
-    NotTwinStarError,
+    NotSpecialTreeError,
     RelationCyclicError,
 )
 from treespan.fileio import (
@@ -82,10 +83,11 @@ def test_parse_tree_arg():
 
 
 def test_sequence_roundtrip():
-    doc = sequence_to_dict([((0, 1), (1, 2))], "manual", True, drawing="x.json")
-    trees, method, certified, ref = sequence_from_dict(json.loads(dumps(doc)))
+    doc = sequence_to_dict([((0, 1), (1, 2))], "manual", drawing="x.json")
+    assert doc["certified"] is True
+    trees, method, ref = sequence_from_dict(json.loads(dumps(doc)))
     assert trees == [((0, 1), (1, 2))]
-    assert method == "manual" and certified and ref == "x.json"
+    assert method == "manual" and ref == "x.json"
 
 
 @pytest.mark.parametrize("field, value", [
@@ -93,7 +95,7 @@ def test_sequence_roundtrip():
 def test_sequence_fields_are_typed(field, value, sq_file, tmp_path, capsys):
     """``certified`` is a JSON boolean and ``method`` a string; anything
     else is a malformed file, which ``treespan certify`` rejects."""
-    doc = sequence_to_dict([((0, 1), (1, 2), (2, 3))], "manual", True, drawing=sq_file)
+    doc = sequence_to_dict([((0, 1), (1, 2), (2, 3))], "manual", drawing=sq_file)
     doc[field] = value
     with pytest.raises(FileFormatError, match=field):
         sequence_from_dict(doc)
@@ -166,7 +168,7 @@ def test_cli_generate_deterministic(tmp_path, capsys):
     for f in (f1, f2):
         assert main(["generate", "--class", "convex", "--n", "5",
                      "--seed", "7", "-o", f]) == 0
-    assert open(f1).read() == open(f2).read()
+    assert Path(f1).read_text() == Path(f2).read_text()
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -200,7 +202,7 @@ def test_cli_generate_accepts_both_ends_of_the_seed_range(tmp_path, capsys):
     for seed, f in zip((0, 2**64 - 1), files):
         assert main(["generate", "--class", "convex", "--n", "5",
                      "--seed", str(seed), "-o", f]) == 0
-    assert open(files[0]).read() != open(files[1]).read()
+    assert Path(files[0]).read_text() != Path(files[1]).read_text()
 
 
 def test_cli_transform_special(sq_file, tmp_path, capsys):
@@ -209,7 +211,7 @@ def test_cli_transform_special(sq_file, tmp_path, capsys):
                  "--to", "0-1,1-2,1-3", "--method", "special",
                  "-o", seq_path])
     assert code == 0
-    doc = json.load(open(seq_path))
+    doc = json.loads(Path(seq_path).read_text())
     assert doc["certified"] is True
     assert len(doc["trees"]) == 3  # n-2 = 2 flips between adjacent stars
 
@@ -218,7 +220,7 @@ def test_cli_transform_auto_monotone(sq_file, tmp_path):
     seq_path = str(tmp_path / "seq.json")
     assert main(["transform", sq_file, "--from", "0-1,1-2,2-3",
                  "--to", "0-3,1-3,1-2", "-o", seq_path]) == 0
-    assert json.load(open(seq_path))["certified"] is True
+    assert json.loads(Path(seq_path).read_text())["certified"] is True
 
 
 def test_cli_certify_roundtrip(sq_file, tmp_path, capsys):
@@ -232,7 +234,7 @@ def test_cli_certify_tampered(sq_file, tmp_path, capsys):
     seq_path = str(tmp_path / "seq.json")
     main(["transform", sq_file, "--from", "0-1,0-2,0-3",
           "--to", "0-1,1-2,1-3", "-o", seq_path])
-    doc = json.load(open(seq_path))
+    doc = json.loads(Path(seq_path).read_text())
     doc["trees"][1] = [[0, 2], [1, 3], [2, 3]]  # insert crossing diagonals
     with open(seq_path, "w") as fh:
         fh.write(dumps(doc))
@@ -263,7 +265,7 @@ def test_cli_transform_cmonotone_k2(tmp_path):
     save_drawing(polar_k2(), drawing)
     assert main(["transform", drawing, "--from", "0-1", "--to", "0-1",
                  "--method", "cmonotone", "-o", seq_path]) == 0
-    doc = json.load(open(seq_path))
+    doc = json.loads(Path(seq_path).read_text())
     assert doc["certified"] is True and doc["trees"] == [[[0, 1]]]
 
 
@@ -298,7 +300,7 @@ def test_cli_every_method_answers_t_to_t_with_t(method, make, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("error", [RelationCyclicError, NoSideEdgeError,
-                                   NotTwinStarError])
+                                   NotSpecialTreeError])
 def test_cli_every_inapplicable_error_exits_2(error, tmp_path, capsys,
                                               monkeypatch):
     """Each error the errors module groups as method inapplicable exits 2,
@@ -524,15 +526,15 @@ def test_cli_unwritable_output_path(argv, path, k3_file, tmp_path, capsys):
 def test_cli_transform_to_stdout(sq_file, capsys):
     assert main(["transform", sq_file, "--from", "0-1,0-2,0-3",
                  "--to", "0-1,1-2,1-3", "--method", "special"]) == 0
-    trees, method, certified, drawing = sequence_from_dict(
-        json.loads(capsys.readouterr().out))
-    assert (method, certified, drawing) == ("special", True, sq_file)
+    doc = json.loads(capsys.readouterr().out)
+    trees, method, drawing = sequence_from_dict(doc)
+    assert (method, doc["certified"], drawing) == ("special", True, sq_file)
     assert trees[0] == ((0, 1), (0, 2), (0, 3)) and len(trees) == 3
 
 
 def test_cli_certify_without_drawing_reference(tmp_path, capsys):
     seq = tmp_path / "seq.json"
-    seq.write_text(dumps(sequence_to_dict([((0, 1), (1, 2))], "manual", True)))
+    seq.write_text(dumps(sequence_to_dict([((0, 1), (1, 2))], "manual")))
     assert main(["certify", str(seq)]) == 1
     assert _one_json_error(capsys) == {
         "error": "invalid-input", "type": "FileFormatError",
@@ -618,6 +620,29 @@ def test_cli_malformed_sequence_is_one_json_error(path, value, sq_file,
     assert err["error"] == "invalid-input" and err["type"] == "FileFormatError"
 
 
+@pytest.mark.parametrize("r_in2, r_out2, message", [
+    (["4", "1"], ["1", "1"], "inner squared radius must be smaller"),
+    (["0", "1"], ["4", "1"], "radii must be positive"),
+], ids=["inner-not-smaller", "inner-not-positive"])
+@pytest.mark.parametrize("cmd", ["validate", "trees", "compat", "render", "transform"])
+def test_cli_bad_circles_hint_exits_1(cmd, r_in2, r_out2, message, tmp_path,
+                                      capsys):
+    """A bad circles hint is invalid input to every command that reads a
+    drawing file, not only to those that classify the drawing."""
+    doc = drawing_to_dict(cyl_k4())
+    doc["circles"] = {"r_in2": r_in2, "r_out2": r_out2}
+    drawing, svg = tmp_path / "d.json", tmp_path / "d.svg"
+    drawing.write_text(dumps(doc))
+    extra = {"render": ["-o", str(svg)],
+             "transform": ["--from", "0-1,0-2,0-3", "--to", "0-1,0-2,0-3"]}
+    assert main([cmd, str(drawing), *extra.get(cmd, [])]) == 1
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert [json.loads(line) for line in printed.err.splitlines()] == [
+        {"error": "invalid-input", "type": "InvalidRadiiError", "message": message}]
+    assert not svg.exists()
+
+
 _DELETE = object()
 
 
@@ -643,7 +668,7 @@ def test_cli_input_errors_exit_1(doc, path, value, message, sq_file, tmp_path,
     exits 1 with one JSON object on stderr, named by its own message."""
     docs = {"drawing": drawing_to_dict(polar_k3()),
             "sequence": sequence_to_dict([((0, 1), (0, 2), (0, 3))], "manual",
-                                         True, drawing=sq_file)}
+                                         drawing=sq_file)}
     tree_arg = value if doc == "tree" else "0-1,0-2,0-3"
     if doc in docs:
         *parents, key = path
@@ -715,10 +740,10 @@ def test_cli_file_format_rejections(case, message, k3_file, tmp_path, capsys):
 def test_cli_render(tmp_path, capsys, k3_file):
     out = str(tmp_path / "out.svg")
     assert main(["render", k3_file, "--tree", "0-1,1-2", "-o", out]) == 0
-    svg1 = open(out).read()
+    svg1 = Path(out).read_text()
     assert svg1.startswith("<?xml") and "<svg" in svg1
     assert main(["render", k3_file, "--tree", "0-1,1-2", "-o", out]) == 0
-    assert open(out).read() == svg1  # byte-identical rerun
+    assert Path(out).read_text() == svg1  # byte-identical rerun
 
 
 def test_cli_render_unknown_edge_is_one_json_error(tmp_path, capsys, k3_file):
@@ -770,7 +795,7 @@ def test_cli_transform_auto_cylindrical(tmp_path):
                  "2", "-a", "2", "-b", "2", "-o", drawing]) == 0
     assert main(["transform", drawing, "--from", "0-1,0-2,0-3",
                  "--to", "1-2,1-3,0-1", "-o", seq_path]) == 0
-    doc = json.load(open(seq_path))
+    doc = json.loads(Path(seq_path).read_text())
     assert doc["certified"] and len(doc["trees"]) <= 5
 
 
@@ -838,7 +863,7 @@ def _valid_docs():
         generate(GenSpec(cls="convex", n=4, seed=1)), polar_k3(),
         two_page_k4(), cyl_k4())]
     seq = sequence_to_dict([((0, 1), (0, 2), (0, 3)), ((0, 1), (0, 2), (1, 3))],
-                           "manual", True, drawing="d.json")
+                           "manual", drawing="d.json")
     return drawings, seq
 
 

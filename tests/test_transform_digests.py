@@ -22,12 +22,10 @@ from treespan.errors import TreespanError
 from treespan.generators import GenSpec, generate
 from treespan.transforms import (
     cmonotone_to_spine,
-    double_star_to_star,
     monotone_to_spine,
     star_to_star,
     transform_cylindrical,
     transform_special,
-    twin_star_to_star,
 )
 from treespan.trees import enumerate_plane_trees
 
@@ -91,16 +89,6 @@ def case_special():
         trees = enumerate_plane_trees(d, kind="special")
         out += [_outcome(transform_special, d, t1, t2)
                 for t1, t2 in _pairs(trees, 300, seed)]
-    return out
-
-
-def case_double_and_twin_star():
-    out = []
-    for d in (_sq(), polar_k5(), _gen("random_points", 6, 1)):
-        for t in enumerate_plane_trees(d, kind="special"):
-            for target in range(d.n):
-                out.append(_outcome(double_star_to_star, d, t, target))
-                out.append(_outcome(twin_star_to_star, d, t, target))
     return out
 
 
@@ -177,7 +165,6 @@ DIGESTS = {
     "cmonotone_cut": "1c101960335955b756fb71172acf831a402d86358e6e49733965fc5c378c1b0f",
     "cylindrical_2x3": "63be27738eda5edcea1835cd3dd0522275ee087323c132198892b697b9e7c4a1",
     "cylindrical_3x3": "217c8e2cb4802b4a6bc43bd5c5c22bfd4550087b56c0cb055ea6eba9107ae3c9",
-    "double_and_twin_star": "c6a29eeb113ca823493bdb23d4d2d00f85b25d28e82fabcc08b2e5a28efcc696",
     "monotone": "20caf23948c4400f625e6bd2b702cd1d318439f2880c49f65015ab7b7d0243c8",
     "special": "805331266506fae7edd0eae537a89675d1d9b791e7b0067efb39e3957a5d8d21",
     "star_to_star": "836c1a93a443ae28c7081d8025e1a9e3c39b4598a194eb85a51f7395f18ed950",

@@ -1,6 +1,8 @@
 """Transformation tests: hand-traced sequences plus self-certification."""
 
 import dataclasses
+import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -23,11 +25,9 @@ from treespan.errors import (
     MethodInapplicable,
     NoSideEdgeError,
     NotCylindricalError,
-    NotDoubleStarError,
     NotMonotoneError,
     NotSpecialTreeError,
     NotStronglyCMonotoneError,
-    NotTwinStarError,
     TreespanError,
     UnknownEdgeError,
 )
@@ -36,12 +36,10 @@ from treespan.transforms import (
     _reduce_to_star,
     certify_sequence,
     cmonotone_to_spine,
-    double_star_to_star,
     monotone_to_spine,
     star_to_star,
     transform_cylindrical,
     transform_special,
-    twin_star_to_star,
 )
 from treespan.trees import (
     _tree_incidence,
@@ -394,44 +392,25 @@ def test_star_to_star_k3(pk3):
 
 
 def test_double_star_square(sq):
+    """The double star with hub path 0-1 moves 0's leaf 3 onto 1, then the
+    star at 1 walks to the star at 2."""
     t = canon_tree([(0, 1), (0, 3), (1, 2)])
-    seq = double_star_to_star(sq, t, 2)
-    assert seq.trees[0] == t
-    assert seq.trees[-1] == canon_tree([(0, 2), (1, 2), (2, 3)])
-    assert seq.flips <= 2 * (sq.n - 2)
+    seq = transform_special(sq, t, [(0, 2), (1, 2), (2, 3)])
+    assert seq.trees == (t, ((0, 1), (1, 2), (1, 3)), ((0, 1), (1, 2), (2, 3)),
+                         ((0, 2), (1, 2), (2, 3)))
 
 
 def test_double_star_accepts_star_at_target(sq):
     star2 = canon_tree([(0, 2), (1, 2), (2, 3)])
-    seq = double_star_to_star(sq, star2, 2)
-    assert seq.trees == (star2,)
+    assert transform_special(sq, star2, star2).trees == (star2,)
 
 
 def test_double_star_target_on_path(sq):
+    """A double star whose reduction ends at the target star needs no walk
+    between stars."""
     t = canon_tree([(0, 1), (0, 3), (1, 2)])
-    seq = double_star_to_star(sq, t, 1)
-    assert seq.flips <= sq.n - 2
-    assert seq.trees[-1] == canon_tree([(0, 1), (1, 2), (1, 3)])
-
-
-def test_double_star_rejects_generic():
-    d5 = polar_k5()
-    spider = [(0, 1), (1, 2), (2, 3), (3, 4)]
-    with pytest.raises(NotDoubleStarError):
-        double_star_to_star(d5, spider, 0)
-
-
-def test_twin_star_square(sq):
-    t = canon_tree([(0, 3), (0, 1), (1, 2)])
-    seq = twin_star_to_star(sq, t, 2)
-    assert seq.trees[0] == t
-    assert seq.trees[-1] == canon_tree([(0, 2), (1, 2), (2, 3)])
-    assert seq.flips <= 2 * (sq.n - 2) + 1
-
-
-def test_twin_star_rejects_plain_star(sq):
-    with pytest.raises(NotTwinStarError):
-        twin_star_to_star(sq, [(0, 1), (0, 2), (0, 3)], 2)
+    seq = transform_special(sq, t, [(0, 1), (1, 2), (1, 3)])
+    assert seq.trees == (t, ((0, 1), (1, 2), (1, 3)))
 
 
 def test_transform_special_two_stars(sq):
@@ -456,6 +435,34 @@ def test_transform_special_distance_vs_bfs(sq):
             assert seq.flips <= 5 * sq.n
 
 
+def test_transform_special_bounds():
+    """A reduction to a star takes at most n - 2 flips and the walk between
+    two stars n - 2: at most 2(n - 2) flips from a special tree to a star
+    and 3(n - 2) between special trees.  Each sequence is certified and
+    runs from the first tree given to the second.  Pairs are sampled with
+    a fixed seed where there are more than 300.  For n >= 5 both bounds
+    are met."""
+    rng = random.Random(0)
+    worst = {}
+    for cls in ("convex", "random_points", "monotone_perturbed", "two_page",
+                "strongly_cmonotone"):
+        for n, seed in itertools.product(range(4, 9), range(3)):
+            d = generate(GenSpec(cls=cls, n=n, seed=seed))
+            special = enumerate_plane_trees(d, kind="special")
+            stars = enumerate_plane_trees(d, kind="star")
+            to_star = list(itertools.product(special, stars))
+            if len(to_star) > 300:
+                to_star = rng.sample(to_star, 300)
+            pairs = [(rng.choice(special), rng.choice(special)) for _ in range(150)]
+            for (t1, t2), bound in ([(p, 2 * (n - 2)) for p in to_star]
+                                    + [(p, 3 * (n - 2)) for p in pairs]):
+                seq = transform_special(d, t1, t2)
+                assert seq.certified and seq.trees[0] == t1 and seq.trees[-1] == t2
+                assert seq.flips <= bound, (cls, n, seed, t1, t2)
+                worst[n, bound] = max(worst.get((n, bound), 0), seq.flips)
+    assert all(flips == bound for (n, bound), flips in worst.items() if n >= 5)
+
+
 def test_transform_special_accepts_five_path():
     d5 = polar_k5()
     path = [(0, 1), (1, 2), (2, 3), (3, 4)]  # admits a twin-star path
@@ -473,8 +480,8 @@ def test_transform_special_rejects_generic():
 
 
 def test_star_family_builds_one_incidence_table_per_tree(monkeypatch):
-    """classify_kind and each star-family transformation read one incidence
-    table per tree they meet."""
+    """classify_kind and transform_special read one incidence table per
+    tree they classify."""
     built = []
 
     def counting(d, mask):
@@ -491,14 +498,6 @@ def test_star_family_builds_one_incidence_table_per_tree(monkeypatch):
         kinds[t] = classify_kind(d, tree_mask(d, t))
         assert len(built) == 1
     assert {k[0] for k in kinds.values()} == {"star", "double_star", "twin_star"}
-    for t, kind in kinds.items():
-        built.clear()
-        if kind[0] == "twin_star":
-            twin_star_to_star(d, t, 0)
-            assert len(built) == 2 and built[0] == tree_mask(d, t)  # then t + gr - rs
-        else:
-            double_star_to_star(d, t, 0)
-            assert built == [tree_mask(d, t)]
     star = canon_tree([(0, k) for k in range(1, 5)])
     for t in trees:
         built.clear()
@@ -567,14 +566,8 @@ def test_bad_second_endpoint_reports_position_one(cyl4, sq):
 @pytest.mark.parametrize("center", [5, 7, -1])
 def test_star_center_outside_drawing_is_value_error(center):
     d5 = polar_k5()
-    star = [(0, v) for v in range(1, 5)]
-    double = [(0, 1), (0, 2), (0, 3), (3, 4)]
-    twin = [(0, 1), (1, 2), (2, 3), (3, 4)]
     calls = [lambda: star_to_star(d5, 0, center),
-             lambda: star_to_star(d5, center, 0),
-             lambda: double_star_to_star(d5, star, center),
-             lambda: double_star_to_star(d5, double, center),
-             lambda: twin_star_to_star(d5, twin, center)]
+             lambda: star_to_star(d5, center, 0)]
     for call in calls:
         with pytest.raises(ValueError, match="must be vertices"):
             call()
