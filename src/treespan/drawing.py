@@ -200,7 +200,6 @@ class CylRoles:
     r_out2: Rat
     inner_vertices: Tuple[int, ...]
     outer_vertices: Tuple[int, ...]
-    roles: Dict[Edge, str]                      # inner | outer | side
     crossed_cycle_edges: Tuple[Edge, ...]
     inner_path: Tuple[Edge, ...]                # uncrossed Hamiltonian paths
     outer_path: Tuple[Edge, ...]
@@ -568,12 +567,8 @@ def classify_cylindrical(d: Drawing, r_in2: Rat, r_out2: Rat) -> Optional[CylRol
             if curve_circle_crossing(curve, origin, rr):
                 return None
 
-    inner_set = set(inner)
-    roles = {}
-    for e in d.edges:
-        k = (e[0] in inner_set) + (e[1] in inner_set)
-        roles[e] = "inner" if k == 2 else ("side" if k == 1 else "outer")
-    sides_mask = sum(bit[e] for e, role in roles.items() if role == "side")
+    sides_mask = sum(bit[u, v] for u, v in d.edges
+                     if (u in inner) != (v in inner))
 
     cycles = []  # each circle's cycle edges, around the circle
     for vs in (inner, outer):
@@ -597,7 +592,7 @@ def classify_cylindrical(d: Drawing, r_in2: Rat, r_out2: Rat) -> Optional[CylRol
     return CylRoles(
         r_in2=r_in2, r_out2=r_out2,
         inner_vertices=tuple(sorted(inner)), outer_vertices=tuple(sorted(outer)),
-        roles=roles, crossed_cycle_edges=crossed,
+        crossed_cycle_edges=crossed,
         inner_path=inner_path, outer_path=outer_path,
         paths_mask=sum(bit[e] for e in inner_path + outer_path),
         sides_mask=sides_mask,

@@ -43,10 +43,15 @@ def render_svg(d: Drawing, highlight: Sequence[Iterable] = ()) -> str:
     """SVG document for the drawing; each highlighted edge set gets its own
     colour and a heavier stroke."""
     polar = d.backend == "polar"
-    paths = {e: (_polar_path(c) if polar else _cartesian_path(c))
-             for e, c in sorted(d.curves.items())}
-    verts = ([_plane(*p) for p in d.vertex_points] if polar
-             else _cartesian_path(d.vertex_points))
+    if not all(d.curves.values()):
+        raise ValueError("cannot render an edge with an empty curve")
+    try:
+        paths = {e: (_polar_path(c) if polar else _cartesian_path(c))
+                 for e, c in sorted(d.curves.items())}
+        verts = ([_plane(*p) for p in d.vertex_points] if polar
+                 else _cartesian_path(d.vertex_points))
+    except OverflowError:  # float() of a value past the float range
+        raise ValueError("drawing too large to render") from None
 
     xs = [x for pts in paths.values() for x, _ in pts]
     ys = [y for pts in paths.values() for _, y in pts]
@@ -54,6 +59,8 @@ def render_svg(d: Drawing, highlight: Sequence[Iterable] = ()) -> str:
     x0, y0 = min(xs) - pad, min(ys) - pad
     width, height = max(xs) - x0 + pad, max(ys) - y0 + pad
     scale = 600.0 / max(width, height)
+    if not scale:  # the drawing's extent overflows a float
+        raise ValueError("drawing too large to render")
 
     def sx(x: float) -> str:
         return _fmt((x - x0) * scale)

@@ -53,12 +53,10 @@ from .geometry import curve_eval
 from .trees import (
     Tree,
     TreeCert,
-    _double_star_paths,
     _input_certs,
     _retree,
-    _star_centers,
+    _special_paths,
     _tree_incidence,
-    _twin_star_paths,
     _vertex_rows,
     check_mask,
     conflict_mask,
@@ -453,17 +451,15 @@ def _reduce_to_star(d: Relation, t: TreeCert) -> Tuple[List[int], int]:
     which touches g or r.  A twin star here is no double star, so its hub r
     has a leaf besides s: t + gr - rs is no star, and (g, r) is its one
     double-star path ending at r."""
-    inc = _tree_incidence(d, t.mask)
-    centers = _star_centers(d.edges, inc, t.mask)
-    if centers:
-        return [t.mask], centers[0]
-    reps = _double_star_paths(d.edges, inc, t.mask)
-    if reps:
-        g, r = reps[0]
+    centre, double, twin = _special_paths(
+        d.edges, _tree_incidence(d, t.mask), t.mask)
+    if centre is not None:
+        return [t.mask], centre
+    if double:
+        g, r = double
         return _collapse_double(d, t.mask, g, r), r
-    twins = _twin_star_paths(d.edges, inc, t.mask)
-    if twins:
-        g, s, r = twins[0]
+    if twin:
+        g, s, r = twin
         gr = tree_mask(d, [(g, r)])
         if gr & t.conflict:
             raise InternalInvariantViolated("closing edge crosses the twin star")

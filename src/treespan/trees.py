@@ -17,15 +17,15 @@ stored.  An edge crossing itself is in no plane tree, so no enumerator
 offers one.
 
 The star, double-star and twin-star classes overlap (one tree can admit
-several fixed-path representations), so the searches below list every
-representation.  ``_star_family`` lists the three classes together; on two
-to five vertices they hold every tree, and the plane-tree search lists
-them instead.  The representation searches and ``classify_kind`` read one
-incidence table of the tree, ``_tree_incidence``, vertex -> mask of its
-edges at that vertex: c is a star centre iff its entry is the whole mask,
-every edge touches g or r iff their entries OR to the mask, gr is a tree
-edge iff their entries meet, and a vertex's degree is its entry's bit
-count.
+several fixed-path representations), and ``_special_paths`` reads a
+tree's least representation of each class in one pass.  ``_star_family``
+lists the three classes together; on two to five vertices they hold every
+tree, and the plane-tree search lists them instead.  ``_special_paths``
+and ``classify_kind`` read one incidence table of the tree,
+``_tree_incidence``, vertex -> mask of its edges at that vertex: c is a
+star centre iff its entry is the whole mask, every edge touches g or r iff
+their entries OR to the mask, gr is a tree edge iff their entries meet,
+and a vertex's degree is its entry's bit count.
 """
 
 from __future__ import annotations
@@ -190,62 +190,39 @@ def _tree_incidence(d: Relation, mask: int) -> Dict[int, int]:
 # Each takes a tree as ``(edges, inc, mask)``: its bits read over
 # ``edges`` (the relation's edges for a tree mask) and its incidence table.
 
-def _star_centers(edges: Sequence[Edge], inc: Dict[int, int],
-                  mask: int) -> List[int]:
-    """A star centre is at every edge, so it is an end of the lowest."""
+def _special_paths(edges: Sequence[Edge], inc: Dict[int, int], mask: int
+                   ) -> Tuple[Optional[int], Optional[Tuple[int, int]],
+                              Optional[Tuple[int, int, int]]]:
+    """(centre, double, twin): the least star centre, else the least
+    double-star path (g, r) and the least twin-star path (g, s, r), None
+    for each one the tree lacks.  A centre is at every edge, so it is an
+    end of the lowest.  Every edge touches a hub, g or r, so one hub x is
+    an end of the lowest edge and the other an end of the lowest edge not
+    at x.  A hub pair joined by an edge is a double-star path; one joined
+    by none is a twin-star path through each middle s, a vertex with an
+    edge to both."""
     if not mask:
-        return []
-    return sorted({c for c in edges[(mask & -mask).bit_length() - 1]
-                   if inc[c] == mask})
-
-
-def _double_star_paths(edges: Sequence[Edge], inc: Dict[int, int],
-                       mask: int) -> List[Tuple[int, int]]:
-    """Every edge touches a hub, g or r, so one hub x is an end of the
-    lowest edge and the other an end of the lowest edge not at x.  Only
-    the edges joining such candidate pairs are tested, each once; when x
-    is a star centre every edge is at x and each is a candidate."""
-    if not mask:
-        return []
-    hubs = 0
-    for x in edges[(mask & -mask).bit_length() - 1]:
-        rest = mask & ~inc[x]
-        if not rest:  # a star centre
-            hubs = inc[x]
-            break
+        return None, None, None
+    low = edges[(mask & -mask).bit_length() - 1]
+    centres = [c for c in low if inc[c] == mask]
+    if centres:
+        return min(centres), None, None
+    doubles, twins = [], []
+    for x in low:
+        at_x = inc[x]
+        rest = mask & ~at_x
         for y in edges[(rest & -rest).bit_length() - 1]:
-            hubs |= inc[x] & inc[y]
-    out = []
-    for i in bits(hubs):
-        g, r = edges[i]
-        if inc[g] | inc[r] == mask:
-            out.extend([(g, r), (r, g)])
-    return sorted(out)
-
-
-def _twin_star_paths(edges: Sequence[Edge], inc: Dict[int, int],
-                     mask: int) -> List[Tuple[int, int, int]]:
-    """The hubs g, r are found as in ``_double_star_paths``; a star
-    centre is joined to every vertex of the tree, so it is no twin-star
-    hub.  Each hub pair found joins no edge, so none is found twice; its
-    middles s are the other ends of g's edges that have an edge to r."""
-    if not mask:
-        return []
-    out = []
-    for g in edges[(mask & -mask).bit_length() - 1]:
-        at_g = inc[g]
-        rest = mask & ~at_g
-        if not rest:
-            continue
-        for r in edges[(rest & -rest).bit_length() - 1]:
-            at_r = inc[r]
-            if at_g & at_r or at_g | at_r != mask:
+            at_y = inc[y]
+            if at_x | at_y != mask:
                 continue
-            for i in bits(at_g):
-                s = sum(edges[i]) - g
-                for _ in bits(inc[s] & at_r):
-                    out.extend([(g, s, r), (r, s, g)])
-    return sorted(out)
+            if at_x & at_y:
+                doubles.append((min(x, y), max(x, y)))
+                continue
+            for i in bits(at_x):
+                s = sum(edges[i]) - x
+                if inc[s] & at_y:
+                    twins += [(x, s, y), (y, s, x)]
+    return None, min(doubles, default=None), min(twins, default=None)
 
 
 def _k_star_path(edges: Sequence[Edge], inc: Dict[int, int],
@@ -279,18 +256,15 @@ def classify_kind(d: Relation, mask: Optional[int] = None) -> tuple:
     if mask is None:
         mask = (1 << len(d.edges)) - 1
     edges, inc = d.edges, _tree_incidence(d, mask)
-    centers = _star_centers(edges, inc, mask)
-    if centers:
-        return ("star", centers[0])
+    centre, double, twin = _special_paths(edges, inc, mask)
+    if centre is not None:
+        return ("star", centre)
     if d.n == 4 and sorted(at.bit_count() for at in inc.values()) == [1, 1, 2, 2]:
-        return ("twin_star",) + _twin_star_paths(edges, inc, mask)[0]
-    doubles = _double_star_paths(edges, inc, mask)
-    if doubles:
-        g, r = doubles[0]
-        return ("double_star", min(g, r), max(g, r))
-    twins = _twin_star_paths(edges, inc, mask)
-    if twins:
-        return ("twin_star",) + twins[0]
+        return ("twin_star",) + twin
+    if double:
+        return ("double_star",) + double
+    if twin:
+        return ("twin_star",) + twin
     path = _k_star_path(edges, inc, mask)
     if path is not None:
         return ("k_star", len(path) - 1, path)

@@ -13,15 +13,15 @@ in order of first appearance; it is the oracle of
 ``trees._tree_incidence``.
 ``star_centers_loop`` tests every vertex, ``double_star_paths_loop`` every
 edge of the tree as the hub pair and ``twin_star_paths_loop`` every pair of
-neighbours of every vertex; they take the arguments of
-``trees._star_centers``, ``trees._double_star_paths`` and
-``trees._twin_star_paths`` and are their oracles.
+neighbours of every vertex, each listing every representation, sorted;
+``special_paths_loop`` reads the least of each off them.  They take the
+arguments of ``trees._special_paths`` and are its oracle.
 
 ``star_centers``, ``double_star_paths``, ``twin_star_paths``,
 ``check_tree`` and ``bfs_distance`` are the package's former public forms,
 which nothing in it read: the first three take a tree as a bare edge
-tuple or as a mask over ``edges`` and run the package's searches on an
-uncrossed relation of those edges, ``check_tree`` certifies an edge tuple
+tuple or as a mask over ``edges`` and run the loops on an uncrossed
+relation of those edges, ``check_tree`` certifies an edge tuple
 and ``bfs_distance`` runs one BFS over a compatibility graph's class
 rows.  The tests read them as oracles and as short forms,
 ``bfs_distance`` as ``analyze``'s.
@@ -36,8 +36,9 @@ components.
 a twin star was collapsed along its own hub pair: the twin star's
 t + gr - rs went through ``_double_star_to_star``, which derived that
 tree's centres and double-star paths again.  ``_double_star_to_star`` is
-the body of the package's former ``double_star_to_star``.  They are the
-oracle of ``transforms._reduce_to_star``.
+the body of the package's former ``double_star_to_star``.  They read the
+loops' lists, not ``trees._special_paths``, and are the oracle of
+``transforms._reduce_to_star``.
 
 ``compatible_step_to_flips`` is ``trees``' before a flip was one
 ``_retree`` call: it joins a fresh ``_UnionFind`` over the current tree's
@@ -66,11 +67,8 @@ from treespan.errors import (
 from treespan.transforms import (
     _collapse_double,
     _dedupe,
-    _double_star_paths,
-    _star_centers,
     _star_to_star,
     _tree_incidence,
-    _twin_star_paths,
 )
 from treespan.trees import TreeCert, _input_certs, conflict_mask
 
@@ -150,6 +148,14 @@ def twin_star_paths_loop(edges, inc, mask):
     return sorted(out)
 
 
+def special_paths_loop(edges, inc, mask):
+    centres = star_centers_loop(edges, inc, mask)
+    if centres:
+        return centres[0], None, None
+    return (None, min(double_star_paths_loop(edges, inc, mask), default=None),
+            min(twin_star_paths_loop(edges, inc, mask), default=None))
+
+
 def incidence_loop(edges, mask):
     inc = {}
     for i in bits(mask):
@@ -168,18 +174,18 @@ def _searched(edges, mask):
 
 
 def star_centers(edges, mask=None):
-    return _star_centers(*_searched(edges, mask))
+    return star_centers_loop(*_searched(edges, mask))
 
 
 def double_star_paths(edges, mask=None):
     """All (g, r) with edge gr in the tree and every edge touching g or r."""
-    return _double_star_paths(*_searched(edges, mask))
+    return double_star_paths_loop(*_searched(edges, mask))
 
 
 def twin_star_paths(edges, mask=None):
     """All (g, s, r) with edges gs, sr in the tree, gr absent, and every
     edge touching g or r."""
-    return _twin_star_paths(*_searched(edges, mask))
+    return twin_star_paths_loop(*_searched(edges, mask))
 
 
 def check_tree(d, edges_in) -> TreeCert:
@@ -219,12 +225,12 @@ def bfs_distance(g, t1, t2):
 
 
 def _double_star_to_star(d: Drawing, t: int, target: int) -> List[int]:
-    inc = _tree_incidence(d, t)
-    centers = _star_centers(d.edges, inc, t)
+    inc = incidence_loop(d.edges, t)
+    centers = star_centers_loop(d.edges, inc, t)
     if centers:
         c = target if target in centers else centers[0]
         return [t] if c == target else _star_to_star(d, c, target)
-    reps = _double_star_paths(d.edges, inc, t)
+    reps = double_star_paths_loop(d.edges, inc, t)
     if not reps:  # t + gr - rs of a twin star is a double star
         raise InternalInvariantViolated("tree admits no double-star path")
     with_target = [p for p in reps if p[1] == target]
@@ -246,18 +252,15 @@ def _twin_star_to_star(d: Drawing, t: TreeCert, twin: Tuple[int, int, int],
 
 
 def _reduce_to_star(d: Drawing, t: TreeCert) -> Tuple[List[int], int]:
-    inc = _tree_incidence(d, t.mask)
-    centers = _star_centers(d.edges, inc, t.mask)
-    if centers:
-        return [t.mask], centers[0]
-    reps = _double_star_paths(d.edges, inc, t.mask)
-    if reps:
-        g, r = reps[0]
+    centre, double, twin = special_paths_loop(
+        d.edges, incidence_loop(d.edges, t.mask), t.mask)
+    if centre is not None:
+        return [t.mask], centre
+    if double:
+        g, r = double
         return _collapse_double(d, t.mask, g, r), r
-    twins = _twin_star_paths(d.edges, inc, t.mask)
-    if twins:
-        r = twins[0][2]
-        return _twin_star_to_star(d, t, twins[0], r), r
+    if twin:
+        return _twin_star_to_star(d, t, twin, twin[2]), twin[2]
     raise NotSpecialTreeError("tree is not a star, double star or twin star")
 
 

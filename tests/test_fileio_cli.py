@@ -643,6 +643,36 @@ def test_cli_bad_circles_hint_exits_1(cmd, r_in2, r_out2, message, tmp_path,
     assert not svg.exists()
 
 
+def _far_k2(x0, x1):
+    """A straight K_2 from (x0, 0) to (x1, 0)."""
+    points = [[[x, "1"], ["0", "1"]] for x in (x0, x1)]
+    return {"n": 2, "graph": "complete", "backend": "cartesian",
+            "vertices": points, "edges": [{"u": 0, "v": 1, "curve": points}]}
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"n": 2, "graph": "complete", "backend": "polar",
+      "vertices": [[["0", "1"], ["1", "1"]], [["1", "2"], ["1", "1"]]],
+      "edges": [{"u": 0, "v": 1, "curve": []}]},
+     "cannot render an edge with an empty curve"),
+    (_far_k2("0", "1" + "0" * 400), "drawing too large to render"),
+    (_far_k2("-1" + "0" * 308, "1" + "0" * 308), "drawing too large to render"),
+], ids=["polar-empty-curve", "past-float-range", "extent-past-float-range"])
+def test_cli_render_unrenderable_drawing_exits_1(doc, message, tmp_path, capsys):
+    """A drawing render cannot draw is invalid input: one JSON error, no
+    SVG.  The first is no simple drawing; the others are, and ``validate``
+    accepts them, but a coordinate or the drawing's extent is past the
+    float range."""
+    drawing, svg = tmp_path / "d.json", tmp_path / "d.svg"
+    drawing.write_text(json.dumps(doc))
+    assert main(["render", str(drawing), "-o", str(svg)]) == 1
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert [json.loads(line) for line in printed.err.splitlines()] == [
+        {"error": "invalid-input", "type": "ValueError", "message": message}]
+    assert not svg.exists()
+
+
 _DELETE = object()
 
 

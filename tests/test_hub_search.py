@@ -1,15 +1,15 @@
-"""The star, double-star and twin-star searches against the loops they
-replaced.
+"""The one star-family search against the loops it replaced.
 
-``trees._star_centers`` tests only the ends of the tree's lowest edge,
-and ``trees._double_star_paths`` and ``trees._twin_star_paths`` only the
-hub pairs that hold an end x of that edge and an end of the lowest edge
-not at x (any vertex when x is a star centre).  The loops in
+``trees._special_paths`` tests as star centres only the ends of the
+tree's lowest edge, and as hub pairs only those that hold an end x of
+that edge and an end of the lowest edge not at x.  The loops in
 ``reference_trees`` test every vertex, every edge and every pair of
-neighbours.  Both must give the same sorted lists on every plane tree of
-the plain classes, on a bipartite drawing and on masks that are not
-trees, and ``classify_kind``, which reads all three, must name the same
-kind.
+neighbours and list every representation.  The search must give the
+least of each list (no double or twin path once there is a centre) on
+every plane tree of the plain classes, on a bipartite drawing, on masks
+that are not trees, on the 3-vertex paths, on the stars of K_n and on
+the empty mask, and ``classify_kind``, which reads it, must name the same
+kind with the loops in its place.
 """
 
 import random
@@ -20,10 +20,8 @@ import treespan.trees
 from treespan.drawing import complete_edges
 from treespan.generators import GenSpec, fixture_bipartite_isolated, generate
 from treespan.trees import (
-    _double_star_paths,
-    _star_centers,
+    _special_paths,
     _tree_incidence,
-    _twin_star_paths,
     classify_kind,
     enumerate_plane_trees,
     tree_mask,
@@ -47,15 +45,12 @@ def _kind(d, mask):
 
 
 def _kinds(d, masks, reference):
-    """``_kind`` of each mask, with the reference searches in place of the
+    """``_kind`` of each mask, with the reference search in place of the
     library's if ``reference``."""
     with pytest.MonkeyPatch.context() as mp:
         if reference:
-            mp.setattr(treespan.trees, "_star_centers", reference_trees.star_centers_loop)
-            mp.setattr(treespan.trees, "_double_star_paths",
-                       reference_trees.double_star_paths_loop)
-            mp.setattr(treespan.trees, "_twin_star_paths",
-                       reference_trees.twin_star_paths_loop)
+            mp.setattr(treespan.trees, "_special_paths",
+                       reference_trees.special_paths_loop)
         return [_kind(d, mask) for mask in masks]
 
 
@@ -65,11 +60,8 @@ def _assert_searches_match(d, masks):
         inc = _tree_incidence(d, mask)
         assert inc == reference_trees.incidence_loop(d.edges, mask)
         args = (d.edges, inc, mask)
-        assert _star_centers(*args) == reference_trees.star_centers_loop(*args), bin(mask)
-        assert (_double_star_paths(*args)
-                == reference_trees.double_star_paths_loop(*args)), bin(mask)
-        assert (_twin_star_paths(*args)
-                == reference_trees.twin_star_paths_loop(*args)), bin(mask)
+        assert (_special_paths(*args)
+                == reference_trees.special_paths_loop(*args)), bin(mask)
     kinds = _kinds(d, masks, False)
     assert kinds == _kinds(d, masks, True)
     return kinds
@@ -107,7 +99,8 @@ def test_random_masks_match_reference():
 
 def test_three_vertex_path_is_a_star_and_a_twin_star():
     """Each labelling of the 3-path, the centre at each end of the lowest
-    edge and off it."""
+    edge and off it: the loops list it as a twin star too, the search
+    reports the star only."""
     edges = complete_edges(3)  # (0, 1), (0, 2), (1, 2)
     k3 = uncrossed(3, edges)
     for centre in range(3):
@@ -115,17 +108,17 @@ def test_three_vertex_path_is_a_star_and_a_twin_star():
         mask = 7 & ~(1 << edges.index((a, b)))
         inc = _tree_incidence(k3, mask)
         assert star_centers(edges, mask) == [centre]
-        assert _twin_star_paths(edges, inc, mask) == [(a, centre, b), (b, centre, a)]
-        assert twin_star_paths(edges, mask) == reference_trees.twin_star_paths_loop(
-            edges, inc, mask)
+        assert twin_star_paths(edges, mask) == [(a, centre, b), (b, centre, a)]
         assert double_star_paths(edges, mask) == sorted(
             [(centre, a), (a, centre), (centre, b), (b, centre)])
+        assert (_special_paths(edges, inc, mask) == (centre, None, None)
+                == reference_trees.special_paths_loop(edges, inc, mask))
         assert classify_kind(k3, mask) == ("star", centre)
 
 
 def test_stars_leave_nothing_off_the_centre():
-    """Every edge of a star is at its centre: all of them are double-star
-    hub edges, and no pair of leaves is a twin-star hub pair once n > 3."""
+    """A star is reported by its centre alone, the least end of the edge
+    when n = 2."""
     for n in range(2, 9):
         edges = complete_edges(n)
         kn = uncrossed(n, edges)
@@ -133,18 +126,12 @@ def test_stars_leave_nothing_off_the_centre():
             mask = sum(1 << edges.index(tuple(sorted((c, v))))
                        for v in range(n) if v != c)
             inc = _tree_incidence(kn, mask)
-            assert _star_centers(edges, inc, mask) == (
-                [0, 1] if n == 2 else [c])
-            assert (_double_star_paths(edges, inc, mask)
-                    == reference_trees.double_star_paths_loop(edges, inc, mask))
-            assert len(_double_star_paths(edges, inc, mask)) == 2 * (n - 1)
-            twins = _twin_star_paths(edges, inc, mask)
-            assert twins == reference_trees.twin_star_paths_loop(edges, inc, mask)
-            assert (twins != []) == (n == 3)
+            assert (_special_paths(edges, inc, mask)
+                    == (0 if n == 2 else c, None, None)
+                    == reference_trees.special_paths_loop(edges, inc, mask))
 
 
 def test_empty_mask_has_no_hubs():
     edges = complete_edges(4)
-    assert _star_centers(edges, {}, 0) == []
-    assert _double_star_paths(edges, {}, 0) == []
-    assert _twin_star_paths(edges, {}, 0) == []
+    assert _special_paths(edges, {}, 0) == (None, None, None)
+    assert reference_trees.special_paths_loop(edges, {}, 0) == (None, None, None)

@@ -6,7 +6,9 @@ dicts from it; the flip oracle finds each flip's cycle by a DFS.  The
 library reads a tree's incidence table from its relation's vertex rows
 and finds the cycle edge by rebuilding the tree with ``_retree``.  Both
 call forms, every edge of a relation of the tree's own edges and a mask
-over a drawing's or K_n's edges, must give the oracles' answers, and the
+over a drawing's or K_n's edges, must give the oracles' answers:
+``trees._special_paths`` the least of their lists, the loops in
+``reference_trees`` the lists themselves, ``classify_kind`` the kind.  The
 flips must also equal those of the per-flip union-find loop in
 ``reference_trees``.
 """
@@ -17,6 +19,7 @@ from treespan.drawing import complete_edges, edge
 from treespan.generators import GenSpec, fixture_bipartite_isolated, generate
 from treespan.rng import SplitMix64
 from treespan.trees import (
+    _special_paths,
     classify_kind,
     compatible_step_to_flips,
     enumerate_plane_trees,
@@ -62,6 +65,14 @@ def oracle_twin_star_paths(tree):
             if all(g in e or r in e for e in tree):
                 out.extend([(g, s, r), (r, s, g)])
     return sorted(out)
+
+
+def oracle_special_paths(tree):
+    centers = oracle_star_centers(tree)
+    if centers:
+        return centers[0], None, None
+    return (None, min(oracle_double_star_paths(tree), default=None),
+            min(oracle_twin_star_paths(tree), default=None))
 
 
 def oracle_is_path_on_four(tree):
@@ -163,12 +174,15 @@ def oracle_flips(t1, t2):
 
 def _answers(d, mask=None):
     return (star_centers(d.edges, mask), double_star_paths(d.edges, mask),
-            twin_star_paths(d.edges, mask), classify_kind(d, mask))
+            twin_star_paths(d.edges, mask),
+            _special_paths(*reference_trees._searched(d.edges, mask)),
+            classify_kind(d, mask))
 
 
 def _oracle_answers(n, tree):
     return (oracle_star_centers(tree), oracle_double_star_paths(tree),
-            oracle_twin_star_paths(tree), oracle_classify_kind(n, tree))
+            oracle_twin_star_paths(tree), oracle_special_paths(tree),
+            oracle_classify_kind(n, tree))
 
 
 def _labelled_trees():
@@ -191,7 +205,7 @@ def test_labelled_trees_match_tuple_oracle():
         mask = sum(1 << edges.index(e) for e in t)
         assert _answers(uncrossed(n, t)) == want, t
         assert _answers(uncrossed(n, edges), mask) == want, t
-        kinds.add(want[3][0])
+        kinds.add(want[-1][0])
     assert kinds == {"star", "double_star", "twin_star", "k_star", "generic"}
 
 
