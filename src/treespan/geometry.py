@@ -284,8 +284,9 @@ def _strip_contacts(rec1: tuple, rec2: tuple, turn, locate: bool):
 # evaluation
 # ---------------------------------------------------------------------------
 
-def _x_direction(curve: CartesianCurve) -> int:
-    xs = [w.x for w in curve]
+def _x_direction(curve) -> int:
+    """1 or -1 if the first coordinates strictly increase or decrease, else 0."""
+    xs = [w[0] for w in curve]
     if all(xs[i] < xs[i + 1] for i in range(len(xs) - 1)):
         return 1
     if all(xs[i] > xs[i + 1] for i in range(len(xs) - 1)):
@@ -297,7 +298,9 @@ def curve_eval(curve, at: Rat) -> Optional[Rat]:
     """y at x for an x-monotone cartesian curve, or r at theta (mod 1) for a
     polar curve: its strip polyline's y at theta lifted into the curve's
     frame.  None when the curve does not span the query."""
-    if isinstance(curve[0], PolarPoint):  # angles increase along a polar curve
+    if isinstance(curve[0], PolarPoint):
+        if _x_direction(curve) != 1:
+            raise NonMonotoneCurveError("r-at-theta query on a non-angle-monotone curve")
         pts = normalize_polar(curve)
         at = lift_angle(at, pts[0].theta)
     else:

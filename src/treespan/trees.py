@@ -185,9 +185,9 @@ def _tree_incidence(d: Relation, mask: int) -> Dict[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# k-star representations
+# star-family representations
 # ---------------------------------------------------------------------------
-# Each takes a tree as ``(edges, inc, mask)``: its bits read over
+# ``_special_paths`` takes a tree as ``(edges, inc, mask)``: its bits read over
 # ``edges`` (the relation's edges for a tree mask) and its incidence table.
 
 def _special_paths(edges: Sequence[Edge], inc: Dict[int, int], mask: int
@@ -225,50 +225,30 @@ def _special_paths(edges: Sequence[Edge], inc: Dict[int, int], mask: int
     return None, min(doubles, default=None), min(twins, default=None)
 
 
-def _k_star_path(edges: Sequence[Edge], inc: Dict[int, int],
-                 mask: int) -> Optional[Tuple[int, ...]]:
-    """The path of a tree that is a path plus leaves hanging off the path's
-    two ends (the non-leaf core), walked from the end whose lowest edge
-    comes first; else None."""
-    leaf_edges = 0
-    for at in inc.values():
-        if at.bit_count() == 1:
-            leaf_edges |= at
-    inner = mask & ~leaf_edges  # the edges between core vertices
-    core = [v for v, at in inc.items() if at.bit_count() > 1]
-    ends = [v for v in core if (inc[v] & inner).bit_count() <= 1]
-    if len(ends) != 2 or any(inc[v].bit_count() != 2
-                             for v in core if v not in ends):
-        return None
-    path, came = [min(ends, key=lambda v: inc[v] & -inc[v])], 0
-    while len(path) < len(core):
-        came = inc[path[-1]] & inner & ~came
-        path.append(sum(edges[came.bit_length() - 1]) - path[-1])
-    return tuple(path)
-
-
-def classify_kind(d: Relation, mask: Optional[int] = None) -> tuple:
-    """Most specific k-star kind of the tree ``mask``, by default every
-    edge of d: ("star", c) | ("double_star", g, r) | ("twin_star", g, s, r)
-    | ("k_star", k, path) | ("generic",).  A 4-vertex path is reported as
-    a twin star (its canonical fixed path), larger overlaps resolve to the
-    smaller k."""
-    if mask is None:
-        mask = (1 << len(d.edges)) - 1
-    edges, inc = d.edges, _tree_incidence(d, mask)
-    centre, double, twin = _special_paths(edges, inc, mask)
+def _kind_of(d: Relation, mask: int) -> tuple:
+    """``classify_kind`` of a known plane spanning tree, read without a certificate."""
+    centre, double, twin = _special_paths(d.edges, _tree_incidence(d, mask), mask)
     if centre is not None:
         return ("star", centre)
-    if d.n == 4 and sorted(at.bit_count() for at in inc.values()) == [1, 1, 2, 2]:
+    if d.n == 4:  # a 4-vertex tree that is no star is the path
         return ("twin_star",) + twin
     if double:
         return ("double_star",) + double
     if twin:
         return ("twin_star",) + twin
-    path = _k_star_path(edges, inc, mask)
-    if path is not None:
-        return ("k_star", len(path) - 1, path)
     return ("generic",)
+
+
+def classify_kind(d: Relation, mask: int) -> tuple:
+    """Most specific star-family kind of the plane spanning tree ``mask``:
+    ("star", c) | ("double_star", g, r) | ("twin_star", g, s, r) |
+    ("generic",).  A tree of several kinds is named by the first of star,
+    double star and twin star, except that the 4-vertex path is a twin star
+    (its canonical fixed path).  Any other mask raises BadTreeError."""
+    cert = check_mask(d, mask)
+    if not cert.is_plane_spanning_tree:
+        raise BadTreeError(0, cert)
+    return _kind_of(d, mask)
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +363,7 @@ def _plane_masks(d: Relation, kind: str = "all", limit: Optional[int] = None
     if kind not in ("all", "special"):
         masks, class_of, conflicts = _plane_masks(d, "special", limit)
         return _twin_classes((mask, conflicts[a]) for mask, a in zip(masks, class_of)
-                             if classify_kind(d, mask)[0] == kind)
+                             if _kind_of(d, mask)[0] == kind)
     if kind == "special" and not 2 <= d.n <= 5:
         return _star_family(d)
 

@@ -35,6 +35,11 @@ def test_splitmix_reference_values():
     rng = SplitMix64(0)
     assert rng.next_u64() == 0xE220A8397B1DCDAF
     assert rng.next_u64() == 0x6E789E6AA1B965F4
+    # choice reads one output per pick: index = output mod len(seq)
+    rng = SplitMix64(0)
+    assert "".join(rng.choice("abcdefg") for _ in range(6)) == "cbcecc"
+    with pytest.raises(ValueError, match="empty range"):
+        rng.choice([])
 
 
 def test_splitmix_randint_rejects_an_empty_range():

@@ -16,7 +16,9 @@ from treespan.errors import (
     TooLargeError,
     UnknownEdgeError,
 )
+from treespan.generators import GenSpec, generate
 from treespan.trees import (
+    KINDS,
     canon_tree,
     classify_kind,
     compatible_step_to_flips,
@@ -91,15 +93,20 @@ def test_non_spanning(sq):
     assert not cert.is_plane_spanning_tree
 
 
+def _kind_of_tree(n, tree):
+    """``classify_kind`` of every edge of the relation of ``tree``."""
+    return classify_kind(uncrossed(n, tree), (1 << len(tree)) - 1)
+
+
 def test_kind_larger_cases():
     path5 = canon_tree([(0, 1), (1, 2), (2, 3), (3, 4)])
-    assert classify_kind(uncrossed(5, path5)) == ("twin_star", 1, 2, 3)
+    assert _kind_of_tree(5, path5) == ("twin_star", 1, 2, 3)
     path6 = canon_tree([(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
-    assert classify_kind(uncrossed(6, path6)) == ("k_star", 3, (1, 2, 3, 4))
+    assert _kind_of_tree(6, path6) == ("generic",)
     spider = canon_tree([(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)])
-    assert classify_kind(uncrossed(7, spider)) == ("generic",)
+    assert _kind_of_tree(7, spider) == ("generic",)
     double = canon_tree([(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)])
-    assert classify_kind(uncrossed(6, double)) == ("double_star", 0, 1)
+    assert _kind_of_tree(6, double) == ("double_star", 0, 1)
 
 
 def test_representation_helpers():
@@ -167,6 +174,16 @@ def test_certification_classifies_no_kind(monkeypatch):
     trees = enumerate_plane_trees(d5)
     certs = [check_tree(d5, t) for t in trees]
     assert calls == [] and all(c.is_plane_spanning_tree for c in certs)
+
+
+def test_kind_filters_certify_nothing():
+    """The single-kind filters label the plane trees they list without a
+    certificate, so listing every kind leaves the relation's cache empty."""
+    for n in range(4, 8):
+        d = generate(GenSpec(cls="convex", n=n, seed=0))
+        for kind in KINDS:
+            enumerate_plane_trees(d, kind)
+        assert d._cert_cache == {}
 
 
 def test_too_large():

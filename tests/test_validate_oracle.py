@@ -48,7 +48,7 @@ from treespan.drawing import (
     complete_edges,
     validate_simple,
 )
-from treespan.errors import NotSimpleError
+from treespan.errors import NonMonotoneCurveError, NotSimpleError
 from treespan.generators import _CLASSES, GenSpec, _Reject, fixture_bipartite_isolated, generate
 from treespan.geometry import (
     Degenerate,
@@ -485,6 +485,18 @@ def test_polar_curve_eval_matches_piece_r_oracle(c, at, turns):
     """curve_eval of a polar curve interpolates its strip polyline at the
     lifted angle: the answer is the oracle's, a whole turn away too."""
     assert curve_eval(c, at + turns) == curve_eval(c, at) == oracle_polar_eval(c, at)
+
+
+@pytest.mark.parametrize("c, at", [
+    ((_pp(0, 1), _pp(F(1, 2), 2), _pp(F(3, 10), 3)), F(2, 5)),  # passes 2/5 twice
+    ((_pp(0, 1), _pp(0, 2), _pp(F(1, 2), 3)), 0),  # a radial first piece
+    ((_pp(F(1, 2), 1), _pp(F(1, 4), 2)), F(3, 8)),  # angles decrease
+], ids=["turn-back", "radial", "decreasing"])
+def test_polar_curve_eval_rejects_angles_that_do_not_increase(c, at):
+    """Like a cartesian curve that is not x-monotone, a polar curve whose
+    angles do not strictly increase has no one r at an angle."""
+    with pytest.raises(NonMonotoneCurveError):
+        curve_eval(c, at)
 
 
 # ---------------------------------------------------------------------------
