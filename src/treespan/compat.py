@@ -22,13 +22,12 @@ classes and their sizes.
 of different classes are as far apart as their classes, and two trees of
 one class are at distance 1.  So a tree's eccentricity is its class's, with
 one exception: a class alone in its component that holds two or more trees
-has eccentricity 1, not 0.  Components are numbered by their lowest tree,
-which lies in their lowest class.  If some class is adjacent to every
-other (and there is more than one tree), nothing is searched: every tree
-of such a hub class has eccentricity 1 and every other tree 2.  Otherwise
-one ball growth over the class rows (``_eccentricities``) finds every
-class's component and its eccentricity within it; the tests check it
-against one BFS per class.
+has eccentricity 1, not 0.  If some class is adjacent to every other
+(and there is more than one tree), nothing is searched: every tree of such
+a hub class has eccentricity 1 and every other tree 2.  Otherwise one ball
+growth over the class rows (``_eccentricities``) finds every class's
+component and its eccentricity within it; the tests check it against one
+BFS per class.
 """
 
 from __future__ import annotations
@@ -112,8 +111,6 @@ class CompatAnalysis:
     components: int
     diameter: object                       # int or math.inf
     eccentricities: Tuple[int, ...]        # within each node's component
-    component_of: Tuple[int, ...]
-    component_diameters: Tuple[int, ...]
 
 
 def build_compat_graph(d: Relation, restricted: bool = False,
@@ -201,28 +198,17 @@ def _eccentricities(rows: List[int]) -> Tuple[List[int], List[int]]:
 
 
 def analyze(g: CompatGraph) -> CompatAnalysis:
-    m, rows, class_of = len(g.masks), g.class_rows, g.class_of
-    if m == 0:
-        return CompatAnalysis(True, 0, 0, (), (), ())
+    rows = g.class_rows
     full = (1 << len(rows)) - 1
     balls = [row | 1 << a for a, row in enumerate(rows)]
-    if m > 1 and full in balls:
-        ecc = [1 if ball == full else 2 for ball in balls]
-        return CompatAnalysis(True, 1, max(ecc), tuple(ecc[c] for c in class_of),
-                              (0,) * m, (max(ecc),))
-    ecc, comps = _eccentricities(rows)
-    # a class alone in its component is a clique of its trees
-    ecc = [e or min(size - 1, 1) for e, size in zip(ecc, g.sizes)]
-    number: Dict[int, int] = {}  # component -> its number, by lowest class
-    component_of = [number.setdefault(comp, len(number)) for comp in comps]
-    comp_diam = [0] * len(number)
-    for a, c in enumerate(component_of):
-        comp_diam[c] = max(comp_diam[c], ecc[a])
-    connected = len(number) == 1
-    diameter = comp_diam[0] if connected else math.inf
-    return CompatAnalysis(connected=connected, components=len(number),
-                          diameter=diameter,
-                          eccentricities=tuple(ecc[c] for c in class_of),
-                          component_of=tuple(component_of[c] for c in class_of),
-                          component_diameters=tuple(comp_diam))
-
+    if len(g.masks) > 1 and full in balls:
+        ecc, components = [1 if ball == full else 2 for ball in balls], 1
+    else:
+        ecc, comps = _eccentricities(rows)
+        # a class alone in its component is a clique of its trees
+        ecc = [e or min(size - 1, 1) for e, size in zip(ecc, g.sizes)]
+        components = len(set(comps))
+    connected = components <= 1
+    return CompatAnalysis(connected=connected, components=components,
+                          diameter=max(ecc, default=0) if connected else math.inf,
+                          eccentricities=tuple(ecc[c] for c in g.class_of))

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import FrozenInstanceError, dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Tuple
@@ -136,7 +136,8 @@ class Drawing(Relation):
     ("bipartite", a, b); ``backend`` is "cartesian" or "polar".  For the
     polar backend vertex points are (theta, r) pairs in rational turns and
     curve waypoints have strictly increasing theta spanning < 1 turn.
-    Immutable: ``curves`` is a read-only copy of the mapping passed in, so
+    Immutable: the vertex points, each curve, ``graph`` and ``circles`` are
+    copied into tuples and ``curves`` into a read-only mapping, so
     everything derived from the drawing is computed on first use and kept."""
 
     n: int
@@ -147,7 +148,12 @@ class Drawing(Relation):
     circles: Optional[Tuple[Rat, Rat]] = None  # (r_in^2, r_out^2) hint
 
     def __post_init__(self):
-        object.__setattr__(self, "curves", MappingProxyType(dict(self.curves)))
+        fields = self.__dict__
+        fields["vertex_points"] = tuple(self.vertex_points)
+        fields["curves"] = MappingProxyType({e: tuple(c) for e, c in self.curves.items()})
+        fields["graph"] = tuple(self.graph)
+        if self.circles is not None:
+            fields["circles"] = tuple(self.circles)
         super().__post_init__()
 
     @functools.cached_property
@@ -200,12 +206,8 @@ class CylRoles:
     r_out2: Rat
     inner_vertices: Tuple[int, ...]
     outer_vertices: Tuple[int, ...]
-    crossed_cycle_edges: Tuple[Edge, ...]
-    inner_path: Tuple[Edge, ...]                # uncrossed Hamiltonian paths
-    outer_path: Tuple[Edge, ...]
-    # edge masks of both paths and of the side edges
-    paths_mask: int = field(repr=False, compare=False)
-    sides_mask: int = field(repr=False, compare=False)
+    paths_mask: int    # edge mask of both circles' uncrossed Hamiltonian paths
+    sides_mask: int    # edge mask of the side edges
 
 
 @dataclass(frozen=True)
@@ -546,8 +548,13 @@ def check_radii(r_in2: Rat, r_out2: Rat) -> None:
 def classify_cylindrical(d: Drawing, r_in2: Rat, r_out2: Rat) -> Optional[CylRoles]:
     """Roles and cycle structure for vertices on two origin-centred circles,
     or None if some vertex is off-circle or some edge crosses a circle.
-    The class is defined for drawings of K_n: other graphs give None."""
+    The class is defined for drawings of K_n: other graphs give None.
+    Built once per drawing and pair of radii."""
     check_radii(r_in2, r_out2)
+    return d._derive(_classify_cylindrical, r_in2, r_out2)
+
+
+def _classify_cylindrical(d: Drawing, r_in2: Rat, r_out2: Rat) -> Optional[CylRoles]:
     if d.backend != "cartesian" or d.graph[0] != "complete":
         return None
     bit, row = d._edge_bit, dict(zip(d.edges, d.cross_mask))  # the rows validate d
@@ -569,33 +576,27 @@ def classify_cylindrical(d: Drawing, r_in2: Rat, r_out2: Rat) -> Optional[CylRol
 
     sides_mask = sum(bit[u, v] for u, v in d.edges
                      if (u in inner) != (v in inner))
-
-    cycles = []  # each circle's cycle edges, around the circle
-    for vs in (inner, outer):
+    paths_mask = 0
+    for vs in (inner, outer):  # each cycle, less one edge, is its circle's path
         ring = sorted(vs, key=lambda v: _ring_key(d.vertex_points[v]))
         closing = ring[:1] if len(ring) > 2 else []  # two vertices: one edge
-        cycles.append([edge(a, b) for a, b in zip(ring, ring[1:] + closing)])
-    crossed = tuple(e for e in sorted(cycles[0] + cycles[1]) if row[e])
-    for e in crossed:
-        if row[e] & ~sides_mask:
-            raise InternalInvariantViolated(
-                f"cycle edge {e} crossed by a non-side edge")
-    for es in cycles:  # each becomes its uncrossed Hamiltonian path
-        bad = [e for e in es if row[e]]
-        if len(bad) > 1:
+        cycle = [edge(a, b) for a, b in zip(ring, ring[1:] + closing)]
+        crossed = sorted(e for e in cycle if row[e])
+        for e in crossed:
+            if row[e] & ~sides_mask:
+                raise InternalInvariantViolated(
+                    f"cycle edge {e} crossed by a non-side edge")
+        if len(crossed) > 1:
             raise InternalInvariantViolated(
                 "more than one crossed cycle edge on a circle")
-        if len(es) > 1:
-            es.remove(bad[0] if bad else max(es))
+        if len(cycle) > 1:
+            cycle.remove(crossed[0] if crossed else max(cycle))
+        paths_mask |= sum(bit[e] for e in cycle)
 
-    inner_path, outer_path = map(tuple, cycles)
     return CylRoles(
         r_in2=r_in2, r_out2=r_out2,
         inner_vertices=tuple(sorted(inner)), outer_vertices=tuple(sorted(outer)),
-        crossed_cycle_edges=crossed,
-        inner_path=inner_path, outer_path=outer_path,
-        paths_mask=sum(bit[e] for e in inner_path + outer_path),
-        sides_mask=sides_mask,
+        paths_mask=paths_mask, sides_mask=sides_mask,
     )
 
 

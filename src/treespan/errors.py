@@ -49,7 +49,10 @@ class BadTreeError(TreespanError):
     def __init__(self, index, cert):
         self.index = index
         self.cert = cert
-        super().__init__(f"tree at position {index} is not a plane spanning tree")
+        failed = ", ".join(f"not {name}" for name, holds in (
+            ("spanning", cert.spanning), ("acyclic and connected", cert.acyclic_connected),
+            ("plane", cert.plane)) if not holds)
+        super().__init__(f"tree at position {index} is not a plane spanning tree ({failed})")
 
 
 class IncompatibleStepError(TreespanError):

@@ -93,10 +93,12 @@ class TransformSequence:
 def certify_sequence(d: Relation, trees: Sequence[Iterable[Edge]],
                      method: str = "manual") -> TransformSequence:
     """Verify every tree is plane spanning and every consecutive pair is
-    compatible; raises BadTreeError / IncompatibleStepError otherwise."""
+    compatible; raises BadTreeError / IncompatibleStepError otherwise.
+    Each tree is checked in full, its edges read and certified, before the
+    next one is read."""
     if not trees:
         raise ValueError("empty sequence")
-    return _certified(d, [tree_mask(d, t) for t in trees], method)
+    return _certified(d, [c.mask for c in _input_certs(d, trees)], method)
 
 
 def _certified(d: Relation, masks: List[int], method: str) -> TransformSequence:

@@ -13,8 +13,11 @@ and ``classify_c_monotone`` the spans and vertex angles that
 turn.  ``angle_cmp`` is the comparator that ordered the vertices of a
 cylindrical drawing's circles before ``drawing._ring_key`` did: its cross
 product orders any points about the origin, not only points of one circle.
+``circle_paths`` reads each circle's cycle in that order and states the
+uncrossed Hamiltonian path that ``CylRoles.paths_mask`` holds.
 """
 
+import functools
 from typing import List, Optional, Tuple
 
 from treespan.drawing import Drawing, Edge, SpineStructure, _spans_cover_circle, edge
@@ -140,3 +143,22 @@ def angle_cmp(p: Point, q: Point) -> int:
         return -1 if hp < hq else 1
     c = p.x * q.y - p.y * q.x
     return 0 if c == 0 else (-1 if c > 0 else 1)
+
+
+def circle_paths(d: Drawing, roles) -> List[Tuple[List[Edge], List[Edge], List[Edge]]]:
+    """(cycle, crossed, path) of the inner circle, then of the outer: the
+    circle's cycle edges in vertex order by ``angle_cmp`` (one edge on two
+    vertices, none on one), those of them that some edge crosses, and its
+    path: the cycle less its first crossed edge, else less its largest
+    edge; a one-edge cycle is its own path."""
+    crossing = {e for pair in d.crossing_pairs() for e in pair}
+    out = []
+    for vs in (roles.inner_vertices, roles.outer_vertices):
+        ring = sorted(vs, key=functools.cmp_to_key(
+            lambda u, v: angle_cmp(d.vertex_points[u], d.vertex_points[v])))
+        cycle = list(dict.fromkeys(edge(a, b) for a, b in zip(ring, ring[1:] + ring[:1])
+                                   if a != b))
+        crossed = [e for e in cycle if e in crossing]
+        dropped = None if len(cycle) < 2 else crossed[0] if crossed else max(cycle)
+        out.append((cycle, crossed, [e for e in cycle if e != dropped]))
+    return out

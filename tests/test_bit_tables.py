@@ -217,7 +217,7 @@ def _calls():
     out += [(d5, lambda: star_to_star(d5, 0, 3), []),
             (d5, lambda: transform_special(d5, twin, twin), [twin, twin]),
             (d5, lambda: transform_special(d5, twin, double), [twin, double]),
-            (d5, lambda: certify_sequence(d5, [star, double, star]), [])]
+            (d5, lambda: certify_sequence(d5, [star, double, star]), [star, double, star])]
     special = enumerate_plane_trees(d5, kind="special")
     for t1, t2 in zip(special[::5], special[2::3]):
         out.append((d5, lambda t1=t1, t2=t2: transform_special(d5, t1, t2), [t1, t2]))

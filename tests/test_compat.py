@@ -107,7 +107,7 @@ def oracle_bfs_levels(g, src):
 def oracle_analyze(g):
     m = len(g.adjacency)
     if m == 0:
-        return CompatAnalysis(True, 0, 0, (), (), ())
+        return CompatAnalysis(True, 0, 0, ())
     component_of = [-1] * m
     comp_count = 0
     for v in range(m):
@@ -115,19 +115,11 @@ def oracle_analyze(g):
             for u in oracle_bfs_levels(g, v):
                 component_of[u] = comp_count
             comp_count += 1
-    ecc = [0] * m
-    comp_diam = [0] * comp_count
-    for v in range(m):
-        dist = oracle_bfs_levels(g, v)
-        ecc[v] = max(dist.values())
-        c = component_of[v]
-        comp_diam[c] = max(comp_diam[c], ecc[v])
+    ecc = [max(oracle_bfs_levels(g, v).values()) for v in range(m)]
     connected = comp_count == 1
-    diameter = comp_diam[0] if connected else math.inf
+    diameter = max(ecc) if connected else math.inf
     return CompatAnalysis(connected=connected, components=comp_count,
-                          diameter=diameter, eccentricities=tuple(ecc),
-                          component_of=tuple(component_of),
-                          component_diameters=tuple(comp_diam))
+                          diameter=diameter, eccentricities=tuple(ecc))
 
 
 def oracle_distance(g, i, j):

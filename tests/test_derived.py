@@ -9,6 +9,7 @@ change a drawing's answers through what it was handed.
 """
 
 import dataclasses
+from fractions import Fraction as F
 from itertools import permutations
 
 import pytest
@@ -21,6 +22,7 @@ from treespan.drawing import (
     _classify_monotone,
     _integer_image,
     classify_c_monotone,
+    classify_cylindrical,
     classify_monotone,
     validate_simple,
 )
@@ -46,6 +48,7 @@ from treespan.trees import (
 )
 
 from conftest import edge_ids
+from reference_drawing import circle_paths
 
 
 # strongly c-monotone seeds per n: the first with a non-spine cycle edge
@@ -118,7 +121,8 @@ def test_memo_matches_uncached_builders(spec):
 
     roles = validate_simple(d).is_cylindrical
     if spec.cls == "cylindrical":
-        assert roles.paths_mask == tree_mask(fresh, roles.inner_path + roles.outer_path)
+        (_, _, inner), (_, _, outer) = circle_paths(fresh, roles)
+        assert roles.paths_mask == tree_mask(fresh, inner + outer)
         assert roles.sides_mask == tree_mask(
             fresh, [e for e in fresh.edges if len(set(e) & set(roles.inner_vertices)) == 1])
 
@@ -194,6 +198,32 @@ def test_integer_image_is_built_once(monkeypatch):
         assert built == [(d, False)]
 
 
+def test_cylindrical_roles_are_built_once(monkeypatch):
+    """``generate``'s class check, ``validate_simple`` and a direct call
+    share one ``classify_cylindrical`` build per drawing and radii, which
+    tests every curve against both circles once."""
+    tested = []
+    crossing = treespan.drawing.curve_circle_crossing
+
+    def counting(curve, center, r2):
+        tested.append(curve)
+        return crossing(curve, center, r2)
+
+    monkeypatch.setattr(treespan.drawing, "curve_circle_crossing", counting)
+    for seed in range(3):
+        d = generate(GenSpec(cls="cylindrical", n=6, seed=seed, a=3, b=3))
+        assert tested
+        tested.clear()
+        roles = validate_simple(d).is_cylindrical
+        assert roles is not None and classify_cylindrical(d, F(1), F(4)) is roles
+        assert tested == []
+        cold = dataclasses.replace(d)
+        for _ in range(2):
+            assert validate_simple(cold).is_cylindrical == roles
+            assert classify_cylindrical(cold, *cold.circles) == roles
+        assert len(tested) == 2 * len(cold.edges)
+
+
 def test_star_schedules_build_each_relation_order_once(monkeypatch):
     built = []
     _counting(monkeypatch, treespan.transforms, "_flip_pairs", built)
@@ -234,6 +264,28 @@ def test_returned_lists_do_not_reach_the_memo(m4):
     with pytest.raises(AttributeError):
         image.points = ()
     assert classify_monotone(m4) is not None and m4._derive(_integer_image) is image
+
+
+def test_drawing_owns_its_inputs(sq):
+    """A drawing built from lists keeps tuples of them: changing the lists
+    after its crossing rows were read changes nothing it holds."""
+    def inputs():
+        return dict(n=4, backend="cartesian", vertex_points=list(sq.vertex_points),
+                    curves={e: list(c) for e, c in sq.curves.items()},
+                    graph=list(sq.graph), circles=[F(1, 4), F(4)])
+
+    given = inputs()
+    d = Drawing(**given)
+    rows = d.cross_mask
+    given["vertex_points"].reverse()
+    for curve in given["curves"].values():
+        curve.reverse()
+    given["graph"][0] = "bipartite"
+    given["circles"][0] = F(1)
+    fresh = Drawing(**inputs())
+    assert d == fresh and d.cross_mask == rows == fresh.cross_mask
+    assert all(isinstance(x, tuple) for x in (d.vertex_points, d.graph, d.circles,
+                                              *d.curves.values()))
 
 
 def test_failed_derivation_stores_nothing(m4):

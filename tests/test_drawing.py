@@ -20,9 +20,10 @@ from treespan.drawing import (
 from treespan.errors import InternalInvariantViolated, InvalidRadiiError, NotSimpleError
 from treespan.generators import GenSpec, generate
 from treespan.geometry import Proper, segment_proper_crossing
-from treespan.trees import enumerate_plane_trees
+from treespan.trees import enumerate_plane_trees, tree_mask
 
 from conftest import P, crossings, cyl_k4, straight_line_drawing
+from reference_drawing import circle_paths
 from reference_spine import (
     EmptySetError,
     cut_to_monotone,
@@ -259,7 +260,10 @@ def test_cyl_roles(cyl4):
     assert (k * (k - 1) // 2, (4 - k) * (3 - k) // 2,
             roles.sides_mask.bit_count()) == (1, 1, 4)
     assert set(roles.inner_vertices) == {0, 1}
-    assert len(roles.crossed_cycle_edges) <= 2
+    (_, inner_crossed, inner), (_, outer_crossed, outer) = circle_paths(cyl4, roles)
+    assert len(inner_crossed) <= 1 and len(outer_crossed) <= 1
+    assert roles.paths_mask == tree_mask(cyl4, inner + outer)
+    assert roles.paths_mask.bit_count() == 2  # one edge on each two-vertex circle
 
 
 def test_cyl_absent_for_off_circle(sq):
@@ -318,12 +322,15 @@ def test_cyl_path_drops_the_crossed_cycle_edge():
     """A circle's one cycle edge crossed by a side edge is the edge its
     Hamiltonian path leaves out; uncrossed, the path leaves out the
     highest cycle edge."""
-    plain = classify_cylindrical(_cyl_with_crossings([]), F(1), F(4))
-    assert plain.crossed_cycle_edges == () and plain.inner_path == ((0, 2), (0, 1))
-    roles = classify_cylindrical(_cyl_with_crossings([((0, 1), (2, 3))]), F(1), F(4))
-    assert roles.crossed_cycle_edges == ((0, 1),)
-    assert sorted(roles.inner_path) == [(0, 2), (1, 2)]
-    assert roles.outer_path == plain.outer_path
+    d = _cyl_with_crossings([])
+    plain = classify_cylindrical(d, F(1), F(4))
+    (_, crossed, _), (_, outer_crossed, outer) = circle_paths(d, plain)
+    assert crossed == outer_crossed == []
+    assert plain.paths_mask == tree_mask(d, [(0, 2), (0, 1)] + outer)
+    crossed_d = _cyl_with_crossings([((0, 1), (2, 3))])
+    roles = classify_cylindrical(crossed_d, F(1), F(4))
+    assert circle_paths(crossed_d, roles)[0][1] == [(0, 1)]
+    assert roles.paths_mask == tree_mask(crossed_d, [(0, 2), (1, 2)] + outer)
 
 
 def test_cyl_report_flag(cyl4):

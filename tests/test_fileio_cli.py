@@ -804,7 +804,7 @@ def _bad_second_tree(tmp_path, capsys, gen_args):
                  "--to", "0-1,0-2,0-3"]) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["type"] == "BadTreeError"
-    assert err["message"] == "tree at position 1 is not a plane spanning tree"
+    assert err["message"] == "tree at position 1 is not a plane spanning tree (not spanning)"
 
 
 def test_render_two_page_deterministic():

@@ -24,8 +24,10 @@ from treespan.generators import (
     generate,
 )
 from treespan.rng import SplitMix64
+from treespan.trees import tree_mask
 
 from conftest import crossings
+from reference_drawing import circle_paths
 from reference_generators import REFERENCE
 from reference_trees import check_tree
 
@@ -100,10 +102,11 @@ def test_cylindrical_remark_holds():
             d = generate(GenSpec(cls="cylindrical", n=a + b, seed=seed, a=a, b=b))
             roles = classify_cylindrical(d, F(1), F(4))
             assert roles is not None
-            for circle in (roles.inner_vertices, roles.outer_vertices):
-                on = [e for e in roles.crossed_cycle_edges
-                      if e[0] in circle and e[1] in circle]
-                assert len(on) <= 1
+            paths = []
+            for _, crossed, path in circle_paths(d, roles):
+                assert len(crossed) <= 1
+                paths += path
+            assert roles.paths_mask == tree_mask(d, paths)
 
 
 def test_strongly_cmonotone_modes():

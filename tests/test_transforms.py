@@ -52,6 +52,7 @@ from treespan.trees import (
 )
 
 import reference_trees
+from reference_drawing import circle_paths
 from reference_trees import bfs_distance, double_star_paths
 from conftest import P, polar_k2, polar_k5
 from reference_spine import (
@@ -77,6 +78,22 @@ def test_certify_bad_tree(sq):
     with pytest.raises(BadTreeError) as info:
         certify_sequence(sq, [[(0, 1), (0, 2), (0, 3)], [(0, 2), (1, 3), (2, 3)]])
     assert info.value.index == 1
+
+
+def test_certify_checks_each_tree_before_reading_the_next(sq):
+    """A cycle ahead of a tree with an edge the drawing lacks is reported
+    as the bad tree at position 0, as ``transform_special`` reports it."""
+    cycle = [(0, 1), (1, 2), (2, 3), (0, 3)]
+    unknown = [(0, 1), (1, 2), (3, 9)]
+    for call in (lambda: certify_sequence(sq, [cycle, unknown]),
+                 lambda: transform_special(sq, cycle, unknown)):
+        with pytest.raises(BadTreeError) as info:
+            call()
+        assert info.value.index == 0
+        assert str(info.value) == ("tree at position 0 is not a plane spanning tree"
+                                   " (not acyclic and connected)")
+    with pytest.raises(UnknownEdgeError):
+        certify_sequence(sq, [unknown, cycle])
 
 
 def test_certify_incompatible_step(sq):
@@ -292,7 +309,10 @@ def test_cylindrical_one_circle(n, step):
     roles = validate_simple(d).is_cylindrical
     assert roles.inner_vertices == tuple(range(n)) and roles.outer_vertices == ()
     trees = enumerate_plane_trees(d)[::step]
-    path = canon_tree(roles.inner_path)
+    (cycle, crossed, inner), _ = circle_paths(d, roles)
+    assert len(cycle) == n and crossed == []
+    assert roles.paths_mask == tree_mask(d, inner)
+    path = canon_tree(inner)
     for t1 in trees:
         for t2 in trees:
             seq = transform_cylindrical(d, roles, t1, t2)
@@ -348,9 +368,9 @@ def test_cylindrical_crossed_cycle_edge(label, crossed, outer_path):
     d = _crossed_cycle_edge_k4(label)
     roles = validate_simple(d).is_cylindrical
     assert d.crossing_pairs() == [tuple(sorted([edge(0, label[1]), crossed]))]
-    assert roles.crossed_cycle_edges == (crossed,)
+    assert circle_paths(d, roles)[1][1] == [crossed]
     assert roles.inner_vertices == (0,) and roles.outer_vertices == (1, 2, 3)
-    assert roles.outer_path == outer_path and roles.inner_path == ()
+    assert roles.paths_mask == tree_mask(d, outer_path)
     trees = enumerate_plane_trees(d)
     assert len(trees) > 1
     for t1 in trees:
@@ -552,12 +572,14 @@ def test_transform_special_identical_trees():
 def test_bad_second_endpoint_reports_position_one(cyl4, sq):
     roles = classify_cylindrical(cyl4, F(1), F(4))
     star = [(0, 1), (0, 2), (0, 3)]
-    for call in (lambda: transform_cylindrical(cyl4, roles, star, star[:2]),
-                 lambda: transform_special(sq, star, [(0, 2), (1, 3), (2, 3)])):
+    for call, failed in ((lambda: transform_cylindrical(cyl4, roles, star, star[:2]),
+                          "not spanning"),
+                         (lambda: transform_special(sq, star, [(0, 2), (1, 3), (2, 3)]),
+                          "not plane")):
         with pytest.raises(BadTreeError) as info:
             call()
         assert info.value.index == 1
-        assert str(info.value) == "tree at position 1 is not a plane spanning tree"
+        assert str(info.value) == f"tree at position 1 is not a plane spanning tree ({failed})"
     with pytest.raises(BadTreeError) as info:
         transform_special(sq, [(0, 2), (1, 3), (2, 3)], star)
     assert info.value.index == 0
