@@ -20,7 +20,7 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src"))
 
 from treespan.compat import analyze, build_compat_graph
-from treespan.generators import _CLASSES, GenSpec, generate
+from treespan.generators import CLASSES, GenSpec, generate
 from treespan.trees import ENUM_LIMIT_ALL
 
 
@@ -47,7 +47,7 @@ def main() -> None:
 
     print(f"{'class':<22}{'n':>3}{'seed':>5}{'nodes':>8}{'classes':>8}"
           f"{'edges':>10}{'diam':>6}{'classes*':>9}{'diam*':>7}{'sec':>7}")
-    for cls in _CLASSES:
+    for cls in CLASSES:
         if cls == "cylindrical":  # swept below, one row per shape (a, b)
             continue
         for n in range(4, args.max_n + 1):

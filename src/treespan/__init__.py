@@ -20,7 +20,7 @@ from .drawing import (
     classify_two_page,
     validate_simple,
 )
-from .generators import GenSpec, fixture_bipartite_isolated, generate
+from .generators import CLASSES, GenSpec, fixture_bipartite_isolated, generate
 from .geometry import (
     CartesianCurve,
     CrossKind,
@@ -41,6 +41,7 @@ from .transforms import (
     cmonotone_to_spine,
     monotone_to_spine,
     star_to_star,
+    transform,
     transform_cylindrical,
     transform_special,
 )

@@ -1,11 +1,13 @@
-"""Command-line surface.
+"""Command-line surface: a shell over the public API.  It parses the
+arguments, calls the library and prints or writes the answer.
 
 Subcommands: validate, generate, trees, compat, transform, certify, render.
 Exit codes: 0 success, 1 invalid input (a malformed command line too), 2
 method inapplicable, 3 internal invariant violation.  Errors are emitted as
 one JSON object on stderr; an empty output path is invalid input.  The
-drawing of every subcommand with a ``file`` argument (validate, trees,
-compat, transform, render) is loaded once, before ``_dispatch`` branches;
+``file`` argument of a subcommand (validate, trees, compat, transform,
+render) is loaded once, before ``_dispatch`` branches: trees and compat
+read a relation file or a drawing file, the others a drawing file only;
 certify loads the drawing its sequence file names.
 """
 
@@ -19,21 +21,11 @@ import sys
 
 from . import fileio, render
 from .compat import analyze, build_compat_graph
-from .drawing import classify_c_monotone, classify_monotone, validate_simple
-from .errors import (
-    InternalInvariantViolated,
-    MethodInapplicable,
-    NotSpecialTreeError,
-    TreespanError,
-)
-from .generators import _CLASSES, GenSpec, generate
-from .trees import KINDS, _input_certs, enumerate_plane_trees, tree_mask
-from .transforms import (
-    _spine_route,
-    certify_sequence,
-    transform_cylindrical,
-    transform_special,
-)
+from .drawing import validate_simple
+from .errors import InternalInvariantViolated, MethodInapplicable, TreespanError
+from .generators import CLASSES, GenSpec, generate
+from .trees import KINDS, enumerate_plane_trees, tree_mask
+from .transforms import METHODS, certify_sequence, transform
 
 class UsageError(TreespanError):
     pass
@@ -60,24 +52,6 @@ def _report_json(d) -> dict:
     return out
 
 
-def _run_transform(d, method: str, t1, t2):
-    report = validate_simple(d)
-    _input_certs(d, [t1, t2])  # a bad tree is invalid input under every method
-    if method in ("auto", "cylindrical") and report.is_cylindrical is not None:
-        return transform_cylindrical(d, report.is_cylindrical, t1, t2)
-    if method in ("auto", "monotone") and report.is_monotone:
-        return _spine_route(d, classify_monotone(d), [t1, t2])
-    if method in ("auto", "cmonotone") and report.is_strongly_c_monotone:
-        return _spine_route(d, classify_c_monotone(d)[2], [t1, t2])
-    if method in ("auto", "special") and d.graph[0] == "complete":
-        try:
-            return transform_special(d, t1, t2)
-        except NotSpecialTreeError:
-            if method == "special":
-                raise
-    raise MethodInapplicable(f"no applicable method (asked for {method!r})")
-
-
 def _build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="treespan",
                 description="Plane spanning trees in simple drawings: "
@@ -89,7 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("file")
 
     g = sub.add_parser("generate", help="generate a drawing")
-    g.add_argument("--class", dest="cls", required=True, choices=list(_CLASSES))
+    g.add_argument("--class", dest="cls", required=True, choices=CLASSES)
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--seed", type=int, required=True)
     g.add_argument("-a", type=int, default=None)
@@ -112,9 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
     tr.add_argument("file")
     tr.add_argument("--from", dest="src", required=True)
     tr.add_argument("--to", dest="dst", required=True)
-    tr.add_argument("--method", default="auto",
-                    choices=["auto", "cylindrical", "monotone", "cmonotone",
-                             "special"])
+    tr.add_argument("--method", default="auto", choices=METHODS)
     tr.add_argument("-o", "--output", default=None)
 
     ce = sub.add_parser("certify", help="re-verify a sequence file")
@@ -130,7 +102,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _dispatch(args) -> int:
-    d = fileio.load_drawing(args.file) if "file" in vars(args) else None
+    load = fileio.load_relation if args.cmd in ("trees", "compat") else fileio.load_drawing
+    d = load(args.file) if "file" in vars(args) else None
     if args.cmd == "validate":
         print(json.dumps(_report_json(d), sort_keys=True))
         return 0
@@ -165,11 +138,9 @@ def _dispatch(args) -> int:
         return 0
 
     if args.cmd == "transform":
-        t1 = fileio.parse_tree_arg(args.src)
-        t2 = fileio.parse_tree_arg(args.dst)
-        seq = _run_transform(d, args.method, t1, t2)
-        doc = fileio.sequence_to_dict(seq.trees, seq.method, drawing=args.file)
-        text = fileio.dumps(doc)
+        seq = transform(d, fileio.parse_tree_arg(args.src),
+                        fileio.parse_tree_arg(args.dst), args.method)
+        text = fileio.dumps(fileio.sequence_to_dict(seq.trees, seq.method, drawing=args.file))
         if args.output is not None:
             with open(args.output, "w") as fh:
                 fh.write(text)

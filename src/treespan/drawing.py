@@ -37,6 +37,7 @@ from .errors import (
     InternalInvariantViolated,
     InvalidRadiiError,
     NotSimpleError,
+    UnknownEdgeError,
 )
 from .geometry import (
     CartesianCurve,
@@ -103,6 +104,39 @@ class Relation:
 
     def __repr__(self) -> str:
         return f"Relation(n={self.n}, edges={self.edges}, cross_mask={self.cross_mask})"
+
+    @staticmethod
+    def from_pairs(n: int, edges: Iterable[Edge],
+                   pairs: Iterable[Tuple[Edge, Edge]]) -> Relation:
+        """The relation on ``edges``, any edges of K_n, in which exactly the
+        given pairs cross, with its edges sorted as pairs (u, v), u < v.
+        Unlike the constructor it checks its input: a loop, a vertex outside
+        0..n-1, a duplicate edge or a repeated pair raises ValueError, a pair
+        naming an unlisted edge UnknownEdgeError, and an edge crossing
+        itself or one it shares a vertex with NotSimpleError."""
+        listed = sorted(edge(u, v) for u, v in edges)
+        for i, e in enumerate(listed):
+            if not 0 <= e[0] < e[1] < n:
+                raise ValueError(f"edge {e} has a vertex outside 0..{n - 1}")
+            if i and listed[i - 1] == e:
+                raise ValueError(f"duplicate edge {e}")
+        index = {e: i for i, e in enumerate(listed)}
+        rows = [0] * len(listed)
+        for pair in pairs:
+            e, f = ((min(x), max(x)) for x in pair)
+            for x in (e, f):
+                if x not in index:
+                    raise UnknownEdgeError(f"crossing pair names edge {x}, which is not listed")
+            if e == f:
+                raise NotSimpleError("edge crosses itself", pair=(e, f))
+            if set(e) & set(f):
+                raise NotSimpleError("edges sharing a vertex cross", pair=(e, f))
+            i, j = index[e], index[f]
+            if rows[i] >> j & 1:
+                raise ValueError(f"repeated crossing pair {e}, {f}")
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+        return Relation(n, listed, rows)
 
     @functools.cached_property
     def _edge_bit(self) -> Dict[Edge, int]:

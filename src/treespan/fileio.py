@@ -2,8 +2,10 @@
 
 Every number in a drawing file is a two-element array of decimal integer
 strings [numerator, denominator], so exact rationals survive serialization
-in any language.  Unknown fields are rejected and serialization is
-canonical (sorted keys, sorted edges), making round-trips byte-identical.
+in any language.  A relation file holds a crossing relation alone: n, the
+edges and the crossing pairs, as [u, v] integer pairs.  Unknown fields are
+rejected and serialization is canonical (sorted keys, sorted edges), making
+round-trips byte-identical.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, List, Optional, Tuple
 
 from .compat import CompatGraph
-from .drawing import Drawing, bits, check_radii
+from .drawing import Drawing, Relation, bits, check_radii
 from .errors import TreespanError
 from .geometry import Point, PolarPoint
 from .trees import Tree, canon_tree
@@ -43,6 +45,18 @@ def _num_from_json(obj) -> Fraction:
 
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _n_from_json(n) -> int:
+    if not _is_int(n) or n < 2:
+        raise FileFormatError("n must be an integer >= 2")
+    return n
+
+
+def _edge_from_json(e) -> Tuple[int, int]:
+    if not (isinstance(e, list) and len(e) == 2 and _is_int(e[0]) and _is_int(e[1])):
+        raise FileFormatError(f"bad edge {e!r}; expected [u, v] ints")
+    return e[0], e[1]
 
 
 def _pair_to_json(p) -> list:
@@ -78,7 +92,7 @@ def drawing_to_dict(d: Drawing) -> dict:
 
 def _check_top_level(obj, kind: str, required: Tuple[str, ...],
                      optional: Tuple[str, ...]) -> None:
-    """The rule for a file's top level, drawing or sequence: a JSON object
+    """The rule for a file's top level, of any kind: a JSON object
     with no unknown field and every required one, checked in that order."""
     if not isinstance(obj, dict):
         raise FileFormatError(f"{kind} file must be a JSON object")
@@ -93,9 +107,7 @@ def _check_top_level(obj, kind: str, required: Tuple[str, ...],
 def drawing_from_dict(obj: dict) -> Drawing:
     _check_top_level(obj, "drawing", ("n", "graph", "backend", "vertices", "edges"),
                      ("circles",))
-    n = obj["n"]
-    if not _is_int(n) or n < 2:
-        raise FileFormatError("n must be an integer >= 2")
+    n = _n_from_json(obj["n"])
     graph_obj = obj["graph"]
     if graph_obj == "complete":
         graph = ("complete",)
@@ -152,7 +164,7 @@ def save_drawing(d: Drawing, path: str) -> None:
 
 
 def load_json(path: str):
-    """The JSON document in a file, drawing or sequence.  Nesting too deep
+    """The JSON document in a file, of any kind.  Nesting too deep
     for the parser is a malformed file like any other."""
     with open(path) as fh:
         try:
@@ -163,6 +175,43 @@ def load_json(path: str):
 
 def load_drawing(path: str) -> Drawing:
     return drawing_from_dict(load_json(path))
+
+
+# ---------------------------------------------------------------------------
+# relations
+# ---------------------------------------------------------------------------
+
+def relation_to_dict(d: Relation) -> dict:
+    return {"n": d.n, "edges": [list(e) for e in d.edges],
+            "crossing_pairs": [[list(e), list(f)] for e, f in d.crossing_pairs()]}
+
+
+def relation_from_dict(obj: dict) -> Relation:
+    """The checked relation of ``Relation.from_pairs``."""
+    _check_top_level(obj, "relation", ("n", "edges", "crossing_pairs"), ())
+    n = _n_from_json(obj["n"])
+    edges, pairs = obj["edges"], obj["crossing_pairs"]
+    if not (isinstance(edges, list) and isinstance(pairs, list)):
+        raise FileFormatError("edges and crossing_pairs must be lists")
+    for pair in pairs:
+        if not (isinstance(pair, list) and len(pair) == 2):
+            raise FileFormatError(f"bad crossing pair {pair!r}; expected [[u, v], [x, y]]")
+    return Relation.from_pairs(n, [_edge_from_json(e) for e in edges],
+                               [tuple(map(_edge_from_json, pair)) for pair in pairs])
+
+
+def save_relation(d: Relation, path: str) -> None:
+    with open(path, "w") as fh:
+        fh.write(dumps(relation_to_dict(d)))
+
+
+def load_relation(path: str) -> Relation:
+    """A relation file's relation (an object with ``crossing_pairs``), or
+    else the drawing of a drawing file."""
+    obj = load_json(path)
+    if isinstance(obj, dict) and "crossing_pairs" in obj:
+        return relation_from_dict(obj)
+    return drawing_from_dict(obj)
 
 
 # ---------------------------------------------------------------------------
@@ -211,11 +260,7 @@ def sequence_from_dict(obj: dict) -> Tuple[List[Tree], str, object]:
     for entry in obj["trees"]:
         if not isinstance(entry, list):
             raise FileFormatError(f"expected a list of edges, got {entry!r}")
-        for e in entry:
-            if not (isinstance(e, list) and len(e) == 2
-                    and _is_int(e[0]) and _is_int(e[1])):
-                raise FileFormatError(f"bad edge {e!r}; expected [u, v] ints")
-        trees.append(canon_tree(entry))
+        trees.append(canon_tree([_edge_from_json(e) for e in entry]))
     return trees, method, obj.get("drawing")
 
 

@@ -55,8 +55,7 @@ from .rng import SplitMix64
 
 @dataclass(frozen=True)
 class GenSpec:
-    cls: str          # convex | random_points | monotone_perturbed | two_page
-    #                 | cylindrical | strongly_cmonotone
+    cls: str          # one of CLASSES
     n: int
     seed: int
     a: Optional[int] = None   # cylindrical circle sizes, a + b = n
@@ -397,6 +396,7 @@ _CLASSES = {  # class -> (builder, class check on the validated drawing); a
     "strongly_cmonotone": (lambda spec, rng: _gen_strongly_cmonotone(spec.n, rng),
                            lambda d: classify_c_monotone(d)[1]),
 }
+CLASSES = tuple(_CLASSES)  # the class names ``GenSpec.cls`` takes
 
 MAX_REJECTS = 1000  # candidates ``generate`` tries before it gives up
 

@@ -2,20 +2,23 @@
 
 Three routes: cylindrical (through the uncrossed cycle paths), the spine
 route for monotone and strongly c-monotone drawings, and the star family
-(flip schedules along the crossing relation).  The spine route takes each
-tree to the spine path in at most n - 1 rounds, each round a step
-dropping twiggly edges (those crossing the spine): a maximal one through
-the vertices above it, or all of them by corridor paths.  A strongly
-c-monotone drawing with a non-spine cycle edge takes the first step: read
-from the gap no edge spans, it is monotone.  Building the strip table
-(``_strip``) is the only curve evaluation on the route.  Certification and
-the star family read a ``Relation`` alone; the cylindrical and spine
-routes, a ``Drawing``.
+(flip schedules along the crossing relation); ``transform`` takes the one
+asked for, or the first of ``METHODS`` that applies.  The spine route
+takes each tree to the spine path in at most n - 1 rounds, each round a
+step dropping twiggly edges (those crossing the spine): a maximal one
+through the vertices above it, or all of them by corridor paths.  A
+strongly c-monotone drawing with a non-spine cycle edge takes the first
+step: read from the gap no edge spans, it is monotone.  Building the strip
+table (``_strip``) is the only curve evaluation on the route.
+Certification and the star family read a ``Relation`` alone; the
+cylindrical and spine routes, a ``Drawing``.
 
 Each public call turns its input trees into edge masks once, works on
 masks throughout (nested steps are private cores returning mask lists),
-and certifies its own output exactly once, in ``_certified``.  Masks
-become edge tuples only in ``TransformSequence.trees`` and error messages.
+and certifies its own output exactly once, in ``_certified``: a failure
+there is the route's (InternalInvariantViolated), where one in
+``certify_sequence``, of a caller's trees, is bad input.  Masks become
+edge tuples only in ``TransformSequence.trees`` and error messages.
 Whatever a route reads that depends only on the drawing is built once per
 drawing through ``Relation._derive``: the classifications, the strip
 table, each spine's masks, each ordered centre pair's flip pairs and the
@@ -37,11 +40,14 @@ from .drawing import (
     SpineStructure,
     bits,
     classify_c_monotone,
+    classify_monotone,
+    validate_simple,
 )
 from .errors import (
     BadTreeError,
     IncompatibleStepError,
     InternalInvariantViolated,
+    MethodInapplicable,
     NoSideEdgeError,
     NotCylindricalError,
     NotMonotoneError,
@@ -70,7 +76,7 @@ class TransformSequence:
     edges: Tuple[Edge, ...]        # the relation's edges: bit i is edges[i]
     masks: Tuple[int, ...]
     method: str
-    certified: ClassVar[bool] = True  # only _certified builds sequences
+    certified: ClassVar[bool] = True  # only certify_sequence and _certified build one
 
     def __init__(self, edges: Tuple[Edge, ...], masks: Tuple[int, ...],
                  method: str):
@@ -95,29 +101,53 @@ def certify_sequence(d: Relation, trees: Sequence[Iterable[Edge]],
     """Verify every tree is plane spanning and every consecutive pair is
     compatible; raises BadTreeError / IncompatibleStepError otherwise.
     Each tree is checked in full, its edges read and certified, before the
-    next one is read."""
+    next one is read, and every tree before any step."""
     if not trees:
         raise ValueError("empty sequence")
-    return _certified(d, [c.mask for c in _input_certs(d, trees)], method)
+    certs = _input_certs(d, trees)
+    for i, (a, b) in enumerate(zip(certs, certs[1:])):
+        if a.mask & b.conflict:
+            raise IncompatibleStepError(i)
+    return TransformSequence(d.edges, tuple(c.mask for c in certs), method)
 
 
 def _certified(d: Relation, masks: List[int], method: str) -> TransformSequence:
-    """certify_sequence on masks: the one certification of each call.
-    Each tree is one read of the drawing's cache, certified by
-    ``check_mask`` on a miss.  Every tree is checked before the first
-    incompatible step is reported."""
-    cache = d._cert_cache
-    prev, bad = 0, None
+    """A route's output, certified: each tree one read of the drawing's
+    cache (``check_mask`` on a miss).  A failure is the route's."""
+    cache, prev = d._cert_cache, 0
     for i, mask in enumerate(masks):
         cert = cache.get(mask) or check_mask(d, mask)
         if not cert.is_plane_spanning_tree:
-            raise BadTreeError(i, cert)
-        if prev & cert.conflict and bad is None:
-            bad = i - 1
+            raise InternalInvariantViolated(f"{method} route: {BadTreeError(i, cert)}")
+        if prev & cert.conflict:
+            raise InternalInvariantViolated(f"{method} route: {IncompatibleStepError(i - 1)}")
         prev = mask
-    if bad is not None:
-        raise IncompatibleStepError(bad)
     return TransformSequence(d.edges, tuple(masks), method)
+
+
+METHODS = ("auto", "cylindrical", "monotone", "cmonotone", "special")  # auto: the rest in turn
+
+
+def transform(d: Drawing, t1: Sequence[Edge], t2: Sequence[Edge],
+              method: str = "auto") -> TransformSequence:
+    """A certified sequence from t1 to t2 by ``method``, one of ``METHODS``.
+    A bad tree is invalid input whatever the method; MethodInapplicable if
+    no method asked for applies."""
+    report = validate_simple(d)
+    _input_certs(d, [t1, t2])
+    if method in ("auto", "cylindrical") and report.is_cylindrical is not None:
+        return transform_cylindrical(d, report.is_cylindrical, t1, t2)
+    if method in ("auto", "monotone") and report.is_monotone:
+        return _spine_route(d, classify_monotone(d), [t1, t2])
+    if method in ("auto", "cmonotone") and report.is_strongly_c_monotone:
+        return _spine_route(d, classify_c_monotone(d)[2], [t1, t2])
+    if method in ("auto", "special") and d.graph[0] == "complete":
+        try:
+            return transform_special(d, t1, t2)
+        except NotSpecialTreeError:
+            if method == "special":
+                raise
+    raise MethodInapplicable(f"no applicable method (asked for {method!r})")
 
 
 def _dedupe(trees: list) -> list:

@@ -226,7 +226,8 @@ def _calls():
 
 def test_each_transformation_looks_each_mask_up_once(reads):
     """Each input tree of a call, and then each tree of its output, is one
-    read of the drawing's cache, on cold caches and warm."""
+    read of the drawing's cache, on cold caches and warm.  The output of
+    ``certify_sequence`` is its input, so it reads each tree once."""
     seen, watch = reads
     calls = _calls()
     for d, _, _ in calls:
@@ -235,7 +236,9 @@ def test_each_transformation_looks_each_mask_up_once(reads):
         for d, call, inputs in calls:
             seen.clear()
             seq = call()
-            masks = [tree_mask(d, t) for t in inputs] + list(seq.masks)
+            masks = [tree_mask(d, t) for t in inputs]
+            if seq.method != "manual":  # not certify_sequence's
+                masks += seq.masks
             assert seen == masks, warm
 
 

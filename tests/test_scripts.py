@@ -79,3 +79,24 @@ def test_package_imports_only_the_standard_library():
                 found.add(node.module.split(".")[0])
     assert "json" in found and "fractions" in found
     assert found <= sys.stdlib_module_names, sorted(found - sys.stdlib_module_names)
+
+
+def test_shells_import_only_public_names():
+    """The CLI and the scripts are shells over the public API: neither
+    imports an underscore-prefixed name or module of the package."""
+    shells = [ROOT / "src" / "treespan" / "cli.py", *sorted(SCRIPTS.glob("*.py"))]
+    assert len(shells) > 3
+    found = []
+    for path in shells:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").split(".")[0] == "treespan"):
+                names = (node.module or "").split(".") + [a.name for a in node.names]
+            elif isinstance(node, ast.Import):
+                names = [part for a in node.names if a.name.split(".")[0] == "treespan"
+                         for part in a.name.split(".")]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.startswith("_")]
+    assert found == []

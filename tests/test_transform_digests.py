@@ -16,7 +16,6 @@ from fractions import Fraction as F
 
 import pytest
 
-from treespan import cli
 from treespan.drawing import classify_cylindrical, classify_monotone
 from treespan.errors import TreespanError
 from treespan.generators import GenSpec, generate
@@ -24,6 +23,7 @@ from treespan.transforms import (
     cmonotone_to_spine,
     monotone_to_spine,
     star_to_star,
+    transform,
     transform_cylindrical,
     transform_special,
 )
@@ -136,7 +136,7 @@ def case_cli_monotone():
         trees = enumerate_plane_trees(d)
         pairs = (itertools.product(trees, repeat=2) if k is None
                  else _pairs(trees, k, 61))
-        out += [_outcome(cli._run_transform, d, "monotone", t1, t2)
+        out += [_outcome(transform, d, t1, t2, "monotone")
                 for t1, t2 in pairs]
     return out
 
@@ -145,10 +145,10 @@ def case_cli_cmonotone():
     out = []
     for d in (polar_k5(), polar_k4()):
         trees = enumerate_plane_trees(d)
-        out += [_outcome(cli._run_transform, d, "cmonotone", t1, t2)
+        out += [_outcome(transform, d, t1, t2, "cmonotone")
                 for t1, t2 in _pairs(trees, 60, d.n)]
     d = _gen("strongly_cmonotone", 6, 2)
-    out += [_outcome(cli._run_transform, d, "cmonotone", t1, t2)
+    out += [_outcome(transform, d, t1, t2, "cmonotone")
             for t1, t2 in _pairs(enumerate_plane_trees(d), 10, 62)]
     return out
 
