@@ -16,7 +16,7 @@ are Python-int bitsets over classes.  No tree-level rows are stored:
 ``adjacency`` is a read-only view that keeps one reach mask per class,
 built from the class rows when first read, and computes tree i's row from
 its class's mask each time it is read.  ``edge_count`` works on the
-classes and their sizes.
+class rows, against one class mask per bit of the class sizes.
 
 ``analyze`` runs on the class rows and expands its result to trees.  Trees
 of different classes are as far apart as their classes, and two trees of
@@ -96,13 +96,17 @@ class CompatGraph:
             reach.append(r)
         return _TreeRows(reach, self.class_of)
 
-    def _class_degree(self, a: int) -> int:
-        sizes = self.sizes
-        return sizes[a] - 1 + sum(sizes[b] for b in bits(self.class_rows[a]))
-
     def edge_count(self) -> int:
-        return sum(size * self._class_degree(a)
-                   for a, size in enumerate(self.sizes)) // 2
+        """Half the sum of the tree degrees.  A tree of class a meets the
+        size_a - 1 other trees of a and every tree of the classes in a's
+        row; with ``planes[j]`` the classes whose size has bit j, that is
+        size_a - 1 + the sum of 2^j popcount(row_a & planes[j])."""
+        sizes = self.sizes
+        planes = [int("".join(str(size >> j & 1) for size in reversed(sizes)), 2)
+                  for j in range(max(sizes, default=0).bit_length())]
+        return sum(size * (size - 1 + sum((row & plane).bit_count() << j
+                                          for j, plane in enumerate(planes)))
+                   for size, row in zip(sizes, self.class_rows)) // 2
 
 
 @dataclass(frozen=True)

@@ -41,10 +41,6 @@ class TooLargeError(TreespanError):
         super().__init__(f"n={n} exceeds enumeration limit {limit}")
 
 
-class IncompatibleError(TreespanError):
-    pass
-
-
 class BadTreeError(TreespanError):
     def __init__(self, index, cert):
         self.index = index

@@ -13,9 +13,10 @@ table (``_strip``) is the only curve evaluation on the route.
 Certification and the star family read a ``Relation`` alone; the
 cylindrical and spine routes, a ``Drawing``.
 
-Each public call turns its input trees into edge masks once, works on
-masks throughout (nested steps are private cores returning mask lists),
-and certifies its own output exactly once, in ``_certified``: a failure
+Each public call, ``transform`` too, reads each input tree once into an
+edge mask, works on masks throughout (nested steps are private cores
+returning mask lists), and certifies its own output exactly once, in
+``_certified``, which drops a tree equal to the one before it: a failure
 there is the route's (InternalInvariantViolated), where one in
 ``certify_sequence``, of a caller's trees, is bad input.  Masks become
 edge tuples only in ``TransformSequence.trees`` and error messages.
@@ -112,29 +113,31 @@ def certify_sequence(d: Relation, trees: Sequence[Iterable[Edge]],
 
 
 def _certified(d: Relation, masks: List[int], method: str) -> TransformSequence:
-    """A route's output, certified: each tree one read of the drawing's
-    cache (``check_mask`` on a miss).  A failure is the route's."""
-    cache, prev = d._cert_cache, 0
-    for i, mask in enumerate(masks):
+    """A route's output certified, a repeat of the tree before it dropped:
+    one cache read per tree (``check_mask`` on a miss), failures the route's."""
+    cache, out = d._cert_cache, []
+    for mask in masks:
+        if out and mask == out[-1]:
+            continue
         cert = cache.get(mask) or check_mask(d, mask)
         if not cert.is_plane_spanning_tree:
-            raise InternalInvariantViolated(f"{method} route: {BadTreeError(i, cert)}")
-        if prev & cert.conflict:
-            raise InternalInvariantViolated(f"{method} route: {IncompatibleStepError(i - 1)}")
-        prev = mask
-    return TransformSequence(d.edges, tuple(masks), method)
+            raise InternalInvariantViolated(f"{method} route: {BadTreeError(len(out), cert)}")
+        if out and out[-1] & cert.conflict:
+            raise InternalInvariantViolated(
+                f"{method} route: {IncompatibleStepError(len(out) - 1)}")
+        out.append(mask)
+    return TransformSequence(d.edges, tuple(out), method)
 
 
 METHODS = ("auto", "cylindrical", "monotone", "cmonotone", "special")  # auto: the rest in turn
 
 
-def transform(d: Drawing, t1: Sequence[Edge], t2: Sequence[Edge],
+def transform(d: Drawing, t1: Iterable[Edge], t2: Iterable[Edge],
               method: str = "auto") -> TransformSequence:
-    """A certified sequence from t1 to t2 by ``method``, one of ``METHODS``.
-    A bad tree is invalid input whatever the method; MethodInapplicable if
-    no method asked for applies."""
+    """A certified sequence from t1 to t2 by ``method``, one of ``METHODS``;
+    only the route tried reads the trees.  A bad tree is invalid input
+    whatever the method; MethodInapplicable if no method asked for applies."""
     report = validate_simple(d)
-    _input_certs(d, [t1, t2])
     if method in ("auto", "cylindrical") and report.is_cylindrical is not None:
         return transform_cylindrical(d, report.is_cylindrical, t1, t2)
     if method in ("auto", "monotone") and report.is_monotone:
@@ -147,11 +150,9 @@ def transform(d: Drawing, t1: Sequence[Edge], t2: Sequence[Edge],
         except NotSpecialTreeError:
             if method == "special":
                 raise
+    else:
+        _input_certs(d, [t1, t2])
     raise MethodInapplicable(f"no applicable method (asked for {method!r})")
-
-
-def _dedupe(trees: list) -> list:
-    return [t for i, t in enumerate(trees) if i == 0 or t != trees[i - 1]]
 
 
 # ---------------------------------------------------------------------------
@@ -167,14 +168,12 @@ def transform_cylindrical(d: Drawing, roles: Optional[CylRoles],
         raise NotCylindricalError("drawing is not cylindrical")
     c1, c2 = _input_certs(d, [t1, t2])
     t1, t2 = c1.mask, c2.mask
-    if t1 == t2:
-        return _certified(d, [t1], "cylindrical")
     if not t1 & c2.conflict:
         return _certified(d, [t1, t2], "cylindrical")
 
     paths = roles.paths_mask
     if not roles.inner_vertices or not roles.outer_vertices:
-        return _certified(d, _dedupe([t1, paths, t2]), "cylindrical")
+        return _certified(d, [t1, paths, t2], "cylindrical")
 
     sides1, sides2 = t1 & roles.sides_mask, t2 & roles.sides_mask
     if not sides1 or not sides2:
@@ -192,7 +191,7 @@ def transform_cylindrical(d: Drawing, roles: Optional[CylRoles],
                 "replacement side edge crosses the originals")
         seq.append(paths | bridge)
     seq += [paths | e2, t2]
-    return _certified(d, _dedupe(seq), "cylindrical")
+    return _certified(d, seq, "cylindrical")
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +237,7 @@ def _spine_route(d: Drawing, spine: SpineStructure,
     seq: List[int] = []
     for cert, way in zip(inputs, (1, -1)):  # the second tree's rounds reversed
         seq += _rounds(d, spine, cert.mask, step)[::way]
-    return _certified(d, _dedupe(seq), spine.kind)
+    return _certified(d, seq, spine.kind)
 
 
 def _rounds(d: Drawing, spine: SpineStructure, t: int, step) -> List[int]:
@@ -456,13 +455,9 @@ def star_to_star(d: Relation, g: int, r: int) -> TransformSequence:
     intermediate is a plane double star with fixed path g, r."""
     if g == r:
         raise ValueError("need two distinct centers")
-    return _certified(d, _star_to_star(d, g, r), "special")
-
-
-def _star_to_star(d: Relation, g: int, r: int) -> List[int]:
     if not (0 <= g < d.n and 0 <= r < d.n):
         raise ValueError(f"star centers {g} and {r} must be vertices 0..{d.n - 1}")
-    return _collapse_double(d, _star(d, g), g, r)
+    return _certified(d, _collapse_double(d, _star(d, g), g, r), "special")
 
 
 def _collapse_double(d: Relation, t: int, g: int, r: int) -> List[int]:
@@ -511,6 +506,6 @@ def transform_special(d: Relation, t1: Iterable[Edge],
     if c1.mask == c2.mask:  # after the reductions, which reject a non-special tree
         return _certified(d, [c1.mask], "special")
     if s1 != s2:
-        trees += _star_to_star(d, s1, s2)
+        trees += _collapse_double(d, _star(d, s1), s1, s2)
     trees += reversed(seq_b)
-    return _certified(d, _dedupe(trees), "special")
+    return _certified(d, trees, "special")

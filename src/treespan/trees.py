@@ -38,7 +38,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from .drawing import Edge, Relation, bits, edge
 from .errors import (
     BadTreeError,
-    IncompatibleError,
+    IncompatibleStepError,
     InternalInvariantViolated,
     TooLargeError,
     UnknownEdgeError,
@@ -500,11 +500,12 @@ def compatible_step_to_flips(d: Relation, t1: Iterable[Edge],
     """Expand one compatible tree pair into single edge flips: add each edge
     of t2 - t1 in canonical order, removing from the created cycle the
     highest-id edge of t1 - t2 on it.  Every intermediate stays a plane
-    spanning tree."""
+    spanning tree.  Two incompatible trees raise IncompatibleStepError(0),
+    as ``certify_sequence`` does on them."""
     c1, c2 = _input_certs(d, [t1, t2])
     t1, t2 = c1.mask, c2.mask
     if t1 & c2.conflict:
-        raise IncompatibleError("trees are not compatible")
+        raise IncompatibleStepError(0)
     edges, current = d.edges, t1
     flips: List[Tuple[Edge, Edge]] = []
     for i in bits(t2 & ~t1):

@@ -32,13 +32,21 @@ it stops once its reach covers a goal mask.  ``bfs_distance`` runs it,
 and the tests read it as the ball growth's oracle for eccentricities and
 components.
 
+``class_degree`` walks a class row's bits and adds up the sizes of the
+classes it names; ``edge_count_walk`` sums it over the classes.  They are
+``CompatGraph.edge_count`` before it read one class mask per bit of the
+class sizes, and its oracle.
+
 ``_reduce_to_star`` and ``_twin_star_to_star`` are ``transforms``' before
 a twin star was collapsed along its own hub pair: the twin star's
 t + gr - rs went through ``_double_star_to_star``, which derived that
 tree's centres and double-star paths again.  ``_double_star_to_star`` is
 the body of the package's former ``double_star_to_star``.  They read the
 loops' lists, not ``trees._special_paths``, and are the oracle of
-``transforms._reduce_to_star``.
+``transforms._reduce_to_star``.  ``_dedupe`` drops a tree equal to the one
+before it and ``_star_to_star`` collapses the star at g onto r: the
+oracle's own copies of what ``transforms._certified`` and
+``transforms.star_to_star`` do.
 
 ``compatible_step_to_flips`` is ``trees``' before a flip was one
 ``_retree`` call: it joins a fresh ``_UnionFind`` over the current tree's
@@ -59,17 +67,12 @@ from typing import Iterable, List, Tuple
 from treespan import trees
 from treespan.drawing import Drawing, Edge, bits, edge
 from treespan.errors import (
-    IncompatibleError,
+    IncompatibleStepError,
     InternalInvariantViolated,
     NotSpecialTreeError,
     UnknownEdgeError,
 )
-from treespan.transforms import (
-    _collapse_double,
-    _dedupe,
-    _star_to_star,
-    _tree_incidence,
-)
+from treespan.transforms import _collapse_double, _tree_incidence
 from treespan.trees import TreeCert, _input_certs, conflict_mask
 
 from conftest import edge_ids, uncrossed
@@ -224,6 +227,26 @@ def bfs_distance(g, t1, t2):
     return _bfs(g.class_rows, a, 1 << b)[0]
 
 
+def _dedupe(trees: list) -> list:
+    return [t for i, t in enumerate(trees) if i == 0 or t != trees[i - 1]]
+
+
+def _star_to_star(d: Drawing, g: int, r: int) -> List[int]:
+    return _collapse_double(d, tree_mask(d, [(g, v) for v in range(d.n) if v != g]), g, r)
+
+
+def class_degree(g, a: int) -> int:
+    """The degree of each tree of class a of the compatibility graph g: the
+    other trees of a and every tree of the classes in a's row, read bit by
+    bit."""
+    sizes = g.sizes
+    return sizes[a] - 1 + sum(sizes[b] for b in bits(g.class_rows[a]))
+
+
+def edge_count_walk(g) -> int:
+    return sum(size * class_degree(g, a) for a, size in enumerate(g.sizes)) // 2
+
+
 def _double_star_to_star(d: Drawing, t: int, target: int) -> List[int]:
     inc = incidence_loop(d.edges, t)
     centers = star_centers_loop(d.edges, inc, t)
@@ -269,7 +292,7 @@ def compatible_step_to_flips(d: Drawing, t1: Iterable[Edge],
     c1, c2 = _input_certs(d, [t1, t2])
     t1, t2 = c1.mask, c2.mask
     if t1 & c2.conflict:
-        raise IncompatibleError("trees are not compatible")
+        raise IncompatibleStepError(0)
     edges, current = d.edges, t1
     flips: List[Tuple[Edge, Edge]] = []
     for i in bits(t2 & ~t1):

@@ -26,6 +26,7 @@ from treespan.transforms import (
     cmonotone_to_spine,
     monotone_to_spine,
     star_to_star,
+    transform,
     transform_cylindrical,
     transform_special,
 )
@@ -201,15 +202,23 @@ def _calls():
     for t1, t2 in list(zip(trees[::97], trees[40::53])) + [(trees[3], trees[3])]:
         out.append((cyl, lambda t1=t1, t2=t2: transform_cylindrical(cyl, roles, t1, t2),
                     [t1, t2]))
+        out.append((cyl, lambda t1=t1, t2=t2: transform(cyl, t1, t2), [t1, t2]))
     mono = generate(GenSpec(cls="monotone_perturbed", n=6, seed=1))
     spine = classify_monotone(mono)
-    for t in enumerate_plane_trees(mono)[::211]:
+    mono_trees = enumerate_plane_trees(mono)
+    for t in mono_trees[::211]:
         out.append((mono, lambda t=t: monotone_to_spine(mono, spine, t), [t]))
+    for t1, t2 in zip(mono_trees[::211], mono_trees[100::211]):
+        out.append((mono, lambda t1=t1, t2=t2: transform(mono, t1, t2), [t1, t2]))
     for seed in (1, 2):  # a cut-branch drawing and a corridor-path one
         cm = generate(GenSpec(cls="strongly_cmonotone", n=6, seed=seed))
         assert classify_c_monotone(cm)[1]
-        for t in enumerate_plane_trees(cm)[::301]:
+        cm_trees = enumerate_plane_trees(cm)
+        for t in cm_trees[::301]:
             out.append((cm, lambda t=t, cm=cm: cmonotone_to_spine(cm, t), [t]))
+        for t1, t2 in zip(cm_trees[::301], cm_trees[150::301]):
+            out.append((cm, lambda t1=t1, t2=t2, cm=cm: transform(cm, t1, t2, "cmonotone"),
+                        [t1, t2]))
     d5 = polar_k5()
     star = [(0, v) for v in range(1, 5)]
     double = [(0, 1), (0, 2), (0, 3), (3, 4)]
@@ -217,6 +226,7 @@ def _calls():
     out += [(d5, lambda: star_to_star(d5, 0, 3), []),
             (d5, lambda: transform_special(d5, twin, twin), [twin, twin]),
             (d5, lambda: transform_special(d5, twin, double), [twin, double]),
+            (d5, lambda: transform(d5, twin, double, "special"), [twin, double]),
             (d5, lambda: certify_sequence(d5, [star, double, star]), [star, double, star])]
     special = enumerate_plane_trees(d5, kind="special")
     for t1, t2 in zip(special[::5], special[2::3]):

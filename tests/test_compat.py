@@ -25,6 +25,7 @@ from treespan.compat import (
     analyze,
     build_compat_graph,
 )
+from treespan.drawing import Relation
 from treespan.fileio import compat_to_dot
 from treespan.generators import GenSpec, fixture_bipartite_isolated, generate
 from treespan.trees import (
@@ -41,7 +42,7 @@ from treespan.transforms import star_to_star
 
 import pytest
 
-from reference_trees import _bfs, bfs_distance
+from reference_trees import _bfs, bfs_distance, class_degree, edge_count_walk
 
 
 @dataclass
@@ -338,7 +339,7 @@ def test_twin_classes_match_tree_oracle(case):
     assert len(g.class_rows) == len(set(conflicts))
     assert_matches_oracle(g, want)
     for i, t in enumerate(g.nodes):
-        assert g._class_degree(g.class_of[i]) == want.adjacency[i].bit_count()
+        assert class_degree(g, g.class_of[i]) == want.adjacency[i].bit_count()
         for j, u in enumerate(g.nodes):
             assert bfs_distance(g, t, u) == oracle_distance(want, i, j)
 
@@ -457,6 +458,44 @@ def test_counts_and_distances_build_no_tree_rows(sq):
     bfs_distance(g, g.nodes[0], g.nodes[-1])
     assert "adjacency" not in vars(g)
     assert g.edge_count() == sum(row.bit_count() for row in g.adjacency) // 2
+
+
+def test_edge_count_matches_class_walk_over_nine_planes():
+    """random_points n = 8 seed 0 has 42 304 trees in 1032 classes, the
+    largest of 387 trees, so the class sizes fill 9 bit planes; the count
+    read from the planes equals the class-row walk's."""
+    g = build_compat_graph(generate(GenSpec(cls="random_points", n=8, seed=0)))
+    assert (len(g.masks), len(g.class_rows), max(g.sizes)) == (42304, 1032, 387)
+    assert max(g.sizes).bit_length() == 9
+    assert g.edge_count() == edge_count_walk(g)
+
+
+def twisted(n):
+    """The twisted relation on K_n: disjoint edges ab and cd (a < b, c < d)
+    cross iff they are nested, a < c < d < b."""
+    edges = list(combinations(range(n), 2))
+    return Relation.from_pairs(n, edges, [((a, b), (c, d)) for a, b in edges
+                                          for c, d in edges if a < c < d < b])
+
+
+# n: (trees, classes, diameter) of the full graph, (trees, diameter) of
+# the restricted one
+TWISTED = {4: ((12, 3, 2), (12, 2)), 5: ((56, 14, 2), (56, 2)),
+           6: ((288, 71, 3), (167, 3)), 7: ((1583, 380, 3), (416, 3)),
+           8: ((9131, 2095, 3), (954, 4))}
+
+
+@pytest.mark.parametrize("n", sorted(TWISTED))
+def test_twisted_relation_graphs(n):
+    """The full and restricted graphs of the twisted relation, pinned; up
+    to n = 6 both match the pairwise oracle and one BFS per tree."""
+    d = twisted(n)
+    full, restricted = (build_compat_graph(d, restricted=r) for r in (False, True))
+    assert (len(full.masks), len(full.class_rows), analyze(full).diameter) == TWISTED[n][0]
+    assert (len(restricted.masks), analyze(restricted).diameter) == TWISTED[n][1]
+    if n <= 6:
+        for g, r in ((full, False), (restricted, True)):
+            assert_matches_oracle(g, oracle_build(d, restricted=r))
 
 
 def test_adjacency_view_reads_like_a_list(sq):

@@ -7,6 +7,7 @@ from itertools import combinations
 import pytest
 
 from treespan import drawing, generators
+from treespan.cli import main
 from treespan.drawing import (
     Drawing,
     _spans_cover_circle,
@@ -18,11 +19,12 @@ from treespan.drawing import (
     validate_simple,
 )
 from treespan.errors import InternalInvariantViolated, InvalidRadiiError, NotSimpleError
+from treespan.fileio import save_drawing
 from treespan.generators import GenSpec, generate
 from treespan.geometry import Proper, segment_proper_crossing
 from treespan.trees import enumerate_plane_trees, tree_mask
 
-from conftest import P, crossings, cyl_k4, straight_line_drawing
+from conftest import PP, P, crossings, cyl_k4, straight_line_drawing
 from reference_drawing import circle_paths
 from reference_spine import (
     EmptySetError,
@@ -347,6 +349,24 @@ def test_pk3_strongly_c_monotone(pk3):
     assert c and strong
     assert spine.all_cycle_edges_spine
     assert spine.spine_edges == ((0, 1), (0, 2), (1, 2))
+
+
+def test_polar_vertices_off_one_circle_are_not_c_monotone(tmp_path):
+    """A valid polar K3 with radii 2, 3, 2: its vertices lie on no one
+    circle, so it is not c-monotone and the cmonotone method is
+    inapplicable (exit 2)."""
+    pts = (PP(0, 2), PP(F(1, 3), 3), PP(F(2, 3), 2))
+    d = Drawing(n=3, backend="polar", vertex_points=pts,
+                curves={edge(0, 1): (pts[0], pts[1]), edge(1, 2): (pts[1], pts[2]),
+                        edge(0, 2): (pts[2], PP(1, 2))})
+    report = validate_simple(d)
+    assert report.is_simple
+    assert classify_c_monotone(d) == (False, False, None)
+    assert report.is_c_monotone is False
+    path = str(tmp_path / "k3.json")
+    save_drawing(d, path)
+    assert main(["transform", path, "--from", "0-1,1-2", "--to", "0-2,1-2",
+                 "--method", "cmonotone"]) == 2
 
 
 def test_pk4_classification(pk4):

@@ -38,6 +38,7 @@ from treespan.transforms import (
     cmonotone_to_spine,
     monotone_to_spine,
     star_to_star,
+    transform,
     transform_cylindrical,
     transform_special,
 )
@@ -563,6 +564,51 @@ def test_transform_special_identical_trees():
         transform_special(d6, spider, spider)
     star = [(0, k) for k in range(1, 6)]
     assert len(transform_special(d6, star, star)) == 1
+
+
+@pytest.mark.parametrize("spec, method", [
+    (GenSpec(cls="cylindrical", n=5, seed=11, a=2, b=3), "cylindrical"),
+    (GenSpec(cls="monotone_perturbed", n=6, seed=1), "monotone"),
+    (GenSpec(cls="strongly_cmonotone", n=6, seed=1), "cmonotone"),
+    (GenSpec(cls="strongly_cmonotone", n=6, seed=2), "cmonotone"),
+    (GenSpec(cls="random_points", n=6, seed=0), "special"),
+], ids=["cylindrical", "monotone", "cmonotone-cut", "cmonotone-corridor", "special"])
+def test_transform_reads_each_tree_once(spec, method):
+    """``transform`` reads each input tree once, so one-pass iterators give
+    the sequence that edge tuples do, by every route and by auto.  On
+    random_points the special route runs only when asked: auto takes the
+    monotone one, as every straight-line drawing with distinct x is
+    monotone."""
+    d = generate(spec)
+    if method == "cmonotone":  # seed 1 takes the cut, seed 2 the corridors
+        assert classify_c_monotone(d)[2].all_cycle_edges_spine is (spec.seed == 2)
+    trees = enumerate_plane_trees(d, kind="special" if method == "special" else "all")
+    step = len(trees) // 7 + 1
+    pairs = list(zip(trees[::step], trees[len(trees) // 2::step])) + [(trees[1], trees[1])]
+    for t1, t2 in pairs:
+        want = transform(d, t1, t2, method)
+        assert want.method == method
+        assert transform(d, iter(t1), iter(t2), method) == want
+        assert transform(d, iter(t1), iter(t2)) == transform(d, t1, t2)
+
+
+def test_transform_without_a_route_reads_each_tree_once():
+    """With no route to take, one-pass trees still reach MethodInapplicable:
+    auto tries the special route, which reads them and finds a non-special
+    tree, and a method that does not apply has them read once before it
+    is refused.  A bad tree is still reported first."""
+    from conftest import straight_line_drawing
+
+    # vertices 0 and 1 share an x, so no route but the special one applies
+    d = straight_line_drawing([P(0, 0), P(0, 3), P(2, 1), P(3, 4), P(5, 0), P(5, 2)])
+    spider = ((0, 1), (0, 2), (0, 3), (2, 4), (3, 5))
+    star = tuple((0, v) for v in range(1, 6))
+    for method in ("auto", "monotone", "cylindrical"):
+        with pytest.raises(MethodInapplicable):
+            transform(d, iter(spider), iter(star), method)
+    with pytest.raises(BadTreeError) as info:
+        transform(d, iter(star), iter(spider[:4]), "monotone")
+    assert info.value.index == 1
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import pytest
 import treespan.trees
 from treespan.errors import (
     BadTreeError,
-    IncompatibleError,
+    IncompatibleStepError,
     TooLargeError,
     UnknownEdgeError,
 )
@@ -208,9 +208,10 @@ def test_flips_single(sq):
 
 
 def test_flips_incompatible(sq):
-    with pytest.raises(IncompatibleError):
+    with pytest.raises(IncompatibleStepError) as info:
         compatible_step_to_flips(sq, [(0, 1), (0, 2), (0, 3)],
                                  [(1, 3), (0, 1), (1, 2)])
+    assert info.value.index == 0
 
 
 @pytest.mark.parametrize("bad", [
