@@ -1,9 +1,12 @@
 """Compatibility graph of plane spanning trees, kept on twin classes.
 
 A graph is built from a ``Relation``, a drawing's crossing relation or
-one given as rows, and stores its trees as edge masks over its ``edges``;
-``nodes`` (their canonical edge tuples, the public tree type) and
-``index``, keyed by those tuples, are built the first time they are read.
+one given as rows, and stores its trees as edge masks over its ``edges``.
+Its masks, twin classes and class rows are kept per relation through
+``Relation._derive``, listed and built once for each kind, and every graph
+built on the relation shares those tuples.  ``nodes`` (the trees'
+canonical edge tuples, the public tree type) and ``index``, keyed by those
+tuples, are the graph's own, built the first time they are read.
 
 Two plane trees A and B are compatible iff ``A & conflict(B) == 0`` iff
 ``B & conflict(A) == 0``.  Trees with the same conflict mask therefore have
@@ -39,7 +42,7 @@ from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from .drawing import Edge, Relation, bits
-from .trees import Tree, _plane_masks, mask_trees
+from .trees import Tree, _listing, _plane_masks, _shared_kind, mask_trees
 
 
 class _TreeRows(Sequence):
@@ -47,7 +50,7 @@ class _TreeRows(Sequence):
     (the class's trees and those of every class in its row): row i is
     tree i's class's reach without tree i itself."""
 
-    def __init__(self, reach: List[int], class_of: List[int]):
+    def __init__(self, reach: List[int], class_of: Sequence[int]):
         self._reach, self._class_of = reach, class_of
 
     def __len__(self) -> int:
@@ -60,10 +63,16 @@ class _TreeRows(Sequence):
 
 @dataclass
 class CompatGraph:
+    """A relation's plane trees, or its star-family trees if
+    ``restricted``, and their compatibility.  The three tuples are the
+    relation's kept listing and class rows, shared by every graph built on
+    it; what a graph derives from them (``nodes``, ``index``, ``sizes``,
+    ``adjacency``) is its own."""
+
     edges: Tuple[Edge, ...]        # the relation's edges: bit i is edges[i]
-    masks: List[int]               # node i is the tree masks[i]
-    class_of: List[int]            # node -> twin class
-    class_rows: List[int]          # bit b of row a: classes a != b compatible
+    masks: Tuple[int, ...]         # node i is the tree masks[i]
+    class_of: Tuple[int, ...]      # node -> twin class
+    class_rows: Tuple[int, ...]    # bit b of row a: classes a != b compatible
     restricted: bool
 
     @cached_property
@@ -119,21 +128,21 @@ class CompatAnalysis:
 
 def build_compat_graph(d: Relation, restricted: bool = False,
                        limit: Optional[int] = None) -> CompatGraph:
-    masks, class_of, conflicts = _plane_masks(
-        d, kind="special" if restricted else "all", limit=limit)
-    return _twin_graph(d.edges, masks, class_of, conflicts, restricted)
+    kind = "special" if restricted else "all"
+    masks, class_of, _ = _plane_masks(d, kind, limit)
+    return CompatGraph(edges=d.edges, masks=masks, class_of=class_of,
+                       class_rows=d._derive(_class_rows, _shared_kind(d, kind)),
+                       restricted=restricted)
 
 
-def _twin_graph(edges: Tuple[Edge, ...], masks: List[int], class_of: List[int],
-                conflicts: List[int], restricted: bool) -> CompatGraph:
-    """The graph of the plane trees ``masks``, tree i in twin class
-    ``class_of[i]`` (classes numbered in order of first appearance) and
-    class a's conflict mask ``conflicts[a]``.  The rows come from
-    edge-holder sets, not from testing class pairs: ``holders[e]`` holds
-    the classes whose last tree contains edge e, and class a is compatible
-    with every class outside the holders of the edges in its conflict
-    mask, which any one tree of each class decides."""
-    holders = [0] * len(edges)
+def _class_rows(d: Relation, kind: str) -> Tuple[int, ...]:
+    """The class rows of the relation's kept listing of ``kind``.  They
+    come from edge-holder sets, not from testing class pairs:
+    ``holders[e]`` holds the classes whose last tree contains edge e, and
+    class a is compatible with every class outside the holders of the
+    edges in its conflict mask, which any one tree of each class decides."""
+    masks, class_of, conflicts = d._derive(_listing, kind)
+    holders = [0] * len(d.edges)
     for a, mask in dict(zip(class_of, masks)).items():  # a class's last tree
         while mask:
             low = mask & -mask
@@ -148,11 +157,10 @@ def _twin_graph(edges: Tuple[Edge, ...], masks: List[int], class_of: List[int],
             blocked |= holders[low.bit_length() - 1]
             conflict ^= low
         class_rows.append(full & ~blocked)
-    return CompatGraph(edges=edges, masks=masks, class_of=class_of,
-                       class_rows=class_rows, restricted=restricted)
+    return tuple(class_rows)
 
 
-def _eccentricities(rows: List[int]) -> Tuple[List[int], List[int]]:
+def _eccentricities(rows: Sequence[int]) -> Tuple[List[int], List[int]]:
     """(ecc, comps): the eccentricity of every node of the bitset rows
     ``rows`` within its component, and that component as a mask.
 

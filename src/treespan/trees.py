@@ -16,6 +16,11 @@ conflicts.  The relation's cache is the one memo of certificates, and
 stored.  An edge crossing itself is in no plane tree, so no enumerator
 offers one.
 
+Each kind's listing, the tree masks with their twin classes
+(``_plane_masks``), is built once per relation and kept through
+``Relation._derive``: every ``enumerate_plane_trees`` call and every
+compatibility graph built on the relation shares it.
+
 The star, double-star and twin-star classes overlap (one tree can admit
 several fixed-path representations), and ``_special_paths`` reads a
 tree's least representation of each class in one pass.  ``_star_family``
@@ -45,6 +50,7 @@ from .errors import (
 )
 
 Tree = Tuple[Edge, ...]
+Listing = Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]]  # see _plane_masks
 
 ENUM_LIMIT_ALL = 8
 ENUM_LIMIT_SPECIAL = 10
@@ -337,12 +343,14 @@ def enumerate_plane_trees(d: Relation, kind: str = "all",
     filtered from all trees, except on 2 <= n <= 5, where every plane tree
     is special and the search above lists them; the three single kinds
     keep the 'special' trees whose ``classify_kind`` is that kind.
+    Each kind is listed once per relation and kept (``_plane_masks``);
+    every call returns a fresh list of edge tuples.
     """
     return mask_trees(d.edges, _plane_masks(d, kind, limit)[0])
 
 
 def _plane_masks(d: Relation, kind: str = "all", limit: Optional[int] = None
-                 ) -> Tuple[List[int], List[int], List[int]]:
+                 ) -> Listing:
     """The trees ``enumerate_plane_trees`` lists, in the same order, as
     ``(masks, class_of, conflicts)``: tree i is ``masks[i]``, its twin
     class (the trees with its conflict mask) is ``class_of[i]``, numbered
@@ -351,26 +359,48 @@ def _plane_masks(d: Relation, kind: str = "all", limit: Optional[int] = None
     per class, not one per tree.  ``compat.build_compat_graph`` lists its
     trees through this kernel too.
 
-    'special' on 2 <= n <= 5 is 'all': a tree on at most five vertices has
-    diameter at most 4, so it is a star or a double star, or the path on
-    five vertices, the twin star whose core is its middle three vertices."""
+    The kind and the limit are checked on every call; the listing itself
+    is built once per relation and kind and kept through
+    ``Relation._derive``, so every listing and every compatibility graph
+    on the relation shares it, whatever limit let it be built."""
     if kind not in KINDS:
         raise ValueError(f"unknown filter {kind!r}")
     if limit is None:
         limit = ENUM_LIMIT_ALL if kind == "all" else ENUM_LIMIT_SPECIAL
     if d.n > limit:
         raise TooLargeError(d.n, limit)
-    if kind not in ("all", "special"):
-        masks, class_of, conflicts = _plane_masks(d, "special", limit)
-        return _twin_classes((mask, conflicts[a]) for mask, a in zip(masks, class_of)
-                             if _kind_of(d, mask)[0] == kind)
-    if kind == "special" and not 2 <= d.n <= 5:
-        return _star_family(d)
+    return d._derive(_listing, _shared_kind(d, kind))
 
+
+def _shared_kind(d: Relation, kind: str) -> str:
+    """The kind whose listing ``kind``'s is: 'special' on 2 <= n <= 5 is
+    'all', since a tree on at most five vertices has diameter at most 4,
+    so it is a star or a double star, or the path on five vertices, the
+    twin star whose core is its middle three vertices."""
+    return "all" if kind == "special" and 2 <= d.n <= 5 else kind
+
+
+def _listing(d: Relation, kind: str) -> Listing:
+    """Build the triple ``_plane_masks`` keeps for a kind: the plane-tree
+    search for 'all', ``_star_family`` for 'special' on sizes where they
+    differ, and for each single kind the kept 'special' trees whose
+    ``classify_kind`` is that kind."""
+    if kind == "all":
+        return _plane_search(d)
+    if kind == "special":
+        return _star_family(d)
+    masks, class_of, conflicts = d._derive(_listing, _shared_kind(d, "special"))
+    return _twin_classes((mask, conflicts[a]) for mask, a in zip(masks, class_of)
+                         if _kind_of(d, mask)[0] == kind)
+
+
+def _plane_search(d: Relation) -> Listing:
+    """Every plane spanning tree, in ``_plane_masks``'s shape, by the
+    search ``enumerate_plane_trees`` describes."""
     n, edges, rows = d.n, d.edges, d.cross_mask
     m = len(edges)
     if m < n - 1:
-        return [], [], []
+        return (), (), ()
     if n <= 3:  # few enough (n - 1)-edge sets to certify each one
         certs = [check_mask(d, sum(1 << i for i in pick))
                  for pick in (itertools.combinations(range(m), n - 1) if n else ())]
@@ -424,11 +454,13 @@ def _plane_masks(d: Relation, kind: str = "all", limit: Optional[int] = None
                                         len(number)))
 
     grow(0, [row & usable for row in d._derive(_vertex_rows)], n - 1, 0, 0, 0)
-    return masks, class_of, list(number)
+    # grow refers to itself, so its closure would keep the lists alive
+    # beside their tuples until the next cyclic collection
+    del grow
+    return tuple(masks), tuple(class_of), tuple(number)
 
 
-def _twin_classes(trees: Iterable[Tuple[int, int]]
-                  ) -> Tuple[List[int], List[int], List[int]]:
+def _twin_classes(trees: Iterable[Tuple[int, int]]) -> Listing:
     """``_plane_masks``'s triple of trees given as (mask, conflict mask)
     pairs, their classes numbered in order of first appearance."""
     masks: List[int] = []
@@ -437,10 +469,10 @@ def _twin_classes(trees: Iterable[Tuple[int, int]]
     for mask, conflict in trees:
         masks.append(mask)
         class_of.append(number.setdefault(conflict, len(number)))
-    return masks, class_of, list(number)
+    return tuple(masks), tuple(class_of), tuple(number)
 
 
-def _star_family(d: Relation) -> Tuple[List[int], List[int], List[int]]:
+def _star_family(d: Relation) -> Listing:
     """Every plane double star and twin star, in canonical order, in
     ``_plane_masks``'s shape.  The stars are among the double stars: a
     star with centre c is the double star of an edge cv with every other
@@ -453,7 +485,7 @@ def _star_family(d: Relation) -> Tuple[List[int], List[int], List[int]]:
     double star on gr is every entry that no edge crossing gr is in, plus
     gr, and the twin star g-s-r every entry that holds gs and no edge
     crossing rs, plus rs (the entries holding rs give the same trees).
-    ``_plane_masks`` calls it for n = 0, n = 1 (no tree: a lone vertex
+    ``_listing`` calls it for n = 0, n = 1 (no tree: a lone vertex
     has no core edge) and n >= 6; on 2 <= n <= 5 the plane-tree search
     lists the same triple."""
     n, rows, top = d.n, d.cross_mask, len(d.edges) - 1

@@ -20,16 +20,20 @@ import treespan.trees
 from treespan.compat import (
     CompatAnalysis,
     CompatGraph,
+    _class_rows,
     _eccentricities,
-    _twin_graph,
     analyze,
     build_compat_graph,
 )
 from treespan.drawing import Relation
+from treespan.errors import TooLargeError
 from treespan.fileio import compat_to_dot
 from treespan.generators import GenSpec, fixture_bipartite_isolated, generate
 from treespan.trees import (
-    _plane_masks,
+    KINDS,
+    _listing,
+    _plane_search,
+    _star_family,
     canon_tree,
     classify_kind,
     conflict_mask,
@@ -75,7 +79,7 @@ def oracle_build(d, restricted=False):
 
 
 def assert_matches_oracle(g, want):
-    assert g.masks == want.masks
+    assert g.masks == tuple(want.masks)
     assert list(g.adjacency) == want.adjacency
     assert g.edge_count() == want.edge_count()
     assert analyze(g) == oracle_analyze(want)
@@ -193,8 +197,8 @@ def _graph(m, pairs):
             adjacency[i] |= 1 << j
             adjacency[j] |= 1 << i
     return CompatGraph(edges=tuple((0, i + 1) for i in range(m)),
-                       masks=[1 << i for i in range(m)],
-                       class_of=list(range(m)), class_rows=adjacency,
+                       masks=tuple(1 << i for i in range(m)),
+                       class_of=tuple(range(m)), class_rows=tuple(adjacency),
                        restricted=False)
 
 
@@ -331,10 +335,12 @@ def twin_cases(draw):
 def test_twin_classes_match_tree_oracle(case):
     cross, masks = case
     conflicts = [_conflict(cross, mask) for mask in masks]
-    edges = tuple((0, e + 1) for e in range(len(cross)))
+    d = Relation(len(cross) + 1, [(0, e + 1) for e in range(len(cross))], cross)
     number = {}  # conflict mask -> class, in order of first appearance
-    class_of = [number.setdefault(c, len(number)) for c in conflicts]
-    g = _twin_graph(edges, masks, class_of, list(number), False)
+    class_of = tuple(number.setdefault(c, len(number)) for c in conflicts)
+    # the edge sets, which need not be trees, as the relation's kept listing
+    d._derived[_listing, "all"] = (tuple(masks), class_of, tuple(number))
+    g = build_compat_graph(d, limit=d.n)
     want = oracle_pairwise(masks, conflicts)
     assert len(g.class_rows) == len(set(conflicts))
     assert_matches_oracle(g, want)
@@ -345,25 +351,49 @@ def test_twin_classes_match_tree_oracle(case):
 
 
 def test_one_enumeration_kernel_call_per_listing_and_build(monkeypatch):
-    """``enumerate_plane_trees`` and ``build_compat_graph``, full or
-    restricted, each list their trees with one ``_plane_masks`` call, so no
-    second enumeration path serves either."""
+    """Every kind's ``enumerate_plane_trees`` and both graph builds read the
+    relation's kept listings and rows: the plane-tree search and
+    ``_star_family`` each run once per relation and kind, and the class
+    rows are built once per listing.  On five vertices 'special' is 'all',
+    so the star family is never searched and both graphs share one
+    listing; from six on the single kinds filter the kept 'special' one."""
     calls = []
 
-    def counting(d, kind="all", limit=None):
-        calls.append(kind)
-        return _plane_masks(d, kind, limit)
+    def counting(kernel, module):
+        def run(d, *args):
+            calls.append((kernel.__name__, *args))
+            return kernel(d, *args)
+        monkeypatch.setattr(module, kernel.__name__, run)
 
-    for module in (treespan.trees, treespan.compat):
-        monkeypatch.setattr(module, "_plane_masks", counting)
-    d = generate(GenSpec(cls="two_page", n=6, seed=1))
-    for call, want in ((lambda: enumerate_plane_trees(d), "all"),
-                       (lambda: enumerate_plane_trees(d, "special"), "special"),
-                       (lambda: build_compat_graph(d), "all"),
-                       (lambda: build_compat_graph(d, restricted=True), "special")):
+    for kernel in (_plane_search, _star_family):
+        counting(kernel, treespan.trees)
+    counting(_class_rows, treespan.compat)
+    for n, want in ((5, [("_plane_search",), ("_class_rows", "all")]),
+                    (6, [("_plane_search",), ("_star_family",),
+                         ("_class_rows", "all"), ("_class_rows", "special")])):
+        d = generate(GenSpec(cls="two_page", n=n, seed=1))
         calls.clear()
-        assert call()
-        assert calls == [want]
+        for _ in range(2):
+            for kind in KINDS:
+                assert enumerate_plane_trees(d, kind) == enumerate_plane_trees(d, kind)
+            for restricted in (False, True):
+                assert build_compat_graph(d, restricted=restricted).masks
+        assert calls == want
+
+
+def test_a_kept_listing_still_checks_the_limit():
+    """A listing kept from a call with a raised limit does not lift the
+    default one: the star on 9 vertices is past 'all''s limit of 8, and
+    on 11 past the star kinds' limit of 10."""
+    for n, kind in ((9, "all"), (11, "special")):
+        d = Relation(n, [(0, v) for v in range(1, n)], [0] * (n - 1))
+        tree = enumerate_plane_trees(d, kind, limit=n)
+        assert tree == [tuple((0, v) for v in range(1, n))]
+        with pytest.raises(TooLargeError):
+            enumerate_plane_trees(d, kind)
+        with pytest.raises(TooLargeError):
+            build_compat_graph(d, restricted=kind == "special")
+        assert build_compat_graph(d, restricted=kind == "special", limit=n).nodes == tree
 
 
 def test_restricted_convex_8_matches_levels_until():
@@ -539,8 +569,8 @@ def test_tree_rows_are_not_stored():
 
 def test_disconnected_reports_inf():
     # artificial two-node graph with no edges
-    g = CompatGraph(edges=((0, 1), (1, 2)), masks=[1, 2], class_of=[0, 1],
-                    class_rows=[0, 0], restricted=False)
+    g = CompatGraph(edges=((0, 1), (1, 2)), masks=(1, 2), class_of=(0, 1),
+                    class_rows=(0, 0), restricted=False)
     a = analyze(g)
     assert not a.connected and a.diameter == math.inf and a.components == 2
 

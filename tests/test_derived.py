@@ -2,7 +2,8 @@
 
 Each memoised structure (the classifiers, the strip table of the spine
 route, the spine masks, the flip pairs, the cylindrical path and
-side masks and the certificates' conflict masks) is checked against its
+side masks, the certificates' conflict masks, and the plane-tree listings
+and class rows) is checked against its
 uncached builder over a grid of generated drawings; build counts confirm
 that repeated transformations build each structure once; and no caller can
 change a drawing's answers through what it was handed.
@@ -16,6 +17,7 @@ import pytest
 
 import treespan.drawing
 import treespan.transforms
+from treespan.compat import _class_rows, build_compat_graph
 from treespan.drawing import (
     Drawing,
     _classify_c_monotone,
@@ -40,6 +42,8 @@ from treespan.transforms import (
     transform_special,
 )
 from treespan.trees import (
+    _listing,
+    _shared_kind,
     _vertex_rows,
     check_mask,
     conflict_mask,
@@ -70,7 +74,8 @@ def _name(spec):
 
 def _use(d, trees):
     """Run every transformation that applies to d on a few of its trees,
-    filling its memo the way callers do."""
+    and build both compatibility graphs, filling its memo the way callers
+    do."""
     report = validate_simple(d)
     some = trees[:: max(1, len(trees) // 4)]
     if report.is_cylindrical is not None:
@@ -88,6 +93,8 @@ def _use(d, trees):
             transform_special(d, t1, t2)
         except RelationCyclicError:
             pass
+    for restricted in (False, True):
+        build_compat_graph(d, restricted=restricted)
 
 
 def _assert_memo_matches_builders(d):
@@ -133,6 +140,10 @@ def test_memo_matches_uncached_builders(spec):
         assert spine.all_cycle_edges_spine == (spec.seed == CMONO[spec.n][1])
     if spec.cls == "strongly_cmonotone" or classify_monotone(d) is not None:  # the spine route's drawings
         assert d._derive(_strip) == _strip(dataclasses.replace(d))
+    for kind in {_shared_kind(d, "all"), _shared_kind(d, "special")}:
+        masks, class_of, conflicts = d._derived[_listing, kind]
+        assert all(isinstance(x, tuple) for x in (masks, class_of, conflicts,
+                                                  d._derived[_class_rows, kind]))
     _assert_memo_matches_builders(d)
 
 
